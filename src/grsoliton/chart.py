@@ -150,14 +150,29 @@ def sample_points(chart, strategy="uniform", count=100, seed=0):
 
 def evaluate_field(comps, env, size):
     """Evaluate an object array of expressions -> float array (size, *shape)."""
-    comps = np.asarray(comps, dtype=object)
-    flat = list(comps.reshape(-1))
-    columns = expr.evaluate_many_multi(flat, env, size)
-    out = np.empty((size,) + comps.shape)
-    flat_out = out.reshape(size, -1)
-    for k, col in enumerate(columns):
-        flat_out[:, k] = col
-    return out
+    return next(evaluate_fields([comps], env, size))
+
+
+def evaluate_fields(fields, env, size):
+    """Evaluate several object arrays of expressions as one plan.
+
+    Returns an iterator over one float array of shape (size, *shape) per
+    field, in order.  Each array is assembled from the plan's root columns
+    only when it is reached, so a caller reducing one field at a time holds
+    the root columns plus a single field's copy.
+    """
+    fields = [np.asarray(f, dtype=object) for f in fields]
+    columns = expr.evaluate_many_multi(
+        [e for f in fields for e in f.reshape(-1)], env, size)
+    return _assemble_fields(columns, fields, size)
+
+
+def _assemble_fields(columns, fields, size):
+    start = 0
+    for f in fields:
+        block = np.array(columns[start:start + f.size]).reshape(f.size, size)
+        start += f.size
+        yield block.T.reshape((size,) + f.shape)
 
 
 def _as_expression(entry):

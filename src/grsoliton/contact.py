@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from grsoliton import expr
-from grsoliton.chart import evaluate_field, sample_points
+from grsoliton.chart import evaluate_field, evaluate_fields, sample_points
 from grsoliton.expr import Num, simplify
 from grsoliton.tensors import (
     TensorField,
@@ -97,10 +97,17 @@ class AlmostContactStructure:
         return TensorField(self.chart, "vector", comps)
 
 
-def _sup(comps, chart, points, params):
-    values = evaluate_field(np.asarray(comps, dtype=object),
-                            chart.env_at(points, params), len(points))
-    return float(np.abs(values).max()), values
+def sup_norm(values):
+    """Unmasked sup of |values|; non-finite entries propagate."""
+    return float(np.abs(values).max())
+
+
+def _worst_point(values):
+    """Index of the first point with a non-finite value if there is one,
+    else of the point with the largest |value|."""
+    flat = np.abs(values).reshape(len(values), -1).max(axis=1)
+    bad = ~np.isfinite(flat)
+    return int(np.argmax(bad if bad.any() else flat))
 
 
 def _axiom_components(chart, metric, phi, xi, eta):
@@ -165,15 +172,16 @@ def assemble_structure(chart, metric, phi, xi, eta, points=None, params=None,
         points = sample_points(chart, "uniform", _AXIOM_POINTS, _AXIOM_SEED)
     points = np.atleast_2d(np.asarray(points, dtype=float))
 
+    axioms = {axiom: [simplify(c) for c in comps] for axiom, comps
+              in _axiom_components(chart, metric, phi, xi, eta).items()}
+    values = evaluate_fields(list(axioms.values()), chart.env_at(points, params),
+                             len(points))
     residuals = {}
-    for axiom, comps in _axiom_components(chart, metric, phi, xi, eta).items():
-        comps = [simplify(c) for c in comps]
-        sup, values = _sup(comps, chart, points, params)
+    for axiom, axiom_values in zip(axioms, values):
+        sup = sup_norm(axiom_values)
         residuals[axiom] = sup
-        if not np.isfinite(values).all() or sup > tolerance:
-            flat = np.abs(values).reshape(len(points), -1).max(axis=1)
-            worst = int(np.nanargmax(flat))
-            raise StructureError(axiom, sup, points[worst])
+        if not np.isfinite(axiom_values).all() or sup > tolerance:
+            raise StructureError(axiom, sup, points[_worst_point(axiom_values)])
     return AlmostContactStructure(chart, metric, phi, xi, eta,
                                   (chart.dim - 1) // 2, residuals)
 
@@ -347,23 +355,20 @@ def check_sasakian_identities(structure, points=None, params=None):
     if points is None:
         points = sample_points(chart, "uniform", _AXIOM_POINTS, _AXIOM_SEED)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = {}
-    for name, comps in (
-            ("covariant_phi", covariant_phi_residual(structure)),
-            ("reeb_transport", reeb_transport_residual(structure)),
-            ("eta_transport", eta_transport_residual(structure)),
-            ("curvature_reeb", curvature_reeb_residual(structure))):
-        out[name], _ = _sup(list(comps.reshape(-1)), chart, points, params)
-    return out
+    fields = {
+        "covariant_phi": covariant_phi_residual(structure),
+        "reeb_transport": reeb_transport_residual(structure),
+        "eta_transport": eta_transport_residual(structure),
+        "curvature_reeb": curvature_reeb_residual(structure),
+    }
+    values = evaluate_fields(list(fields.values()), chart.env_at(points, params),
+                             len(points))
+    return {name: sup_norm(v) for name, v in zip(fields, values)}
 
 
-def ricci_reeb_residual(structure, points=None, params=None):
-    """Sup-norm of Ric(xi, d_j) - 2 n g(xi, d_j) over sample points."""
-    chart = structure.chart
-    n = chart.dim
-    if points is None:
-        points = sample_points(chart, "uniform", _AXIOM_POINTS, _AXIOM_SEED)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+def ricci_reeb_comps(structure):
+    """Components of Ric(xi, d_j) - 2 n g(xi, d_j), indexed [j]."""
+    n = structure.chart.dim
     ric = ricci(structure.metric).comps
     g = structure.metric.comps
     xi = structure.xi.comps
@@ -375,36 +380,27 @@ def ricci_reeb_residual(structure, points=None, params=None):
             total = expr.sub(total, expr.mul(Num(2.0 * structure.n),
                                              expr.mul(g[a, j], xi[a])))
         comps.append(simplify(total))
-    sup, _ = _sup(comps, chart, points, params)
-    return sup
+    return comps
 
 
-def classify_structure(structure, tolerance=DEFAULT_TOLERANCE, points=None,
-                       params=None, d_convention="half"):
-    """Evaluate the ladder conditions and report flags plus raw residuals.
-
-    Failures are report content, never exceptions.  The Sasakian flag is
-    contact and normal; ladder implications are enforced on the output.
-    """
+def ricci_reeb_residual(structure, points=None, params=None):
+    """Sup-norm of Ric(xi, d_j) - 2 n g(xi, d_j) over sample points."""
     chart = structure.chart
     if points is None:
         points = sample_points(chart, "uniform", _AXIOM_POINTS, _AXIOM_SEED)
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    return sup_norm(evaluate_field(ricci_reeb_comps(structure),
+                                   chart.env_at(points, params), len(points)))
 
-    residuals = dict(structure.axiom_residuals)
-    almost = max(residuals.values()) <= tolerance
 
+def ladder_fields(structure, d_convention="half"):
+    """Components of the contact, K-contact and normality conditions:
+    d eta - Phi, nabla xi + phi, and [phi, phi] + 2 d eta (x) xi."""
+    n = structure.chart.dim
     d_eta = exterior_derivative_oneform(structure.eta, d_convention)
     phi_form = fundamental_form(structure)
-    n = chart.dim
     contact_comps = [expr.sub(d_eta.comps[i, j], phi_form.comps[i, j])
                      for i in range(n) for j in range(i + 1, n)]
-    residuals["contact_condition"], _ = _sup(contact_comps, chart, points, params)
-
-    transport = reeb_transport_residual(structure)
-    residuals["reeb_transport"], _ = _sup(list(transport.reshape(-1)), chart,
-                                          points, params)
-
     torsion = nijenhuis_torsion(structure)
     normal_comps = []
     for k in range(n):
@@ -414,12 +410,19 @@ def classify_structure(structure, tolerance=DEFAULT_TOLERANCE, points=None,
                     torsion.comps[k, i, j],
                     expr.mul(Num(2.0), expr.mul(d_eta.comps[i, j],
                                                 structure.xi.comps[k]))))
-    residuals["normality"], _ = _sup(normal_comps, chart, points, params)
+    return [contact_comps, reeb_transport_residual(structure), normal_comps]
 
-    identity_residuals = check_sasakian_identities(structure, points, params)
-    for name, value in identity_residuals.items():
-        residuals.setdefault(f"identity_{name}", value)
 
+def ladder_report(structure, values, tolerance=DEFAULT_TOLERANCE, d_convention="half"):
+    """Ladder flags from the evaluated ladder_fields of a structure.
+
+    Failures are report content, never exceptions.  The Sasakian flag is
+    contact and normal; ladder implications are enforced on the output.
+    """
+    residuals = dict(structure.axiom_residuals)
+    almost = max(residuals.values()) <= tolerance
+    for name, v in zip(("contact_condition", "reeb_transport", "normality"), values):
+        residuals[name] = sup_norm(v)
     contact = almost and residuals["contact_condition"] <= tolerance
     k_contact = contact and residuals["reeb_transport"] <= tolerance
     normal = almost and residuals["normality"] <= tolerance
@@ -436,3 +439,15 @@ def classify_structure(structure, tolerance=DEFAULT_TOLERANCE, points=None,
         d_convention=d_convention,
         tolerance=tolerance,
     )
+
+
+def classify_structure(structure, tolerance=DEFAULT_TOLERANCE, points=None,
+                       params=None, d_convention="half"):
+    """Evaluate the ladder conditions and report flags plus raw residuals."""
+    chart = structure.chart
+    if points is None:
+        points = sample_points(chart, "uniform", _AXIOM_POINTS, _AXIOM_SEED)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    values = evaluate_fields(ladder_fields(structure, d_convention),
+                             chart.env_at(points, params), len(points))
+    return ladder_report(structure, values, tolerance, d_convention)

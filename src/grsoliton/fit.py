@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from grsoliton import expr
-from grsoliton.soliton import SolitonSpec, _evaluate_masked
+from grsoliton.chart import evaluate_fields
+from grsoliton.soliton import SolitonSpec
 from grsoliton.tensors import TensorField, as_scalar, hessian, partial, ricci, sym_product
 
 RANK_THRESHOLD = 1e-10
@@ -53,7 +54,9 @@ class FitResult:
         }
 
 
-def _design_columns(metric, f1, f2):
+def design_fields(metric, f1, f2):
+    """The c1, c2 and lambda columns and the target -Hess f1, each the
+    independent symmetric components of one sym2 field."""
     chart = metric.chart
     f1 = as_scalar(f1)
     f2 = as_scalar(f2)
@@ -63,13 +66,12 @@ def _design_columns(metric, f1, f2):
     hess = hessian(metric, f1).comps
     n = chart.dim
     upper = [(i, j) for i in range(n) for j in range(i, n)]
-    columns = {
-        "c1": [square[i, j] for i, j in upper],
-        "c2": [expr.neg(ric[i, j]) for i, j in upper],
-        "lambda": [expr.neg(metric.comps[i, j]) for i, j in upper],
-    }
-    target = [expr.neg(hess[i, j]) for i, j in upper]
-    return columns, target
+    return [
+        [square[i, j] for i, j in upper],
+        [expr.neg(ric[i, j]) for i, j in upper],
+        [expr.neg(metric.comps[i, j]) for i, j in upper],
+        [expr.neg(hess[i, j]) for i, j in upper],
+    ]
 
 
 def fit_constants(metric, f1, f2, points, params=None, fixed=None):
@@ -80,8 +82,18 @@ def fit_constants(metric, f1, f2, points, params=None, fixed=None):
     its domain are skipped.  Needs at least 3 points.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if len(points) < 3:
-        raise ValueError(f"need at least 3 sample points, got {len(points)}")
+    values = evaluate_fields(design_fields(metric, f1, f2),
+                             metric.chart.env_at(points, params), len(points))
+    return fit_design(list(values), fixed)
+
+
+def fit_design(values, fixed=None):
+    """Least-squares fit from the evaluated design_fields, each (npoints, k).
+
+    fixed is as for fit_constants.
+    """
+    if len(values[0]) < 3:
+        raise ValueError(f"need at least 3 sample points, got {len(values[0])}")
     fixed = dict(fixed or {})
     unknown = set(fixed) - set(CONSTANT_ORDER)
     if unknown:
@@ -90,18 +102,12 @@ def fit_constants(metric, f1, f2, points, params=None, fixed=None):
     if not free_names:
         raise ValueError("all constants fixed, nothing to fit")
 
-    columns, target = _design_columns(metric, f1, f2)
-    chart = metric.chart
-    blocks = {}
-    valid = None
-    for name in CONSTANT_ORDER:
-        flat, ok = _evaluate_masked(chart, columns[name], points, params)
-        blocks[name] = flat
-        valid = ok if valid is None else (valid & ok)
-    b_flat, ok = _evaluate_masked(chart, target, points, params)
-    valid &= ok
+    flat = [v.reshape(len(v), -1) for v in values]
+    valid = np.logical_and.reduce([np.isfinite(f).all(axis=1) for f in flat])
     if valid.sum() < 3:
         raise ValueError("fewer than 3 sample points survive domain masking")
+    blocks = dict(zip(CONSTANT_ORDER, flat))
+    b_flat = flat[-1]
 
     rows = np.column_stack([blocks[name][valid].reshape(-1) for name in free_names])
     b = b_flat[valid].reshape(-1)

@@ -1,6 +1,7 @@
 """Check-report assembly and emission (json, csv, table)."""
 
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -51,9 +52,21 @@ class Report:
         return out
 
 
+def _strict(value):
+    """JSON-ready copy of value with every non-finite float made None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def emit_report(report, fmt="table"):
+    """Render a report; json is strict, with null for non-finite numbers."""
     if fmt == "json":
-        return json.dumps(report.as_dict(), indent=2)
+        return json.dumps(_strict(report.as_dict()), indent=2, allow_nan=False)
     if fmt == "csv":
         lines = ["name,abs_residual,rel_residual,passed"]
         for row in report.checks:

@@ -2,30 +2,36 @@
 
 Each subcommand maps the manifest blocks onto the corresponding checks and
 collects one CheckRow per named check.  "all" runs every check the
-manifest has data for.  Failures are rows with passed=False; structural
-problems with the manifest raise ManifestError, and evaluation leaving an
+manifest has data for.  The symbolic components of every row are built
+first and evaluated as one plan; each row then reduces its own columns, in
+report order.  Failures are rows with passed=False; structural problems
+with the manifest raise ManifestError, and evaluation leaving an
 expression's domain at every sample point raises DomainError.
 """
 
+import functools
 import time
 
-from grsoliton.chart import sample_points
+from grsoliton.chart import evaluate_fields, sample_points
 from grsoliton.contact import (
     StructureError,
     assemble_structure,
-    classify_structure,
-    ricci_reeb_residual,
+    ladder_fields,
+    ladder_report,
+    ricci_reeb_comps,
+    sup_norm,
 )
-from grsoliton.fit import fit_constants
+from grsoliton.fit import design_fields, fit_design
 from grsoliton.manifest import CONSTANT_KEYS, ManifestError
 from grsoliton.report import CheckRow, Report
 from grsoliton.soliton import (
     SolitonSpec,
-    alignment_condition,
-    grad_transport_check,
-    residual_gradient_form,
-    residual_vector_form,
-    supporting_identities_check,
+    build_alignment_check,
+    build_gradient_check,
+    build_supporting_checks,
+    build_transport_check,
+    build_vector_check,
+    residual_report,
 )
 from grsoliton.tensors import TensorField
 
@@ -56,37 +62,37 @@ def run_manifest(manifest, subcommand, points=None, count=None, seed=None,
         points = sample_points(manifest.chart, sampling["strategy"],
                                sampling["count"], sampling["seed"])
 
-    rows = []
+    run = _Run(manifest, points, tol)
     structure = None
     if subcommand in ("check-structure", "check-theorem", "all"):
         wants_structure = subcommand != "all" or manifest.structure is not None
         if manifest.structure is None and subcommand != "all":
             raise ManifestError(f"{subcommand} needs a structure block")
         if wants_structure:
-            structure, structure_rows = _assemble(manifest, points, tol, d_convention,
-                                                  classify=subcommand != "check-theorem")
-            rows.extend(structure_rows)
+            structure = _assemble(run, d_convention,
+                                  classify=subcommand != "check-theorem")
 
     if subcommand in ("check-soliton", "all"):
         if manifest.mode is None and subcommand != "all":
             raise ManifestError("check-soliton needs a scalars or vectors block")
         if manifest.mode is not None:
-            rows.extend(_soliton_rows(manifest, points, tol))
+            _soliton_rows(run)
 
     if subcommand in ("check-theorem", "all"):
         if subcommand == "check-theorem" and manifest.scalars is None:
             raise ManifestError("check-theorem needs a scalars block")
         if structure is not None and manifest.scalars is not None:
-            rows.extend(_theorem_rows(manifest, structure, points, tol))
+            _theorem_rows(run, structure)
 
     if subcommand in ("fit", "all"):
         if manifest.scalars is None and subcommand != "all":
             raise ManifestError("fit needs a scalars block")
         if manifest.scalars is not None:
-            rows.append(_fit_row(manifest, points, tol, explicit=subcommand == "fit"))
+            _fit_row(run, explicit=subcommand == "fit")
 
-    if not rows:
+    if not run.groups:
         raise ManifestError(f"manifest has no content for subcommand {subcommand!r}")
+    rows = run.rows()
     return Report(
         manifest_digest=manifest.digest,
         subcommand=subcommand,
@@ -101,65 +107,105 @@ def run_manifest(manifest, subcommand, points=None, count=None, seed=None,
     )
 
 
-def _assemble(manifest, points, tol, d_convention, classify=True):
+class _Run:
+    """The rows of one run, as (fields, reduce) groups in report order.
+
+    reduce receives the evaluated fields, each (npoints, *shape), and
+    returns the group's rows.  Every group's fields are evaluated together
+    by rows(), and any "fit" constants are fitted once, on first use.
+    """
+
+    def __init__(self, manifest, points, tol):
+        self.manifest = manifest
+        self.points = points
+        self.tol = tol
+        self.groups = []
+
+    def add(self, fields, reduce):
+        self.groups.append((fields, reduce))
+
+    def add_check(self, check, **extra):
+        def reduce(res, ref):
+            report = residual_report(check, res, ref, self.manifest.chart, self.points,
+                                     self.manifest.params, self.tol)
+            return [_row_from_report(report, **extra)]
+        self.add([check.residual, check.reference], reduce)
+
+    def rows(self):
+        values = evaluate_fields([f for fields, _ in self.groups for f in fields],
+                                 self.manifest.chart.env_at(self.points,
+                                                            self.manifest.params),
+                                 len(self.points))
+        rows = []
+        for fields, reduce in self.groups:
+            rows.extend(reduce(*[next(values) for _ in fields]))
+        return rows
+
+    @functools.cached_property
+    def resolved(self):
+        """(constants, fit, design values): the numeric constants, fitting
+        any marked "fit" with the rest pinned; fit and design values are
+        None when nothing is fitted."""
+        manifest = self.manifest
+        resolved = dict(manifest.numeric_constants())
+        if not manifest.fit_targets():
+            return resolved, None, None
+        design = list(evaluate_fields(
+            design_fields(manifest.metric, manifest.scalars["f1"], manifest.scalars["f2"]),
+            manifest.chart.env_at(self.points, manifest.params), len(self.points)))
+        fit = fit_design(design, {k: v for k, v in resolved.items() if k in CONSTANT_KEYS})
+        for name, value in zip(fit.free_names, fit.solution):
+            resolved[name] = float(value)
+        return resolved, fit, design
+
+
+def _assemble(run, d_convention, classify=True):
+    manifest, tol = run.manifest, run.tol
     block = manifest.structure
     try:
         structure = assemble_structure(manifest.chart, manifest.metric,
                                        block["phi"], block["xi"], block["eta"],
-                                       points=points, params=manifest.params,
+                                       points=run.points, params=manifest.params,
                                        tolerance=max(tol, 1e-8))
     except StructureError as ex:
         row = CheckRow("structure_axioms", ex.residual, ex.residual, tol, False,
                        {"axiom": ex.axiom, "worst_point": list(map(float, ex.point))})
-        return None, [row]
-    if not classify:
-        return structure, []
-    report = classify_structure(structure, tolerance=tol, points=points,
-                                params=manifest.params, d_convention=d_convention)
-    res = report.residuals
-    almost = max(res[k] for k in ("reeb_normalisation", "phi_square",
-                                  "metric_compatibility", "reeb_kernel"))
-    ladder = [
-        ("structure_almost_contact", almost, report.almost_contact_metric),
-        ("structure_contact", res["contact_condition"], report.contact_metric),
-        ("structure_k_contact", res["reeb_transport"], report.k_contact),
-        ("structure_normal", res["normality"], report.normal),
-        ("structure_sasakian", max(res["contact_condition"], res["normality"]),
-         report.sasakian),
-    ]
-    rows = [CheckRow(name, value, value, tol, flag) for name, value, flag in ladder]
-    rows[-1].extra["d_convention"] = d_convention
-    return structure, rows
+        run.add([], lambda: [row])
+        return None
+    if classify:
+        def reduce(*values):
+            report = ladder_report(structure, values, tol, d_convention)
+            res = report.residuals
+            almost = max(res[k] for k in ("reeb_normalisation", "phi_square",
+                                          "metric_compatibility", "reeb_kernel"))
+            ladder = [
+                ("structure_almost_contact", almost, report.almost_contact_metric),
+                ("structure_contact", res["contact_condition"], report.contact_metric),
+                ("structure_k_contact", res["reeb_transport"], report.k_contact),
+                ("structure_normal", res["normality"], report.normal),
+                ("structure_sasakian", max(res["contact_condition"], res["normality"]),
+                 report.sasakian),
+            ]
+            rows = [CheckRow(name, value, value, tol, flag)
+                    for name, value, flag in ladder]
+            rows[-1].extra["d_convention"] = d_convention
+            return rows
+        run.add(ladder_fields(structure, d_convention), reduce)
+    return structure
 
 
-def _resolved_constants(manifest, points, tol):
-    """Numeric constants, fitting any marked "fit" with the rest pinned."""
-    targets = manifest.fit_targets()
-    resolved = dict(manifest.numeric_constants())
-    fit = None
-    if targets:
-        fixed = {k: v for k, v in resolved.items() if k in CONSTANT_KEYS}
-        fit = fit_constants(manifest.metric, manifest.scalars["f1"],
-                            manifest.scalars["f2"], points,
-                            params=manifest.params, fixed=fixed)
-        for name, value in zip(fit.free_names, fit.solution):
-            resolved[name] = float(value)
-    return resolved, fit
-
-
-def _soliton_rows(manifest, points, tol):
-    rows = []
+def _soliton_rows(run):
+    manifest = run.manifest
     if manifest.mode == "gradient":
-        constants, fit = _resolved_constants(manifest, points, tol)
+        constants, fit, _ = run.resolved
         if fit is not None:
-            rows.append(_fit_check_row(manifest, fit, tol, note="resolved-for-check"))
+            row = _fit_check_row(manifest, fit, run.tol, note="resolved-for-check")
+            run.add([], lambda: [row])
         spec = SolitonSpec(manifest.metric, "gradient",
                            constants["c1"], constants["c2"], constants["lambda"],
                            f1=manifest.scalars["f1"], f2=manifest.scalars["f2"],
                            params=manifest.params)
-        rows.append(_row_from_report(
-            residual_gradient_form(spec, points, tol),
-            constants={k: constants[k] for k in CONSTANT_KEYS}))
+        check = build_gradient_check(spec)
     else:
         constants = manifest.numeric_constants()
         X1 = TensorField(manifest.chart, "vector", manifest.vectors["X1"])
@@ -167,29 +213,25 @@ def _soliton_rows(manifest, points, tol):
         spec = SolitonSpec(manifest.metric, "vector",
                            constants["c1"], constants["c2"], constants["lambda"],
                            X1=X1, X2=X2, params=manifest.params)
-        rows.append(_row_from_report(
-            residual_vector_form(spec, points, tol),
-            constants={k: constants[k] for k in CONSTANT_KEYS}))
-    return rows
+        check = build_vector_check(spec)
+    run.add_check(check, constants={k: constants[k] for k in CONSTANT_KEYS})
 
 
-def _theorem_rows(manifest, structure, points, tol):
-    constants, _ = _resolved_constants(manifest, points, tol)
-    f1 = manifest.scalars["f1"]
-    f2 = manifest.scalars["f2"]
+def _theorem_rows(run, structure):
+    constants, _, _ = run.resolved
+    f1 = run.manifest.scalars["f1"]
+    f2 = run.manifest.scalars["f2"]
     c1, c2, lam = (constants[k] for k in CONSTANT_KEYS)
-    params = manifest.params
-    rows = []
-    _, alignment = alignment_condition(structure, f1, f2, c1, points, tol, params)
-    rows.append(_row_from_report(alignment))
-    rows.append(_row_from_report(
-        grad_transport_check(structure, f1, f2, c1, c2, lam, points, tol, params)))
-    reeb = ricci_reeb_residual(structure, points, params)
-    rows.append(CheckRow("ricci_reeb", reeb, reeb, tol, reeb <= tol))
-    for report in supporting_identities_check(structure, f1, f2, c1,
-                                              points, tol, params).values():
-        rows.append(_row_from_report(report))
-    return rows
+    _, alignment = build_alignment_check(structure, f1, f2, c1)
+    run.add_check(alignment)
+    run.add_check(build_transport_check(structure, f1, f2, c1, c2, lam))
+
+    def reeb_row(values):
+        reeb = sup_norm(values)
+        return [CheckRow("ricci_reeb", reeb, reeb, run.tol, reeb <= run.tol)]
+    run.add([ricci_reeb_comps(structure)], reeb_row)
+    for check in build_supporting_checks(structure, f1, f2, c1):
+        run.add_check(check)
 
 
 def _fit_check_row(manifest, fit, tol, note=None):
@@ -210,13 +252,18 @@ def _fit_check_row(manifest, fit, tol, note=None):
     return CheckRow("fit_constants", fit.residual_sup, rel, tol, passed, extra)
 
 
-def _fit_row(manifest, points, tol, explicit):
-    targets = manifest.fit_targets()
-    fixed = {}
-    if explicit and targets:
-        fixed = {k: v for k, v in manifest.numeric_constants().items()
-                 if k in CONSTANT_KEYS}
-    fit = fit_constants(manifest.metric, manifest.scalars["f1"],
-                        manifest.scalars["f2"], points,
-                        params=manifest.params, fixed=fixed)
-    return _fit_check_row(manifest, fit, tol)
+def _fit_row(run, explicit):
+    """The fit row: with "fit" targets, `fit` reports the run's restricted
+    fit and `all` refits its design values with every constant free;
+    otherwise the design joins the run's plan and is fitted unrestricted."""
+    manifest = run.manifest
+    _, fit, design = run.resolved
+    if fit is None:
+        fields = design_fields(manifest.metric, manifest.scalars["f1"],
+                               manifest.scalars["f2"])
+        run.add(fields, lambda *values: [_fit_check_row(manifest, fit_design(values),
+                                                        run.tol)])
+    elif explicit:
+        run.add([], lambda: [_fit_check_row(manifest, fit, run.tol)])
+    else:
+        run.add([], lambda: [_fit_check_row(manifest, fit_design(design), run.tol)])

@@ -6,11 +6,13 @@ Alignment:       grad f1 + c1 xi(xi(f2)) grad f2 - c1 xi(f2) nabla_xi grad f2
                  must be parallel to xi (equal to xi(f1) xi) on Sasakian
                  structures satisfying the gradient form.
 
-Each check evaluates the symbolic residual at sample points and reports
-absolute and relative sup-norms; the relative norm divides by
-max(1, sup |left-hand side|) so flat instances do not divide by zero.
-Sample points where evaluation leaves an expression's domain are skipped
-and counted; a check with no valid points raises DomainError.
+Each check is a symbolic residual with the reference (left-hand side) it
+is measured against.  The build_* functions only build checks; the public
+check functions build theirs, evaluate them as one plan and reduce each to
+absolute and relative sup-norms.  The relative norm divides by
+max(1, sup |reference|) so flat instances do not divide by zero.  Sample
+points where evaluation leaves an expression's domain are skipped and
+counted; a check with no valid points raises DomainError.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from grsoliton import expr
-from grsoliton.chart import evaluate_field, sample_points
+from grsoliton.chart import evaluate_fields, sample_points
 from grsoliton.expr import DomainError, Num, evaluate, simplify
 from grsoliton.tensors import (
     TensorField,
@@ -101,12 +103,14 @@ class ResidualReport:
         return out
 
 
-def _evaluate_masked(chart, comps, points, params):
-    comps = np.asarray(comps, dtype=object)
-    values = evaluate_field(comps, chart.env_at(points, params), len(points))
-    flat = values.reshape(len(points), -1)
-    valid = np.isfinite(flat).all(axis=1)
-    return flat, valid
+@dataclass
+class Check:
+    """A named identity: residual components and the reference components
+    whose size the residual is measured against."""
+
+    name: str
+    residual: list
+    reference: list
 
 
 def _diagnose_domain(chart, comps, point, params):
@@ -118,30 +122,50 @@ def _diagnose_domain(chart, comps, point, params):
     raise DomainError("non-finite evaluation", comps.reshape(-1)[0], env)
 
 
-def make_residual_report(name, chart, residual_comps, reference_comps, points,
-                         params, tolerance):
-    """Evaluate residual components against sample points into a report."""
+def residual_report(check, residual_values, reference_values, chart, points,
+                    params, tolerance):
+    """Reduce a check's evaluated components, each (npoints, ...), to a report.
+
+    Points where the residual or the reference is non-finite are skipped;
+    if none is left, the scalar evaluator names the offending node.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    res_flat, res_valid = _evaluate_masked(chart, residual_comps, points, params)
-    ref_flat, ref_valid = _evaluate_masked(chart, reference_comps, points, params)
-    valid = res_valid & ref_valid
+    res_flat = residual_values.reshape(len(points), -1)
+    ref_flat = reference_values.reshape(len(points), -1)
+    res_valid = np.isfinite(res_flat).all(axis=1)
+    valid = res_valid & np.isfinite(ref_flat).all(axis=1)
     if not valid.any():
         bad = int(np.argmin(res_valid))
-        _diagnose_domain(chart, np.asarray(residual_comps, dtype=object),
+        _diagnose_domain(chart, np.asarray(check.residual, dtype=object),
                          points[bad], params)
     abs_sup = float(np.abs(res_flat[valid]).max())
     scale = max(1.0, float(np.abs(ref_flat[valid]).max()))
     rel_sup = abs_sup / scale
     return ResidualReport(
-        name=name,
+        name=check.name,
         abs_sup=abs_sup,
         rel_sup=rel_sup,
         tolerance=tolerance,
         passed=rel_sup <= tolerance,
         n_points=int(valid.sum()),
         n_skipped=int((~valid).sum()),
-        components=residual_comps,
+        components=check.residual,
     )
+
+
+def run_checks(chart, checks, points, params, tolerance):
+    """Evaluate checks as one plan and reduce each to a ResidualReport.
+
+    points=None samples the module's default 200 uniform points.
+    """
+    if points is None:
+        points = _default_points(chart)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    values = evaluate_fields([f for c in checks for f in (c.residual, c.reference)],
+                             chart.env_at(points, params), len(points))
+    # one iterator zipped twice yields each check's residual, then reference
+    return [residual_report(c, res, ref, chart, points, params, tolerance)
+            for c, res, ref in zip(checks, values, values)]
 
 
 def _default_points(chart):
@@ -164,14 +188,10 @@ def _combine_sym2(terms):
     return comps
 
 
-def residual_gradient_form(spec, points=None, tolerance=DEFAULT_TOLERANCE):
-    """Residual of Hess f1 + c1 df2.df2 - c2 Ric - lam g at sample points."""
-    if spec.mode != "gradient":
-        raise ValueError("residual_gradient_form needs a gradient-mode spec")
+def build_gradient_check(spec):
+    """Hess f1 + c1 df2.df2 - c2 Ric - lam g, against Hess f1."""
     metric = spec.metric
     chart = metric.chart
-    if points is None:
-        points = _default_points(chart)
     hess = hessian(metric, spec.f1)
     df2 = [partial(spec.f2, name) for name in chart.names]
     square = sym_product(TensorField(chart, "oneform", df2),
@@ -182,18 +202,20 @@ def residual_gradient_form(spec, points=None, tolerance=DEFAULT_TOLERANCE):
         (-spec.c2, ricci(metric).comps),
         (-spec.lam, metric.comps),
     ])
-    return make_residual_report("soliton_gradient", chart, residual, hess.comps,
-                                points, spec.params, tolerance)
+    return Check("soliton_gradient", residual, hess.comps)
 
 
-def residual_vector_form(spec, points=None, tolerance=DEFAULT_TOLERANCE):
-    """Residual of L_X1 g + 2c1 X2b.X2b - 2c2 Ric - 2lam g at sample points."""
-    if spec.mode != "vector":
-        raise ValueError("residual_vector_form needs a vector-mode spec")
+def residual_gradient_form(spec, points=None, tolerance=DEFAULT_TOLERANCE):
+    """Residual of Hess f1 + c1 df2.df2 - c2 Ric - lam g at sample points."""
+    if spec.mode != "gradient":
+        raise ValueError("residual_gradient_form needs a gradient-mode spec")
+    return run_checks(spec.metric.chart, [build_gradient_check(spec)], points,
+                      spec.params, tolerance)[0]
+
+
+def build_vector_check(spec):
+    """L_X1 g + 2c1 X2b.X2b - 2c2 Ric - 2lam g, against L_X1 g."""
     metric = spec.metric
-    chart = metric.chart
-    if points is None:
-        points = _default_points(chart)
     lie = lie_derivative_sym2(metric_tensor_field(metric), spec.X1)
     flat2 = musical_flat(metric, spec.X2)
     square = sym_product(flat2, flat2)
@@ -203,25 +225,26 @@ def residual_vector_form(spec, points=None, tolerance=DEFAULT_TOLERANCE):
         (-2.0 * spec.c2, ricci(metric).comps),
         (-2.0 * spec.lam, metric.comps),
     ])
-    return make_residual_report("soliton_vector", chart, residual, lie.comps,
-                                points, spec.params, tolerance)
+    return Check("soliton_vector", residual, lie.comps)
+
+
+def residual_vector_form(spec, points=None, tolerance=DEFAULT_TOLERANCE):
+    """Residual of L_X1 g + 2c1 X2b.X2b - 2c2 Ric - 2lam g at sample points."""
+    if spec.mode != "vector":
+        raise ValueError("residual_vector_form needs a vector-mode spec")
+    return run_checks(spec.metric.chart, [build_vector_check(spec)], points,
+                      spec.params, tolerance)[0]
 
 
 def _scale_vector(scalar, X):
     return [expr.mul(scalar, c) for c in X.comps]
 
 
-def alignment_condition(structure, f1, f2, c1, points=None,
-                        tolerance=DEFAULT_TOLERANCE, params=None):
-    """Necessary condition for a Sasakian gradient-form soliton.
-
-    Builds zeta = grad f1 + c1 xi(xi(f2)) grad f2 - c1 xi(f2) nabla_xi grad f2
-    and reports the residual of zeta - xi(f1) xi.  Returns (zeta, report).
-    """
+def build_alignment_check(structure, f1, f2, c1):
+    """zeta = grad f1 + c1 xi(xi(f2)) grad f2 - c1 xi(f2) nabla_xi grad f2
+    and the check of zeta - xi(f1) xi against zeta.  Returns (zeta, check)."""
     metric = structure.metric
     chart = structure.chart
-    if points is None:
-        points = _default_points(chart)
     f1 = as_scalar(f1)
     f2 = as_scalar(f2)
     xi = structure.xi
@@ -242,22 +265,25 @@ def alignment_condition(structure, f1, f2, c1, points=None,
     xi_f1 = directional_derivative(xi, f1)
     residual = [simplify(expr.sub(zeta.comps[k], expr.mul(xi_f1, xi.comps[k])))
                 for k in range(chart.dim)]
-    report = make_residual_report("theorem_alignment", chart, residual,
-                                  zeta_comps, points, params, tolerance)
-    return zeta, report
+    return zeta, Check("theorem_alignment", residual, zeta_comps)
 
 
-def grad_transport_check(structure, f1, f2, c1, c2, lam, points=None,
-                         tolerance=DEFAULT_TOLERANCE, params=None):
-    """Residual of nabla_xi grad f1 = (lam + 2 c2 n) xi - c1 xi(f2) grad f2.
+def alignment_condition(structure, f1, f2, c1, points=None,
+                        tolerance=DEFAULT_TOLERANCE, params=None):
+    """Necessary condition for a Sasakian gradient-form soliton.
 
-    Holds on Sasakian structures satisfying the gradient-form equation;
-    the hypothesis is not enforced here so violations stay detectable.
+    Builds zeta = grad f1 + c1 xi(xi(f2)) grad f2 - c1 xi(f2) nabla_xi grad f2
+    and reports the residual of zeta - xi(f1) xi.  Returns (zeta, report).
     """
+    zeta, check = build_alignment_check(structure, f1, f2, c1)
+    return zeta, run_checks(structure.chart, [check], points, params, tolerance)[0]
+
+
+def build_transport_check(structure, f1, f2, c1, c2, lam):
+    """nabla_xi grad f1 - (lam + 2 c2 n) xi + c1 xi(f2) grad f2, against
+    nabla_xi grad f1."""
     metric = structure.metric
     chart = structure.chart
-    if points is None:
-        points = _default_points(chart)
     f1 = as_scalar(f1)
     f2 = as_scalar(f2)
     xi = structure.xi
@@ -270,8 +296,18 @@ def grad_transport_check(structure, f1, f2, c1, c2, lam, points=None,
         total = expr.sub(lhs.comps[k], expr.mul(Num(coeff), xi.comps[k]))
         total = expr.add(total, expr.mul(Num(c1), expr.mul(xi_f2, grad2.comps[k])))
         residual.append(simplify(total))
-    return make_residual_report("grad_transport", chart, residual, lhs.comps,
-                                points, params, tolerance)
+    return Check("grad_transport", residual, lhs.comps)
+
+
+def grad_transport_check(structure, f1, f2, c1, c2, lam, points=None,
+                         tolerance=DEFAULT_TOLERANCE, params=None):
+    """Residual of nabla_xi grad f1 = (lam + 2 c2 n) xi - c1 xi(f2) grad f2.
+
+    Holds on Sasakian structures satisfying the gradient-form equation;
+    the hypothesis is not enforced here so violations stay detectable.
+    """
+    check = build_transport_check(structure, f1, f2, c1, c2, lam)
+    return run_checks(structure.chart, [check], points, params, tolerance)[0]
 
 
 def _projected_coordinate_fields(structure):
@@ -337,9 +373,8 @@ def potential_square_lie_sides(xi, f2):
     return lhs, rhs
 
 
-def supporting_identities_check(structure, f1, f2, c1, points=None,
-                                tolerance=DEFAULT_TOLERANCE, params=None):
-    """Residuals of the three identities behind the alignment condition.
+def build_supporting_checks(structure, f1, f2, c1):
+    """The three identities behind the alignment condition, as checks.
 
     double_lie:           (L_xi (L_{grad f1} g))(Y, xi) expansion, for Y the
                           coordinate fields projected orthogonal to xi
@@ -348,13 +383,9 @@ def supporting_identities_check(structure, f1, f2, c1, points=None,
                           - c1 xi(f2) g(nabla_xi grad f2, Y) = 0
     """
     metric = structure.metric
-    chart = metric.chart
-    if points is None:
-        points = _default_points(chart)
     f1 = as_scalar(f1)
     f2 = as_scalar(f2)
     xi = structure.xi
-    names = chart.names
     projected = _projected_coordinate_fields(structure)
 
     grad1 = gradient(metric, f1)
@@ -371,16 +402,12 @@ def supporting_identities_check(structure, f1, f2, c1, points=None,
         total = expr.add(total, _metric_pairing(metric, transport1_twice, Y))
         total = expr.add(total, directional_derivative(Y, slope))
         rhs_dl.append(simplify(total))
-    double_lie = make_residual_report(
-        "double_lie", chart,
-        [expr.sub(a, b) for a, b in zip(lhs_dl, rhs_dl)],
-        lhs_dl, points, params, tolerance)
+    double_lie = Check("double_lie",
+                       [expr.sub(a, b) for a, b in zip(lhs_dl, rhs_dl)], lhs_dl)
 
     lhs_sq, rhs_sq = potential_square_lie_sides(xi, f2)
-    square_lie = make_residual_report(
-        "potential_square_lie", chart,
-        [expr.sub(a, b) for a, b in zip(lhs_sq, rhs_sq)],
-        lhs_sq, points, params, tolerance)
+    square_lie = Check("potential_square_lie",
+                       [expr.sub(a, b) for a, b in zip(lhs_sq, rhs_sq)], lhs_sq)
 
     grad2 = gradient(metric, f2)
     xi_f2 = directional_derivative(xi, f2)
@@ -396,14 +423,16 @@ def supporting_identities_check(structure, f1, f2, c1, points=None,
         total = expr.sub(total, expr.mul(Num(c1),
                                          expr.mul(xi_f2, _metric_pairing(metric, transport2, Y))))
         reduction.append(simplify(total))
-    scalar_reduction = make_residual_report(
-        "scalar_reduction", chart, reduction, reference, points, params, tolerance)
+    return [double_lie, square_lie, Check("scalar_reduction", reduction, reference)]
 
-    return {
-        "double_lie": double_lie,
-        "potential_square_lie": square_lie,
-        "scalar_reduction": scalar_reduction,
-    }
+
+def supporting_identities_check(structure, f1, f2, c1, points=None,
+                                tolerance=DEFAULT_TOLERANCE, params=None):
+    """Residual reports of the three identities of build_supporting_checks,
+    keyed by name."""
+    checks = build_supporting_checks(structure, f1, f2, c1)
+    reports = run_checks(structure.chart, checks, points, params, tolerance)
+    return {report.name: report for report in reports}
 
 
 def _matches(value, target, tol=CONSTANT_MATCH_TOLERANCE):

@@ -34,6 +34,19 @@ HYPERBOLIC = {
 }
 
 
+# eta_z = sqrt(x)^2/x is 1 for x > 0 and NaN for x < 0
+NAN_ETA = {
+    "chart": {"coords": ["x", "y", "z"], "bounds": {"x": [-1, 1]}},
+    "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "structure": {"phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+                  "xi": ["0", "0", "1"], "eta": ["0", "0", "sqrt(x)^2/x"]},
+}
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
 def sasakian_manifest():
     return {
         "chart": {"coords": ["x", "y", "z"], "bounds": {"z": [0, math.pi]}},
@@ -308,6 +321,24 @@ class TestCliExitCodes:
         path.write_text(json.dumps(doc))
         assert main(["check-soliton", "--manifest", str(path)]) == 3
         assert "domain error" in capsys.readouterr().err
+
+    def _nan_eta_row(self, tmp_path, capsys):
+        path = tmp_path / "nan_eta.json"
+        path.write_text(json.dumps(NAN_ETA))
+        assert main(["all", "--manifest", str(path), "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        [row] = report["checks"]
+        assert row["name"] == "structure_axioms"
+        return row
+
+    def test_json_is_strict_for_non_finite_residuals(self, tmp_path, capsys):
+        row = self._nan_eta_row(tmp_path, capsys)
+        assert row["abs_residual"] is None and row["rel_residual"] is None
+        assert row["passed"] is False
+
+    def test_worst_point_is_a_non_finite_point(self, tmp_path, capsys):
+        row = self._nan_eta_row(tmp_path, capsys)
+        assert row["worst_point"][0] < 0
 
     def test_json_format_flag(self, capsys):
         assert main(["check-soliton", "--manifest", "cone",
