@@ -65,10 +65,6 @@ class Chart:
                     env[key] = float(value)
         return env
 
-    def contains(self, point, margin=0.0):
-        return all(lo + margin <= v <= hi - margin
-                   for v, (lo, hi) in zip(point, self.bounds))
-
     def __repr__(self):
         spans = ", ".join(f"{n}:({lo}, {hi})" for n, (lo, hi)
                           in zip(self.names, self.bounds))

@@ -12,19 +12,24 @@ Known functions: exp, ln, sin, cos, tan, cot, sqrt.  The names ``pi`` and
 ``e`` are constants, not symbols.  Everything else is a free symbol to be
 bound at evaluation time (a chart coordinate or a named parameter).
 
-Expressions are immutable; operations never mutate their inputs, so trees
-may share subexpressions freely.  Differentiation and simplification
-memoise on node identity within a call, which preserves that sharing.
-Vectorised evaluation (evaluate_many_multi) goes further: it numbers
-nodes by structure, so equal subexpressions spelled by different node
-objects are computed once, and it runs over the points in fixed-size
-chunks so that only the roots' values outlive a chunk.
+Expressions are immutable and hash-consed: every node class interns its
+instances on construction, keyed on the node type, its payload and the
+identities of its children (Filliatre & Conchon, "Type-safe modular
+hash-consing", 2006), so structurally equal expressions are one object
+however they were built.  The intern table holds its nodes weakly, so a
+node lives exactly as long as something else refers to it.  Each node
+caches its simplified form and, weakly, its derivatives, so simplifying or
+differentiating a node again, in any call, is one lookup.
+Vectorised evaluation (evaluate_many_multi) computes each node once and
+runs over the points in fixed-size chunks so that only the roots' values
+outlive a chunk.
 """
 
 import math
 import operator
 import re
 import struct
+import weakref
 
 import numpy as np
 
@@ -38,6 +43,7 @@ CHUNK_POINTS = 8192
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+_FLOAT_BITS = struct.Struct("<d").pack
 
 
 class ExpressionError(Exception):
@@ -75,7 +81,15 @@ class DomainError(ExpressionError):
 
 
 class Expression:
-    __slots__ = ()
+    """Base of the interned node classes.
+
+    _simple caches the node's simplify() result (True when the node is its
+    own simplification, so no node refers to itself); _derivatives maps a
+    variable name to a weak reference to the node's derivative, since a
+    derivative may contain its node (d exp(u) = exp(u) * du).
+    """
+
+    __slots__ = ("__weakref__", "_simple", "_derivatives")
     precedence = 10
 
     def __add__(self, other):
@@ -108,6 +122,10 @@ class Expression:
     def __neg__(self):
         return neg(self)
 
+    def __reduce__(self):
+        # copies and unpickled nodes are rebuilt through __new__, so interned
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
     def __str__(self):
         return render(self)
 
@@ -115,37 +133,72 @@ class Expression:
         return f"<{type(self).__name__} {render(self)!r}>"
 
 
+# The live nodes by structure: (type, payload, id of each child).  Values
+# are held weakly, so the table keeps no node alive; a live node keeps its
+# children alive, so the child ids in its key cannot be reused meanwhile.
+_INTERNED = weakref.WeakValueDictionary()
+
+
+def _new_node(cls, key):
+    node = object.__new__(cls)
+    node._simple = node._derivatives = None
+    _INTERNED[key] = node
+    return node
+
+
 class Num(Expression):
-    __slots__ = ("value",)
+    __slots__ = _fields = ("value",)
     precedence = 10
 
-    def __init__(self, value):
-        self.value = float(value)
+    def __new__(cls, value):
+        value = float(value)
+        # keyed by IEEE bits, so 0.0 and -0.0 (and NaN payloads) stay apart
+        key = (cls, _FLOAT_BITS(value))
+        node = _INTERNED.get(key)
+        if node is None:
+            node = _new_node(cls, key)
+            node.value = value
+        return node
 
 
 class Sym(Expression):
-    __slots__ = ("name",)
+    __slots__ = _fields = ("name",)
     precedence = 10
 
-    def __init__(self, name):
-        self.name = name
+    def __new__(cls, name):
+        key = (cls, name)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = _new_node(cls, key)
+            node.name = name
+        return node
 
 
 class Neg(Expression):
-    __slots__ = ("arg",)
+    __slots__ = _fields = ("arg",)
     precedence = 1.5
 
-    def __init__(self, arg):
-        self.arg = arg
+    def __new__(cls, arg):
+        key = (cls, id(arg))
+        node = _INTERNED.get(key)
+        if node is None:
+            node = _new_node(cls, key)
+            node.arg = arg
+        return node
 
 
 class _Binary(Expression):
-    __slots__ = ("left", "right")
+    __slots__ = _fields = ("left", "right")
     symbol = "?"
 
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
+    def __new__(cls, left, right):
+        key = (cls, id(left), id(right))
+        node = _INTERNED.get(key)
+        if node is None:
+            node = _new_node(cls, key)
+            node.left = left
+            node.right = right
+        return node
 
 
 class Add(_Binary):
@@ -179,12 +232,17 @@ class Pow(_Binary):
 
 
 class Call(Expression):
-    __slots__ = ("func", "arg")
+    __slots__ = _fields = ("func", "arg")
     precedence = 10
 
-    def __init__(self, func, arg):
-        self.func = func
-        self.arg = arg
+    def __new__(cls, func, arg):
+        key = (cls, func, id(arg))
+        node = _INTERNED.get(key)
+        if node is None:
+            node = _new_node(cls, key)
+            node.func = func
+            node.arg = arg
+        return node
 
 
 ZERO = Num(0.0)
@@ -270,6 +328,9 @@ def call(func, arg):
     return Call(func, arg)
 
 
+_SMART = {Add: add, Sub: sub, Mul: mul, Div: div, Pow: pow_}
+
+
 def free_symbols(e):
     """Set of symbol names appearing in the tree."""
     memo = {}
@@ -298,41 +359,47 @@ def differentiate(e, var):
     """Exact derivative of e with respect to the symbol named var."""
     if not isinstance(var, str) or not _NAME_RE.fullmatch(var):
         raise ValueError(f"invalid differentiation variable {var!r}")
-    memo = {}
+    return _derivative(e, var)
 
-    def d(node):
-        hit = memo.get(id(node))
-        if hit is not None:
-            return hit
-        if isinstance(node, Num):
-            out = ZERO
-        elif isinstance(node, Sym):
-            out = ONE if node.name == var else ZERO
-        elif isinstance(node, Neg):
-            out = neg(d(node.arg))
-        elif isinstance(node, Add):
-            out = add(d(node.left), d(node.right))
-        elif isinstance(node, Sub):
-            out = sub(d(node.left), d(node.right))
-        elif isinstance(node, Mul):
-            out = add(mul(d(node.left), node.right), mul(node.left, d(node.right)))
-        elif isinstance(node, Div):
-            da, db = d(node.left), d(node.right)
-            if _is_num(db, 0.0):
-                out = div(da, node.right)
-            else:
-                out = div(sub(mul(da, node.right), mul(node.left, db)),
-                          mul(node.right, node.right))
-        elif isinstance(node, Pow):
-            out = _pow_derivative(node, d(node.left), d(node.right))
-        elif isinstance(node, Call):
-            out = _call_derivative(node, d(node.arg))
-        else:  # pragma: no cover - exhaustive over node kinds
-            raise TypeError(f"cannot differentiate {type(node).__name__}")
-        memo[id(node)] = out
-        return out
 
-    return d(e)
+def _derivative(node, var):
+    cache = node._derivatives
+    if cache is None:
+        cache = node._derivatives = {}
+    else:
+        ref = cache.get(var)
+        out = None if ref is None else ref()
+        if out is not None:
+            return out
+    if isinstance(node, Num):
+        out = ZERO
+    elif isinstance(node, Sym):
+        out = ONE if node.name == var else ZERO
+    elif isinstance(node, Neg):
+        out = neg(_derivative(node.arg, var))
+    elif isinstance(node, Add):
+        out = add(_derivative(node.left, var), _derivative(node.right, var))
+    elif isinstance(node, Sub):
+        out = sub(_derivative(node.left, var), _derivative(node.right, var))
+    elif isinstance(node, Mul):
+        out = add(mul(_derivative(node.left, var), node.right),
+                  mul(node.left, _derivative(node.right, var)))
+    elif isinstance(node, Div):
+        da, db = _derivative(node.left, var), _derivative(node.right, var)
+        if _is_num(db, 0.0):
+            out = div(da, node.right)
+        else:
+            out = div(sub(mul(da, node.right), mul(node.left, db)),
+                      mul(node.right, node.right))
+    elif isinstance(node, Pow):
+        out = _pow_derivative(node, _derivative(node.left, var),
+                              _derivative(node.right, var))
+    elif isinstance(node, Call):
+        out = _call_derivative(node, _derivative(node.arg, var))
+    else:  # pragma: no cover - exhaustive over node kinds
+        raise TypeError(f"cannot differentiate {type(node).__name__}")
+    cache[var] = weakref.ref(out)
+    return out
 
 
 def _pow_derivative(node, da, db):
@@ -371,57 +438,43 @@ def simplify(e):
     """Constant folding plus the identity rules x+0, x*1, x*0, 0/x, x^1, x^0.
 
     Purely structural: the result evaluates identically to the input at
-    every point where the input is defined.  Returns the original node when
-    nothing below it changed, preserving subtree sharing.
+    every point where the input is defined.  The result is cached on each
+    node, and simplify(simplify(e)) is simplify(e).
     """
-    memo = {}
-
-    def s(node):
-        hit = memo.get(id(node))
-        if hit is not None:
-            return hit
-        if isinstance(node, (Num, Sym)):
-            out = node
-        elif isinstance(node, Neg):
-            a = s(node.arg)
-            if isinstance(a, Num):
-                out = Num(-a.value)
-            elif isinstance(a, Neg):
-                out = a.arg
-            else:
-                out = node if a is node.arg else Neg(a)
-        elif isinstance(node, Call):
-            a = s(node.arg)
-            out = node if a is node.arg else Call(node.func, a)
-        else:
-            a, b = s(node.left), s(node.right)
-            out = _simplify_binary(node, a, b)
-        memo[id(node)] = out
-        return out
-
-    return s(e)
+    return _simplified(e)
 
 
-def _simplify_binary(node, a, b):
-    kind = type(node)
-    if kind is Add:
-        folded = add(a, b)
-    elif kind is Sub:
-        folded = sub(a, b)
-    elif kind is Mul:
-        folded = mul(a, b)
-    elif kind is Div:
-        folded = div(a, b)
-    else:
-        folded = pow_(a, b)
-        if isinstance(a, Num) and isinstance(b, Num):
-            v = _float_pow(a.value, b.value)
-            if v is not None:
-                return Num(v)
-    if isinstance(folded, _Binary) and folded.left is a and folded.right is b \
-            and type(folded) is kind and a is node.left and b is node.right:
+def _simplified(node):
+    cached = node._simple
+    if cached is True:
         return node
-    return folded
+    if cached is not None:
+        return cached
+    kind = type(node)
+    if kind is Num or kind is Sym:
+        out = node
+    elif kind is Neg:
+        a = _simplified(node.arg)
+        if isinstance(a, Num):
+            out = Num(-a.value)
+        elif isinstance(a, Neg):
+            out = a.arg
+        else:
+            out = Neg(a)
+    elif kind is Call:
+        out = Call(node.func, _simplified(node.arg))
+    else:
+        out = _simplify_binary(kind, _simplified(node.left), _simplified(node.right))
+    node._simple = True if out is node else out
+    return out
+
+
+def _simplify_binary(kind, a, b):
+    if kind is Pow and isinstance(a, Num) and isinstance(b, Num):
+        v = _float_pow(a.value, b.value)
+        if v is not None:
+            return Num(v)
+    return _SMART[kind](a, b)
 
 
 def _float_pow(base, expo):
@@ -529,27 +582,24 @@ def evaluate_many(e, env, size):
 def evaluate_many_multi(exprs, env, size):
     """Vectorised evaluation of several roots as one plan.
 
-    Every node is numbered by its structure (node type, payload, child
-    numbers; a Num by its IEEE bit pattern, so 0.0 and -0.0 differ), and
-    each structurally distinct node is computed once, however many node
-    objects spell it.  Points are processed in chunks of CHUNK_POINTS:
-    intermediate values live for one chunk, and only the root columns,
-    each of shape (size,), are kept.  Roots of equal structure share one
-    result array.
+    Each distinct node (and, since nodes are interned, each distinct
+    structure) is computed once.  Points are processed in chunks of
+    CHUNK_POINTS: intermediate values live for one chunk, and only the
+    root columns, each of shape (size,), are kept.  Roots of equal
+    structure share one result array.
     """
     return _Plan(exprs).run(env, size)
 
 
 class _Plan:
-    """Value-numbered nodes of a set of roots, children before parents."""
+    """Distinct nodes of a set of roots, children before parents."""
 
     def __init__(self, roots):
         numbers = {}                 # id(node) -> value number
-        table = {}                   # structural key -> value number
         self.steps = []              # (node, child numbers) per value number
-        self.roots = [self._number(root, numbers, table) for root in roots]
+        self.roots = [self._number(root, numbers) for root in roots]
 
-    def _number(self, root, numbers, table):
+    def _number(self, root, numbers):
         stack = [root]
         while stack:
             node = stack[-1]
@@ -562,13 +612,8 @@ class _Plan:
                 stack.extend(todo)
                 continue
             stack.pop()
-            args = tuple(numbers[id(k)] for k in kids)
-            key = (type(node), _payload(node)) + args
-            number = table.get(key)
-            if number is None:
-                number = table[key] = len(self.steps)
-                self.steps.append((node, args))
-            numbers[id(node)] = number
+            numbers[id(node)] = len(self.steps)
+            self.steps.append((node, tuple(numbers[id(k)] for k in kids)))
         return numbers[id(root)]
 
     def run(self, env, size):
@@ -656,19 +701,6 @@ def _children(node):
     if isinstance(node, _Binary):
         return (node.left, node.right)
     return ()
-
-
-_FLOAT_BITS = struct.Struct("<d").pack
-
-
-def _payload(node):
-    if isinstance(node, Num):
-        return _FLOAT_BITS(node.value)
-    if isinstance(node, Sym):
-        return node.name
-    if isinstance(node, Call):
-        return node.func
-    return None
 
 
 def render(e):

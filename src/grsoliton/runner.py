@@ -139,6 +139,9 @@ class _Run:
         rows = []
         for fields, reduce in self.groups:
             rows.extend(reduce(*[next(values) for _ in fields]))
+        # the reducers close over this run, so dropping them breaks the
+        # cycle that would keep the run's points and nodes for the next GC
+        self.groups = []
         return rows
 
     @functools.cached_property

@@ -74,12 +74,6 @@ def as_scalar(f):
     raise TypeError(f"cannot interpret {f!r} as a scalar expression")
 
 
-def scalar_field(chart, f):
-    comps = np.empty((), dtype=object)
-    comps[()] = as_scalar(f)
-    return TensorField(chart, "scalar", comps)
-
-
 def vector_field(chart, comps):
     return TensorField(chart, "vector", [as_scalar(c) for c in comps])
 

@@ -1,8 +1,10 @@
 import math
+import struct
 
 import pytest
 
 from grsoliton.chart import define_chart, define_metric
+from grsoliton.expr import Num
 
 P = "4*exp(y)/(16+exp(2*y))"
 MINUS_Q = "exp(2*y)/(16+exp(2*y))"
@@ -56,3 +58,29 @@ def euclidean_space():
                                    ["0", "1", "0"],
                                    ["0", "0", "1"]])
     return chart, metric
+
+
+def structural_classes(roots):
+    """{id(node): class} over every node reachable from roots, where the
+    class depends on structure alone: node type, payload (a Num by its IEEE
+    bits) and the classes of the children, never on object identity."""
+    numbers, classes = {}, {}
+    stack = list(roots)
+    while stack:
+        node = stack[-1]
+        if id(node) in numbers:
+            stack.pop()
+            continue
+        kids = [getattr(node, a) for a in ("arg", "left", "right") if hasattr(node, a)]
+        todo = [k for k in kids if id(k) not in numbers]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        if isinstance(node, Num):
+            payload = struct.pack("<d", node.value)
+        else:
+            payload = getattr(node, "name", None) or getattr(node, "func", None)
+        key = (type(node), payload, tuple(numbers[id(k)] for k in kids))
+        numbers[id(node)] = classes.setdefault(key, len(classes))
+    return numbers

@@ -1,4 +1,8 @@
+import copy
+import itertools
 import math
+import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -7,9 +11,18 @@ from hypothesis import strategies as st
 
 from grsoliton import expr
 from grsoliton.expr import (
+    FUNCTIONS,
+    Add,
+    Call,
+    Div,
     DomainError,
+    Mul,
+    Neg,
     Num,
     ParseError,
+    Pow,
+    Sub,
+    Sym,
     UnboundSymbolError,
     UnknownFunctionError,
     differentiate,
@@ -20,6 +33,8 @@ from grsoliton.expr import (
     render,
     simplify,
 )
+
+from conftest import structural_classes
 
 BUNDLED_P = "4*exp(y)/(16+exp(2*y))"
 BUNDLED_Q = "-exp(2*y)/(16+exp(2*y))"
@@ -289,3 +304,188 @@ class TestPropertyBased:
         for env in ({"x": 0.37, "y": -1.21}, {"x": -2.0, "y": 0.5}):
             a, b = evaluate(e, env), evaluate(s, env)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+
+# Interning: shapes are nested tuples that reuse earlier shapes as subtrees;
+# each shape is built as nodes through the classes, the smart constructors
+# and the parser.  "t" stands for a variable name fresh to each example.
+SHAPE_SYMBOLS = ("x", "y", "t")
+SHAPE_NUMBERS = (0.0, 0.5, 1.0, 2.0, 3.0)
+CLASSES = {"+": Add, "-": Sub, "*": Mul, "/": Div, "^": Pow}
+CONSTRUCTORS = {"+": expr.add, "-": expr.sub, "*": expr.mul, "/": expr.div,
+                "^": expr.pow_}
+PARSE_LIMIT = 200          # largest expanded shape also built from text
+_FRESH = itertools.count()
+
+
+@st.composite
+def shapes(draw):
+    pool = [("sym", name) for name in SHAPE_SYMBOLS]
+    pool += [("num", value) for value in SHAPE_NUMBERS]
+    for _ in range(draw(st.integers(1, 20))):
+        def pick():
+            return pool[draw(st.integers(0, len(pool) - 1))]
+        kind = draw(st.sampled_from(("neg", "call") + tuple(CLASSES)))
+        if kind == "neg":
+            pool.append(("neg", pick()))
+        elif kind == "call":
+            pool.append(("call", draw(st.sampled_from(FUNCTIONS)), pick()))
+        else:
+            pool.append((kind, pick(), pick()))
+    return pool
+
+
+def build(shape, names, smart, memo):
+    """The node of shape, made by the classes or the smart constructors."""
+    if id(shape) in memo:
+        return memo[id(shape)]
+    kind = shape[0]
+    if kind == "num":
+        out = Num(shape[1])
+    elif kind == "sym":
+        out = Sym(names[shape[1]])
+    elif kind == "neg":
+        arg = build(shape[1], names, smart, memo)
+        out = expr.neg(arg) if smart else Neg(arg)
+    elif kind == "call":
+        arg = build(shape[2], names, smart, memo)
+        out = expr.call(shape[1], arg) if smart else Call(shape[1], arg)
+    else:
+        left = build(shape[1], names, smart, memo)
+        right = build(shape[2], names, smart, memo)
+        out = (CONSTRUCTORS if smart else CLASSES)[kind](left, right)
+    memo[id(shape)] = out
+    return out
+
+
+def text(shape, names):
+    """Infix text that parses to exactly the node the classes build."""
+    kind = shape[0]
+    if kind == "num":
+        return repr(shape[1])
+    if kind == "sym":
+        return names[shape[1]]
+    if kind == "neg":
+        return f"-({text(shape[1], names)})"
+    if kind == "call":
+        return f"{shape[1]}({text(shape[2], names)})"
+    return f"({text(shape[1], names)}){kind}({text(shape[2], names)})"
+
+
+def expanded_size(shape, memo):
+    if id(shape) not in memo:
+        memo[id(shape)] = 1 + sum(expanded_size(s, memo) for s in shape[1:]
+                                  if isinstance(s, tuple))
+    return memo[id(shape)]
+
+
+def built_nodes(pool):
+    """(variable name of "t", nodes of every shape by every route)."""
+    names = {"x": "x", "y": "y", "t": f"t{next(_FRESH)}"}
+    plain, smart, sizes = {}, {}, {}
+    nodes = []
+    for shape in pool:
+        nodes.append(build(shape, names, False, plain))
+        nodes.append(build(shape, names, True, smart))
+        if expanded_size(shape, sizes) <= PARSE_LIMIT:
+            parsed = parse(text(shape, names))
+            assert parsed is plain[id(shape)]
+            nodes.append(parsed)
+    return names["t"], nodes
+
+
+def reference_derivative(e, var):
+    """The derivative rules with a memo per call and no cache on the nodes."""
+    memo = {}
+
+    def d(node):
+        if id(node) in memo:
+            return memo[id(node)]
+        if isinstance(node, Num):
+            out = expr.ZERO
+        elif isinstance(node, Sym):
+            out = expr.ONE if node.name == var else expr.ZERO
+        elif isinstance(node, Neg):
+            out = expr.neg(d(node.arg))
+        elif isinstance(node, Add):
+            out = expr.add(d(node.left), d(node.right))
+        elif isinstance(node, Sub):
+            out = expr.sub(d(node.left), d(node.right))
+        elif isinstance(node, Mul):
+            out = expr.add(expr.mul(d(node.left), node.right),
+                           expr.mul(node.left, d(node.right)))
+        elif isinstance(node, Div):
+            da, db = d(node.left), d(node.right)
+            if isinstance(db, Num) and db.value == 0.0:
+                out = expr.div(da, node.right)
+            else:
+                out = expr.div(expr.sub(expr.mul(da, node.right), expr.mul(node.left, db)),
+                               expr.mul(node.right, node.right))
+        elif isinstance(node, Pow):
+            out = expr._pow_derivative(node, d(node.left), d(node.right))
+        else:
+            out = expr._call_derivative(node, d(node.arg))
+        memo[id(node)] = out
+        return out
+
+    return d(e)
+
+
+def _nan(payload):
+    return struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000 | payload))[0]
+
+
+class TestInterning:
+    @settings(max_examples=150, deadline=None)
+    @given(pool=shapes())
+    def test_structurally_equal_nodes_are_one_object(self, pool):
+        var, nodes = built_nodes(pool)
+        nodes += [simplify(n) for n in nodes] + [differentiate(n, var) for n in nodes]
+        # one class per object, over the roots and every node below them
+        classes = structural_classes(nodes)
+        assert len(set(classes.values())) == len(classes)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pool=shapes())
+    def test_simplify_is_idempotent(self, pool):
+        for node in built_nodes(pool)[1]:
+            once = simplify(node)
+            assert simplify(once) is once
+            assert simplify(node) is once
+
+    @settings(max_examples=150, deadline=None)
+    @given(pool=shapes())
+    def test_cached_derivative_matches_memo_per_call(self, pool):
+        var, nodes = built_nodes(pool)
+        # no node has been differentiated by the fresh variable: cold cache
+        assert differentiate(nodes[-1], var) is reference_derivative(nodes[-1], var)
+        # every shape in pool order, so each call finds its subtrees warm
+        for name in (var, "x"):
+            for node in nodes:
+                assert differentiate(node, name) is reference_derivative(node, name)
+
+    @given(a=st.floats(), b=st.floats())
+    def test_numbers_are_keyed_by_their_bits(self, a, b):
+        same = struct.pack("<d", a) == struct.pack("<d", b)
+        assert (Num(a) is Num(b)) == same
+
+    def test_signed_zeros_and_nan_payloads_stay_apart(self):
+        assert Num(0.0) is not Num(-0.0)
+        assert Num(0) is Num(0.0) is expr.ZERO
+        assert Num(_nan(1)) is not Num(_nan(2))
+        assert Num(_nan(1)) is Num(_nan(1))
+        out = evaluate_many(Div(Num(1.0), Num(-0.0)), {}, 3)
+        assert (out == -np.inf).all()
+
+    def test_copies_and_pickles_are_the_interned_node(self):
+        e = parse("exp(-x) * 2 + y^0.5 / 3")
+        assert copy.copy(e) is e
+        assert copy.deepcopy(e) is e
+        assert pickle.loads(pickle.dumps(e)) is e
+
+    def test_parser_builds_raw_nodes(self):
+        # interning does not fold: the parser's tree renders as written
+        e = parse("x*1 + 0")
+        assert e is Add(Mul(Sym("x"), expr.ONE), expr.ZERO)
+        assert render(e) == "x * 1 + 0"
+        assert simplify(e) is Sym("x")

@@ -1,6 +1,9 @@
 """The evaluation plan: structural deduplication, chunking, one plan per run."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grsoliton
 from grsoliton import expr, runner
 from grsoliton.chart import sample_points
 from grsoliton.cli import main
@@ -28,8 +32,9 @@ from grsoliton.expr import (
 from grsoliton.fit import fit_constants
 from grsoliton.manifest import BUNDLED_NAMES, load_manifest
 from grsoliton.soliton import SolitonSpec, grad_transport_check, residual_gradient_form
+from grsoliton.tensors import riemann
 
-from conftest import SASAKIAN_ETA, SASAKIAN_PHI, SASAKIAN_XI
+from conftest import SASAKIAN_ETA, SASAKIAN_PHI, SASAKIAN_XI, structural_classes
 
 _NUMPY_CALLS = {"exp": np.exp, "ln": np.log, "sin": np.sin, "cos": np.cos,
                 "tan": np.tan, "sqrt": np.sqrt}
@@ -66,7 +71,7 @@ def reference_evaluate(root, env, size):
 
 
 def clone(node):
-    """A structurally equal copy made of new node objects."""
+    """The node rebuilt by new constructor calls (interned: the same object)."""
     if isinstance(node, Num):
         return Num(node.value)
     if isinstance(node, Sym):
@@ -81,7 +86,7 @@ def clone(node):
 @st.composite
 def dags(draw):
     """Roots over x, y (point columns) and a (a scalar parameter) that share
-    subtrees and contain structural duplicates as distinct objects."""
+    subtrees and rebuild some of them as structural duplicates."""
     pool = [Sym("x"), Sym("y"), Sym("a")]
     pool += [Num(v) for v in draw(st.lists(st.sampled_from(NUMBERS), min_size=1,
                                            max_size=4))]
@@ -218,3 +223,42 @@ def test_fit_constant_is_fitted_once_per_run(monkeypatch):
     assert fitted_rows[1].abs_residual == free.residual_sup
     assert fitted_rows[1].extra["solution"] == {
         name: float(v) for name, v in zip(free.free_names, free.solution)}
+
+
+# Run in a fresh interpreter, so that no node kept alive by another test
+# (a session fixture, say) can hold a cache filled by the runs.  With the
+# collector off only reference counting frees nodes: a node cycle, or a
+# cache that outlives a run, would leave entries in the intern table.
+_RETENTION_SCRIPT = """
+import gc, json
+from grsoliton import expr
+from grsoliton.manifest import BUNDLED_NAMES, resolve_manifest
+from grsoliton.runner import run_manifest
+gc.disable()
+for name in BUNDLED_NAMES:
+    before = len(expr._INTERNED)
+    report = run_manifest(resolve_manifest(name), "all")
+    passed = report.overall_pass
+    del report
+    print(json.dumps([name, passed, before, len(expr._INTERNED)]))
+"""
+
+
+def test_a_run_leaves_no_node_behind():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(grsoliton.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _RETENTION_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    runs = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [name for name, *_ in runs] == list(BUNDLED_NAMES)
+    for name, passed, before, after in runs:
+        assert passed, name
+        assert after == before, name
+
+
+def test_riemann_nodes_are_its_structural_classes(sasakian_geometry):
+    _, metric = sasakian_geometry
+    classes = structural_classes(list(riemann(metric).comps.reshape(-1)))
+    # one object per distinct structure (891 objects before interning)
+    assert len(classes) == len(set(classes.values())) == 255
