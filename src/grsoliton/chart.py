@@ -153,9 +153,10 @@ def evaluate_fields(fields, env, size):
     """Evaluate several object arrays of expressions as one plan.
 
     Returns an iterator over one float array of shape (size, *shape) per
-    field, in order.  Each array is assembled from the plan's root columns
-    only when it is reached, so a caller reducing one field at a time holds
-    the root columns plus a single field's copy.
+    field, in order.  Each field is gathered from the plan's root columns
+    into one component-major block only when it is reached, and the array
+    handed out is a view of that block, so every field costs one copy of
+    its values on top of the root columns.
     """
     fields = [np.asarray(f, dtype=object) for f in fields]
     columns = expr.evaluate_many_multi(
@@ -168,7 +169,33 @@ def _assemble_fields(columns, fields, size):
     for f in fields:
         block = np.array(columns[start:start + f.size]).reshape(f.size, size)
         start += f.size
+        # splits only the last axis of the transposed block: a view
         yield block.T.reshape((size,) + f.shape)
+
+
+def pointwise_sup(values):
+    """max over components of |value| at each point of an (npoints, ...)
+    array, as an (npoints,) array.
+
+    Non-finite values propagate: the result is finite exactly where every
+    component is.  Reads the components one at a time, so a field from
+    evaluate_fields is reduced over its contiguous component rows without
+    a full-size temporary.
+    """
+    components = values.reshape(len(values), math.prod(values.shape[1:])).T
+    sup = np.abs(components[0])
+    scratch = np.empty_like(sup)
+    for comp in components[1:]:
+        np.maximum(sup, np.abs(comp, out=scratch), out=sup)
+    return sup
+
+
+def sup_norm(values):
+    """Unmasked sup of |values|; non-finite entries propagate."""
+    values = np.asarray(values)
+    # max(v_max, -v_min) is the largest |v| without an |v| temporary;
+    # adding 0.0 turns a -0.0 into the 0.0 that |v| gives
+    return float(max(values.max(), -values.min())) + 0.0
 
 
 def _as_expression(entry):

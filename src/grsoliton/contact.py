@@ -9,12 +9,19 @@ d eta(X, Y) = (X(eta Y) - Y(eta X) - eta([X, Y])) / 2; "plain" drops the
 factor.  Every report records which convention produced it.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from grsoliton import expr
-from grsoliton.chart import evaluate_field, evaluate_fields, sample_points
+from grsoliton.chart import (
+    evaluate_field,
+    evaluate_fields,
+    pointwise_sup,
+    sample_points,
+    sup_norm,
+)
 from grsoliton.expr import Num, simplify
 from grsoliton.tensors import (
     TensorField,
@@ -97,17 +104,12 @@ class AlmostContactStructure:
         return TensorField(self.chart, "vector", comps)
 
 
-def sup_norm(values):
-    """Unmasked sup of |values|; non-finite entries propagate."""
-    return float(np.abs(values).max())
-
-
 def _worst_point(values):
     """Index of the first point with a non-finite value if there is one,
     else of the point with the largest |value|."""
-    flat = np.abs(values).reshape(len(values), -1).max(axis=1)
-    bad = ~np.isfinite(flat)
-    return int(np.argmax(bad if bad.any() else flat))
+    sups = pointwise_sup(values)
+    bad = ~np.isfinite(sups)
+    return int(np.argmax(bad if bad.any() else sups))
 
 
 def _axiom_components(chart, metric, phi, xi, eta):
@@ -180,7 +182,7 @@ def assemble_structure(chart, metric, phi, xi, eta, points=None, params=None,
     for axiom, axiom_values in zip(axioms, values):
         sup = sup_norm(axiom_values)
         residuals[axiom] = sup
-        if not np.isfinite(axiom_values).all() or sup > tolerance:
+        if not math.isfinite(sup) or sup > tolerance:
             raise StructureError(axiom, sup, points[_worst_point(axiom_values)])
     return AlmostContactStructure(chart, metric, phi, xi, eta,
                                   (chart.dim - 1) // 2, residuals)

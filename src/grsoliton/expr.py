@@ -333,26 +333,19 @@ _SMART = {Add: add, Sub: sub, Mul: mul, Div: div, Pow: pow_}
 
 def free_symbols(e):
     """Set of symbol names appearing in the tree."""
-    memo = {}
-
-    def walk(node):
-        hit = memo.get(id(node))
-        if hit is not None:
-            return hit
+    names = set()
+    seen = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         if isinstance(node, Sym):
-            out = frozenset((node.name,))
-        elif isinstance(node, Num):
-            out = frozenset()
-        elif isinstance(node, Neg):
-            out = walk(node.arg)
-        elif isinstance(node, Call):
-            out = walk(node.arg)
+            names.add(node.name)
         else:
-            out = walk(node.left) | walk(node.right)
-        memo[id(node)] = out
-        return out
-
-    return walk(e)
+            stack.extend(_children(node))
+    return frozenset(names)
 
 
 def differentiate(e, var):
@@ -492,40 +485,52 @@ def evaluate(e, env):
     for ln/sqrt/cot domain violations, division by zero, and fractional
     powers of negative numbers.
     """
-    memo = {}
+    values = {}          # id(node) -> value; e keeps every node alive
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if id(node) in values:
+            stack.pop()
+            continue
+        # children left to right, except that a quotient evaluates and
+        # checks its denominator before its numerator
+        kids = (node.right, node.left) if isinstance(node, Div) else _children(node)
+        todo = [k for k in kids if id(k) not in values]
+        if not todo:
+            stack.pop()
+            values[id(node)] = _eval_node(node, [values[id(k)] for k in kids], env)
+            continue
+        if todo[0] is not kids[0] and isinstance(node, Div) and values[id(kids[0])] == 0.0:
+            raise DomainError("division by zero", node, env)
+        stack.append(todo[0])
+    return values[id(e)]
 
-    def ev(node):
-        hit = memo.get(id(node))
-        if hit is not None:
-            return hit
-        if isinstance(node, Num):
-            out = node.value
-        elif isinstance(node, Sym):
-            try:
-                out = float(env[node.name])
-            except KeyError:
-                raise UnboundSymbolError(node.name) from None
-        elif isinstance(node, Neg):
-            out = -ev(node.arg)
-        elif isinstance(node, Add):
-            out = ev(node.left) + ev(node.right)
-        elif isinstance(node, Sub):
-            out = ev(node.left) - ev(node.right)
-        elif isinstance(node, Mul):
-            out = ev(node.left) * ev(node.right)
-        elif isinstance(node, Div):
-            denom = ev(node.right)
-            if denom == 0.0:
-                raise DomainError("division by zero", node, env)
-            out = ev(node.left) / denom
-        elif isinstance(node, Pow):
-            out = _eval_pow(node, ev(node.left), ev(node.right), env)
-        else:
-            out = _eval_call(node, ev(node.arg), env)
-        memo[id(node)] = out
-        return out
 
-    return ev(e)
+def _eval_node(node, args, env):
+    """The value of one node from its children's values, in evaluation order."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Sym):
+        try:
+            return float(env[node.name])
+        except KeyError:
+            raise UnboundSymbolError(node.name) from None
+    if isinstance(node, Neg):
+        return -args[0]
+    if isinstance(node, Add):
+        return args[0] + args[1]
+    if isinstance(node, Sub):
+        return args[0] - args[1]
+    if isinstance(node, Mul):
+        return args[0] * args[1]
+    if isinstance(node, Div):
+        denom, numer = args
+        if denom == 0.0:
+            raise DomainError("division by zero", node, env)
+        return numer / denom
+    if isinstance(node, Pow):
+        return _eval_pow(node, args[0], args[1], env)
+    return _eval_call(node, args[0], env)
 
 
 def _eval_pow(node, base, expo, env):

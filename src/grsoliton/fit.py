@@ -12,12 +12,13 @@ under-determined instances (e.g. Einstein metrics, where Ric and g are
 collinear) have a whole affine family of solutions.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from grsoliton import expr
-from grsoliton.chart import evaluate_fields
+from grsoliton.chart import evaluate_fields, pointwise_sup, sup_norm
 from grsoliton.soliton import SolitonSpec
 from grsoliton.tensors import TensorField, as_scalar, hessian, partial, ricci, sym_product
 
@@ -37,6 +38,8 @@ class FitResult:
     singular_values: np.ndarray
     free_names: tuple = CONSTANT_ORDER
     target_sup: float = 0.0      # sup |rhs|, for relative residuals
+    n_points: int = 0             # sample points used
+    n_skipped: int = 0            # sample points skipped, out of domain
 
     def coset_distance(self, constants):
         """Distance from a constants vector to the affine solution set."""
@@ -51,7 +54,18 @@ class FitResult:
             "rank": self.rank,
             "null_space": [list(map(float, col)) for col in self.null_space.T],
             "residual_sup": self.residual_sup,
+            "points_used": self.n_points,
+            "points_skipped": self.n_skipped,
         }
+
+
+class TooFewPointsError(ValueError):
+    """Fewer than 3 sample points are left to fit; valid marks, per sample
+    point, whether every design value there is finite."""
+
+    def __init__(self, message, valid):
+        super().__init__(message)
+        self.valid = valid
 
 
 def design_fields(metric, f1, f2):
@@ -90,10 +104,9 @@ def fit_constants(metric, f1, f2, points, params=None, fixed=None):
 def fit_design(values, fixed=None):
     """Least-squares fit from the evaluated design_fields, each (npoints, k).
 
-    fixed is as for fit_constants.
+    fixed is as for fit_constants.  Raises TooFewPointsError when fewer
+    than 3 points have every design value finite.
     """
-    if len(values[0]) < 3:
-        raise ValueError(f"need at least 3 sample points, got {len(values[0])}")
     fixed = dict(fixed or {})
     unknown = set(fixed) - set(CONSTANT_ORDER)
     if unknown:
@@ -102,19 +115,29 @@ def fit_design(values, fixed=None):
     if not free_names:
         raise ValueError("all constants fixed, nothing to fit")
 
-    flat = [v.reshape(len(v), -1) for v in values]
-    valid = np.logical_and.reduce([np.isfinite(f).all(axis=1) for f in flat])
-    if valid.sum() < 3:
-        raise ValueError("fewer than 3 sample points survive domain masking")
+    npoints = len(values[0])
+    flat = [v.reshape(npoints, math.prod(v.shape[1:])) for v in values]
+    valid = np.logical_and.reduce([np.isfinite(pointwise_sup(f)) for f in flat])
+    n_valid = int(np.count_nonzero(valid))
+    if n_valid < 3:
+        raise TooFewPointsError(
+            f"need at least 3 sample points, got {npoints}" if npoints < 3
+            else "fewer than 3 sample points survive domain masking", valid)
+    if n_valid < npoints:
+        flat = [f[valid] for f in flat]
     blocks = dict(zip(CONSTANT_ORDER, flat))
-    b_flat = flat[-1]
 
-    rows = np.column_stack([blocks[name][valid].reshape(-1) for name in free_names])
-    b = b_flat[valid].reshape(-1)
-    for name, value in fixed.items():
-        b = b - float(value) * blocks[name][valid].reshape(-1)
-
+    # row p * k + c holds component c at valid point p, column j the free
+    # constant j: the layout column_stack of the flattened blocks gives
     k = len(free_names)
+    rows = np.empty((flat[-1].size, k))
+    by_point = rows.reshape(n_valid, -1, k)
+    for j, name in enumerate(free_names):
+        by_point[:, :, j] = blocks[name]
+    b = flat[-1].reshape(-1)
+    for name, value in fixed.items():
+        b = b - float(value) * blocks[name].reshape(-1)
+
     normal = rows.T @ rows
     rhs = rows.T @ b
     sigma, basis = np.linalg.eigh(normal)      # ascending, sigma >= 0
@@ -126,8 +149,8 @@ def fit_design(values, fixed=None):
     for lam_val, vec in zip(sigma[keep], basis.T[keep]):
         solution += (vec @ rhs) / lam_val * vec
     null_space = basis[:, ~keep]
-    residual_sup = float(np.abs(rows @ solution - b).max()) if rank else \
-        float(np.abs(b).max()) if b.size else 0.0
+    target_sup = sup_norm(b) if b.size else 0.0
+    residual_sup = sup_norm(rows @ solution - b) if rank else target_sup
     return FitResult(
         solution=solution,
         rank=rank,
@@ -135,7 +158,9 @@ def fit_design(values, fixed=None):
         residual_sup=residual_sup,
         singular_values=sigma[::-1].copy(),
         free_names=free_names,
-        target_sup=float(np.abs(b).max()) if b.size else 0.0,
+        target_sup=target_sup,
+        n_points=n_valid,
+        n_skipped=npoints - n_valid,
     )
 
 

@@ -10,7 +10,10 @@ expression's domain at every sample point raises DomainError.
 """
 
 import functools
+import math
 import time
+
+import numpy as np
 
 from grsoliton.chart import evaluate_fields, sample_points
 from grsoliton.contact import (
@@ -21,7 +24,7 @@ from grsoliton.contact import (
     ricci_reeb_comps,
     sup_norm,
 )
-from grsoliton.fit import design_fields, fit_design
+from grsoliton.fit import TooFewPointsError, design_fields, fit_design
 from grsoliton.manifest import CONSTANT_KEYS, ManifestError
 from grsoliton.report import CheckRow, Report
 from grsoliton.soliton import (
@@ -31,6 +34,7 @@ from grsoliton.soliton import (
     build_supporting_checks,
     build_transport_check,
     build_vector_check,
+    diagnose_domain,
     residual_report,
 )
 from grsoliton.tensors import TensorField
@@ -153,13 +157,27 @@ class _Run:
         resolved = dict(manifest.numeric_constants())
         if not manifest.fit_targets():
             return resolved, None, None
+        fields = _design_fields(manifest)
         design = list(evaluate_fields(
-            design_fields(manifest.metric, manifest.scalars["f1"], manifest.scalars["f2"]),
-            manifest.chart.env_at(self.points, manifest.params), len(self.points)))
-        fit = fit_design(design, {k: v for k, v in resolved.items() if k in CONSTANT_KEYS})
+            fields, manifest.chart.env_at(self.points, manifest.params), len(self.points)))
+        try:
+            fit = fit_design(design, {k: v for k, v in resolved.items()
+                                      if k in CONSTANT_KEYS})
+        except TooFewPointsError as ex:
+            # no row that uses the constants can be built without them
+            if ex.valid.all():
+                raise ManifestError(
+                    f"fitting {', '.join(manifest.fit_targets())} needs at least 3 "
+                    f"sample points, got {len(self.points)}") from None
+            self.diagnose(fields, int(np.argmin(ex.valid)))
         for name, value in zip(fit.free_names, fit.solution):
             resolved[name] = float(value)
         return resolved, fit, design
+
+    def diagnose(self, fields, index):
+        """Raise the DomainError of fields at sample point index."""
+        diagnose_domain(self.manifest.chart, [c for f in fields for c in f],
+                        self.points[index], self.manifest.params)
 
 
 def _assemble(run, d_convention, classify=True):
@@ -237,10 +255,16 @@ def _theorem_rows(run, structure):
         run.add_check(check)
 
 
+def _design_fields(manifest):
+    return design_fields(manifest.metric, manifest.scalars["f1"], manifest.scalars["f2"])
+
+
 def _fit_check_row(manifest, fit, tol, note=None):
     rel = fit.residual_sup / max(1.0, fit.target_sup)
     passed = rel <= tol
     extra = {
+        "points_used": fit.n_points,
+        "points_skipped": fit.n_skipped,
         "solution": {name: float(v) for name, v in zip(fit.free_names, fit.solution)},
         "rank": fit.rank,
         "null_space": [[float(v) for v in col] for col in fit.null_space.T],
@@ -262,11 +286,24 @@ def _fit_row(run, explicit):
     manifest = run.manifest
     _, fit, design = run.resolved
     if fit is None:
-        fields = design_fields(manifest.metric, manifest.scalars["f1"],
-                               manifest.scalars["f2"])
-        run.add(fields, lambda *values: [_fit_check_row(manifest, fit_design(values),
-                                                        run.tol)])
+        fields = _design_fields(manifest)
+        run.add(fields, lambda *values: [_unrestricted_fit_row(run, fields, values)])
     elif explicit:
         run.add([], lambda: [_fit_check_row(manifest, fit, run.tol)])
     else:
         run.add([], lambda: [_fit_check_row(manifest, fit_design(design), run.tol)])
+
+
+def _unrestricted_fit_row(run, fields, values):
+    """The fit row of a design fitted with every constant free; with fewer
+    than 3 valid points it fails, and with none it is a DomainError."""
+    try:
+        fit = fit_design(values)
+    except TooFewPointsError as ex:
+        n_valid = int(np.count_nonzero(ex.valid))
+        if not n_valid:
+            run.diagnose(fields, 0)
+        return CheckRow("fit_constants", math.nan, math.nan, run.tol, False,
+                        {"points_used": n_valid, "points_skipped": len(ex.valid) - n_valid,
+                         "note": "fewer than 3 valid sample points"})
+    return _fit_check_row(run.manifest, fit, run.tol)

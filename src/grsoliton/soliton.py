@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from grsoliton import expr
-from grsoliton.chart import evaluate_fields, sample_points
+from grsoliton.chart import evaluate_fields, pointwise_sup, sample_points
 from grsoliton.expr import DomainError, Num, evaluate, simplify
 from grsoliton.tensors import (
     TensorField,
@@ -113,13 +113,17 @@ class Check:
     reference: list
 
 
-def _diagnose_domain(chart, comps, point, params):
+def diagnose_domain(chart, comps, point, params):
+    """Evaluate comps at one point with the scalar evaluator, which raises
+    DomainError at the offending node; raise a generic DomainError on the
+    first component if none does."""
     env = {name: float(v) for name, v in zip(chart.names, point)}
     for key, value in (params or {}).items():
         env.setdefault(key, float(value))
-    for comp in np.asarray(comps, dtype=object).reshape(-1):
+    comps = np.asarray(comps, dtype=object).reshape(-1)
+    for comp in comps:
         evaluate(comp, env)   # raises DomainError at the offending node
-    raise DomainError("non-finite evaluation", comps.reshape(-1)[0], env)
+    raise DomainError("non-finite evaluation", comps[0], env)
 
 
 def residual_report(check, residual_values, reference_values, chart, points,
@@ -130,16 +134,18 @@ def residual_report(check, residual_values, reference_values, chart, points,
     if none is left, the scalar evaluator names the offending node.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    res_flat = residual_values.reshape(len(points), -1)
-    ref_flat = reference_values.reshape(len(points), -1)
-    res_valid = np.isfinite(res_flat).all(axis=1)
-    valid = res_valid & np.isfinite(ref_flat).all(axis=1)
-    if not valid.any():
+    res_sup = pointwise_sup(residual_values)
+    ref_sup = pointwise_sup(reference_values)
+    res_valid = np.isfinite(res_sup)
+    valid = res_valid & np.isfinite(ref_sup)
+    n_valid = int(np.count_nonzero(valid))
+    if not n_valid:
         bad = int(np.argmin(res_valid))
-        _diagnose_domain(chart, np.asarray(check.residual, dtype=object),
-                         points[bad], params)
-    abs_sup = float(np.abs(res_flat[valid]).max())
-    scale = max(1.0, float(np.abs(ref_flat[valid]).max()))
+        diagnose_domain(chart, check.residual, points[bad], params)
+    if n_valid < len(valid):
+        res_sup, ref_sup = res_sup[valid], ref_sup[valid]
+    abs_sup = float(res_sup.max())
+    scale = max(1.0, float(ref_sup.max()))
     rel_sup = abs_sup / scale
     return ResidualReport(
         name=check.name,
@@ -147,8 +153,8 @@ def residual_report(check, residual_values, reference_values, chart, points,
         rel_sup=rel_sup,
         tolerance=tolerance,
         passed=rel_sup <= tolerance,
-        n_points=int(valid.sum()),
-        n_skipped=int((~valid).sum()),
+        n_points=n_valid,
+        n_skipped=len(valid) - n_valid,
         components=check.residual,
     )
 

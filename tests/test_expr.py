@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import math
 import pickle
@@ -489,3 +490,96 @@ class TestInterning:
         assert e is Add(Mul(Sym("x"), expr.ONE), expr.ZERO)
         assert render(e) == "x * 1 + 0"
         assert simplify(e) is Sym("x")
+
+
+def reference_evaluate(e, env):
+    """The scalar evaluator as a recursive walk with a memo per call."""
+    memo = {}
+
+    def ev(node):
+        if id(node) in memo:
+            return memo[id(node)]
+        if isinstance(node, Num):
+            out = node.value
+        elif isinstance(node, Sym):
+            try:
+                out = float(env[node.name])
+            except KeyError:
+                raise UnboundSymbolError(node.name) from None
+        elif isinstance(node, Neg):
+            out = -ev(node.arg)
+        elif isinstance(node, Add):
+            out = ev(node.left) + ev(node.right)
+        elif isinstance(node, Sub):
+            out = ev(node.left) - ev(node.right)
+        elif isinstance(node, Mul):
+            out = ev(node.left) * ev(node.right)
+        elif isinstance(node, Div):
+            denom = ev(node.right)
+            if denom == 0.0:
+                raise DomainError("division by zero", node, env)
+            out = ev(node.left) / denom
+        elif isinstance(node, Pow):
+            out = expr._eval_pow(node, ev(node.left), ev(node.right), env)
+        else:
+            out = expr._eval_call(node, ev(node.arg), env)
+        memo[id(node)] = out
+        return out
+
+    return ev(e)
+
+
+def outcome(evaluator, node, env):
+    """The value's bits, or the DomainError's text, node and point."""
+    try:
+        value = evaluator(node, env)
+    except DomainError as ex:
+        return str(ex), ex.subexpression, ex.point
+    except UnboundSymbolError as ex:
+        return "unbound", str(ex)
+    return b"nan" if math.isnan(value) else struct.pack("<d", value)
+
+
+def reference_free_symbols(e):
+    if isinstance(e, Sym):
+        return {e.name}
+    return set().union(*(reference_free_symbols(k) for k in expr._children(e)))
+
+
+class TestWalks:
+    """evaluate and free_symbols walk iteratively; nothing is left for the
+    cyclic collector, and results and errors are the recursive walk's."""
+
+    ENVS = ({"x": 0.37, "y": -1.21}, {"x": 0.0, "y": 2.0}, {"x": -2.0, "y": 0.0},
+            {"x": 1.0, "y": -0.0}, {"x": 3.0, "y": 0.5})
+
+    @settings(max_examples=100, deadline=None)
+    @given(pool=shapes())
+    def test_match_the_recursive_walk(self, pool):
+        var, nodes = built_nodes(pool)
+        for node in nodes:
+            assert free_symbols(node) == reference_free_symbols(node)
+            for env in self.ENVS:
+                env = dict(env, **{var: env["x"] - 1.0})
+                assert outcome(evaluate, node, env) == outcome(reference_evaluate, node, env)
+        assert outcome(evaluate, nodes[-1], {}) == outcome(reference_evaluate, nodes[-1], {})
+
+    def test_denominator_is_checked_before_the_numerator(self):
+        e = parse("ln(x) / (x - x)")
+        with pytest.raises(DomainError) as err:
+            evaluate(e, {"x": -1.0})
+        assert err.value.subexpression is e
+        assert str(err.value) == "division by zero in 'ln(x) / (x - x)' at {'x': -1.0}"
+
+    def test_leave_no_reference_cycles(self):
+        e = simplify(differentiate(parse(f"({BUNDLED_P})^2 * ln(z) + {BUNDLED_Q}"), "y"))
+        env = {"y": 0.3, "z": 1.1}
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                free_symbols(e)
+                evaluate(e, env)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -322,6 +322,65 @@ class TestCliExitCodes:
         assert main(["check-soliton", "--manifest", str(path)]) == 3
         assert "domain error" in capsys.readouterr().err
 
+    def _sasakian_f2(self, tmp_path, f2, fit=None):
+        doc = sasakian_manifest()
+        doc["scalars"]["f2"] = f2
+        if fit:
+            doc["constants"][fit] = "fit"
+        path = tmp_path / "f2.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def _run_json(self, capsys, argv, code):
+        assert main(argv + ["--format", "json"]) == code
+        out = capsys.readouterr().out
+        return json.loads(out, parse_constant=_reject_constant) if code < 2 else out
+
+    @pytest.mark.parametrize("fit", [None, "c2"])
+    def test_fit_undefined_everywhere_is_a_domain_error(self, tmp_path, capsys, fit):
+        path = self._sasakian_f2(tmp_path, "sqrt(-1 - y^2)", fit)
+        for sub in ("fit", "all") + (("check-soliton", "check-theorem") if fit else ()):
+            assert main([sub, "--manifest", path]) == 3, sub
+            err = capsys.readouterr().err
+            assert err.startswith("domain error: square root of a negative number "
+                                  "in 'sqrt(-1 - y^2)' at "), sub
+
+    def test_fit_on_one_valid_point_fails_its_row(self, tmp_path, capsys):
+        path = self._sasakian_f2(tmp_path, "sqrt(x - 1.97)")
+        argv = ["--manifest", path, "--points", "200", "--seed", "8"]
+        report = self._run_json(capsys, ["all"] + argv, 1)
+        rows = {row["name"]: row for row in report["checks"]}
+        assert rows["soliton_gradient"]["points_used"] == 1
+        fit_row = rows["fit_constants"]
+        assert fit_row["passed"] is False
+        assert fit_row["abs_residual"] is None and fit_row["rel_residual"] is None
+        assert (fit_row["points_used"], fit_row["points_skipped"]) == (1, 199)
+        [row] = self._run_json(capsys, ["fit"] + argv, 1)["checks"]
+        assert row == fit_row
+
+    def test_fit_targets_on_one_valid_point_are_a_domain_error(self, tmp_path, capsys):
+        path = self._sasakian_f2(tmp_path, "sqrt(x - 1.97)", "lambda")
+        for sub in ("fit", "all", "check-soliton"):
+            assert main([sub, "--manifest", path, "--points", "200", "--seed", "8"]) == 3
+            assert "in 'sqrt(x - 1.97)' at" in capsys.readouterr().err
+
+    def test_fit_on_two_points(self, tmp_path, capsys):
+        argv = ["--manifest", "hyperbolic", "--points", "2"]
+        [row] = self._run_json(capsys, ["fit"] + argv, 1)["checks"]
+        assert (row["passed"], row["points_used"], row["points_skipped"]) == (False, 2, 0)
+        doc = copy.deepcopy(HYPERBOLIC)
+        doc["constants"]["lambda"] = "fit"
+        path = tmp_path / "fit2.json"
+        path.write_text(json.dumps(doc))
+        assert main(["fit", "--manifest", str(path), "--points", "2"]) == 2
+        assert "needs at least 3 sample points, got 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", BUNDLED_NAMES)
+    def test_fit_rows_count_their_points(self, name, capsys):
+        report = self._run_json(capsys, ["all", "--manifest", name, "--points", "150"], 0)
+        [row] = [r for r in report["checks"] if r["name"] == "fit_constants"]
+        assert (row["points_used"], row["points_skipped"]) == (150, 0)
+
     def _nan_eta_row(self, tmp_path, capsys):
         path = tmp_path / "nan_eta.json"
         path.write_text(json.dumps(NAN_ETA))
