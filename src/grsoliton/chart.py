@@ -153,49 +153,115 @@ def evaluate_fields(fields, env, size):
     """Evaluate several object arrays of expressions as one plan.
 
     Returns an iterator over one float array of shape (size, *shape) per
-    field, in order.  Each field is gathered from the plan's root columns
-    into one component-major block only when it is reached, and the array
-    handed out is a view of that block, so every field costs one copy of
-    its values on top of the root columns.
+    field, in order.  The plan writes each field's components, chunk by
+    chunk, into its own component-major (k, size) block, and the array
+    handed out is a transposed view of that block.
     """
     fields = [np.asarray(f, dtype=object) for f in fields]
-    columns = expr.evaluate_many_multi(
-        [e for f in fields for e in f.reshape(-1)], env, size)
-    return _assemble_fields(columns, fields, size)
+    values = FieldValues([f.shape for f in fields], size)
+    reduce_fields([(fields, values)], env, size)
+    return iter(values.finish())
 
 
-def _assemble_fields(columns, fields, size):
-    start = 0
-    for f in fields:
-        block = np.array(columns[start:start + f.size]).reshape(f.size, size)
-        start += f.size
+def reduce_fields(groups, env, size):
+    """Evaluate the fields of every (fields, accumulator) group as one plan.
+
+    After each chunk of points, every accumulator's update(lo, *fields)
+    receives one sequence of component chunks per field of its group (see
+    field_components); what it keeps is up to it, and its finish() gives
+    the result.
+    """
+    roots, feeds = [], []
+    for fields, accumulator in groups:
+        spans = []
+        for f in fields:
+            f = np.asarray(f, dtype=object).reshape(-1)
+            spans.append((len(roots), len(roots) + len(f)))
+            roots.extend(f)
+        feeds.append((accumulator.update, spans))
+
+    def sink(lo, hi, values):
+        for update, spans in feeds:
+            update(lo, *[values[a:b] for a, b in spans])
+
+    expr.evaluate_many_multi(roots, env, size, sink=sink)
+
+
+def field_components(values):
+    """The components of an evaluated (npoints, ...) field as a sequence of
+    (npoints,) rows: the form in which an accumulator reads one field."""
+    values = np.asarray(values)
+    return values.reshape(len(values), math.prod(values.shape[1:])).T
+
+
+class FieldValues:
+    """Accumulator that keeps every value: each field's components go into
+    one component-major (k, size) block, and finish() returns, per field,
+    the (size, *shape) view of its block."""
+
+    def __init__(self, shapes, size):
+        self.shapes = [tuple(shape) for shape in shapes]
+        self.blocks = [np.empty((math.prod(shape), size)) for shape in self.shapes]
+
+    def update(self, lo, *fields):
+        for block, components in zip(self.blocks, fields):
+            block[:, lo:lo + len(components[0])] = components
+
+    def finish(self):
         # splits only the last axis of the transposed block: a view
-        yield block.T.reshape((size,) + f.shape)
+        return [block.T.reshape(block.shape[1:] + shape)
+                for block, shape in zip(self.blocks, self.shapes)]
+
+
+class SupNorms:
+    """Accumulator of the unmasked sup of |value| of each of its fields.
+
+    A non-finite value propagates: NaN wins over everything, inf over any
+    number.  finish() returns one float per field, with the 0.0 that |v|
+    gives for an all-zero field.
+    """
+
+    def __init__(self, nfields=1):
+        self.sups = [-math.inf] * nfields
+
+    def update(self, lo, *fields):
+        for i, components in enumerate(fields):
+            if len(components) == 1:
+                # max(v_max, -v_min) is the largest |v| without a |v| temporary
+                value = max(components[0].max(), -components[0].min())
+            else:
+                value = components_sup(components).max()
+            sup = self.sups[i]
+            if value > sup or value != value:
+                self.sups[i] = value
+
+    def finish(self):
+        # adding 0.0 turns a -0.0 into the 0.0 that |v| gives
+        return [float(sup) + 0.0 for sup in self.sups]
+
+
+def components_sup(components):
+    """max over components of |value| at each point, for components as
+    field_components gives them; non-finite values propagate, so the
+    result is finite exactly where every component is."""
+    sup = np.abs(components[0])
+    scratch = np.empty_like(sup)
+    for component in components[1:]:
+        np.maximum(sup, np.abs(component, out=scratch), out=sup)
+    return sup
 
 
 def pointwise_sup(values):
     """max over components of |value| at each point of an (npoints, ...)
-    array, as an (npoints,) array.
-
-    Non-finite values propagate: the result is finite exactly where every
-    component is.  Reads the components one at a time, so a field from
-    evaluate_fields is reduced over its contiguous component rows without
-    a full-size temporary.
-    """
-    components = values.reshape(len(values), math.prod(values.shape[1:])).T
-    sup = np.abs(components[0])
-    scratch = np.empty_like(sup)
-    for comp in components[1:]:
-        np.maximum(sup, np.abs(comp, out=scratch), out=sup)
-    return sup
+    array, as an (npoints,) array (see components_sup)."""
+    return components_sup(field_components(values))
 
 
 def sup_norm(values):
     """Unmasked sup of |values|; non-finite entries propagate."""
-    values = np.asarray(values)
-    # max(v_max, -v_min) is the largest |v| without an |v| temporary;
-    # adding 0.0 turns a -0.0 into the 0.0 that |v| gives
-    return float(max(values.max(), -values.min())) + 0.0
+    sups = SupNorms()
+    sups.update(0, field_components(np.atleast_1d(values)))
+    return sups.finish()[0]
 
 
 def _as_expression(entry):

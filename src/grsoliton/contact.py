@@ -16,9 +16,11 @@ import numpy as np
 
 from grsoliton import expr
 from grsoliton.chart import (
-    evaluate_field,
+    SupNorms,
     evaluate_fields,
+    field_components,
     pointwise_sup,
+    reduce_fields,
     sample_points,
     sup_norm,
 )
@@ -363,9 +365,10 @@ def check_sasakian_identities(structure, points=None, params=None):
         "eta_transport": eta_transport_residual(structure),
         "curvature_reeb": curvature_reeb_residual(structure),
     }
-    values = evaluate_fields(list(fields.values()), chart.env_at(points, params),
-                             len(points))
-    return {name: sup_norm(v) for name, v in zip(fields, values)}
+    sups = SupNorms(len(fields))
+    reduce_fields([(list(fields.values()), sups)], chart.env_at(points, params),
+                  len(points))
+    return dict(zip(fields, sups.finish()))
 
 
 def ricci_reeb_comps(structure):
@@ -391,8 +394,10 @@ def ricci_reeb_residual(structure, points=None, params=None):
     if points is None:
         points = sample_points(chart, "uniform", _AXIOM_POINTS, _AXIOM_SEED)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return sup_norm(evaluate_field(ricci_reeb_comps(structure),
-                                   chart.env_at(points, params), len(points)))
+    sups = SupNorms()
+    reduce_fields([([ricci_reeb_comps(structure)], sups)], chart.env_at(points, params),
+                  len(points))
+    return sups.finish()[0]
 
 
 def ladder_fields(structure, d_convention="half"):
@@ -415,32 +420,49 @@ def ladder_fields(structure, d_convention="half"):
     return [contact_comps, reeb_transport_residual(structure), normal_comps]
 
 
+class LadderSups(SupNorms):
+    """Accumulator of the sup-norms of the three ladder_fields of a
+    structure; finish() returns the StructureReport."""
+
+    def __init__(self, structure, tolerance=DEFAULT_TOLERANCE, d_convention="half"):
+        super().__init__(3)
+        self.structure = structure
+        self.tolerance = tolerance
+        self.d_convention = d_convention
+
+    def finish(self):
+        tolerance = self.tolerance
+        residuals = dict(self.structure.axiom_residuals)
+        almost = max(residuals.values()) <= tolerance
+        residuals.update(zip(("contact_condition", "reeb_transport", "normality"),
+                             super().finish()))
+        contact = almost and residuals["contact_condition"] <= tolerance
+        k_contact = contact and residuals["reeb_transport"] <= tolerance
+        normal = almost and residuals["normality"] <= tolerance
+        sasakian = contact and normal
+        if sasakian:
+            k_contact = True
+        return StructureReport(
+            almost_contact_metric=almost,
+            contact_metric=contact,
+            k_contact=k_contact,
+            normal=normal,
+            sasakian=sasakian,
+            residuals=residuals,
+            d_convention=self.d_convention,
+            tolerance=tolerance,
+        )
+
+
 def ladder_report(structure, values, tolerance=DEFAULT_TOLERANCE, d_convention="half"):
     """Ladder flags from the evaluated ladder_fields of a structure.
 
     Failures are report content, never exceptions.  The Sasakian flag is
     contact and normal; ladder implications are enforced on the output.
     """
-    residuals = dict(structure.axiom_residuals)
-    almost = max(residuals.values()) <= tolerance
-    for name, v in zip(("contact_condition", "reeb_transport", "normality"), values):
-        residuals[name] = sup_norm(v)
-    contact = almost and residuals["contact_condition"] <= tolerance
-    k_contact = contact and residuals["reeb_transport"] <= tolerance
-    normal = almost and residuals["normality"] <= tolerance
-    sasakian = contact and normal
-    if sasakian:
-        k_contact = True
-    return StructureReport(
-        almost_contact_metric=almost,
-        contact_metric=contact,
-        k_contact=k_contact,
-        normal=normal,
-        sasakian=sasakian,
-        residuals=residuals,
-        d_convention=d_convention,
-        tolerance=tolerance,
-    )
+    ladder = LadderSups(structure, tolerance, d_convention)
+    ladder.update(0, *map(field_components, values))
+    return ladder.finish()
 
 
 def classify_structure(structure, tolerance=DEFAULT_TOLERANCE, points=None,
@@ -450,6 +472,7 @@ def classify_structure(structure, tolerance=DEFAULT_TOLERANCE, points=None,
     if points is None:
         points = sample_points(chart, "uniform", _AXIOM_POINTS, _AXIOM_SEED)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    values = evaluate_fields(ladder_fields(structure, d_convention),
-                             chart.env_at(points, params), len(points))
-    return ladder_report(structure, values, tolerance, d_convention)
+    ladder = LadderSups(structure, tolerance, d_convention)
+    reduce_fields([(ladder_fields(structure, d_convention), ladder)],
+                  chart.env_at(points, params), len(points))
+    return ladder.finish()

@@ -21,8 +21,9 @@ node lives exactly as long as something else refers to it.  Each node
 caches its simplified form and, weakly, its derivatives, so simplifying or
 differentiating a node again, in any call, is one lookup.
 Vectorised evaluation (evaluate_many_multi) computes each node once and
-runs over the points in fixed-size chunks so that only the roots' values
-outlive a chunk.
+runs over the points in fixed-size chunks; each chunk's root values go to
+a sink that reduces them, so no value outlives its chunk unless the sink
+keeps it.
 """
 
 import math
@@ -584,16 +585,35 @@ def evaluate_many(e, env, size):
     return evaluate_many_multi((e,), env, size)[0]
 
 
-def evaluate_many_multi(exprs, env, size):
+def evaluate_many_multi(exprs, env, size, sink=None):
     """Vectorised evaluation of several roots as one plan.
 
     Each distinct node (and, since nodes are interned, each distinct
     structure) is computed once.  Points are processed in chunks of
-    CHUNK_POINTS: intermediate values live for one chunk, and only the
-    root columns, each of shape (size,), are kept.  Roots of equal
-    structure share one result array.
+    CHUNK_POINTS, and intermediate values live for one chunk.  After each
+    chunk the plan calls sink(lo, hi, values): values holds, in the order
+    of exprs, each root's values at points lo..hi-1 as a (hi - lo,) array;
+    a root that does not depend on the point is a broadcast view of its
+    scalar.  The arrays are only valid during the call, so a sink reduces
+    or copies what it needs and keeps nothing else.
+
+    With a sink nothing is returned.  Without one, the root columns are
+    collected and returned, one (size,) array per root; roots of equal
+    structure share one array.
     """
-    return _Plan(exprs).run(env, size)
+    plan = _Plan(exprs)
+    if sink is not None:
+        plan.run(env, size, sink)
+        return None
+    rows = {number: row for row, number in enumerate(dict.fromkeys(plan.roots))}
+    out = np.empty((len(rows), size))
+
+    def collect(lo, hi, values):
+        for number, value in zip(plan.roots, values):
+            out[rows[number], lo:hi] = value
+
+    plan.run(env, size, collect)
+    return [out[rows[number]] for number in plan.roots]
 
 
 class _Plan:
@@ -621,7 +641,7 @@ class _Plan:
             self.steps.append((node, tuple(numbers[id(k)] for k in kids)))
         return numbers[id(root)]
 
-    def run(self, env, size):
+    def run(self, env, size, sink):
         # nodes that do not depend on a point are computed once; the rest
         # form a per-chunk program of (number, operation, argument numbers)
         values = [None] * len(self.steps)
@@ -644,28 +664,44 @@ class _Plan:
             else:
                 with np.errstate(all="ignore"):
                     values[number] = _operation(node)(*(values[a] for a in args))
-        rows = {number: row for row, number in enumerate(dict.fromkeys(self.roots))}
+        roots = set(self.roots)
+        # a point-independent root reaches the sink as a slice of one
+        # broadcast view per value number; its users in the program keep
+        # the scalar
+        views = {number: _constant_column(values[number], size)
+                 for number in roots if values[number] is not None}
+        fixed = [(i, views[number]) for i, number in enumerate(self.roots)
+                 if number in views]
         # a chunk's intermediate value is dropped right after its last use
         last_use = {a: i for i, (_, _, args) in enumerate(program) for a in args}
         drops = [[] for _ in program]
         for a, i in last_use.items():
-            if values[a] is None and a not in rows:
+            if values[a] is None and a not in roots:
                 drops[i].append(a)
         program = [step + (drop,) for step, drop in zip(program, drops)]
-        out = np.empty((len(rows), size))
-        with np.errstate(all="ignore"):
-            for lo in range(0, size, CHUNK_POINTS):
-                hi = min(lo + CHUNK_POINTS, size)
-                chunk = list(values)
-                for number, column in columns.items():
-                    chunk[number] = column[lo:hi]
+        for lo in range(0, size, CHUNK_POINTS):
+            hi = min(lo + CHUNK_POINTS, size)
+            chunk = list(values)
+            for number, column in columns.items():
+                chunk[number] = column[lo:hi]
+            with np.errstate(all="ignore"):
                 for number, op, args, drop in program:
                     chunk[number] = op(*[chunk[a] for a in args])
                     for a in drop:
                         chunk[a] = None
-                for number, row in rows.items():
-                    out[row, lo:hi] = chunk[number]
-        return [out[rows[number]] for number in self.roots]
+            out = [chunk[number] for number in self.roots]
+            for i, column in fixed:
+                out[i] = column[lo:hi]
+            sink(lo, hi, out)
+
+
+def _constant_column(value, size):
+    """A read-only (size,) view of one float, every entry the same memory:
+    what np.broadcast_to gives, at a fraction of its call cost."""
+    column = np.ndarray((size,), np.float64, np.asarray(value, dtype=np.float64),
+                        0, (0,))
+    column.flags.writeable = False
+    return column
 
 
 _BINARY_OPS = {

@@ -3,10 +3,11 @@
 Each subcommand maps the manifest blocks onto the corresponding checks and
 collects one CheckRow per named check.  "all" runs every check the
 manifest has data for.  The symbolic components of every row are built
-first and evaluated as one plan; each row then reduces its own columns, in
-report order.  Failures are rows with passed=False; structural problems
-with the manifest raise ManifestError, and evaluation leaving an
-expression's domain at every sample point raises DomainError.
+first and evaluated as one plan, which every row reduces chunk by chunk
+as the chunks are computed; the rows are then finished in report order.
+Failures are rows with passed=False; structural problems with the
+manifest raise ManifestError, and evaluation leaving an expression's
+domain at every sample point raises DomainError.
 """
 
 import functools
@@ -15,19 +16,25 @@ import time
 
 import numpy as np
 
-from grsoliton.chart import evaluate_fields, sample_points
+from grsoliton.chart import (
+    FieldValues,
+    SupNorms,
+    evaluate_fields,
+    reduce_fields,
+    sample_points,
+)
 from grsoliton.contact import (
+    LadderSups,
     StructureError,
     assemble_structure,
     ladder_fields,
-    ladder_report,
     ricci_reeb_comps,
-    sup_norm,
 )
 from grsoliton.fit import TooFewPointsError, design_fields, fit_design
 from grsoliton.manifest import CONSTANT_KEYS, ManifestError
 from grsoliton.report import CheckRow, Report
 from grsoliton.soliton import (
+    ResidualSup,
     SolitonSpec,
     build_alignment_check,
     build_gradient_check,
@@ -35,7 +42,6 @@ from grsoliton.soliton import (
     build_transport_check,
     build_vector_check,
     diagnose_domain,
-    residual_report,
 )
 from grsoliton.tensors import TensorField
 
@@ -112,11 +118,16 @@ def run_manifest(manifest, subcommand, points=None, count=None, seed=None,
 
 
 class _Run:
-    """The rows of one run, as (fields, reduce) groups in report order.
+    """The rows of one run, as (fields, accumulator, rows_of) groups in
+    report order.
 
-    reduce receives the evaluated fields, each (npoints, *shape), and
-    returns the group's rows.  Every group's fields are evaluated together
-    by rows(), and any "fit" constants are fitted once, on first use.
+    rows() evaluates every group's fields as one plan and feeds each
+    chunk's values to the group's accumulator (see chart.reduce_fields);
+    rows_of(run, accumulator.finish()) then gives the group's rows.  A
+    group without fields has no accumulator, and rows_of receives None.
+    Accumulators and rows_of hold no reference to the run, so a run is
+    never part of a reference cycle.  Any "fit" constants are fitted once,
+    on first use.
     """
 
     def __init__(self, manifest, points, tol):
@@ -125,28 +136,32 @@ class _Run:
         self.tol = tol
         self.groups = []
 
-    def add(self, fields, reduce):
-        self.groups.append((fields, reduce))
+    def add(self, fields, accumulator, rows_of):
+        self.groups.append((fields, accumulator, rows_of))
+
+    def add_rows(self, *rows):
+        self.add([], None, lambda run, result: list(rows))
 
     def add_check(self, check, **extra):
-        def reduce(res, ref):
-            report = residual_report(check, res, ref, self.manifest.chart, self.points,
-                                     self.manifest.params, self.tol)
-            return [_row_from_report(report, **extra)]
-        self.add([check.residual, check.reference], reduce)
+        manifest = self.manifest
+        self.add(check.fields,
+                 ResidualSup(check, manifest.chart, self.points, manifest.params, self.tol),
+                 functools.partial(_check_rows, extra=extra))
 
     def rows(self):
-        values = evaluate_fields([f for fields, _ in self.groups for f in fields],
-                                 self.manifest.chart.env_at(self.points,
-                                                            self.manifest.params),
-                                 len(self.points))
-        rows = []
-        for fields, reduce in self.groups:
-            rows.extend(reduce(*[next(values) for _ in fields]))
-        # the reducers close over this run, so dropping them breaks the
-        # cycle that would keep the run's points and nodes for the next GC
-        self.groups = []
-        return rows
+        try:
+            reduce_fields([(fields, acc) for fields, acc, _ in self.groups
+                           if acc is not None],
+                          self.manifest.chart.env_at(self.points, self.manifest.params),
+                          len(self.points))
+            rows = []
+            for _, acc, rows_of in self.groups:
+                rows.extend(rows_of(self, None if acc is None else acc.finish()))
+            return rows
+        finally:
+            # on every exit, a DomainError's included, so that a run never
+            # keeps its accumulators and their values
+            self.groups = []
 
     @functools.cached_property
     def resolved(self):
@@ -191,28 +206,34 @@ def _assemble(run, d_convention, classify=True):
     except StructureError as ex:
         row = CheckRow("structure_axioms", ex.residual, ex.residual, tol, False,
                        {"axiom": ex.axiom, "worst_point": list(map(float, ex.point))})
-        run.add([], lambda: [row])
+        run.add_rows(row)
         return None
     if classify:
-        def reduce(*values):
-            report = ladder_report(structure, values, tol, d_convention)
-            res = report.residuals
-            almost = max(res[k] for k in ("reeb_normalisation", "phi_square",
-                                          "metric_compatibility", "reeb_kernel"))
-            ladder = [
-                ("structure_almost_contact", almost, report.almost_contact_metric),
-                ("structure_contact", res["contact_condition"], report.contact_metric),
-                ("structure_k_contact", res["reeb_transport"], report.k_contact),
-                ("structure_normal", res["normality"], report.normal),
-                ("structure_sasakian", max(res["contact_condition"], res["normality"]),
-                 report.sasakian),
-            ]
-            rows = [CheckRow(name, value, value, tol, flag)
-                    for name, value, flag in ladder]
-            rows[-1].extra["d_convention"] = d_convention
-            return rows
-        run.add(ladder_fields(structure, d_convention), reduce)
+        run.add(ladder_fields(structure, d_convention),
+                LadderSups(structure, tol, d_convention), _ladder_rows)
     return structure
+
+
+def _ladder_rows(run, report):
+    res = report.residuals
+    almost = max(res[k] for k in ("reeb_normalisation", "phi_square",
+                                  "metric_compatibility", "reeb_kernel"))
+    ladder = [
+        ("structure_almost_contact", almost, report.almost_contact_metric),
+        ("structure_contact", res["contact_condition"], report.contact_metric),
+        ("structure_k_contact", res["reeb_transport"], report.k_contact),
+        ("structure_normal", res["normality"], report.normal),
+        ("structure_sasakian", max(res["contact_condition"], res["normality"]),
+         report.sasakian),
+    ]
+    rows = [CheckRow(name, value, value, report.tolerance, flag)
+            for name, value, flag in ladder]
+    rows[-1].extra["d_convention"] = report.d_convention
+    return rows
+
+
+def _check_rows(run, report, extra):
+    return [_row_from_report(report, **extra)]
 
 
 def _soliton_rows(run):
@@ -220,8 +241,7 @@ def _soliton_rows(run):
     if manifest.mode == "gradient":
         constants, fit, _ = run.resolved
         if fit is not None:
-            row = _fit_check_row(manifest, fit, run.tol, note="resolved-for-check")
-            run.add([], lambda: [row])
+            run.add_rows(_fit_check_row(manifest, fit, run.tol, note="resolved-for-check"))
         spec = SolitonSpec(manifest.metric, "gradient",
                            constants["c1"], constants["c2"], constants["lambda"],
                            f1=manifest.scalars["f1"], f2=manifest.scalars["f2"],
@@ -246,13 +266,14 @@ def _theorem_rows(run, structure):
     _, alignment = build_alignment_check(structure, f1, f2, c1)
     run.add_check(alignment)
     run.add_check(build_transport_check(structure, f1, f2, c1, c2, lam))
-
-    def reeb_row(values):
-        reeb = sup_norm(values)
-        return [CheckRow("ricci_reeb", reeb, reeb, run.tol, reeb <= run.tol)]
-    run.add([ricci_reeb_comps(structure)], reeb_row)
+    run.add([ricci_reeb_comps(structure)], SupNorms(), _reeb_rows)
     for check in build_supporting_checks(structure, f1, f2, c1):
         run.add_check(check)
+
+
+def _reeb_rows(run, sups):
+    reeb = sups[0]
+    return [CheckRow("ricci_reeb", reeb, reeb, run.tol, reeb <= run.tol)]
 
 
 def _design_fields(manifest):
@@ -287,14 +308,16 @@ def _fit_row(run, explicit):
     _, fit, design = run.resolved
     if fit is None:
         fields = _design_fields(manifest)
-        run.add(fields, lambda *values: [_unrestricted_fit_row(run, fields, values)])
+        run.add(fields, FieldValues([(len(f),) for f in fields], len(run.points)),
+                functools.partial(_unrestricted_fit_rows, fields=fields))
     elif explicit:
-        run.add([], lambda: [_fit_check_row(manifest, fit, run.tol)])
+        run.add_rows(_fit_check_row(manifest, fit, run.tol))
     else:
-        run.add([], lambda: [_fit_check_row(manifest, fit_design(design), run.tol)])
+        run.add([], None,
+                lambda run, _: [_fit_check_row(run.manifest, fit_design(design), run.tol)])
 
 
-def _unrestricted_fit_row(run, fields, values):
+def _unrestricted_fit_rows(run, values, fields):
     """The fit row of a design fitted with every constant free; with fewer
     than 3 valid points it fails, and with none it is a DomainError."""
     try:
@@ -303,7 +326,7 @@ def _unrestricted_fit_row(run, fields, values):
         n_valid = int(np.count_nonzero(ex.valid))
         if not n_valid:
             run.diagnose(fields, 0)
-        return CheckRow("fit_constants", math.nan, math.nan, run.tol, False,
-                        {"points_used": n_valid, "points_skipped": len(ex.valid) - n_valid,
-                         "note": "fewer than 3 valid sample points"})
-    return _fit_check_row(run.manifest, fit, run.tol)
+        return [CheckRow("fit_constants", math.nan, math.nan, run.tol, False,
+                         {"points_used": n_valid, "points_skipped": len(ex.valid) - n_valid,
+                          "note": "fewer than 3 valid sample points"})]
+    return [_fit_check_row(run.manifest, fit, run.tol)]

@@ -8,19 +8,20 @@ Alignment:       grad f1 + c1 xi(xi(f2)) grad f2 - c1 xi(f2) nabla_xi grad f2
 
 Each check is a symbolic residual with the reference (left-hand side) it
 is measured against.  The build_* functions only build checks; the public
-check functions build theirs, evaluate them as one plan and reduce each to
-absolute and relative sup-norms.  The relative norm divides by
-max(1, sup |reference|) so flat instances do not divide by zero.  Sample
-points where evaluation leaves an expression's domain are skipped and
-counted; a check with no valid points raises DomainError.
+check functions build theirs, evaluate them as one plan and reduce each,
+chunk by chunk, to absolute and relative sup-norms.  The relative norm
+divides by max(1, sup |reference|) so flat instances do not divide by
+zero.  Sample points where evaluation leaves an expression's domain (or
+where a theorem row's potentials are undefined) are skipped and counted;
+a check with no valid points raises DomainError.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from grsoliton import expr
-from grsoliton.chart import evaluate_fields, pointwise_sup, sample_points
+from grsoliton.chart import components_sup, field_components, reduce_fields, sample_points
 from grsoliton.expr import DomainError, Num, evaluate, simplify
 from grsoliton.tensors import (
     TensorField,
@@ -105,12 +106,23 @@ class ResidualReport:
 
 @dataclass
 class Check:
-    """A named identity: residual components and the reference components
-    whose size the residual is measured against."""
+    """A named identity: residual components, the reference components
+    whose size the residual is measured against, and the domain: scalars
+    that must be finite at a point for the point to count (the potentials
+    of the theorem rows, which simplification may fold out of both)."""
 
     name: str
     residual: list
     reference: list
+    domain: list = field(default_factory=list)
+
+    @property
+    def fields(self):
+        """The fields to evaluate: residual, reference and, if any, domain."""
+        fields = [self.residual, self.reference]
+        if len(self.domain):
+            fields.append(self.domain)
+        return fields
 
 
 def diagnose_domain(chart, comps, point, params):
@@ -126,52 +138,97 @@ def diagnose_domain(chart, comps, point, params):
     raise DomainError("non-finite evaluation", comps[0], env)
 
 
+class ResidualSup:
+    """Accumulator of a check's relative sup-norm residual.
+
+    update(lo, residual, reference[, domain]) reads one chunk of the
+    check's fields.  A point counts where the residual, the reference and
+    the domain are all finite; the running maxima of |residual| and
+    |reference| are taken over those points.  finish() returns the
+    ResidualReport, or, with no valid point, has the scalar evaluator name
+    the offending node at the first point whose residual or domain is not
+    finite.
+    """
+
+    def __init__(self, check, chart, points, params, tolerance):
+        self.check = check
+        self.chart = chart
+        self.points = np.atleast_2d(np.asarray(points, dtype=float))
+        self.params = params
+        self.tolerance = tolerance
+        self.abs_sup = self.ref_sup = -np.inf
+        self.n_valid = self.n_points = 0
+        self.first_bad = None
+
+    def update(self, lo, residual, reference, domain=()):
+        res_sup = components_sup(residual)
+        ref_sup = components_sup(reference)
+        defined = np.isfinite(res_sup)
+        for component in domain:
+            defined &= np.isfinite(component)
+        valid = defined & np.isfinite(ref_sup)
+        n_valid = int(np.count_nonzero(valid))
+        if n_valid < len(valid):
+            if self.first_bad is None and not defined.all():
+                self.first_bad = lo + int(np.argmin(defined))
+            res_sup, ref_sup = res_sup[valid], ref_sup[valid]
+        if n_valid:
+            self.abs_sup = max(self.abs_sup, float(res_sup.max()))
+            self.ref_sup = max(self.ref_sup, float(ref_sup.max()))
+        self.n_valid += n_valid
+        self.n_points += len(valid)
+
+    def finish(self):
+        check = self.check
+        if not self.n_valid:
+            bad = self.first_bad or 0
+            comps = check.residual
+            if len(check.domain):
+                comps = [*np.asarray(comps, dtype=object).reshape(-1), *check.domain]
+            diagnose_domain(self.chart, comps, self.points[bad], self.params)
+        scale = max(1.0, self.ref_sup)
+        rel_sup = self.abs_sup / scale
+        return ResidualReport(
+            name=check.name,
+            abs_sup=self.abs_sup,
+            rel_sup=rel_sup,
+            tolerance=self.tolerance,
+            passed=rel_sup <= self.tolerance,
+            n_points=self.n_valid,
+            n_skipped=self.n_points - self.n_valid,
+            components=check.residual,
+        )
+
+
 def residual_report(check, residual_values, reference_values, chart, points,
-                    params, tolerance):
+                    params, tolerance, domain_values=None):
     """Reduce a check's evaluated components, each (npoints, ...), to a report.
 
-    Points where the residual or the reference is non-finite are skipped;
-    if none is left, the scalar evaluator names the offending node.
+    Points where the residual, the reference or the domain (if the check
+    has one) is non-finite are skipped; if none is left, the scalar
+    evaluator names the offending node.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    res_sup = pointwise_sup(residual_values)
-    ref_sup = pointwise_sup(reference_values)
-    res_valid = np.isfinite(res_sup)
-    valid = res_valid & np.isfinite(ref_sup)
-    n_valid = int(np.count_nonzero(valid))
-    if not n_valid:
-        bad = int(np.argmin(res_valid))
-        diagnose_domain(chart, check.residual, points[bad], params)
-    if n_valid < len(valid):
-        res_sup, ref_sup = res_sup[valid], ref_sup[valid]
-    abs_sup = float(res_sup.max())
-    scale = max(1.0, float(ref_sup.max()))
-    rel_sup = abs_sup / scale
-    return ResidualReport(
-        name=check.name,
-        abs_sup=abs_sup,
-        rel_sup=rel_sup,
-        tolerance=tolerance,
-        passed=rel_sup <= tolerance,
-        n_points=n_valid,
-        n_skipped=len(valid) - n_valid,
-        components=check.residual,
-    )
+    fields = [residual_values, reference_values]
+    if domain_values is not None:
+        fields.append(domain_values)
+    accumulator = ResidualSup(check, chart, points, params, tolerance)
+    accumulator.update(0, *map(field_components, fields))
+    return accumulator.finish()
 
 
 def run_checks(chart, checks, points, params, tolerance):
-    """Evaluate checks as one plan and reduce each to a ResidualReport.
+    """Evaluate checks as one plan, reducing each chunk by chunk to a
+    ResidualReport.
 
     points=None samples the module's default 200 uniform points.
     """
     if points is None:
         points = _default_points(chart)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    values = evaluate_fields([f for c in checks for f in (c.residual, c.reference)],
-                             chart.env_at(points, params), len(points))
-    # one iterator zipped twice yields each check's residual, then reference
-    return [residual_report(c, res, ref, chart, points, params, tolerance)
-            for c, res, ref in zip(checks, values, values)]
+    accumulators = [ResidualSup(c, chart, points, params, tolerance) for c in checks]
+    reduce_fields([(c.fields, a) for c, a in zip(checks, accumulators)],
+                  chart.env_at(points, params), len(points))
+    return [a.finish() for a in accumulators]
 
 
 def _default_points(chart):
@@ -271,7 +328,7 @@ def build_alignment_check(structure, f1, f2, c1):
     xi_f1 = directional_derivative(xi, f1)
     residual = [simplify(expr.sub(zeta.comps[k], expr.mul(xi_f1, xi.comps[k])))
                 for k in range(chart.dim)]
-    return zeta, Check("theorem_alignment", residual, zeta_comps)
+    return zeta, Check("theorem_alignment", residual, zeta_comps, [f1, f2])
 
 
 def alignment_condition(structure, f1, f2, c1, points=None,
@@ -302,7 +359,7 @@ def build_transport_check(structure, f1, f2, c1, c2, lam):
         total = expr.sub(lhs.comps[k], expr.mul(Num(coeff), xi.comps[k]))
         total = expr.add(total, expr.mul(Num(c1), expr.mul(xi_f2, grad2.comps[k])))
         residual.append(simplify(total))
-    return Check("grad_transport", residual, lhs.comps)
+    return Check("grad_transport", residual, lhs.comps, [f1, f2])
 
 
 def grad_transport_check(structure, f1, f2, c1, c2, lam, points=None,
@@ -408,12 +465,13 @@ def build_supporting_checks(structure, f1, f2, c1):
         total = expr.add(total, _metric_pairing(metric, transport1_twice, Y))
         total = expr.add(total, directional_derivative(Y, slope))
         rhs_dl.append(simplify(total))
+    domain = [f1, f2]
     double_lie = Check("double_lie",
-                       [expr.sub(a, b) for a, b in zip(lhs_dl, rhs_dl)], lhs_dl)
+                       [expr.sub(a, b) for a, b in zip(lhs_dl, rhs_dl)], lhs_dl, domain)
 
     lhs_sq, rhs_sq = potential_square_lie_sides(xi, f2)
     square_lie = Check("potential_square_lie",
-                       [expr.sub(a, b) for a, b in zip(lhs_sq, rhs_sq)], lhs_sq)
+                       [expr.sub(a, b) for a, b in zip(lhs_sq, rhs_sq)], lhs_sq, domain)
 
     grad2 = gradient(metric, f2)
     xi_f2 = directional_derivative(xi, f2)
@@ -429,7 +487,8 @@ def build_supporting_checks(structure, f1, f2, c1):
         total = expr.sub(total, expr.mul(Num(c1),
                                          expr.mul(xi_f2, _metric_pairing(metric, transport2, Y))))
         reduction.append(simplify(total))
-    return [double_lie, square_lie, Check("scalar_reduction", reduction, reference)]
+    return [double_lie, square_lie,
+            Check("scalar_reduction", reduction, reference, domain)]
 
 
 def supporting_identities_check(structure, f1, f2, c1, points=None,

@@ -364,6 +364,29 @@ class TestCliExitCodes:
             assert main([sub, "--manifest", path, "--points", "200", "--seed", "8"]) == 3
             assert "in 'sqrt(x - 1.97)' at" in capsys.readouterr().err
 
+    def test_theorem_rows_need_the_potentials_defined(self, tmp_path, capsys):
+        # the theorem rows use f2 only through xi(f2) = d f2/dz = 0, which
+        # simplification folds away; the potentials are checked on their own
+        path = self._sasakian_f2(tmp_path, "sqrt(-1 - y^2)")
+        assert main(["check-theorem", "--manifest", path]) == 3
+        assert capsys.readouterr().err.startswith(
+            "domain error: square root of a negative number in 'sqrt(-1 - y^2)' at ")
+
+    def test_theorem_rows_use_the_points_where_the_potentials_are_defined(
+            self, tmp_path, capsys):
+        path = self._sasakian_f2(tmp_path, "sqrt(x - 1.97)")
+        argv = ["--manifest", path, "--points", "200", "--seed", "8"]
+        report = self._run_json(capsys, ["check-theorem"] + argv, 1)
+        rows = {row["name"]: row for row in report["checks"]}
+        assert list(rows) == ["theorem_alignment", "grad_transport", "ricci_reeb",
+                              "double_lie", "potential_square_lie", "scalar_reduction"]
+        for name, row in rows.items():
+            if name != "ricci_reeb":
+                assert (row["points_used"], row["points_skipped"]) == (1, 199), name
+        assert rows["ricci_reeb"]["passed"]
+        in_all = self._run_json(capsys, ["all"] + argv, 1)["checks"]
+        assert [row for row in in_all if row["name"] in rows] == report["checks"]
+
     def test_fit_on_two_points(self, tmp_path, capsys):
         argv = ["--manifest", "hyperbolic", "--points", "2"]
         [row] = self._run_json(capsys, ["fit"] + argv, 1)["checks"]

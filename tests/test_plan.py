@@ -1,9 +1,11 @@
 """The evaluation plan: structural deduplication, chunking, one plan per run."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -30,7 +32,7 @@ from grsoliton.expr import (
     evaluate_many_multi,
 )
 from grsoliton.fit import fit_constants
-from grsoliton.manifest import BUNDLED_NAMES, load_manifest
+from grsoliton.manifest import BUNDLED_NAMES, load_manifest, resolve_manifest
 from grsoliton.soliton import SolitonSpec, grad_transport_check, residual_gradient_form
 from grsoliton.tensors import riemann
 
@@ -151,9 +153,9 @@ class TestPlan:
         sizes = []
         original = expr.evaluate_many_multi
 
-        def counting(exprs, env, size):
+        def counting(exprs, env, size, *args, **kwargs):
             sizes.append(size)
-            return original(exprs, env, size)
+            return original(exprs, env, size, *args, **kwargs)
 
         monkeypatch.setattr(expr, "evaluate_many_multi", counting)
         assert main(["all", "--manifest", name, "--format", "json"]) == 0
@@ -165,7 +167,7 @@ def test_structure_axioms_share_one_plan(sasakian_geometry, monkeypatch):
     calls = []
     original = expr.evaluate_many_multi
     monkeypatch.setattr(expr, "evaluate_many_multi",
-                        lambda *args: calls.append(1) or original(*args))
+                        lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
     structure = assemble_structure(chart, metric, SASAKIAN_PHI, SASAKIAN_XI, SASAKIAN_ETA)
     assert len(calls) == 1
     assert set(structure.axiom_residuals) == {"reeb_normalisation", "phi_square",
@@ -262,3 +264,45 @@ def test_riemann_nodes_are_its_structural_classes(sasakian_geometry):
     classes = structural_classes(list(riemann(metric).comps.reshape(-1)))
     # one object per distinct structure (891 objects before interning)
     assert len(classes) == len(set(classes.values())) == 255
+
+
+def _cyclic_garbage(manifest):
+    """Objects the cyclic collector finds after one `all` run (gc off)."""
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            runner.run_manifest(manifest, "all")
+        except expr.DomainError:
+            pass
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_a_domain_error_leaves_no_more_garbage_than_a_pass():
+    passing = resolve_manifest("sasakian3")
+    doc = json.loads(resources.files("grsoliton").joinpath("data/sasakian3.json")
+                     .read_text())
+    doc["scalars"]["f2"] = "sqrt(-1 - y^2)"
+    failing = load_manifest(doc)
+    with pytest.raises(expr.DomainError):
+        runner.run_manifest(failing, "all")
+    _cyclic_garbage(passing)            # warm any first-use caches
+    assert _cyclic_garbage(failing) <= _cyclic_garbage(passing)
+
+
+def test_peak_memory_per_point():
+    # the plan reduces every row chunk by chunk, so what a run allocates
+    # at once is the fit's design and its least-squares temporaries (about
+    # 460 B per point), not N x component columns for every row
+    manifest = resolve_manifest("sasakian3")
+    runner.run_manifest(manifest, "all")
+    npoints = 50_000
+    tracemalloc.start()
+    try:
+        runner.run_manifest(manifest, "all", count=npoints)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / npoints <= 600

@@ -4,7 +4,10 @@ residual_report, sup_norm, the axiom gate's worst point and fit_design
 read evaluated fields without masked copies.  Each is compared here with
 the plain masked-copy formula, kept below as the reference, on fields
 that come out of evaluate_fields (so they have its component-major
-layout and cross its chunk edges) and on C-ordered copies of them.
+layout and cross its chunk edges) and on C-ordered copies of them.  The
+accumulators behind them (ResidualSup, SupNorms, FieldValues) are also
+fed the same fields in random chunkings, as the evaluation plan feeds
+them, and must give the whole-array results.
 """
 
 import struct
@@ -14,26 +17,44 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grsoliton.chart import evaluate_fields, pointwise_sup, sup_norm
+from grsoliton.chart import (
+    FieldValues,
+    SupNorms,
+    evaluate_fields,
+    field_components,
+    pointwise_sup,
+    reduce_fields,
+    sup_norm,
+)
 from grsoliton.contact import _worst_point
 from grsoliton.expr import CHUNK_POINTS, Num, Sym
 from grsoliton.fit import CONSTANT_ORDER, RANK_THRESHOLD, TooFewPointsError, fit_design
-from grsoliton.soliton import Check, residual_report
+from grsoliton.soliton import Check, ResidualSup, residual_report
 
 SHAPES = {1: [(1,), ()], 2: [(2,)], 3: [(3,)], 4: [(4,), (2, 2)], 6: [(6,), (2, 3)],
           8: [(8,), (2, 2, 2)], 9: [(9,), (3, 3)]}
 SPECIALS = (np.nan, np.inf, -np.inf)
 
 
-def reference_residual(res, ref):
+def reference_residual(res, ref, domain=None):
     """(abs_sup, rel_sup, n_points, n_skipped) as masked copies give them."""
     npoints = len(res)
     res_flat = res.reshape(npoints, -1)
     ref_flat = ref.reshape(npoints, -1)
     valid = np.isfinite(res_flat).all(axis=1) & np.isfinite(ref_flat).all(axis=1)
+    if domain is not None:
+        valid &= np.isfinite(domain.reshape(npoints, -1)).all(axis=1)
     abs_sup = float(np.abs(res_flat[valid]).max())
     scale = max(1.0, float(np.abs(ref_flat[valid]).max()))
     return abs_sup, abs_sup / scale, int(valid.sum()), int((~valid).sum())
+
+
+def reference_first_bad(res, domain=None):
+    """The first point where the residual or the domain is non-finite."""
+    defined = np.isfinite(res.reshape(len(res), -1)).all(axis=1)
+    if domain is not None:
+        defined &= np.isfinite(domain.reshape(len(domain), -1)).all(axis=1)
+    return None if defined.all() else int(np.argmin(defined))
 
 
 def reference_sup_norm(values):
@@ -90,7 +111,7 @@ def cases(draw, nfields):
     for _ in range(nfields):
         k = draw(st.integers(1, 10))
         shapes.append(draw(st.sampled_from(SHAPES.get(k, [(k,)]))))
-    validity = draw(st.sampled_from(["all", "some", "three"]))
+    validity = draw(st.sampled_from(["all", "some", "rare", "three"]))
     return draw(st.integers(0, 2 ** 32 - 1)), npoints, shapes, validity
 
 
@@ -100,8 +121,8 @@ def evaluated(seed, npoints, shapes, validity):
     Components are columns of random values with zeros and -0.0 mixed in;
     some repeat an earlier column or are a constant, so that the plan's
     shared and point-independent roots are read too.  Non-finite values
-    are placed so that every point, some points or exactly three points
-    stay valid.
+    are placed so that every point, some points, all but a rare few or
+    exactly three points stay valid.
     """
     rng = np.random.default_rng(seed)
     fields, ncols = [], 0
@@ -126,6 +147,9 @@ def evaluated(seed, npoints, shapes, validity):
         cols[rng.integers(ncols)] = -0.0          # a column that is all -0.0
     if validity == "some":
         bad = rng.random(npoints) < rng.uniform(0.01, 0.9)
+    elif validity == "rare":
+        bad = np.zeros(npoints, dtype=bool)
+        bad[rng.integers(npoints, size=rng.integers(1, 4))] = True
     else:
         bad = np.full(npoints, validity == "three")
     bad[rng.choice(npoints, 3, replace=False)] = False
@@ -209,3 +233,110 @@ class TestFitDesign:
             fit_design(values)
         assert list(err.value.valid) == [True] * n_valid + [False] * (npoints - n_valid)
         assert isinstance(err.value, ValueError)
+
+
+CHUNK_SIZES = (1, CHUNK_POINTS - 1, CHUNK_POINTS, CHUNK_POINTS + 1, 2 * CHUNK_POINTS + 3)
+
+
+@st.composite
+def chunkings(draw, npoints):
+    """Chunk edges over npoints: one chunk, a fixed chunk size (1 only for
+    small npoints), or random cuts."""
+    kind = draw(st.sampled_from(["single", "fixed", "random"]))
+    if kind == "single":
+        return [0, npoints]
+    if kind == "fixed":
+        size = draw(st.sampled_from([c for c in CHUNK_SIZES if c > 1 or npoints <= 400]))
+        return list(range(0, npoints, size)) + [npoints]
+    cuts = draw(st.lists(st.integers(1, npoints - 1), max_size=12))
+    return [0] + sorted(set(cuts)) + [npoints]
+
+
+def feed(accumulator, fields, edges):
+    """Feed accumulator the fields chunk by chunk, as the plan does: one
+    list of (hi - lo,) component chunks per field."""
+    components = [field_components(f) for f in fields]
+    for lo, hi in zip(edges, edges[1:]):
+        accumulator.update(lo, *[[c[lo:hi] for c in comps] for comps in components])
+    return accumulator
+
+
+class TestChunkedAccumulators:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), case=cases(3), with_domain=st.booleans())
+    def test_residual_matches_whole_arrays(self, data, case, with_domain):
+        seed, npoints, shapes, validity = case
+        res, ref, domain = evaluated(seed, npoints, shapes, validity)
+        if not with_domain:
+            domain = None
+        edges = data.draw(chunkings(npoints))
+        fields = [res, ref] + ([domain] if with_domain else [])
+        acc = feed(ResidualSup(Check("t", [], []), None, np.zeros((npoints, 1)), None,
+                               1e-8), fields, edges)
+        report = acc.finish()
+        want = reference_residual(res, ref, domain)
+        assert bits((report.abs_sup, report.rel_sup)) == bits(want[:2])
+        assert (report.n_points, report.n_skipped) == want[2:]
+        assert acc.first_bad == reference_first_bad(res, domain)
+        single = residual_report(Check("t", [], []), res, ref, None,
+                                 np.zeros((npoints, 1)), None, 1e-8, domain)
+        assert bits((single.abs_sup, single.rel_sup)) == bits(want[:2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), case=cases(2))
+    def test_sup_norms_match_whole_arrays(self, data, case):
+        seed, npoints, shapes, validity = case
+        fields = evaluated(seed, npoints, shapes, validity)
+        edges = data.draw(chunkings(npoints))
+        got = feed(SupNorms(len(fields)), fields, edges).finish()
+        assert bits(got) == bits([reference_sup_norm(f) for f in fields])
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), case=cases(2))
+    def test_field_values_match_whole_arrays(self, data, case):
+        seed, npoints, shapes, validity = case
+        fields = evaluated(seed, npoints, shapes, validity)
+        edges = data.draw(chunkings(npoints))
+        got = feed(FieldValues([f.shape[1:] for f in fields], npoints), fields, edges)
+        for mine, want in zip(got.finish(), fields):
+            assert mine.shape == want.shape
+            assert bits(mine) == bits(want)
+
+    @pytest.mark.parametrize("npoints", CHUNK_SIZES[1:])
+    def test_the_plan_feeds_every_chunk(self, npoints):
+        # a root column, a point-independent root and a shared root, over
+        # the plan's own chunk edges
+        rng = np.random.default_rng(npoints)
+        cols = rng.standard_normal((2, npoints))
+        # every non-finite value after the first chunk, where there is one
+        late = range(CHUNK_POINTS if npoints > CHUNK_POINTS else npoints // 2, npoints)
+        cols[0, rng.choice(late, 1)] = np.nan
+        cols[1, rng.choice(late, 1)] = -np.inf
+        cols[1, 0] = 1e300
+        env = {"a": cols[0], "b": cols[1]}
+        res = [Sym("a"), Num(-0.0), Sym("b")]
+        ref = [Sym("b"), Num(2.5)]
+        check = ResidualSup(Check("t", res, ref), None, np.zeros((npoints, 1)), None, 1e-8)
+        sups = SupNorms(2)
+        values = FieldValues([(3,), (2,)], npoints)
+        reduce_fields([([res, ref], check), ([res, ref], sups), ([res, ref], values)],
+                      env, npoints)
+        whole_res, whole_ref = values.finish()
+        assert bits(whole_res) == bits(np.stack([cols[0], np.full(npoints, -0.0), cols[1]], 1))
+        report = check.finish()
+        want = reference_residual(whole_res, whole_ref)
+        assert bits((report.abs_sup, report.rel_sup)) == bits(want[:2])
+        assert (report.n_points, report.n_skipped) == want[2:]
+        assert check.first_bad == reference_first_bad(whole_res)
+        assert bits(sups.finish()) == bits([np.nan, np.inf])
+
+    def test_non_finite_sup_sticks_across_chunks(self):
+        sups = SupNorms(1)
+        for chunk in ([np.array([1.0, np.nan])], [np.array([np.inf, 5.0])],
+                      [np.array([-0.0])]):
+            sups.update(0, chunk)
+        assert bits(sups.finish()) == bits([np.nan])
+        sups = SupNorms(1)
+        sups.update(0, [np.array([-0.0, -0.0])])
+        sups.update(2, [np.array([-0.0])])
+        assert bits(sups.finish()) == bits([0.0])
