@@ -668,7 +668,7 @@ class _Plan:
         # a point-independent root reaches the sink as a slice of one
         # broadcast view per value number; its users in the program keep
         # the scalar
-        views = {number: _constant_column(values[number], size)
+        views = {number: np.broadcast_to(np.float64(values[number]), (size,))
                  for number in roots if values[number] is not None}
         fixed = [(i, views[number]) for i, number in enumerate(self.roots)
                  if number in views]
@@ -693,15 +693,6 @@ class _Plan:
             for i, column in fixed:
                 out[i] = column[lo:hi]
             sink(lo, hi, out)
-
-
-def _constant_column(value, size):
-    """A read-only (size,) view of one float, every entry the same memory:
-    what np.broadcast_to gives, at a fraction of its call cost."""
-    column = np.ndarray((size,), np.float64, np.asarray(value, dtype=np.float64),
-                        0, (0,))
-    column.flags.writeable = False
-    return column
 
 
 _BINARY_OPS = {

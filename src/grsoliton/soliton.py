@@ -201,18 +201,15 @@ class ResidualSup:
 
 
 def residual_report(check, residual_values, reference_values, chart, points,
-                    params, tolerance, domain_values=None):
+                    params, tolerance):
     """Reduce a check's evaluated components, each (npoints, ...), to a report.
 
-    Points where the residual, the reference or the domain (if the check
-    has one) is non-finite are skipped; if none is left, the scalar
-    evaluator names the offending node.
+    Points where the residual or the reference is non-finite are skipped;
+    if none is left, the scalar evaluator names the offending node.  The
+    check's domain is not evaluated here: run_checks applies it.
     """
-    fields = [residual_values, reference_values]
-    if domain_values is not None:
-        fields.append(domain_values)
     accumulator = ResidualSup(check, chart, points, params, tolerance)
-    accumulator.update(0, *map(field_components, fields))
+    accumulator.update(0, *map(field_components, (residual_values, reference_values)))
     return accumulator.finish()
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grsoliton.chart import evaluate_field, sample_points
+from grsoliton.chart import evaluate_field, evaluate_fields, sample_points
 from grsoliton.contact import (
     StructureError,
     assemble_structure,
@@ -10,9 +10,12 @@ from grsoliton.contact import (
     covariant_phi_residual,
     exterior_derivative_oneform,
     fundamental_form,
+    ladder_fields,
+    ladder_report,
     nijenhuis_torsion,
     ricci_reeb_residual,
 )
+from grsoliton.expr import CHUNK_POINTS
 from grsoliton.tensors import (
     lie_derivative_sym2,
     metric_tensor_field,
@@ -158,6 +161,17 @@ class TestClassify:
         assert report.d_convention == "plain"
         assert not report.contact_metric
         assert not report.sasakian
+
+    @pytest.mark.parametrize("convention", ["half", "plain"])
+    def test_ladder_report_matches_classify(self, paper_structure, convention):
+        # one whole-array reduction against the plan's chunk-by-chunk one
+        chart = paper_structure.chart
+        pts = sample_points(chart, "uniform", CHUNK_POINTS + 100, seed=12)
+        values = evaluate_fields(ladder_fields(paper_structure, convention),
+                                 chart.env_at(pts), len(pts))
+        report = ladder_report(paper_structure, values, d_convention=convention)
+        want = classify_structure(paper_structure, points=pts, d_convention=convention)
+        assert report == want
 
     def test_reeb_field_is_killing(self, paper_structure):
         # ladder implication: K-contact => xi Killing

@@ -278,9 +278,6 @@ class TestChunkedAccumulators:
         assert bits((report.abs_sup, report.rel_sup)) == bits(want[:2])
         assert (report.n_points, report.n_skipped) == want[2:]
         assert acc.first_bad == reference_first_bad(res, domain)
-        single = residual_report(Check("t", [], []), res, ref, None,
-                                 np.zeros((npoints, 1)), None, 1e-8, domain)
-        assert bits((single.abs_sup, single.rel_sup)) == bits(want[:2])
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), case=cases(2))
