@@ -17,12 +17,12 @@ import numpy as np
 from grsoliton import expr
 from grsoliton.chart import (
     SupNorms,
-    evaluate_fields,
+    evaluate_field,
     field_components,
     pointwise_sup,
     reduce_fields,
     sample_points,
-    sup_norm,
+    sup_norm,  # noqa: F401  (importable from here since it moved to chart)
 )
 from grsoliton.expr import Num, simplify
 from grsoliton.tensors import (
@@ -158,12 +158,15 @@ def _axiom_components(chart, metric, phi, xi, eta):
 
 
 def assemble_structure(chart, metric, phi, xi, eta, points=None, params=None,
-                       tolerance=DEFAULT_TOLERANCE):
+                       tolerance=DEFAULT_TOLERANCE, groups=()):
     """Validate the four almost-contact-metric axioms and bundle the fields.
 
     phi is an (n, n) matrix of expressions (column = input index), xi a
     vector, eta a one-form.  Raises StructureError naming the violated
-    axiom and the worst sample point.
+    axiom and the worst sample point, which is looked for only then.
+    groups are further (fields, accumulator) pairs evaluated in the same
+    plan as the axioms (see chart.reduce_fields), whether or not an axiom
+    fails.
     """
     if chart.dim % 2 == 0:
         raise ValueError(f"almost contact structures need odd dimension, got {chart.dim}")
@@ -178,14 +181,14 @@ def assemble_structure(chart, metric, phi, xi, eta, points=None, params=None,
 
     axioms = {axiom: [simplify(c) for c in comps] for axiom, comps
               in _axiom_components(chart, metric, phi, xi, eta).items()}
-    values = evaluate_fields(list(axioms.values()), chart.env_at(points, params),
-                             len(points))
-    residuals = {}
-    for axiom, axiom_values in zip(axioms, values):
-        sup = sup_norm(axiom_values)
-        residuals[axiom] = sup
+    env = chart.env_at(points, params)
+    sups = SupNorms(len(axioms))
+    reduce_fields([(list(axioms.values()), sups), *groups], env, len(points))
+    residuals = dict(zip(axioms, sups.finish()))
+    for axiom, sup in residuals.items():
         if not math.isfinite(sup) or sup > tolerance:
-            raise StructureError(axiom, sup, points[_worst_point(axiom_values)])
+            values = evaluate_field(np.array(axioms[axiom], dtype=object), env, len(points))
+            raise StructureError(axiom, sup, points[_worst_point(values)])
     return AlmostContactStructure(chart, metric, phi, xi, eta,
                                   (chart.dim - 1) // 2, residuals)
 

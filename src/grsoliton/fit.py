@@ -4,12 +4,13 @@ The gradient-form equation is linear in (c1, c2, lam):
 
     c1 (df2.df2) + c2 (-Ric) + lam (-g) = -Hess f1
 
-Stacking every independent symmetric component at every sample point gives
-an overdetermined system solved by normal equations.  Rank is decided on
-the singular values of the small normal matrix (threshold 1e-10 relative),
-and the null space is reported rather than collapsed: genuinely
-under-determined instances (e.g. Einstein metrics, where Ric and g are
-collinear) have a whole affine family of solutions.
+Each symmetric component at each sample point is a row of [A | b].  FitQR
+reduces them chunk by chunk to the 4 x 4 R of [A | b] (TSQR: Demmel et
+al., SIAM J. Sci. Comput. 34(1), 2012), not to normal equations, which
+square the condition number (Golub & Van Loan, Matrix Computations, 4th
+ed., 5.3).  Rank (1e-10 relative) and null space come from the SVD of R's
+free columns scaled to unit norm; the null space is reported, not
+collapsed (on Einstein metrics Ric and g are collinear).
 """
 
 import math
@@ -18,13 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from grsoliton import expr
-from grsoliton.chart import evaluate_fields, pointwise_sup, sup_norm
-from grsoliton.soliton import SolitonSpec
+from grsoliton.chart import field_components, reduce_fields, sample_points
+from grsoliton.soliton import ResidualSup, SolitonSpec, build_gradient_check
 from grsoliton.tensors import TensorField, as_scalar, hessian, partial, ricci, sym_product
 
 RANK_THRESHOLD = 1e-10
-
 CONSTANT_ORDER = ("c1", "c2", "lambda")
+
+# rows per block of the batched QR of [R; chunk]
+BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -34,12 +37,12 @@ class FitResult:
     solution: np.ndarray          # minimum-norm particular solution
     rank: int
     null_space: np.ndarray        # orthonormal columns spanning the kernel
-    residual_sup: float
-    singular_values: np.ndarray
+    singular_values: np.ndarray   # of the column-scaled R, descending
     free_names: tuple = CONSTANT_ORDER
-    target_sup: float = 0.0      # sup |rhs|, for relative residuals
     n_points: int = 0             # sample points used
     n_skipped: int = 0            # sample points skipped, out of domain
+    residual_sup: float = math.nan  # sup |gradient-form residual|, by fit_constants
+    target_sup: float = math.nan    # sup |Hess f1|, by fit_constants
 
     def coset_distance(self, constants):
         """Distance from a constants vector to the affine solution set."""
@@ -48,136 +51,130 @@ class FitResult:
             delta = delta - self.null_space @ (self.null_space.T @ delta)
         return float(np.linalg.norm(delta))
 
-    def as_dict(self):
-        return {
-            "solution": {name: float(v) for name, v in zip(self.free_names, self.solution)},
-            "rank": self.rank,
-            "null_space": [list(map(float, col)) for col in self.null_space.T],
-            "residual_sup": self.residual_sup,
-            "points_used": self.n_points,
-            "points_skipped": self.n_skipped,
-        }
-
 
 class TooFewPointsError(ValueError):
-    """Fewer than 3 sample points are left to fit; valid marks, per sample
-    point, whether every design value there is finite."""
+    """Fewer than 3 valid points to fit; first_bad is the first invalid one."""
 
-    def __init__(self, message, valid):
+    def __init__(self, message, n_valid, first_bad):
         super().__init__(message)
-        self.valid = valid
+        self.n_valid, self.first_bad = n_valid, first_bad
 
 
 def design_fields(metric, f1, f2):
     """The c1, c2 and lambda columns and the target -Hess f1, each the
-    independent symmetric components of one sym2 field."""
-    chart = metric.chart
-    f1 = as_scalar(f1)
-    f2 = as_scalar(f2)
-    df2 = TensorField(chart, "oneform", [partial(f2, nm) for nm in chart.names])
-    square = sym_product(df2, df2).comps
-    ric = ricci(metric).comps
-    hess = hessian(metric, f1).comps
-    n = chart.dim
-    upper = [(i, j) for i in range(n) for j in range(i, n)]
-    return [
-        [square[i, j] for i, j in upper],
-        [expr.neg(ric[i, j]) for i, j in upper],
-        [expr.neg(metric.comps[i, j]) for i, j in upper],
-        [expr.neg(hess[i, j]) for i, j in upper],
-    ]
+    independent symmetric components of one sym2 field, and the domain
+    [f1, f2]: a point counts only where the potentials are defined."""
+    f1, f2 = as_scalar(f1), as_scalar(f2)
+    df2 = TensorField(metric.chart, "oneform", [partial(f2, nm) for nm in metric.chart.names])
+    upper = np.triu_indices(metric.dim)
+    return [list(sym_product(df2, df2).comps[upper]),
+            *([expr.neg(c) for c in t[upper]]
+              for t in (ricci(metric).comps, metric.comps, hessian(metric, f1).comps)),
+            [f1, f2]]
+
+
+class FitQR:
+    """Accumulator of the R factor of [A | b], columns in CONSTANT_ORDER.
+
+    update(lo, c1, c2, lam, target[, domain]) drops a chunk's points where
+    a value is not finite, writes the rest below R into one reused buffer
+    and reduces [R; chunk] by one batched QR of its BLOCK_ROWS-row blocks
+    and one of theirs.  finish(fixed) solves with fixed pinned, as often as asked."""
+
+    def __init__(self):
+        self.r = np.zeros((4, 4))
+        self.buffer = np.empty((4, 0))
+        self.n_valid = self.n_points = 0
+        self.first_bad = None
+
+    def update(self, lo, c1, c2, lam, target, domain=()):
+        k, size = len(target), len(target[0])
+        rows = 4 + k * size
+        if self.buffer.shape[1] < rows:
+            self.buffer = np.empty((4, rows + BLOCK_ROWS))
+        buffer = self.buffer      # [j, 4 + c * size + p]: column j, component c, point p
+        buffer[:, :4] = self.r.T
+        for j, field in enumerate((c1, c2, lam, target)):
+            for c, component in enumerate(field):
+                buffer[j, 4 + c * size:4 + (c + 1) * size] = component
+        n_valid = size
+        # a mask per point only for a chunk with a non-finite value
+        if not (np.isfinite(buffer[:, 4:rows]).all() and np.isfinite(domain).all()):
+            design = buffer[:, 4:rows].reshape(4, k, size)
+            valid = np.isfinite(design).all(axis=(0, 1)) & np.isfinite(domain).all(axis=0)
+            n_valid = int(np.count_nonzero(valid))
+            if self.first_bad is None and n_valid < size:
+                self.first_bad = lo + int(np.argmin(valid))
+            rows = 4 + k * n_valid
+            buffer[:, 4:rows] = design[:, :, valid].reshape(4, -1)
+        used = -(-rows // BLOCK_ROWS) * BLOCK_ROWS
+        buffer[:, rows:used] = 0.0
+        blocks = buffer[:, :used].reshape(4, -1, BLOCK_ROWS).transpose(1, 2, 0)
+        self.r = np.linalg.qr(np.linalg.qr(blocks, mode="r").reshape(-1, 4), mode="r")
+        self.n_valid += n_valid
+        self.n_points += size
+
+    def finish(self, fixed=None):
+        """The FitResult with the constants in fixed pinned; raises
+        TooFewPointsError when fewer than 3 points were valid."""
+        fixed = dict(fixed or {})
+        unknown = sorted(set(fixed) - set(CONSTANT_ORDER))
+        if unknown:
+            raise ValueError(f"cannot fix unknown constants {unknown}")
+        free = [j for j, name in enumerate(CONSTANT_ORDER) if name not in fixed]
+        if not free:
+            raise ValueError("all constants fixed, nothing to fit")
+        if self.n_valid < 3:
+            raise TooFewPointsError(f"need at least 3 valid sample points, got {self.n_valid} "
+                                    f"of {self.n_points}", self.n_valid, self.first_bad)
+        a = self.r[:, free]
+        b = self.r[:, 3] - sum(float(v) * self.r[:, CONSTANT_ORDER.index(name)]
+                               for name, v in fixed.items())
+        norms = np.linalg.norm(a, axis=0)
+        scale = 1.0 / np.where(norms > 0.0, norms, 1.0)
+        u, sigma, vt = np.linalg.svd(a * scale, full_matrices=False)
+        rank = int(np.count_nonzero(sigma > RANK_THRESHOLD * sigma[0]))
+        # minimum-norm in the scaled coordinates, then in the unscaled ones
+        solution = scale * (vt[:rank].T @ ((u[:, :rank].T @ b) / sigma[:rank]))
+        null_space = np.linalg.qr(scale[:, None] * vt[rank:].T).Q
+        solution -= null_space @ (null_space.T @ solution)
+        return FitResult(solution, rank, null_space, sigma,
+                         tuple(CONSTANT_ORDER[j] for j in free),
+                         self.n_valid, self.n_points - self.n_valid)
 
 
 def fit_constants(metric, f1, f2, points, params=None, fixed=None):
-    """Fit the soliton constants against -Hess f1 at the given points.
-
-    fixed maps a subset of {"c1", "c2", "lambda"} to pinned values; the
-    remaining constants are fitted.  Sample points where any entry leaves
-    its domain are skipped.  Needs at least 3 points.
-    """
+    """Fit the constants not pinned by fixed (a dict over CONSTANT_ORDER)
+    against -Hess f1 at the points where every entry is defined (at least
+    3), then measure the gradient-form residual there in a second pass."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    values = evaluate_fields(design_fields(metric, f1, f2),
-                             metric.chart.env_at(points, params), len(points))
-    return fit_design(list(values), fixed)
+    env = metric.chart.env_at(points, params)
+    design = FitQR()
+    reduce_fields([(design_fields(metric, f1, f2), design)], env, len(points))
+    fit = design.finish(fixed)
+    constants = {**(fixed or {}), **dict(zip(fit.free_names, fit.solution))}
+    check = build_gradient_check(SolitonSpec(
+        metric, "gradient", *(constants[k] for k in CONSTANT_ORDER), f1=f1, f2=f2, params=params))
+    residual = ResidualSup(check, metric.chart, points, params, math.inf)
+    reduce_fields([(check.fields, residual)], env, len(points))
+    fit.residual_sup, fit.target_sup = residual.finish().abs_sup, residual.ref_sup
+    return fit
 
 
 def fit_design(values, fixed=None):
-    """Least-squares fit from the evaluated design_fields, each (npoints, k).
-
-    fixed is as for fit_constants.  Raises TooFewPointsError when fewer
-    than 3 points have every design value finite.
-    """
-    fixed = dict(fixed or {})
-    unknown = set(fixed) - set(CONSTANT_ORDER)
-    if unknown:
-        raise ValueError(f"cannot fix unknown constants {sorted(unknown)}")
-    free_names = tuple(n for n in CONSTANT_ORDER if n not in fixed)
-    if not free_names:
-        raise ValueError("all constants fixed, nothing to fit")
-
-    npoints = len(values[0])
-    flat = [v.reshape(npoints, math.prod(v.shape[1:])) for v in values]
-    valid = np.logical_and.reduce([np.isfinite(pointwise_sup(f)) for f in flat])
-    n_valid = int(np.count_nonzero(valid))
-    if n_valid < 3:
-        raise TooFewPointsError(
-            f"need at least 3 sample points, got {npoints}" if npoints < 3
-            else "fewer than 3 sample points survive domain masking", valid)
-    if n_valid < npoints:
-        flat = [f[valid] for f in flat]
-    blocks = dict(zip(CONSTANT_ORDER, flat))
-
-    # row p * k + c holds component c at valid point p, column j the free
-    # constant j: the layout column_stack of the flattened blocks gives
-    k = len(free_names)
-    rows = np.empty((flat[-1].size, k))
-    by_point = rows.reshape(n_valid, -1, k)
-    for j, name in enumerate(free_names):
-        by_point[:, :, j] = blocks[name]
-    b = flat[-1].reshape(-1)
-    for name, value in fixed.items():
-        b = b - float(value) * blocks[name].reshape(-1)
-
-    normal = rows.T @ rows
-    rhs = rows.T @ b
-    sigma, basis = np.linalg.eigh(normal)      # ascending, sigma >= 0
-    sigma = np.clip(sigma, 0.0, None)
-    cutoff = RANK_THRESHOLD * sigma.max() if sigma.max() > 0 else np.inf
-    keep = sigma > cutoff
-    rank = int(keep.sum())
-    solution = np.zeros(k)
-    for lam_val, vec in zip(sigma[keep], basis.T[keep]):
-        solution += (vec @ rhs) / lam_val * vec
-    null_space = basis[:, ~keep]
-    target_sup = sup_norm(b) if b.size else 0.0
-    residual_sup = sup_norm(rows @ solution - b) if rank else target_sup
-    return FitResult(
-        solution=solution,
-        rank=rank,
-        null_space=null_space,
-        residual_sup=residual_sup,
-        singular_values=sigma[::-1].copy(),
-        free_names=free_names,
-        target_sup=target_sup,
-        n_points=n_valid,
-        n_skipped=npoints - n_valid,
-    )
+    """fit_constants, without the residual, from evaluated design_fields."""
+    design = FitQR()
+    design.update(0, *map(field_components, values))
+    return design.finish(fixed)
 
 
 def manufacture_instance(metric, f1_template, f2_template, constants,
                          points=None, params=None):
-    """Round-trip generator: build a gradient-mode spec from templates and
-    the given (c1, c2, lam), and fit the constants back from it.
-
-    Returns (spec, fit); the generating constants must lie in the fitted
-    affine solution set (fit.coset_distance of them is the certificate).
-    """
-    c1, c2, lam = constants
-    spec = SolitonSpec(metric, "gradient", c1, c2, lam,
-                       f1=as_scalar(f1_template), f2=as_scalar(f2_template),
+    """(spec, fit): a gradient-mode spec from templates and (c1, c2, lam),
+    and the constants fitted back from it, whose affine solution set must
+    hold the given ones (fit.coset_distance of them is the certificate)."""
+    spec = SolitonSpec(metric, "gradient", *constants, f1=f1_template, f2=f2_template,
                        params=params)
     if points is None:
-        from grsoliton.chart import sample_points
         points = sample_points(metric.chart, "uniform", 200, 0)
-    fit = fit_constants(metric, spec.f1, spec.f2, points, params=params)
-    return spec, fit
+    return spec, fit_constants(metric, spec.f1, spec.f2, points, params=params)

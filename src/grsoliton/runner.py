@@ -2,27 +2,23 @@
 
 Each subcommand maps the manifest blocks onto the corresponding checks and
 collects one CheckRow per named check.  "all" runs every check the
-manifest has data for.  The symbolic components of every row are built
-first and evaluated as one plan, which every row reduces chunk by chunk
-as the chunks are computed; the rows are then finished in report order.
-Failures are rows with passed=False; structural problems with the
-manifest raise ManifestError, and evaluation leaving an expression's
-domain at every sample point raises DomainError.
+manifest has data for.  A run that fits the constants first reduces the
+fit's design to a small R factor, in the pass that runs before the main
+plan anyway (the almost-contact axiom gate) or else in one of its own.
+The symbolic components of every row, the fit row's residual at the
+fitted constants included, are then built and evaluated as one plan,
+which every row reduces chunk by chunk as the chunks are computed; the
+rows are then finished in report order.  Failures are rows with
+passed=False; structural problems with the manifest raise ManifestError,
+and evaluation leaving an expression's domain at every sample point
+raises DomainError.
 """
 
 import functools
 import math
 import time
 
-import numpy as np
-
-from grsoliton.chart import (
-    FieldValues,
-    SupNorms,
-    evaluate_fields,
-    reduce_fields,
-    sample_points,
-)
+from grsoliton.chart import SupNorms, reduce_fields, sample_points
 from grsoliton.contact import (
     LadderSups,
     StructureError,
@@ -30,7 +26,7 @@ from grsoliton.contact import (
     ladder_fields,
     ricci_reeb_comps,
 )
-from grsoliton.fit import TooFewPointsError, design_fields, fit_design
+from grsoliton.fit import FitQR, TooFewPointsError, design_fields
 from grsoliton.manifest import CONSTANT_KEYS, ManifestError
 from grsoliton.report import CheckRow, Report
 from grsoliton.soliton import (
@@ -72,7 +68,10 @@ def run_manifest(manifest, subcommand, points=None, count=None, seed=None,
         points = sample_points(manifest.chart, sampling["strategy"],
                                sampling["count"], sampling["seed"])
 
-    run = _Run(manifest, points, tol)
+    fits = manifest.scalars is not None and (
+        subcommand in ("fit", "all")
+        or bool(manifest.fit_targets()) and subcommand != "check-structure")
+    run = _Run(manifest, points, tol, fits)
     structure = None
     if subcommand in ("check-structure", "check-theorem", "all"):
         wants_structure = subcommand != "all" or manifest.structure is not None
@@ -117,6 +116,8 @@ def run_manifest(manifest, subcommand, points=None, count=None, seed=None,
     )
 
 
+
+
 class _Run:
     """The rows of one run, as (fields, accumulator, rows_of) groups in
     report order.
@@ -126,15 +127,41 @@ class _Run:
     rows_of(run, accumulator.finish()) then gives the group's rows.  A
     group without fields has no accumulator, and rows_of receives None.
     Accumulators and rows_of hold no reference to the run, so a run is
-    never part of a reference cycle.  Any "fit" constants are fitted once,
-    on first use.
+    never part of a reference cycle.
+
+    A run that fits reduces its design to one FitQR in the pass before the
+    main plan: the axiom gate's, when the run has one (pre_pass gives the
+    gate the design's group), else a pass of its own on first use.  Every
+    fit of the run, restricted to "fit" constants or not, is solved from
+    that one R.
     """
 
-    def __init__(self, manifest, points, tol):
+    def __init__(self, manifest, points, tol, fits):
         self.manifest = manifest
         self.points = points
         self.tol = tol
         self.groups = []
+        self.design = FitQR() if fits else None
+        self.design_pending = fits
+
+    def env(self):
+        return self.manifest.chart.env_at(self.points, self.manifest.params)
+
+    def pre_pass(self):
+        """The (fields, accumulator) groups that ride in the pass before
+        the main plan: the fit's design, if the run fits and no pass has
+        taken it yet."""
+        if not self.design_pending:
+            return []
+        self.design_pending = False
+        return [(_design_fields(self.manifest), self.design)]
+
+    def fit(self, fixed=None):
+        """The run's fit with the constants in fixed pinned."""
+        groups = self.pre_pass()
+        if groups:
+            reduce_fields(groups, self.env(), len(self.points))
+        return self.design.finish(fixed)
 
     def add(self, fields, accumulator, rows_of):
         self.groups.append((fields, accumulator, rows_of))
@@ -142,18 +169,16 @@ class _Run:
     def add_rows(self, *rows):
         self.add([], None, lambda run, result: list(rows))
 
-    def add_check(self, check, **extra):
+    def add_check(self, check, rows_of):
         manifest = self.manifest
         self.add(check.fields,
                  ResidualSup(check, manifest.chart, self.points, manifest.params, self.tol),
-                 functools.partial(_check_rows, extra=extra))
+                 rows_of)
 
     def rows(self):
         try:
             reduce_fields([(fields, acc) for fields, acc, _ in self.groups
-                           if acc is not None],
-                          self.manifest.chart.env_at(self.points, self.manifest.params),
-                          len(self.points))
+                           if acc is not None], self.env(), len(self.points))
             rows = []
             for _, acc, rows_of in self.groups:
                 rows.extend(rows_of(self, None if acc is None else acc.finish()))
@@ -165,29 +190,24 @@ class _Run:
 
     @functools.cached_property
     def resolved(self):
-        """(constants, fit, design values): the numeric constants, fitting
-        any marked "fit" with the rest pinned; fit and design values are
-        None when nothing is fitted."""
+        """(constants, fit): the numeric constants, fitting any marked
+        "fit" with the rest pinned; fit is None when nothing is fitted."""
         manifest = self.manifest
         resolved = dict(manifest.numeric_constants())
         if not manifest.fit_targets():
-            return resolved, None, None
-        fields = _design_fields(manifest)
-        design = list(evaluate_fields(
-            fields, manifest.chart.env_at(self.points, manifest.params), len(self.points)))
+            return resolved, None
         try:
-            fit = fit_design(design, {k: v for k, v in resolved.items()
-                                      if k in CONSTANT_KEYS})
+            fit = self.fit({k: v for k, v in resolved.items() if k in CONSTANT_KEYS})
         except TooFewPointsError as ex:
             # no row that uses the constants can be built without them
-            if ex.valid.all():
+            if ex.first_bad is None:
                 raise ManifestError(
                     f"fitting {', '.join(manifest.fit_targets())} needs at least 3 "
                     f"sample points, got {len(self.points)}") from None
-            self.diagnose(fields, int(np.argmin(ex.valid)))
+            self.diagnose(_design_fields(manifest), ex.first_bad)
         for name, value in zip(fit.free_names, fit.solution):
             resolved[name] = float(value)
-        return resolved, fit, design
+        return resolved, fit
 
     def diagnose(self, fields, index):
         """Raise the DomainError of fields at sample point index."""
@@ -202,7 +222,7 @@ def _assemble(run, d_convention, classify=True):
         structure = assemble_structure(manifest.chart, manifest.metric,
                                        block["phi"], block["xi"], block["eta"],
                                        points=run.points, params=manifest.params,
-                                       tolerance=max(tol, 1e-8))
+                                       tolerance=max(tol, 1e-8), groups=run.pre_pass())
     except StructureError as ex:
         row = CheckRow("structure_axioms", ex.residual, ex.residual, tol, False,
                        {"axiom": ex.axiom, "worst_point": list(map(float, ex.point))})
@@ -232,22 +252,25 @@ def _ladder_rows(run, report):
     return rows
 
 
-def _check_rows(run, report, extra):
-    return [_row_from_report(report, **extra)]
+def _check_rows(run, report, extra=None):
+    return [_row_from_report(report, **(extra or {}))]
+
+
+def _gradient_check(manifest, constants):
+    spec = SolitonSpec(manifest.metric, "gradient",
+                       constants["c1"], constants["c2"], constants["lambda"],
+                       f1=manifest.scalars["f1"], f2=manifest.scalars["f2"],
+                       params=manifest.params)
+    return build_gradient_check(spec)
 
 
 def _soliton_rows(run):
     manifest = run.manifest
     if manifest.mode == "gradient":
-        constants, fit, _ = run.resolved
-        if fit is not None:
-            run.add_rows(_fit_check_row(manifest, fit, run.tol, note="resolved-for-check"))
-        spec = SolitonSpec(manifest.metric, "gradient",
-                           constants["c1"], constants["c2"], constants["lambda"],
-                           f1=manifest.scalars["f1"], f2=manifest.scalars["f2"],
-                           params=manifest.params)
-        check = build_gradient_check(spec)
+        constants, fit = run.resolved
+        check = _gradient_check(manifest, constants)
     else:
+        fit = None
         constants = manifest.numeric_constants()
         X1 = TensorField(manifest.chart, "vector", manifest.vectors["X1"])
         X2 = TensorField(manifest.chart, "vector", manifest.vectors["X2"])
@@ -255,20 +278,27 @@ def _soliton_rows(run):
                            constants["c1"], constants["c2"], constants["lambda"],
                            X1=X1, X2=X2, params=manifest.params)
         check = build_vector_check(spec)
-    run.add_check(check, constants={k: constants[k] for k in CONSTANT_KEYS})
+    extra = {"constants": {k: constants[k] for k in CONSTANT_KEYS}}
+    if fit is None:
+        run.add_check(check, functools.partial(_check_rows, extra=extra))
+    else:
+        # the restricted fit is measured at the constants it resolved, so
+        # its row and the soliton row read one report
+        run.add_check(check, functools.partial(_fit_rows, fit=fit, note="resolved-for-check",
+                                               soliton=extra))
 
 
 def _theorem_rows(run, structure):
-    constants, _, _ = run.resolved
+    constants, _ = run.resolved
     f1 = run.manifest.scalars["f1"]
     f2 = run.manifest.scalars["f2"]
     c1, c2, lam = (constants[k] for k in CONSTANT_KEYS)
     _, alignment = build_alignment_check(structure, f1, f2, c1)
-    run.add_check(alignment)
-    run.add_check(build_transport_check(structure, f1, f2, c1, c2, lam))
+    run.add_check(alignment, _check_rows)
+    run.add_check(build_transport_check(structure, f1, f2, c1, c2, lam), _check_rows)
     run.add([ricci_reeb_comps(structure)], SupNorms(), _reeb_rows)
     for check in build_supporting_checks(structure, f1, f2, c1):
-        run.add_check(check)
+        run.add_check(check, _check_rows)
 
 
 def _reeb_rows(run, sups):
@@ -280,9 +310,12 @@ def _design_fields(manifest):
     return design_fields(manifest.metric, manifest.scalars["f1"], manifest.scalars["f2"])
 
 
-def _fit_check_row(manifest, fit, tol, note=None):
-    rel = fit.residual_sup / max(1.0, fit.target_sup)
-    passed = rel <= tol
+def _fit_rows(run, report, fit, note=None, soliton=None):
+    """The fit row of fit, whose residual is the report of the gradient
+    form at its constants; then, if soliton holds a soliton row's extra,
+    the soliton row of the same report."""
+    manifest, tol = run.manifest, run.tol
+    passed = report.passed
     extra = {
         "points_used": fit.n_points,
         "points_skipped": fit.n_skipped,
@@ -297,36 +330,36 @@ def _fit_check_row(manifest, fit, tol, note=None):
         passed = passed and distance <= max(tol, 1e-8)
     if note:
         extra["note"] = note
-    return CheckRow("fit_constants", fit.residual_sup, rel, tol, passed, extra)
+    rows = [CheckRow("fit_constants", report.abs_sup, report.rel_sup, tol, passed, extra)]
+    if soliton is not None:
+        rows.append(_row_from_report(report, **soliton))
+    return rows
 
 
 def _fit_row(run, explicit):
     """The fit row: with "fit" targets, `fit` reports the run's restricted
-    fit and `all` refits its design values with every constant free;
-    otherwise the design joins the run's plan and is fitted unrestricted."""
+    fit; otherwise the run's design is fitted with every constant free.
+    Either is measured by the gradient form at its constants in the main
+    plan."""
     manifest = run.manifest
-    _, fit, design = run.resolved
-    if fit is None:
-        fields = _design_fields(manifest)
-        run.add(fields, FieldValues([(len(f),) for f in fields], len(run.points)),
-                functools.partial(_unrestricted_fit_rows, fields=fields))
-    elif explicit:
-        run.add_rows(_fit_check_row(manifest, fit, run.tol))
-    else:
-        run.add([], None,
-                lambda run, _: [_fit_check_row(run.manifest, fit_design(design), run.tol)])
+    constants, fit = run.resolved
+    if fit is None or not explicit:
+        try:
+            fit = run.fit()
+        except TooFewPointsError as ex:
+            run.add([], None, functools.partial(
+                _too_few_points_rows, counts=(ex.n_valid, len(run.points), ex.first_bad)))
+            return
+        constants = dict(zip(fit.free_names, fit.solution))
+    run.add_check(_gradient_check(manifest, constants), functools.partial(_fit_rows, fit=fit))
 
 
-def _unrestricted_fit_rows(run, values, fields):
-    """The fit row of a design fitted with every constant free; with fewer
-    than 3 valid points it fails, and with none it is a DomainError."""
-    try:
-        fit = fit_design(values)
-    except TooFewPointsError as ex:
-        n_valid = int(np.count_nonzero(ex.valid))
-        if not n_valid:
-            run.diagnose(fields, 0)
-        return [CheckRow("fit_constants", math.nan, math.nan, run.tol, False,
-                         {"points_used": n_valid, "points_skipped": len(ex.valid) - n_valid,
-                          "note": "fewer than 3 valid sample points"})]
-    return [_fit_check_row(run.manifest, fit, run.tol)]
+def _too_few_points_rows(run, _, counts):
+    """The fit row of a design with fewer than 3 valid points: it fails,
+    and with none it is a DomainError."""
+    n_valid, n_points, first_bad = counts
+    if not n_valid:
+        run.diagnose(_design_fields(run.manifest), first_bad)
+    return [CheckRow("fit_constants", math.nan, math.nan, run.tol, False,
+                     {"points_used": n_valid, "points_skipped": n_points - n_valid,
+                      "note": "fewer than 3 valid sample points"})]

@@ -12,8 +12,8 @@ check functions build theirs, evaluate them as one plan and reduce each,
 chunk by chunk, to absolute and relative sup-norms.  The relative norm
 divides by max(1, sup |reference|) so flat instances do not divide by
 zero.  Sample points where evaluation leaves an expression's domain (or
-where a theorem row's potentials are undefined) are skipped and counted;
-a check with no valid points raises DomainError.
+where the potentials of a gradient-form or theorem row are undefined) are
+skipped and counted; a check with no valid points raises DomainError.
 """
 
 from dataclasses import dataclass, field
@@ -108,8 +108,8 @@ class ResidualReport:
 class Check:
     """A named identity: residual components, the reference components
     whose size the residual is measured against, and the domain: scalars
-    that must be finite at a point for the point to count (the potentials
-    of the theorem rows, which simplification may fold out of both)."""
+    that must be finite at a point for the point to count (the potentials,
+    which differentiation or simplification may fold out of both)."""
 
     name: str
     residual: list
@@ -249,7 +249,8 @@ def _combine_sym2(terms):
 
 
 def build_gradient_check(spec):
-    """Hess f1 + c1 df2.df2 - c2 Ric - lam g, against Hess f1."""
+    """Hess f1 + c1 df2.df2 - c2 Ric - lam g, against Hess f1, where the
+    potentials are defined."""
     metric = spec.metric
     chart = metric.chart
     hess = hessian(metric, spec.f1)
@@ -262,7 +263,7 @@ def build_gradient_check(spec):
         (-spec.c2, ricci(metric).comps),
         (-spec.lam, metric.comps),
     ])
-    return Check("soliton_gradient", residual, hess.comps)
+    return Check("soliton_gradient", residual, hess.comps, [spec.f1, spec.f2])
 
 
 def residual_gradient_form(spec, points=None, tolerance=DEFAULT_TOLERANCE):

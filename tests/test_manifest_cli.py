@@ -364,6 +364,18 @@ class TestCliExitCodes:
             assert main([sub, "--manifest", path, "--points", "200", "--seed", "8"]) == 3
             assert "in 'sqrt(x - 1.97)' at" in capsys.readouterr().err
 
+    def test_soliton_and_fit_rows_need_the_potentials_defined(self, tmp_path, capsys):
+        # f1 enters the soliton and fit rows only through its derivatives,
+        # where the undefined constant term differentiates away
+        doc = copy.deepcopy(HYPERBOLIC)
+        doc["scalars"]["f1"] = "-2*ln(y) + sqrt(-1)"
+        path = tmp_path / "f1.json"
+        path.write_text(json.dumps(doc))
+        for sub in ("check-soliton", "fit", "all"):
+            assert main([sub, "--manifest", str(path)]) == 3, sub
+            assert capsys.readouterr().err.startswith(
+                "domain error: square root of a negative number in 'sqrt(-1)' at "), sub
+
     def test_theorem_rows_need_the_potentials_defined(self, tmp_path, capsys):
         # the theorem rows use f2 only through xi(f2) = d f2/dz = 0, which
         # simplification folds away; the potentials are checked on their own

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grsoliton
-from grsoliton import expr, runner
+from grsoliton import expr, fit, runner
 from grsoliton.chart import sample_points
 from grsoliton.cli import main
 from grsoliton.contact import assemble_structure
@@ -179,18 +179,31 @@ def test_fit_constant_is_fitted_once_per_run(monkeypatch):
                      .read_text())
     doc["constants"]["lambda"] = "fit"
     manifest = load_manifest(doc)
-    fits = []
-    original = runner.fit_design
+    designs = []
 
-    def counting(values, fixed=None):
-        fits.append(fixed)
-        return original(values, fixed)
+    class CountingFitQR(fit.FitQR):
+        def __init__(self):
+            super().__init__()
+            self.updates = 0
+            self.finishes = []
+            designs.append(self)
 
-    monkeypatch.setattr(runner, "fit_design", counting)
+        def update(self, lo, *fields):
+            self.updates += 1
+            return super().update(lo, *fields)
+
+        def finish(self, fixed=None):
+            self.finishes.append(fixed)
+            return super().finish(fixed)
+
+    monkeypatch.setattr(runner, "FitQR", CountingFitQR)
     report = runner.run_manifest(manifest, "all")
-    # one restricted fit resolves lambda for the soliton and theorem rows;
-    # the fit row refits the same design values with every constant free
-    assert fits == [{"c1": -1.0, "c2": 0.0}, None]
+    # one R, fed by one pass over the 200 points (one chunk): the axiom
+    # gate's.  The restricted fit resolves lambda for the soliton and
+    # theorem rows; the fit row solves the same R with every constant free
+    [design] = designs
+    assert design.updates == 1
+    assert design.finishes == [{"c1": -1.0, "c2": 0.0}, None]
 
     rows = {row.name: row for row in report.checks}
     assert [row.name for row in report.checks][:2] == ["structure_almost_contact",
@@ -292,17 +305,22 @@ def test_a_domain_error_leaves_no_more_garbage_than_a_pass():
     assert _cyclic_garbage(failing) <= _cyclic_garbage(passing)
 
 
-def test_peak_memory_per_point():
-    # the plan reduces every row chunk by chunk, so what a run allocates
-    # at once is the fit's design and its least-squares temporaries (about
-    # 460 B per point), not N x component columns for every row
-    manifest = resolve_manifest("sasakian3")
-    runner.run_manifest(manifest, "all")
-    npoints = 50_000
+def _traced_peak(manifest, npoints):
     tracemalloc.start()
     try:
         runner.run_manifest(manifest, "all", count=npoints)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / npoints <= 600
+
+
+def test_peak_memory_per_point():
+    # every row, the fit's design included, is reduced chunk by chunk, so
+    # what a run allocates grows with N only by the sample points and what
+    # sampling them takes (48 B per point for n = 3), not by N x component
+    # columns of any row
+    manifest = resolve_manifest("sasakian3")
+    runner.run_manifest(manifest, "all")
+    small, large = 50_000, 400_000
+    slope = (_traced_peak(manifest, large) - _traced_peak(manifest, small)) / (large - small)
+    assert slope <= 64

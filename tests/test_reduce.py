@@ -1,13 +1,15 @@
-"""The reducers against the formulas they replaced, bit for bit.
+"""The reducers against the formulas they replaced.
 
-residual_report, sup_norm, the axiom gate's worst point and fit_design
-read evaluated fields without masked copies.  Each is compared here with
+residual_report, sup_norm and the axiom gate's worst point read evaluated
+fields without masked copies.  Each is compared here, bit for bit, with
 the plain masked-copy formula, kept below as the reference, on fields
 that come out of evaluate_fields (so they have its component-major
 layout and cross its chunk edges) and on C-ordered copies of them.  The
 accumulators behind them (ResidualSup, SupNorms, FieldValues) are also
 fed the same fields in random chunkings, as the evaluation plan feeds
-them, and must give the whole-array results.
+them, and must give the whole-array results.  fit_design and its FitQR
+accumulator are compared, to rounding, with np.linalg.lstsq and an SVD of
+the whole column-stacked design.
 """
 
 import struct
@@ -28,7 +30,7 @@ from grsoliton.chart import (
 )
 from grsoliton.contact import _worst_point
 from grsoliton.expr import CHUNK_POINTS, Num, Sym
-from grsoliton.fit import CONSTANT_ORDER, RANK_THRESHOLD, TooFewPointsError, fit_design
+from grsoliton.fit import CONSTANT_ORDER, RANK_THRESHOLD, FitQR, TooFewPointsError, fit_design
 from grsoliton.soliton import Check, ResidualSup, residual_report
 
 SHAPES = {1: [(1,), ()], 2: [(2,)], 3: [(3,)], 4: [(4,), (2, 2)], 6: [(6,), (2, 3)],
@@ -68,31 +70,54 @@ def reference_worst_point(values):
 
 
 def reference_fit(values, fixed):
-    """The fit from masked copies of every block and column_stack."""
+    """The fit of the column-stacked design of the valid points: rank and
+    null space from an SVD of the whole column-scaled design, solution
+    from np.linalg.lstsq on it with the same cutoff, made minimum-norm in
+    the unscaled coordinates.  values may end with the domain field."""
     free_names = tuple(n for n in CONSTANT_ORDER if n not in fixed)
     flat = [v.reshape(len(v), -1) for v in values]
     valid = np.logical_and.reduce([np.isfinite(f).all(axis=1) for f in flat])
     blocks = dict(zip(CONSTANT_ORDER, flat))
-    rows = np.column_stack([blocks[name][valid].reshape(-1) for name in free_names])
-    b = flat[-1][valid].reshape(-1)
+    a = np.column_stack([blocks[name][valid].reshape(-1) for name in free_names])
+    b = flat[3][valid].reshape(-1)
     for name, value in fixed.items():
         b = b - float(value) * blocks[name][valid].reshape(-1)
-    normal = rows.T @ rows
-    rhs = rows.T @ b
-    sigma, basis = np.linalg.eigh(normal)
-    sigma = np.clip(sigma, 0.0, None)
-    cutoff = RANK_THRESHOLD * sigma.max() if sigma.max() > 0 else np.inf
-    keep = sigma > cutoff
-    rank = int(keep.sum())
-    solution = np.zeros(len(free_names))
-    for lam_val, vec in zip(sigma[keep], basis.T[keep]):
-        solution += (vec @ rhs) / lam_val * vec
-    residual_sup = float(np.abs(rows @ solution - b).max()) if rank else \
-        float(np.abs(b).max())
-    return {"solution": solution, "rank": rank, "null_space": basis[:, ~keep],
-            "residual_sup": residual_sup, "singular_values": sigma[::-1].copy(),
-            "free_names": free_names, "target_sup": float(np.abs(b).max()),
+    norms = np.linalg.norm(a, axis=0)
+    scale = 1.0 / np.where(norms > 0.0, norms, 1.0)
+    sigma = np.linalg.svd(a * scale, compute_uv=False)
+    _, _, vt = np.linalg.svd(a * scale, full_matrices=False)
+    rank = int(np.count_nonzero(sigma > RANK_THRESHOLD * sigma[0]))
+    null_space = np.linalg.qr(scale[:, None] * vt[rank:].T).Q if rank < len(free_names) \
+        else np.zeros((len(free_names), 0))
+    solution = scale * np.linalg.lstsq(a * scale, b, rcond=RANK_THRESHOLD)[0]
+    solution -= null_space @ (null_space.T @ solution)
+    return {"solution": solution, "rank": rank, "null_space": null_space,
+            "free_names": free_names, "scale": scale, "b_norm": float(np.linalg.norm(b)),
             "n_points": int(valid.sum()), "n_skipped": int((~valid).sum())}
+
+
+def assert_same_fit(fit, want):
+    """Rank, counts and names exactly; the null space up to sign; the
+    solution on the affine solution set to 1e-10 of the larger of its norm
+    and the target's, in the column-scaled coordinates (a least-squares
+    solution's rounding error scales with its residual), and minimum-norm.
+
+    Along the null space the two minimum-norm solutions are compared only
+    through that last property: a null space found in the column-scaled
+    coordinates carries an error of eps times the spread of the column
+    norms once unscaled, which the solutions then inherit."""
+    for key in ("rank", "free_names", "n_points", "n_skipped"):
+        assert getattr(fit, key) == want[key], key
+    null, other = fit.null_space, want["null_space"]
+    assert null.shape == other.shape
+    assert np.allclose(null @ null.T, other @ other.T, rtol=0.0, atol=1e-8)
+    if null.shape[1] == 1:
+        assert min(np.abs(null - other).max(), np.abs(null + other).max()) <= 1e-8
+    delta = fit.solution - want["solution"]
+    delta = (delta - other @ (other.T @ delta)) / want["scale"]
+    size = max(np.linalg.norm(want["solution"] / want["scale"]), want["b_norm"])
+    assert np.linalg.norm(delta) <= 1e-10 * size + 1e-300
+    assert np.linalg.norm(null.T @ fit.solution) <= 1e-12 * np.linalg.norm(fit.solution) + 1e-300
 
 
 def bits(value):
@@ -208,22 +233,21 @@ class TestSupNorm:
 
 class TestFitDesign:
     @settings(max_examples=40, deadline=None)
-    @given(case=cases(1), fixed=st.sampled_from([{}, {"lambda": 1.5},
-                                                 {"c1": -1.0, "c2": 0.5}, {"c2": 0.0}]))
-    def test_matches_column_stack(self, case, fixed):
+    @given(data=st.data(), case=cases(1),
+           fixed=st.sampled_from([{}, {"lambda": 1.5}, {"c1": -1.0, "c2": 0.5}, {"c2": 0.0}]))
+    def test_matches_column_stack(self, data, case, fixed):
         seed, npoints, (shape,), validity = case
-        shapes = [(int(np.prod(shape)),)] * 4
-        for values in layouts(evaluated(seed, npoints, shapes, validity)):
-            fit = fit_design(values, fixed)
-            want = reference_fit(values, fixed)
-            for key, expected in want.items():
-                got = getattr(fit, key)
-                if isinstance(expected, (tuple, int)):
-                    assert got == expected, key
-                else:
-                    assert bits(got) == bits(expected), key
-            if validity == "three":
-                assert fit.n_points == 3
+        shapes = [(int(np.prod(shape)),)] * 4 + [(2,)]
+        fields = evaluated(seed, npoints, shapes, validity)
+        want = reference_fit(fields, fixed)
+        for values in layouts(fields):
+            assert_same_fit(fit_design(values, fixed), want)
+            assert_same_fit(fit_design(values[:4], fixed),
+                            reference_fit(values[:4], fixed))
+        edges = data.draw(chunkings(npoints))
+        assert_same_fit(feed(FitQR(), fields, edges).finish(fixed), want)
+        if validity == "three":
+            assert want["n_points"] == 3
 
     @pytest.mark.parametrize("npoints, n_valid", [(200, 0), (200, 1), (200, 2), (2, 2)])
     def test_too_few_points_name_the_valid_ones(self, npoints, n_valid):
@@ -231,8 +255,59 @@ class TestFitDesign:
         values[1][n_valid:, 2] = np.nan
         with pytest.raises(TooFewPointsError) as err:
             fit_design(values)
-        assert list(err.value.valid) == [True] * n_valid + [False] * (npoints - n_valid)
+        assert err.value.n_valid == n_valid
+        assert err.value.first_bad == (None if n_valid == npoints else n_valid)
         assert isinstance(err.value, ValueError)
+
+    @staticmethod
+    def design(columns, solution, noise=0.0, seed=0):
+        """Design fields of one component from (npoints,) columns, with the
+        target columns @ solution plus noise."""
+        rng = np.random.default_rng(seed)
+        target = np.column_stack(columns) @ solution
+        target = target + noise * rng.standard_normal(len(target))
+        return [np.asarray(c, dtype=float)[:, None] for c in (*columns, target)]
+
+    @pytest.mark.parametrize("cond", [1e6, 1e7, 1e8])
+    def test_ill_conditioned_full_rank(self, cond):
+        # sigma_min / sigma_max = 1/cond after column scaling: full rank,
+        # though its square, which normal equations see, is below 1e-10
+        rng = np.random.default_rng(int(np.log10(cond)))
+        u = np.linalg.qr(rng.standard_normal((3000, 3))).Q
+        v = np.linalg.qr(rng.standard_normal((3, 3))).Q
+        a = u @ np.diag([1.0, 1.0 / np.sqrt(cond), 1.0 / cond]) @ v.T
+        x = np.array([1.0, -2.0, 0.5])
+        fit = fit_design(self.design(list(a.T), x))
+        assert fit.rank == 3
+        assert (fit.singular_values[-1] / fit.singular_values[0]) ** 2 < RANK_THRESHOLD
+        # forward error of a backward-stable solve: about cond * eps
+        assert np.linalg.norm(fit.solution - x) <= cond * 1e-14 * np.linalg.norm(x)
+
+    def test_exactly_rank_deficient(self):
+        rng = np.random.default_rng(5)
+        c1, c3 = rng.standard_normal((2, 5000))
+        columns = [c1, 2.0 * c1, c3]             # c2 = 2 c1 exactly
+        values = self.design(columns, np.array([1.0, 0.0, 3.0]), noise=0.1)
+        fit = fit_design(values)
+        assert fit.rank == 2
+        direction = np.array([2.0, -1.0, 0.0]) / np.sqrt(5.0)
+        assert min(np.abs(fit.null_space[:, 0] - direction).max(),
+                   np.abs(fit.null_space[:, 0] + direction).max()) <= 1e-12
+        a = np.column_stack(columns)
+        x = np.linalg.lstsq(a, values[3][:, 0], rcond=None)[0]    # minimum norm
+        assert np.linalg.norm(fit.solution - x) <= 1e-10 * np.linalg.norm(x)
+        assert_same_fit(fit, reference_fit(values, {}))
+
+    def test_columns_three_orders_apart(self):
+        rng = np.random.default_rng(6)
+        columns = list(rng.standard_normal((3, 4000)) * np.array([[1e3], [1.0], [1e-3]]))
+        x = np.array([0.25, -1.0, 4.0])
+        fit = fit_design(self.design(columns, x))
+        assert fit.rank == 3
+        assert np.abs(fit.solution - x).max() <= 1e-10 * np.abs(x).max()
+        # with noise, against the whole design's least squares
+        values = self.design(columns, x, noise=1e-2, seed=7)
+        assert_same_fit(fit_design(values), reference_fit(values, {}))
 
 
 CHUNK_SIZES = (1, CHUNK_POINTS - 1, CHUNK_POINTS, CHUNK_POINTS + 1, 2 * CHUNK_POINTS + 3)
