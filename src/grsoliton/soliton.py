@@ -9,9 +9,10 @@ Alignment:       grad f1 + c1 xi(xi(f2)) grad f2 - c1 xi(f2) nabla_xi grad f2
 Each check is a symbolic residual with the reference (left-hand side) it
 is measured against.  The build_* functions only build checks; the public
 check functions build theirs, evaluate them as one plan and reduce each,
-chunk by chunk, to absolute and relative sup-norms.  The relative norm
-divides by max(1, sup |reference|) so flat instances do not divide by
-zero.  Sample points where evaluation leaves an expression's domain (or
+chunk by chunk, to absolute and relative sup-norms.  The relative norm is
+pointwise, max_p |residual(p)| / max(1, |reference(p)|), with |.| the
+largest component at p: a large reference near a chart boundary does not
+excuse a residual elsewhere, and flat instances do not divide by zero.  Sample points where evaluation leaves an expression's domain (or
 where the potentials of a gradient-form or theorem row are undefined) are
 skipped and counted; a check with no valid points raises DomainError.
 """
@@ -143,11 +144,12 @@ class ResidualSup:
 
     update(lo, residual, reference[, domain]) reads one chunk of the
     check's fields.  A point counts where the residual, the reference and
-    the domain are all finite; the running maxima of |residual| and
-    |reference| are taken over those points.  finish() returns the
-    ResidualReport, or, with no valid point, has the scalar evaluator name
-    the offending node at the first point whose residual or domain is not
-    finite.
+    the domain are all finite; the running maxima of |residual|, of
+    |reference| and of |residual| / max(1, |reference|) are taken over
+    those points, |.| being the largest component at a point.  finish()
+    returns the ResidualReport, or, with no valid point, has the scalar
+    evaluator name the offending node at the first point whose residual or
+    domain is not finite.
     """
 
     def __init__(self, check, chart, points, params, tolerance):
@@ -156,7 +158,7 @@ class ResidualSup:
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
         self.params = params
         self.tolerance = tolerance
-        self.abs_sup = self.ref_sup = -np.inf
+        self.abs_sup = self.ref_sup = self.rel_sup = -np.inf
         self.n_valid = self.n_points = 0
         self.first_bad = None
 
@@ -175,6 +177,8 @@ class ResidualSup:
         if n_valid:
             self.abs_sup = max(self.abs_sup, float(res_sup.max()))
             self.ref_sup = max(self.ref_sup, float(ref_sup.max()))
+            rel = np.divide(res_sup, np.maximum(ref_sup, 1.0, out=ref_sup), out=ref_sup)
+            self.rel_sup = max(self.rel_sup, float(rel.max()))
         self.n_valid += n_valid
         self.n_points += len(valid)
 
@@ -186,14 +190,12 @@ class ResidualSup:
             if len(check.domain):
                 comps = [*np.asarray(comps, dtype=object).reshape(-1), *check.domain]
             diagnose_domain(self.chart, comps, self.points[bad], self.params)
-        scale = max(1.0, self.ref_sup)
-        rel_sup = self.abs_sup / scale
         return ResidualReport(
             name=check.name,
             abs_sup=self.abs_sup,
-            rel_sup=rel_sup,
+            rel_sup=self.rel_sup,
             tolerance=self.tolerance,
-            passed=rel_sup <= self.tolerance,
+            passed=self.rel_sup <= self.tolerance,
             n_points=self.n_valid,
             n_skipped=self.n_points - self.n_valid,
             components=check.residual,

@@ -219,6 +219,16 @@ class TestRunManifest:
                 "scalar_reduction"} <= names
         assert report.overall_pass
 
+    @pytest.mark.parametrize("shift", [1e-5, 1e-6, 1e-7])
+    def test_a_small_lambda_shift_fails_pointwise(self, shift):
+        # near sin z = 0 |Hess f1| reaches about 1.9e3, which divided the
+        # residual of every point when the relative residual was global
+        doc = sasakian_manifest()
+        doc["constants"]["lambda"] += shift
+        [row] = run_manifest(load_manifest(doc), "check-soliton", tolerance=1e-8).checks
+        assert not row.passed
+        assert row.rel_residual == pytest.approx(shift, rel=1e-3)
+
     def test_fit_reports_solution(self):
         report = run_manifest(bundled_examples("cone"), "fit")
         row = report.checks[0]

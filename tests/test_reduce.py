@@ -46,9 +46,10 @@ def reference_residual(res, ref, domain=None):
     valid = np.isfinite(res_flat).all(axis=1) & np.isfinite(ref_flat).all(axis=1)
     if domain is not None:
         valid &= np.isfinite(domain.reshape(npoints, -1)).all(axis=1)
-    abs_sup = float(np.abs(res_flat[valid]).max())
-    scale = max(1.0, float(np.abs(ref_flat[valid]).max()))
-    return abs_sup, abs_sup / scale, int(valid.sum()), int((~valid).sum())
+    res_sup = np.abs(res_flat[valid]).max(axis=1)
+    ref_sup = np.abs(ref_flat[valid]).max(axis=1)
+    rel_sup = float((res_sup / np.maximum(ref_sup, 1.0)).max())
+    return float(res_sup.max()), rel_sup, int(valid.sum()), int((~valid).sum())
 
 
 def reference_first_bad(res, domain=None):
