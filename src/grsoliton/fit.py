@@ -90,8 +90,9 @@ class FitQR:
     def update(self, lo, c1, c2, lam, target, domain=()):
         k, size = len(target), len(target[0])
         rows = 4 + k * size
-        if self.buffer.shape[1] < rows:
-            self.buffer = np.empty((4, rows + BLOCK_ROWS))
+        used = -(-rows // BLOCK_ROWS) * BLOCK_ROWS
+        if self.buffer.shape[1] < used:
+            self.buffer = np.empty((4, used))
         buffer = self.buffer      # [j, 4 + c * size + p]: column j, component c, point p
         buffer[:, :4] = self.r.T
         for j, field in enumerate((c1, c2, lam, target)):

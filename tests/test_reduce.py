@@ -250,6 +250,12 @@ class TestFitDesign:
         if validity == "three":
             assert want["n_points"] == 3
 
+    def test_chunks_may_grow(self):
+        # the buffer sized by a small first chunk must grow for a larger one
+        fields = evaluated(3, 8191, [(3,)] * 4 + [(2,)], "all")
+        want = reference_fit(fields, {})
+        assert_same_fit(feed(FitQR(), fields, [0, 1, 342, 8191]).finish(), want)
+
     @pytest.mark.parametrize("npoints, n_valid", [(200, 0), (200, 1), (200, 2), (2, 2)])
     def test_too_few_points_name_the_valid_ones(self, npoints, n_valid):
         values = [np.ones((npoints, 3)) for _ in range(4)]
