@@ -274,29 +274,43 @@ def _as_expression(entry):
     raise TypeError(f"cannot interpret {entry!r} as an expression")
 
 
+def _cofactor_expansion(matrix, rows, cols, memo):
+    """Determinant of the minor of matrix on the rows and cols tuples,
+    expanded along its first row; memo keeps every minor expanded, keyed
+    by (rows, cols), so each is expanded once."""
+    key = (rows, cols)
+    if key not in memo:
+        if len(rows) == 1:
+            memo[key] = matrix[rows[0]][cols[0]]
+        else:
+            total = expr.ZERO
+            for j, col in enumerate(cols):
+                minor = _cofactor_expansion(matrix, rows[1:], cols[:j] + cols[j + 1:], memo)
+                term = expr.mul(matrix[rows[0]][col], minor)
+                total = expr.sub(total, term) if j % 2 else expr.add(total, term)
+            memo[key] = total
+    return memo[key]
+
+
 def symbolic_determinant(matrix):
     """Cofactor-expansion determinant of an object matrix of expressions."""
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = expr.ZERO
-    for j in range(n):
-        minor = [[row[c] for c in range(n) if c != j] for row in matrix[1:]]
-        term = expr.mul(matrix[0][j], symbolic_determinant(minor))
-        total = expr.sub(total, term) if j % 2 else expr.add(total, term)
-    return total
+    everything = tuple(range(len(matrix)))
+    return _cofactor_expansion(matrix, everything, everything, {})
 
 
 def symbolic_inverse(matrix):
-    """Adjugate-over-determinant inverse; exact for small n."""
+    """Adjugate-over-determinant inverse; the determinant and the cofactors
+    share their minors."""
     n = len(matrix)
-    det = simplify(symbolic_determinant(matrix))
+    everything = tuple(range(n))
+    memo = {}
+    det = simplify(_cofactor_expansion(matrix, everything, everything, memo))
     inv = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            minor = [[matrix[r][c] for c in range(n) if c != i]
-                     for r in range(n) if r != j]
-            cof = symbolic_determinant(minor) if n > 1 else expr.ONE
+            cof = expr.ONE if n == 1 else _cofactor_expansion(
+                matrix, everything[:j] + everything[j + 1:],
+                everything[:i] + everything[i + 1:], memo)
             if (i + j) % 2:
                 cof = expr.neg(cof)
             inv[i][j] = simplify(expr.div(cof, det))

@@ -217,3 +217,26 @@ def test_symbolic_determinant_small_cases():
     assert expr.evaluate(det, env) == 2 * 7 - 3 * 5
     one = [[expr.parse("a")]]
     assert expr.evaluate(symbolic_determinant(one), env) == 2.0
+
+
+def standard_sasakian_metric(m):
+    """g = eta (x) eta + (1/4) sum(dx_i^2 + dy_i^2) with eta = (dz - sum y_i dx_i)/2,
+    the standard Sasakian metric on R^(2m+1) (Blair, Riemannian Geometry of
+    Contact and Symplectic Manifolds), in coordinates x_1..x_m, y_1..y_m, z."""
+    names = [f"x{i}" for i in range(1, m + 1)] + [f"y{i}" for i in range(1, m + 1)] + ["z"]
+    eta = [f"(-y{i}/2)" for i in range(1, m + 1)] + ["0"] * m + ["(1/2)"]
+    rows = [[f"{a}*{b}" + (" + 1/4" if i == j and i < 2 * m else "")
+             for j, b in enumerate(eta)] for i, a in enumerate(eta)]
+    return define_chart(names), rows
+
+
+def test_symbolic_inverse_at_dimension_nine():
+    # each minor is expanded once: without that, Laplace expansion of the
+    # n^2 + 1 determinants takes O(n * n!) node operations
+    chart, rows = standard_sasakian_metric(4)
+    g = define_metric(chart, rows)
+    pts = sample_points(chart, "uniform", 100, seed=12)
+    gv = g.evaluate_at(pts)
+    iv = g.inverse_values_at(pts)
+    eye = np.broadcast_to(np.eye(chart.dim), gv.shape)
+    assert np.abs(gv @ iv - eye).max() <= 1e-12
