@@ -11,6 +11,7 @@ arguments, 3 expression domain error at the sample points.
 """
 
 import argparse
+import functools
 import sys
 
 from grsoliton.expr import DomainError
@@ -29,7 +30,10 @@ exit codes: 0 pass, 1 check failure, 2 bad manifest, 3 domain error.
 bundled manifests: """ + ", ".join(BUNDLED_NAMES)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="grsoliton",
         description="Verify generalised Ricci soliton equations and Sasakian "

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from grsoliton.cli import main
+from grsoliton.cli import build_parser, main
 from grsoliton.manifest import (
     BUNDLED_NAMES,
     ManifestError,
@@ -316,6 +316,28 @@ class TestCliExitCodes:
         path = tmp_path / "bad_constants.json"
         path.write_text(json.dumps(doc))
         assert main(["check-soliton", "--manifest", str(path)]) == 1
+
+    def test_one_parser_serves_independent_calls(self, capsys):
+        assert build_parser() is build_parser()
+        assert main(["check-soliton", "--manifest", "hyperbolic", "--tol", "1e-18",
+                     "--format", "json"]) == 1
+        strict = json.loads(capsys.readouterr().out)
+        assert strict["checks"][0]["tolerance"] == 1e-18
+        assert main(["fit", "--manifest", "cone", "--points", "50"]) == 0
+        assert "fit_constants" in capsys.readouterr().out       # the table format
+        # no flag of an earlier call carries over
+        assert main(["check-soliton", "--manifest", "hyperbolic", "--format", "json"]) == 0
+        [row] = json.loads(capsys.readouterr().out)["checks"]
+        assert (row["tolerance"], row["points_used"]) == (1e-8, 200)
+        for argv in (["fit", "--points", "3"], ["all", "--manifest", "cone", "--format", "xml"],
+                     ["nonsense"]):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
+            capsys.readouterr()
+        assert main(["fit", "--manifest", "cone", "--format", "json"]) == 0
+        [row] = json.loads(capsys.readouterr().out)["checks"]
+        assert row["points_used"] == 200
 
     def test_manifest_error_is_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
