@@ -127,11 +127,10 @@ def sample_points(chart, strategy="uniform", count=100, seed=0):
     box = _feasible_box(chart)
     n = chart.dim
     if strategy == "uniform":
-        rng = np.random.default_rng(seed)
-        unit = rng.random((count, n))
-        pts = np.empty((count, n))
-        for i, (lo, hi) in enumerate(box):
-            pts[:, i] = lo + (hi - lo) * unit[:, i]
+        # lo + (hi - lo) * u, in place, column by column as broadcasting goes
+        pts = np.random.default_rng(seed).random((count, n))
+        pts *= [hi - lo for lo, hi in box]
+        pts += [lo for lo, _ in box]
         return pts
     if strategy == "grid":
         per_axis = 1

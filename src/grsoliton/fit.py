@@ -18,13 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from grsoliton import expr
 from grsoliton.chart import field_components, reduce_fields, sample_points
 from grsoliton.soliton import ResidualSup, SolitonSpec, build_gradient_check
 from grsoliton.tensors import TensorField, as_scalar, hessian, partial, ricci, sym_product
 
 RANK_THRESHOLD = 1e-10
 CONSTANT_ORDER = ("c1", "c2", "lambda")
+# the signs with which design_fields enter c1 (df2.df2) + c2 (-Ric) + lam (-g) = -Hess f1
+SIGNS = (1.0, -1.0, -1.0, -1.0)
 
 # rows per block of the batched QR of [R; chunk]
 BLOCK_ROWS = 1024
@@ -61,22 +62,21 @@ class TooFewPointsError(ValueError):
 
 
 def design_fields(metric, f1, f2):
-    """The c1, c2 and lambda columns and the target -Hess f1, each the
-    independent symmetric components of one sym2 field, and the domain
+    """df2.df2, Ric, g and Hess f1, each the independent symmetric components
+    of one sym2 field, which enter [A | b] with SIGNS, and the domain
     [f1, f2]: a point counts only where the potentials are defined."""
     f1, f2 = as_scalar(f1), as_scalar(f2)
     df2 = TensorField(metric.chart, "oneform", [partial(f2, nm) for nm in metric.chart.names])
     upper = np.triu_indices(metric.dim)
-    return [list(sym_product(df2, df2).comps[upper]),
-            *([expr.neg(c) for c in t[upper]]
-              for t in (ricci(metric).comps, metric.comps, hessian(metric, f1).comps)),
-            [f1, f2]]
+    return [list(t[upper]) for t in (sym_product(df2, df2).comps, ricci(metric).comps,
+                                      metric.comps, hessian(metric, f1).comps)] + [[f1, f2]]
 
 
 class FitQR:
     """Accumulator of the R factor of [A | b], columns in CONSTANT_ORDER.
 
-    update(lo, c1, c2, lam, target[, domain]) drops a chunk's points where
+    update(lo, c1, c2, lam, target[, domain]) reads a chunk of the
+    design_fields, takes each with its sign (SIGNS), drops the points where
     a value is not finite, writes the rest below R into one reused buffer
     and reduces [R; chunk] by one batched QR of its BLOCK_ROWS-row blocks
     and one of theirs.  finish(fixed) solves with fixed pinned, as often as asked."""
@@ -97,7 +97,7 @@ class FitQR:
         buffer[:, :4] = self.r.T
         for j, field in enumerate((c1, c2, lam, target)):
             for c, component in enumerate(field):
-                buffer[j, 4 + c * size:4 + (c + 1) * size] = component
+                np.multiply(component, SIGNS[j], out=buffer[j, 4 + c * size:4 + (c + 1) * size])
         n_valid = size
         # a mask per point only for a chunk with a non-finite value
         if not (np.isfinite(buffer[:, 4:rows]).all() and np.isfinite(domain).all()):

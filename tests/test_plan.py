@@ -316,9 +316,8 @@ def _traced_peak(manifest, npoints):
 
 def test_peak_memory_per_point():
     # every row, the fit's design included, is reduced chunk by chunk, so
-    # what a run allocates grows with N only by the sample points and what
-    # sampling them takes (48 B per point for n = 3), not by N x component
-    # columns of any row
+    # what a run allocates grows with N only by the sample points (24 B per
+    # point for n = 3), not by N x component columns of any row
     manifest = resolve_manifest("sasakian3")
     runner.run_manifest(manifest, "all")
     small, large = 50_000, 400_000

@@ -30,7 +30,14 @@ from grsoliton.chart import (
 )
 from grsoliton.contact import _worst_point
 from grsoliton.expr import CHUNK_POINTS, Num, Sym
-from grsoliton.fit import CONSTANT_ORDER, RANK_THRESHOLD, FitQR, TooFewPointsError, fit_design
+from grsoliton.fit import (
+    CONSTANT_ORDER,
+    RANK_THRESHOLD,
+    SIGNS,
+    FitQR,
+    TooFewPointsError,
+    fit_design,
+)
 from grsoliton.soliton import Check, ResidualSup, residual_report
 
 SHAPES = {1: [(1,), ()], 2: [(2,)], 3: [(3,)], 4: [(4,), (2, 2)], 6: [(6,), (2, 3)],
@@ -71,16 +78,17 @@ def reference_worst_point(values):
 
 
 def reference_fit(values, fixed):
-    """The fit of the column-stacked design of the valid points: rank and
-    null space from an SVD of the whole column-scaled design, solution
-    from np.linalg.lstsq on it with the same cutoff, made minimum-norm in
-    the unscaled coordinates.  values may end with the domain field."""
+    """The fit of the column-stacked design of the valid points, its
+    columns and target the design fields with their SIGNS: rank and null
+    space from an SVD of the whole column-scaled design, solution from
+    np.linalg.lstsq on it with the same cutoff, made minimum-norm in the
+    unscaled coordinates.  values may end with the domain field."""
     free_names = tuple(n for n in CONSTANT_ORDER if n not in fixed)
     flat = [v.reshape(len(v), -1) for v in values]
     valid = np.logical_and.reduce([np.isfinite(f).all(axis=1) for f in flat])
-    blocks = dict(zip(CONSTANT_ORDER, flat))
+    blocks = dict(zip(CONSTANT_ORDER, (sign * f for sign, f in zip(SIGNS, flat))))
     a = np.column_stack([blocks[name][valid].reshape(-1) for name in free_names])
-    b = flat[3][valid].reshape(-1)
+    b = SIGNS[3] * flat[3][valid].reshape(-1)
     for name, value in fixed.items():
         b = b - float(value) * blocks[name][valid].reshape(-1)
     norms = np.linalg.norm(a, axis=0)
@@ -268,12 +276,13 @@ class TestFitDesign:
 
     @staticmethod
     def design(columns, solution, noise=0.0, seed=0):
-        """Design fields of one component from (npoints,) columns, with the
-        target columns @ solution plus noise."""
+        """Design fields of one component whose design has the given
+        (npoints,) columns and the target columns @ solution plus noise."""
         rng = np.random.default_rng(seed)
         target = np.column_stack(columns) @ solution
         target = target + noise * rng.standard_normal(len(target))
-        return [np.asarray(c, dtype=float)[:, None] for c in (*columns, target)]
+        return [sign * np.asarray(c, dtype=float)[:, None]
+                for sign, c in zip(SIGNS, (*columns, target))]
 
     @pytest.mark.parametrize("cond", [1e6, 1e7, 1e8])
     def test_ill_conditioned_full_rank(self, cond):
@@ -301,7 +310,7 @@ class TestFitDesign:
         assert min(np.abs(fit.null_space[:, 0] - direction).max(),
                    np.abs(fit.null_space[:, 0] + direction).max()) <= 1e-12
         a = np.column_stack(columns)
-        x = np.linalg.lstsq(a, values[3][:, 0], rcond=None)[0]    # minimum norm
+        x = np.linalg.lstsq(a, SIGNS[3] * values[3][:, 0], rcond=None)[0]    # minimum norm
         assert np.linalg.norm(fit.solution - x) <= 1e-10 * np.linalg.norm(x)
         assert_same_fit(fit, reference_fit(values, {}))
 
