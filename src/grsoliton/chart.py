@@ -127,7 +127,7 @@ def sample_points(chart, strategy="uniform", count=100, seed=0):
     box = _feasible_box(chart)
     n = chart.dim
     if strategy == "uniform":
-        # lo + (hi - lo) * u, in place, column by column as broadcasting goes
+        # lo + (hi - lo) * u in each column, computed in place
         pts = np.random.default_rng(seed).random((count, n))
         pts *= [hi - lo for lo, hi in box]
         pts += [lo for lo, _ in box]

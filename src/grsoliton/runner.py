@@ -68,9 +68,10 @@ def run_manifest(manifest, subcommand, points=None, count=None, seed=None,
         points = sample_points(manifest.chart, sampling["strategy"],
                                sampling["count"], sampling["seed"])
 
+    # the fit row, or "fit" constants for the soliton or theorem rows
     fits = manifest.scalars is not None and (
         subcommand in ("fit", "all")
-        or bool(manifest.fit_targets()) and subcommand != "check-structure")
+        or (bool(manifest.fit_targets()) and subcommand != "check-structure"))
     run = _Run(manifest, points, tol, fits)
     structure = None
     if subcommand in ("check-structure", "check-theorem", "all"):
@@ -114,8 +115,6 @@ def run_manifest(manifest, subcommand, points=None, count=None, seed=None,
         overall_pass=all(r.passed for r in rows),
         elapsed_seconds=time.perf_counter() - started,
     )
-
-
 
 
 class _Run:
@@ -347,19 +346,18 @@ def _fit_row(run, explicit):
         try:
             fit = run.fit()
         except TooFewPointsError as ex:
-            run.add([], None, functools.partial(
-                _too_few_points_rows, counts=(ex.n_valid, len(run.points), ex.first_bad)))
+            run.add([], None, functools.partial(_too_few_points_rows, n_valid=ex.n_valid,
+                                                first_bad=ex.first_bad))
             return
         constants = dict(zip(fit.free_names, fit.solution))
     run.add_check(_gradient_check(manifest, constants), functools.partial(_fit_rows, fit=fit))
 
 
-def _too_few_points_rows(run, _, counts):
+def _too_few_points_rows(run, _, n_valid, first_bad):
     """The fit row of a design with fewer than 3 valid points: it fails,
     and with none it is a DomainError."""
-    n_valid, n_points, first_bad = counts
     if not n_valid:
         run.diagnose(_design_fields(run.manifest), first_bad)
     return [CheckRow("fit_constants", math.nan, math.nan, run.tol, False,
-                     {"points_used": n_valid, "points_skipped": n_points - n_valid,
+                     {"points_used": n_valid, "points_skipped": len(run.points) - n_valid,
                       "note": "fewer than 3 valid sample points"})]

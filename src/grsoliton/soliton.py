@@ -12,9 +12,10 @@ check functions build theirs, evaluate them as one plan and reduce each,
 chunk by chunk, to absolute and relative sup-norms.  The relative norm is
 pointwise, max_p |residual(p)| / max(1, |reference(p)|), with |.| the
 largest component at p: a large reference near a chart boundary does not
-excuse a residual elsewhere, and flat instances do not divide by zero.  Sample points where evaluation leaves an expression's domain (or
-where the potentials of a gradient-form or theorem row are undefined) are
-skipped and counted; a check with no valid points raises DomainError.
+excuse a residual elsewhere, and flat instances do not divide by zero.
+Sample points where evaluation leaves an expression's domain (or where the
+potentials of a gradient-form or theorem row are undefined) are skipped
+and counted; a check with no valid points raises DomainError.
 """
 
 from dataclasses import dataclass, field
