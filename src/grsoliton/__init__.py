@@ -63,7 +63,6 @@ from grsoliton.soliton import (
     supporting_identities_check,
 )
 from grsoliton.tensors import (
-    ChristoffelSymbols,
     TensorField,
     christoffel,
     covariant_derivative,

@@ -10,6 +10,7 @@ factor.  Every report records which convention produced it.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,16 +23,20 @@ from grsoliton.chart import (
     pointwise_sup,
     reduce_fields,
     sample_points,
-    sup_norm,  # noqa: F401  (importable from here since it moved to chart)
 )
-from grsoliton.expr import Num, simplify
+from grsoliton.expr import Num
 from grsoliton.tensors import (
     TensorField,
     christoffel,
-    lie_bracket,
-    partial,
+    derivative,
+    fold,
+    from_upper,
+    identity,
+    lie_bracket_comps,
     ricci,
     riemann,
+    simplified,
+    upper_pairs,
     vector_field,
 )
 
@@ -89,22 +94,6 @@ class AlmostContactStructure:
         self.n = n
         self.axiom_residuals = axiom_residuals
 
-    def phi_column(self, j):
-        """phi applied to the j-th coordinate field, as a vector field."""
-        return TensorField(self.chart, "vector", list(self.phi.comps[:, j]),
-                           presimplify=False)
-
-    def apply_phi(self, W):
-        """phi(W) for a vector field W."""
-        n = self.chart.dim
-        comps = []
-        for k in range(n):
-            total = expr.ZERO
-            for m in range(n):
-                total = expr.add(total, expr.mul(self.phi.comps[k, m], W.comps[m]))
-            comps.append(total)
-        return TensorField(self.chart, "vector", comps)
-
 
 def _worst_point(values):
     """Index of the first point with a non-finite value if there is one,
@@ -116,45 +105,16 @@ def _worst_point(values):
 
 def _axiom_components(chart, metric, phi, xi, eta):
     n = chart.dim
-    g = metric.comps
-    delta = np.eye(n)
-    reeb_pairing = expr.ZERO
-    for i in range(n):
-        reeb_pairing = expr.add(reeb_pairing, expr.mul(eta.comps[i], xi.comps[i]))
-    axioms = {"reeb_normalisation": [expr.sub(reeb_pairing, expr.ONE)]}
-
-    square = []
-    compat = []
-    for i in range(n):
-        for j in range(n):
-            acc = expr.ZERO
-            for k in range(n):
-                acc = expr.add(acc, expr.mul(phi.comps[i, k], phi.comps[k, j]))
-            acc = expr.add(acc, Num(delta[i, j]))
-            square.append(expr.sub(acc, expr.mul(eta.comps[j], xi.comps[i])))
-
-            acc = expr.ZERO
-            for a in range(n):
-                for b in range(n):
-                    acc = expr.add(acc, expr.mul(phi.comps[a, i],
-                                                 expr.mul(g[a, b], phi.comps[b, j])))
-            acc = expr.sub(acc, g[i, j])
-            compat.append(expr.add(acc, expr.mul(eta.comps[i], eta.comps[j])))
-    axioms["phi_square"] = square
-    axioms["metric_compatibility"] = compat
-
-    kernel = []
-    for i in range(n):
-        acc = expr.ZERO
-        for k in range(n):
-            acc = expr.add(acc, expr.mul(phi.comps[i, k], xi.comps[k]))
-        kernel.append(acc)
-        acc = expr.ZERO
-        for k in range(n):
-            acc = expr.add(acc, expr.mul(eta.comps[k], phi.comps[k, i]))
-        kernel.append(acc)
-    axioms["reeb_kernel"] = kernel
-    return axioms
+    g, phi, xi, eta = metric.comps, phi.comps, xi.comps, eta.comps
+    # compat[i, j, a, b] = phi^a_i (g_ab phi^b_j), summed over a, then b
+    g_phi = (g[:, :, None] * phi).transpose(2, 0, 1)  # [j, a, b]
+    compat = np.add.reduce((phi.T[:, None, :, None] * g_phi).reshape(n, n, n * n), axis=2)
+    return {
+        "reeb_normalisation": [eta @ xi - expr.ONE],
+        "phi_square": phi @ phi + identity(n) - np.multiply.outer(eta, xi).T,
+        "metric_compatibility": compat - g + np.multiply.outer(eta, eta),
+        "reeb_kernel": np.stack([phi @ xi, eta @ phi], axis=1),
+    }
 
 
 def assemble_structure(chart, metric, phi, xi, eta, points=None, params=None,
@@ -179,7 +139,7 @@ def assemble_structure(chart, metric, phi, xi, eta, points=None, params=None,
         points = sample_points(chart, "uniform", _AXIOM_POINTS, _AXIOM_SEED)
     points = np.atleast_2d(np.asarray(points, dtype=float))
 
-    axioms = {axiom: [simplify(c) for c in comps] for axiom, comps
+    axioms = {axiom: simplified(np.asarray(comps, dtype=object).reshape(-1)) for axiom, comps
               in _axiom_components(chart, metric, phi, xi, eta).items()}
     env = chart.env_at(points, params)
     sups = SupNorms(len(axioms))
@@ -187,7 +147,7 @@ def assemble_structure(chart, metric, phi, xi, eta, points=None, params=None,
     residuals = dict(zip(axioms, sups.finish()))
     for axiom, sup in residuals.items():
         if not math.isfinite(sup) or sup > tolerance:
-            values = evaluate_field(np.array(axioms[axiom], dtype=object), env, len(points))
+            values = evaluate_field(axioms[axiom], env, len(points))
             raise StructureError(axiom, sup, points[_worst_point(values)])
     return AlmostContactStructure(chart, metric, phi, xi, eta,
                                   (chart.dim - 1) // 2, residuals)
@@ -203,17 +163,7 @@ def _expr(entry):
 
 def fundamental_form(structure):
     """Phi_ij = g(d_i, phi d_j); antisymmetric for a valid structure."""
-    n = structure.chart.dim
-    g = structure.metric.comps
-    phi = structure.phi.comps
-    comps = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            total = expr.ZERO
-            for k in range(n):
-                total = expr.add(total, expr.mul(g[i, k], phi[k, j]))
-            comps[i, j] = total
-    return TensorField(structure.chart, "form2", comps)
+    return TensorField(structure.chart, "form2", structure.metric.comps @ structure.phi.comps)
 
 
 def exterior_derivative_oneform(eta, convention="half"):
@@ -221,17 +171,11 @@ def exterior_derivative_oneform(eta, convention="half"):
     if convention not in ("half", "plain"):
         raise ValueError(f"unknown exterior-derivative convention {convention!r}")
     scale = Num(0.5) if convention == "half" else expr.ONE
-    chart = eta.chart
-    n = chart.dim
-    comps = np.empty((n, n), dtype=object)
-    for i in range(n):
-        comps[i, i] = expr.ZERO
-        for j in range(i + 1, n):
-            value = expr.mul(scale, expr.sub(partial(eta.comps[j], chart.names[i]),
-                                             partial(eta.comps[i], chart.names[j])))
-            comps[i, j] = value
-            comps[j, i] = expr.neg(value)
-    return TensorField(chart, "form2", comps)
+    n = eta.chart.dim
+    rows, cols = upper_pairs(n, strict=True)
+    d_eta = derivative(eta.comps, eta.chart.names)  # d_eta[i, j] = d_i eta_j
+    comps = scale * (d_eta[rows, cols] - d_eta[cols, rows])
+    return TensorField(eta.chart, "form2", from_upper(comps, n, antisymmetric=True))
 
 
 def nijenhuis_torsion(structure):
@@ -239,115 +183,63 @@ def nijenhuis_torsion(structure):
 
         [phi, phi](X, Y) = phi^2 [X, Y] + [phi X, phi Y]
                            - phi [phi X, Y] - phi [X, phi Y]
+
+    built on the pairs i < j, indexed [k, pair].
     """
-    chart = structure.chart
-    n = chart.dim
-    names = chart.names
-    columns = [structure.phi_column(j) for j in range(n)]
-    comps = np.empty((n, n, n), dtype=object)
-    for k in range(n):
-        for i in range(n):
-            comps[k, i, i] = expr.ZERO
-    for i in range(n):
-        for j in range(i + 1, n):
-            bracket = lie_bracket(columns[i], columns[j])
-            # [phi d_i, d_j] = -d_j(phi d_i);  [d_i, phi d_j] = d_i(phi d_j)
-            left = vector_field(chart, [expr.neg(partial(columns[i].comps[k], names[j]))
-                                        for k in range(n)])
-            right = vector_field(chart, [partial(columns[j].comps[k], names[i])
-                                         for k in range(n)])
-            correction = structure.apply_phi(
-                vector_field(chart, [expr.add(left.comps[k], right.comps[k])
-                                     for k in range(n)]))
-            for k in range(n):
-                value = simplify(expr.sub(bracket.comps[k], correction.comps[k]))
-                comps[k, i, j] = value
-                comps[k, j, i] = expr.neg(value)
-    return TensorField(structure.chart, "torsion", comps, presimplify=False)
+    n, names = structure.chart.dim, structure.chart.names
+    rows, cols = upper_pairs(n, strict=True)
+    phi = structure.phi.comps
+    bracket = simplified(lie_bracket_comps(phi[:, rows], phi[:, cols], names))
+    d_phi = derivative(phi, names)  # d_phi[m, k, j] = d_m phi^k_j
+    # [phi d_i, d_j] = -d_j(phi d_i);  [d_i, phi d_j] = d_i(phi d_j)
+    inner = simplified(simplified(-d_phi[cols, :, rows].T) + d_phi[rows, :, cols].T)
+    torsion = simplified(bracket - simplified(phi @ inner))
+    return TensorField(structure.chart, "torsion", from_upper(torsion, n, antisymmetric=True),
+                       presimplify=False)
 
 
 def reeb_transport_residual(structure):
     """Components of nabla_{d_i} xi + phi d_i (zero iff K-contact holds)."""
-    chart = structure.chart
-    n = chart.dim
-    names = chart.names
     gamma = christoffel(structure.metric).comps
     xi = structure.xi.comps
-    phi = structure.phi.comps
-    comps = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for k in range(n):
-            total = partial(xi[k], names[i])
-            for m in range(n):
-                total = expr.add(total, expr.mul(gamma[k, i, m], xi[m]))
-            comps[i, k] = simplify(expr.add(total, phi[k, i]))
-    return comps
+    comps = fold(derivative(xi, structure.chart.names),  # [i, k]
+                 (operator.add, gamma.transpose(2, 1, 0) * xi[:, None, None]))
+    return simplified(comps + structure.phi.comps.T)
 
 
 def covariant_phi_residual(structure):
     """(nabla_{d_i} phi) d_j - (g_ij xi - eta_j d_i), indexed [i][j][m]."""
-    chart = structure.chart
-    n = chart.dim
-    names = chart.names
+    n = structure.chart.dim
     gamma = christoffel(structure.metric).comps
-    g = structure.metric.comps
-    phi = structure.phi.comps
-    xi = structure.xi.comps
-    eta = structure.eta.comps
-    comps = np.empty((n, n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            for m in range(n):
-                total = partial(phi[m, j], names[i])
-                for k in range(n):
-                    total = expr.add(total, expr.mul(gamma[m, i, k], phi[k, j]))
-                    total = expr.sub(total, expr.mul(gamma[k, i, j], phi[m, k]))
-                total = expr.sub(total, expr.mul(g[i, j], xi[m]))
-                if m == i:
-                    total = expr.add(total, eta[j])
-                comps[i, j, m] = simplify(total)
-    return comps
+    phi, xi, eta = structure.phi.comps, structure.xi.comps, structure.eta.comps
+    comps = fold(derivative(phi, structure.chart.names).transpose(0, 2, 1),
+                 (operator.add, gamma.transpose(2, 1, 0)[:, :, None] * phi[:, None, :, None]),
+                 (operator.sub, gamma[..., None] * phi.T[:, None, None]))
+    comps = comps - structure.metric.comps[..., None] * xi
+    diagonal = np.arange(n)
+    comps[diagonal, :, diagonal] = comps[diagonal, :, diagonal] + eta
+    return simplified(comps)
 
 
 def eta_transport_residual(structure):
     """(nabla_{d_i} eta)(d_j) + g(phi d_i, d_j), indexed [i][j]."""
-    chart = structure.chart
-    n = chart.dim
-    names = chart.names
     gamma = christoffel(structure.metric).comps
-    g = structure.metric.comps
-    phi = structure.phi.comps
-    eta = structure.eta.comps
-    comps = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            total = partial(eta[j], names[i])
-            for k in range(n):
-                total = expr.sub(total, expr.mul(gamma[k, i, j], eta[k]))
-                total = expr.add(total, expr.mul(phi[k, i], g[k, j]))
-            comps[i, j] = simplify(total)
-    return comps
+    phi, eta = structure.phi.comps, structure.eta.comps
+    comps = fold(derivative(eta, structure.chart.names),
+                 (operator.sub, gamma * eta[:, None, None]),
+                 (operator.add, phi[:, :, None] * structure.metric.comps[:, None]))
+    return simplified(comps)
 
 
 def curvature_reeb_residual(structure):
     """R(d_i, d_j) xi - (eta_j d_i - eta_i d_j), indexed [l][i][j]."""
     n = structure.chart.dim
-    riem = riemann(structure.metric).comps
-    xi = structure.xi.comps
     eta = structure.eta.comps
-    comps = np.empty((n, n, n), dtype=object)
-    for l in range(n):
-        for i in range(n):
-            for j in range(n):
-                total = expr.ZERO
-                for k in range(n):
-                    total = expr.add(total, expr.mul(riem[l, i, j, k], xi[k]))
-                if l == i:
-                    total = expr.sub(total, eta[j])
-                if l == j:
-                    total = expr.add(total, eta[i])
-                comps[l, i, j] = simplify(total)
-    return comps
+    comps = riemann(structure.metric).comps @ structure.xi.comps
+    diagonal = np.arange(n)
+    comps[diagonal, diagonal] = comps[diagonal, diagonal] - eta
+    comps[diagonal, :, diagonal] = comps[diagonal, :, diagonal] + eta
+    return simplified(comps)
 
 
 def check_sasakian_identities(structure, points=None, params=None):
@@ -376,19 +268,10 @@ def check_sasakian_identities(structure, points=None, params=None):
 
 def ricci_reeb_comps(structure):
     """Components of Ric(xi, d_j) - 2 n g(xi, d_j), indexed [j]."""
-    n = structure.chart.dim
-    ric = ricci(structure.metric).comps
-    g = structure.metric.comps
-    xi = structure.xi.comps
-    comps = []
-    for j in range(n):
-        total = expr.ZERO
-        for a in range(n):
-            total = expr.add(total, expr.mul(ric[a, j], xi[a]))
-            total = expr.sub(total, expr.mul(Num(2.0 * structure.n),
-                                             expr.mul(g[a, j], xi[a])))
-        comps.append(simplify(total))
-    return comps
+    xi = structure.xi.comps[:, None]
+    comps = fold(expr.ZERO, (operator.add, ricci(structure.metric).comps * xi),
+                 (operator.sub, Num(2.0 * structure.n) * (structure.metric.comps * xi)))
+    return list(simplified(comps))
 
 
 def ricci_reeb_residual(structure, points=None, params=None):
@@ -406,21 +289,12 @@ def ricci_reeb_residual(structure, points=None, params=None):
 def ladder_fields(structure, d_convention="half"):
     """Components of the contact, K-contact and normality conditions:
     d eta - Phi, nabla xi + phi, and [phi, phi] + 2 d eta (x) xi."""
-    n = structure.chart.dim
-    d_eta = exterior_derivative_oneform(structure.eta, d_convention)
-    phi_form = fundamental_form(structure)
-    contact_comps = [expr.sub(d_eta.comps[i, j], phi_form.comps[i, j])
-                     for i in range(n) for j in range(i + 1, n)]
-    torsion = nijenhuis_torsion(structure)
-    normal_comps = []
-    for k in range(n):
-        for i in range(n):
-            for j in range(i + 1, n):
-                normal_comps.append(expr.add(
-                    torsion.comps[k, i, j],
-                    expr.mul(Num(2.0), expr.mul(d_eta.comps[i, j],
-                                                structure.xi.comps[k]))))
-    return [contact_comps, reeb_transport_residual(structure), normal_comps]
+    upper = np.triu_indices(structure.chart.dim, 1)
+    d_eta = exterior_derivative_oneform(structure.eta, d_convention).comps
+    contact = (d_eta - fundamental_form(structure).comps)[upper]
+    normal = nijenhuis_torsion(structure).comps \
+        + Num(2.0) * (d_eta * structure.xi.comps[:, None, None])
+    return [contact, reeb_transport_residual(structure), normal[:, upper[0], upper[1]]]
 
 
 class LadderSups(SupNorms):

@@ -94,31 +94,39 @@ class Expression:
     precedence = 10
 
     def __add__(self, other):
-        return add(self, _coerce(other))
+        if isinstance(other, Expression):
+            return add(self, other)
+        return _binary(add, self, other)
 
     def __radd__(self, other):
-        return add(_coerce(other), self)
+        return _binary(add, other, self)
 
     def __sub__(self, other):
-        return sub(self, _coerce(other))
+        if isinstance(other, Expression):
+            return sub(self, other)
+        return _binary(sub, self, other)
 
     def __rsub__(self, other):
-        return sub(_coerce(other), self)
+        return _binary(sub, other, self)
 
     def __mul__(self, other):
-        return mul(self, _coerce(other))
+        if isinstance(other, Expression):
+            return mul(self, other)
+        return _binary(mul, self, other)
 
     def __rmul__(self, other):
-        return mul(_coerce(other), self)
+        return _binary(mul, other, self)
 
     def __truediv__(self, other):
-        return div(self, _coerce(other))
+        if isinstance(other, Expression):
+            return div(self, other)
+        return _binary(div, self, other)
 
     def __rtruediv__(self, other):
-        return div(_coerce(other), self)
+        return _binary(div, other, self)
 
     def __pow__(self, other):
-        return pow_(self, _coerce(other))
+        return _binary(pow_, self, other)
 
     def __neg__(self):
         return neg(self)
@@ -255,7 +263,17 @@ def _coerce(value):
         return value
     if isinstance(value, (int, float)):
         return Num(value)
-    raise TypeError(f"cannot use {type(value).__name__} as an expression")
+    return None
+
+
+def _binary(build, a, b):
+    """build(a, b) with numbers taken as Num.  Any other operand gets
+    NotImplemented, so that an object ndarray applies the operator to each
+    of its elements: Num(0.5) * comps is mul(Num(0.5), c) for each c."""
+    a, b = _coerce(a), _coerce(b)
+    if a is None or b is None:
+        return NotImplemented
+    return build(a, b)
 
 
 def _is_num(e, value=None):

@@ -22,22 +22,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from grsoliton import expr
 from grsoliton.chart import components_sup, field_components, reduce_fields, sample_points
-from grsoliton.expr import DomainError, Num, evaluate, simplify
+from grsoliton.expr import DomainError, Num, evaluate
 from grsoliton.tensors import (
     TensorField,
     as_scalar,
     covariant_derivative,
+    derivative,
     directional_derivative,
+    from_upper,
     gradient,
     hessian,
+    identity,
     lie_derivative_sym2,
     metric_tensor_field,
     musical_flat,
-    partial,
+    pairing,
     ricci,
+    simplified,
     sym_product,
+    upper_pairs,
 )
 
 DEFAULT_TOLERANCE = 1e-8
@@ -237,18 +241,10 @@ def _default_points(chart):
 
 def _combine_sym2(terms):
     """Sum of (coefficient, sym2 comps) pairs into one component matrix."""
-    first = terms[0][1]
-    n = first.shape[0]
-    comps = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(i, n):
-            total = expr.ZERO
-            for coeff, t in terms:
-                if coeff == 0.0:
-                    continue
-                total = expr.add(total, expr.mul(Num(coeff), t[i, j]))
-            comps[i, j] = comps[j, i] = simplify(total)
-    return comps
+    n = len(terms[0][1])
+    rows, cols = upper_pairs(n)
+    upper = np.add.reduce([Num(c) * t[rows, cols] for c, t in terms if c != 0.0])
+    return from_upper(simplified(upper), n)
 
 
 def build_gradient_check(spec):
@@ -257,9 +253,8 @@ def build_gradient_check(spec):
     metric = spec.metric
     chart = metric.chart
     hess = hessian(metric, spec.f1)
-    df2 = [partial(spec.f2, name) for name in chart.names]
-    square = sym_product(TensorField(chart, "oneform", df2),
-                         TensorField(chart, "oneform", df2))
+    df2 = TensorField(chart, "oneform", derivative(spec.f2, chart.names))
+    square = sym_product(df2, df2)
     residual = _combine_sym2([
         (1.0, hess.comps),
         (spec.c1, square.comps),
@@ -300,10 +295,6 @@ def residual_vector_form(spec, points=None, tolerance=DEFAULT_TOLERANCE):
                       spec.params, tolerance)[0]
 
 
-def _scale_vector(scalar, X):
-    return [expr.mul(scalar, c) for c in X.comps]
-
-
 def build_alignment_check(structure, f1, f2, c1):
     """zeta = grad f1 + c1 xi(xi(f2)) grad f2 - c1 xi(f2) nabla_xi grad f2
     and the check of zeta - xi(f1) xi against zeta.  Returns (zeta, check)."""
@@ -318,18 +309,11 @@ def build_alignment_check(structure, f1, f2, c1):
     xi_xi_f2 = directional_derivative(xi, xi_f2)
     transport2 = covariant_derivative(metric, xi, grad2)
 
-    zeta_comps = []
-    for k in range(chart.dim):
-        total = grad1.comps[k]
-        total = expr.add(total, expr.mul(Num(c1), expr.mul(xi_xi_f2, grad2.comps[k])))
-        total = expr.sub(total, expr.mul(Num(c1), expr.mul(xi_f2, transport2.comps[k])))
-        zeta_comps.append(simplify(total))
-    zeta = TensorField(chart, "vector", zeta_comps, presimplify=False)
-
-    xi_f1 = directional_derivative(xi, f1)
-    residual = [simplify(expr.sub(zeta.comps[k], expr.mul(xi_f1, xi.comps[k])))
-                for k in range(chart.dim)]
-    return zeta, Check("theorem_alignment", residual, zeta_comps, [f1, f2])
+    zeta = simplified(grad1.comps + Num(c1) * (xi_xi_f2 * grad2.comps)
+                      - Num(c1) * (xi_f2 * transport2.comps))
+    residual = simplified(zeta - directional_derivative(xi, f1) * xi.comps)
+    return TensorField(chart, "vector", zeta, presimplify=False), \
+        Check("theorem_alignment", residual, zeta, [f1, f2])
 
 
 def alignment_condition(structure, f1, f2, c1, points=None,
@@ -355,11 +339,8 @@ def build_transport_check(structure, f1, f2, c1, c2, lam):
     grad2 = gradient(metric, f2)
     xi_f2 = directional_derivative(xi, f2)
     coeff = lam + 2.0 * c2 * structure.n
-    residual = []
-    for k in range(chart.dim):
-        total = expr.sub(lhs.comps[k], expr.mul(Num(coeff), xi.comps[k]))
-        total = expr.add(total, expr.mul(Num(c1), expr.mul(xi_f2, grad2.comps[k])))
-        residual.append(simplify(total))
+    residual = simplified(lhs.comps - Num(coeff) * xi.comps
+                          + Num(c1) * (xi_f2 * grad2.comps))
     return Check("grad_transport", residual, lhs.comps, [f1, f2])
 
 
@@ -377,38 +358,9 @@ def grad_transport_check(structure, f1, f2, c1, c2, lam, points=None,
 def _projected_coordinate_fields(structure):
     """Y_i = d_i - eta(d_i) xi, the coordinate fields pushed off the Reeb
     direction; expanded symbolically so higher derivatives stay exact."""
-    chart = structure.chart
-    n = chart.dim
-    fields = []
-    for i in range(n):
-        comps = []
-        for k in range(n):
-            base = expr.ONE if k == i else expr.ZERO
-            comps.append(simplify(expr.sub(base, expr.mul(structure.eta.comps[i],
-                                                          structure.xi.comps[k]))))
-        fields.append(TensorField(chart, "vector", comps, presimplify=False))
-    return fields
-
-
-def _pair_with(T_comps, Y, xi):
-    """T(Y, xi) = T_ab Y^a xi^b as a scalar expression."""
-    n = len(xi.comps)
-    total = expr.ZERO
-    for a in range(n):
-        for b in range(n):
-            total = expr.add(total, expr.mul(T_comps[a, b],
-                                             expr.mul(Y.comps[a], xi.comps[b])))
-    return total
-
-
-def _metric_pairing(metric, X, Y):
-    n = metric.dim
-    total = expr.ZERO
-    for a in range(n):
-        for b in range(n):
-            total = expr.add(total, expr.mul(metric.comps[a, b],
-                                             expr.mul(X.comps[a], Y.comps[b])))
-    return total
+    eta, xi = structure.eta.comps, structure.xi.comps
+    rows = simplified(identity(len(xi)) - np.multiply.outer(eta, xi))
+    return [TensorField(structure.chart, "vector", row, presimplify=False) for row in rows]
 
 
 def potential_square_lie_sides(xi, f2):
@@ -418,22 +370,15 @@ def potential_square_lie_sides(xi, f2):
     Right: d_j(xi(f2)) xi(f2) + d_j(f2) xi(xi(f2))
     Metric-independent; holds for any field xi and any smooth f2.
     """
-    chart = xi.chart
-    names = chart.names
+    names = xi.chart.names
     f2 = as_scalar(f2)
-    df2 = TensorField(chart, "oneform", [partial(f2, nm) for nm in names])
+    df2 = TensorField(xi.chart, "oneform", derivative(f2, names))
     square = sym_product(df2, df2)
     lie = lie_derivative_sym2(square, xi)
     xi_f2 = directional_derivative(xi, f2)
     xi_xi_f2 = directional_derivative(xi, xi_f2)
-    lhs, rhs = [], []
-    for j in range(chart.dim):
-        total = expr.ZERO
-        for b in range(chart.dim):
-            total = expr.add(total, expr.mul(lie.comps[j, b], xi.comps[b]))
-        lhs.append(simplify(total))
-        rhs.append(simplify(expr.add(expr.mul(partial(xi_f2, names[j]), xi_f2),
-                                     expr.mul(partial(f2, names[j]), xi_xi_f2))))
+    lhs = simplified(lie.comps @ xi.comps)
+    rhs = simplified(derivative(xi_f2, names) * xi_f2 + derivative(f2, names) * xi_xi_f2)
     return lhs, rhs
 
 
@@ -457,37 +402,29 @@ def build_supporting_checks(structure, f1, f2, c1):
     lie_outer = lie_derivative_sym2(lie_inner, xi)
     transport1 = covariant_derivative(metric, xi, grad1)
     transport1_twice = covariant_derivative(metric, xi, transport1)
-    slope = _metric_pairing(metric, transport1, xi)
+    g = metric.comps
+    slope = pairing(g, transport1, xi)
 
-    lhs_dl, rhs_dl = [], []
-    for Y in projected:
-        lhs_dl.append(simplify(_pair_with(lie_outer.comps, Y, xi)))
-        total = _metric_pairing(metric, grad1, Y)
-        total = expr.add(total, _metric_pairing(metric, transport1_twice, Y))
-        total = expr.add(total, directional_derivative(Y, slope))
-        rhs_dl.append(simplify(total))
+    lhs_dl = simplified(np.array([pairing(lie_outer.comps, Y, xi) for Y in projected],
+                                 dtype=object))
+    rhs_dl = simplified(np.array([pairing(g, grad1, Y) + pairing(g, transport1_twice, Y)
+                                  + directional_derivative(Y, slope) for Y in projected],
+                                 dtype=object))
     domain = [f1, f2]
-    double_lie = Check("double_lie",
-                       [expr.sub(a, b) for a, b in zip(lhs_dl, rhs_dl)], lhs_dl, domain)
+    double_lie = Check("double_lie", lhs_dl - rhs_dl, lhs_dl, domain)
 
     lhs_sq, rhs_sq = potential_square_lie_sides(xi, f2)
-    square_lie = Check("potential_square_lie",
-                       [expr.sub(a, b) for a, b in zip(lhs_sq, rhs_sq)], lhs_sq, domain)
+    square_lie = Check("potential_square_lie", lhs_sq - rhs_sq, lhs_sq, domain)
 
     grad2 = gradient(metric, f2)
     xi_f2 = directional_derivative(xi, f2)
     xi_xi_f2 = directional_derivative(xi, xi_f2)
     transport2 = covariant_derivative(metric, xi, grad2)
-    reduction = []
-    reference = []
-    for Y in projected:
-        total = directional_derivative(Y, f1)
-        reference.append(total)
-        total = expr.add(total, expr.mul(Num(c1),
-                                         expr.mul(xi_xi_f2, directional_derivative(Y, f2))))
-        total = expr.sub(total, expr.mul(Num(c1),
-                                         expr.mul(xi_f2, _metric_pairing(metric, transport2, Y))))
-        reduction.append(simplify(total))
+    reference = np.array([directional_derivative(Y, f1) for Y in projected], dtype=object)
+    along_f2 = np.array([directional_derivative(Y, f2) for Y in projected], dtype=object)
+    transported = np.array([pairing(g, transport2, Y) for Y in projected], dtype=object)
+    reduction = simplified(reference + Num(c1) * (xi_xi_f2 * along_f2)
+                           - Num(c1) * (xi_f2 * transported))
     return [double_lie, square_lie,
             Check("scalar_reduction", reduction, reference, domain)]
 
