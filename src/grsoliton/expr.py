@@ -94,39 +94,40 @@ class Expression:
     precedence = 10
 
     def __add__(self, other):
-        if isinstance(other, Expression):
-            return add(self, other)
-        return _binary(add, self, other)
+        other = _coerce(other)
+        return NotImplemented if other is None else add(self, other)
 
     def __radd__(self, other):
-        return _binary(add, other, self)
+        other = _coerce(other)
+        return NotImplemented if other is None else add(other, self)
 
     def __sub__(self, other):
-        if isinstance(other, Expression):
-            return sub(self, other)
-        return _binary(sub, self, other)
+        other = _coerce(other)
+        return NotImplemented if other is None else sub(self, other)
 
     def __rsub__(self, other):
-        return _binary(sub, other, self)
+        other = _coerce(other)
+        return NotImplemented if other is None else sub(other, self)
 
     def __mul__(self, other):
-        if isinstance(other, Expression):
-            return mul(self, other)
-        return _binary(mul, self, other)
+        other = _coerce(other)
+        return NotImplemented if other is None else mul(self, other)
 
     def __rmul__(self, other):
-        return _binary(mul, other, self)
+        other = _coerce(other)
+        return NotImplemented if other is None else mul(other, self)
 
     def __truediv__(self, other):
-        if isinstance(other, Expression):
-            return div(self, other)
-        return _binary(div, self, other)
+        other = _coerce(other)
+        return NotImplemented if other is None else div(self, other)
 
     def __rtruediv__(self, other):
-        return _binary(div, other, self)
+        other = _coerce(other)
+        return NotImplemented if other is None else div(other, self)
 
     def __pow__(self, other):
-        return _binary(pow_, self, other)
+        other = _coerce(other)
+        return NotImplemented if other is None else pow_(self, other)
 
     def __neg__(self):
         return neg(self)
@@ -259,21 +260,14 @@ ONE = Num(1.0)
 
 
 def _coerce(value):
+    """value as an expression, a number as Num; None for anything else, for
+    which the operators return NotImplemented, so that an object ndarray
+    applies them to each of its elements (Num(0.5) * comps)."""
     if isinstance(value, Expression):
         return value
     if isinstance(value, (int, float)):
         return Num(value)
     return None
-
-
-def _binary(build, a, b):
-    """build(a, b) with numbers taken as Num.  Any other operand gets
-    NotImplemented, so that an object ndarray applies the operator to each
-    of its elements: Num(0.5) * comps is mul(Num(0.5), c) for each c."""
-    a, b = _coerce(a), _coerce(b)
-    if a is None or b is None:
-        return NotImplemented
-    return build(a, b)
 
 
 def _is_num(e, value=None):

@@ -137,8 +137,12 @@ def derivative(comps, names):
 
 @functools.cache
 def upper_pairs(n, strict=False):
-    """(rows, cols) of the pairs i <= j (i < j if strict), row by row."""
-    return np.triu_indices(n, 1 if strict else 0)
+    """(rows, cols) of the pairs i <= j (i < j if strict), row by row;
+    read-only, since every caller shares them."""
+    pairs = np.triu_indices(n, 1 if strict else 0)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
 
 
 def from_upper(values, n, antisymmetric=False):
