@@ -289,12 +289,12 @@ def ricci_reeb_residual(structure, points=None, params=None):
 def ladder_fields(structure, d_convention="half"):
     """Components of the contact, K-contact and normality conditions:
     d eta - Phi, nabla xi + phi, and [phi, phi] + 2 d eta (x) xi."""
-    upper = np.triu_indices(structure.chart.dim, 1)
-    d_eta = exterior_derivative_oneform(structure.eta, d_convention).comps
-    contact = (d_eta - fundamental_form(structure).comps)[upper]
-    normal = nijenhuis_torsion(structure).comps \
-        + Num(2.0) * (d_eta * structure.xi.comps[:, None, None])
-    return [contact, reeb_transport_residual(structure), normal[:, upper[0], upper[1]]]
+    rows, cols = upper_pairs(structure.chart.dim, strict=True)
+    d_eta = exterior_derivative_oneform(structure.eta, d_convention).comps[rows, cols]
+    contact = d_eta - fundamental_form(structure).comps[rows, cols]
+    normal = nijenhuis_torsion(structure).comps[:, rows, cols] \
+        + Num(2.0) * (d_eta * structure.xi.comps[:, None])
+    return [contact, reeb_transport_residual(structure), normal]
 
 
 class LadderSups(SupNorms):

@@ -20,7 +20,15 @@ import numpy as np
 
 from grsoliton.chart import field_components, reduce_fields, sample_points
 from grsoliton.soliton import ResidualSup, SolitonSpec, build_gradient_check
-from grsoliton.tensors import TensorField, as_scalar, hessian, partial, ricci, sym_product
+from grsoliton.tensors import (
+    TensorField,
+    as_scalar,
+    derivative,
+    hessian,
+    ricci,
+    sym_product,
+    upper_pairs,
+)
 
 RANK_THRESHOLD = 1e-10
 CONSTANT_ORDER = ("c1", "c2", "lambda")
@@ -74,8 +82,8 @@ def design_fields(metric, f1, f2):
     of one sym2 field, which enter [A | b] with SIGNS, and the domain
     [f1, f2]: a point counts only where the potentials are defined."""
     f1, f2 = as_scalar(f1), as_scalar(f2)
-    df2 = TensorField(metric.chart, "oneform", [partial(f2, nm) for nm in metric.chart.names])
-    upper = np.triu_indices(metric.dim)
+    df2 = TensorField(metric.chart, "oneform", derivative(f2, metric.chart.names))
+    upper = upper_pairs(metric.dim)
     return [list(t[upper]) for t in (sym_product(df2, df2).comps, ricci(metric).comps,
                                       metric.comps, hessian(metric, f1).comps)] + [[f1, f2]]
 
