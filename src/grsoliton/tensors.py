@@ -160,7 +160,7 @@ def fold(total, *steps):
     """total op a[0] op' a'[0] ... op a[1] op' a'[1] ...: a left fold over
     the leading axis of each (op, a) step, taking the steps in turn at each
     index (op is operator.add or operator.sub, applied per element)."""
-    for m in range(len(steps[0][1])):  # a fold that mixes + and -: no einsum builds it
+    for m in range(len(steps[0][1])):  # mixes + and - or starts from a total: no einsum builds it
         for op, terms in steps:
             total = op(total, terms[m])
     return total
