@@ -303,7 +303,7 @@ def symbolic_inverse(matrix):
     n = len(matrix)
     everything = tuple(range(n))
     memo = {}
-    det = simplify(_cofactor_expansion(matrix, everything, everything, memo))
+    det = _cofactor_expansion(matrix, everything, everything, memo)
     inv = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -312,7 +312,7 @@ def symbolic_inverse(matrix):
                 everything[:i] + everything[i + 1:], memo)
             if (i + j) % 2:
                 cof = expr.neg(cof)
-            inv[i][j] = simplify(expr.div(cof, det))
+            inv[i][j] = expr.div(cof, det)
     return inv, det
 
 

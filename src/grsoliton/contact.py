@@ -24,18 +24,19 @@ from grsoliton.chart import (
     reduce_fields,
     sample_points,
 )
-from grsoliton.expr import Num
+from grsoliton.expr import Num, simplify
 from grsoliton.tensors import (
     TensorField,
+    as_scalar,
     christoffel,
     derivative,
     fold,
     from_upper,
     identity,
     lie_bracket_comps,
+    oneform_field,
     ricci,
     riemann,
-    simplified,
     upper_pairs,
     vector_field,
 )
@@ -131,15 +132,14 @@ def assemble_structure(chart, metric, phi, xi, eta, points=None, params=None,
     if chart.dim % 2 == 0:
         raise ValueError(f"almost contact structures need odd dimension, got {chart.dim}")
     phi = phi if isinstance(phi, TensorField) else \
-        TensorField(chart, "endo", [[_expr(entry) for entry in row] for row in phi])
+        TensorField(chart, "endo", [[simplify(as_scalar(entry)) for entry in row] for row in phi])
     xi = xi if isinstance(xi, TensorField) else vector_field(chart, xi)
-    eta = eta if isinstance(eta, TensorField) else \
-        TensorField(chart, "oneform", [_expr(c) for c in eta])
+    eta = eta if isinstance(eta, TensorField) else oneform_field(chart, eta)
     if points is None:
         points = sample_points(chart, "uniform", _AXIOM_POINTS, _AXIOM_SEED)
     points = np.atleast_2d(np.asarray(points, dtype=float))
 
-    axioms = {axiom: simplified(np.asarray(comps, dtype=object).reshape(-1)) for axiom, comps
+    axioms = {axiom: np.asarray(comps, dtype=object).reshape(-1) for axiom, comps
               in _axiom_components(chart, metric, phi, xi, eta).items()}
     env = chart.env_at(points, params)
     sups = SupNorms(len(axioms))
@@ -151,14 +151,6 @@ def assemble_structure(chart, metric, phi, xi, eta, points=None, params=None,
             raise StructureError(axiom, sup, points[_worst_point(values)])
     return AlmostContactStructure(chart, metric, phi, xi, eta,
                                   (chart.dim - 1) // 2, residuals)
-
-
-def _expr(entry):
-    if isinstance(entry, expr.Expression):
-        return entry
-    if isinstance(entry, str):
-        return expr.parse(entry)
-    return Num(entry)
 
 
 def fundamental_form(structure):
@@ -189,13 +181,12 @@ def nijenhuis_torsion(structure):
     n, names = structure.chart.dim, structure.chart.names
     rows, cols = upper_pairs(n, strict=True)
     phi = structure.phi.comps
-    bracket = simplified(lie_bracket_comps(phi[:, rows], phi[:, cols], names))
+    bracket = lie_bracket_comps(phi[:, rows], phi[:, cols], names)
     d_phi = derivative(phi, names)  # d_phi[m, k, j] = d_m phi^k_j
     # [phi d_i, d_j] = -d_j(phi d_i);  [d_i, phi d_j] = d_i(phi d_j)
-    inner = simplified(simplified(-d_phi[cols, :, rows].T) + d_phi[rows, :, cols].T)
-    torsion = simplified(bracket - simplified(phi @ inner))
-    return TensorField(structure.chart, "torsion", from_upper(torsion, n, antisymmetric=True),
-                       presimplify=False)
+    inner = -d_phi[cols, :, rows].T + d_phi[rows, :, cols].T
+    torsion = bracket - phi @ inner
+    return TensorField(structure.chart, "torsion", from_upper(torsion, n, antisymmetric=True))
 
 
 def reeb_transport_residual(structure):
@@ -204,7 +195,7 @@ def reeb_transport_residual(structure):
     xi = structure.xi.comps
     comps = fold(derivative(xi, structure.chart.names),  # [i, k]
                  (operator.add, gamma.transpose(2, 1, 0) * xi[:, None, None]))
-    return simplified(comps + structure.phi.comps.T)
+    return comps + structure.phi.comps.T
 
 
 def covariant_phi_residual(structure):
@@ -218,7 +209,7 @@ def covariant_phi_residual(structure):
     comps = comps - structure.metric.comps[..., None] * xi
     diagonal = np.arange(n)
     comps[diagonal, :, diagonal] = comps[diagonal, :, diagonal] + eta
-    return simplified(comps)
+    return comps
 
 
 def eta_transport_residual(structure):
@@ -228,7 +219,7 @@ def eta_transport_residual(structure):
     comps = fold(derivative(eta, structure.chart.names),
                  (operator.sub, gamma * eta[:, None, None]),
                  (operator.add, phi[:, :, None] * structure.metric.comps[:, None]))
-    return simplified(comps)
+    return comps
 
 
 def curvature_reeb_residual(structure):
@@ -239,7 +230,7 @@ def curvature_reeb_residual(structure):
     diagonal = np.arange(n)
     comps[diagonal, diagonal] = comps[diagonal, diagonal] - eta
     comps[diagonal, :, diagonal] = comps[diagonal, :, diagonal] + eta
-    return simplified(comps)
+    return comps
 
 
 def check_sasakian_identities(structure, points=None, params=None):
@@ -271,7 +262,7 @@ def ricci_reeb_comps(structure):
     xi = structure.xi.comps[:, None]
     comps = fold(expr.ZERO, (operator.add, ricci(structure.metric).comps * xi),
                  (operator.sub, Num(2.0 * structure.n) * (structure.metric.comps * xi)))
-    return list(simplified(comps))
+    return list(comps)
 
 
 def ricci_reeb_residual(structure, points=None, params=None):

@@ -39,7 +39,7 @@ from grsoliton.soliton import (
     build_vector_check,
     diagnose_domain,
 )
-from grsoliton.tensors import TensorField
+from grsoliton.tensors import vector_field
 
 SUBCOMMANDS = ("check-soliton", "check-structure", "check-theorem", "fit", "all")
 
@@ -271,8 +271,8 @@ def _soliton_rows(run):
     else:
         fit = None
         constants = manifest.numeric_constants()
-        X1 = TensorField(manifest.chart, "vector", manifest.vectors["X1"])
-        X2 = TensorField(manifest.chart, "vector", manifest.vectors["X2"])
+        X1 = vector_field(manifest.chart, manifest.vectors["X1"])
+        X2 = vector_field(manifest.chart, manifest.vectors["X2"])
         spec = SolitonSpec(manifest.metric, "vector",
                            constants["c1"], constants["c2"], constants["lambda"],
                            X1=X1, X2=X2, params=manifest.params)

@@ -39,7 +39,6 @@ from grsoliton.tensors import (
     musical_flat,
     pairing,
     ricci,
-    simplified,
     sym_product,
     upper_pairs,
 )
@@ -244,7 +243,7 @@ def _combine_sym2(terms):
     n = len(terms[0][1])
     rows, cols = upper_pairs(n)
     upper = np.add.reduce([Num(c) * t[rows, cols] for c, t in terms if c != 0.0])
-    return from_upper(simplified(upper), n)
+    return from_upper(upper, n)
 
 
 def build_gradient_check(spec):
@@ -309,10 +308,10 @@ def build_alignment_check(structure, f1, f2, c1):
     xi_xi_f2 = directional_derivative(xi, xi_f2)
     transport2 = covariant_derivative(metric, xi, grad2)
 
-    zeta = simplified(grad1.comps + Num(c1) * (xi_xi_f2 * grad2.comps)
-                      - Num(c1) * (xi_f2 * transport2.comps))
-    residual = simplified(zeta - directional_derivative(xi, f1) * xi.comps)
-    return TensorField(chart, "vector", zeta, presimplify=False), \
+    zeta = grad1.comps + Num(c1) * (xi_xi_f2 * grad2.comps) \
+        - Num(c1) * (xi_f2 * transport2.comps)
+    residual = zeta - directional_derivative(xi, f1) * xi.comps
+    return TensorField(chart, "vector", zeta), \
         Check("theorem_alignment", residual, zeta, [f1, f2])
 
 
@@ -339,8 +338,7 @@ def build_transport_check(structure, f1, f2, c1, c2, lam):
     grad2 = gradient(metric, f2)
     xi_f2 = directional_derivative(xi, f2)
     coeff = lam + 2.0 * c2 * structure.n
-    residual = simplified(lhs.comps - Num(coeff) * xi.comps
-                          + Num(c1) * (xi_f2 * grad2.comps))
+    residual = lhs.comps - Num(coeff) * xi.comps + Num(c1) * (xi_f2 * grad2.comps)
     return Check("grad_transport", residual, lhs.comps, [f1, f2])
 
 
@@ -359,8 +357,8 @@ def _projected_coordinate_fields(structure):
     """Y_i = d_i - eta(d_i) xi, the coordinate fields pushed off the Reeb
     direction; expanded symbolically so higher derivatives stay exact."""
     eta, xi = structure.eta.comps, structure.xi.comps
-    rows = simplified(identity(len(xi)) - np.multiply.outer(eta, xi))
-    return [TensorField(structure.chart, "vector", row, presimplify=False) for row in rows]
+    rows = identity(len(xi)) - np.multiply.outer(eta, xi)
+    return [TensorField(structure.chart, "vector", row) for row in rows]
 
 
 def potential_square_lie_sides(xi, f2):
@@ -377,8 +375,8 @@ def potential_square_lie_sides(xi, f2):
     lie = lie_derivative_sym2(square, xi)
     xi_f2 = directional_derivative(xi, f2)
     xi_xi_f2 = directional_derivative(xi, xi_f2)
-    lhs = simplified(lie.comps @ xi.comps)
-    rhs = simplified(derivative(xi_f2, names) * xi_f2 + derivative(f2, names) * xi_xi_f2)
+    lhs = lie.comps @ xi.comps
+    rhs = derivative(xi_f2, names) * xi_f2 + derivative(f2, names) * xi_xi_f2
     return lhs, rhs
 
 
@@ -405,11 +403,9 @@ def build_supporting_checks(structure, f1, f2, c1):
     g = metric.comps
     slope = pairing(g, transport1, xi)
 
-    lhs_dl = simplified(np.array([pairing(lie_outer.comps, Y, xi) for Y in projected],
-                                 dtype=object))
-    rhs_dl = simplified(np.array([pairing(g, grad1, Y) + pairing(g, transport1_twice, Y)
-                                  + directional_derivative(Y, slope) for Y in projected],
-                                 dtype=object))
+    lhs_dl = np.array([pairing(lie_outer.comps, Y, xi) for Y in projected], dtype=object)
+    rhs_dl = np.array([pairing(g, grad1, Y) + pairing(g, transport1_twice, Y)
+                       + directional_derivative(Y, slope) for Y in projected], dtype=object)
     domain = [f1, f2]
     double_lie = Check("double_lie", lhs_dl - rhs_dl, lhs_dl, domain)
 
@@ -423,8 +419,7 @@ def build_supporting_checks(structure, f1, f2, c1):
     reference = np.array([directional_derivative(Y, f1) for Y in projected], dtype=object)
     along_f2 = np.array([directional_derivative(Y, f2) for Y in projected], dtype=object)
     transported = np.array([pairing(g, transport2, Y) for Y in projected], dtype=object)
-    reduction = simplified(reference + Num(c1) * (xi_xi_f2 * along_f2)
-                           - Num(c1) * (xi_f2 * transported))
+    reduction = reference + Num(c1) * (xi_xi_f2 * along_f2) - Num(c1) * (xi_f2 * transported)
     return [double_lie, square_lie,
             Check("scalar_reduction", reduction, reference, domain)]
 

@@ -61,7 +61,7 @@ class TensorField:
 
     __slots__ = ("chart", "valence", "comps")
 
-    def __init__(self, chart, valence, comps, presimplify=True):
+    def __init__(self, chart, valence, comps):
         if valence not in VALENCE_RANK:
             raise ValueError(f"unknown valence {valence!r}")
         comps = np.asarray(comps, dtype=object)
@@ -69,9 +69,6 @@ class TensorField:
         if comps.shape != expected:
             raise ValueError(
                 f"valence {valence!r} needs shape {expected}, got {comps.shape}")
-        if presimplify:
-            comps = simplified(comps) if comps.ndim else \
-                np.asarray(simplify(comps[()]), dtype=object)
         self.chart = chart
         self.valence = valence
         self.comps = comps
@@ -100,31 +97,32 @@ def as_scalar(f):
 
 
 def vector_field(chart, comps):
-    return TensorField(chart, "vector", [as_scalar(c) for c in comps])
+    """A vector field from outside input: expressions, strings or numbers,
+    each simplified."""
+    return TensorField(chart, "vector", [simplify(as_scalar(c)) for c in comps])
 
 
 def oneform_field(chart, comps):
-    return TensorField(chart, "oneform", [as_scalar(c) for c in comps])
+    """A one-form from outside input, each component simplified."""
+    return TensorField(chart, "oneform", [simplify(as_scalar(c)) for c in comps])
 
 
 def coordinate_vector(chart, axis):
     comps = [expr.ZERO] * chart.dim
     comps[axis] = expr.ONE
-    return TensorField(chart, "vector", comps, presimplify=False)
+    return TensorField(chart, "vector", comps)
 
 
 def partial(e, name):
+    # potentials arrive as parsed, and the derivative of a node that is not
+    # simplified is not either (d(-2*ln(y)) holds -(2)); the tensors built
+    # from these by the smart constructors then need no simplify of their own
     return simplify(expr.differentiate(e, name))
 
 
 def identity(n):
     """The n x n identity as an object array of ONE and ZERO nodes."""
     return np.where(np.eye(n, dtype=bool), expr.ONE, expr.ZERO)
-
-
-def simplified(comps):
-    """simplify applied to every component of an object array."""
-    return np.frompyfunc(simplify, 1, 1)(comps)
 
 
 def derivative(comps, names):
@@ -298,7 +296,7 @@ def sym_product(alpha, beta):
 
 def directional_derivative(X, f):
     """X(f) = X^i d_i f as a scalar expression."""
-    return simplify(X.comps @ derivative(as_scalar(f), X.chart.names))
+    return X.comps @ derivative(as_scalar(f), X.chart.names)
 
 
 def pairing(T, X, Y):
@@ -308,4 +306,4 @@ def pairing(T, X, Y):
 
 def metric_tensor_field(metric):
     """The metric itself as a sym2 TensorField (shares component objects)."""
-    return TensorField(metric.chart, "sym2", metric.comps, presimplify=False)
+    return TensorField(metric.chart, "sym2", metric.comps)
