@@ -41,7 +41,7 @@ from grsoliton.expr import (
     render,
     simplify,
 )
-from grsoliton.fit import FitResult, fit_constants, manufacture_instance
+from grsoliton.fit import FitResult, fit_constants
 from grsoliton.manifest import (
     BUNDLED_NAMES,
     Manifest,

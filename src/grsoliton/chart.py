@@ -256,13 +256,6 @@ def pointwise_sup(values):
     return components_sup(field_components(values))
 
 
-def sup_norm(values):
-    """Unmasked sup of |values|; non-finite entries propagate."""
-    sups = SupNorms()
-    sups.update(0, field_components(np.atleast_1d(values)))
-    return sups.finish()[0]
-
-
 def _as_expression(entry):
     if isinstance(entry, Expression):
         return entry
@@ -334,11 +327,6 @@ class MetricField:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         env = self.chart.env_at(points, params)
         return evaluate_field(self.comps, env, points.shape[0])
-
-    def inverse_values_at(self, points, params=None):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        env = self.chart.env_at(points, params)
-        return evaluate_field(self.inverse, env, points.shape[0])
 
 
 def define_metric(chart, rows, params=None):

@@ -19,7 +19,6 @@ from grsoliton import expr
 from grsoliton.chart import (
     SupNorms,
     evaluate_field,
-    field_components,
     pointwise_sup,
     reduce_fields,
     sample_points,
@@ -320,17 +319,6 @@ class LadderSups(SupNorms):
             d_convention=self.d_convention,
             tolerance=tolerance,
         )
-
-
-def ladder_report(structure, values, tolerance=DEFAULT_TOLERANCE, d_convention="half"):
-    """Ladder flags from the evaluated ladder_fields of a structure.
-
-    Failures are report content, never exceptions.  The Sasakian flag is
-    contact and normal; ladder implications are enforced on the output.
-    """
-    ladder = LadderSups(structure, tolerance, d_convention)
-    ladder.update(0, *map(field_components, values))
-    return ladder.finish()
 
 
 def classify_structure(structure, tolerance=DEFAULT_TOLERANCE, points=None,

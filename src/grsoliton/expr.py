@@ -594,10 +594,16 @@ def evaluate_many(e, env, size):
     caller is expected to mask or diagnose (the scalar evaluator pinpoints
     the offending subexpression for a single point).
     """
-    return evaluate_many_multi((e,), env, size)[0]
+    out = np.empty(size)
+
+    def collect(lo, hi, values):
+        out[lo:hi] = values[0]
+
+    evaluate_many_multi((e,), env, size, collect)
+    return out
 
 
-def evaluate_many_multi(exprs, env, size, sink=None):
+def evaluate_many_multi(exprs, env, size, sink):
     """Vectorised evaluation of several roots as one plan.
 
     Each distinct node (and, since nodes are interned, each distinct
@@ -608,24 +614,8 @@ def evaluate_many_multi(exprs, env, size, sink=None):
     a root that does not depend on the point is a broadcast view of its
     scalar.  The arrays are only valid during the call, so a sink reduces
     or copies what it needs and keeps nothing else.
-
-    With a sink nothing is returned.  Without one, the root columns are
-    collected and returned, one (size,) array per root; roots of equal
-    structure share one array.
     """
-    plan = _Plan(exprs)
-    if sink is not None:
-        plan.run(env, size, sink)
-        return None
-    rows = {number: row for row, number in enumerate(dict.fromkeys(plan.roots))}
-    out = np.empty((len(rows), size))
-
-    def collect(lo, hi, values):
-        for number, value in zip(plan.roots, values):
-            out[rows[number], lo:hi] = value
-
-    plan.run(env, size, collect)
-    return [out[rows[number]] for number in plan.roots]
+    _Plan(exprs).run(env, size, sink)
 
 
 class _Plan:

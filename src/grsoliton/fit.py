@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from grsoliton.chart import field_components, reduce_fields, sample_points
+from grsoliton.chart import reduce_fields
 from grsoliton.soliton import ResidualSup, SolitonSpec, build_gradient_check
 from grsoliton.tensors import (
     TensorField,
@@ -189,21 +189,3 @@ def fit_constants(metric, f1, f2, points, params=None, fixed=None):
     fit.residual_sup, fit.target_sup = residual.finish().abs_sup, residual.ref_sup
     return fit
 
-
-def fit_design(values, fixed=None):
-    """fit_constants, without the residual, from evaluated design_fields."""
-    design = FitQR()
-    design.update(0, *map(field_components, values))
-    return design.finish(fixed)
-
-
-def manufacture_instance(metric, f1_template, f2_template, constants,
-                         points=None, params=None):
-    """(spec, fit): a gradient-mode spec from templates and (c1, c2, lam),
-    and the constants fitted back from it, whose affine solution set must
-    hold the given ones (fit.coset_distance of them is the certificate)."""
-    spec = SolitonSpec(metric, "gradient", *constants, f1=f1_template, f2=f2_template,
-                       params=params)
-    if points is None:
-        points = sample_points(metric.chart, "uniform", 200, 0)
-    return spec, fit_constants(metric, spec.f1, spec.f2, points, params=params)

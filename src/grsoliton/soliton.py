@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from grsoliton.chart import components_sup, field_components, reduce_fields, sample_points
+from grsoliton.chart import components_sup, reduce_fields, sample_points
 from grsoliton.expr import DomainError, Num, evaluate
 from grsoliton.tensors import (
     TensorField,
@@ -204,19 +204,6 @@ class ResidualSup:
             n_skipped=self.n_points - self.n_valid,
             components=check.residual,
         )
-
-
-def residual_report(check, residual_values, reference_values, chart, points,
-                    params, tolerance):
-    """Reduce a check's evaluated components, each (npoints, ...), to a report.
-
-    Points where the residual or the reference is non-finite are skipped;
-    if none is left, the scalar evaluator names the offending node.  The
-    check's domain is not evaluated here: run_checks applies it.
-    """
-    accumulator = ResidualSup(check, chart, points, params, tolerance)
-    accumulator.update(0, *map(field_components, (residual_values, reference_values)))
-    return accumulator.finish()
 
 
 def run_checks(chart, checks, points, params, tolerance):

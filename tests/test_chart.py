@@ -10,6 +10,7 @@ from grsoliton.chart import (
     MetricError,
     define_chart,
     define_metric,
+    evaluate_field,
     metric_inverse_at,
     sample_points,
     symbolic_determinant,
@@ -199,7 +200,7 @@ class TestMetricInverse:
         chart, g = request.getfixturevalue(fixture)
         pts = sample_points(chart, "uniform", 100, seed=11)
         gv = g.evaluate_at(pts)
-        iv = g.inverse_values_at(pts)
+        iv = evaluate_field(g.inverse, chart.env_at(pts), len(pts))
         eye = np.broadcast_to(np.eye(chart.dim), gv.shape)
         assert np.abs(gv @ iv - eye).max() <= 1e-12
 
@@ -207,7 +208,7 @@ class TestMetricInverse:
         chart, g = sasakian
         pt = [0.4, -0.7, 2.0]
         assert np.allclose(metric_inverse_at(g, pt),
-                           g.inverse_values_at([pt])[0], atol=1e-13)
+                           evaluate_field(g.inverse, chart.env_at([pt]), 1)[0], atol=1e-13)
 
 
 def test_symbolic_determinant_small_cases():
@@ -237,6 +238,6 @@ def test_symbolic_inverse_at_dimension_nine():
     g = define_metric(chart, rows)
     pts = sample_points(chart, "uniform", 100, seed=12)
     gv = g.evaluate_at(pts)
-    iv = g.inverse_values_at(pts)
+    iv = evaluate_field(g.inverse, chart.env_at(pts), len(pts))
     eye = np.broadcast_to(np.eye(chart.dim), gv.shape)
     assert np.abs(gv @ iv - eye).max() <= 1e-12

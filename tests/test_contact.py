@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grsoliton.chart import evaluate_field, evaluate_fields, sample_points
+from grsoliton.chart import evaluate_field, evaluate_fields, field_components, sample_points
 from grsoliton.contact import (
     StructureError,
     assemble_structure,
@@ -10,8 +10,8 @@ from grsoliton.contact import (
     covariant_phi_residual,
     exterior_derivative_oneform,
     fundamental_form,
+    LadderSups,
     ladder_fields,
-    ladder_report,
     nijenhuis_torsion,
     ricci_reeb_residual,
 )
@@ -169,7 +169,9 @@ class TestClassify:
         pts = sample_points(chart, "uniform", CHUNK_POINTS + 100, seed=12)
         values = evaluate_fields(ladder_fields(paper_structure, convention),
                                  chart.env_at(pts), len(pts))
-        report = ladder_report(paper_structure, values, d_convention=convention)
+        ladder = LadderSups(paper_structure, d_convention=convention)
+        ladder.update(0, *map(field_components, values))
+        report = ladder.finish()
         want = classify_structure(paper_structure, points=pts, d_convention=convention)
         assert report == want
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from grsoliton.chart import sample_points
-from grsoliton.fit import fit_constants, manufacture_instance
-from grsoliton.soliton import residual_gradient_form
+from grsoliton.fit import fit_constants
+from grsoliton.soliton import SolitonSpec, residual_gradient_form
 
 H2_F1, H2_F2 = "-2*ln(y)", "-ln(y)"
 CONE_F1, CONE_F2 = "x^2/2 - ln(x)", "ln(x)"
@@ -103,16 +103,23 @@ class TestFitConstants:
 
 
 def _sup_residual(metric, constants, pts, f1=H2_F1, f2=H2_F2):
-    from grsoliton.soliton import SolitonSpec
     spec = SolitonSpec(metric, "gradient", *map(float, constants), f1=f1, f2=f2)
     return residual_gradient_form(spec, pts).abs_sup
+
+
+def manufactured(metric, f1, f2, constants, points):
+    """(spec, fit): a gradient-mode spec from the potentials and (c1, c2,
+    lam), and the constants fitted back from it, whose affine solution set
+    must hold the given ones (fit.coset_distance of them is the certificate)."""
+    spec = SolitonSpec(metric, "gradient", *constants, f1=f1, f2=f2)
+    return spec, fit_constants(metric, spec.f1, spec.f2, points)
 
 
 class TestManufactureInstance:
     def test_hyperbolic_coset_recovery(self, hyperbolic_geometry):
         chart, g = hyperbolic_geometry
         pts = sample_points(chart, "uniform", 100, seed=14)
-        spec, fit = manufacture_instance(g, H2_F1, H2_F2, (2.0, 1.0, 3.0), pts)
+        spec, fit = manufactured(g, H2_F1, H2_F2, (2.0, 1.0, 3.0), pts)
         assert fit.rank == 2
         assert fit.coset_distance([2.0, 1.0, 3.0]) <= 1e-8
         assert residual_gradient_form(spec, pts).passed
@@ -120,13 +127,13 @@ class TestManufactureInstance:
     def test_cone_exact_recovery(self, cone_geometry):
         chart, g = cone_geometry
         pts = sample_points(chart, "uniform", 100, seed=15)
-        spec, fit = manufacture_instance(g, CONE_F1, CONE_F2, (-1.0, 1.0, 1.0), pts)
+        spec, fit = manufactured(g, CONE_F1, CONE_F2, (-1.0, 1.0, 1.0), pts)
         assert fit.rank == 3
         assert np.allclose(fit.solution, [-1.0, 1.0, 1.0], atol=1e-8)
 
     def test_zero_templates(self, euclidean_plane):
         chart, g = euclidean_plane
         pts = sample_points(chart, "uniform", 30, seed=16)
-        spec, fit = manufacture_instance(g, "0", "0", (0.0, 0.0, 0.0), pts)
+        spec, fit = manufactured(g, "0", "0", (0.0, 0.0, 0.0), pts)
         assert fit.coset_distance([0.0, 0.0, 0.0]) <= 1e-12
         assert residual_gradient_form(spec, pts).abs_sup == 0.0

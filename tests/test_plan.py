@@ -108,6 +108,18 @@ def dags(draw):
     return [pool[i] for i in picks]
 
 
+def collected(roots, env, size):
+    """Each root's values, one (size,) array per root, gathered chunk by
+    chunk from the plan's sink."""
+    out = np.empty((len(roots), size))
+
+    def sink(lo, hi, values):
+        out[:, lo:hi] = values
+
+    evaluate_many_multi(roots, env, size, sink)
+    return list(out)
+
+
 def same_bits(a, b):
     nan_a, nan_b = np.isnan(a), np.isnan(b)
     return (np.array_equal(nan_a, nan_b)
@@ -128,7 +140,7 @@ class TestPlan:
     @given(roots=dags())
     def test_matches_reference_bit_for_bit(self, size, roots):
         env = point_env(size)
-        got = evaluate_many_multi(roots, env, size)
+        got = collected(roots, env, size)
         assert len(got) == len(roots)
         for root, values in zip(roots, got):
             assert values.shape == (size,)
@@ -136,7 +148,7 @@ class TestPlan:
 
     def test_negative_zero_is_its_own_node(self):
         env = point_env(5)
-        plus, minus, shifted = evaluate_many_multi(
+        plus, minus, shifted = collected(
             [Div(Num(1.0), Num(0.0)), Div(Num(1.0), Num(-0.0)),
              Div(Add(Sym("a"), Num(1.0)), Num(-0.0))], env, 5)
         assert (plus == np.inf).all()
@@ -145,7 +157,7 @@ class TestPlan:
 
     def test_unbound_symbol_raises(self):
         with pytest.raises(expr.UnboundSymbolError):
-            evaluate_many_multi([Add(Sym("x"), Sym("missing"))], point_env(3), 3)
+            collected([Add(Sym("x"), Sym("missing"))], point_env(3), 3)
 
     @pytest.mark.parametrize("name", BUNDLED_NAMES)
     def test_all_runs_at_most_three_plans(self, name, monkeypatch, capsys):

@@ -1,15 +1,15 @@
 """The reducers against the formulas they replaced.
 
-residual_report, sup_norm and the axiom gate's worst point read evaluated
-fields without masked copies.  Each is compared here, bit for bit, with
-the plain masked-copy formula, kept below as the reference, on fields
-that come out of evaluate_fields (so they have its component-major
-layout and cross its chunk edges) and on C-ordered copies of them.  The
-accumulators behind them (ResidualSup, SupNorms, FieldValues) are also
-fed the same fields in random chunkings, as the evaluation plan feeds
-them, and must give the whole-array results.  fit_design and its FitQR
-accumulator are compared, to rounding, with np.linalg.lstsq and an SVD of
-the whole column-stacked design.
+The accumulators ResidualSup and SupNorms, fed a whole field as one
+chunk, and the axiom gate's worst point read evaluated fields without
+masked copies.  Each is compared here, bit for bit, with the plain
+masked-copy formula, kept below as the reference, on fields that come out
+of evaluate_fields (so they have its component-major layout and cross its
+chunk edges) and on C-ordered copies of them.  The accumulators
+(ResidualSup, SupNorms, FieldValues) are also fed the same fields in
+random chunkings, as the evaluation plan feeds them, and must give the
+whole-array results.  The FitQR accumulator is compared, to rounding,
+with np.linalg.lstsq and an SVD of the whole column-stacked design.
 """
 
 import struct
@@ -26,7 +26,6 @@ from grsoliton.chart import (
     field_components,
     pointwise_sup,
     reduce_fields,
-    sup_norm,
 )
 from grsoliton.contact import _worst_point
 from grsoliton.expr import CHUNK_POINTS, Num, Sym
@@ -36,9 +35,8 @@ from grsoliton.fit import (
     SIGNS,
     FitQR,
     TooFewPointsError,
-    fit_design,
 )
-from grsoliton.soliton import Check, ResidualSup, residual_report
+from grsoliton.soliton import Check, ResidualSup
 
 SHAPES = {1: [(1,), ()], 2: [(2,)], 3: [(3,)], 4: [(4,), (2, 2)], 6: [(6,), (2, 3)],
           8: [(8,), (2, 2, 2)], 9: [(9,), (3, 3)]}
@@ -208,8 +206,8 @@ class TestResidualReport:
     def test_matches_masked_copies(self, case):
         seed, npoints, shapes, validity = case
         for res, ref in layouts(evaluated(seed, npoints, shapes, validity)):
-            report = residual_report(Check("t", [], []), res, ref, None,
-                                     np.zeros((npoints, 1)), None, 1e-8)
+            report = one_chunk(ResidualSup(Check("t", [], []), None, np.zeros((npoints, 1)),
+                                           None, 1e-8), [res, ref]).finish()
             got = (report.abs_sup, report.rel_sup, report.n_points, report.n_skipped)
             want = reference_residual(res, ref)
             assert bits(got[:2]) == bits(want[:2])
@@ -250,8 +248,8 @@ class TestFitDesign:
         fields = evaluated(seed, npoints, shapes, validity)
         want = reference_fit(fields, fixed)
         for values in layouts(fields):
-            assert_same_fit(fit_design(values, fixed), want)
-            assert_same_fit(fit_design(values[:4], fixed),
+            assert_same_fit(one_chunk(FitQR(), values).finish(fixed), want)
+            assert_same_fit(one_chunk(FitQR(), values[:4]).finish(fixed),
                             reference_fit(values[:4], fixed))
         edges = data.draw(chunkings(npoints))
         assert_same_fit(feed(FitQR(), fields, edges).finish(fixed), want)
@@ -269,7 +267,7 @@ class TestFitDesign:
         values = [np.ones((npoints, 3)) for _ in range(4)]
         values[1][n_valid:, 2] = np.nan
         with pytest.raises(TooFewPointsError) as err:
-            fit_design(values)
+            one_chunk(FitQR(), values).finish()
         assert err.value.n_valid == n_valid
         assert err.value.first_bad == (None if n_valid == npoints else n_valid)
         assert isinstance(err.value, ValueError)
@@ -293,7 +291,7 @@ class TestFitDesign:
         v = np.linalg.qr(rng.standard_normal((3, 3))).Q
         a = u @ np.diag([1.0, 1.0 / np.sqrt(cond), 1.0 / cond]) @ v.T
         x = np.array([1.0, -2.0, 0.5])
-        fit = fit_design(self.design(list(a.T), x))
+        fit = one_chunk(FitQR(), self.design(list(a.T), x)).finish()
         assert fit.rank == 3
         assert (fit.singular_values[-1] / fit.singular_values[0]) ** 2 < RANK_THRESHOLD
         # forward error of a backward-stable solve: about cond * eps
@@ -304,7 +302,7 @@ class TestFitDesign:
         c1, c3 = rng.standard_normal((2, 5000))
         columns = [c1, 2.0 * c1, c3]             # c2 = 2 c1 exactly
         values = self.design(columns, np.array([1.0, 0.0, 3.0]), noise=0.1)
-        fit = fit_design(values)
+        fit = one_chunk(FitQR(), values).finish()
         assert fit.rank == 2
         direction = np.array([2.0, -1.0, 0.0]) / np.sqrt(5.0)
         assert min(np.abs(fit.null_space[:, 0] - direction).max(),
@@ -318,12 +316,12 @@ class TestFitDesign:
         rng = np.random.default_rng(6)
         columns = list(rng.standard_normal((3, 4000)) * np.array([[1e3], [1.0], [1e-3]]))
         x = np.array([0.25, -1.0, 4.0])
-        fit = fit_design(self.design(columns, x))
+        fit = one_chunk(FitQR(), self.design(columns, x)).finish()
         assert fit.rank == 3
         assert np.abs(fit.solution - x).max() <= 1e-10 * np.abs(x).max()
         # with noise, against the whole design's least squares
         values = self.design(columns, x, noise=1e-2, seed=7)
-        assert_same_fit(fit_design(values), reference_fit(values, {}))
+        assert_same_fit(one_chunk(FitQR(), values).finish(), reference_fit(values, {}))
 
 
 CHUNK_SIZES = (1, CHUNK_POINTS - 1, CHUNK_POINTS, CHUNK_POINTS + 1, 2 * CHUNK_POINTS + 3)
@@ -350,6 +348,16 @@ def feed(accumulator, fields, edges):
     for lo, hi in zip(edges, edges[1:]):
         accumulator.update(lo, *[[c[lo:hi] for c in comps] for comps in components])
     return accumulator
+
+
+def one_chunk(accumulator, fields):
+    """accumulator fed every point of the (npoints, ...) fields as one chunk."""
+    return feed(accumulator, fields, [0, len(fields[0])])
+
+
+def sup_norm(values):
+    """The SupNorms of values, an (npoints, ...) field, fed as one chunk."""
+    return one_chunk(SupNorms(), [np.atleast_1d(values)]).finish()[0]
 
 
 class TestChunkedAccumulators:
