@@ -42,6 +42,9 @@ RESERVED_NAMES = frozenset(FUNCTIONS) | frozenset(CONSTANTS)
 # the bundled sasakian3 checks at 100k points (2-vCPU x86, numpy 2.4)
 CHUNK_POINTS = 8192
 
+# characters of a subexpression that a DomainError's message shows
+MESSAGE_TEXT_LIMIT = 1000
+
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _FLOAT_BITS = struct.Struct("<d").pack
@@ -73,10 +76,15 @@ class UnboundSymbolError(ExpressionError):
 
 
 class DomainError(ExpressionError):
-    """Evaluation left the domain of a subexpression at a concrete point."""
+    """Evaluation left the domain of a subexpression at a concrete point.
+
+    The message shows at most MESSAGE_TEXT_LIMIT characters of the
+    subexpression's text; the node itself is .subexpression.
+    """
 
     def __init__(self, message, subexpression, point):
-        super().__init__(f"{message} in {render(subexpression)!r} at {point}")
+        text = render(subexpression, MESSAGE_TEXT_LIMIT)
+        super().__init__(f"{message} in {text!r} at {point}")
         self.subexpression = subexpression
         self.point = dict(point)
 
@@ -368,43 +376,45 @@ def differentiate(e, var):
     return _derivative(e, var)
 
 
-def _derivative(node, var):
-    cache = node._derivatives
-    if cache is None:
-        cache = node._derivatives = {}
-    else:
-        ref = cache.get(var)
-        out = None if ref is None else ref()
-        if out is not None:
-            return out
+def _derivative(root, var):
+    return _bottom_up(root, _derivative_rule, _cached_derivative, var)
+
+
+def _cached_derivative(node, var):
+    ref = None if node._derivatives is None else node._derivatives.get(var)
+    return None if ref is None else ref()
+
+
+def _derivative_rule(node, kids, var):
+    """The derivative of node from its children's derivatives, cached on it."""
     if isinstance(node, Num):
         out = ZERO
     elif isinstance(node, Sym):
         out = ONE if node.name == var else ZERO
     elif isinstance(node, Neg):
-        out = neg(_derivative(node.arg, var))
+        out = neg(kids[0])
     elif isinstance(node, Add):
-        out = add(_derivative(node.left, var), _derivative(node.right, var))
+        out = add(*kids)
     elif isinstance(node, Sub):
-        out = sub(_derivative(node.left, var), _derivative(node.right, var))
+        out = sub(*kids)
     elif isinstance(node, Mul):
-        out = add(mul(_derivative(node.left, var), node.right),
-                  mul(node.left, _derivative(node.right, var)))
+        out = add(mul(kids[0], node.right), mul(node.left, kids[1]))
     elif isinstance(node, Div):
-        da, db = _derivative(node.left, var), _derivative(node.right, var)
+        da, db = kids
         if _is_num(db, 0.0):
             out = div(da, node.right)
         else:
             out = div(sub(mul(da, node.right), mul(node.left, db)),
                       mul(node.right, node.right))
     elif isinstance(node, Pow):
-        out = _pow_derivative(node, _derivative(node.left, var),
-                              _derivative(node.right, var))
+        out = _pow_derivative(node, *kids)
     elif isinstance(node, Call):
-        out = _call_derivative(node, _derivative(node.arg, var))
+        out = _call_derivative(node, kids[0])
     else:  # pragma: no cover - exhaustive over node kinds
         raise TypeError(f"cannot differentiate {type(node).__name__}")
-    cache[var] = weakref.ref(out)
+    if node._derivatives is None:
+        node._derivatives = {}
+    node._derivatives[var] = weakref.ref(out)
     return out
 
 
@@ -450,27 +460,26 @@ def simplify(e):
     return _simplified(e)
 
 
-def _simplified(node):
+def _simplified(root):
+    return _bottom_up(root, _simplify_rule, _cached_simple)
+
+
+def _cached_simple(node, _):
     cached = node._simple
-    if cached is True:
-        return node
-    if cached is not None:
-        return cached
+    return node if cached is True else cached
+
+
+def _simplify_rule(node, kids, _):
+    """The simplified node from its simplified children, cached on it."""
     kind = type(node)
     if kind is Num or kind is Sym:
         out = node
     elif kind is Neg:
-        a = _simplified(node.arg)
-        if isinstance(a, Num):
-            out = Num(-a.value)
-        elif isinstance(a, Neg):
-            out = a.arg
-        else:
-            out = Neg(a)
+        out = neg(kids[0])
     elif kind is Call:
-        out = Call(node.func, _simplified(node.arg))
+        out = Call(node.func, kids[0])
     else:
-        out = _simplify_binary(kind, _simplified(node.left), _simplified(node.right))
+        out = _simplify_binary(kind, *kids)
     node._simple = True if out is node else out
     return out
 
@@ -737,32 +746,78 @@ def _children(node):
     return ()
 
 
-def render(e):
-    """Infix text that reparses to an evaluation-identical tree."""
-    if isinstance(e, Num):
-        v = e.value
-        if v.is_integer() and abs(v) < 1e16:
-            return str(int(v))
-        return repr(v)
-    if isinstance(e, Sym):
-        return e.name
-    if isinstance(e, Neg):
-        return "-" + _wrap(e.arg, Neg.precedence)
-    if isinstance(e, Call):
-        return f"{e.func}({render(e.arg)})"
-    if isinstance(e, Pow):
-        left = _wrap(e.left, Pow.precedence, strict=True)
-        right = _wrap(e.right, Pow.precedence)
-        return f"{left}^{right}"
-    # the parser is left-associative, so a right child of equal precedence
-    # must keep its parentheses or reparsing would reassociate the floats
-    left = _wrap(e.left, e.precedence)
-    right = _wrap(e.right, e.precedence, strict=True)
-    return f"{left} {e.symbol} {right}"
+def _bottom_up(root, rule, cached, arg=None):
+    """rule(node, its children's results, arg) at every node under root,
+    children first, without recursion, so that a deep tree is no deeper a
+    stack; a node for which cached(node, arg) is not None takes that
+    result, and the walk does not go below it.  Returns root's result."""
+    out = cached(root, arg)
+    if out is not None:
+        return out
+    results = {}         # id(node) -> result; root keeps every node alive
+    stack = [(root, _children(root))]
+    while stack:
+        node, kids = stack[-1]
+        pending = False
+        for kid in kids:
+            if id(kid) not in results:
+                out = cached(kid, arg)
+                if out is None:
+                    stack.append((kid, _children(kid)))
+                    pending = True
+                else:
+                    results[id(kid)] = out
+        if not pending:
+            stack.pop()
+            if id(node) not in results:
+                results[id(node)] = rule(node, [results[id(k)] for k in kids], arg)
+    return results[id(root)]
 
 
-def _wrap(child, parent_prec, strict=False):
-    text = render(child)
+def render(e, limit=None):
+    """Infix text that reparses to an evaluation-identical tree.
+
+    With a limit, text longer than limit characters is cut to its first
+    limit characters and "..." is appended; the cut text is found without
+    writing out the rest, whose length grows with the tree unshared.
+    """
+    keep = None if limit is None else limit + 1
+    text = _bottom_up(e, _render_rule, _no_cache, keep)
+    return text if keep is None or len(text) < keep else text[:limit] + "..."
+
+
+def _no_cache(node, _):
+    return None
+
+
+def _render_rule(node, kids, keep):
+    """The text of node from its children's texts, cut to keep characters:
+    the first keep characters of a text depend only on the first keep of
+    each of its parts."""
+    if isinstance(node, Num):
+        v = node.value
+        text = str(int(v)) if v.is_integer() and abs(v) < 1e16 else repr(v)
+    elif isinstance(node, Sym):
+        text = node.name
+    elif isinstance(node, Neg):
+        text = "-" + _wrap(node.arg, kids[0], Neg.precedence)
+    elif isinstance(node, Call):
+        text = f"{node.func}({kids[0]})"
+    elif isinstance(node, Pow):
+        left = _wrap(node.left, kids[0], Pow.precedence, strict=True)
+        right = _wrap(node.right, kids[1], Pow.precedence)
+        text = f"{left}^{right}"
+    else:
+        # the parser is left-associative, so a right child of equal
+        # precedence must keep its parentheses or reparsing would
+        # reassociate the floats
+        left = _wrap(node.left, kids[0], node.precedence)
+        right = _wrap(node.right, kids[1], node.precedence, strict=True)
+        text = f"{left} {node.symbol} {right}"
+    return text if keep is None else text[:keep]
+
+
+def _wrap(child, text, parent_prec, strict=False):
     prec = _effective_precedence(child)
     if prec < parent_prec or (strict and prec == parent_prec):
         return f"({text})"
@@ -915,4 +970,11 @@ def parse(text):
     """
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty expression", 0, expected=("number", "name", "'('", "'-'"))
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        # the descent takes a few frames per nesting level
+        offset = _byte_offset(text, parser.peek().offset)
+        raise ParseError(f"expression nested too deeply at offset {offset}",
+                         offset) from None

@@ -165,11 +165,14 @@ def fold(total, *steps):
 
 
 def _derived(metric, key, builder):
+    """metric.derived[key], built on first use; its component array is
+    read-only, since every caller shares it."""
     try:
         return metric.derived[key]
     except KeyError:
-        metric.derived[key] = builder()
-        return metric.derived[key]
+        field = metric.derived[key] = builder()
+        field.comps.setflags(write=False)
+        return field
 
 
 def christoffel(metric):
@@ -235,19 +238,29 @@ def musical_flat(metric, X):
 
 
 def gradient(metric, f):
-    """(grad f)^i = g^ij d_j f."""
-    df = derivative(as_scalar(f), metric.chart.names)
-    return musical_sharp(metric, TensorField(metric.chart, "oneform", df))
+    """(grad f)^i = g^ij d_j f, built once per metric and f."""
+    f = as_scalar(f)
+
+    def build():
+        df = derivative(f, metric.chart.names)
+        return musical_sharp(metric, TensorField(metric.chart, "oneform", df))
+    return _derived(metric, ("gradient", f), build)
 
 
 def hessian(metric, f):
-    """Hess f_ij = d_i d_j f - Gamma^k_ij d_k f."""
-    names = metric.chart.names
-    rows, cols = upper_pairs(metric.dim)
-    df = derivative(as_scalar(f), names)
-    second = np.array([partial(df[i], names[j]) for i, j in zip(rows, cols)], dtype=object)
-    comps = fold(second, (operator.sub, christoffel(metric).comps[:, rows, cols] * df[:, None]))
-    return TensorField(metric.chart, "sym2", from_upper(comps, metric.dim))
+    """Hess f_ij = d_i d_j f - Gamma^k_ij d_k f, built once per metric and f."""
+    f = as_scalar(f)
+
+    def build():
+        names = metric.chart.names
+        rows, cols = upper_pairs(metric.dim)
+        df = derivative(f, names)
+        second = np.array([partial(df[i], names[j]) for i, j in zip(rows, cols)],
+                          dtype=object)
+        comps = fold(second,
+                     (operator.sub, christoffel(metric).comps[:, rows, cols] * df[:, None]))
+        return TensorField(metric.chart, "sym2", from_upper(comps, metric.dim))
+    return _derived(metric, ("hessian", f), build)
 
 
 def covariant_derivative(metric, X, Y):

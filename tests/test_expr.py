@@ -492,6 +492,80 @@ class TestInterning:
         assert simplify(e) is Sym("x")
 
 
+def doubling(k):
+    """d <- d * d + x, k times from d = x: k + 1 distinct nodes below the
+    root, but a tree of more than 2^k nodes once unshared."""
+    d = Sym("x")
+    for _ in range(k):
+        d = d * d + Sym("x")
+    return d
+
+
+class TestDeepInput:
+    """Every walk over a tree is a loop, so input deeper than Python's
+    recursion limit parses, simplifies, differentiates and renders, or, for
+    parenthesised input the parser cannot descend into, is a ParseError."""
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply") as err:
+            parse("(" * 200 + "x" + ")" * 200)
+        assert 0 < err.value.offset <= 200
+
+    def test_long_sums_walk_without_recursion(self):
+        chain = parse(" + ".join(["x"] * 3000))
+        assert render(chain) == " + ".join(["x"] * 3000)
+        assert simplify(chain) is chain
+        assert evaluate(differentiate(chain, "x"), {"x": 0.0}) == 3000.0
+        assert evaluate(differentiate(chain, "y"), {}) == 0.0
+        negated = Sym("x")
+        for _ in range(3000):
+            negated = Neg(negated)
+        assert simplify(negated) is Sym("x")
+        assert differentiate(negated, "x") is expr.ONE
+
+    def test_long_sum_domain_error(self):
+        chain = parse(" + ".join(["x"] * 3000))
+        with pytest.raises(DomainError) as err:
+            evaluate(expr.call("ln", chain - chain), {"x": 1.0})
+        assert err.value.subexpression is expr.call("ln", chain - chain)
+
+
+class TestDomainErrorText:
+    def test_short_text_is_whole(self):
+        with pytest.raises(DomainError) as err:
+            evaluate(parse("sqrt(-1 - y^2)"), {"y": 0.5})
+        assert str(err.value) == ("square root of a negative number in "
+                                  "'sqrt(-1 - y^2)' at {'y': 0.5}")
+
+    def test_long_text_is_cut(self):
+        # ln(d - d) with d doubled 12 times renders to 21,841 characters
+        node = expr.call("ln", doubling(12) - doubling(12))
+        with pytest.raises(DomainError) as err:
+            evaluate(node, {"x": 0.1})
+        text = render(node)
+        assert len(text) > expr.MESSAGE_TEXT_LIMIT
+        cut = text[:expr.MESSAGE_TEXT_LIMIT] + "..."
+        assert str(err.value) == f"log of a non-positive number in {cut!r} at {{'x': 0.1}}"
+        assert err.value.subexpression is node
+
+    def test_shared_text_is_not_written_out(self):
+        # unshared, ln(d - d) with d doubled 16 times renders to 1.3 M
+        # characters, and each further doubling multiplies that by 4
+        node = expr.call("ln", doubling(16) - doubling(16))
+        with pytest.raises(DomainError) as err:
+            evaluate(node, {"x": 0.1})
+        assert len(str(err.value)) <= expr.MESSAGE_TEXT_LIMIT + 60
+        assert err.value.subexpression is node
+
+    @pytest.mark.parametrize("limit", [0, 1, 7, 40, 400])
+    def test_limit_cuts_the_full_text(self, limit):
+        node = doubling(5)
+        text = render(node)
+        want = text if len(text) <= limit else text[:limit] + "..."
+        assert render(node, limit) == want
+        assert render(node, len(text)) == text
+
+
 def reference_evaluate(e, env):
     """The scalar evaluator as a recursive walk with a memo per call."""
     memo = {}

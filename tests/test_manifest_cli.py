@@ -354,6 +354,26 @@ class TestCliExitCodes:
         assert main(["check-soliton", "--manifest", str(path)]) == 3
         assert "domain error" in capsys.readouterr().err
 
+    def test_deeply_nested_input_is_a_manifest_error(self, tmp_path, capsys):
+        doc = copy.deepcopy(HYPERBOLIC)
+        doc["scalars"]["f1"] = "(" * 200 + "-2*ln(y)" + ")" * 200
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check-soliton", "--manifest", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "manifest error: scalars.f1: expression nested too deeply at offset ")
+
+    @pytest.mark.parametrize("terms", [1000, 3000])
+    def test_long_potentials_are_checked(self, tmp_path, capsys, terms):
+        # x/7 - x/7 differentiates to exactly zero, so the rows still pass
+        doc = copy.deepcopy(HYPERBOLIC)
+        doc["scalars"]["f1"] = "-2*ln(y)" + " + x/7 - x/7" * (terms // 2)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        for sub in ("check-soliton", "all"):
+            assert main([sub, "--manifest", str(path)]) == 0, sub
+        capsys.readouterr()
+
     def _sasakian_f2(self, tmp_path, f2, fit=None):
         doc = sasakian_manifest()
         doc["scalars"]["f2"] = f2

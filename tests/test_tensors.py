@@ -171,6 +171,26 @@ class TestHessian:
         assert np.abs(value_at(hessian(g, "pi"), [1.0, 0.0, 0.0])).max() == 0.0
 
 
+class TestMemo:
+    def test_gradient_and_hessian_are_built_once(self, hyperbolic_geometry):
+        _, g = hyperbolic_geometry
+        # the string parses to the interned node, so both calls share one key
+        f = expr.parse("-2*ln(y) + x/3")
+        assert hessian(g, f) is hessian(g, "-2*ln(y) + x/3")
+        assert gradient(g, f) is gradient(g, "-2*ln(y) + x/3")
+        assert hessian(g, f) is not hessian(g, expr.simplify(f))
+
+    @pytest.mark.parametrize("build", [christoffel, riemann, riemann_lowered, ricci,
+                                       lambda g: hessian(g, "y^3"),
+                                       lambda g: gradient(g, "y^3")])
+    def test_shared_components_are_read_only(self, hyperbolic_geometry, build):
+        _, g = hyperbolic_geometry
+        comps = build(g).comps
+        assert not comps.flags.writeable
+        with pytest.raises(ValueError):
+            comps[(0,) * comps.ndim] = expr.ZERO
+
+
 class TestMusical:
     def test_hyperbolic_flat_of_dx(self, hyperbolic_geometry):
         chart, g = hyperbolic_geometry
