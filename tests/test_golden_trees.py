@@ -12,8 +12,15 @@ The cases are the three bundled manifests and dense 4-D and 5-D metrics
 pruned to a shorter fold), the 5-D one with a dense almost-contact
 structure whose axioms are not checked (its tolerance admits any finite
 residual), so that the ladder and theorem rows are built from dense phi,
-xi and eta.  The fit row of
-`all` is left out: its constants are fitted numbers, not structure.
+xi and eta, and a manifest whose strings hold input that simplify folds.
+The fit row of `all` is left out: its constants are fitted numbers, not
+structure.
+
+Input is simplified where it enters (the metric, phi, xi and eta, and
+every derivative), and the smart constructors that build the tensors
+from it are simplify's own rules, so every pinned component is its own
+simplification.  Only the potentials, which the rows carry as parsed for
+their domain, are not.
 """
 
 import hashlib
@@ -22,6 +29,7 @@ import math
 import pytest
 
 from grsoliton import expr
+from grsoliton.expr import simplify
 from grsoliton.contact import (
     assemble_structure,
     covariant_phi_residual,
@@ -68,6 +76,21 @@ DENSE5 = {
     "constants": {"c1": 0.5, "c2": -1.5, "lambda": 0.25},
     "tolerance": 1e300,
 }
+# y^-2, 0*x, -(-x), 2^3 and (1+1)*x in the metric, the potentials and the
+# structure, whose axioms are not checked
+FOLDABLE = {
+    "chart": {"coords": ["x", "y", "z"], "bounds": {"y": [0, None]}},
+    "metric": [["y^-2", "0*x", "0"], ["0*x", "(1+1)*y^-2", "0"],
+               ["0", "0", "-(-(2^3/8 + x^2))"]],
+    "structure": {
+        "phi": [["0", "-(-1)", "0*z"], ["-1", "0", "0"], ["0", "2^3*0", "0"]],
+        "xi": ["0", "0", "(1+1)/2"],
+        "eta": ["0*x", "0", "2^3/8"],
+    },
+    "scalars": {"f1": "(1+1)*x + y^-2 + 0*z", "f2": "-(-x)*2^3 + ln(y)"},
+    "constants": {"c1": 0.5, "c2": -1.5, "lambda": 0.25},
+    "tolerance": 1e300,
+}
 MANIFESTS = {
     "hyperbolic": lambda: bundled_examples("hyperbolic"),
     "cone": lambda: bundled_examples("cone"),
@@ -75,9 +98,11 @@ MANIFESTS = {
     "dense4": lambda: load_manifest(DENSE4),
     "dense4-vectors": lambda: load_manifest(DENSE4_VECTORS),
     "dense5": lambda: load_manifest(DENSE5),
+    "foldable": lambda: load_manifest(FOLDABLE),
 }
 
-# recorded with the hand-written contraction loops, before einsum
+# recorded with the hand-written contraction loops, before einsum, except
+# for "foldable"
 EXPECTED = {
     "hyperbolic": {
         "christoffel":
@@ -201,10 +226,39 @@ EXPECTED = {
         "check-theorem/plan1":
             "16e90ded005ddcbcbcf5b870f976bccd2a89a9629e10483851423c82eb488756",
     },
+    # recorded while every builder still simplified its components
+    "foldable": {
+        "christoffel":
+            "32b66b65cbe23d386cf43e01a009fd4d777b5cb0d1909d03c5fc3a1d39a9b7a0",
+        "riemann":
+            "517d02f211f3b65ecc14516cffb5ce8ac102dd4f46008f37bb1f097f28576b4c",
+        "riemann_lowered":
+            "52c0970daa4abc008554fe3f88090f5ed28ba1d79395372c2c2246b425db8295",
+        "ricci":
+            "808018d38881468918cd0f624d4e21c73eef1c6878140b6738e8400cef7fe907",
+        "hessian":
+            "3ff854c69643421223e14db701e54516e5dfde1b47374be46dea5368ac84655b",
+        "gradient":
+            "30ed4b41e2a70e3b992d250948e4f15ca930765c58b457d2d6864c2fe434522f",
+        "design_fields":
+            "a062827a21106db384f500cd76d3de626df721be51dc16349e1c532b65f10a95",
+        "sasakian_identities":
+            "75c04f59a44cfdda999c54d74c3363b66ba710bf5ce3934570a65bd92ee9aefe",
+        "check-soliton/plan0":
+            "67e84a75e1d5e4ecf056e7b3af2c659f829ae0e1cd6587a3bba5d084e6c982db",
+        "check-structure/plan0":
+            "7e34eefbff4c95d89628c0012a4ab2cb71bfce7bff7b42a77ab810b0f9e013c6",
+        "check-structure/plan1":
+            "2df696b0859a3fd9dd75a35e0013d82759dbe3abab9a843ed21ebf9cbf1cb2b6",
+        "check-theorem/plan0":
+            "7e34eefbff4c95d89628c0012a4ab2cb71bfce7bff7b42a77ab810b0f9e013c6",
+        "check-theorem/plan1":
+            "e7532d60c92e13f63772e7310905ace93f9f50f79798ca2d51271a6229a66b12",
+    },
 }
 
 
-def digest(comps):
+def text_digest(comps):
     text = "\n".join(expr.render(c) for c in comps)
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -214,9 +268,17 @@ def flat(field):
 
 
 def tree_digests(name, monkeypatch):
-    """{label: digest} of every pinned tree of one manifest."""
+    """{label: digest} of every pinned tree of one manifest, asserting that
+    each component but the parsed potentials is its own simplification."""
     manifest = MANIFESTS[name]()
     metric = manifest.metric
+    potentials = set(map(id, (manifest.scalars or {}).values()))
+
+    def digest(comps):
+        for c in comps:
+            assert id(c) in potentials or simplify(c) is c, expr.render(c)
+        return text_digest(comps)
+
     out = {}
     tensors = {"christoffel": christoffel, "riemann": riemann,
                "riemann_lowered": riemann_lowered, "ricci": ricci}
