@@ -284,12 +284,6 @@ def _cofactor_expansion(matrix, rows, cols, memo):
     return memo[key]
 
 
-def symbolic_determinant(matrix):
-    """Cofactor-expansion determinant of an object matrix of expressions."""
-    everything = tuple(range(len(matrix)))
-    return _cofactor_expansion(matrix, everything, everything, {})
-
-
 def symbolic_inverse(matrix):
     """Adjugate-over-determinant inverse; the determinant and the cofactors
     share their minors."""

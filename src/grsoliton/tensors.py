@@ -107,12 +107,6 @@ def oneform_field(chart, comps):
     return TensorField(chart, "oneform", [simplify(as_scalar(c)) for c in comps])
 
 
-def coordinate_vector(chart, axis):
-    comps = [expr.ZERO] * chart.dim
-    comps[axis] = expr.ONE
-    return TensorField(chart, "vector", comps)
-
-
 def partial(e, name):
     # potentials arrive as parsed, and the derivative of a node that is not
     # simplified is not either (d(-2*ln(y)) holds -(2)); the tensors built

@@ -13,7 +13,7 @@ from grsoliton.chart import (
     evaluate_field,
     metric_inverse_at,
     sample_points,
-    symbolic_determinant,
+    symbolic_inverse,
 )
 
 P = "4*exp(y)/(16+exp(2*y))"
@@ -213,11 +213,11 @@ class TestMetricInverse:
 
 def test_symbolic_determinant_small_cases():
     two = [[expr.parse("a"), expr.parse("b")], [expr.parse("c"), expr.parse("d")]]
-    det = symbolic_determinant(two)
+    _, det = symbolic_inverse(two)
     env = {"a": 2.0, "b": 3.0, "c": 5.0, "d": 7.0}
     assert expr.evaluate(det, env) == 2 * 7 - 3 * 5
     one = [[expr.parse("a")]]
-    assert expr.evaluate(symbolic_determinant(one), env) == 2.0
+    assert expr.evaluate(symbolic_inverse(one)[1], env) == 2.0
 
 
 def standard_sasakian_metric(m):

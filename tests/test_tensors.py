@@ -6,7 +6,6 @@ from grsoliton.chart import evaluate_field, sample_points
 from grsoliton.tensors import (
     TensorField,
     christoffel,
-    coordinate_vector,
     covariant_derivative,
     directional_derivative,
     gradient,
@@ -194,7 +193,7 @@ class TestMemo:
 class TestMusical:
     def test_hyperbolic_flat_of_dx(self, hyperbolic_geometry):
         chart, g = hyperbolic_geometry
-        alpha = value_at(musical_flat(g, coordinate_vector(chart, 0)), [0.0, 2.0])
+        alpha = value_at(musical_flat(g, vector_field(chart, ["1", "0"])), [0.0, 2.0])
         assert np.allclose(alpha, [0.25, 0.0], atol=1e-16)
 
     def test_sasakian_flat_of_reeb_is_eta(self, sasakian_geometry):
@@ -221,7 +220,7 @@ class TestMusical:
 class TestCovariantDerivative:
     def test_hyperbolic_dx_dx(self, hyperbolic_geometry):
         chart, g = hyperbolic_geometry
-        dx = coordinate_vector(chart, 0)
+        dx = vector_field(chart, ["1", "0"])
         v = value_at(covariant_derivative(g, dx, dx), [0.3, 2.0])
         assert np.allclose(v, [0.0, 0.5], atol=1e-16)
 
@@ -241,7 +240,7 @@ class TestCovariantDerivative:
 class TestLieBracket:
     def test_leibniz_example(self, euclidean_plane):
         chart, _ = euclidean_plane
-        b = lie_bracket(coordinate_vector(chart, 0), vector_field(chart, ["0", "x"]))
+        b = lie_bracket(vector_field(chart, ["1", "0"]), vector_field(chart, ["0", "x"]))
         assert np.allclose(value_at(b, [0.7, 0.3]), [0.0, 1.0], atol=1e-16)
 
     def test_rotationlike_fields(self, euclidean_plane):
