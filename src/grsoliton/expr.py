@@ -354,19 +354,11 @@ _SMART = {Add: add, Sub: sub, Mul: mul, Div: div, Pow: pow_}
 
 def free_symbols(e):
     """Set of symbol names appearing in the tree."""
-    names = set()
-    seen = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, Sym):
-            names.add(node.name)
-        else:
-            stack.extend(_children(node))
-    return frozenset(names)
+    return _bottom_up(e, _symbols_rule, _no_cache)
+
+
+def _symbols_rule(node, kids, _):
+    return frozenset((node.name,)) if isinstance(node, Sym) else frozenset().union(*kids)
 
 
 def differentiate(e, var):
@@ -631,26 +623,17 @@ class _Plan:
     """Distinct nodes of a set of roots, children before parents."""
 
     def __init__(self, roots):
-        numbers = {}                 # id(node) -> value number
+        self.numbers = {}            # id(node) -> value number
         self.steps = []              # (node, child numbers) per value number
-        self.roots = [self._number(root, numbers) for root in roots]
+        self.roots = [_bottom_up(root, self._number, self._numbered) for root in roots]
 
-    def _number(self, root, numbers):
-        stack = [root]
-        while stack:
-            node = stack[-1]
-            if id(node) in numbers:
-                stack.pop()
-                continue
-            kids = _children(node)
-            todo = [k for k in kids if id(k) not in numbers]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            numbers[id(node)] = len(self.steps)
-            self.steps.append((node, tuple(numbers[id(k)] for k in kids)))
-        return numbers[id(root)]
+    def _numbered(self, node, _):
+        return self.numbers.get(id(node))
+
+    def _number(self, node, kids, _):
+        number = self.numbers[id(node)] = len(self.steps)
+        self.steps.append((node, tuple(kids)))
+        return number
 
     def run(self, env, size, sink):
         # nodes that do not depend on a point are computed once; the rest
