@@ -11,14 +11,7 @@ import math
 import numpy as np
 
 from grsoliton import expr
-from grsoliton.expr import (
-    RESERVED_NAMES,
-    Expression,
-    Num,
-    free_symbols,
-    parse,
-    simplify,
-)
+from grsoliton.expr import RESERVED_NAMES, as_scalar, free_symbols, simplify
 
 # Sampling policy: stay MARGIN away from finite ends, truncate unbounded
 # directions to [-TRUNCATION, TRUNCATION] (or bound + TRUNCATION above a
@@ -256,16 +249,6 @@ def pointwise_sup(values):
     return components_sup(field_components(values))
 
 
-def _as_expression(entry):
-    if isinstance(entry, Expression):
-        return entry
-    if isinstance(entry, str):
-        return parse(entry)
-    if isinstance(entry, (int, float)):
-        return Num(entry)
-    raise TypeError(f"cannot interpret {entry!r} as an expression")
-
-
 def _cofactor_expansion(matrix, rows, cols, memo):
     """Determinant of the minor of matrix on the rows and cols tuples,
     expanded along its first row; memo keeps every minor expanded, keyed
@@ -331,7 +314,7 @@ def define_metric(chart, rows, params=None):
     leave all leading principal minors positive.
     """
     n = chart.dim
-    matrix = [[_as_expression(entry) for entry in row] for row in rows]
+    matrix = [[as_scalar(entry) for entry in row] for row in rows]
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise MetricError(f"metric must be {n}x{n} for chart {chart!r}")
     allowed = set(chart.names) | set(params or {})

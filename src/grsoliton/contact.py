@@ -23,10 +23,9 @@ from grsoliton.chart import (
     reduce_fields,
     sample_points,
 )
-from grsoliton.expr import Num, simplify
+from grsoliton.expr import Num, as_scalar, simplify
 from grsoliton.tensors import (
     TensorField,
-    as_scalar,
     christoffel,
     derivative,
     fold,

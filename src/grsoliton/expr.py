@@ -278,6 +278,17 @@ def _coerce(value):
     return None
 
 
+def as_scalar(f):
+    """f as an expression: a string is parsed, a number is a Num."""
+    if isinstance(f, Expression):
+        return f
+    if isinstance(f, str):
+        return parse(f)
+    if isinstance(f, (int, float)):
+        return Num(f)
+    raise TypeError(f"cannot interpret {f!r} as a scalar expression")
+
+
 def _is_num(e, value=None):
     return isinstance(e, Num) and (value is None or e.value == value)
 

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from grsoliton.chart import reduce_fields
+from grsoliton.expr import as_scalar
 from grsoliton.soliton import ResidualSup, SolitonSpec, build_gradient_check
 from grsoliton.tensors import (
     TensorField,
-    as_scalar,
     derivative,
     hessian,
     ricci,

@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from grsoliton.chart import components_sup, reduce_fields, sample_points
-from grsoliton.expr import DomainError, Num, evaluate
+from grsoliton.expr import DomainError, Num, as_scalar, evaluate
 from grsoliton.tensors import (
     TensorField,
-    as_scalar,
     covariant_derivative,
     derivative,
     directional_derivative,

@@ -41,7 +41,7 @@ import numpy as np
 
 from grsoliton import expr
 from grsoliton.chart import evaluate_field
-from grsoliton.expr import Expression, Num, parse, simplify
+from grsoliton.expr import Num, as_scalar, simplify
 
 VALENCE_RANK = {
     "scalar": 0,
@@ -84,16 +84,6 @@ class TensorField:
 
     def __repr__(self):
         return f"TensorField({self.valence}, dim={self.chart.dim})"
-
-
-def as_scalar(f):
-    if isinstance(f, Expression):
-        return f
-    if isinstance(f, str):
-        return parse(f)
-    if isinstance(f, (int, float)):
-        return Num(f)
-    raise TypeError(f"cannot interpret {f!r} as a scalar expression")
 
 
 def vector_field(chart, comps):
