@@ -94,6 +94,19 @@ class AlmostContactStructure:
         self.axiom_residuals = axiom_residuals
 
 
+def _points(chart, points):
+    """points as an (npoints, n) array; None samples the default points."""
+    if points is None:
+        return sample_points(chart, "uniform", _AXIOM_POINTS, _AXIOM_SEED)
+    return np.atleast_2d(np.asarray(points, dtype=float))
+
+
+def _reduce(chart, groups, points, params):
+    """reduce_fields at points (see _points)."""
+    points = _points(chart, points)
+    reduce_fields(groups, chart.env_at(points, params), len(points))
+
+
 def _worst_point(values):
     """Index of the first point with a non-finite value if there is one,
     else of the point with the largest |value|."""
@@ -133,10 +146,7 @@ def assemble_structure(chart, metric, phi, xi, eta, points=None, params=None,
         TensorField(chart, "endo", [[simplify(as_scalar(entry)) for entry in row] for row in phi])
     xi = xi if isinstance(xi, TensorField) else vector_field(chart, xi)
     eta = eta if isinstance(eta, TensorField) else oneform_field(chart, eta)
-    if points is None:
-        points = sample_points(chart, "uniform", _AXIOM_POINTS, _AXIOM_SEED)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-
+    points = _points(chart, points)
     axioms = {axiom: np.asarray(comps, dtype=object).reshape(-1) for axiom, comps
               in _axiom_components(chart, metric, phi, xi, eta).items()}
     env = chart.env_at(points, params)
@@ -239,10 +249,6 @@ def check_sasakian_identities(structure, points=None, params=None):
     eta_transport:  (nabla_X eta) Y = -g(phi X, Y)
     curvature_reeb: R(X, Y) xi = eta(Y) X - eta(X) Y
     """
-    chart = structure.chart
-    if points is None:
-        points = sample_points(chart, "uniform", _AXIOM_POINTS, _AXIOM_SEED)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     fields = {
         "covariant_phi": covariant_phi_residual(structure),
         "reeb_transport": reeb_transport_residual(structure),
@@ -250,8 +256,7 @@ def check_sasakian_identities(structure, points=None, params=None):
         "curvature_reeb": curvature_reeb_residual(structure),
     }
     sups = SupNorms(len(fields))
-    reduce_fields([(list(fields.values()), sups)], chart.env_at(points, params),
-                  len(points))
+    _reduce(structure.chart, [(list(fields.values()), sups)], points, params)
     return dict(zip(fields, sups.finish()))
 
 
@@ -265,13 +270,8 @@ def ricci_reeb_comps(structure):
 
 def ricci_reeb_residual(structure, points=None, params=None):
     """Sup-norm of Ric(xi, d_j) - 2 n g(xi, d_j) over sample points."""
-    chart = structure.chart
-    if points is None:
-        points = sample_points(chart, "uniform", _AXIOM_POINTS, _AXIOM_SEED)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     sups = SupNorms()
-    reduce_fields([([ricci_reeb_comps(structure)], sups)], chart.env_at(points, params),
-                  len(points))
+    _reduce(structure.chart, [([ricci_reeb_comps(structure)], sups)], points, params)
     return sups.finish()[0]
 
 
@@ -323,11 +323,7 @@ class LadderSups(SupNorms):
 def classify_structure(structure, tolerance=DEFAULT_TOLERANCE, points=None,
                        params=None, d_convention="half"):
     """Evaluate the ladder conditions and report flags plus raw residuals."""
-    chart = structure.chart
-    if points is None:
-        points = sample_points(chart, "uniform", _AXIOM_POINTS, _AXIOM_SEED)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     ladder = LadderSups(structure, tolerance, d_convention)
-    reduce_fields([(ladder_fields(structure, d_convention), ladder)],
-                  chart.env_at(points, params), len(points))
+    _reduce(structure.chart, [(ladder_fields(structure, d_convention), ladder)], points,
+            params)
     return ladder.finish()
