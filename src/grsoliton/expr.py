@@ -19,7 +19,9 @@ hash-consing", 2006), so structurally equal expressions are one object
 however they were built.  The intern table holds its nodes weakly, so a
 node lives exactly as long as something else refers to it.  Each node
 caches its simplified form and, weakly, its derivatives, so simplifying or
-differentiating a node again, in any call, is one lookup.
+differentiating a node again, in any call, is one lookup.  Every walk
+over a tree is a loop, not a recursion, so a tree deeper than Python's
+recursion limit is handled like any other.
 Vectorised evaluation (evaluate_many_multi) computes each node once and
 runs over the points in fixed-size chunks; each chunk's root values go to
 a sink that reduces them, so no value outlives its chunk unless the sink
@@ -959,8 +961,9 @@ def parse(text):
     """Parse infix text into an Expression.
 
     Raises ParseError with a byte offset and expected-token set on syntax
-    errors, UnknownFunctionError for names applied as functions that are
-    not in the known set.
+    errors and on input nested too deeply to descend into,
+    UnknownFunctionError for names applied as functions that are not in
+    the known set.
     """
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty expression", 0, expected=("number", "name", "'('", "'-'"))

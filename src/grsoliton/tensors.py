@@ -57,7 +57,10 @@ VALENCE_RANK = {
 
 
 class TensorField:
-    """Component array of expressions with a valence tag on one chart."""
+    """Component array of expressions with a valence tag on one chart.
+
+    The components are taken as given; vector_field and oneform_field
+    simplify input from outside the package."""
 
     __slots__ = ("chart", "valence", "comps")
 
