@@ -3,6 +3,7 @@ import pytest
 
 from grsoliton.chart import evaluate_field, evaluate_fields, field_components, sample_points
 from grsoliton.contact import (
+    LadderSups,
     StructureError,
     assemble_structure,
     check_sasakian_identities,
@@ -10,7 +11,6 @@ from grsoliton.contact import (
     covariant_phi_residual,
     exterior_derivative_oneform,
     fundamental_form,
-    LadderSups,
     ladder_fields,
     nijenhuis_torsion,
     ricci_reeb_residual,
