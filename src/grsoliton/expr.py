@@ -23,13 +23,15 @@ differentiating a node again, in any call, is one lookup.  Every walk
 over a tree is a loop, not a recursion, so a tree deeper than Python's
 recursion limit is handled like any other.
 Vectorised evaluation (evaluate_many_multi) computes each node once and
-runs over the points in fixed-size chunks; each chunk's root values go to
-a sink that reduces them, so no value outlives its chunk unless the sink
-keeps it.
+runs over the points in fixed-size chunks.  Every value a chunk computes
+lives in one of a fixed pool of chunk-long buffers, allocated once per
+run and reused by a later value after the last read of an earlier one;
+each chunk's root values go to a sink that reduces them, and the next
+chunk overwrites them, so no value outlives its chunk unless the sink
+copies it.
 """
 
 import math
-import operator
 import re
 import struct
 import weakref
@@ -40,8 +42,10 @@ FUNCTIONS = ("exp", "ln", "sin", "cos", "tan", "cot", "sqrt")
 CONSTANTS = {"pi": math.pi, "e": math.e}
 RESERVED_NAMES = frozenset(FUNCTIONS) | frozenset(CONSTANTS)
 
-# points per chunk of vectorised evaluation: the fastest of 1,024-100k for
-# the bundled sasakian3 checks at 100k points (2-vCPU x86, numpy 2.4)
+# points per chunk of vectorised evaluation.  `all` on the bundled
+# sasakian3 at 100k points, median ms per run (2-vCPU x86, numpy 2.4):
+# 4,096: 130-133, 8,192: 120-127, 12,288: 119-125, 16,384: 123-134,
+# 32,768: 132-137; 8,192 and 12,288 tie within noise
 CHUNK_POINTS = 8192
 
 # characters of a subexpression that a DomainError's message shows
@@ -509,8 +513,9 @@ def evaluate(e, env):
     """Scalar IEEE-double evaluation; env maps symbol names to floats.
 
     Raises DomainError (carrying the offending subexpression and point)
-    for ln/sqrt/cot domain violations, division by zero, and fractional
-    powers of negative numbers.
+    for ln/sqrt/cot domain violations, division by zero, fractional
+    powers of negative numbers, and overflow: exp, ^, +, -, * or / giving
+    an infinite value from finite arguments.
     """
     values = {}          # id(node) -> value; e keeps every node alive
     stack = [e]
@@ -544,20 +549,24 @@ def _eval_node(node, args, env):
             raise UnboundSymbolError(node.name) from None
     if isinstance(node, Neg):
         return -args[0]
+    if isinstance(node, Pow):
+        return _eval_pow(node, args[0], args[1], env)
+    if isinstance(node, Call):
+        return _eval_call(node, args[0], env)
     if isinstance(node, Add):
-        return args[0] + args[1]
-    if isinstance(node, Sub):
-        return args[0] - args[1]
-    if isinstance(node, Mul):
-        return args[0] * args[1]
-    if isinstance(node, Div):
+        value = args[0] + args[1]
+    elif isinstance(node, Sub):
+        value = args[0] - args[1]
+    elif isinstance(node, Mul):
+        value = args[0] * args[1]
+    else:
         denom, numer = args
         if denom == 0.0:
             raise DomainError("division by zero", node, env)
-        return numer / denom
-    if isinstance(node, Pow):
-        return _eval_pow(node, args[0], args[1], env)
-    return _eval_call(node, args[0], env)
+        value = numer / denom
+    if math.isinf(value) and math.isfinite(args[0]) and math.isfinite(args[1]):
+        raise DomainError("overflow", node, env)
+    return value
 
 
 def _eval_pow(node, base, expo, env):
@@ -622,12 +631,17 @@ def evaluate_many_multi(exprs, env, size, sink):
 
     Each distinct node (and, since nodes are interned, each distinct
     structure) is computed once.  Points are processed in chunks of
-    CHUNK_POINTS, and intermediate values live for one chunk.  After each
-    chunk the plan calls sink(lo, hi, values): values holds, in the order
-    of exprs, each root's values at points lo..hi-1 as a (hi - lo,) array;
-    a root that does not depend on the point is a broadcast view of its
-    scalar.  The arrays are only valid during the call, so a sink reduces
-    or copies what it needs and keeps nothing else.
+    CHUNK_POINTS.  The plan is compiled once per call: each value that
+    depends on the point gets a slot in a pool of chunk-long buffers, and
+    a value's slot passes to a later value after its last read (a root's
+    slot does not), so the pool holds as many buffers as values are live
+    at once.  Each step then runs as one numpy call that writes its slot.
+    After each chunk the plan calls sink(lo, hi, values): values holds,
+    in the order of exprs, each root's values at points lo..hi-1 as a
+    (hi - lo,) array; a root that does not depend on the point is a
+    broadcast view of its scalar.  The next chunk overwrites these
+    arrays, so a sink reduces or copies what it needs during the call and
+    keeps no array, nor any view of one.
     """
     _Plan(exprs).run(env, size, sink)
 
@@ -652,8 +666,9 @@ class _Plan:
         # nodes that do not depend on a point are computed once; the rest
         # form a per-chunk program of (number, operation, argument numbers)
         values = [None] * len(self.steps)
-        columns = {}
+        columns = []
         program = []
+        last_use = {}        # value number -> index of the last step reading it
         for number, (node, args) in enumerate(self.steps):
             if isinstance(node, Num):
                 values[number] = node.value
@@ -663,56 +678,96 @@ class _Plan:
                 except KeyError:
                     raise UnboundSymbolError(node.name) from None
                 if np.ndim(value):
-                    columns[number] = np.broadcast_to(value, (size,))
+                    columns.append((number, np.broadcast_to(value, (size,))))
                 else:
-                    values[number] = value
+                    # as the scalar evaluator reads it: a ufunc would wrap
+                    # a product of Python ints at 64 bits
+                    values[number] = float(value)
             elif any(values[a] is None for a in args):
+                for a in args:
+                    last_use[a] = len(program)
                 program.append((number, _operation(node), args))
             else:
                 with np.errstate(all="ignore"):
                     values[number] = _operation(node)(*(values[a] for a in args))
-        roots = set(self.roots)
-        # a point-independent root reaches the sink as a slice of one
-        # broadcast view per value number; its users in the program keep
-        # the scalar
-        views = {number: np.broadcast_to(np.float64(values[number]), (size,))
-                 for number in roots if values[number] is not None}
-        fixed = [(i, views[number]) for i, number in enumerate(self.roots)
-                 if number in views]
-        # a chunk's intermediate value is dropped right after its last use
-        last_use = {a: i for i, (_, _, args) in enumerate(program) for a in args}
-        drops = [[] for _ in program]
-        for a, i in last_use.items():
-            if values[a] is None and a not in roots:
-                drops[i].append(a)
-        program = [step + (drop,) for step, drop in zip(program, drops)]
+        width = min(size, CHUNK_POINTS)
+        pool, sources, steps = self._bind(columns, program, values, last_use, width)
+        roots = self._roots(sources, values, width)
         for lo in range(0, size, CHUNK_POINTS):
             hi = min(lo + CHUNK_POINTS, size)
-            chunk = list(values)
-            for number, column in columns.items():
-                chunk[number] = column[lo:hi]
+            if hi - lo < width:
+                # the last, shorter chunk: the same steps on the first
+                # hi - lo points of each buffer, found by its identity
+                views = {id(buffer): buffer[:hi - lo] for buffer in pool}
+                sources = [views.get(id(value), value) for value in sources]
+                steps = [(op, [views.get(id(a), a) for a in args], views[id(out)])
+                         for op, args, out in steps]
+                roots = self._roots(sources, values, hi - lo)
+            for number, column in columns:
+                sources[number][...] = column[lo:hi]
             with np.errstate(all="ignore"):
-                for number, op, args, drop in program:
-                    chunk[number] = op(*[chunk[a] for a in args])
-                    for a in drop:
-                        chunk[a] = None
-            out = [chunk[number] for number in self.roots]
-            for i, column in fixed:
-                out[i] = column[lo:hi]
-            sink(lo, hi, out)
+                for op, args, out in steps:
+                    op(*args, out=out)
+            sink(lo, hi, roots)
+
+    def _bind(self, columns, program, values, last_use, width):
+        """The pool of width-long buffers, each value as a step reads it
+        (its scalar, or its buffer) and every step as (ufunc, arguments,
+        out buffer).
+
+        Buffers are assigned by linear scan (Poletto & Sarkar, "Linear scan
+        register allocation", 1999): each coordinate column takes a buffer
+        of its own, then each step in program order takes the buffer that
+        was freed last, or a new one.  A value frees its buffer at its last
+        use, before that step takes one, so a step may write over an
+        argument it is the last to read; a root keeps its buffer.
+        last_use maps each value read by a step to the index of the last
+        step that reads it, and is used up.
+        """
+        roots = set(self.roots)
+        sources = list(values)
+        pool = [np.empty(width) for _ in columns]
+        for (number, _), buffer in zip(columns, pool):
+            sources[number] = buffer
+        free = []
+        steps = []
+        read = sources.__getitem__
+        for i, (number, op, args) in enumerate(program):
+            arguments = tuple(map(read, args))
+            for a in args:
+                if last_use[a] == i and values[a] is None and a not in roots:
+                    last_use[a] = None      # freed once, if read twice (x * x)
+                    free.append(sources[a])
+            if free:
+                out = free.pop()
+            else:
+                out = np.empty(width)
+                pool.append(out)
+            sources[number] = out
+            steps.append((op, arguments, out))
+        return pool, sources, steps
+
+    def _roots(self, sources, values, n):
+        """The roots as the sink reads them, n points each; a root that
+        does not depend on the point is a broadcast view of its scalar."""
+        return tuple(sources[number] if values[number] is None
+                     else np.broadcast_to(np.float64(values[number]), (n,))
+                     for number in self.roots)
 
 
 _BINARY_OPS = {
-    Add: operator.add,
-    Sub: operator.sub,
-    Mul: operator.mul,
+    Add: np.add,
+    Sub: np.subtract,
+    Mul: np.multiply,
     Div: np.divide,
     Pow: np.power,
 }
 
 
-def _cot(a):
-    return np.divide(np.cos(a), np.sin(a))
+def _cot(a, out=None):
+    # out may be a itself, so sin(a) is taken before out is written
+    s = np.sin(a)
+    return np.divide(np.cos(a, out=out), s, out=out)
 
 
 _NUMPY_CALLS = {
@@ -728,7 +783,7 @@ _NUMPY_CALLS = {
 
 def _operation(node):
     if isinstance(node, Neg):
-        return operator.neg
+        return np.negative
     if isinstance(node, Call):
         return _NUMPY_CALLS[node.func]
     return _BINARY_OPS[type(node)]

@@ -283,7 +283,7 @@ def _soliton_rows(run):
     else:
         # the restricted fit is measured at the constants it resolved, so
         # its row and the soliton row read one report
-        run.add_check(check, functools.partial(_fit_rows, fit=fit, note="resolved-for-check",
+        run.add_check(check, functools.partial(_fit_rows, fit=fit, restricted=True,
                                                soliton=extra))
 
 
@@ -309,10 +309,11 @@ def _design_fields(manifest):
     return design_fields(manifest.metric, manifest.scalars["f1"], manifest.scalars["f2"])
 
 
-def _fit_rows(run, report, fit, note=None, soliton=None):
+def _fit_rows(run, report, fit, restricted=False, soliton=None):
     """The fit row of fit, whose residual is the report of the gradient
-    form at its constants; then, if soliton holds a soliton row's extra,
-    the soliton row of the same report."""
+    form at its constants, named fit_constants_restricted for the fit that
+    resolves "fit" constants for the other rows; then, if soliton holds a
+    soliton row's extra, the soliton row of the same report."""
     manifest, tol = run.manifest, run.tol
     passed = report.passed
     extra = {
@@ -327,9 +328,11 @@ def _fit_rows(run, report, fit, note=None, soliton=None):
         distance = fit.coset_distance([declared[k] for k in fit.free_names])
         extra["declared_distance"] = distance
         passed = passed and distance <= max(tol, 1e-8)
-    if note:
-        extra["note"] = note
-    rows = [CheckRow("fit_constants", report.abs_sup, report.rel_sup, tol, passed, extra)]
+    name = "fit_constants"
+    if restricted:
+        name += "_restricted"
+        extra["note"] = "resolved-for-check"
+    rows = [CheckRow(name, report.abs_sup, report.rel_sup, tol, passed, extra)]
     if soliton is not None:
         rows.append(_row_from_report(report, **soliton))
     return rows

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+from importlib import resources
 
 import pytest
 
@@ -244,9 +245,20 @@ class TestRunManifest:
         doc["constants"] = {"c1": "fit", "c2": 1, "lambda": 3}
         report = run_manifest(load_manifest(doc), "check-soliton")
         assert report.overall_pass
-        fit_rows = [r for r in report.checks if r.name == "fit_constants"]
+        fit_rows = [r for r in report.checks if r.name == "fit_constants_restricted"]
         assert fit_rows and fit_rows[0].extra["solution"]["c1"] == \
             pytest.approx(2.0, abs=1e-8)
+
+    @pytest.mark.parametrize("name", BUNDLED_NAMES)
+    @pytest.mark.parametrize("fitted", [(), ("lambda",), ("c1", "lambda")],
+                             ids=["declared", "lambda-fit", "c1-lambda-fit"])
+    def test_all_names_each_row_once(self, name, fitted):
+        doc = json.loads(resources.files("grsoliton").joinpath(f"data/{name}.json")
+                         .read_text())
+        doc["constants"].update(dict.fromkeys(fitted, "fit"))
+        names = [row.name for row in run_manifest(load_manifest(doc), "all").checks]
+        assert len(names) == len(set(names)), names
+        assert ("fit_constants_restricted" in names) == bool(fitted)
 
     def test_failing_manifest_fails(self):
         doc = copy.deepcopy(HYPERBOLIC)
@@ -427,6 +439,18 @@ class TestCliExitCodes:
             assert main([sub, "--manifest", str(path)]) == 3, sub
             assert capsys.readouterr().err.startswith(
                 "domain error: square root of a negative number in 'sqrt(-1)' at "), sub
+
+    def test_an_overflow_names_the_product(self, tmp_path, capsys):
+        # f1 is infinite at every point: (1e200*y)^2 overflows, and so do
+        # the products of its derivatives
+        doc = copy.deepcopy(HYPERBOLIC)
+        doc["scalars"]["f1"] = "-2*ln(y) + (1e200*y)*(1e200*y)"
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        for sub in ("check-soliton", "fit", "all"):
+            assert main([sub, "--manifest", str(path)]) == 3, sub
+            assert capsys.readouterr().err.startswith(
+                "domain error: overflow in '1e+200 * (1e+200 * y)' at "), sub
 
     def test_theorem_rows_need_the_potentials_defined(self, tmp_path, capsys):
         # the theorem rows use f2 only through xi(f2) = d f2/dz = 0, which

@@ -10,6 +10,8 @@ chunk edges) and on C-ordered copies of them.  The accumulators
 random chunkings, as the evaluation plan feeds them, and must give the
 whole-array results.  The FitQR accumulator is compared, to rounding,
 with np.linalg.lstsq and an SVD of the whole column-stacked design.
+Every accumulator must keep nothing of the arrays a chunk hands it: the
+plan writes the next chunk into the same buffers.
 """
 
 import struct
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grsoliton import expr
 from grsoliton.chart import (
     FieldValues,
     SupNorms,
@@ -26,8 +29,15 @@ from grsoliton.chart import (
     field_components,
     pointwise_sup,
     reduce_fields,
+    sample_points,
 )
-from grsoliton.contact import _worst_point
+from grsoliton.contact import (
+    LadderSups,
+    _worst_point,
+    assemble_structure,
+    ladder_fields,
+    ricci_reeb_comps,
+)
 from grsoliton.expr import CHUNK_POINTS, Num, Sym
 from grsoliton.fit import (
     CONSTANT_ORDER,
@@ -35,8 +45,10 @@ from grsoliton.fit import (
     SIGNS,
     FitQR,
     TooFewPointsError,
+    design_fields,
 )
-from grsoliton.soliton import Check, ResidualSup
+from grsoliton.manifest import resolve_manifest
+from grsoliton.soliton import Check, ResidualSup, SolitonSpec, build_gradient_check
 
 SHAPES = {1: [(1,), ()], 2: [(2,)], 3: [(3,)], 4: [(4,), (2, 2)], 6: [(6,), (2, 3)],
           8: [(8,), (2, 2, 2)], 9: [(9,), (3, 3)]}
@@ -436,3 +448,58 @@ class TestChunkedAccumulators:
         sups.update(0, [np.array([-0.0, -0.0])])
         sups.update(2, [np.array([-0.0])])
         assert bits(sups.finish()) == bits([0.0])
+
+
+def poisoning(evaluate):
+    """evaluate_many_multi whose sink, once it returns, fills every array
+    it was handed with NaN, as the plan's next chunk may overwrite them
+    (a point-independent root, a broadcast constant, is no plan buffer)."""
+    def run(exprs, env, size, sink):
+        def poisoned(lo, hi, values):
+            sink(lo, hi, values)
+            for array in values:
+                if array.strides != (0,):
+                    array.fill(np.nan)
+        evaluate(exprs, env, size, poisoned)
+    return run
+
+
+def finished(npoints):
+    """The finish() results, as IEEE bits and flags, of every kind of
+    accumulator fed sasakian3's fields in one plan over npoints points."""
+    manifest = resolve_manifest("sasakian3")
+    chart, metric = manifest.chart, manifest.metric
+    f1, f2 = manifest.scalars["f1"], manifest.scalars["f2"]
+    points = sample_points(chart, "uniform", npoints, 5)
+    block = manifest.structure
+    structure = assemble_structure(chart, metric, block["phi"], block["xi"], block["eta"],
+                                   points=points)
+    check = build_gradient_check(SolitonSpec(metric, "gradient", -1.0, 0.0, 1.0,
+                                             f1=f1, f2=f2))
+    # bare coordinates, a constant and a duplicate as roots, next to the metric
+    coordinates = np.array([Sym("x"), Num(2.5), Sym("z"), Sym("x")], dtype=object)
+    values = FieldValues([coordinates.shape, metric.comps.shape], npoints)
+    ladder, reeb, residual, design = (LadderSups(structure), SupNorms(),
+                                      ResidualSup(check, chart, points, None, 1e-8), FitQR())
+    reduce_fields([([coordinates, metric.comps], values),
+                   (ladder_fields(structure), ladder),
+                   ([ricci_reeb_comps(structure)], reeb),
+                   (check.fields, residual),
+                   (design_fields(metric, f1, f2), design)],
+                  chart.env_at(points), npoints)
+    report, fit = ladder.finish(), design.finish()
+    result = residual.finish()
+    return ([bits(v) for v in values.finish()],
+            report.flags(), bits(list(report.residuals.values())),
+            bits(reeb.finish()),
+            bits([result.abs_sup, result.rel_sup]), (result.n_points, result.n_skipped),
+            bits(fit.solution), bits(fit.singular_values), bits(fit.null_space),
+            (fit.rank, fit.n_points, fit.n_skipped))
+
+
+@pytest.mark.parametrize("npoints", [CHUNK_POINTS - 1, CHUNK_POINTS, CHUNK_POINTS + 1,
+                                     2 * CHUNK_POINTS + 3])
+def test_accumulators_keep_no_chunk_array(npoints, monkeypatch):
+    want = finished(npoints)
+    monkeypatch.setattr(expr, "evaluate_many_multi", poisoning(expr.evaluate_many_multi))
+    assert finished(npoints) == want
