@@ -159,9 +159,11 @@ def reduce_fields(groups, env, size):
     """Evaluate the fields of every (fields, accumulator) group as one plan.
 
     After each chunk of points, every accumulator's update(lo, *fields)
-    receives one sequence of component chunks per field of its group (see
-    field_components); what it keeps is up to it, and its finish() gives
-    the result.
+    receives, per field of its group, the sequence of its components'
+    (hi - lo,) chunks, in the order of the field's flattened components;
+    what it keeps is up to it, and its finish() gives the result.  The
+    accumulators are soliton.ResidualSup, the one reducer of every check,
+    fit.FitQR and FieldValues.
     """
     roots, feeds = [], []
     for fields, accumulator in groups:
@@ -177,13 +179,6 @@ def reduce_fields(groups, env, size):
             update(lo, *[values[a:b] for a, b in spans])
 
     expr.evaluate_many_multi(roots, env, size, sink=sink)
-
-
-def field_components(values):
-    """The components of an evaluated (npoints, ...) field as a sequence of
-    (npoints,) rows: the form in which an accumulator reads one field."""
-    values = np.asarray(values)
-    return values.reshape(len(values), math.prod(values.shape[1:])).T
 
 
 class FieldValues:
@@ -205,48 +200,15 @@ class FieldValues:
                 for block, shape in zip(self.blocks, self.shapes)]
 
 
-class SupNorms:
-    """Accumulator of the unmasked sup of |value| of each of its fields.
-
-    A non-finite value propagates: NaN wins over everything, inf over any
-    number.  finish() returns one float per field, with the 0.0 that |v|
-    gives for an all-zero field.
-    """
-
-    def __init__(self, nfields=1):
-        self.sups = [-math.inf] * nfields
-
-    def update(self, lo, *fields):
-        for i, components in enumerate(fields):
-            if len(components) == 1:
-                # max(v_max, -v_min) is the largest |v| without a |v| temporary
-                value = max(components[0].max(), -components[0].min())
-            else:
-                value = components_sup(components).max()
-            sup = self.sups[i]
-            if value > sup or value != value:
-                self.sups[i] = value
-
-    def finish(self):
-        # adding 0.0 turns a -0.0 into the 0.0 that |v| gives
-        return [float(sup) + 0.0 for sup in self.sups]
-
-
 def components_sup(components):
-    """max over components of |value| at each point, for components as
-    field_components gives them; non-finite values propagate, so the
-    result is finite exactly where every component is."""
+    """max over components of |value| at each point, for the component
+    chunks of one field as reduce_fields passes them; non-finite values
+    propagate, so the result is finite exactly where every component is."""
     sup = np.abs(components[0])
     scratch = np.empty_like(sup)
     for component in components[1:]:
         np.maximum(sup, np.abs(component, out=scratch), out=sup)
     return sup
-
-
-def pointwise_sup(values):
-    """max over components of |value| at each point of an (npoints, ...)
-    array, as an (npoints,) array (see components_sup)."""
-    return components_sup(field_components(values))
 
 
 def _cofactor_expansion(matrix, rows, cols, memo):

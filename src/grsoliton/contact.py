@@ -7,6 +7,13 @@ phi applied to the j-th coordinate field is the j-th column.
 The exterior derivative of a one-form defaults to the half convention
 d eta(X, Y) = (X(eta Y) - Y(eta X) - eta([X, Y])) / 2; "plain" drops the
 factor.  Every report records which convention produced it.
+
+The almost-contact axioms, the three ladder conditions, the four Sasakian
+identities and Ric(xi, .) = 2n g(xi, .) are soliton.Check objects with no
+reference, reduced by soliton.ResidualSup as every other check is: a
+residual is the sup of |value| over the points where the value is finite,
+the other points are counted as skipped, and a check with no point left
+raises DomainError.  The axiom gate alone admits no skipped point.
 """
 
 import math
@@ -16,14 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from grsoliton import expr
-from grsoliton.chart import (
-    SupNorms,
-    evaluate_field,
-    pointwise_sup,
-    reduce_fields,
-    sample_points,
-)
+from grsoliton.chart import sample_points
 from grsoliton.expr import Num, as_scalar, simplify
+from grsoliton.soliton import Check, reduce_checks, run_checks
 from grsoliton.tensors import (
     TensorField,
     christoffel,
@@ -101,18 +103,11 @@ def _points(chart, points):
     return np.atleast_2d(np.asarray(points, dtype=float))
 
 
-def _reduce(chart, groups, points, params):
-    """reduce_fields at points (see _points)."""
-    points = _points(chart, points)
-    reduce_fields(groups, chart.env_at(points, params), len(points))
-
-
-def _worst_point(values):
-    """Index of the first point with a non-finite value if there is one,
-    else of the point with the largest |value|."""
-    sups = pointwise_sup(values)
-    bad = ~np.isfinite(sups)
-    return int(np.argmax(bad if bad.any() else sups))
+def _reports(structure, checks, points, params, tolerance=DEFAULT_TOLERANCE):
+    """The ResidualReports of checks on the structure at points (see
+    _points)."""
+    chart = structure.chart
+    return run_checks(chart, checks, _points(chart, points), params, tolerance)
 
 
 def _axiom_components(chart, metric, phi, xi, eta):
@@ -134,11 +129,12 @@ def assemble_structure(chart, metric, phi, xi, eta, points=None, params=None,
     """Validate the four almost-contact-metric axioms and bundle the fields.
 
     phi is an (n, n) matrix of expressions (column = input index), xi a
-    vector, eta a one-form.  Raises StructureError naming the violated
-    axiom and the worst sample point, which is looked for only then.
-    groups are further (fields, accumulator) pairs evaluated in the same
-    plan as the axioms (see chart.reduce_fields), whether or not an axiom
-    fails.
+    vector, eta a one-form.  Each axiom is a check with no reference.
+    Raises StructureError naming the first violated axiom: at the first
+    sample point where its value is not finite, with residual nan, or else,
+    when its sup exceeds tolerance, at its worst point.  groups are further
+    (fields, accumulator) pairs evaluated in the same plan as the axioms
+    (see chart.reduce_fields), whether or not an axiom fails.
     """
     if chart.dim % 2 == 0:
         raise ValueError(f"almost contact structures need odd dimension, got {chart.dim}")
@@ -147,16 +143,16 @@ def assemble_structure(chart, metric, phi, xi, eta, points=None, params=None,
     xi = xi if isinstance(xi, TensorField) else vector_field(chart, xi)
     eta = eta if isinstance(eta, TensorField) else oneform_field(chart, eta)
     points = _points(chart, points)
-    axioms = {axiom: np.asarray(comps, dtype=object).reshape(-1) for axiom, comps
-              in _axiom_components(chart, metric, phi, xi, eta).items()}
-    env = chart.env_at(points, params)
-    sups = SupNorms(len(axioms))
-    reduce_fields([(list(axioms.values()), sups), *groups], env, len(points))
-    residuals = dict(zip(axioms, sups.finish()))
-    for axiom, sup in residuals.items():
-        if not math.isfinite(sup) or sup > tolerance:
-            values = evaluate_field(axioms[axiom], env, len(points))
-            raise StructureError(axiom, sup, points[_worst_point(values)])
+    checks = [Check(axiom, comps, []) for axiom, comps
+              in _axiom_components(chart, metric, phi, xi, eta).items()]
+    residuals = {}
+    for sup in reduce_checks(chart, checks, points, params, tolerance, groups):
+        if sup.first_bad is not None:
+            raise StructureError(sup.check.name, math.nan, points[sup.first_bad])
+        report = sup.finish()
+        if report.abs_sup > tolerance:
+            raise StructureError(report.name, report.abs_sup, points[sup.worst])
+        residuals[report.name] = report.abs_sup
     return AlmostContactStructure(chart, metric, phi, xi, eta,
                                   (chart.dim - 1) // 2, residuals)
 
@@ -248,82 +244,75 @@ def check_sasakian_identities(structure, points=None, params=None):
     reeb_transport: nabla_X xi = -phi X
     eta_transport:  (nabla_X eta) Y = -g(phi X, Y)
     curvature_reeb: R(X, Y) xi = eta(Y) X - eta(X) Y
+
+    Points where an identity is not finite are skipped (DomainError when
+    none is left), as for every check.
     """
-    fields = {
-        "covariant_phi": covariant_phi_residual(structure),
-        "reeb_transport": reeb_transport_residual(structure),
-        "eta_transport": eta_transport_residual(structure),
-        "curvature_reeb": curvature_reeb_residual(structure),
-    }
-    sups = SupNorms(len(fields))
-    _reduce(structure.chart, [(list(fields.values()), sups)], points, params)
-    return dict(zip(fields, sups.finish()))
+    checks = [
+        Check("covariant_phi", covariant_phi_residual(structure), []),
+        Check("reeb_transport", reeb_transport_residual(structure), []),
+        Check("eta_transport", eta_transport_residual(structure), []),
+        Check("curvature_reeb", curvature_reeb_residual(structure), []),
+    ]
+    return {r.name: r.abs_sup for r in _reports(structure, checks, points, params)}
 
 
-def ricci_reeb_comps(structure):
-    """Components of Ric(xi, d_j) - 2 n g(xi, d_j), indexed [j]."""
+def ricci_reeb_check(structure):
+    """Ric(xi, d_j) - 2 n g(xi, d_j), indexed [j], as a check with no
+    reference."""
     xi = structure.xi.comps[:, None]
     comps = fold(expr.ZERO, (operator.add, ricci(structure.metric).comps * xi),
                  (operator.sub, Num(2.0 * structure.n) * (structure.metric.comps * xi)))
-    return list(comps)
+    return Check("ricci_reeb", comps, [])
 
 
 def ricci_reeb_residual(structure, points=None, params=None):
-    """Sup-norm of Ric(xi, d_j) - 2 n g(xi, d_j) over sample points."""
-    sups = SupNorms()
-    _reduce(structure.chart, [([ricci_reeb_comps(structure)], sups)], points, params)
-    return sups.finish()[0]
+    """Sup-norm of Ric(xi, d_j) - 2 n g(xi, d_j) over the sample points
+    where it is finite (DomainError when none is)."""
+    return _reports(structure, [ricci_reeb_check(structure)], points, params)[0].abs_sup
 
 
-def ladder_fields(structure, d_convention="half"):
-    """Components of the contact, K-contact and normality conditions:
-    d eta - Phi, nabla xi + phi, and [phi, phi] + 2 d eta (x) xi."""
+def ladder_checks(structure, d_convention="half"):
+    """The contact, K-contact and normality conditions as checks with no
+    reference: d eta - Phi, nabla xi + phi, and [phi, phi] + 2 d eta (x) xi."""
     rows, cols = upper_pairs(structure.chart.dim, strict=True)
     d_eta = exterior_derivative_oneform(structure.eta, d_convention).comps[rows, cols]
     contact = d_eta - fundamental_form(structure).comps[rows, cols]
     normal = nijenhuis_torsion(structure).comps[:, rows, cols] \
         + Num(2.0) * (d_eta * structure.xi.comps[:, None])
-    return [contact, reeb_transport_residual(structure), normal]
+    return [Check("contact_condition", contact, []),
+            Check("reeb_transport", reeb_transport_residual(structure), []),
+            Check("normality", normal, [])]
 
 
-class LadderSups(SupNorms):
-    """Accumulator of the sup-norms of the three ladder_fields of a
-    structure; finish() returns the StructureReport."""
-
-    def __init__(self, structure, tolerance=DEFAULT_TOLERANCE, d_convention="half"):
-        super().__init__(3)
-        self.structure = structure
-        self.tolerance = tolerance
-        self.d_convention = d_convention
-
-    def finish(self):
-        tolerance = self.tolerance
-        residuals = dict(self.structure.axiom_residuals)
-        almost = max(residuals.values()) <= tolerance
-        residuals.update(zip(("contact_condition", "reeb_transport", "normality"),
-                             super().finish()))
-        contact = almost and residuals["contact_condition"] <= tolerance
-        k_contact = contact and residuals["reeb_transport"] <= tolerance
-        normal = almost and residuals["normality"] <= tolerance
-        sasakian = contact and normal
-        if sasakian:
-            k_contact = True
-        return StructureReport(
-            almost_contact_metric=almost,
-            contact_metric=contact,
-            k_contact=k_contact,
-            normal=normal,
-            sasakian=sasakian,
-            residuals=residuals,
-            d_convention=self.d_convention,
-            tolerance=tolerance,
-        )
+def structure_report(structure, reports, tolerance=DEFAULT_TOLERANCE, d_convention="half"):
+    """The StructureReport of the ResidualReports of the ladder_checks."""
+    residuals = dict(structure.axiom_residuals)
+    almost = max(residuals.values()) <= tolerance
+    residuals.update((r.name, r.abs_sup) for r in reports)
+    contact = almost and residuals["contact_condition"] <= tolerance
+    k_contact = contact and residuals["reeb_transport"] <= tolerance
+    normal = almost and residuals["normality"] <= tolerance
+    sasakian = contact and normal
+    if sasakian:
+        k_contact = True
+    return StructureReport(
+        almost_contact_metric=almost,
+        contact_metric=contact,
+        k_contact=k_contact,
+        normal=normal,
+        sasakian=sasakian,
+        residuals=residuals,
+        d_convention=d_convention,
+        tolerance=tolerance,
+    )
 
 
 def classify_structure(structure, tolerance=DEFAULT_TOLERANCE, points=None,
                        params=None, d_convention="half"):
-    """Evaluate the ladder conditions and report flags plus raw residuals."""
-    ladder = LadderSups(structure, tolerance, d_convention)
-    _reduce(structure.chart, [(ladder_fields(structure, d_convention), ladder)], points,
-            params)
-    return ladder.finish()
+    """Evaluate the ladder conditions and report flags plus raw residuals.
+    Points where a condition is not finite are skipped (DomainError when
+    none is left)."""
+    reports = _reports(structure, ladder_checks(structure, d_convention), points, params,
+                    tolerance)
+    return structure_report(structure, reports, tolerance, d_convention)

@@ -20,7 +20,7 @@ import numpy as np
 
 from grsoliton.chart import reduce_fields
 from grsoliton.expr import as_scalar
-from grsoliton.soliton import ResidualSup, SolitonSpec, build_gradient_check
+from grsoliton.soliton import SolitonSpec, build_gradient_check, reduce_checks
 from grsoliton.tensors import (
     TensorField,
     derivative,
@@ -184,8 +184,7 @@ def fit_constants(metric, f1, f2, points, params=None, fixed=None):
     constants = {**(fixed or {}), **dict(zip(fit.free_names, fit.solution))}
     check = build_gradient_check(SolitonSpec(
         metric, "gradient", *(constants[k] for k in CONSTANT_ORDER), f1=f1, f2=f2, params=params))
-    residual = ResidualSup(check, metric.chart, points, params, math.inf)
-    reduce_fields([(check.fields, residual)], env, len(points))
+    [residual] = reduce_checks(metric.chart, [check], points, params, math.inf)
     fit.residual_sup, fit.target_sup = residual.finish().abs_sup, residual.ref_sup
     return fit
 

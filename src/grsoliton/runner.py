@@ -18,19 +18,18 @@ import functools
 import math
 import time
 
-from grsoliton.chart import SupNorms, reduce_fields, sample_points
+from grsoliton.chart import reduce_fields, sample_points
 from grsoliton.contact import (
-    LadderSups,
     StructureError,
     assemble_structure,
-    ladder_fields,
-    ricci_reeb_comps,
+    ladder_checks,
+    ricci_reeb_check,
+    structure_report,
 )
 from grsoliton.fit import FitQR, TooFewPointsError, design_fields
 from grsoliton.manifest import CONSTANT_KEYS, ManifestError
 from grsoliton.report import CheckRow, Report
 from grsoliton.soliton import (
-    ResidualSup,
     SolitonSpec,
     build_alignment_check,
     build_gradient_check,
@@ -38,6 +37,7 @@ from grsoliton.soliton import (
     build_transport_check,
     build_vector_check,
     diagnose_domain,
+    run_checks,
 )
 from grsoliton.tensors import vector_field
 
@@ -118,15 +118,13 @@ def run_manifest(manifest, subcommand, points=None, count=None, seed=None,
 
 
 class _Run:
-    """The rows of one run, as (fields, accumulator, rows_of) groups in
-    report order.
+    """The rows of one run, as (checks, rows_of) groups in report order.
 
-    rows() evaluates every group's fields as one plan and feeds each
-    chunk's values to the group's accumulator (see chart.reduce_fields);
-    rows_of(run, accumulator.finish()) then gives the group's rows.  A
-    group without fields has no accumulator, and rows_of receives None.
-    Accumulators and rows_of hold no reference to the run, so a run is
-    never part of a reference cycle.
+    rows() evaluates every group's checks as one plan (soliton.run_checks);
+    rows_of(run, reports) then gives the group's rows from the
+    ResidualReports of its checks, none for a group of rows without
+    checks.  rows_of holds no reference to the run, so a run is never part
+    of a reference cycle.
 
     A run that fits reduces its design to one FitQR in the pass before the
     main plan: the axiom gate's, when the run has one (pre_pass gives the
@@ -162,29 +160,22 @@ class _Run:
             reduce_fields(groups, self.env(), len(self.points))
         return self.design.finish(fixed)
 
-    def add(self, fields, accumulator, rows_of):
-        self.groups.append((fields, accumulator, rows_of))
-
-    def add_rows(self, *rows):
-        self.add([], None, lambda run, result: list(rows))
-
-    def add_check(self, check, rows_of):
-        manifest = self.manifest
-        self.add(check.fields,
-                 ResidualSup(check, manifest.chart, self.points, manifest.params, self.tol),
-                 rows_of)
+    def add(self, checks, rows_of):
+        self.groups.append((checks, rows_of))
 
     def rows(self):
+        manifest = self.manifest
+        checks = [check for group, _ in self.groups for check in group]
         try:
-            reduce_fields([(fields, acc) for fields, acc, _ in self.groups
-                           if acc is not None], self.env(), len(self.points))
+            reports = iter(run_checks(manifest.chart, checks, self.points, manifest.params,
+                                      self.tol))
             rows = []
-            for _, acc, rows_of in self.groups:
-                rows.extend(rows_of(self, None if acc is None else acc.finish()))
+            for checks, rows_of in self.groups:
+                rows.extend(rows_of(self, [next(reports) for _ in checks]))
             return rows
         finally:
             # on every exit, a DomainError's included, so that a run never
-            # keeps its accumulators and their values
+            # keeps its checks and the fits its rows hold
             self.groups = []
 
     @functools.cached_property
@@ -225,34 +216,42 @@ def _assemble(run, d_convention, classify=True):
     except StructureError as ex:
         row = CheckRow("structure_axioms", ex.residual, ex.residual, tol, False,
                        {"axiom": ex.axiom, "worst_point": list(map(float, ex.point))})
-        run.add_rows(row)
+        run.add([], lambda run, reports: [row])
         return None
     if classify:
-        run.add(ladder_fields(structure, d_convention),
-                LadderSups(structure, tol, d_convention), _ladder_rows)
+        run.add(ladder_checks(structure, d_convention),
+                functools.partial(_ladder_rows, structure=structure, d_convention=d_convention))
     return structure
 
 
-def _ladder_rows(run, report):
-    res = report.residuals
-    almost = max(res[k] for k in ("reeb_normalisation", "phi_square",
-                                  "metric_compatibility", "reeb_kernel"))
+def _ladder_rows(run, reports, structure, d_convention):
+    """The five ladder rows; the almost-contact row used every point, as
+    the axiom gate admits no skipped one, and the Sasakian row counts the
+    points of whichever of its two conditions used fewer."""
+    report = structure_report(structure, reports, run.tol, d_convention)
+    contact, reeb, normal = reports
     ladder = [
-        ("structure_almost_contact", almost, report.almost_contact_metric),
-        ("structure_contact", res["contact_condition"], report.contact_metric),
-        ("structure_k_contact", res["reeb_transport"], report.k_contact),
-        ("structure_normal", res["normality"], report.normal),
-        ("structure_sasakian", max(res["contact_condition"], res["normality"]),
-         report.sasakian),
+        ("structure_almost_contact", max(structure.axiom_residuals.values()),
+         report.almost_contact_metric, len(run.points), 0),
+        ("structure_contact", contact.abs_sup, report.contact_metric, *_counts(contact)),
+        ("structure_k_contact", reeb.abs_sup, report.k_contact, *_counts(reeb)),
+        ("structure_normal", normal.abs_sup, report.normal, *_counts(normal)),
+        ("structure_sasakian", max(contact.abs_sup, normal.abs_sup), report.sasakian,
+         *_counts(min(contact, normal, key=lambda r: r.n_points))),
     ]
-    rows = [CheckRow(name, value, value, report.tolerance, flag)
-            for name, value, flag in ladder]
-    rows[-1].extra["d_convention"] = report.d_convention
+    rows = [CheckRow(name, value, value, run.tol, flag,
+                     {"points_used": used, "points_skipped": skipped})
+            for name, value, flag, used, skipped in ladder]
+    rows[-1].extra["d_convention"] = d_convention
     return rows
 
 
-def _check_rows(run, report, extra=None):
-    return [_row_from_report(report, **(extra or {}))]
+def _counts(report):
+    return report.n_points, report.n_skipped
+
+
+def _check_rows(run, reports, extra=None):
+    return [_row_from_report(report, **(extra or {})) for report in reports]
 
 
 def _gradient_check(manifest, constants):
@@ -279,12 +278,12 @@ def _soliton_rows(run):
         check = build_vector_check(spec)
     extra = {"constants": {k: constants[k] for k in CONSTANT_KEYS}}
     if fit is None:
-        run.add_check(check, functools.partial(_check_rows, extra=extra))
+        run.add([check], functools.partial(_check_rows, extra=extra))
     else:
         # the restricted fit is measured at the constants it resolved, so
         # its row and the soliton row read one report
-        run.add_check(check, functools.partial(_fit_rows, fit=fit, restricted=True,
-                                               soliton=extra))
+        run.add([check], functools.partial(_fit_rows, fit=fit, restricted=True,
+                                           soliton=extra))
 
 
 def _theorem_rows(run, structure):
@@ -293,28 +292,22 @@ def _theorem_rows(run, structure):
     f2 = run.manifest.scalars["f2"]
     c1, c2, lam = (constants[k] for k in CONSTANT_KEYS)
     _, alignment = build_alignment_check(structure, f1, f2, c1)
-    run.add_check(alignment, _check_rows)
-    run.add_check(build_transport_check(structure, f1, f2, c1, c2, lam), _check_rows)
-    run.add([ricci_reeb_comps(structure)], SupNorms(), _reeb_rows)
-    for check in build_supporting_checks(structure, f1, f2, c1):
-        run.add_check(check, _check_rows)
-
-
-def _reeb_rows(run, sups):
-    reeb = sups[0]
-    return [CheckRow("ricci_reeb", reeb, reeb, run.tol, reeb <= run.tol)]
+    run.add([alignment, build_transport_check(structure, f1, f2, c1, c2, lam),
+             ricci_reeb_check(structure), *build_supporting_checks(structure, f1, f2, c1)],
+            _check_rows)
 
 
 def _design_fields(manifest):
     return design_fields(manifest.metric, manifest.scalars["f1"], manifest.scalars["f2"])
 
 
-def _fit_rows(run, report, fit, restricted=False, soliton=None):
+def _fit_rows(run, reports, fit, restricted=False, soliton=None):
     """The fit row of fit, whose residual is the report of the gradient
     form at its constants, named fit_constants_restricted for the fit that
     resolves "fit" constants for the other rows; then, if soliton holds a
     soliton row's extra, the soliton row of the same report."""
     manifest, tol = run.manifest, run.tol
+    [report] = reports
     passed = report.passed
     extra = {
         "points_used": fit.n_points,
@@ -349,11 +342,11 @@ def _fit_row(run, explicit):
         try:
             fit = run.fit()
         except TooFewPointsError as ex:
-            run.add([], None, functools.partial(_too_few_points_rows, n_valid=ex.n_valid,
-                                                first_bad=ex.first_bad))
+            run.add([], functools.partial(_too_few_points_rows, n_valid=ex.n_valid,
+                                          first_bad=ex.first_bad))
             return
         constants = dict(zip(fit.free_names, fit.solution))
-    run.add_check(_gradient_check(manifest, constants), functools.partial(_fit_rows, fit=fit))
+    run.add([_gradient_check(manifest, constants)], functools.partial(_fit_rows, fit=fit))
 
 
 def _too_few_points_rows(run, _, n_valid, first_bad):

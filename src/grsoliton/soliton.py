@@ -13,9 +13,12 @@ chunk by chunk, to absolute and relative sup-norms.  The relative norm is
 pointwise, max_p |residual(p)| / max(1, |reference(p)|), with |.| the
 largest component at p: a large reference near a chart boundary does not
 excuse a residual elsewhere, and flat instances do not divide by zero.
-Sample points where evaluation leaves an expression's domain (or where the
-potentials of a gradient-form or theorem row are undefined) are skipped
-and counted; a check with no valid points raises DomainError.
+A check with no reference (the almost-contact axioms, the Sasakian ladder
+and identities of contact.py) has its absolute residual as its relative
+one.  ResidualSup is the one reducer of every check, here and in
+contact.py.  Sample points where evaluation leaves an expression's domain
+(or where the potentials of a gradient-form or theorem row are undefined)
+are skipped and counted; a check with no valid points raises DomainError.
 """
 
 from dataclasses import dataclass, field
@@ -111,9 +114,10 @@ class ResidualReport:
 @dataclass
 class Check:
     """A named identity: residual components, the reference components
-    whose size the residual is measured against, and the domain: scalars
-    that must be finite at a point for the point to count (the potentials,
-    which differentiation or simplification may fold out of both)."""
+    whose size the residual is measured against (none, [], for an identity
+    measured absolutely), and the domain: scalars that must be finite at a
+    point for the point to count (the potentials, which differentiation or
+    simplification may fold out of both)."""
 
     name: str
     residual: list
@@ -149,39 +153,54 @@ class ResidualSup:
     check's fields.  A point counts where the residual, the reference and
     the domain are all finite; the running maxima of |residual|, of
     |reference| and of |residual| / max(1, |reference|) are taken over
-    those points, |.| being the largest component at a point.  finish()
-    returns the ResidualReport, or, with no valid point, has the scalar
-    evaluator name the offending node at the first point whose residual or
-    domain is not finite.
+    those points, |.| being the largest component at a point.  With no
+    reference the relative residual is the absolute one, and no reference
+    sup is kept.  first_bad is the first point whose residual or domain is
+    not finite, and worst the first point of the largest relative
+    residual.  finish() returns the ResidualReport, or, with no valid
+    point, has the scalar evaluator name the offending node at first_bad.
     """
 
     def __init__(self, check, chart, points, params, tolerance):
         self.check = check
         self.chart = chart
-        self.points = np.atleast_2d(np.asarray(points, dtype=float))
+        self.points = points
         self.params = params
         self.tolerance = tolerance
         self.abs_sup = self.ref_sup = self.rel_sup = -np.inf
         self.n_valid = self.n_points = 0
-        self.first_bad = None
+        self.first_bad = self.worst = None
 
     def update(self, lo, residual, reference, domain=()):
         res_sup = components_sup(residual)
-        ref_sup = components_sup(reference)
         defined = np.isfinite(res_sup)
         for component in domain:
             defined &= np.isfinite(component)
-        valid = defined & np.isfinite(ref_sup)
+        valid = defined
+        if len(reference):
+            ref_sup = components_sup(reference)
+            valid = defined & np.isfinite(ref_sup)
         n_valid = int(np.count_nonzero(valid))
+        kept = None
         if n_valid < len(valid):
             if self.first_bad is None and not defined.all():
                 self.first_bad = lo + int(np.argmin(defined))
-            res_sup, ref_sup = res_sup[valid], ref_sup[valid]
+            kept = np.flatnonzero(valid)
+            res_sup = res_sup[kept]
+            if len(reference):
+                ref_sup = ref_sup[kept]
         if n_valid:
-            self.abs_sup = max(self.abs_sup, float(res_sup.max()))
-            self.ref_sup = max(self.ref_sup, float(ref_sup.max()))
-            rel = np.divide(res_sup, np.maximum(ref_sup, 1.0, out=ref_sup), out=ref_sup)
-            self.rel_sup = max(self.rel_sup, float(rel.max()))
+            rel = res_sup
+            if len(reference):
+                self.abs_sup = max(self.abs_sup, float(res_sup.max()))
+                self.ref_sup = max(self.ref_sup, float(ref_sup.max()))
+                rel = np.divide(res_sup, np.maximum(ref_sup, 1.0, out=ref_sup), out=ref_sup)
+            worst = int(rel.argmax())
+            if rel[worst] > self.rel_sup:
+                self.rel_sup = float(rel[worst])
+                self.worst = lo + (worst if kept is None else int(kept[worst]))
+            if not len(reference):
+                self.abs_sup = self.rel_sup
         self.n_valid += n_valid
         self.n_points += len(valid)
 
@@ -205,6 +224,17 @@ class ResidualSup:
         )
 
 
+def reduce_checks(chart, checks, points, params, tolerance, groups=()):
+    """Evaluate the checks, and the fields of the further (fields,
+    accumulator) groups (see chart.reduce_fields), as one plan at points,
+    an (npoints, n) array; return each check's ResidualSup, fed but not
+    finished."""
+    accumulators = [ResidualSup(c, chart, points, params, tolerance) for c in checks]
+    reduce_fields([*((c.fields, a) for c, a in zip(checks, accumulators)), *groups],
+                  chart.env_at(points, params), len(points))
+    return accumulators
+
+
 def run_checks(chart, checks, points, params, tolerance):
     """Evaluate checks as one plan, reducing each chunk by chunk to a
     ResidualReport.
@@ -214,10 +244,7 @@ def run_checks(chart, checks, points, params, tolerance):
     if points is None:
         points = _default_points(chart)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    accumulators = [ResidualSup(c, chart, points, params, tolerance) for c in checks]
-    reduce_fields([(c.fields, a) for c, a in zip(checks, accumulators)],
-                  chart.env_at(points, params), len(points))
-    return [a.finish() for a in accumulators]
+    return [a.finish() for a in reduce_checks(chart, checks, points, params, tolerance)]
 
 
 def _default_points(chart):

@@ -117,7 +117,12 @@ def derivative(comps, names):
     object array of them."""
     comps = np.asarray(comps, dtype=object)
     axis = np.array(names, dtype=object).reshape((-1,) + (1,) * comps.ndim)
-    return np.frompyfunc(partial, 2, 1)(comps[None], axis)
+    # the loop runs Python float arithmetic (simplify folds constants, and
+    # 1e200 * 1e200 folds to inf), whose overflow flag numpy then reports
+    # as its own, as a RuntimeWarning; an overflow is diagnosed where a
+    # value is evaluated, not here
+    with np.errstate(all="ignore"):
+        return np.frompyfunc(partial, 2, 1)(comps[None], axis)
 
 
 @functools.cache

@@ -1,6 +1,7 @@
 import math
 import struct
 
+import numpy as np
 import pytest
 
 from grsoliton.chart import define_chart, define_metric
@@ -84,3 +85,10 @@ def structural_classes(roots):
         key = (type(node), payload, tuple(numbers[id(k)] for k in kids))
         numbers[id(node)] = classes.setdefault(key, len(classes))
     return numbers
+
+
+def field_components(values):
+    """The components of an evaluated (npoints, ...) field as a sequence of
+    (npoints,) rows: the form in which an accumulator reads one field."""
+    values = np.asarray(values)
+    return values.reshape(len(values), math.prod(values.shape[1:])).T

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from grsoliton.chart import evaluate_field, evaluate_fields, field_components, sample_points
+from grsoliton.chart import (
+    define_chart,
+    define_metric,
+    evaluate_field,
+    evaluate_fields,
+    sample_points,
+)
 from grsoliton.contact import (
-    LadderSups,
     StructureError,
     assemble_structure,
     check_sasakian_identities,
@@ -11,11 +16,13 @@ from grsoliton.contact import (
     covariant_phi_residual,
     exterior_derivative_oneform,
     fundamental_form,
-    ladder_fields,
+    ladder_checks,
     nijenhuis_torsion,
     ricci_reeb_residual,
+    structure_report,
 )
-from grsoliton.expr import CHUNK_POINTS
+from grsoliton.expr import CHUNK_POINTS, DomainError
+from grsoliton.soliton import ResidualReport
 from grsoliton.tensors import (
     lie_derivative_sym2,
     metric_tensor_field,
@@ -167,13 +174,33 @@ class TestClassify:
         # one whole-array reduction against the plan's chunk-by-chunk one
         chart = paper_structure.chart
         pts = sample_points(chart, "uniform", CHUNK_POINTS + 100, seed=12)
-        values = evaluate_fields(ladder_fields(paper_structure, convention),
-                                 chart.env_at(pts), len(pts))
-        ladder = LadderSups(paper_structure, d_convention=convention)
-        ladder.update(0, *map(field_components, values))
-        report = ladder.finish()
+        checks = ladder_checks(paper_structure, convention)
+        values = evaluate_fields([c.residual for c in checks], chart.env_at(pts), len(pts))
+        reports = []
+        for check, value in zip(checks, values):
+            sup = float(np.abs(value).max())
+            reports.append(ResidualReport(check.name, sup, sup, 1e-8, sup <= 1e-8, len(pts), 0))
+        report = structure_report(paper_structure, reports, d_convention=convention)
         want = classify_structure(paper_structure, points=pts, d_convention=convention)
         assert report == want
+
+    def test_non_finite_points_are_skipped(self):
+        # eta_z = sqrt(x)^2/x is 1 on the chart, x > 0; for x < 0 it and its
+        # derivative are NaN, and so are the contact and normality
+        # conditions and the Sasakian identities that read eta
+        chart = define_chart(["x", "y", "z"], {"x": (0, 1)})
+        g = define_metric(chart, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+        phi = [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]]
+        s = assemble_structure(chart, g, phi, ["0", "0", "1"], ["0", "0", "sqrt(x)^2/x"])
+        pts = sample_points(chart, "uniform", 50, seed=13)
+        mixed = np.concatenate([pts, pts * [-1.0, 1.0, 1.0]])
+        assert classify_structure(s, points=mixed) == classify_structure(s, points=pts)
+        assert check_sasakian_identities(s, points=mixed) == \
+            check_sasakian_identities(s, points=pts)
+        negative = pts * [-1.0, 1.0, 1.0]
+        for check in (classify_structure, check_sasakian_identities):
+            with pytest.raises(DomainError, match="sqrt"):
+                check(s, points=negative)
 
     def test_reeb_field_is_killing(self, paper_structure):
         # ladder implication: K-contact => xi Killing

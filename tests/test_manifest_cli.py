@@ -211,6 +211,8 @@ class TestRunManifest:
                          "structure_k_contact", "structure_normal",
                          "structure_sasakian"]
         assert report.overall_pass
+        for row in report.checks:
+            assert (row.extra["points_used"], row.extra["points_skipped"]) == (120, 0), row.name
 
     def test_check_theorem_rows(self):
         report = run_manifest(load_manifest(sasakian_manifest()), "check-theorem")
@@ -452,6 +454,18 @@ class TestCliExitCodes:
             assert capsys.readouterr().err.startswith(
                 "domain error: overflow in '1e+200 * (1e+200 * y)' at "), sub
 
+    def test_a_folded_overflow_names_the_product(self, tmp_path, capsys):
+        # simplification folds 1e200 * 1e200 in the derivatives of f1 to
+        # inf, which must warn of nothing: a warning is an error here
+        doc = sasakian_manifest()
+        doc["scalars"]["f1"] += " + (1e200*z)*(1e200*z)"
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        for sub in ("check-theorem", "check-soliton", "fit", "all"):
+            assert main([sub, "--manifest", str(path)]) == 3, sub
+            assert capsys.readouterr().err.startswith(
+                "domain error: overflow in '1e+200 * (1e+200 * z)' at "), sub
+
     def test_theorem_rows_need_the_potentials_defined(self, tmp_path, capsys):
         # the theorem rows use f2 only through xi(f2) = d f2/dz = 0, which
         # simplification folds away; the potentials are checked on their own
@@ -471,7 +485,10 @@ class TestCliExitCodes:
         for name, row in rows.items():
             if name != "ricci_reeb":
                 assert (row["points_used"], row["points_skipped"]) == (1, 199), name
+        # Ric(xi, .) - 2n g(xi, .) does not read the potentials
         assert rows["ricci_reeb"]["passed"]
+        assert (rows["ricci_reeb"]["points_used"], rows["ricci_reeb"]["points_skipped"]) \
+            == (200, 0)
         in_all = self._run_json(capsys, ["all"] + argv, 1)["checks"]
         assert [row for row in in_all if row["name"] in rows] == report["checks"]
 

@@ -1,0 +1,170 @@
+"""Run a fixed matrix of CLI cases and compare two runs of it.
+
+    PYTHONPATH=src python tools/report_matrix.py run OUT.json
+    python tools/report_matrix.py diff BEFORE.json AFTER.json
+
+`run` calls grsoliton.cli.main in-process on every case of the matrix and
+writes {case: [exit code, report, stderr]} as JSON, where report is the
+parsed JSON report without elapsed_seconds (--format json) or the table
+text with its elapsed time blanked (--format table), and "" when the run
+printed nothing.  Point PYTHONPATH at another checkout's src to record
+that checkout.
+
+`diff` prints every case whose entry differs, by row and key for JSON
+reports and by line for tables, then a count; it exits 1 when any case
+differs.
+
+The matrix: the three bundled manifests as they are, with lambda + 1 and
+with lambda = "fit"; a NaN eta, an infinite eta, a transposed phi,
+f2 = sqrt(x - 1.97) and an overflowing f1; x the five subcommands x
+N = 200 and 3,000 x seeds 7, 8 and 11 x both d-conventions x json and
+table (1,680 cases).
+"""
+
+import contextlib
+import copy
+import io
+import itertools
+import json
+import re
+import sys
+import warnings
+from importlib import resources
+
+SUBCOMMANDS = ("check-soliton", "check-structure", "check-theorem", "fit", "all")
+POINTS = (200, 3000)
+SEEDS = (7, 8, 11)
+CONVENTIONS = ("half", "plain")
+FORMATS = ("json", "table")
+
+# eta_z = sqrt(x)^2/x is 1 for x > 0 and NaN for x < 0
+_FLAT = {
+    "chart": {"coords": ["x", "y", "z"], "bounds": {"x": [-1, 1]}},
+    "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "structure": {"phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+                  "xi": ["0", "0", "1"], "eta": ["0", "0", "sqrt(x)^2/x"]},
+}
+
+
+def _bundled(name):
+    return json.loads(resources.files("grsoliton").joinpath(f"data/{name}.json").read_text())
+
+
+def manifests():
+    """{label: --manifest value}, a bundled name or JSON text."""
+    out = {}
+    for name in ("hyperbolic", "cone", "sasakian3"):
+        out[name] = name
+        shifted = _bundled(name)
+        shifted["constants"]["lambda"] += 1
+        out[f"{name}+lambda1"] = json.dumps(shifted)
+        fitted = _bundled(name)
+        fitted["constants"]["lambda"] = "fit"
+        out[f"{name}+lambdafit"] = json.dumps(fitted)
+    out["nan-eta"] = json.dumps(_FLAT)
+    inf_eta = copy.deepcopy(_FLAT)
+    # exp(1000 x) is infinite for x above about 0.71, finite elsewhere
+    inf_eta["structure"]["eta"] = ["0", "0", "1 + exp(1000*x)"]
+    out["inf-eta"] = json.dumps(inf_eta)
+    failing_phi = _bundled("sasakian3")
+    failing_phi["structure"]["phi"] = [list(r) for r in zip(*failing_phi["structure"]["phi"])]
+    out["failing-phi"] = json.dumps(failing_phi)
+    sqrt_f2 = _bundled("sasakian3")
+    sqrt_f2["scalars"]["f2"] = "sqrt(x - 1.97)"
+    out["sqrt-f2"] = json.dumps(sqrt_f2)
+    overflow = _bundled("sasakian3")
+    overflow["scalars"]["f1"] += " + (1e200*z)*(1e200*z)"
+    out["overflow"] = json.dumps(overflow)
+    return out
+
+
+def _run_case(main, manifest, argv, fmt):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        # every case shows its own warnings, not only the first in the process
+        warnings.simplefilter("always")
+        code = main([argv[0], "--manifest", manifest, *argv[1:]])
+    out = stdout.getvalue()
+    if out and fmt == "json":
+        out = json.loads(out)
+        out.pop("elapsed_seconds", None)
+    elif out:
+        out = re.sub(r"elapsed: \S+", "elapsed: -", out)
+    return [code, out, stderr.getvalue()]
+
+
+def run(path):
+    from grsoliton.cli import main
+
+    results = {}
+    for (label, manifest), sub, n, seed, conv, fmt in itertools.product(
+            manifests().items(), SUBCOMMANDS, POINTS, SEEDS, CONVENTIONS, FORMATS):
+        argv = [sub, "--points", str(n), "--seed", str(seed), "--d-convention", conv,
+                "--format", fmt]
+        results[f"{label} {sub} N={n} seed={seed} d={conv} {fmt}"] = \
+            _run_case(main, manifest, argv, fmt)
+    with open(path, "w") as f:
+        json.dump(results, f, indent=1)
+    print(f"{len(results)} cases written to {path}")
+
+
+def _row_diffs(before, after):
+    """Lines naming every differing top-level key and every differing
+    key of each check row (rows matched by name)."""
+    lines = []
+    for key in sorted(set(before) | set(after)):
+        if key != "checks" and before.get(key) != after.get(key):
+            lines.append(f"  {key}: {before.get(key)!r} -> {after.get(key)!r}")
+    rows_a = {r["name"]: r for r in before.get("checks", [])}
+    rows_b = {r["name"]: r for r in after.get("checks", [])}
+    if list(rows_a) != list(rows_b):
+        lines.append(f"  row order: {list(rows_a)} -> {list(rows_b)}")
+    for name in [*rows_a, *(n for n in rows_b if n not in rows_a)]:
+        a, b = rows_a.get(name, {}), rows_b.get(name, {})
+        for key in [*a, *(k for k in b if k not in a)]:
+            if a.get(key, "<absent>") != b.get(key, "<absent>"):
+                lines.append(f"  row {name} {key}: {a.get(key, '<absent>')!r} -> "
+                             f"{b.get(key, '<absent>')!r}")
+    return lines
+
+
+def diff(path_a, path_b):
+    with open(path_a) as f:
+        before = json.load(f)
+    with open(path_b) as f:
+        after = json.load(f)
+    differing = 0
+    for case in sorted(set(before) | set(after)):
+        a, b = before.get(case), after.get(case)
+        if a == b:
+            continue
+        differing += 1
+        print(case)
+        if a is None or b is None:
+            print(f"  only in {path_a if b is None else path_b}")
+            continue
+        (code_a, out_a, err_a), (code_b, out_b, err_b) = a, b
+        if code_a != code_b:
+            print(f"  exit code: {code_a} -> {code_b}")
+        if err_a != err_b:
+            print(f"  stderr: {err_a!r} -> {err_b!r}")
+        if isinstance(out_a, dict) and isinstance(out_b, dict):
+            for line in _row_diffs(out_a, out_b):
+                print(line)
+        elif out_a != out_b:
+            lines_a, lines_b = str(out_a).splitlines(), str(out_b).splitlines()
+            for line_a, line_b in itertools.zip_longest(lines_a, lines_b, fillvalue=""):
+                if line_a != line_b:
+                    print(f"  - {line_a}\n  + {line_b}")
+    print(f"{differing} of {len(set(before) | set(after))} cases differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 3 and sys.argv[1] == "run":
+        run(sys.argv[2])
+    elif len(sys.argv) == 4 and sys.argv[1] == "diff":
+        sys.exit(diff(sys.argv[2], sys.argv[3]))
+    else:
+        sys.exit(__doc__)
