@@ -6,6 +6,7 @@ parameters); their symbolic inverse is computed once by adjugate over
 determinant, which is exact and keeps everything downstream closed-form.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -49,9 +50,14 @@ class Chart:
         return self.names.index(name)
 
     def env_at(self, points, params=None):
-        """Evaluation environment mapping names to coordinate columns."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        env = {name: points[:, i] for i, name in enumerate(self.names)}
+        """Evaluation environment mapping names to coordinate columns: the
+        columns of an (npoints, n) array, or the column fills of a Sample
+        (Sample.columns)."""
+        points = as_points(points)
+        if isinstance(points, Sample):
+            env = points.columns()
+        else:
+            env = {name: points[:, i] for i, name in enumerate(self.names)}
         if params:
             for key, value in params.items():
                 if key not in env:
@@ -108,32 +114,80 @@ def _feasible_box(chart):
     return box
 
 
-def sample_points(chart, strategy="uniform", count=100, seed=0):
-    """Deterministic point cloud inside the chart's feasible box.
-
-    strategy "uniform" draws i.i.d. points from a seeded generator;
-    "grid" lays down the smallest per-axis lattice covering count points
-    and returns the first count of them in lexicographic order.
+class Sample:
+    """The sample points of a chart, drawn chunk by chunk: block(lo, hi)
+    is points lo..hi-1 as an (hi - lo, n) array, sample[i] point i, and
+    no (count, n) array is held.  "uniform": point p is row p of
+    default_rng(seed).random((count, n)) scaled into the feasible box,
+    drawn by a generator advanced past the points before it.  "grid": the
+    first count points, in lexicographic order, of the smallest per-axis
+    lattice that has count points.
     """
-    if count < 1:
-        raise ChartError("count must be >= 1")
-    box = _feasible_box(chart)
-    n = chart.dim
-    if strategy == "uniform":
-        # lo + (hi - lo) * u in each column, computed in place
-        pts = np.random.default_rng(seed).random((count, n))
-        pts *= [hi - lo for lo, hi in box]
-        pts += [lo for lo, _ in box]
-        return pts
-    if strategy == "grid":
-        per_axis = 1
-        while per_axis ** n < count:
-            per_axis += 1
-        axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        return pts[:count]
-    raise ChartError(f"unknown sampling strategy {strategy!r}")
+
+    def __init__(self, chart, strategy="uniform", count=100, seed=0):
+        if count < 1:
+            raise ChartError("count must be >= 1")
+        box = _feasible_box(chart)
+        if strategy not in ("uniform", "grid"):
+            raise ChartError(f"unknown sampling strategy {strategy!r}")
+        self.names = chart.names
+        self.strategy, self.count = strategy, count
+        self.seed = np.random.SeedSequence(seed)   # the seeding of default_rng(seed)
+        self.low = [lo for lo, _ in box]
+        self.width = [hi - lo for lo, hi in box]
+        if strategy == "grid":
+            self.per_axis = 1
+            while self.per_axis ** len(box) < count:
+                self.per_axis += 1
+            self.axes = [np.linspace(lo, hi, self.per_axis) for lo, hi in box]
+
+    def __len__(self):
+        return self.count
+
+    def __getitem__(self, index):
+        return self.block(index, index + 1)[0]
+
+    def block(self, lo, hi):
+        n = len(self.names)
+        if self.strategy == "uniform":
+            generator = np.random.Generator(np.random.PCG64(self.seed).advance(lo * n))
+            points = generator.random((hi - lo, n))
+            for axis in range(n):
+                # lo + (hi - lo) * u, column by column in place
+                column = points[:, axis]
+                column *= self.width[axis]
+                column += self.low[axis]
+            return points
+        # lattice index of each point along each axis, the last axis fastest
+        index = np.arange(lo, hi)
+        return np.stack([axis[index // self.per_axis ** (n - 1 - k) % self.per_axis]
+                         for k, axis in enumerate(self.axes)], axis=1)
+
+    def columns(self):
+        """{coordinate name: fill(lo, hi, out)}, which writes the coordinate
+        of points lo..hi-1 into out, as expr.evaluate_many_multi reads a
+        column; a chunk is drawn once for all coordinates."""
+        drawn = {}
+
+        def fill(axis, lo, hi, out):
+            if (lo, hi) not in drawn:
+                drawn.clear()
+                drawn[lo, hi] = self.block(lo, hi)
+            out[...] = drawn[lo, hi][:, axis]
+        return {name: functools.partial(fill, axis) for axis, name in enumerate(self.names)}
+
+
+def sample_points(chart, strategy="uniform", count=100, seed=0):
+    """The points of Sample(chart, strategy, count, seed) as one
+    (count, n) array."""
+    return Sample(chart, strategy, count, seed).block(0, count)
+
+
+def as_points(points):
+    """points as an (npoints, n) float array, or the Sample it is."""
+    if isinstance(points, Sample):
+        return points
+    return np.atleast_2d(np.asarray(points, dtype=float))
 
 
 def evaluate_field(comps, env, size):
@@ -158,27 +212,28 @@ def evaluate_fields(fields, env, size):
 def reduce_fields(groups, env, size):
     """Evaluate the fields of every (fields, accumulator) group as one plan.
 
-    After each chunk of points, every accumulator's update(lo, *fields)
+    In each chunk of points, as soon as the plan has computed every
+    component of a group's fields, the accumulator's update(lo, *fields)
     receives, per field of its group, the sequence of its components'
     (hi - lo,) chunks, in the order of the field's flattened components;
-    what it keeps is up to it, and its finish() gives the result.  The
-    accumulators are soliton.ResidualSup, the one reducer of every check,
-    fit.FitQR and FieldValues.
+    the plan then reuses their buffers, so what it keeps is up to it, and
+    its finish() gives the result.  Each accumulator sees its chunks in
+    order.  The accumulators are soliton.ResidualSup, the one reducer of
+    every check, fit.FitQR and FieldValues.
     """
-    roots, feeds = [], []
+    roots, sinks = [], []
     for fields, accumulator in groups:
-        spans = []
+        spans, start = [], len(roots)
         for f in fields:
             f = np.asarray(f, dtype=object).reshape(-1)
-            spans.append((len(roots), len(roots) + len(f)))
+            spans.append((len(roots) - start, len(roots) - start + len(f)))
             roots.extend(f)
-        feeds.append((accumulator.update, spans))
+        sinks.append((len(roots) - start, functools.partial(_feed, accumulator.update, spans)))
+    expr.evaluate_many_multi(roots, env, size, sinks)
 
-    def sink(lo, hi, values):
-        for update, spans in feeds:
-            update(lo, *[values[a:b] for a, b in spans])
 
-    expr.evaluate_many_multi(roots, env, size, sink=sink)
+def _feed(update, spans, lo, hi, values):
+    update(lo, *[values[a:b] for a, b in spans])
 
 
 class FieldValues:
@@ -200,15 +255,32 @@ class FieldValues:
                 for block, shape in zip(self.blocks, self.shapes)]
 
 
-def components_sup(components):
+def components_sup(components, out=None, scratch=None):
     """max over components of |value| at each point, for the component
     chunks of one field as reduce_fields passes them; non-finite values
-    propagate, so the result is finite exactly where every component is."""
-    sup = np.abs(components[0])
-    scratch = np.empty_like(sup)
-    for component in components[1:]:
-        np.maximum(sup, np.abs(component, out=scratch), out=sup)
-    return sup
+    propagate, so the result is finite exactly where every component is.
+    Each distinct array is read once and the broadcast scalars are folded
+    in as one; out and scratch, if given, are chunk-long work arrays."""
+    arrays, constant = {}, None
+    for component in components:
+        if component.strides == (0,):
+            value = abs(component[0])
+            constant = value if constant is None else np.maximum(constant, value)
+        else:
+            arrays[id(component)] = component
+    out = np.empty(len(components[0])) if out is None else out
+    if not arrays:
+        out.fill(constant)
+        return out
+    first, *rest = arrays.values()
+    np.abs(first, out=out)
+    if rest and scratch is None:
+        scratch = np.empty_like(out)
+    for array in rest:
+        np.maximum(out, np.abs(array, out=scratch), out=out)
+    if constant:        # 0 changes nothing; NaN and inf change every point
+        np.maximum(out, constant, out=out)
+    return out
 
 
 def _cofactor_expansion(matrix, rows, cols, memo):

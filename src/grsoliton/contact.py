@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from grsoliton import expr
-from grsoliton.chart import sample_points
+from grsoliton.chart import as_points, sample_points
 from grsoliton.expr import Num, as_scalar, simplify
 from grsoliton.soliton import Check, reduce_checks, run_checks
 from grsoliton.tensors import (
@@ -97,10 +97,11 @@ class AlmostContactStructure:
 
 
 def _points(chart, points):
-    """points as an (npoints, n) array; None samples the default points."""
+    """points as chart.as_points gives them; None samples the default
+    points."""
     if points is None:
         return sample_points(chart, "uniform", _AXIOM_POINTS, _AXIOM_SEED)
-    return np.atleast_2d(np.asarray(points, dtype=float))
+    return as_points(points)
 
 
 def _reports(structure, checks, points, params, tolerance=DEFAULT_TOLERANCE):

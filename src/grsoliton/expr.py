@@ -26,9 +26,9 @@ Vectorised evaluation (evaluate_many_multi) computes each node once and
 runs over the points in fixed-size chunks.  Every value a chunk computes
 lives in one of a fixed pool of chunk-long buffers, allocated once per
 run and reused by a later value after the last read of an earlier one;
-each chunk's root values go to a sink that reduces them, and the next
-chunk overwrites them, so no value outlives its chunk unless the sink
-copies it.
+each group of root values goes to the sink that reduces it as soon as the
+chunk has computed it, and the plan then reuses its buffers, so no value
+outlives its chunk unless the sink copies it.
 """
 
 import math
@@ -630,20 +630,28 @@ def evaluate_many_multi(exprs, env, size, sink):
     """Vectorised evaluation of several roots as one plan.
 
     Each distinct node (and, since nodes are interned, each distinct
-    structure) is computed once.  Points are processed in chunks of
-    CHUNK_POINTS.  The plan is compiled once per call: each value that
-    depends on the point gets a slot in a pool of chunk-long buffers, and
-    a value's slot passes to a later value after its last read (a root's
-    slot does not), so the pool holds as many buffers as values are live
-    at once.  Each step then runs as one numpy call that writes its slot.
-    After each chunk the plan calls sink(lo, hi, values): values holds,
-    in the order of exprs, each root's values at points lo..hi-1 as a
-    (hi - lo,) array; a root that does not depend on the point is a
-    broadcast view of its scalar.  The next chunk overwrites these
-    arrays, so a sink reduces or copies what it needs during the call and
+    structure) is computed once, over chunks of CHUNK_POINTS points.  env
+    maps a name to a scalar, a (size,) array, or a fill(lo, hi, out) that
+    writes its values at points lo..hi-1 into out (chart.Sample.columns).
+    sink(lo, hi, values) gets every root's values after each chunk; or
+    sink is a list of (count, sink) pairs that split exprs, in order, into
+    groups, and each group's sink gets its roots' values, in each chunk,
+    as soon as they are computed.  values holds each root's values at
+    points lo..hi-1 as a (hi - lo,) array; a root that does not depend on
+    the point is a broadcast view of its scalar.
+
+    The plan is compiled once per call: each value that depends on the
+    point gets a slot in a pool of chunk-long buffers, which passes to a
+    later value once the steps that read the value and the sinks it is
+    handed to are done, so the pool holds as many buffers as values are
+    live at once.  Each step then runs as one numpy call that writes its
+    slot.  So a sink reduces or copies what it needs during the call and
     keeps no array, nor any view of one.
     """
-    _Plan(exprs).run(env, size, sink)
+    plan = _Plan(exprs)
+    if callable(sink):
+        sink = [(len(plan.roots), sink)]
+    plan.run(env, size, sink)
 
 
 class _Plan:
@@ -662,13 +670,12 @@ class _Plan:
         self.steps.append((node, tuple(kids)))
         return number
 
-    def run(self, env, size, sink):
+    def run(self, env, size, sinks):
         # nodes that do not depend on a point are computed once; the rest
         # form a per-chunk program of (number, operation, argument numbers)
         values = [None] * len(self.steps)
-        columns = []
+        columns = []         # (number, fill(lo, hi, out)) per coordinate column
         program = []
-        last_use = {}        # value number -> index of the last step reading it
         for number, (node, args) in enumerate(self.steps):
             if isinstance(node, Num):
                 values[number] = node.value
@@ -677,22 +684,27 @@ class _Plan:
                     value = env[node.name]
                 except KeyError:
                     raise UnboundSymbolError(node.name) from None
-                if np.ndim(value):
-                    columns.append((number, np.broadcast_to(value, (size,))))
+                if callable(value):
+                    columns.append((number, value))
+                elif np.ndim(value):
+                    columns.append((number, _copier(np.broadcast_to(value, (size,)))))
                 else:
                     # as the scalar evaluator reads it: a ufunc would wrap
                     # a product of Python ints at 64 bits
                     values[number] = float(value)
             elif any(values[a] is None for a in args):
-                for a in args:
-                    last_use[a] = len(program)
                 program.append((number, _operation(node), args))
             else:
                 with np.errstate(all="ignore"):
                     values[number] = _operation(node)(*(values[a] for a in args))
+        groups, start = [], 0
+        for count, sink in sinks:
+            groups.append((sink, self.roots[start:start + count]))
+            start += count
+        program, last, release, fed = _schedule(program, groups, values)
         width = min(size, CHUNK_POINTS)
-        pool, sources, steps = self._bind(columns, program, values, last_use, width)
-        roots = self._roots(sources, values, width)
+        pool, sources, steps = _bind(columns, program, last, release, values, width)
+        segments = _segments(steps, sources, values, groups, fed, width)
         for lo in range(0, size, CHUNK_POINTS):
             hi = min(lo + CHUNK_POINTS, size)
             if hi - lo < width:
@@ -702,57 +714,126 @@ class _Plan:
                 sources = [views.get(id(value), value) for value in sources]
                 steps = [(op, [views.get(id(a), a) for a in args], views[id(out)])
                          for op, args, out in steps]
-                roots = self._roots(sources, values, hi - lo)
-            for number, column in columns:
-                sources[number][...] = column[lo:hi]
-            with np.errstate(all="ignore"):
-                for op, args, out in steps:
-                    op(*args, out=out)
-            sink(lo, hi, roots)
+                segments = _segments(steps, sources, values, groups, fed, hi - lo)
+            for number, fill in columns:
+                fill(lo, hi, sources[number])
+            for part, feeds in segments:
+                with np.errstate(all="ignore"):
+                    for op, args, out in part:
+                        op(*args, out=out)
+                for sink, roots in feeds:
+                    sink(lo, hi, roots)
 
-    def _bind(self, columns, program, values, last_use, width):
-        """The pool of width-long buffers, each value as a step reads it
-        (its scalar, or its buffer) and every step as (ufunc, arguments,
-        out buffer).
 
-        Buffers are assigned by linear scan (Poletto & Sarkar, "Linear scan
-        register allocation", 1999): each coordinate column takes a buffer
-        of its own, then each step in program order takes the buffer that
-        was freed last, or a new one.  A value frees its buffer at its last
-        use, before that step takes one, so a step may write over an
-        argument it is the last to read; a root keeps its buffer.
-        last_use maps each value read by a step to the index of the last
-        step that reads it, and is used up.
-        """
-        roots = set(self.roots)
-        sources = list(values)
-        pool = [np.empty(width) for _ in columns]
-        for (number, _), buffer in zip(columns, pool):
-            sources[number] = buffer
-        free = []
-        steps = []
-        read = sources.__getitem__
-        for i, (number, op, args) in enumerate(program):
-            arguments = tuple(map(read, args))
-            for a in args:
-                if last_use[a] == i and values[a] is None and a not in roots:
-                    last_use[a] = None      # freed once, if read twice (x * x)
-                    free.append(sources[a])
-            if free:
-                out = free.pop()
-            else:
-                out = np.empty(width)
-                pool.append(out)
-            sources[number] = out
-            steps.append((op, arguments, out))
-        return pool, sources, steps
+def _segments(steps, sources, values, groups, fed, n):
+    """The chunk as (steps, feeds) segments, n points each: a run of
+    steps, then (sink, root values) of each group fed after it; a root
+    that does not depend on the point is a broadcast view of its scalar."""
+    feeds = {}
+    for (sink, roots), at in zip(groups, fed):
+        feeds.setdefault(at, []).append((sink, tuple(
+            sources[number] if values[number] is None
+            else np.broadcast_to(np.float64(values[number]), (n,)) for number in roots)))
+    segments, start = [], 0
+    for at in sorted(feeds):
+        segments.append((steps[start:at + 1], feeds[at]))
+        start = at + 1
+    return segments
 
-    def _roots(self, sources, values, n):
-        """The roots as the sink reads them, n points each; a root that
-        does not depend on the point is a broadcast view of its scalar."""
-        return tuple(sources[number] if values[number] is None
-                     else np.broadcast_to(np.float64(values[number]), (n,))
-                     for number in self.roots)
+
+def _copier(column):
+    """fill(lo, hi, out) of an array column."""
+    def fill(lo, hi, out):
+        out[...] = column[lo:hi]
+    return fill
+
+
+def _schedule(program, groups, values):
+    """(program, last, release, fed): the program in group order; last[v]
+    the last use of value v, 2i if step i reads it and 2i + 1 if a sink
+    after step i does (-2: none); release[i] the roots a sink before step
+    i used last; fed[g] the step after which group g is fed (-1: first).
+
+    The groups go largest first, by the steps they need, each taking the
+    steps no group before it took, depth first from its roots, left
+    operand first: a group's roots are fed, and freed, before the next
+    group starts.  Tables are lists indexed by value number.
+    """
+    needs = [0] * len(values)    # the program steps a value needs, as bits
+    entry = [None] * len(values)
+    for i, step in enumerate(program):
+        bits = 1 << i
+        for a in step[2]:
+            bits |= needs[a]
+        needs[step[0]], entry[step[0]] = bits, step
+    sizes = []
+    for _, roots in groups:
+        bits = 0
+        for number in roots:
+            bits |= needs[number]
+        sizes.append(-bits.bit_count())
+    program = []
+    last = [-2] * len(values)
+    position = [-1] * len(values)
+    for g in sorted(range(len(groups)), key=sizes.__getitem__):
+        stack = groups[g][1][::-1]       # ~number: its operands are done
+        while stack:
+            number = stack.pop()
+            if number < 0:
+                step = entry[~number]
+                entry[~number] = None
+                position[~number] = len(program)
+                for a in step[2]:
+                    last[a] = 2 * len(program)
+                program.append(step)
+            elif entry[number] is not None:
+                stack.append(~number)
+                stack.extend(entry[number][2][::-1])
+    fed = []
+    for _, roots in groups:
+        at = max((position[number] for number in roots), default=-1)
+        fed.append(at)
+        for number in roots:
+            last[number] = max(last[number], 2 * at + 1)
+    release = {}         # step index -> the roots that a sink before it used last
+    for number in {number for _, roots in groups for number in roots}:
+        if last[number] % 2 and values[number] is None:
+            release.setdefault((last[number] + 1) // 2, []).append(number)
+    return program, last, release, fed
+
+
+def _bind(columns, program, last, release, values, width):
+    """The pool of width-long buffers, each value as a step reads it (its
+    scalar, or its buffer) and every step as (ufunc, arguments, out).
+
+    Buffers are assigned by linear scan (Poletto & Sarkar, "Linear scan
+    register allocation", 1999): each coordinate column takes a buffer,
+    then each step the buffer freed last, or a new one.  A value frees its
+    buffer at its last use (see _schedule), before the next step takes
+    one, so a step may write over an argument it is the last to read.
+    """
+    sources = list(values)
+    pool = [np.empty(width) for _ in columns]
+    for (number, _), buffer in zip(columns, pool):
+        sources[number] = buffer
+    free = []
+    steps = []
+    read = sources.__getitem__
+    for i, (number, op, args) in enumerate(program):
+        arguments = tuple(map(read, args))
+        free.extend(map(read, release.get(i, ())))
+        for a in args:
+            if last[a] == 2 * i and values[a] is None:
+                last[a] = -2        # freed once, if read twice (x * x)
+                free.append(sources[a])
+        if free:
+            out = free.pop()
+        else:
+            out = np.empty(width)
+            pool.append(out)
+        sources[number] = out
+        steps.append((op, arguments, out))
+    return pool, sources, steps
 
 
 _BINARY_OPS = {

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from grsoliton.chart import reduce_fields
+from grsoliton.chart import as_points, reduce_fields
 from grsoliton.expr import as_scalar
 from grsoliton.soliton import SolitonSpec, build_gradient_check, reduce_checks
 from grsoliton.tensors import (
@@ -35,8 +35,9 @@ CONSTANT_ORDER = ("c1", "c2", "lambda")
 # the signs with which design_fields enter c1 (df2.df2) + c2 (-Ric) + lam (-g) = -Hess f1
 SIGNS = (1.0, -1.0, -1.0, -1.0)
 
-# rows per block of the batched QR of [R; chunk]
+# rows per block of the batched QR of [R; chunk], and blocks per QR call
 BLOCK_ROWS = 1024
+QR_BATCH = 8
 
 
 @dataclass
@@ -93,13 +94,13 @@ class FitQR:
 
     update(lo, c1, c2, lam, target[, domain]) reads a chunk of the
     design_fields, takes each with its sign (SIGNS), drops the points where
-    a value is not finite, writes the rest below R into one reused buffer
-    and reduces [R; chunk] by one batched QR of its BLOCK_ROWS-row blocks
-    and one of theirs.  finish(fixed) solves with fixed pinned, as often as asked."""
+    a value is not finite, writes the rest below R into a buffer of the
+    chunk's own and reduces [R; chunk] by one batched QR of its
+    BLOCK_ROWS-row blocks and one of theirs; only R outlives the update.
+    finish(fixed) solves with fixed pinned, as often as asked."""
 
     def __init__(self):
         self.r = np.zeros((4, 4))
-        self.buffer = np.empty((4, 0))
         self.n_valid = self.n_points = 0
         self.first_bad = None
 
@@ -107,9 +108,7 @@ class FitQR:
         k, size = len(target), len(target[0])
         rows = 4 + k * size
         used = -(-rows // BLOCK_ROWS) * BLOCK_ROWS
-        if self.buffer.shape[1] < used:
-            self.buffer = np.empty((4, used))
-        buffer = self.buffer      # [j, 4 + c * size + p]: column j, component c, point p
+        buffer = np.empty((4, used))  # [j, 4 + c * size + p]: column j, component c, point p
         buffer[:, :4] = self.r.T
         for j, field in enumerate((c1, c2, lam, target)):
             for c, component in enumerate(field):
@@ -127,7 +126,11 @@ class FitQR:
         used = -(-rows // BLOCK_ROWS) * BLOCK_ROWS
         buffer[:, rows:used] = 0.0
         blocks = buffer[:, :used].reshape(4, -1, BLOCK_ROWS).transpose(1, 2, 0)
-        self.r = np.linalg.qr(np.linalg.qr(blocks, mode="r").reshape(-1, 4), mode="r")
+        # QR_BATCH blocks per call, since np.linalg.qr copies its input;
+        # each block's R is the same however the blocks are batched
+        rs = [np.linalg.qr(blocks[b:b + QR_BATCH], mode="r")
+              for b in range(0, len(blocks), QR_BATCH)]
+        self.r = np.linalg.qr(np.concatenate(rs).reshape(-1, 4), mode="r")
         self.n_valid += n_valid
         self.n_points += size
 
@@ -176,7 +179,7 @@ def fit_constants(metric, f1, f2, points, params=None, fixed=None):
     """Fit the constants not pinned by fixed (a dict over CONSTANT_ORDER)
     against -Hess f1 at the points where every entry is defined (at least
     3), then measure the gradient-form residual there in a second pass."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = as_points(points)
     env = metric.chart.env_at(points, params)
     design = FitQR()
     reduce_fields([(design_fields(metric, f1, f2), design)], env, len(points))

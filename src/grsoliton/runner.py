@@ -18,7 +18,7 @@ import functools
 import math
 import time
 
-from grsoliton.chart import reduce_fields, sample_points
+from grsoliton.chart import Sample, reduce_fields
 from grsoliton.contact import (
     StructureError,
     assemble_structure,
@@ -65,8 +65,8 @@ def run_manifest(manifest, subcommand, points=None, count=None, seed=None,
     if seed is not None:
         sampling["seed"] = int(seed)
     if points is None:
-        points = sample_points(manifest.chart, sampling["strategy"],
-                               sampling["count"], sampling["seed"])
+        points = Sample(manifest.chart, sampling["strategy"], sampling["count"],
+                        sampling["seed"])
 
     # the fit row, or "fit" constants for the soliton or theorem rows
     fits = manifest.scalars is not None and (

@@ -21,12 +21,13 @@ contact.py.  Sample points where evaluation leaves an expression's domain
 are skipped and counted; a check with no valid points raises DomainError.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from grsoliton.chart import components_sup, reduce_fields, sample_points
-from grsoliton.expr import DomainError, Num, as_scalar, evaluate
+from grsoliton.chart import as_points, components_sup, reduce_fields, sample_points
+from grsoliton.expr import CHUNK_POINTS, DomainError, Num, as_scalar, evaluate
 from grsoliton.tensors import (
     TensorField,
     covariant_derivative,
@@ -159,50 +160,63 @@ class ResidualSup:
     not finite, and worst the first point of the largest relative
     residual.  finish() returns the ResidualReport, or, with no valid
     point, has the scalar evaluator name the offending node at first_bad.
+    scratch, a (3, width) array that the accumulators of one plan share,
+    holds a chunk's pointwise sups; without it each update allocates its
+    own.
     """
 
-    def __init__(self, check, chart, points, params, tolerance):
+    def __init__(self, check, chart, points, params, tolerance, scratch=None):
         self.check = check
         self.chart = chart
         self.points = points
         self.params = params
         self.tolerance = tolerance
+        self.scratch = scratch
         self.abs_sup = self.ref_sup = self.rel_sup = -np.inf
         self.n_valid = self.n_points = 0
         self.first_bad = self.worst = None
 
     def update(self, lo, residual, reference, domain=()):
-        res_sup = components_sup(residual)
-        defined = np.isfinite(res_sup)
-        for component in domain:
-            defined &= np.isfinite(component)
-        valid = defined
-        if len(reference):
-            ref_sup = components_sup(reference)
-            valid = defined & np.isfinite(ref_sup)
-        n_valid = int(np.count_nonzero(valid))
+        n = len(residual[0])
+        work = np.empty((3, n)) if self.scratch is None else self.scratch[:, :n]
+        res = components_sup(residual, work[0], work[2])
+        ref = components_sup(reference, work[1], work[2]) if len(reference) else None
+        # a NaN or an inf wins max and argmax, so a finite largest value
+        # proves every value finite; a finite sum does so for the domain
+        worst = None
+        if ref is None:
+            worst = int(res.argmax())
+            tops = (res[worst],)
+        else:
+            tops = (res.max(), ref.max())
         kept = None
-        if n_valid < len(valid):
+        if not (all(map(math.isfinite, tops)) and all(math.isfinite(c.sum()) for c in domain)):
+            defined = np.isfinite(res)
+            for component in domain:
+                defined &= np.isfinite(component)
+            valid = defined if ref is None else defined & np.isfinite(ref)
             if self.first_bad is None and not defined.all():
                 self.first_bad = lo + int(np.argmin(defined))
             kept = np.flatnonzero(valid)
-            res_sup = res_sup[kept]
-            if len(reference):
-                ref_sup = ref_sup[kept]
-        if n_valid:
-            rel = res_sup
-            if len(reference):
-                self.abs_sup = max(self.abs_sup, float(res_sup.max()))
-                self.ref_sup = max(self.ref_sup, float(ref_sup.max()))
-                rel = np.divide(res_sup, np.maximum(ref_sup, 1.0, out=ref_sup), out=ref_sup)
-            worst = int(rel.argmax())
+            res, worst = res[kept], None
+            if ref is not None:
+                ref = ref[kept]
+                tops = (res.max(), ref.max()) if len(kept) else None
+        if len(res):
+            rel = res
+            if ref is not None:
+                self.abs_sup = max(self.abs_sup, float(tops[0]))
+                self.ref_sup = max(self.ref_sup, float(tops[1]))
+                rel = np.divide(res, np.maximum(ref, 1.0, out=ref), out=ref)
+            if worst is None:
+                worst = int(rel.argmax())
             if rel[worst] > self.rel_sup:
                 self.rel_sup = float(rel[worst])
                 self.worst = lo + (worst if kept is None else int(kept[worst]))
-            if not len(reference):
+            if ref is None:
                 self.abs_sup = self.rel_sup
-        self.n_valid += n_valid
-        self.n_points += len(valid)
+        self.n_valid += len(res)
+        self.n_points += n
 
     def finish(self):
         check = self.check
@@ -227,9 +241,11 @@ class ResidualSup:
 def reduce_checks(chart, checks, points, params, tolerance, groups=()):
     """Evaluate the checks, and the fields of the further (fields,
     accumulator) groups (see chart.reduce_fields), as one plan at points,
-    an (npoints, n) array; return each check's ResidualSup, fed but not
-    finished."""
-    accumulators = [ResidualSup(c, chart, points, params, tolerance) for c in checks]
+    an (npoints, n) array or a chart.Sample; return each check's
+    ResidualSup, fed but not finished.  The ResidualSups share one
+    scratch buffer."""
+    scratch = np.empty((3, min(len(points), CHUNK_POINTS)))
+    accumulators = [ResidualSup(c, chart, points, params, tolerance, scratch) for c in checks]
     reduce_fields([*((c.fields, a) for c, a in zip(checks, accumulators)), *groups],
                   chart.env_at(points, params), len(points))
     return accumulators
@@ -241,9 +257,7 @@ def run_checks(chart, checks, points, params, tolerance):
 
     points=None samples the module's default 200 uniform points.
     """
-    if points is None:
-        points = _default_points(chart)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _default_points(chart) if points is None else as_points(points)
     return [a.finish() for a in reduce_checks(chart, checks, points, params, tolerance)]
 
 

@@ -180,23 +180,34 @@ def christoffel(metric):
     return _derived(metric, "christoffel", build)
 
 
+def _curvature(metric, i, j, trace):
+    """R^l_ijk for the index pairs (i[p], j[p]), as terms[p, l, k], or,
+    with trace, R^i_ijk as terms[p, k]; either way the fold of riemann."""
+    n = metric.dim
+    gamma = christoffel(metric).comps
+    # dgamma[a, l, j, k] = d_a G^l_jk, from the upper triangle in (j, k)
+    rows, cols = upper_pairs(n)
+    dgamma = from_upper(derivative(gamma[:, rows, cols], metric.chart.names), n)
+    # products[m, p, l, k] = G^l_im G^m_jk, swapped the same with i, j exchanged
+    if trace:
+        base = dgamma[i, i, j] - dgamma[j, i, i]
+        products = gamma[i, i].T[..., None] * gamma[:, j]
+        swapped = gamma[i, j].T[..., None] * gamma[:, i]
+    else:
+        base = dgamma[i, :, j] - dgamma[j, :, i]
+        products = gamma[:, i].transpose(2, 1, 0)[..., None] * gamma[:, j, None]
+        swapped = gamma[:, j].transpose(2, 1, 0)[..., None] * gamma[:, i, None]
+    return fold(base, (operator.add, products), (operator.sub, swapped))
+
+
 def riemann(metric):
     """R^l_ijk = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik."""
     def build():
         n = metric.dim
-        gamma = christoffel(metric).comps
-        # dgamma[a, l, j, k] = d_a G^l_jk, from the upper triangle in (j, k)
-        rows, cols = upper_pairs(n)
-        dgamma = from_upper(derivative(gamma[:, rows, cols], metric.chart.names), n)
-        # built on the pairs (i, j), i != j, since R^l_iik = 0: terms[pair, l, k],
-        # products[m, pair, l, k] = G^l_im G^m_jk, swapped the same with i, j exchanged
+        # built on the pairs (i, j), i != j, since R^l_iik = 0
         i, j = np.nonzero(~np.eye(n, dtype=bool))
-        products = gamma[:, i].transpose(2, 1, 0)[..., None] * gamma[:, j, None]
-        swapped = gamma[:, j].transpose(2, 1, 0)[..., None] * gamma[:, i, None]
-        terms = fold(dgamma[i, :, j] - dgamma[j, :, i],
-                     (operator.add, products), (operator.sub, swapped))
         comps = np.full((n,) * 4, expr.ZERO, dtype=object)
-        comps[:, i, j] = terms.transpose(1, 0, 2)
+        comps[:, i, j] = _curvature(metric, i, j, trace=False).transpose(1, 0, 2)
         return TensorField(metric.chart, "curv", comps)
     return _derived(metric, "riemann", build)
 
@@ -211,11 +222,14 @@ def riemann_lowered(metric):
 
 
 def ricci(metric):
-    """Ricci tensor of the curvature operator, Ric_jk = R^a_akj."""
+    """Ricci tensor of the curvature operator, Ric_jk = R^a_akj, built from
+    the trace R^a_a.. alone: the same nodes as the trace of riemann()."""
     def build():
-        diagonal = np.arange(metric.dim)
-        comps = np.add.reduce(riemann(metric).comps[diagonal, diagonal])  # [k, j]
-        return TensorField(metric.chart, "sym2", comps.T)
+        n = metric.dim
+        i, j = np.nonzero(~np.eye(n, dtype=bool))
+        trace = np.full((n, n, n), expr.ZERO, dtype=object)   # [a, k, j] = R^a_akj
+        trace[i, j] = _curvature(metric, i, j, trace=True)
+        return TensorField(metric.chart, "sym2", np.add.reduce(trace).T)
     return _derived(metric, "ricci", build)
 
 

@@ -92,3 +92,44 @@ def field_components(values):
     (npoints,) rows: the form in which an accumulator reads one field."""
     values = np.asarray(values)
     return values.reshape(len(values), math.prod(values.shape[1:])).T
+
+
+def poisoning(segments):
+    """expr._segments whose sinks, once they return, fill with NaN
+    every plan buffer that the rest of the chunk does not read before a
+    step writes it: the roots a group's sink was handed, once nothing
+    later reads them, and every free buffer.  A point-independent root, a
+    broadcast view of its scalar, is no plan buffer.  What a report reads
+    from a buffer after the plan has let it go then reads NaN."""
+    def poisoned(*args):
+        parts = segments(*args)
+        events, marks = [], []       # (is_write, array) in chunk order; a mark per feed
+        for steps, feeds in parts:
+            for _, arguments, out in steps:
+                events += [(False, a) for a in arguments if isinstance(a, np.ndarray)]
+                events.append((True, out))
+            for _, roots in feeds:
+                events += [(False, a) for a in roots if a.strides != (0,)]
+                marks.append(len(events))
+        arrays = {id(a): a for _, a in events}
+        marks = iter(marks)
+        out = []
+        for steps, feeds in parts:
+            wrapped = []
+            for sink, roots in feeds:
+                first = {}           # id -> whether its next event is a write
+                for is_write, a in events[next(marks):]:
+                    first.setdefault(id(a), is_write)
+                dead = [a for key, a in arrays.items() if first.get(key, True)]
+                wrapped.append((_poisoned_sink(sink, dead), roots))
+            out.append((steps, wrapped))
+        return out
+    return poisoned
+
+
+def _poisoned_sink(sink, dead):
+    def poisoned(lo, hi, values):
+        sink(lo, hi, values)
+        for array in dead:
+            array.fill(np.nan)
+    return poisoned

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from grsoliton import expr
+from grsoliton.expr import CHUNK_POINTS
 from grsoliton.chart import (
     MARGIN,
     ChartError,
     MetricError,
+    Sample,
     define_chart,
     define_metric,
     evaluate_field,
@@ -130,6 +132,66 @@ class TestSamplePoints:
             sample_points(chart, "uniform", 0)
         with pytest.raises(ChartError):
             sample_points(chart, "sobol", 5)
+
+
+def whole_array_points(chart, strategy, count, seed):
+    """The points as one (count, n) array, by the formulas that drew them
+    before they were drawn chunk by chunk: lo + (hi - lo) * u on
+    default_rng(seed).random((count, n)), in place with per-column
+    lists, or the first count of the meshgrid lattice."""
+    box = []
+    for lo, hi in chart.bounds:
+        lo_eff = lo + MARGIN if math.isfinite(lo) else -2.0
+        hi_eff = hi - MARGIN if math.isfinite(hi) else (lo + 2.0 if math.isfinite(lo) else 2.0)
+        box.append((lo_eff, hi_eff))
+    n = chart.dim
+    if strategy == "uniform":
+        pts = np.random.default_rng(seed).random((count, n))
+        pts *= [hi - lo for lo, hi in box]
+        pts += [lo for lo, _ in box]
+        return pts
+    per_axis = 1
+    while per_axis ** n < count:
+        per_axis += 1
+    mesh = np.meshgrid(*[np.linspace(lo, hi, per_axis) for lo, hi in box], indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=1)[:count]
+
+
+class TestSample:
+    CHART = define_chart(["x", "y", "z"], {"x": (0, None), "z": (0, math.pi)})
+
+    @pytest.mark.parametrize("strategy", ["uniform", "grid"])
+    @pytest.mark.parametrize("count", [1, 8191, 8192, 8193, 16387])
+    def test_blocks_and_points_match_the_whole_array(self, strategy, count):
+        want = whole_array_points(self.CHART, strategy, count, 11)
+        sample = Sample(self.CHART, strategy, count, 11)
+        assert len(sample) == count
+        whole = sample_points(self.CHART, strategy, count, 11)
+        assert whole.shape == want.shape and whole.flags.c_contiguous
+        assert whole.tobytes() == want.tobytes()
+        # the plan's chunks, edges that split no chunk, and single points
+        edges = sorted({*range(0, count, CHUNK_POINTS), count, count // 3, count // 2})
+        blocks = [sample.block(lo, hi) for lo, hi in zip(edges, edges[1:])]
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
+        for index in {0, count // 2, count - 1, min(CHUNK_POINTS, count - 1)}:
+            assert sample[index].tobytes() == want[index].tobytes()
+
+    @pytest.mark.parametrize("strategy", ["uniform", "grid"])
+    def test_columns_fill_each_coordinate_of_a_chunk(self, strategy):
+        count = CHUNK_POINTS + 5
+        sample = Sample(self.CHART, strategy, count, 3)
+        want = whole_array_points(self.CHART, strategy, count, 3)
+        columns = sample.columns()
+        assert list(columns) == ["x", "y", "z"]
+        for lo, hi in ((0, CHUNK_POINTS), (CHUNK_POINTS, count), (0, CHUNK_POINTS)):
+            for axis in (2, 0, 1):
+                out = np.empty(hi - lo)
+                columns[self.CHART.names[axis]](lo, hi, out)
+                assert out.tobytes() == want[lo:hi, axis].tobytes()
+
+    def test_a_bad_seed_fails_where_the_points_are_asked_for(self):
+        with pytest.raises(ValueError):
+            Sample(self.CHART, "uniform", 5, -1)
 
 
 class TestDefineMetric:

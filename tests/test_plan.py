@@ -36,7 +36,7 @@ from grsoliton.manifest import BUNDLED_NAMES, load_manifest, resolve_manifest
 from grsoliton.soliton import SolitonSpec, grad_transport_check, residual_gradient_form
 from grsoliton.tensors import riemann
 
-from conftest import SASAKIAN_ETA, SASAKIAN_PHI, SASAKIAN_XI, structural_classes
+from conftest import SASAKIAN_ETA, SASAKIAN_PHI, SASAKIAN_XI, poisoning, structural_classes
 
 _NUMPY_CALLS = {"exp": np.exp, "ln": np.log, "sin": np.sin, "cos": np.cos,
                 "tan": np.tan, "sqrt": np.sqrt}
@@ -158,6 +158,36 @@ class TestPlan:
         assert len(got) == len(roots)
         for root, values in zip(roots, got):
             assert values.shape == (size,)
+            assert same_bits(values, reference_evaluate(root, env, size)), expr.render(root)
+
+    @pytest.mark.parametrize("size", [1, 8191, 8193, 16387])
+    @settings(max_examples=15, deadline=None)
+    @given(roots=dags(), cuts=st.lists(st.integers(0, 8), max_size=4))
+    # a group of a bare coordinate, a group a later step reads from, the
+    # same root in two groups, a group of constants
+    @example(roots=[X, Mul(X, Y), SUM, Mul(SUM, Y), Num(2.0)], cuts=[1, 3, 4])
+    @example(roots=[SUM, Call("sin", SUM), SUM], cuts=[1, 2])
+    def test_groups_are_fed_early_and_match_the_reference(self, size, roots, cuts):
+        bounds = sorted({0, len(roots), *(min(c, len(roots)) for c in cuts)})
+        out = np.empty((len(roots), size))
+        chunks = []
+
+        def sink_of(start):
+            def sink(lo, hi, values):
+                chunks.append((start, lo))
+                out[start:start + len(values), lo:hi] = values
+            return sink
+
+        env = point_env(size)
+        with pytest.MonkeyPatch.context() as patch:
+            # every buffer that the rest of the chunk does not read is NaN
+            # once a group's sink returns
+            patch.setattr(expr, "_segments", poisoning(expr._segments))
+            evaluate_many_multi(roots, env, size, [(b - a, sink_of(a))
+                                                   for a, b in zip(bounds, bounds[1:])])
+        for start in bounds[:-1]:
+            assert [lo for s, lo in chunks if s == start] == list(range(0, size, 8192))
+        for root, values in zip(roots, out):
             assert same_bits(values, reference_evaluate(root, env, size)), expr.render(root)
 
     def test_negative_zero_is_its_own_node(self):
@@ -340,11 +370,40 @@ def _traced_peak(manifest, npoints):
 
 
 def test_peak_memory_per_point():
-    # every row, the fit's design included, is reduced chunk by chunk, so
-    # what a run allocates grows with N only by the sample points (24 B per
-    # point for n = 3), not by N x component columns of any row
+    # the points are drawn chunk by chunk and every row, the fit's design
+    # included, is reduced chunk by chunk, so what a run allocates does not
+    # grow with N: not by the sample points (24 B per point for n = 3), nor
+    # by N x component columns of any row
     manifest = resolve_manifest("sasakian3")
     runner.run_manifest(manifest, "all")
     small, large = 50_000, 400_000
     slope = (_traced_peak(manifest, large) - _traced_peak(manifest, small)) / (large - small)
-    assert slope <= 64
+    assert slope <= 2
+
+
+def _report_bytes(report):
+    return json.dumps(report.as_dict(include_timing=False))
+
+
+@pytest.mark.parametrize("name", BUNDLED_NAMES)
+@pytest.mark.parametrize("subcommand", ["all", "check-theorem"])
+def test_reports_do_not_read_freed_buffers(name, subcommand, monkeypatch):
+    # two full chunks and a short one; every buffer the rest of a chunk
+    # does not read is NaN once a group's sink returns
+    manifest = resolve_manifest(name)
+    if subcommand == "check-theorem" and manifest.structure is None:
+        subcommand = "fit"
+    want = _report_bytes(runner.run_manifest(manifest, subcommand, count=2 * 8192 + 3))
+    monkeypatch.setattr(expr, "_segments", poisoning(expr._segments))
+    assert _report_bytes(runner.run_manifest(manifest, subcommand, count=2 * 8192 + 3)) == want
+
+
+def test_a_run_builds_only_the_trace_of_the_curvature():
+    # no row reads R^l_ijk; Ricci is built from the trace R^a_a.. alone
+    manifest = load_manifest(json.loads(resources.files("grsoliton")
+                                        .joinpath("data/sasakian3.json").read_text()))
+    assert runner.run_manifest(manifest, "all").overall_pass
+    assert "ricci" in manifest.metric.derived
+    assert "riemann" not in manifest.metric.derived
+    assert manifest.metric.derived["ricci"].comps.tolist() == \
+        np.add.reduce(riemann(manifest.metric).comps[np.arange(3), np.arange(3)]).T.tolist()

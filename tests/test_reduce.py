@@ -57,7 +57,7 @@ from grsoliton.soliton import (
 )
 from grsoliton.tensors import TensorField, oneform_field, vector_field
 
-from conftest import SASAKIAN_ETA, SASAKIAN_PHI, SASAKIAN_XI, field_components
+from conftest import SASAKIAN_ETA, SASAKIAN_PHI, SASAKIAN_XI, field_components, poisoning
 
 SHAPES = {1: [(1,), ()], 2: [(2,)], 3: [(3,)], 4: [(4,), (2, 2)], 6: [(6,), (2, 3)],
           8: [(8,), (2, 2, 2)], 9: [(9,), (3, 3)]}
@@ -522,20 +522,6 @@ class TestChunkedAccumulators:
         assert (acc.first_bad, acc.worst) == (None, 0)
 
 
-def poisoning(evaluate):
-    """evaluate_many_multi whose sink, once it returns, fills every array
-    it was handed with NaN, as the plan's next chunk may overwrite them
-    (a point-independent root, a broadcast constant, is no plan buffer)."""
-    def run(exprs, env, size, sink):
-        def poisoned(lo, hi, values):
-            sink(lo, hi, values)
-            for array in values:
-                if array.strides != (0,):
-                    array.fill(np.nan)
-        evaluate(exprs, env, size, poisoned)
-    return run
-
-
 def finished(npoints):
     """The finish() results, as IEEE bits and flags, of every kind of
     accumulator fed sasakian3's fields in one plan over npoints points."""
@@ -569,7 +555,7 @@ def finished(npoints):
                                      2 * CHUNK_POINTS + 3])
 def test_accumulators_keep_no_chunk_array(npoints, monkeypatch):
     want = finished(npoints)
-    monkeypatch.setattr(expr, "evaluate_many_multi", poisoning(expr.evaluate_many_multi))
+    monkeypatch.setattr(expr, "_segments", poisoning(expr._segments))
     assert finished(npoints) == want
 
 

@@ -17,8 +17,10 @@ differs.
 The matrix: the three bundled manifests as they are, with lambda + 1 and
 with lambda = "fit"; a NaN eta, an infinite eta, a transposed phi,
 f2 = sqrt(x - 1.97) and an overflowing f1; x the five subcommands x
-N = 200 and 3,000 x seeds 7, 8 and 11 x both d-conventions x json and
-table (1,680 cases).
+N = 200, 3,000 and 20,000 x seeds 7, 8 and 11 x both d-conventions x
+json and table (2,520 cases).  20,000 points are two full chunks of the
+evaluation plan and a short last one, so chunk edges, worst points and
+first bad points past the first chunk are covered.
 """
 
 import contextlib
@@ -32,7 +34,7 @@ import warnings
 from importlib import resources
 
 SUBCOMMANDS = ("check-soliton", "check-structure", "check-theorem", "fit", "all")
-POINTS = (200, 3000)
+POINTS = (200, 3000, 20000)
 SEEDS = (7, 8, 11)
 CONVENTIONS = ("half", "plain")
 FORMATS = ("json", "table")
