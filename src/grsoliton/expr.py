@@ -728,12 +728,15 @@ class _Plan:
 def _segments(steps, sources, values, groups, fed, n):
     """The chunk as (steps, feeds) segments, n points each: a run of
     steps, then (sink, root values) of each group fed after it; a root
-    that does not depend on the point is a broadcast view of its scalar."""
+    that does not depend on the point is a broadcast view of its scalar,
+    one per value number."""
+    read = list(sources)
+    for number in {number for _, roots in groups for number in roots}:
+        if values[number] is not None:
+            read[number] = np.broadcast_to(np.float64(values[number]), (n,))
     feeds = {}
     for (sink, roots), at in zip(groups, fed):
-        feeds.setdefault(at, []).append((sink, tuple(
-            sources[number] if values[number] is None
-            else np.broadcast_to(np.float64(values[number]), (n,)) for number in roots)))
+        feeds.setdefault(at, []).append((sink, tuple(map(read.__getitem__, roots))))
     segments, start = [], 0
     for at in sorted(feeds):
         segments.append((steps[start:at + 1], feeds[at]))

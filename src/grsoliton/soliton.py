@@ -182,7 +182,7 @@ class ResidualSup:
         res = components_sup(residual, work[0], work[2])
         ref = components_sup(reference, work[1], work[2]) if len(reference) else None
         # a NaN or an inf wins max and argmax, so a finite largest value
-        # proves every value finite; a finite sum does so for the domain
+        # proves every value finite
         worst = None
         if ref is None:
             worst = int(res.argmax())
@@ -190,7 +190,7 @@ class ResidualSup:
         else:
             tops = (res.max(), ref.max())
         kept = None
-        if not (all(map(math.isfinite, tops)) and all(math.isfinite(c.sum()) for c in domain)):
+        if not (all(map(math.isfinite, tops)) and all(np.isfinite(c).all() for c in domain)):
             defined = np.isfinite(res)
             for component in domain:
                 defined &= np.isfinite(component)
@@ -201,12 +201,12 @@ class ResidualSup:
             res, worst = res[kept], None
             if ref is not None:
                 ref = ref[kept]
-                tops = (res.max(), ref.max()) if len(kept) else None
         if len(res):
             rel = res
             if ref is not None:
-                self.abs_sup = max(self.abs_sup, float(tops[0]))
-                self.ref_sup = max(self.ref_sup, float(tops[1]))
+                top, high = tops if kept is None else (res.max(), ref.max())
+                self.abs_sup = max(self.abs_sup, float(top))
+                self.ref_sup = max(self.ref_sup, float(high))
                 rel = np.divide(res, np.maximum(ref, 1.0, out=ref), out=ref)
             if worst is None:
                 worst = int(rel.argmax())

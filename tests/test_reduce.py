@@ -509,6 +509,16 @@ class TestChunkedAccumulators:
         for acc, whole in zip(sups, (whole_res, whole_ref)):
             assert_sup_norm(acc, whole)
 
+    @pytest.mark.parametrize("domain", [[1e308, 1e308, 1.0], [np.inf, -np.inf, 1.0],
+                                        [1.0, 2.0, np.nan]])
+    def test_the_domain_is_checked_without_a_warning(self, domain):
+        # no sum over the domain: 1e308 + 1e308 overflows, inf - inf is invalid
+        acc = ResidualSup(Check("t", [], []), None, np.zeros((3, 1)), None, 1e-8)
+        acc.update(0, [np.array([1.0, 2.0, 3.0])], [np.ones(3)], [np.array(domain)])
+        valid = np.isfinite(domain)
+        assert (acc.n_valid, acc.first_bad) == (
+            int(valid.sum()), None if valid.all() else int(np.argmin(valid)))
+
     def test_non_finite_is_skipped_across_chunks(self):
         acc = no_reference()
         for lo, chunk in ((0, [1.0, np.nan]), (2, [np.inf, 5.0]), (4, [-0.0])):
