@@ -50,7 +50,7 @@ from grsoliton.manifest import (
     load_manifest,
     resolve_manifest,
 )
-from grsoliton.report import CheckRow, Report, emit_report
+from grsoliton.report import Report, emit_report
 from grsoliton.runner import run_manifest
 from grsoliton.soliton import (
     ResidualReport,

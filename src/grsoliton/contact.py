@@ -25,7 +25,7 @@ import numpy as np
 from grsoliton import expr
 from grsoliton.chart import as_points, sample_points
 from grsoliton.expr import Num, as_scalar, simplify
-from grsoliton.soliton import Check, reduce_checks, run_checks
+from grsoliton.soliton import DEFAULT_TOLERANCE, Check, reduce_checks, run_checks
 from grsoliton.tensors import (
     TensorField,
     christoffel,
@@ -40,8 +40,6 @@ from grsoliton.tensors import (
     upper_pairs,
     vector_field,
 )
-
-DEFAULT_TOLERANCE = 1e-8
 
 _AXIOM_POINTS = 100
 _AXIOM_SEED = 811

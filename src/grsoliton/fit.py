@@ -20,7 +20,7 @@ import numpy as np
 
 from grsoliton.chart import as_points, reduce_fields
 from grsoliton.expr import as_scalar
-from grsoliton.soliton import SolitonSpec, build_gradient_check, reduce_checks
+from grsoliton.soliton import CONSTANT_ORDER, SolitonSpec, build_gradient_check, reduce_checks
 from grsoliton.tensors import (
     TensorField,
     derivative,
@@ -31,7 +31,6 @@ from grsoliton.tensors import (
 )
 
 RANK_THRESHOLD = 1e-10
-CONSTANT_ORDER = ("c1", "c2", "lambda")
 # the signs with which design_fields enter c1 (df2.df2) + c2 (-Ric) + lam (-g) = -Hess f1
 SIGNS = (1.0, -1.0, -1.0, -1.0)
 

@@ -8,18 +8,18 @@ the expression parser, so a manifest is fully validated at load time.
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from importlib import resources
 
 from grsoliton.chart import ChartError, MetricError, define_chart, define_metric
 from grsoliton.expr import ParseError, free_symbols, parse
+from grsoliton.soliton import CONSTANT_ORDER, DEFAULT_TOLERANCE
 
 BUNDLED_NAMES = ("hyperbolic", "cone", "sasakian3")
 
-CONSTANT_KEYS = ("c1", "c2", "lambda")
-
 _DEFAULT_SAMPLING = {"strategy": "uniform", "count": 200, "seed": 0}
-DEFAULT_TOLERANCE = 1e-8
 
 
 class ManifestError(ValueError):
@@ -51,7 +51,7 @@ class Manifest:
         return None
 
     def fit_targets(self):
-        return tuple(k for k in CONSTANT_KEYS if self.constants[k] == "fit")
+        return tuple(k for k in CONSTANT_ORDER if self.constants[k] == "fit")
 
     def numeric_constants(self):
         return {k: v for k, v in self.constants.items() if v != "fit"}
@@ -59,6 +59,37 @@ class Manifest:
 
 def _fail(message):
     raise ManifestError(message)
+
+
+def _is_number(value, kind):
+    """Whether value is of the numbers ABC kind; a bool is not a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _is_finite(value):
+    return _is_number(value, numbers.Real) and math.isfinite(value)
+
+
+def run_settings(sampling, tolerance, count=None, seed=None, tol=None):
+    """The sampling policy and tolerance of a run: sampling (strategy,
+    count, seed) and tolerance, with the overrides count, seed and tol put
+    in where they are not None, each value checked.  Raises ManifestError
+    naming the first field that is invalid."""
+    sampling = dict(sampling)
+    for key, value in (("count", count), ("seed", seed)):
+        if value is not None:
+            sampling[key] = value
+    tolerance = tolerance if tol is None else tol
+    if sampling["strategy"] not in ("uniform", "grid"):
+        _fail(f"unknown sampling strategy {sampling['strategy']!r}")
+    if not _is_number(sampling["count"], numbers.Integral) or sampling["count"] < 1:
+        _fail(f"sampling.count must be a positive integer, got {sampling['count']!r}")
+    if not _is_number(sampling["seed"], numbers.Integral) or sampling["seed"] < 0:
+        _fail(f"sampling.seed must be a non-negative integer, got {sampling['seed']!r}")
+    if not _is_finite(tolerance) or tolerance <= 0:
+        _fail(f"tolerance must be a positive finite number, got {tolerance!r}")
+    sampling["count"], sampling["seed"] = int(sampling["count"]), int(sampling["seed"])
+    return sampling, float(tolerance)
 
 
 def _parse_expr(text, where, allowed):
@@ -122,19 +153,19 @@ def load_manifest(source):
     constants = {}
     params = {}
     for key, value in constants_block.items():
-        if key in CONSTANT_KEYS:
+        if key in CONSTANT_ORDER:
             if value == "fit":
                 constants[key] = "fit"
-            elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            elif _is_finite(value):
                 constants[key] = float(value)
                 params[key] = float(value)
             else:
-                _fail(f'constant {key!r} must be a number or "fit"')
+                _fail(f'constant {key!r} must be a finite number or "fit"')
         else:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                _fail(f"extra constant {key!r} must be a number")
+            if not _is_finite(value):
+                _fail(f"extra constant {key!r} must be a finite number")
             params[key] = float(value)
-    for key in CONSTANT_KEYS:
+    for key in CONSTANT_ORDER:
         constants.setdefault(key, 0.0)
         if constants[key] != "fit":
             params.setdefault(key, float(constants[key]))
@@ -209,16 +240,7 @@ def load_manifest(source):
         if not isinstance(block, dict):
             _fail('"sampling" must be an object')
         sampling.update(block)
-    if sampling["strategy"] not in ("uniform", "grid"):
-        _fail(f"unknown sampling strategy {sampling['strategy']!r}")
-    if not isinstance(sampling["count"], int) or sampling["count"] < 1:
-        _fail("sampling.count must be a positive integer")
-    if not isinstance(sampling["seed"], int):
-        _fail("sampling.seed must be an integer")
-
-    tolerance = data.get("tolerance", DEFAULT_TOLERANCE)
-    if not isinstance(tolerance, (int, float)) or tolerance <= 0:
-        _fail("tolerance must be a positive number")
+    sampling, tolerance = run_settings(sampling, data.get("tolerance", DEFAULT_TOLERANCE))
 
     return Manifest(
         chart=chart,
@@ -226,7 +248,7 @@ def load_manifest(source):
         constants=constants,
         params=params,
         sampling=sampling,
-        tolerance=float(tolerance),
+        tolerance=tolerance,
         digest=digest,
         scalars=scalars,
         vectors=vectors,

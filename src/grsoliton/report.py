@@ -2,35 +2,13 @@
 
 import json
 import math
-from dataclasses import dataclass, field
-
-
-@dataclass
-class CheckRow:
-    """One named check with its residual statistics."""
-
-    name: str
-    abs_residual: float
-    rel_residual: float
-    tolerance: float
-    passed: bool
-    extra: dict = field(default_factory=dict)
-
-    def as_dict(self):
-        out = {
-            "name": self.name,
-            "abs_residual": self.abs_residual,
-            "rel_residual": self.rel_residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-        out.update(self.extra)
-        return out
+from dataclasses import dataclass
 
 
 @dataclass
 class Report:
-    """Full run summary; key order in the JSON form is construction order."""
+    """Full run summary; checks are soliton.ResidualReport rows, and key
+    order in the JSON form is construction order."""
 
     manifest_digest: str
     subcommand: str
@@ -39,17 +17,15 @@ class Report:
     overall_pass: bool
     elapsed_seconds: float
 
-    def as_dict(self, include_timing=True):
-        out = {
+    def as_dict(self):
+        return {
             "manifest_digest": self.manifest_digest,
             "subcommand": self.subcommand,
             "conventions": dict(self.conventions),
             "checks": [row.as_dict() for row in self.checks],
             "overall_pass": self.overall_pass,
+            "elapsed_seconds": self.elapsed_seconds,
         }
-        if include_timing:
-            out["elapsed_seconds"] = self.elapsed_seconds
-        return out
 
 
 def _strict(value):
@@ -70,7 +46,7 @@ def emit_report(report, fmt="table"):
     if fmt == "csv":
         lines = ["name,abs_residual,rel_residual,passed"]
         for row in report.checks:
-            lines.append(f"{row.name},{row.abs_residual!r},{row.rel_residual!r},"
+            lines.append(f"{row.name},{row.abs_sup!r},{row.rel_sup!r},"
                          f"{'true' if row.passed else 'false'}")
         return "\n".join(lines)
     if fmt == "table":
@@ -80,7 +56,7 @@ def emit_report(report, fmt="table"):
 
 def _table(report):
     headers = ("check", "abs residual", "rel residual", "tolerance", "status")
-    rows = [(row.name, f"{row.abs_residual:.3e}", f"{row.rel_residual:.3e}",
+    rows = [(row.name, f"{row.abs_sup:.3e}", f"{row.rel_sup:.3e}",
              f"{row.tolerance:.1e}", "pass" if row.passed else "FAIL")
             for row in report.checks]
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)

@@ -1,10 +1,12 @@
 """Manifest pipelines behind the CLI subcommands.
 
 Each subcommand maps the manifest blocks onto the corresponding checks and
-collects one CheckRow per named check.  "all" runs every check the
-manifest has data for.  A run that fits the constants first reduces the
-fit's design to a small R factor, in the pass that runs before the main
-plan anyway (the almost-contact axiom gate) or else in one of its own.
+reports one row per named check: a soliton.ResidualReport, the one a
+check's reducer gives or one made from it, with the row's further keys in
+its details.  "all" runs every check the manifest has data for.  A run
+that fits the constants first reduces the fit's design to a small R
+factor, in the pass that runs before the main plan anyway (the
+almost-contact axiom gate) or else in one of its own.
 The symbolic components of every row, the fit row's residual at the
 fitted constants included, are then built and evaluated as one plan,
 which every row reduces chunk by chunk as the chunks are computed; the
@@ -14,6 +16,7 @@ and evaluation leaving an expression's domain at every sample point
 raises DomainError.
 """
 
+import dataclasses
 import functools
 import math
 import time
@@ -27,9 +30,11 @@ from grsoliton.contact import (
     structure_report,
 )
 from grsoliton.fit import FitQR, TooFewPointsError, design_fields
-from grsoliton.manifest import CONSTANT_KEYS, ManifestError
-from grsoliton.report import CheckRow, Report
+from grsoliton.manifest import ManifestError, run_settings
+from grsoliton.report import Report
 from grsoliton.soliton import (
+    CONSTANT_ORDER,
+    ResidualReport,
     SolitonSpec,
     build_alignment_check,
     build_gradient_check,
@@ -41,32 +46,30 @@ from grsoliton.soliton import (
 )
 from grsoliton.tensors import vector_field
 
-SUBCOMMANDS = ("check-soliton", "check-structure", "check-theorem", "fit", "all")
+# the blocks each subcommand needs, as (Manifest attribute, block name) in
+# the order they are checked; "all" runs whatever the manifest has
+_NEEDS = {
+    "check-soliton": (("mode", "scalars or vectors"),),
+    "check-structure": (("structure", "structure"),),
+    "check-theorem": (("structure", "structure"), ("scalars", "scalars")),
+    "fit": (("scalars", "scalars"),),
+    "all": (),
+}
+SUBCOMMANDS = tuple(_NEEDS)
 
 
-def _row_from_report(report, **extra):
-    payload = {"points_used": report.n_points, "points_skipped": report.n_skipped}
-    payload.update(extra)
-    return CheckRow(report.name, report.abs_sup, report.rel_sup,
-                    report.tolerance, report.passed, payload)
-
-
-def run_manifest(manifest, subcommand, points=None, count=None, seed=None,
-                 tolerance=None, d_convention="half"):
+def run_manifest(manifest, subcommand, count=None, seed=None, tolerance=None,
+                 d_convention="half"):
     """Run one subcommand against a loaded manifest and build the Report."""
-    if subcommand not in SUBCOMMANDS:
+    if subcommand not in _NEEDS:
         raise ManifestError(f"unknown subcommand {subcommand!r}; "
                             f"choose from {SUBCOMMANDS}")
     started = time.perf_counter()
-    tol = manifest.tolerance if tolerance is None else float(tolerance)
-    sampling = dict(manifest.sampling)
-    if count is not None:
-        sampling["count"] = int(count)
-    if seed is not None:
-        sampling["seed"] = int(seed)
-    if points is None:
-        points = Sample(manifest.chart, sampling["strategy"], sampling["count"],
-                        sampling["seed"])
+    for attribute, block in _NEEDS[subcommand]:
+        if getattr(manifest, attribute) is None:
+            raise ManifestError(f"{subcommand} needs a {block} block")
+    sampling, tol = run_settings(manifest.sampling, manifest.tolerance, count, seed, tolerance)
+    points = Sample(manifest.chart, sampling["strategy"], sampling["count"], sampling["seed"])
 
     # the fit row, or "fit" constants for the soliton or theorem rows
     fits = manifest.scalars is not None and (
@@ -74,31 +77,16 @@ def run_manifest(manifest, subcommand, points=None, count=None, seed=None,
         or (bool(manifest.fit_targets()) and subcommand != "check-structure"))
     run = _Run(manifest, points, tol, fits)
     structure = None
-    if subcommand in ("check-structure", "check-theorem", "all"):
-        wants_structure = subcommand != "all" or manifest.structure is not None
-        if manifest.structure is None and subcommand != "all":
-            raise ManifestError(f"{subcommand} needs a structure block")
-        if wants_structure:
-            structure = _assemble(run, d_convention,
-                                  classify=subcommand != "check-theorem")
-
-    if subcommand in ("check-soliton", "all"):
-        if manifest.mode is None and subcommand != "all":
-            raise ManifestError("check-soliton needs a scalars or vectors block")
-        if manifest.mode is not None:
-            _soliton_rows(run)
-
-    if subcommand in ("check-theorem", "all"):
-        if subcommand == "check-theorem" and manifest.scalars is None:
-            raise ManifestError("check-theorem needs a scalars block")
-        if structure is not None and manifest.scalars is not None:
-            _theorem_rows(run, structure)
-
-    if subcommand in ("fit", "all"):
-        if manifest.scalars is None and subcommand != "all":
-            raise ManifestError("fit needs a scalars block")
-        if manifest.scalars is not None:
-            _fit_row(run, explicit=subcommand == "fit")
+    if subcommand in ("check-structure", "check-theorem", "all") \
+            and manifest.structure is not None:
+        structure = _assemble(run, d_convention, classify=subcommand != "check-theorem")
+    if subcommand in ("check-soliton", "all") and manifest.mode is not None:
+        _soliton_rows(run)
+    if subcommand in ("check-theorem", "all") and structure is not None \
+            and manifest.scalars is not None:
+        _theorem_rows(run, structure)
+    if subcommand in ("fit", "all") and manifest.scalars is not None:
+        _fit_row(run, explicit=subcommand == "fit")
 
     if not run.groups:
         raise ManifestError(f"manifest has no content for subcommand {subcommand!r}")
@@ -122,9 +110,9 @@ class _Run:
 
     rows() evaluates every group's checks as one plan (soliton.run_checks);
     rows_of(run, reports) then gives the group's rows from the
-    ResidualReports of its checks, none for a group of rows without
-    checks.  rows_of holds no reference to the run, so a run is never part
-    of a reference cycle.
+    ResidualReports of its checks, and without a rows_of the rows are
+    those reports.  rows_of holds no reference to the run, so a run is
+    never part of a reference cycle.
 
     A run that fits reduces its design to one FitQR in the pass before the
     main plan: the axiom gate's, when the run has one (pre_pass gives the
@@ -160,7 +148,7 @@ class _Run:
             reduce_fields(groups, self.env(), len(self.points))
         return self.design.finish(fixed)
 
-    def add(self, checks, rows_of):
+    def add(self, checks, rows_of=None):
         self.groups.append((checks, rows_of))
 
     def rows(self):
@@ -171,7 +159,8 @@ class _Run:
                                       self.tol))
             rows = []
             for checks, rows_of in self.groups:
-                rows.extend(rows_of(self, [next(reports) for _ in checks]))
+                group = [next(reports) for _ in checks]
+                rows.extend(group if rows_of is None else rows_of(self, group))
             return rows
         finally:
             # on every exit, a DomainError's included, so that a run never
@@ -187,7 +176,7 @@ class _Run:
         if not manifest.fit_targets():
             return resolved, None
         try:
-            fit = self.fit({k: v for k, v in resolved.items() if k in CONSTANT_KEYS})
+            fit = self.fit({k: v for k, v in resolved.items() if k in CONSTANT_ORDER})
         except TooFewPointsError as ex:
             # no row that uses the constants can be built without them
             if ex.first_bad is None:
@@ -214,8 +203,9 @@ def _assemble(run, d_convention, classify=True):
                                        points=run.points, params=manifest.params,
                                        tolerance=max(tol, 1e-8), groups=run.pre_pass())
     except StructureError as ex:
-        row = CheckRow("structure_axioms", ex.residual, ex.residual, tol, False,
-                       {"axiom": ex.axiom, "worst_point": list(map(float, ex.point))})
+        row = ResidualReport("structure_axioms", ex.residual, ex.residual, tol, False,
+                             details={"axiom": ex.axiom,
+                                      "worst_point": list(map(float, ex.point))})
         run.add([], lambda run, reports: [row])
         return None
     if classify:
@@ -225,38 +215,28 @@ def _assemble(run, d_convention, classify=True):
 
 
 def _ladder_rows(run, reports, structure, d_convention):
-    """The five ladder rows; the almost-contact row used every point, as
-    the axiom gate admits no skipped one, and the Sasakian row counts the
-    points of whichever of its two conditions used fewer."""
-    report = structure_report(structure, reports, run.tol, d_convention)
+    """The five ladder rows: the almost-contact row used every point, as
+    the axiom gate admits no skipped one; the contact, K-contact and
+    normal rows are their conditions' reports; and the Sasakian row counts
+    the points of whichever of its two conditions used fewer."""
+    flags = structure_report(structure, reports, run.tol, d_convention)
     contact, reeb, normal = reports
-    ladder = [
-        ("structure_almost_contact", max(structure.axiom_residuals.values()),
-         report.almost_contact_metric, len(run.points), 0),
-        ("structure_contact", contact.abs_sup, report.contact_metric, *_counts(contact)),
-        ("structure_k_contact", reeb.abs_sup, report.k_contact, *_counts(reeb)),
-        ("structure_normal", normal.abs_sup, report.normal, *_counts(normal)),
-        ("structure_sasakian", max(contact.abs_sup, normal.abs_sup), report.sasakian,
-         *_counts(min(contact, normal, key=lambda r: r.n_points))),
+    almost = max(structure.axiom_residuals.values())
+    sasakian = max(contact.abs_sup, normal.abs_sup)
+    return [
+        ResidualReport("structure_almost_contact", almost, almost, run.tol,
+                       flags.almost_contact_metric, len(run.points), 0),
+        dataclasses.replace(contact, name="structure_contact", passed=flags.contact_metric),
+        dataclasses.replace(reeb, name="structure_k_contact", passed=flags.k_contact),
+        dataclasses.replace(normal, name="structure_normal", passed=flags.normal),
+        dataclasses.replace(min(contact, normal, key=lambda r: r.n_points),
+                            name="structure_sasakian", abs_sup=sasakian, rel_sup=sasakian,
+                            passed=flags.sasakian, details={"d_convention": d_convention}),
     ]
-    rows = [CheckRow(name, value, value, run.tol, flag,
-                     {"points_used": used, "points_skipped": skipped})
-            for name, value, flag, used, skipped in ladder]
-    rows[-1].extra["d_convention"] = d_convention
-    return rows
-
-
-def _counts(report):
-    return report.n_points, report.n_skipped
-
-
-def _check_rows(run, reports, extra=None):
-    return [_row_from_report(report, **(extra or {})) for report in reports]
 
 
 def _gradient_check(manifest, constants):
-    spec = SolitonSpec(manifest.metric, "gradient",
-                       constants["c1"], constants["c2"], constants["lambda"],
+    spec = SolitonSpec(manifest.metric, "gradient", *(constants[k] for k in CONSTANT_ORDER),
                        f1=manifest.scalars["f1"], f2=manifest.scalars["f2"],
                        params=manifest.params)
     return build_gradient_check(spec)
@@ -272,46 +252,49 @@ def _soliton_rows(run):
         constants = manifest.numeric_constants()
         X1 = vector_field(manifest.chart, manifest.vectors["X1"])
         X2 = vector_field(manifest.chart, manifest.vectors["X2"])
-        spec = SolitonSpec(manifest.metric, "vector",
-                           constants["c1"], constants["c2"], constants["lambda"],
+        spec = SolitonSpec(manifest.metric, "vector", *(constants[k] for k in CONSTANT_ORDER),
                            X1=X1, X2=X2, params=manifest.params)
         check = build_vector_check(spec)
-    extra = {"constants": {k: constants[k] for k in CONSTANT_KEYS}}
+    constants = {k: constants[k] for k in CONSTANT_ORDER}
     if fit is None:
-        run.add([check], functools.partial(_check_rows, extra=extra))
+        run.add([check], functools.partial(_soliton_row, constants=constants))
     else:
         # the restricted fit is measured at the constants it resolved, so
         # its row and the soliton row read one report
         run.add([check], functools.partial(_fit_rows, fit=fit, restricted=True,
-                                           soliton=extra))
+                                           constants=constants))
+
+
+def _soliton_row(run, reports, constants):
+    """The soliton row: its check's report, with the constants it used."""
+    [report] = reports
+    report.details["constants"] = constants
+    return [report]
 
 
 def _theorem_rows(run, structure):
     constants, _ = run.resolved
     f1 = run.manifest.scalars["f1"]
     f2 = run.manifest.scalars["f2"]
-    c1, c2, lam = (constants[k] for k in CONSTANT_KEYS)
+    c1, c2, lam = (constants[k] for k in CONSTANT_ORDER)
     _, alignment = build_alignment_check(structure, f1, f2, c1)
     run.add([alignment, build_transport_check(structure, f1, f2, c1, c2, lam),
-             ricci_reeb_check(structure), *build_supporting_checks(structure, f1, f2, c1)],
-            _check_rows)
+             ricci_reeb_check(structure), *build_supporting_checks(structure, f1, f2, c1)])
 
 
 def _design_fields(manifest):
     return design_fields(manifest.metric, manifest.scalars["f1"], manifest.scalars["f2"])
 
 
-def _fit_rows(run, reports, fit, restricted=False, soliton=None):
+def _fit_rows(run, reports, fit, restricted=False, constants=None):
     """The fit row of fit, whose residual is the report of the gradient
     form at its constants, named fit_constants_restricted for the fit that
-    resolves "fit" constants for the other rows; then, if soliton holds a
-    soliton row's extra, the soliton row of the same report."""
+    resolves "fit" constants for the other rows; then, if constants are
+    given, the soliton row of the same report."""
     manifest, tol = run.manifest, run.tol
     [report] = reports
     passed = report.passed
-    extra = {
-        "points_used": fit.n_points,
-        "points_skipped": fit.n_skipped,
+    details = {
         "solution": {name: float(v) for name, v in zip(fit.free_names, fit.solution)},
         "rank": fit.rank,
         "null_space": [[float(v) for v in col] for col in fit.null_space.T],
@@ -319,15 +302,16 @@ def _fit_rows(run, reports, fit, restricted=False, soliton=None):
     declared = manifest.numeric_constants()
     if all(k in declared for k in fit.free_names):
         distance = fit.coset_distance([declared[k] for k in fit.free_names])
-        extra["declared_distance"] = distance
+        details["declared_distance"] = distance
         passed = passed and distance <= max(tol, 1e-8)
     name = "fit_constants"
     if restricted:
         name += "_restricted"
-        extra["note"] = "resolved-for-check"
-    rows = [CheckRow(name, report.abs_sup, report.rel_sup, tol, passed, extra)]
-    if soliton is not None:
-        rows.append(_row_from_report(report, **soliton))
+        details["note"] = "resolved-for-check"
+    rows = [dataclasses.replace(report, name=name, passed=passed, n_points=fit.n_points,
+                                n_skipped=fit.n_skipped, details=details)]
+    if constants is not None:
+        rows += _soliton_row(run, reports, constants)
     return rows
 
 
@@ -354,6 +338,6 @@ def _too_few_points_rows(run, _, n_valid, first_bad):
     and with none it is a DomainError."""
     if not n_valid:
         run.diagnose(_design_fields(run.manifest), first_bad)
-    return [CheckRow("fit_constants", math.nan, math.nan, run.tol, False,
-                     {"points_used": n_valid, "points_skipped": len(run.points) - n_valid,
-                      "note": "fewer than 3 valid sample points"})]
+    return [ResidualReport("fit_constants", math.nan, math.nan, run.tol, False, n_valid,
+                           len(run.points) - n_valid,
+                           {"note": "fewer than 3 valid sample points"})]

@@ -47,6 +47,8 @@ from grsoliton.tensors import (
 )
 
 DEFAULT_TOLERANCE = 1e-8
+# the soliton constants, in the order of SolitonSpec's c1, c2, lam
+CONSTANT_ORDER = ("c1", "c2", "lambda")
 _DEFAULT_POINTS = 200
 _DEFAULT_SEED = 0
 
@@ -85,17 +87,19 @@ class SolitonSpec:
 
 @dataclass
 class ResidualReport:
-    """Sup-norm summary of one residual check over the sample points."""
+    """Sup-norm summary of one residual check over the sample points, and
+    one row of a run's report: n_points and n_skipped are None only on the
+    row of a failed almost-contact axiom gate, and details holds a row's
+    further keys."""
 
     name: str
     abs_sup: float
     rel_sup: float
     tolerance: float
     passed: bool
-    n_points: int
-    n_skipped: int
-    components: object = None     # symbolic residual components
-    details: dict = None
+    n_points: int = None
+    n_skipped: int = None
+    details: dict = field(default_factory=dict)
 
     def as_dict(self):
         out = {
@@ -104,11 +108,11 @@ class ResidualReport:
             "rel_residual": self.rel_sup,
             "tolerance": self.tolerance,
             "passed": self.passed,
-            "points_used": self.n_points,
-            "points_skipped": self.n_skipped,
         }
-        if self.details:
-            out.update(self.details)
+        if self.n_points is not None:
+            out["points_used"] = self.n_points
+            out["points_skipped"] = self.n_skipped
+        out.update(self.details)
         return out
 
 
@@ -234,7 +238,6 @@ class ResidualSup:
             passed=self.rel_sup <= self.tolerance,
             n_points=self.n_valid,
             n_skipped=self.n_points - self.n_valid,
-            components=check.residual,
         )
 
 

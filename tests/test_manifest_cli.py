@@ -1,11 +1,14 @@
 import copy
+import dataclasses
 import json
 import math
 from importlib import resources
 
 import pytest
 
+from grsoliton.chart import sample_points
 from grsoliton.cli import build_parser, main
+from grsoliton.contact import assemble_structure, ricci_reeb_check
 from grsoliton.manifest import (
     BUNDLED_NAMES,
     ManifestError,
@@ -15,6 +18,14 @@ from grsoliton.manifest import (
 )
 from grsoliton.report import emit_report
 from grsoliton.runner import run_manifest
+from grsoliton.soliton import (
+    SolitonSpec,
+    build_alignment_check,
+    build_gradient_check,
+    build_supporting_checks,
+    build_transport_check,
+    run_checks,
+)
 
 from conftest import (
     SASAKIAN_ETA,
@@ -42,6 +53,43 @@ NAN_ETA = {
     "structure": {"phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
                   "xi": ["0", "0", "1"], "eta": ["0", "0", "sqrt(x)^2/x"]},
 }
+
+
+# neither a scalars/vectors nor a structure block
+METRIC_ONLY = {key: NAN_ETA[key] for key in ("chart", "metric")}
+
+# the message of each subcommand with a missing block, in the order the
+# blocks are checked
+MISSING_BLOCKS = [
+    ("check-soliton", NAN_ETA, "check-soliton needs a scalars or vectors block"),
+    ("check-structure", HYPERBOLIC, "check-structure needs a structure block"),
+    ("check-theorem", METRIC_ONLY, "check-theorem needs a structure block"),
+    ("check-theorem", NAN_ETA, "check-theorem needs a scalars block"),
+    ("fit", NAN_ETA, "fit needs a scalars block"),
+]
+
+# (CLI flags, message)
+BAD_OVERRIDES = [
+    (["--seed", "-1"], "sampling.seed must be a non-negative integer, got -1"),
+    (["--points", "0"], "sampling.count must be a positive integer, got 0"),
+    (["--points", "-5"], "sampling.count must be a positive integer, got -5"),
+    (["--tol", "0"], "tolerance must be a positive finite number, got 0.0"),
+    (["--tol", "-1"], "tolerance must be a positive finite number, got -1.0"),
+    (["--tol", "nan"], "tolerance must be a positive finite number, got nan"),
+    (["--tol", "inf"], "tolerance must be a positive finite number, got inf"),
+]
+
+# (manifest edit, message): values that a manifest must not hold
+BAD_MANIFEST_VALUES = [
+    ({"sampling": {"seed": -1}}, "sampling.seed must be a non-negative integer, got -1"),
+    ({"sampling": {"count": True}}, "sampling.count must be a positive integer, got True"),
+    ({"sampling": {"seed": True}}, "sampling.seed must be a non-negative integer, got True"),
+    ({"tolerance": math.nan}, "tolerance must be a positive finite number, got nan"),
+    ({"tolerance": math.inf}, "tolerance must be a positive finite number, got inf"),
+    ({"tolerance": True}, "tolerance must be a positive finite number, got True"),
+    ({"constants": {"c1": math.nan}}, "constant 'c1' must be a finite number or \"fit\""),
+    ({"constants": {"k": math.inf}}, "extra constant 'k' must be a finite number"),
+]
 
 
 def _reject_constant(token):
@@ -212,7 +260,7 @@ class TestRunManifest:
                          "structure_sasakian"]
         assert report.overall_pass
         for row in report.checks:
-            assert (row.extra["points_used"], row.extra["points_skipped"]) == (120, 0), row.name
+            assert (row.n_points, row.n_skipped) == (120, 0), row.name
 
     def test_check_theorem_rows(self):
         report = run_manifest(load_manifest(sasakian_manifest()), "check-theorem")
@@ -230,14 +278,14 @@ class TestRunManifest:
         doc["constants"]["lambda"] += shift
         [row] = run_manifest(load_manifest(doc), "check-soliton", tolerance=1e-8).checks
         assert not row.passed
-        assert row.rel_residual == pytest.approx(shift, rel=1e-3)
+        assert row.rel_sup == pytest.approx(shift, rel=1e-3)
 
     def test_fit_reports_solution(self):
         report = run_manifest(bundled_examples("cone"), "fit")
         row = report.checks[0]
         assert row.name == "fit_constants"
-        assert row.extra["rank"] == 3
-        sol = row.extra["solution"]
+        assert row.details["rank"] == 3
+        sol = row.details["solution"]
         assert sol["c1"] == pytest.approx(-1.0, abs=1e-8)
         assert sol["c2"] == pytest.approx(1.0, abs=1e-8)
         assert sol["lambda"] == pytest.approx(1.0, abs=1e-8)
@@ -248,7 +296,7 @@ class TestRunManifest:
         report = run_manifest(load_manifest(doc), "check-soliton")
         assert report.overall_pass
         fit_rows = [r for r in report.checks if r.name == "fit_constants_restricted"]
-        assert fit_rows and fit_rows[0].extra["solution"]["c1"] == \
+        assert fit_rows and fit_rows[0].details["solution"]["c1"] == \
             pytest.approx(2.0, abs=1e-8)
 
     @pytest.mark.parametrize("name", BUNDLED_NAMES)
@@ -278,11 +326,50 @@ class TestRunManifest:
         m = load_manifest(HYPERBOLIC)
         r1 = run_manifest(m, "check-soliton", count=40, seed=1)
         r2 = run_manifest(m, "check-soliton", count=40, seed=2)
-        assert r1.checks[0].abs_residual != r2.checks[0].abs_residual
+        assert r1.checks[0].abs_sup != r2.checks[0].abs_sup
 
     def test_unknown_subcommand(self):
         with pytest.raises(ManifestError):
             run_manifest(load_manifest(HYPERBOLIC), "frobnicate")
+
+    def test_a_bool_count_is_not_a_count(self):
+        with pytest.raises(ManifestError, match="^sampling.count must be a positive integer"):
+            run_manifest(load_manifest(HYPERBOLIC), "check-soliton", count=True)
+
+    def test_check_rows_are_the_reports_of_their_checks(self):
+        manifest = bundled_examples("sasakian3")
+        points = sample_points(manifest.chart, "uniform", 200, 7)
+        f1, f2 = manifest.scalars["f1"], manifest.scalars["f2"]
+        params, tol = manifest.params, manifest.tolerance
+        spec = SolitonSpec(manifest.metric, "gradient", -1.0, 0.0, 1.0, f1=f1, f2=f2,
+                           params=params)
+        structure = assemble_structure(manifest.chart, manifest.metric,
+                                       *(manifest.structure[k] for k in ("phi", "xi", "eta")),
+                                       points=points, params=params)
+        theorem = [build_alignment_check(structure, f1, f2, -1.0)[1],
+                   build_transport_check(structure, f1, f2, -1.0, 0.0, 1.0),
+                   ricci_reeb_check(structure),
+                   *build_supporting_checks(structure, f1, f2, -1.0)]
+        for subcommand, checks in (("check-soliton", [build_gradient_check(spec)]),
+                                   ("check-theorem", theorem)):
+            rows = run_manifest(manifest, subcommand).checks
+            reports = run_checks(manifest.chart, checks, points, params, tol)
+            assert [dataclasses.replace(row, details={}) for row in rows] == reports
+        [soliton] = run_manifest(manifest, "check-soliton").checks
+        assert soliton.details == {"constants": {"c1": -1.0, "c2": 0.0, "lambda": 1.0}}
+
+    def test_the_axiom_row_reports_no_point_counts(self, capsys):
+        doc = json.loads(resources.files("grsoliton").joinpath("data/sasakian3.json")
+                         .read_text())
+        doc["structure"]["phi"] = [list(r) for r in zip(*doc["structure"]["phi"])]
+        report = run_manifest(load_manifest(doc), "all")
+        [row] = [r for r in report.checks if r.name == "structure_axioms"]
+        assert (row.n_points, row.n_skipped) == (None, None)
+        assert row.details["axiom"] == "phi_square"
+        [row] = [r for r in json.loads(emit_report(report, "json"))["checks"]
+                 if r["name"] == "structure_axioms"]
+        assert list(row) == ["name", "abs_residual", "rel_residual", "tolerance", "passed",
+                             "axiom", "worst_point"]
 
 
 class TestEmit:
@@ -295,9 +382,10 @@ class TestEmit:
     def test_json_deterministic_modulo_timing(self):
         m1 = run_manifest(load_manifest(HYPERBOLIC), "all")
         m2 = run_manifest(load_manifest(copy.deepcopy(HYPERBOLIC)), "all")
-        a = json.dumps(m1.as_dict(include_timing=False))
-        b = json.dumps(m2.as_dict(include_timing=False))
-        assert a == b
+        a, b = m1.as_dict(), m2.as_dict()
+        a.pop("elapsed_seconds")
+        b.pop("elapsed_seconds")
+        assert json.dumps(a) == json.dumps(b)
 
     def test_csv_rows(self):
         report = run_manifest(load_manifest(sasakian_manifest()), "check-theorem")
@@ -359,6 +447,33 @@ class TestCliExitCodes:
         assert main(["all", "--manifest", str(path)]) == 2
         assert main(["all", "--manifest", str(tmp_path / "missing.json")]) == 2
         assert main(["check-structure", "--manifest", "hyperbolic"]) == 2
+
+    @pytest.mark.parametrize("flags, message", BAD_OVERRIDES,
+                             ids=[" ".join(flags) for flags, _ in BAD_OVERRIDES])
+    def test_bad_overrides_are_two(self, flags, message, capsys):
+        assert main(["check-soliton", "--manifest", "hyperbolic", *flags]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"manifest error: {message}\n")
+
+    @pytest.mark.parametrize("edit, message", BAD_MANIFEST_VALUES,
+                             ids=[json.dumps(edit) for edit, _ in BAD_MANIFEST_VALUES])
+    def test_bad_manifest_values_are_two(self, edit, message, tmp_path, capsys):
+        doc = copy.deepcopy(HYPERBOLIC)
+        for key, value in edit.items():
+            doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["all", "--manifest", str(path)]) == 2
+        assert capsys.readouterr().err == f"manifest error: {message}\n"
+
+    @pytest.mark.parametrize("subcommand, doc, message", MISSING_BLOCKS,
+                             ids=[f"{sub}-{msg.split()[-2]}" for sub, _, msg in MISSING_BLOCKS])
+    def test_a_missing_block_is_two(self, subcommand, doc, message, tmp_path, capsys):
+        path = tmp_path / "blockless.json"
+        path.write_text(json.dumps(doc))
+        for flags in ([], ["--points", "0", "--seed", "-1", "--tol", "nan"]):
+            assert main([subcommand, "--manifest", str(path), *flags]) == 2
+            assert capsys.readouterr().err == f"manifest error: {message}\n"
 
     def test_domain_error_is_three(self, tmp_path, capsys):
         doc = copy.deepcopy(HYPERBOLIC)

@@ -7,6 +7,8 @@ from grsoliton.expr import DomainError
 from grsoliton.soliton import (
     SolitonSpec,
     alignment_condition,
+    build_gradient_check,
+    build_vector_check,
     classify_constants,
     grad_transport_check,
     potential_square_lie_sides,
@@ -93,11 +95,11 @@ class TestVectorForm:
         gspec = SolitonSpec(g, "gradient", c1, c2, lam, f1=H2_F1, f2=H2_F2)
         vspec = SolitonSpec(g, "vector", c1, c2, lam,
                             X1=gradient(g, H2_F1), X2=gradient(g, H2_F2))
-        gres = residual_gradient_form(gspec, pts)
-        vres = residual_vector_form(vspec, pts)
-        gv = evaluate_field(np.asarray(gres.components, dtype=object),
+        gcheck = build_gradient_check(gspec)
+        vcheck = build_vector_check(vspec)
+        gv = evaluate_field(np.asarray(gcheck.residual, dtype=object),
                             chart.env_at(pts), len(pts))
-        vv = evaluate_field(np.asarray(vres.components, dtype=object),
+        vv = evaluate_field(np.asarray(vcheck.residual, dtype=object),
                             chart.env_at(pts), len(pts))
         scale = max(1.0, np.abs(vv).max())
         assert np.abs(vv - 2 * gv).max() / scale <= 1e-10

@@ -5,9 +5,9 @@
 
 `run` calls grsoliton.cli.main in-process on every case of the matrix and
 writes {case: [exit code, report, stderr]} as JSON, where report is the
-parsed JSON report without elapsed_seconds (--format json) or the table
-text with its elapsed time blanked (--format table), and "" when the run
-printed nothing.  Point PYTHONPATH at another checkout's src to record
+parsed JSON report without elapsed_seconds (--format json), the csv text
+(--format csv) or the table text with its elapsed time blanked (--format
+table), and "" when the run printed nothing.  Point PYTHONPATH at another checkout's src to record
 that checkout.
 
 `diff` prints every case whose entry differs, by row and key for JSON
@@ -16,9 +16,10 @@ differs.
 
 The matrix: the three bundled manifests as they are, with lambda + 1 and
 with lambda = "fit"; a NaN eta, an infinite eta, a transposed phi,
-f2 = sqrt(x - 1.97) and an overflowing f1; x the five subcommands x
-N = 200, 3,000 and 20,000 x seeds 7, 8 and 11 x both d-conventions x
-json and table (2,520 cases).  20,000 points are two full chunks of the
+f2 = sqrt(x - 1.97) and an overflowing f1; the vector form on Euclidean
+R^3 with X1 the position field (L_X1 g = 2g, so lambda = 1) and with
+lambda + 1; x the five subcommands x N = 200, 3,000 and 20,000 x seeds
+7, 8 and 11 x both d-conventions x json, csv and table (4,320 cases).  20,000 points are two full chunks of the
 evaluation plan and a short last one, so chunk edges, worst points and
 first bad points past the first chunk are covered.
 """
@@ -37,7 +38,7 @@ SUBCOMMANDS = ("check-soliton", "check-structure", "check-theorem", "fit", "all"
 POINTS = (200, 3000, 20000)
 SEEDS = (7, 8, 11)
 CONVENTIONS = ("half", "plain")
-FORMATS = ("json", "table")
+FORMATS = ("json", "csv", "table")
 
 # eta_z = sqrt(x)^2/x is 1 for x > 0 and NaN for x < 0
 _FLAT = {
@@ -45,6 +46,14 @@ _FLAT = {
     "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
     "structure": {"phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
                   "xi": ["0", "0", "1"], "eta": ["0", "0", "sqrt(x)^2/x"]},
+}
+
+# L_X1 g = 2g for the position field X1 on Euclidean R^3
+_DILATION = {
+    "chart": {"coords": ["x", "y", "z"]},
+    "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "vectors": {"X1": ["x", "y", "z"], "X2": ["0", "0", "0"]},
+    "constants": {"c1": 0, "c2": 0, "lambda": 1},
 }
 
 
@@ -77,6 +86,10 @@ def manifests():
     overflow = _bundled("sasakian3")
     overflow["scalars"]["f1"] += " + (1e200*z)*(1e200*z)"
     out["overflow"] = json.dumps(overflow)
+    out["dilation"] = json.dumps(_DILATION)
+    shifted = copy.deepcopy(_DILATION)
+    shifted["constants"]["lambda"] += 1
+    out["dilation+lambda1"] = json.dumps(shifted)
     return out
 
 
