@@ -16,12 +16,19 @@ Expressions are immutable and hash-consed: every node class interns its
 instances on construction, keyed on the node type, its payload and the
 identities of its children (Filliatre & Conchon, "Type-safe modular
 hash-consing", 2006), so structurally equal expressions are one object
-however they were built.  The intern table holds its nodes weakly, so a
-node lives exactly as long as something else refers to it.  Each node
-caches its simplified form and, weakly, its derivatives, so simplifying or
-differentiating a node again, in any call, is one lookup.  Every walk
-over a tree is a loop, not a recursion, so a tree deeper than Python's
-recursion limit is handled like any other.
+however they were built.  The intern table holds a weak reference to each
+node, which removes its entry when the node dies, so a node lives exactly
+as long as something else refers to it.  Each node carries the tuple of
+its children, which every walk reads, and caches its simplified form and,
+weakly, its derivatives, so simplifying or differentiating a node again,
+in any call, is one lookup.  A node is marked as its own simplification
+when it is made if it is a number or a symbol, or if a smart constructor
+(add, sub, mul, div, pow_, neg, call) builds it from simplified nodes,
+unless it is a power of two numbers; so is every node simplify() returns,
+and so the derivative of a simplified node, which the smart constructors
+build.  Only raw nodes, which the parser builds through the classes, need
+a walk to simplify.  Every walk over a tree is a loop, not a recursion, so
+a tree deeper than Python's recursion limit is handled like any other.
 Vectorised evaluation (evaluate_many_multi) computes each node once and
 runs over the points in fixed-size chunks.  Every value a chunk computes
 lives in one of a fixed pool of chunk-long buffers, allocated once per
@@ -98,13 +105,15 @@ class DomainError(ExpressionError):
 class Expression:
     """Base of the interned node classes.
 
-    _simple caches the node's simplify() result (True when the node is its
-    own simplification, so no node refers to itself); _derivatives maps a
-    variable name to a weak reference to the node's derivative, since a
-    derivative may contain its node (d exp(u) = exp(u) * du).
+    _kids holds the node's children in order (those of its named slots
+    arg, left, right); _simple caches the node's simplify() result (True
+    when the node is its own simplification, so no node refers to itself);
+    _derivatives maps a variable name to a weak reference to the node's
+    derivative, since a derivative may contain its node
+    (d exp(u) = exp(u) * du).
     """
 
-    __slots__ = ("__weakref__", "_simple", "_derivatives")
+    __slots__ = ("__weakref__", "_kids", "_simple", "_derivatives")
     precedence = 10
 
     def __add__(self, other):
@@ -157,16 +166,29 @@ class Expression:
         return f"<{type(self).__name__} {render(self)!r}>"
 
 
-# The live nodes by structure: (type, payload, id of each child).  Values
-# are held weakly, so the table keeps no node alive; a live node keeps its
-# children alive, so the child ids in its key cannot be reused meanwhile.
-_INTERNED = weakref.WeakValueDictionary()
+# The live nodes by structure: (type, payload, id of each child) -> a weak
+# reference to the node, which drops its entry when the node dies.  So the
+# table keeps no node alive; a live node keeps its children alive, so the
+# child ids in its key cannot be reused meanwhile.
+_INTERNED = {}
+
+# what a lookup of a key the table does not hold calls: a dead reference
+_GONE = weakref.ref(set())
 
 
-def _new_node(cls, key):
+def _forget(ref, interned=_INTERNED):
+    # a node died; a new node may hold its key by now if the collector
+    # cleared the reference before it called back
+    if interned.get(ref.key) is ref:
+        del interned[ref.key]
+
+
+def _new_node(cls, key, kids, simple=None):
     node = object.__new__(cls)
-    node._simple = node._derivatives = None
-    _INTERNED[key] = node
+    node._kids = kids
+    node._simple = simple
+    node._derivatives = None
+    _INTERNED[key] = weakref.KeyedRef(node, _forget, key)
     return node
 
 
@@ -178,9 +200,9 @@ class Num(Expression):
         value = float(value)
         # keyed by IEEE bits, so 0.0 and -0.0 (and NaN payloads) stay apart
         key = (cls, _FLOAT_BITS(value))
-        node = _INTERNED.get(key)
+        node = _INTERNED.get(key, _GONE)()
         if node is None:
-            node = _new_node(cls, key)
+            node = _new_node(cls, key, (), True)
             node.value = value
         return node
 
@@ -191,9 +213,9 @@ class Sym(Expression):
 
     def __new__(cls, name):
         key = (cls, name)
-        node = _INTERNED.get(key)
+        node = _INTERNED.get(key, _GONE)()
         if node is None:
-            node = _new_node(cls, key)
+            node = _new_node(cls, key, (), True)
             node.name = name
         return node
 
@@ -204,9 +226,9 @@ class Neg(Expression):
 
     def __new__(cls, arg):
         key = (cls, id(arg))
-        node = _INTERNED.get(key)
+        node = _INTERNED.get(key, _GONE)()
         if node is None:
-            node = _new_node(cls, key)
+            node = _new_node(cls, key, (arg,))
             node.arg = arg
         return node
 
@@ -217,9 +239,9 @@ class _Binary(Expression):
 
     def __new__(cls, left, right):
         key = (cls, id(left), id(right))
-        node = _INTERNED.get(key)
+        node = _INTERNED.get(key, _GONE)()
         if node is None:
-            node = _new_node(cls, key)
+            node = _new_node(cls, key, (left, right))
             node.left = left
             node.right = right
         return node
@@ -261,9 +283,9 @@ class Call(Expression):
 
     def __new__(cls, func, arg):
         key = (cls, func, id(arg))
-        node = _INTERNED.get(key)
+        node = _INTERNED.get(key, _GONE)()
         if node is None:
-            node = _new_node(cls, key)
+            node = _new_node(cls, key, (arg,))
             node.func = func
             node.arg = arg
         return node
@@ -295,75 +317,99 @@ def as_scalar(f):
     raise TypeError(f"cannot interpret {f!r} as a scalar expression")
 
 
-def _is_num(e, value=None):
-    return isinstance(e, Num) and (value is None or e.value == value)
-
-
 # Smart constructors: prune additive/multiplicative identities at build
-# time so derived tensors stay small.  Full rewriting lives in simplify().
+# time so derived tensors stay small.  Full rewriting lives in simplify(),
+# whose rules they are: a node one of them builds from simplified children
+# is its own simplification, and is marked so at birth, except a power of
+# two numbers, which simplify() may fold.
+
+def _joined(node, a, b):
+    """node, built from a and b, marked simplified when they both are."""
+    if a._simple is True and b._simple is True:
+        node._simple = True
+    return node
+
 
 def add(a, b):
-    if _is_num(a, 0.0):
+    if type(a) is Num and a.value == 0.0:
         return b
-    if _is_num(b, 0.0):
-        return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value + b.value)
-    return Add(a, b)
+    if type(b) is Num:
+        if b.value == 0.0:
+            return a
+        if type(a) is Num:
+            return Num(a.value + b.value)
+    return _joined(Add(a, b), a, b)
 
 
 def sub(a, b):
-    if _is_num(b, 0.0):
-        return a
-    if _is_num(a, 0.0):
+    if type(b) is Num:
+        if b.value == 0.0:
+            return a
+        if type(a) is Num:
+            return neg(b) if a.value == 0.0 else Num(a.value - b.value)
+    elif type(a) is Num and a.value == 0.0:
         return neg(b)
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value - b.value)
-    return Sub(a, b)
+    return _joined(Sub(a, b), a, b)
 
 
 def mul(a, b):
-    if _is_num(a, 0.0) or _is_num(b, 0.0):
-        return ZERO
-    if _is_num(a, 1.0):
-        return b
-    if _is_num(b, 1.0):
-        return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value * b.value)
-    return Mul(a, b)
+    if type(a) is Num:
+        if a.value == 0.0 or type(b) is Num and b.value == 0.0:
+            return ZERO
+        if a.value == 1.0:
+            return b
+        if type(b) is Num:
+            return a if b.value == 1.0 else Num(a.value * b.value)
+    elif type(b) is Num:
+        if b.value == 0.0:
+            return ZERO
+        if b.value == 1.0:
+            return a
+    return _joined(Mul(a, b), a, b)
 
 
 def div(a, b):
-    if _is_num(a, 0.0) and not _is_num(b, 0.0):
+    if type(b) is Num:
+        if type(a) is Num and a.value == 0.0 and b.value != 0.0:
+            return ZERO
+        if b.value == 1.0:
+            return a
+        if type(a) is Num and b.value != 0.0:
+            return Num(a.value / b.value)
+    elif type(a) is Num and a.value == 0.0:
         return ZERO
-    if _is_num(b, 1.0):
-        return a
-    if isinstance(a, Num) and isinstance(b, Num) and b.value != 0.0:
-        return Num(a.value / b.value)
-    return Div(a, b)
+    return _joined(Div(a, b), a, b)
 
 
 def pow_(a, b):
-    if _is_num(b, 1.0):
-        return a
-    if _is_num(b, 0.0):
-        return ONE
-    return Pow(a, b)
+    if type(b) is Num:
+        if b.value == 1.0:
+            return a
+        if b.value == 0.0:
+            return ONE
+        if type(a) is Num:
+            return Pow(a, b)
+    return _joined(Pow(a, b), a, b)
 
 
 def neg(a):
-    if isinstance(a, Num):
+    if type(a) is Num:
         return Num(-a.value)
-    if isinstance(a, Neg):
+    if type(a) is Neg:
         return a.arg
-    return Neg(a)
+    node = Neg(a)
+    if a._simple is True:
+        node._simple = True
+    return node
 
 
 def call(func, arg):
     if func not in FUNCTIONS:
         raise ValueError(f"unknown function {func!r}")
-    return Call(func, arg)
+    node = Call(func, arg)
+    if arg._simple is True:
+        node._simple = True
+    return node
 
 
 _SMART = {Add: add, Sub: sub, Mul: mul, Div: div, Pow: pow_}
@@ -375,7 +421,7 @@ def free_symbols(e):
 
 
 def _symbols_rule(node, kids, _):
-    return frozenset((node.name,)) if isinstance(node, Sym) else frozenset().union(*kids)
+    return frozenset((node.name,)) if type(node) is Sym else frozenset().union(*kids)
 
 
 def differentiate(e, var):
@@ -396,28 +442,29 @@ def _cached_derivative(node, var):
 
 def _derivative_rule(node, kids, var):
     """The derivative of node from its children's derivatives, cached on it."""
-    if isinstance(node, Num):
+    kind = type(node)
+    if kind is Num:
         out = ZERO
-    elif isinstance(node, Sym):
+    elif kind is Sym:
         out = ONE if node.name == var else ZERO
-    elif isinstance(node, Neg):
+    elif kind is Neg:
         out = neg(kids[0])
-    elif isinstance(node, Add):
+    elif kind is Add:
         out = add(*kids)
-    elif isinstance(node, Sub):
+    elif kind is Sub:
         out = sub(*kids)
-    elif isinstance(node, Mul):
+    elif kind is Mul:
         out = add(mul(kids[0], node.right), mul(node.left, kids[1]))
-    elif isinstance(node, Div):
+    elif kind is Div:
         da, db = kids
-        if _is_num(db, 0.0):
+        if type(db) is Num and db.value == 0.0:
             out = div(da, node.right)
         else:
             out = div(sub(mul(da, node.right), mul(node.left, db)),
                       mul(node.right, node.right))
-    elif isinstance(node, Pow):
+    elif kind is Pow:
         out = _pow_derivative(node, *kids)
-    elif isinstance(node, Call):
+    elif kind is Call:
         out = _call_derivative(node, kids[0])
     else:  # pragma: no cover - exhaustive over node kinds
         raise TypeError(f"cannot differentiate {type(node).__name__}")
@@ -433,9 +480,9 @@ def _pow_derivative(node, da, db):
         # power rule keeps negative bases legal for integer exponents
         return mul(mul(expo, pow_(base, Num(expo.value - 1.0))), da)
     terms = ZERO
-    if not _is_num(db, 0.0):
-        terms = add(terms, mul(db, Call("ln", base)))
-    if not _is_num(da, 0.0):
+    if not (type(db) is Num and db.value == 0.0):
+        terms = add(terms, mul(db, call("ln", base)))
+    if not (type(da) is Num and da.value == 0.0):
         terms = add(terms, div(mul(expo, da), base))
     return mul(node, terms)
 
@@ -447,13 +494,15 @@ def _call_derivative(node, da):
     if node.func == "ln":
         return div(da, a)
     if node.func == "sin":
-        return mul(Call("cos", a), da)
+        return mul(call("cos", a), da)
     if node.func == "cos":
-        return neg(mul(Call("sin", a), da))
+        return neg(mul(call("sin", a), da))
     if node.func == "tan":
-        return div(da, mul(Call("cos", a), Call("cos", a)))
+        cos = call("cos", a)
+        return div(da, mul(cos, cos))
     if node.func == "cot":
-        return neg(div(da, mul(Call("sin", a), Call("sin", a))))
+        sin = call("sin", a)
+        return neg(div(da, mul(sin, sin)))
     if node.func == "sqrt":
         return div(da, mul(Num(2.0), node))
     raise ValueError(f"unknown function {node.func!r}")  # pragma: no cover
@@ -464,13 +513,14 @@ def simplify(e):
 
     Purely structural: the result evaluates identically to the input at
     every point where the input is defined.  The result is cached on each
-    node, and simplify(simplify(e)) is simplify(e).
+    node, and simplify(simplify(e)) is simplify(e).  A node the package
+    built (a number, a symbol, or what the smart constructors, simplify or
+    differentiate made of simplified nodes) is marked simplified at birth,
+    so its simplify() is one lookup.
     """
-    return _simplified(e)
-
-
-def _simplified(root):
-    return _bottom_up(root, _simplify_rule, _cached_simple)
+    if e._simple is True:
+        return e
+    return _bottom_up(e, _simplify_rule, _cached_simple)
 
 
 def _cached_simple(node, _):
@@ -489,12 +539,14 @@ def _simplify_rule(node, kids, _):
         out = Call(node.func, kids[0])
     else:
         out = _simplify_binary(kind, *kids)
-    node._simple = True if out is node else out
+    if out is not node:
+        node._simple = out
+    out._simple = True
     return out
 
 
 def _simplify_binary(kind, a, b):
-    if kind is Pow and isinstance(a, Num) and isinstance(b, Num):
+    if kind is Pow and type(a) is Num and type(b) is Num:
         v = _float_pow(a.value, b.value)
         if v is not None:
             return Num(v)
@@ -526,13 +578,13 @@ def evaluate(e, env):
             continue
         # children left to right, except that a quotient evaluates and
         # checks its denominator before its numerator
-        kids = (node.right, node.left) if isinstance(node, Div) else _children(node)
+        kids = (node.right, node.left) if type(node) is Div else node._kids
         todo = [k for k in kids if id(k) not in values]
         if not todo:
             stack.pop()
             values[id(node)] = _eval_node(node, [values[id(k)] for k in kids], env)
             continue
-        if todo[0] is not kids[0] and isinstance(node, Div) and values[id(kids[0])] == 0.0:
+        if todo[0] is not kids[0] and type(node) is Div and values[id(kids[0])] == 0.0:
             raise DomainError("division by zero", node, env)
         stack.append(todo[0])
     return values[id(e)]
@@ -658,17 +710,30 @@ class _Plan:
     """Distinct nodes of a set of roots, children before parents."""
 
     def __init__(self, roots):
-        self.numbers = {}            # id(node) -> value number
+        numbers = {}                 # id(node) -> value number
         self.steps = []              # (node, child numbers) per value number
-        self.roots = [_bottom_up(root, self._number, self._numbered) for root in roots]
-
-    def _numbered(self, node, _):
-        return self.numbers.get(id(node))
-
-    def _number(self, node, kids, _):
-        number = self.numbers[id(node)] = len(self.steps)
-        self.steps.append((node, tuple(kids)))
-        return number
+        self.roots = []              # the value number of each root
+        # depth first, as _bottom_up walks: a node's children that are not
+        # numbered yet go on the stack left to right, above the node and a
+        # None that marks it as expanded, so the last child is numbered first
+        for root in roots:
+            stack = [root]
+            while stack:
+                node = stack.pop()
+                if node is None:
+                    node = stack.pop()
+                elif id(node) in numbers:
+                    continue
+                else:
+                    todo = [kid for kid in node._kids if id(kid) not in numbers]
+                    if todo:
+                        stack.append(node)
+                        stack.append(None)
+                        stack += todo
+                        continue
+                numbers[id(node)] = len(self.steps)
+                self.steps.append((node, tuple([numbers[id(kid)] for kid in node._kids])))
+            self.roots.append(numbers[id(root)])
 
     def run(self, env, size, sinks):
         # nodes that do not depend on a point are computed once; the rest
@@ -677,9 +742,10 @@ class _Plan:
         columns = []         # (number, fill(lo, hi, out)) per coordinate column
         program = []
         for number, (node, args) in enumerate(self.steps):
-            if isinstance(node, Num):
+            kind = type(node)
+            if kind is Num:
                 values[number] = node.value
-            elif isinstance(node, Sym):
+            elif kind is Sym:
                 try:
                     value = env[node.name]
                 except KeyError:
@@ -839,7 +905,8 @@ def _bind(columns, program, last, release, values, width):
     return pool, sources, steps
 
 
-_BINARY_OPS = {
+_OPERATIONS = {
+    Neg: np.negative,
     Add: np.add,
     Sub: np.subtract,
     Mul: np.multiply,
@@ -866,19 +933,13 @@ _NUMPY_CALLS = {
 
 
 def _operation(node):
-    if isinstance(node, Neg):
-        return np.negative
-    if isinstance(node, Call):
+    if type(node) is Call:
         return _NUMPY_CALLS[node.func]
-    return _BINARY_OPS[type(node)]
+    return _OPERATIONS[type(node)]
 
 
 def _children(node):
-    if isinstance(node, (Neg, Call)):
-        return (node.arg,)
-    if isinstance(node, _Binary):
-        return (node.left, node.right)
-    return ()
+    return node._kids
 
 
 def _bottom_up(root, rule, cached, arg=None):
@@ -890,15 +951,16 @@ def _bottom_up(root, rule, cached, arg=None):
     if out is not None:
         return out
     results = {}         # id(node) -> result; root keeps every node alive
-    stack = [(root, _children(root))]
+    stack = [root]
     while stack:
-        node, kids = stack[-1]
+        node = stack[-1]
+        kids = node._kids
         pending = False
         for kid in kids:
             if id(kid) not in results:
                 out = cached(kid, arg)
                 if out is None:
-                    stack.append((kid, _children(kid)))
+                    stack.append(kid)
                     pending = True
                 else:
                     results[id(kid)] = out

@@ -101,9 +101,11 @@ def oneform_field(chart, comps):
 
 
 def partial(e, name):
-    # potentials arrive as parsed, and the derivative of a node that is not
-    # simplified is not either (d(-2*ln(y)) holds -(2)); the tensors built
-    # from these by the smart constructors then need no simplify of their own
+    # the derivative of a simplified node is simplified at birth, so its
+    # simplify() is one lookup; only the potentials arrive as parsed, and
+    # the derivative of a raw node may not be simplified (d(-2*ln(y))
+    # holds -(2)), so only theirs are walked.  The tensors built from these
+    # by the smart constructors then need no simplify of their own
     return simplify(expr.differentiate(e, name))
 
 

@@ -484,6 +484,25 @@ class TestInterning:
         assert copy.deepcopy(e) is e
         assert pickle.loads(pickle.dumps(e)) is e
 
+    def test_children_are_the_named_child_slots(self):
+        # perfbench/layertrace.py walks a tree by the slots arg, left, right
+        x, y = Sym("x"), Sym("y")
+        nodes = [Num(2.0), x, Neg(x), Call("sin", x)] + [cls(x, y) for cls in CLASSES.values()]
+        concrete, stack = set(), [expr.Expression]
+        while stack:
+            cls = stack.pop()
+            subclasses = cls.__subclasses__()
+            stack += subclasses
+            if not subclasses:
+                concrete.add(cls)
+        assert {type(node) for node in nodes} == concrete
+        for node in nodes:
+            named = [getattr(node, a) for a in ("arg", "left", "right") if hasattr(node, a)]
+            assert type(node._kids) is tuple
+            assert len(node._kids) == len(named)
+            assert all(kid is slot for kid, slot in zip(node._kids, named))
+            assert expr._children(node) is node._kids
+
     def test_parser_builds_raw_nodes(self):
         # interning does not fold: the parser's tree renders as written
         e = parse("x*1 + 0")

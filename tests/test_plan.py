@@ -1,6 +1,7 @@
 """The evaluation plan: structural deduplication, chunking, one plan per run."""
 
 import gc
+import itertools
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import grsoliton
@@ -189,6 +190,24 @@ class TestPlan:
             assert [lo for s, lo in chunks if s == start] == list(range(0, size, 8192))
         for root, values in zip(roots, out):
             assert same_bits(values, reference_evaluate(root, env, size)), expr.render(root)
+
+    @settings(max_examples=100, deadline=None)
+    @given(roots=dags())
+    def test_numbering_is_the_bottom_up_walk(self, roots):
+        # the step order sets the schedule, and so the size of the pool
+        numbers, steps = {}, []
+
+        def number(node, kids, _):
+            numbers[id(node)] = len(steps)
+            steps.append((node, tuple(kids)))
+            return numbers[id(node)]
+
+        want = [expr._bottom_up(root, number, lambda node, _: numbers.get(id(node)))
+                for root in roots]
+        plan = expr._Plan(roots)
+        assert plan.roots == want
+        assert [(id(node), args) for node, args in plan.steps] == \
+            [(id(node), args) for node, args in steps]
 
     def test_negative_zero_is_its_own_node(self):
         env = point_env(5)
@@ -409,3 +428,108 @@ def test_a_run_builds_only_the_trace_of_the_curvature():
     assert "riemann" not in manifest.metric.derived
     assert manifest.metric.derived["ricci"].comps.tolist() == \
         np.add.reduce(riemann(manifest.metric).comps[np.arange(3), np.arange(3)]).T.tolist()
+
+
+@pytest.mark.parametrize("name, pools", [("hyperbolic", [1, 15, 17]),
+                                         ("cone", [1, 11, 15]),
+                                         ("sasakian3", [3, 42, 52])])
+def test_each_plan_keeps_its_buffer_pool(name, pools, monkeypatch, capsys):
+    # buffers per plan (metric validation, axiom gate, main plan): the
+    # same at 200 points as at 100k, where they are most of a run's memory
+    sizes = []
+    original = expr._bind
+
+    def counting(*args):
+        pool, sources, steps = original(*args)
+        sizes.append(len(pool))
+        return pool, sources, steps
+
+    monkeypatch.setattr(expr, "_bind", counting)
+    assert main(["all", "--manifest", name, "--format", "json"]) == 0
+    assert sizes == pools
+
+
+def _nodes_under(roots):
+    """Every node reachable from roots, once, through the named child slots."""
+    nodes, stack = {}, list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack += [getattr(node, a) for a in ("arg", "left", "right") if hasattr(node, a)]
+    return list(nodes.values())
+
+
+def _resimplified(node):
+    """simplify(node) by a fresh walk of simplify's rule, reading no cache."""
+    return expr._bottom_up(node, expr._simplify_rule, expr._no_cache)
+
+
+_FRESH = itertools.count()
+
+# Count the rules' calls while ricci is built from each bundled metric, in a
+# fresh interpreter, so that no node another test keeps alive holds a
+# derivative that the build would otherwise compute.
+_RICCI_RULES_SCRIPT = """
+import json
+from grsoliton import expr, tensors
+from grsoliton.manifest import BUNDLED_NAMES, bundled_examples
+calls = {"_simplify_rule": 0, "_derivative_rule": 0}
+def counted(name, rule):
+    def rule_call(*args):
+        calls[name] += 1
+        return rule(*args)
+    return rule_call
+metrics = [bundled_examples(name).metric for name in BUNDLED_NAMES]
+for name in calls:
+    setattr(expr, name, counted(name, getattr(expr, name)))
+for metric in metrics:
+    tensors.ricci(metric)
+print(json.dumps(calls))
+"""
+
+
+class TestSimplifiedAtBirth:
+    """A node the package builds from simplified nodes is marked as its own
+    simplification when it is made, so simplify() of it is one lookup."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(roots=dags())
+    def test_marked_nodes_are_their_own_simplification(self, roots):
+        simple = [expr.simplify(root) for root in roots]
+        derived = [expr.differentiate(node, name) for node in simple for name in ("x", "a")]
+        for node in simple + derived:
+            assert node._simple is True, expr.render(node)
+        # what the smart constructors make of simplified nodes, numbers too
+        operands = simple + [Num(2.0), Num(-0.5), X]
+        built = [op(a, b) for op in (expr.add, expr.sub, expr.mul, expr.div, expr.pow_)
+                 for a in operands for b in operands]
+        built += [expr.neg(a) for a in operands] + [expr.call("ln", a) for a in operands]
+        for node in _nodes_under(roots + simple + derived + built):
+            if node._simple is True:
+                assert _resimplified(node) is node, expr.render(node)
+
+    @settings(max_examples=100, deadline=None)
+    @given(roots=dags())
+    def test_parsed_nodes_are_unmarked_until_simplified(self, roots):
+        texts = [expr.render(root, 2000) for root in roots]
+        assume(not any(text.endswith("...") for text in texts))
+        fresh = f"u{next(_FRESH)}"
+        parsed = expr.parse(" + ".join(f"{fresh} * ({text})" for text in texts))
+        # the nodes that hold the fresh symbol are new, and raw
+        raw = [node for node in _nodes_under([parsed])
+               if node._kids and fresh in expr.free_symbols(node)]
+        assert raw
+        assert all(node._simple is None for node in raw)
+        expr.simplify(parsed)
+        assert all(node._simple is not None for node in raw)
+
+    def test_ricci_of_a_bundled_metric_simplifies_nothing(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(grsoliton.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _RICCI_RULES_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        calls = json.loads(done.stdout)
+        assert calls["_derivative_rule"] > 0
+        assert calls["_simplify_rule"] == 0
