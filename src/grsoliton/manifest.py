@@ -61,6 +61,12 @@ def _fail(message):
     raise ManifestError(message)
 
 
+def _no_unknown_keys(block, known, where):
+    unknown = set(block) - known
+    if unknown:
+        _fail(f"unknown {where} keys {sorted(unknown)}")
+
+
 def _is_number(value, kind):
     """Whether value is of the numbers ABC kind; a bool is not a number."""
     return isinstance(value, kind) and not isinstance(value, bool)
@@ -124,14 +130,13 @@ def load_manifest(source):
     digest = hashlib.sha256(
         json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
-    unknown = set(data) - {"chart", "metric", "structure", "scalars", "vectors",
-                           "constants", "sampling", "tolerance"}
-    if unknown:
-        _fail(f"unknown manifest keys {sorted(unknown)}")
+    _no_unknown_keys(data, {"chart", "metric", "structure", "scalars", "vectors",
+                            "constants", "sampling", "tolerance"}, "manifest")
 
     chart_block = data.get("chart")
     if not isinstance(chart_block, dict) or "coords" not in chart_block:
         _fail('manifest needs "chart": {"coords": [...], "bounds": {...}}')
+    _no_unknown_keys(chart_block, {"coords", "bounds"}, "chart")
     coords = chart_block["coords"]
     bounds_block = chart_block.get("bounds", {})
     if not isinstance(bounds_block, dict):
@@ -239,6 +244,7 @@ def load_manifest(source):
         block = data["sampling"]
         if not isinstance(block, dict):
             _fail('"sampling" must be an object')
+        _no_unknown_keys(block, set(_DEFAULT_SAMPLING), "sampling")
         sampling.update(block)
     sampling, tolerance = run_settings(sampling, data.get("tolerance", DEFAULT_TOLERANCE))
 

@@ -89,6 +89,10 @@ BAD_MANIFEST_VALUES = [
     ({"tolerance": True}, "tolerance must be a positive finite number, got True"),
     ({"constants": {"c1": math.nan}}, "constant 'c1' must be a finite number or \"fit\""),
     ({"constants": {"k": math.inf}}, "extra constant 'k' must be a finite number"),
+    # a key a block does not know is not ignored: "points" is the CLI's
+    # name for the count, and "bound" a typo that would drop every bound
+    ({"sampling": {"points": 5000}}, "unknown sampling keys ['points']"),
+    ({"chart": {"bound": {"y": [0, None]}}}, "unknown chart keys ['bound']"),
 ]
 
 
