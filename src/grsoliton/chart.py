@@ -255,12 +255,12 @@ class FieldValues:
                 for block, shape in zip(self.blocks, self.shapes)]
 
 
-def components_sup(components, out=None, scratch=None):
+def components_sup(components, out, scratch):
     """max over components of |value| at each point, for the component
     chunks of one field as reduce_fields passes them; non-finite values
     propagate, so the result is finite exactly where every component is.
     Each distinct array is read once and the broadcast scalars are folded
-    in as one; out and scratch, if given, are chunk-long work arrays."""
+    in as one, into out; out and scratch are chunk-long work arrays."""
     arrays, constant = {}, None
     for component in components:
         if component.strides == (0,):
@@ -268,14 +268,11 @@ def components_sup(components, out=None, scratch=None):
             constant = value if constant is None else np.maximum(constant, value)
         else:
             arrays[id(component)] = component
-    out = np.empty(len(components[0])) if out is None else out
     if not arrays:
         out.fill(constant)
         return out
     first, *rest = arrays.values()
     np.abs(first, out=out)
-    if rest and scratch is None:
-        scratch = np.empty_like(out)
     for array in rest:
         np.maximum(out, np.abs(array, out=scratch), out=out)
     if constant:        # 0 changes nothing; NaN and inf change every point
@@ -343,9 +340,9 @@ class MetricField:
 def define_metric(chart, rows, params=None):
     """Validate and build a MetricField from an n x n matrix of expressions.
 
-    Symmetry is checked symbolically where the rendered entries coincide
-    and numerically (<= 1e-12) at sampled points; every sampled point must
-    leave all leading principal minors positive.
+    Symmetry is checked numerically (|g_ij - g_ji| <= 1e-12) at sampled
+    points; every sampled point must leave all leading principal minors
+    positive.
     """
     n = chart.dim
     matrix = [[as_scalar(entry) for entry in row] for row in rows]
@@ -366,13 +363,9 @@ def define_metric(chart, rows, params=None):
     values = evaluate_field(np.array(matrix, dtype=object), env, len(pts))
     if not np.isfinite(values).all():
         raise MetricError("metric entries are not finite on the sample box")
-    trivially_symmetric = all(
-        matrix[i][j] is matrix[j][i] or expr.render(matrix[i][j]) == expr.render(matrix[j][i])
-        for i in range(n) for j in range(i + 1, n))
-    if not trivially_symmetric:
-        gap = np.abs(values - np.transpose(values, (0, 2, 1))).max()
-        if gap > 1e-12:
-            raise MetricError(f"metric is asymmetric (max |g_ij - g_ji| = {gap:.3e})")
+    gap = np.abs(values - np.transpose(values, (0, 2, 1))).max()
+    if gap > 1e-12:
+        raise MetricError(f"metric is asymmetric (max |g_ij - g_ji| = {gap:.3e})")
     for k in range(1, n + 1):
         minors = np.linalg.det(values[:, :k, :k])
         worst = minors.min()

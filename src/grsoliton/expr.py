@@ -674,23 +674,22 @@ def evaluate_many(e, env, size):
     def collect(lo, hi, values):
         out[lo:hi] = values[0]
 
-    evaluate_many_multi((e,), env, size, collect)
+    evaluate_many_multi((e,), env, size, [(1, collect)])
     return out
 
 
-def evaluate_many_multi(exprs, env, size, sink):
+def evaluate_many_multi(exprs, env, size, sinks):
     """Vectorised evaluation of several roots as one plan.
 
     Each distinct node (and, since nodes are interned, each distinct
     structure) is computed once, over chunks of CHUNK_POINTS points.  env
     maps a name to a scalar, a (size,) array, or a fill(lo, hi, out) that
     writes its values at points lo..hi-1 into out (chart.Sample.columns).
-    sink(lo, hi, values) gets every root's values after each chunk; or
-    sink is a list of (count, sink) pairs that split exprs, in order, into
-    groups, and each group's sink gets its roots' values, in each chunk,
-    as soon as they are computed.  values holds each root's values at
-    points lo..hi-1 as a (hi - lo,) array; a root that does not depend on
-    the point is a broadcast view of its scalar.
+    sinks is a list of (count, sink) pairs that split exprs, in order, into
+    groups; in each chunk, as soon as a group's roots are computed, its
+    sink(lo, hi, values) gets their values at points lo..hi-1, each as a
+    (hi - lo,) array; a root that does not depend on the point is a
+    broadcast view of its scalar.
 
     The plan is compiled once per call: each value that depends on the
     point gets a slot in a pool of chunk-long buffers, which passes to a
@@ -700,51 +699,68 @@ def evaluate_many_multi(exprs, env, size, sink):
     slot.  So a sink reduces or copies what it needs during the call and
     keeps no array, nor any view of one.
     """
-    plan = _Plan(exprs)
-    if callable(sink):
-        sink = [(len(plan.roots), sink)]
-    plan.run(env, size, sink)
+    roots, values, columns, program, needs = _compile(exprs, env, size)
+    groups, start = [], 0
+    for count, sink in sinks:
+        groups.append((sink, roots[start:start + count]))
+        start += count
+    program, last, release, fed = _schedule(program, groups, values, needs)
+    width = min(size, CHUNK_POINTS)
+    pool, sources, steps = _bind(columns, program, last, release, values, width)
+    segments = _segments(steps, sources, values, groups, fed, width)
+    for lo in range(0, size, CHUNK_POINTS):
+        hi = min(lo + CHUNK_POINTS, size)
+        if hi - lo < width:
+            # the last, shorter chunk: the same steps on the first
+            # hi - lo points of each buffer, found by its identity
+            views = {id(buffer): buffer[:hi - lo] for buffer in pool}
+            sources = [views.get(id(value), value) for value in sources]
+            steps = [(op, [views.get(id(a), a) for a in args], views[id(out)])
+                     for op, args, out in steps]
+            segments = _segments(steps, sources, values, groups, fed, hi - lo)
+        for number, fill in columns:
+            fill(lo, hi, sources[number])
+        for part, feeds in segments:
+            with np.errstate(all="ignore"):
+                for op, args, out in part:
+                    op(*args, out=out)
+            for sink, roots in feeds:
+                sink(lo, hi, roots)
 
 
-class _Plan:
-    """Distinct nodes of a set of roots, children before parents."""
-
-    def __init__(self, roots):
-        numbers = {}                 # id(node) -> value number
-        self.steps = []              # (node, child numbers) per value number
-        self.roots = []              # the value number of each root
-        # depth first, as _bottom_up walks: a node's children that are not
-        # numbered yet go on the stack left to right, above the node and a
-        # None that marks it as expanded, so the last child is numbered first
-        for root in roots:
-            stack = [root]
-            while stack:
+def _compile(roots, env, size):
+    """(roots, values, columns, program, needs) of the distinct nodes under
+    roots, numbered children first in one walk: roots[r] the number of root
+    r; values[v] the value of node v if it does not depend on the point,
+    else None; columns the (v, fill(lo, hi, out)) of each coordinate
+    column; program the (v, operation, argument numbers) of every other
+    node that depends on the point, in number order; needs[v] the program
+    steps node v needs, as bits."""
+    numbers = {}                 # id(node) -> value number; roots keep nodes alive
+    numbered, values, needs, columns, program = [], [], [], [], []
+    # depth first, as _bottom_up walks: a node's children that are not
+    # numbered yet go on the stack left to right, above the node and a
+    # None that marks it as expanded, so the last child is numbered first
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node is None:
                 node = stack.pop()
-                if node is None:
-                    node = stack.pop()
-                elif id(node) in numbers:
+            elif id(node) in numbers:
+                continue
+            else:
+                todo = [kid for kid in node._kids if id(kid) not in numbers]
+                if todo:
+                    stack.append(node)
+                    stack.append(None)
+                    stack += todo
                     continue
-                else:
-                    todo = [kid for kid in node._kids if id(kid) not in numbers]
-                    if todo:
-                        stack.append(node)
-                        stack.append(None)
-                        stack += todo
-                        continue
-                numbers[id(node)] = len(self.steps)
-                self.steps.append((node, tuple([numbers[id(kid)] for kid in node._kids])))
-            self.roots.append(numbers[id(root)])
-
-    def run(self, env, size, sinks):
-        # nodes that do not depend on a point are computed once; the rest
-        # form a per-chunk program of (number, operation, argument numbers)
-        values = [None] * len(self.steps)
-        columns = []         # (number, fill(lo, hi, out)) per coordinate column
-        program = []
-        for number, (node, args) in enumerate(self.steps):
-            kind = type(node)
+            number = numbers[id(node)] = len(values)
+            args = tuple([numbers[id(kid)] for kid in node._kids])
+            kind, value, bits = type(node), None, 0
             if kind is Num:
-                values[number] = node.value
+                value = node.value
             elif kind is Sym:
                 try:
                     value = env[node.name]
@@ -752,43 +768,26 @@ class _Plan:
                     raise UnboundSymbolError(node.name) from None
                 if callable(value):
                     columns.append((number, value))
+                    value = None
                 elif np.ndim(value):
                     columns.append((number, _copier(np.broadcast_to(value, (size,)))))
+                    value = None
                 else:
                     # as the scalar evaluator reads it: a ufunc would wrap
                     # a product of Python ints at 64 bits
-                    values[number] = float(value)
+                    value = float(value)
             elif any(values[a] is None for a in args):
+                bits = 1 << len(program)
+                for a in args:
+                    bits |= needs[a]
                 program.append((number, _operation(node), args))
             else:
                 with np.errstate(all="ignore"):
-                    values[number] = _operation(node)(*(values[a] for a in args))
-        groups, start = [], 0
-        for count, sink in sinks:
-            groups.append((sink, self.roots[start:start + count]))
-            start += count
-        program, last, release, fed = _schedule(program, groups, values)
-        width = min(size, CHUNK_POINTS)
-        pool, sources, steps = _bind(columns, program, last, release, values, width)
-        segments = _segments(steps, sources, values, groups, fed, width)
-        for lo in range(0, size, CHUNK_POINTS):
-            hi = min(lo + CHUNK_POINTS, size)
-            if hi - lo < width:
-                # the last, shorter chunk: the same steps on the first
-                # hi - lo points of each buffer, found by its identity
-                views = {id(buffer): buffer[:hi - lo] for buffer in pool}
-                sources = [views.get(id(value), value) for value in sources]
-                steps = [(op, [views.get(id(a), a) for a in args], views[id(out)])
-                         for op, args, out in steps]
-                segments = _segments(steps, sources, values, groups, fed, hi - lo)
-            for number, fill in columns:
-                fill(lo, hi, sources[number])
-            for part, feeds in segments:
-                with np.errstate(all="ignore"):
-                    for op, args, out in part:
-                        op(*args, out=out)
-                for sink, roots in feeds:
-                    sink(lo, hi, roots)
+                    value = _operation(node)(*(values[a] for a in args))
+            values.append(value)
+            needs.append(bits)
+        numbered.append(numbers[id(root)])
+    return numbered, values, columns, program, needs
 
 
 def _segments(steps, sources, values, groups, fed, n):
@@ -817,24 +816,21 @@ def _copier(column):
     return fill
 
 
-def _schedule(program, groups, values):
+def _schedule(program, groups, values, needs):
     """(program, last, release, fed): the program in group order; last[v]
     the last use of value v, 2i if step i reads it and 2i + 1 if a sink
     after step i does (-2: none); release[i] the roots a sink before step
     i used last; fed[g] the step after which group g is fed (-1: first).
 
-    The groups go largest first, by the steps they need, each taking the
-    steps no group before it took, depth first from its roots, left
-    operand first: a group's roots are fed, and freed, before the next
-    group starts.  Tables are lists indexed by value number.
+    The groups go largest first, by the steps they need (needs, from
+    _compile), each taking the steps no group before it took, depth first
+    from its roots, left operand first: a group's roots are fed, and
+    freed, before the next group starts.  Tables are lists indexed by
+    value number.
     """
-    needs = [0] * len(values)    # the program steps a value needs, as bits
     entry = [None] * len(values)
-    for i, step in enumerate(program):
-        bits = 1 << i
-        for a in step[2]:
-            bits |= needs[a]
-        needs[step[0]], entry[step[0]] = bits, step
+    for step in program:
+        entry[step[0]] = step
     sizes = []
     for _, roots in groups:
         bits = 0

@@ -6,11 +6,11 @@ check's reducer gives or one made from it, with the row's further keys in
 its details.  "all" runs every check the manifest has data for.  A run
 that fits the constants first reduces the fit's design to a small R
 factor, in the pass that runs before the main plan anyway (the
-almost-contact axiom gate) or else in one of its own.
-The symbolic components of every row, the fit row's residual at the
-fitted constants included, are then built and evaluated as one plan,
-which every row reduces chunk by chunk as the chunks are computed; the
-rows are then finished in report order.  Failures are rows with
+almost-contact axiom gate) or else in one of its own; either runs before
+any row is built.  The symbolic components of every row, the fit row's
+residual at the fitted constants included, are then built and evaluated
+as one plan, which every row reduces chunk by chunk as the chunks are
+computed; the rows are then finished in report order.  Failures are rows with
 passed=False; structural problems with the manifest raise ManifestError,
 and evaluation leaving an expression's domain at every sample point
 raises DomainError.
@@ -76,10 +76,15 @@ def run_manifest(manifest, subcommand, count=None, seed=None, tolerance=None,
         subcommand in ("fit", "all")
         or (bool(manifest.fit_targets()) and subcommand != "check-structure"))
     run = _Run(manifest, points, tol, fits)
+    # the first pass: the fit's design, in the axiom gate's pass or its own
+    first = [(_design_fields(manifest), run.design)] if fits else []
     structure = None
     if subcommand in ("check-structure", "check-theorem", "all") \
             and manifest.structure is not None:
-        structure = _assemble(run, d_convention, classify=subcommand != "check-theorem")
+        structure = _assemble(run, d_convention, first,
+                              classify=subcommand != "check-theorem")
+    elif first:
+        reduce_fields(first, manifest.chart.env_at(points, manifest.params), len(points))
     if subcommand in ("check-soliton", "all") and manifest.mode is not None:
         _soliton_rows(run)
     if subcommand in ("check-theorem", "all") and structure is not None \
@@ -114,11 +119,9 @@ class _Run:
     those reports.  rows_of holds no reference to the run, so a run is
     never part of a reference cycle.
 
-    A run that fits reduces its design to one FitQR in the pass before the
-    main plan: the axiom gate's, when the run has one (pre_pass gives the
-    gate the design's group), else a pass of its own on first use.  Every
-    fit of the run, restricted to "fit" constants or not, is solved from
-    that one R.
+    design is the FitQR of a run that fits, else None; run_manifest feeds
+    it in the run's first pass, before any row is built, and every fit of
+    the run, restricted to "fit" constants or not, is solved from its one R.
     """
 
     def __init__(self, manifest, points, tol, fits):
@@ -127,26 +130,6 @@ class _Run:
         self.tol = tol
         self.groups = []
         self.design = FitQR() if fits else None
-        self.design_pending = fits
-
-    def env(self):
-        return self.manifest.chart.env_at(self.points, self.manifest.params)
-
-    def pre_pass(self):
-        """The (fields, accumulator) groups that ride in the pass before
-        the main plan: the fit's design, if the run fits and no pass has
-        taken it yet."""
-        if not self.design_pending:
-            return []
-        self.design_pending = False
-        return [(_design_fields(self.manifest), self.design)]
-
-    def fit(self, fixed=None):
-        """The run's fit with the constants in fixed pinned."""
-        groups = self.pre_pass()
-        if groups:
-            reduce_fields(groups, self.env(), len(self.points))
-        return self.design.finish(fixed)
 
     def add(self, checks, rows_of=None):
         self.groups.append((checks, rows_of))
@@ -176,7 +159,8 @@ class _Run:
         if not manifest.fit_targets():
             return resolved, None
         try:
-            fit = self.fit({k: v for k, v in resolved.items() if k in CONSTANT_ORDER})
+            fit = self.design.finish({k: v for k, v in resolved.items()
+                                      if k in CONSTANT_ORDER})
         except TooFewPointsError as ex:
             # no row that uses the constants can be built without them
             if ex.first_bad is None:
@@ -194,14 +178,14 @@ class _Run:
                         self.points[index], self.manifest.params)
 
 
-def _assemble(run, d_convention, classify=True):
+def _assemble(run, d_convention, first, classify=True):
     manifest, tol = run.manifest, run.tol
     block = manifest.structure
     try:
         structure = assemble_structure(manifest.chart, manifest.metric,
                                        block["phi"], block["xi"], block["eta"],
                                        points=run.points, params=manifest.params,
-                                       tolerance=max(tol, 1e-8), groups=run.pre_pass())
+                                       tolerance=max(tol, 1e-8), groups=first)
     except StructureError as ex:
         row = ResidualReport("structure_axioms", ex.residual, ex.residual, tol, False,
                              details={"axiom": ex.axiom,
@@ -324,7 +308,7 @@ def _fit_row(run, explicit):
     constants, fit = run.resolved
     if fit is None or not explicit:
         try:
-            fit = run.fit()
+            fit = run.design.finish()
         except TooFewPointsError as ex:
             run.add([], functools.partial(_too_few_points_rows, n_valid=ex.n_valid,
                                           first_bad=ex.first_bad))

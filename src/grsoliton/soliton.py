@@ -165,11 +165,10 @@ class ResidualSup:
     residual.  finish() returns the ResidualReport, or, with no valid
     point, has the scalar evaluator name the offending node at first_bad.
     scratch, a (3, width) array that the accumulators of one plan share,
-    holds a chunk's pointwise sups; without it each update allocates its
-    own.
+    holds a chunk's pointwise sups.
     """
 
-    def __init__(self, check, chart, points, params, tolerance, scratch=None):
+    def __init__(self, check, chart, points, params, tolerance, scratch):
         self.check = check
         self.chart = chart
         self.points = points
@@ -182,7 +181,7 @@ class ResidualSup:
 
     def update(self, lo, residual, reference, domain=()):
         n = len(residual[0])
-        work = np.empty((3, n)) if self.scratch is None else self.scratch[:, :n]
+        work = self.scratch[:, :n]
         res = components_sup(residual, work[0], work[2])
         ref = components_sup(reference, work[1], work[2]) if len(reference) else None
         # a NaN or an inf wins max and argmax, so a finite largest value

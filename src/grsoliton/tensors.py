@@ -182,23 +182,20 @@ def christoffel(metric):
     return _derived(metric, "christoffel", build)
 
 
-def _curvature(metric, i, j, trace):
-    """R^l_ijk for the index pairs (i[p], j[p]), as terms[p, l, k], or,
-    with trace, R^i_ijk as terms[p, k]; either way the fold of riemann."""
+def _curvature(metric, i, j, l):
+    """R^l_ijk for the index pairs (i[p], j[p]) and the indices l, as
+    terms[p, l, k]: l = arange(n) gives every R^l_ijk and l = i[:, None]
+    the trace R^i_ijk; either way the fold of riemann."""
     n = metric.dim
     gamma = christoffel(metric).comps
     # dgamma[a, l, j, k] = d_a G^l_jk, from the upper triangle in (j, k)
     rows, cols = upper_pairs(n)
     dgamma = from_upper(derivative(gamma[:, rows, cols], metric.chart.names), n)
+    i, j = i[:, None], j[:, None]
+    base = dgamma[i, l, j] - dgamma[j, l, i]
     # products[m, p, l, k] = G^l_im G^m_jk, swapped the same with i, j exchanged
-    if trace:
-        base = dgamma[i, i, j] - dgamma[j, i, i]
-        products = gamma[i, i].T[..., None] * gamma[:, j]
-        swapped = gamma[i, j].T[..., None] * gamma[:, i]
-    else:
-        base = dgamma[i, :, j] - dgamma[j, :, i]
-        products = gamma[:, i].transpose(2, 1, 0)[..., None] * gamma[:, j, None]
-        swapped = gamma[:, j].transpose(2, 1, 0)[..., None] * gamma[:, i, None]
+    products = gamma[l, i].transpose(2, 0, 1)[..., None] * gamma[:, j]
+    swapped = gamma[l, j].transpose(2, 0, 1)[..., None] * gamma[:, i]
     return fold(base, (operator.add, products), (operator.sub, swapped))
 
 
@@ -209,7 +206,7 @@ def riemann(metric):
         # built on the pairs (i, j), i != j, since R^l_iik = 0
         i, j = np.nonzero(~np.eye(n, dtype=bool))
         comps = np.full((n,) * 4, expr.ZERO, dtype=object)
-        comps[:, i, j] = _curvature(metric, i, j, trace=False).transpose(1, 0, 2)
+        comps[:, i, j] = _curvature(metric, i, j, np.arange(n)).transpose(1, 0, 2)
         return TensorField(metric.chart, "curv", comps)
     return _derived(metric, "riemann", build)
 
@@ -230,7 +227,7 @@ def ricci(metric):
         n = metric.dim
         i, j = np.nonzero(~np.eye(n, dtype=bool))
         trace = np.full((n, n, n), expr.ZERO, dtype=object)   # [a, k, j] = R^a_akj
-        trace[i, j] = _curvature(metric, i, j, trace=True)
+        trace[i, j] = _curvature(metric, i, j, i[:, None])[:, 0]
         return TensorField(metric.chart, "sym2", np.add.reduce(trace).T)
     return _derived(metric, "ricci", build)
 

@@ -117,7 +117,7 @@ def collected(roots, env, size):
     def sink(lo, hi, values):
         out[:, lo:hi] = values
 
-    evaluate_many_multi(roots, env, size, sink)
+    evaluate_many_multi(roots, env, size, [(len(roots), sink)])
     return list(out)
 
 
@@ -204,10 +204,21 @@ class TestPlan:
 
         want = [expr._bottom_up(root, number, lambda node, _: numbers.get(id(node)))
                 for root in roots]
-        plan = expr._Plan(roots)
-        assert plan.roots == want
-        assert [(id(node), args) for node, args in plan.steps] == \
-            [(id(node), args) for node, args in steps]
+        env = point_env(3)
+        numbered, values, columns, program, _ = expr._compile(roots, env, 3)
+        assert numbered == want
+        assert len(values) == len(steps)
+        # x and y are columns; every other value is folded or a program
+        # step, with its arguments, in number order
+        assert [number for number, _ in columns] == \
+            [n for n, (node, _) in enumerate(steps) if node in (X, Y)]
+        assert program == [(n, expr._operation(node), args)
+                           for n, (node, args) in enumerate(steps)
+                           if node._kids and values[n] is None]
+        for n, (node, _) in enumerate(steps):
+            if values[n] is not None:
+                assert same_bits(np.array([values[n]], dtype=float),
+                                 reference_evaluate(node, env, 1)), expr.render(node)
 
     def test_negative_zero_is_its_own_node(self):
         env = point_env(5)
@@ -224,17 +235,25 @@ class TestPlan:
 
     @pytest.mark.parametrize("name", BUNDLED_NAMES)
     def test_all_runs_at_most_three_plans(self, name, monkeypatch, capsys):
-        # metric validation, the almost-contact axiom gate, the main plan
+        # metric validation, the first pass (the almost-contact axiom gate
+        # or the fit's design), the main plan; for every subcommand, one
+        # that lacks a block of the manifest exits 2
         sizes = []
         original = expr.evaluate_many_multi
 
-        def counting(exprs, env, size, *args, **kwargs):
+        def counting(exprs, env, size, sinks):
             sizes.append(size)
-            return original(exprs, env, size, *args, **kwargs)
+            return original(exprs, env, size, sinks)
 
         monkeypatch.setattr(expr, "evaluate_many_multi", counting)
-        assert main(["all", "--manifest", name, "--format", "json"]) == 0
-        assert len(sizes) <= 3
+        manifest = resolve_manifest(name)
+        for subcommand in runner.SUBCOMMANDS:
+            sizes.clear()
+            complete = all(getattr(manifest, block) is not None
+                           for block, _ in runner._NEEDS[subcommand])
+            assert main([subcommand, "--manifest", name, "--format", "json"]) == \
+                (0 if complete else 2), subcommand
+            assert len(sizes) <= 3, subcommand
 
 
 def test_structure_axioms_share_one_plan(sasakian_geometry, monkeypatch):
@@ -312,6 +331,38 @@ def test_fit_constant_is_fitted_once_per_run(monkeypatch):
     assert rows["fit_constants"].abs_sup == free.residual_sup
     assert rows["fit_constants"].details["solution"] == {
         name: float(v) for name, v in zip(free.free_names, free.solution)}
+
+
+@pytest.mark.parametrize("name", ["hyperbolic", "cone"])
+@pytest.mark.parametrize("subcommand", ["check-soliton", "fit", "all"])
+def test_a_run_without_a_gate_fits_in_a_pass_of_its_own(name, subcommand, monkeypatch):
+    # no structure block, so no axiom gate: the design is fed once, at
+    # every one of the 200 points, in a pass before the main plan
+    doc = json.loads(resources.files("grsoliton").joinpath(f"data/{name}.json").read_text())
+    doc["constants"]["lambda"] = "fit"
+    manifest = load_manifest(doc)
+    events, designs = [], []
+    original = expr.evaluate_many_multi
+
+    class CountingFitQR(fit.FitQR):
+        def __init__(self):
+            super().__init__()
+            designs.append(self)
+
+        def update(self, lo, *fields):
+            events.append(("update", lo, len(fields[0][0])))
+            return super().update(lo, *fields)
+
+    def recording(exprs, env, size, sinks):
+        events.append(("plan", size))
+        return original(exprs, env, size, sinks)
+
+    monkeypatch.setattr(runner, "FitQR", CountingFitQR)
+    monkeypatch.setattr(expr, "evaluate_many_multi", recording)
+    report = runner.run_manifest(manifest, subcommand)
+    assert len(designs) == 1
+    assert events == [("plan", 200), ("update", 0, 200), ("plan", 200)]
+    assert report.overall_pass
 
 
 # Run in a fresh interpreter, so that no node kept alive by another test

@@ -250,7 +250,7 @@ class TestResidualReport:
         seed, npoints, shapes, validity = case
         for res, ref in layouts(evaluated(seed, npoints, shapes, validity)):
             report = one_chunk(ResidualSup(Check("t", [], []), None, np.zeros((npoints, 1)),
-                                           None, 1e-8), [res, ref]).finish()
+                                           None, 1e-8, scratch(npoints)), [res, ref]).finish()
             got = (report.abs_sup, report.rel_sup, report.n_points, report.n_skipped)
             want = reference_residual(res, ref)
             assert bits(got[:2]) == bits(want[:2])
@@ -284,7 +284,9 @@ class TestSupNorm:
         for (values,) in layouts(evaluated(seed, npoints, shapes, validity)):
             assert_sup_norm(sup_norm(values), values)
             want = np.abs(values.reshape(npoints, -1)).max(axis=1)
-            assert bits(components_sup(field_components(values))) == bits(want)
+            out = components_sup(field_components(values), np.empty(npoints),
+                                 np.empty(npoints))
+            assert bits(out) == bits(want)
 
     @pytest.mark.parametrize("values", [[-0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]])
     def test_zero_is_positive(self, values):
@@ -427,9 +429,16 @@ def one_chunk(accumulator, fields):
     return feed(accumulator, fields, [0, len(fields[0])])
 
 
+def scratch(npoints):
+    """A ResidualSup's scratch, wide enough for a chunk of the plan or a
+    chunk that holds all npoints points."""
+    return np.empty((3, max(npoints, CHUNK_POINTS)))
+
+
 def no_reference(npoints=0):
     """A ResidualSup of a check with no reference over npoints points."""
-    return ResidualSup(Check("t", [], []), None, np.zeros((npoints, 1)), None, 1e-8)
+    return ResidualSup(Check("t", [], []), None, np.zeros((npoints, 1)), None, 1e-8,
+                       scratch(npoints))
 
 
 def sup_norm(values, edges=None):
@@ -451,7 +460,7 @@ class TestChunkedAccumulators:
         edges = data.draw(chunkings(npoints))
         fields = [res, ref] + ([domain] if with_domain else [])
         acc = feed(ResidualSup(Check("t", [], []), None, np.zeros((npoints, 1)), None,
-                               1e-8), fields, edges)
+                               1e-8, scratch(npoints)), fields, edges)
         report = acc.finish()
         want = reference_residual(res, ref, domain)
         assert bits((report.abs_sup, report.rel_sup)) == bits(want[:2])
@@ -493,7 +502,8 @@ class TestChunkedAccumulators:
         env = {"a": cols[0], "b": cols[1]}
         res = [Sym("a"), Num(-0.0), Sym("b")]
         ref = [Sym("b"), Num(2.5)]
-        check = ResidualSup(Check("t", res, ref), None, np.zeros((npoints, 1)), None, 1e-8)
+        check = ResidualSup(Check("t", res, ref), None, np.zeros((npoints, 1)), None, 1e-8,
+                            scratch(npoints))
         sups = [no_reference(npoints), no_reference(npoints)]
         values = FieldValues([(3,), (2,)], npoints)
         reduce_fields([([res, ref], check), ([res, []], sups[0]), ([ref, []], sups[1]),
@@ -513,7 +523,7 @@ class TestChunkedAccumulators:
                                         [1.0, 2.0, np.nan]])
     def test_the_domain_is_checked_without_a_warning(self, domain):
         # no sum over the domain: 1e308 + 1e308 overflows, inf - inf is invalid
-        acc = ResidualSup(Check("t", [], []), None, np.zeros((3, 1)), None, 1e-8)
+        acc = ResidualSup(Check("t", [], []), None, np.zeros((3, 1)), None, 1e-8, scratch(3))
         acc.update(0, [np.array([1.0, 2.0, 3.0])], [np.ones(3)], [np.array(domain)])
         valid = np.isfinite(domain)
         assert (acc.n_valid, acc.first_bad) == (
