@@ -46,9 +46,6 @@ class Chart:
     def dim(self):
         return len(self.names)
 
-    def axis(self, name):
-        return self.names.index(name)
-
     def env_at(self, points, params=None):
         """Evaluation environment mapping names to coordinate columns: the
         columns of an (npoints, n) array, or the column fills of a Sample

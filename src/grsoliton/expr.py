@@ -693,39 +693,32 @@ def evaluate_many_multi(exprs, env, size, sinks):
 
     The plan is compiled once per call: each value that depends on the
     point gets a slot in a pool of chunk-long buffers, which passes to a
-    later value once the steps that read the value and the sinks it is
-    handed to are done, so the pool holds as many buffers as values are
-    live at once.  Each step then runs as one numpy call that writes its
-    slot.  So a sink reduces or copies what it needs during the call and
-    keeps no array, nor any view of one.
+    later value once no step or sink is left to read the value (a use
+    count), so the pool holds as many buffers as values are live at once.
+    Each step is bound once as a numpy call that writes its slot, and every
+    chunk replays those calls; only a shorter last chunk is bound again, on
+    views of its length.  So a sink reduces or copies what it needs during
+    the call and keeps no array, nor any view of one.
     """
     roots, values, columns, program, needs = _compile(exprs, env, size)
     groups, start = [], 0
     for count, sink in sinks:
         groups.append((sink, roots[start:start + count]))
         start += count
-    program, last, release, fed = _schedule(program, groups, values, needs)
     width = min(size, CHUNK_POINTS)
-    pool, sources, steps = _bind(columns, program, last, release, values, width)
-    segments = _segments(steps, sources, values, groups, fed, width)
+    _, fills, segments = _bind(columns, program, groups, values, needs, width)
     for lo in range(0, size, CHUNK_POINTS):
         hi = min(lo + CHUNK_POINTS, size)
-        if hi - lo < width:
-            # the last, shorter chunk: the same steps on the first
-            # hi - lo points of each buffer, found by its identity
-            views = {id(buffer): buffer[:hi - lo] for buffer in pool}
-            sources = [views.get(id(value), value) for value in sources]
-            steps = [(op, [views.get(id(a), a) for a in args], views[id(out)])
-                     for op, args, out in steps]
-            segments = _segments(steps, sources, values, groups, fed, hi - lo)
-        for number, fill in columns:
-            fill(lo, hi, sources[number])
-        for part, feeds in segments:
+        if lo == 0 or hi - lo < width:
+            chunk_fills, chunk = _segments(fills, segments, width, hi - lo)
+        for fill, out in chunk_fills:
+            fill(lo, hi, out)
+        for steps, feeds in chunk:
             with np.errstate(all="ignore"):
-                for op, args, out in part:
+                for op, args, out in steps:
                     op(*args, out=out)
-            for sink, roots in feeds:
-                sink(lo, hi, roots)
+            for sink, values in feeds:
+                sink(lo, hi, values)
 
 
 def _compile(roots, env, size):
@@ -790,25 +783,6 @@ def _compile(roots, env, size):
     return numbered, values, columns, program, needs
 
 
-def _segments(steps, sources, values, groups, fed, n):
-    """The chunk as (steps, feeds) segments, n points each: a run of
-    steps, then (sink, root values) of each group fed after it; a root
-    that does not depend on the point is a broadcast view of its scalar,
-    one per value number."""
-    read = list(sources)
-    for number in {number for _, roots in groups for number in roots}:
-        if values[number] is not None:
-            read[number] = np.broadcast_to(np.float64(values[number]), (n,))
-    feeds = {}
-    for (sink, roots), at in zip(groups, fed):
-        feeds.setdefault(at, []).append((sink, tuple(map(read.__getitem__, roots))))
-    segments, start = [], 0
-    for at in sorted(feeds):
-        segments.append((steps[start:at + 1], feeds[at]))
-        start = at + 1
-    return segments
-
-
 def _copier(column):
     """fill(lo, hi, out) of an array column."""
     def fill(lo, hi, out):
@@ -816,89 +790,116 @@ def _copier(column):
     return fill
 
 
-def _schedule(program, groups, values, needs):
-    """(program, last, release, fed): the program in group order; last[v]
-    the last use of value v, 2i if step i reads it and 2i + 1 if a sink
-    after step i does (-2: none); release[i] the roots a sink before step
-    i used last; fed[g] the step after which group g is fed (-1: first).
+def _bind(columns, program, groups, values, needs, width):
+    """(pool, fills, segments): the pool of width-long buffers; the (fill,
+    buffer) of each coordinate column; and the chunk as (steps, feeds)
+    segments, a run of steps, each (ufunc, arguments, out), then the (sink,
+    root values) of each group fed after it.  A root that does not depend
+    on the point is a broadcast view of its scalar, one per value number.
 
     The groups go largest first, by the steps they need (needs, from
     _compile), each taking the steps no group before it took, depth first
-    from its roots, left operand first: a group's roots are fed, and
-    freed, before the next group starts.  Tables are lists indexed by
-    value number.
+    from its roots, left operand first.  A group is fed once its last root
+    is computed, or before the first step if no root of it is a step.
+    Buffers are assigned by linear scan (Poletto & Sarkar, "Linear scan
+    register allocation", 1999): each coordinate column takes a buffer,
+    then each step the buffer freed last, or a new one.  A value frees its
+    buffer when its use count, the reads of it left by steps and groups,
+    reaches 0, before the next step takes one, so a step may write over an
+    argument it is the last to read.
     """
-    entry = [None] * len(values)
+    entry = [None] * len(values)         # value number -> its step, until bound
+    uses = [0] * len(values)
     for step in program:
         entry[step[0]] = step
-    sizes = []
-    for _, roots in groups:
-        bits = 0
+        for a in step[2]:
+            uses[a] += 1
+    # per group: minus the steps it needs, and its roots left to compute;
+    # a root's number -> its groups, or its broadcast view if it is a scalar
+    sizes, left, waiting, broadcast = [], [], {}, {}
+    for g, (_, roots) in enumerate(groups):
+        bits = count = 0
         for number in roots:
             bits |= needs[number]
+            uses[number] += 1
+            if entry[number] is not None:
+                count += 1
+                waiting.setdefault(number, []).append(g)
+            elif values[number] is not None and number not in broadcast:
+                broadcast[number] = np.broadcast_to(np.float64(values[number]), (width,))
         sizes.append(-bits.bit_count())
-    program = []
-    last = [-2] * len(values)
-    position = [-1] * len(values)
+        left.append(count)
+    sources = list(values)               # each value as a step reads it
+    pool = [np.empty(width) for _ in columns]
+    fills = []
+    for (number, fill), buffer in zip(columns, pool):
+        sources[number] = buffer
+        fills.append((fill, buffer))
+    free = []
+    segments = [([], [])]
+
+    def release(numbers):
+        for number in numbers:
+            uses[number] -= 1
+            if not uses[number] and values[number] is None:
+                free.append(sources[number])
+
+    def feed(g):
+        sink, roots = groups[g]
+        segments[-1][1].append((sink, tuple([broadcast.get(n, sources[n]) for n in roots])))
+        release(roots)
+
+    for g, count in enumerate(left):
+        if not count:
+            feed(g)
     for g in sorted(range(len(groups)), key=sizes.__getitem__):
         stack = groups[g][1][::-1]       # ~number: its operands are done
         while stack:
             number = stack.pop()
-            if number < 0:
-                step = entry[~number]
-                entry[~number] = None
-                position[~number] = len(program)
-                for a in step[2]:
-                    last[a] = 2 * len(program)
-                program.append(step)
-            elif entry[number] is not None:
-                stack.append(~number)
-                stack.extend(entry[number][2][::-1])
-    fed = []
-    for _, roots in groups:
-        at = max((position[number] for number in roots), default=-1)
-        fed.append(at)
-        for number in roots:
-            last[number] = max(last[number], 2 * at + 1)
-    release = {}         # step index -> the roots that a sink before it used last
-    for number in {number for _, roots in groups for number in roots}:
-        if last[number] % 2 and values[number] is None:
-            release.setdefault((last[number] + 1) // 2, []).append(number)
-    return program, last, release, fed
+            if number >= 0:
+                if entry[number] is not None:
+                    stack.append(~number)
+                    stack.extend(entry[number][2][::-1])
+                continue
+            number, op, args = entry[~number]
+            entry[number] = None
+            arguments = tuple([sources[a] for a in args])
+            release(args)
+            if free:
+                out = free.pop()
+            else:
+                out = np.empty(width)
+                pool.append(out)
+            sources[number] = out
+            if segments[-1][1]:
+                segments.append(([], []))
+            segments[-1][0].append((op, arguments, out))
+            for k in waiting.get(number, ()):
+                left[k] -= 1
+                if not left[k]:
+                    feed(k)
+    return pool, fills, segments
 
 
-def _bind(columns, program, last, release, values, width):
-    """The pool of width-long buffers, each value as a step reads it (its
-    scalar, or its buffer) and every step as (ufunc, arguments, out).
+def _segments(fills, segments, width, n):
+    """_bind's fills and segments, bound at width, for a chunk of n points:
+    each buffer, and each broadcast root, as one view of its first n
+    points."""
+    if n == width:
+        return fills, segments
+    views = {}               # id(array) -> its view; the arrays outlive the call
 
-    Buffers are assigned by linear scan (Poletto & Sarkar, "Linear scan
-    register allocation", 1999): each coordinate column takes a buffer,
-    then each step the buffer freed last, or a new one.  A value frees its
-    buffer at its last use (see _schedule), before the next step takes
-    one, so a step may write over an argument it is the last to read.
-    """
-    sources = list(values)
-    pool = [np.empty(width) for _ in columns]
-    for (number, _), buffer in zip(columns, pool):
-        sources[number] = buffer
-    free = []
-    steps = []
-    read = sources.__getitem__
-    for i, (number, op, args) in enumerate(program):
-        arguments = tuple(map(read, args))
-        free.extend(map(read, release.get(i, ())))
-        for a in args:
-            if last[a] == 2 * i and values[a] is None:
-                last[a] = -2        # freed once, if read twice (x * x)
-                free.append(sources[a])
-        if free:
-            out = free.pop()
-        else:
-            out = np.empty(width)
-            pool.append(out)
-        sources[number] = out
-        steps.append((op, arguments, out))
-    return pool, sources, steps
+    def view(a):
+        if type(a) is not np.ndarray:
+            return a         # a scalar argument
+        if id(a) not in views:
+            views[id(a)] = a[:n]
+        return views[id(a)]
+
+    return ([(fill, view(out)) for fill, out in fills],
+            [([(op, tuple(map(view, args)), view(out)) for op, args, out in steps],
+              [(sink, tuple(map(view, roots))) for sink, roots in feeds])
+             for steps, feeds in segments])
 
 
 _OPERATIONS = {
@@ -932,10 +933,6 @@ def _operation(node):
     if type(node) is Call:
         return _NUMPY_CALLS[node.func]
     return _OPERATIONS[type(node)]
-
-
-def _children(node):
-    return node._kids
 
 
 def _bottom_up(root, rule, cached, arg=None):

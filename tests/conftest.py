@@ -102,7 +102,7 @@ def poisoning(segments):
     broadcast view of its scalar, is no plan buffer.  What a report reads
     from a buffer after the plan has let it go then reads NaN."""
     def poisoned(*args):
-        parts = segments(*args)
+        fills, parts = segments(*args)
         events, marks = [], []       # (is_write, array) in chunk order; a mark per feed
         for steps, feeds in parts:
             for _, arguments, out in steps:
@@ -123,7 +123,7 @@ def poisoning(segments):
                 dead = [a for key, a in arrays.items() if first.get(key, True)]
                 wrapped.append((_poisoned_sink(sink, dead), roots))
             out.append((steps, wrapped))
-        return out
+        return fills, out
     return poisoned
 
 

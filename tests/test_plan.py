@@ -191,6 +191,54 @@ class TestPlan:
         for root, values in zip(roots, out):
             assert same_bits(values, reference_evaluate(root, env, size)), expr.render(root)
 
+    @pytest.mark.parametrize("size", [1, 16387])
+    @settings(max_examples=25, deadline=None)
+    @given(roots=dags(), cuts=st.lists(st.integers(0, 8), max_size=4))
+    @example(roots=[X, Mul(X, Y), SUM, Mul(SUM, Y), Num(2.0)], cuts=[1, 3, 4])
+    @example(roots=[Add(Mul(X, Y), Mul(SUM, SUM)), Call("cot", SUM)], cuts=[1])
+    def test_the_pool_is_as_large_as_the_values_live_at_once(self, size, roots, cuts):
+        # a buffer freed late, or never, grows the pool past this count;
+        # the poisoning tests catch one freed early
+        bounds = sorted({0, len(roots), *(min(c, len(roots)) for c in cuts)})
+        bound = []
+        original = expr._bind
+
+        def keeping(*args):
+            bound.append(original(*args))
+            return bound[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(expr, "_bind", keeping)
+            evaluate_many_multi(roots, point_env(size), size,
+                                [(b - a, lambda lo, hi, values: None)
+                                 for a, b in zip(bounds, bounds[1:])])
+        (pool, fills, segments), = bound
+        # a value lives from the step that writes its buffer (-1: a column)
+        # to its last reader, a step or a feed after a step (at + 0.5)
+        spans, holding = [], {}      # [written, last read]; id(buffer) -> its span
+
+        def write(buffer, at):
+            holding[id(buffer)] = [at, at]
+            spans.append(holding[id(buffer)])
+
+        def read(arrays, at):
+            for a in arrays:
+                if id(a) in holding:
+                    holding[id(a)][1] = at
+
+        for _, buffer in fills:
+            write(buffer, -1)
+        at = -1
+        for steps, feeds in segments:
+            for _, arguments, out in steps:
+                at += 1
+                read(arguments, at)
+                write(out, at)
+            for _, values in feeds:
+                read(values, at + 0.5)
+        live = [sum(written <= i < last for written, last in spans) for i in range(at + 1)]
+        assert len(pool) == max([len(fills), *live])
+
     @settings(max_examples=100, deadline=None)
     @given(roots=dags())
     def test_numbering_is_the_bottom_up_walk(self, roots):
