@@ -19,14 +19,14 @@ from grsoliton.chart import (
 from grsoliton.contact import (
     AlmostContactStructure,
     StructureError,
-    StructureReport,
     assemble_structure,
-    check_sasakian_identities,
-    classify_structure,
     exterior_derivative_oneform,
     fundamental_form,
+    ladder_checks,
+    ladder_rows,
     nijenhuis_torsion,
-    ricci_reeb_residual,
+    ricci_reeb_check,
+    sasakian_identity_checks,
 )
 from grsoliton.expr import (
     DomainError,
@@ -55,12 +55,13 @@ from grsoliton.runner import run_manifest
 from grsoliton.soliton import (
     ResidualReport,
     SolitonSpec,
-    alignment_condition,
+    build_alignment_check,
+    build_gradient_check,
+    build_supporting_checks,
+    build_transport_check,
+    build_vector_check,
     classify_constants,
-    grad_transport_check,
-    residual_gradient_form,
-    residual_vector_form,
-    supporting_identities_check,
+    run_checks,
 )
 from grsoliton.tensors import (
     TensorField,

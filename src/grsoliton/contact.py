@@ -14,18 +14,20 @@ reference, reduced by soliton.ResidualSup as every other check is: a
 residual is the sup of |value| over the points where the value is finite,
 the other points are counted as skipped, and a check with no point left
 raises DomainError.  The axiom gate alone admits no skipped point.
+ladder_rows decides the Sasakian ladder from the reports of the
+ladder_checks.
 """
 
+import dataclasses
 import math
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from grsoliton import expr
 from grsoliton.chart import as_points, sample_points
 from grsoliton.expr import Num, as_scalar, simplify
-from grsoliton.soliton import DEFAULT_TOLERANCE, Check, reduce_checks, run_checks
+from grsoliton.soliton import DEFAULT_TOLERANCE, Check, ResidualReport, reduce_checks
 from grsoliton.tensors import (
     TensorField,
     christoffel,
@@ -56,29 +58,6 @@ class StructureError(ValueError):
         self.point = point
 
 
-@dataclass
-class StructureReport:
-    """Ladder flags with the per-condition residual sup-norms behind them."""
-
-    almost_contact_metric: bool
-    contact_metric: bool
-    k_contact: bool
-    normal: bool
-    sasakian: bool
-    residuals: dict = field(default_factory=dict)
-    d_convention: str = "half"
-    tolerance: float = DEFAULT_TOLERANCE
-
-    def flags(self):
-        return {
-            "almost_contact_metric": self.almost_contact_metric,
-            "contact_metric": self.contact_metric,
-            "k_contact": self.k_contact,
-            "normal": self.normal,
-            "sasakian": self.sasakian,
-        }
-
-
 class AlmostContactStructure:
     """Validated (phi, xi, eta, g) bundle on an odd-dimensional chart."""
 
@@ -92,21 +71,6 @@ class AlmostContactStructure:
         self.eta = eta
         self.n = n
         self.axiom_residuals = axiom_residuals
-
-
-def _points(chart, points):
-    """points as chart.as_points gives them; None samples the default
-    points."""
-    if points is None:
-        return sample_points(chart, "uniform", _AXIOM_POINTS, _AXIOM_SEED)
-    return as_points(points)
-
-
-def _reports(structure, checks, points, params, tolerance=DEFAULT_TOLERANCE):
-    """The ResidualReports of checks on the structure at points (see
-    _points)."""
-    chart = structure.chart
-    return run_checks(chart, checks, _points(chart, points), params, tolerance)
 
 
 def _axiom_components(chart, metric, phi, xi, eta):
@@ -128,7 +92,8 @@ def assemble_structure(chart, metric, phi, xi, eta, points=None, params=None,
     """Validate the four almost-contact-metric axioms and bundle the fields.
 
     phi is an (n, n) matrix of expressions (column = input index), xi a
-    vector, eta a one-form.  Each axiom is a check with no reference.
+    vector, eta a one-form.  Each axiom is a check with no reference,
+    evaluated at points, or at 100 uniform points when points is None.
     Raises StructureError naming the first violated axiom: at the first
     sample point where its value is not finite, with residual nan, or else,
     when its sup exceeds tolerance, at its worst point.  groups are further
@@ -141,7 +106,8 @@ def assemble_structure(chart, metric, phi, xi, eta, points=None, params=None,
         TensorField(chart, "endo", [[simplify(as_scalar(entry)) for entry in row] for row in phi])
     xi = xi if isinstance(xi, TensorField) else vector_field(chart, xi)
     eta = eta if isinstance(eta, TensorField) else oneform_field(chart, eta)
-    points = _points(chart, points)
+    points = sample_points(chart, "uniform", _AXIOM_POINTS, _AXIOM_SEED) \
+        if points is None else as_points(points)
     checks = [Check(axiom, comps, []) for axiom, comps
               in _axiom_components(chart, metric, phi, xi, eta).items()]
     residuals = {}
@@ -236,24 +202,20 @@ def curvature_reeb_residual(structure):
     return comps
 
 
-def check_sasakian_identities(structure, points=None, params=None):
-    """Residual sup-norms of the four Sasakian identities over sample points:
+def sasakian_identity_checks(structure):
+    """The four Sasakian identities as checks with no reference:
 
     covariant_phi:  (nabla_X phi) Y = g(X, Y) xi - eta(Y) X
     reeb_transport: nabla_X xi = -phi X
     eta_transport:  (nabla_X eta) Y = -g(phi X, Y)
     curvature_reeb: R(X, Y) xi = eta(Y) X - eta(X) Y
-
-    Points where an identity is not finite are skipped (DomainError when
-    none is left), as for every check.
     """
-    checks = [
+    return [
         Check("covariant_phi", covariant_phi_residual(structure), []),
         Check("reeb_transport", reeb_transport_residual(structure), []),
         Check("eta_transport", eta_transport_residual(structure), []),
         Check("curvature_reeb", curvature_reeb_residual(structure), []),
     ]
-    return {r.name: r.abs_sup for r in _reports(structure, checks, points, params)}
 
 
 def ricci_reeb_check(structure):
@@ -263,12 +225,6 @@ def ricci_reeb_check(structure):
     comps = fold(expr.ZERO, (operator.add, ricci(structure.metric).comps * xi),
                  (operator.sub, Num(2.0 * structure.n) * (structure.metric.comps * xi)))
     return Check("ricci_reeb", comps, [])
-
-
-def ricci_reeb_residual(structure, points=None, params=None):
-    """Sup-norm of Ric(xi, d_j) - 2 n g(xi, d_j) over the sample points
-    where it is finite (DomainError when none is)."""
-    return _reports(structure, [ricci_reeb_check(structure)], points, params)[0].abs_sup
 
 
 def ladder_checks(structure, d_convention="half"):
@@ -284,34 +240,32 @@ def ladder_checks(structure, d_convention="half"):
             Check("normality", normal, [])]
 
 
-def structure_report(structure, reports, tolerance=DEFAULT_TOLERANCE, d_convention="half"):
-    """The StructureReport of the ResidualReports of the ladder_checks."""
-    residuals = dict(structure.axiom_residuals)
-    almost = max(residuals.values()) <= tolerance
-    residuals.update((r.name, r.abs_sup) for r in reports)
-    contact = almost and residuals["contact_condition"] <= tolerance
-    k_contact = contact and residuals["reeb_transport"] <= tolerance
-    normal = almost and residuals["normality"] <= tolerance
-    sasakian = contact and normal
-    if sasakian:
-        k_contact = True
-    return StructureReport(
-        almost_contact_metric=almost,
-        contact_metric=contact,
-        k_contact=k_contact,
-        normal=normal,
-        sasakian=sasakian,
-        residuals=residuals,
-        d_convention=d_convention,
-        tolerance=tolerance,
-    )
+def ladder_rows(structure, reports, tolerance, d_convention, n_points):
+    """The five structure_* rows of the Sasakian ladder, from the
+    ResidualReports of the ladder_checks at n_points sample points.
 
-
-def classify_structure(structure, tolerance=DEFAULT_TOLERANCE, points=None,
-                       params=None, d_convention="half"):
-    """Evaluate the ladder conditions and report flags plus raw residuals.
-    Points where a condition is not finite are skipped (DomainError when
-    none is left)."""
-    reports = _reports(structure, ladder_checks(structure, d_convention), points, params,
-                    tolerance)
-    return structure_report(structure, reports, tolerance, d_convention)
+    The almost-contact row is the largest axiom residual and used every
+    point, as the axiom gate admits no skipped one; contact and normal
+    need it, and K-contact needs contact.  The contact, K-contact and
+    normal rows are their conditions' reports.  The Sasakian row needs
+    contact and normal, makes K-contact pass, and counts the points of
+    whichever of its two conditions used fewer.
+    """
+    contact, reeb, normal = reports
+    almost = max(structure.axiom_residuals.values())
+    almost_ok = almost <= tolerance
+    contact_ok = almost_ok and contact.abs_sup <= tolerance
+    normal_ok = almost_ok and normal.abs_sup <= tolerance
+    sasakian_ok = contact_ok and normal_ok
+    k_contact_ok = sasakian_ok or (contact_ok and reeb.abs_sup <= tolerance)
+    sasakian = max(contact.abs_sup, normal.abs_sup)
+    return [
+        ResidualReport("structure_almost_contact", almost, almost, tolerance, almost_ok,
+                       n_points, 0),
+        dataclasses.replace(contact, name="structure_contact", passed=contact_ok),
+        dataclasses.replace(reeb, name="structure_k_contact", passed=k_contact_ok),
+        dataclasses.replace(normal, name="structure_normal", passed=normal_ok),
+        dataclasses.replace(min(contact, normal, key=lambda r: r.n_points),
+                            name="structure_sasakian", abs_sup=sasakian, rel_sup=sasakian,
+                            passed=sasakian_ok, details={"d_convention": d_convention}),
+    ]

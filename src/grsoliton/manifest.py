@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from grsoliton.chart import ChartError, MetricError, define_chart, define_metric
-from grsoliton.expr import ParseError, free_symbols, parse
+from grsoliton.expr import RESERVED_NAMES, ParseError, free_symbols, parse
 from grsoliton.soliton import CONSTANT_ORDER, DEFAULT_TOLERANCE
 
 BUNDLED_NAMES = ("hyperbolic", "cone", "sasakian3")
@@ -138,6 +138,8 @@ def load_manifest(source):
         _fail('manifest needs "chart": {"coords": [...], "bounds": {...}}')
     _no_unknown_keys(chart_block, {"coords", "bounds"}, "chart")
     coords = chart_block["coords"]
+    if not isinstance(coords, list) or not all(isinstance(c, str) for c in coords):
+        _fail(f"chart.coords must be a list of coordinate names, got {coords!r}")
     bounds_block = chart_block.get("bounds", {})
     if not isinstance(bounds_block, dict):
         _fail('"bounds" must map coordinate names to [lo, hi]')
@@ -145,6 +147,8 @@ def load_manifest(source):
     for name, pair in bounds_block.items():
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             _fail(f"bounds for {name!r} must be a [lo, hi] pair (null = unbounded)")
+        if not all(v is None or _is_number(v, numbers.Real) for v in pair):
+            _fail(f"bounds for {name!r} must be numbers or null, got {list(pair)!r}")
         bounds[name] = (pair[0], pair[1])
     try:
         chart = define_chart(coords, bounds)
@@ -158,6 +162,10 @@ def load_manifest(source):
     constants = {}
     params = {}
     for key, value in constants_block.items():
+        # a coordinate or a reserved name wins over a constant of its name
+        if key in chart.names or key in RESERVED_NAMES:
+            kind = "a chart coordinate" if key in chart.names else "a reserved name"
+            _fail(f"constant {key!r} is already {kind}")
         if key in CONSTANT_ORDER:
             if value == "fit":
                 constants[key] = "fit"

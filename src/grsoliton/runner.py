@@ -26,8 +26,8 @@ from grsoliton.contact import (
     StructureError,
     assemble_structure,
     ladder_checks,
+    ladder_rows,
     ricci_reeb_check,
-    structure_report,
 )
 from grsoliton.fit import FitQR, TooFewPointsError, design_fields
 from grsoliton.manifest import ManifestError, run_settings
@@ -194,29 +194,9 @@ def _assemble(run, d_convention, first, classify=True):
         return None
     if classify:
         run.add(ladder_checks(structure, d_convention),
-                functools.partial(_ladder_rows, structure=structure, d_convention=d_convention))
+                lambda run, reports: ladder_rows(structure, reports, run.tol, d_convention,
+                                                 len(run.points)))
     return structure
-
-
-def _ladder_rows(run, reports, structure, d_convention):
-    """The five ladder rows: the almost-contact row used every point, as
-    the axiom gate admits no skipped one; the contact, K-contact and
-    normal rows are their conditions' reports; and the Sasakian row counts
-    the points of whichever of its two conditions used fewer."""
-    flags = structure_report(structure, reports, run.tol, d_convention)
-    contact, reeb, normal = reports
-    almost = max(structure.axiom_residuals.values())
-    sasakian = max(contact.abs_sup, normal.abs_sup)
-    return [
-        ResidualReport("structure_almost_contact", almost, almost, run.tol,
-                       flags.almost_contact_metric, len(run.points), 0),
-        dataclasses.replace(contact, name="structure_contact", passed=flags.contact_metric),
-        dataclasses.replace(reeb, name="structure_k_contact", passed=flags.k_contact),
-        dataclasses.replace(normal, name="structure_normal", passed=flags.normal),
-        dataclasses.replace(min(contact, normal, key=lambda r: r.n_points),
-                            name="structure_sasakian", abs_sup=sasakian, rel_sup=sasakian,
-                            passed=flags.sasakian, details={"d_convention": d_convention}),
-    ]
 
 
 def _gradient_check(manifest, constants):

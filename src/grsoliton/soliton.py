@@ -7,9 +7,9 @@ Alignment:       grad f1 + c1 xi(xi(f2)) grad f2 - c1 xi(f2) nabla_xi grad f2
                  structures satisfying the gradient form.
 
 Each check is a symbolic residual with the reference (left-hand side) it
-is measured against.  The build_* functions only build checks; the public
-check functions build theirs, evaluate them as one plan and reduce each,
-chunk by chunk, to absolute and relative sup-norms.  The relative norm is
+is measured against.  The build_* functions build checks, and run_checks
+evaluates any list of them as one plan and reduces each, chunk by chunk,
+to absolute and relative sup-norms.  The relative norm is
 pointwise, max_p |residual(p)| / max(1, |reference(p)|), with |.| the
 largest component at p: a large reference near a chart boundary does not
 excuse a residual elsewhere, and flat instances do not divide by zero.
@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from grsoliton.chart import as_points, components_sup, reduce_fields, sample_points
-from grsoliton.expr import CHUNK_POINTS, DomainError, Num, as_scalar, evaluate
+from grsoliton.chart import as_points, components_sup, reduce_fields
+from grsoliton.expr import CHUNK_POINTS, ZERO, DomainError, Num, as_scalar, evaluate
 from grsoliton.tensors import (
     TensorField,
     covariant_derivative,
@@ -49,8 +49,6 @@ from grsoliton.tensors import (
 DEFAULT_TOLERANCE = 1e-8
 # the soliton constants, in the order of SolitonSpec's c1, c2, lam
 CONSTANT_ORDER = ("c1", "c2", "lambda")
-_DEFAULT_POINTS = 200
-_DEFAULT_SEED = 0
 
 CONSTANT_MATCH_TOLERANCE = 1e-12
 
@@ -122,7 +120,9 @@ class Check:
     whose size the residual is measured against (none, [], for an identity
     measured absolutely), and the domain: scalars that must be finite at a
     point for the point to count (the potentials, which differentiation or
-    simplification may fold out of both)."""
+    simplification may fold out of both).  An identity with no components
+    (the contact condition on a 1-D chart) holds vacuously, and is
+    evaluated as one zero component."""
 
     name: str
     residual: list
@@ -132,7 +132,7 @@ class Check:
     @property
     def fields(self):
         """The fields to evaluate: residual, reference and, if any, domain."""
-        fields = [self.residual, self.reference]
+        fields = [self.residual if np.size(self.residual) else [ZERO], self.reference]
         if len(self.domain):
             fields.append(self.domain)
         return fields
@@ -254,17 +254,10 @@ def reduce_checks(chart, checks, points, params, tolerance, groups=()):
 
 
 def run_checks(chart, checks, points, params, tolerance):
-    """Evaluate checks as one plan, reducing each chunk by chunk to a
-    ResidualReport.
-
-    points=None samples the module's default 200 uniform points.
-    """
-    points = _default_points(chart) if points is None else as_points(points)
-    return [a.finish() for a in reduce_checks(chart, checks, points, params, tolerance)]
-
-
-def _default_points(chart):
-    return sample_points(chart, "uniform", _DEFAULT_POINTS, _DEFAULT_SEED)
+    """Evaluate checks as one plan at points (see chart.as_points),
+    reducing each chunk by chunk to a ResidualReport."""
+    return [a.finish() for a in reduce_checks(chart, checks, as_points(points), params,
+                                              tolerance)]
 
 
 def _combine_sym2(terms):
@@ -292,14 +285,6 @@ def build_gradient_check(spec):
     return Check("soliton_gradient", residual, hess.comps, [spec.f1, spec.f2])
 
 
-def residual_gradient_form(spec, points=None, tolerance=DEFAULT_TOLERANCE):
-    """Residual of Hess f1 + c1 df2.df2 - c2 Ric - lam g at sample points."""
-    if spec.mode != "gradient":
-        raise ValueError("residual_gradient_form needs a gradient-mode spec")
-    return run_checks(spec.metric.chart, [build_gradient_check(spec)], points,
-                      spec.params, tolerance)[0]
-
-
 def build_vector_check(spec):
     """L_X1 g + 2c1 X2b.X2b - 2c2 Ric - 2lam g, against L_X1 g."""
     metric = spec.metric
@@ -315,16 +300,9 @@ def build_vector_check(spec):
     return Check("soliton_vector", residual, lie.comps)
 
 
-def residual_vector_form(spec, points=None, tolerance=DEFAULT_TOLERANCE):
-    """Residual of L_X1 g + 2c1 X2b.X2b - 2c2 Ric - 2lam g at sample points."""
-    if spec.mode != "vector":
-        raise ValueError("residual_vector_form needs a vector-mode spec")
-    return run_checks(spec.metric.chart, [build_vector_check(spec)], points,
-                      spec.params, tolerance)[0]
-
-
 def build_alignment_check(structure, f1, f2, c1):
-    """zeta = grad f1 + c1 xi(xi(f2)) grad f2 - c1 xi(f2) nabla_xi grad f2
+    """Necessary condition for a Sasakian gradient-form soliton:
+    zeta = grad f1 + c1 xi(xi(f2)) grad f2 - c1 xi(f2) nabla_xi grad f2
     and the check of zeta - xi(f1) xi against zeta.  Returns (zeta, check)."""
     metric = structure.metric
     chart = structure.chart
@@ -344,20 +322,13 @@ def build_alignment_check(structure, f1, f2, c1):
         Check("theorem_alignment", residual, zeta, [f1, f2])
 
 
-def alignment_condition(structure, f1, f2, c1, points=None,
-                        tolerance=DEFAULT_TOLERANCE, params=None):
-    """Necessary condition for a Sasakian gradient-form soliton.
-
-    Builds zeta = grad f1 + c1 xi(xi(f2)) grad f2 - c1 xi(f2) nabla_xi grad f2
-    and reports the residual of zeta - xi(f1) xi.  Returns (zeta, report).
-    """
-    zeta, check = build_alignment_check(structure, f1, f2, c1)
-    return zeta, run_checks(structure.chart, [check], points, params, tolerance)[0]
-
-
 def build_transport_check(structure, f1, f2, c1, c2, lam):
     """nabla_xi grad f1 - (lam + 2 c2 n) xi + c1 xi(f2) grad f2, against
-    nabla_xi grad f1."""
+    nabla_xi grad f1.
+
+    Holds on Sasakian structures satisfying the gradient-form equation;
+    the hypothesis is not enforced here so violations stay detectable.
+    """
     metric = structure.metric
     chart = structure.chart
     f1 = as_scalar(f1)
@@ -369,17 +340,6 @@ def build_transport_check(structure, f1, f2, c1, c2, lam):
     coeff = lam + 2.0 * c2 * structure.n
     residual = lhs.comps - Num(coeff) * xi.comps + Num(c1) * (xi_f2 * grad2.comps)
     return Check("grad_transport", residual, lhs.comps, [f1, f2])
-
-
-def grad_transport_check(structure, f1, f2, c1, c2, lam, points=None,
-                         tolerance=DEFAULT_TOLERANCE, params=None):
-    """Residual of nabla_xi grad f1 = (lam + 2 c2 n) xi - c1 xi(f2) grad f2.
-
-    Holds on Sasakian structures satisfying the gradient-form equation;
-    the hypothesis is not enforced here so violations stay detectable.
-    """
-    check = build_transport_check(structure, f1, f2, c1, c2, lam)
-    return run_checks(structure.chart, [check], points, params, tolerance)[0]
 
 
 def _projected_coordinate_fields(structure):
@@ -451,15 +411,6 @@ def build_supporting_checks(structure, f1, f2, c1):
     reduction = reference + Num(c1) * (xi_xi_f2 * along_f2) - Num(c1) * (xi_f2 * transported)
     return [double_lie, square_lie,
             Check("scalar_reduction", reduction, reference, domain)]
-
-
-def supporting_identities_check(structure, f1, f2, c1, points=None,
-                                tolerance=DEFAULT_TOLERANCE, params=None):
-    """Residual reports of the three identities of build_supporting_checks,
-    keyed by name."""
-    checks = build_supporting_checks(structure, f1, f2, c1)
-    reports = run_checks(structure.chart, checks, points, params, tolerance)
-    return {report.name: report for report in reports}
 
 
 def _matches(value, target, tol=CONSTANT_MATCH_TOLERANCE):

@@ -17,17 +17,20 @@ from grsoliton.chart import evaluate_field, sample_points
 from grsoliton.cli import main
 from grsoliton.contact import (
     assemble_structure,
-    classify_structure,
-    ricci_reeb_residual,
+    ladder_checks,
+    ladder_rows,
+    ricci_reeb_check,
 )
 from grsoliton.fit import fit_constants
 from grsoliton.manifest import bundled_examples
 from grsoliton.soliton import (
+    DEFAULT_TOLERANCE,
     SolitonSpec,
-    alignment_condition,
-    grad_transport_check,
-    residual_gradient_form,
-    supporting_identities_check,
+    build_alignment_check,
+    build_gradient_check,
+    build_supporting_checks,
+    build_transport_check,
+    run_checks,
 )
 from grsoliton.tensors import (
     christoffel,
@@ -66,6 +69,12 @@ def _manifest_spec(name):
     return m, spec
 
 
+def _gradient(spec, points, tolerance=DEFAULT_TOLERANCE):
+    [report] = run_checks(spec.metric.chart, [build_gradient_check(spec)], points,
+                          spec.params, tolerance)
+    return report
+
+
 def _rel(residual_values, reference_values):
     return np.abs(residual_values).max() / max(1.0, np.abs(reference_values).max())
 
@@ -74,7 +83,7 @@ def test_criterion_1_hyperbolic_reproduction():
     started = time.perf_counter()
     m, spec = _manifest_spec("hyperbolic")
     pts = sample_points(m.chart, "uniform", 10_000, seed=m.sampling["seed"])
-    report = residual_gradient_form(spec, pts, tolerance=1e-9)
+    report = _gradient(spec, pts, tolerance=1e-9)
     elapsed = time.perf_counter() - started
     assert report.n_points == 10_000
     assert report.rel_sup <= 1e-9, f"relative residual {report.rel_sup:.3e}"
@@ -85,7 +94,7 @@ def test_criterion_1_hyperbolic_reproduction():
 def test_criterion_2_cone_reproduction():
     m, spec = _manifest_spec("cone")
     pts = sample_points(m.chart, "uniform", 10_000, seed=m.sampling["seed"])
-    report = residual_gradient_form(spec, pts, tolerance=1e-9)
+    report = _gradient(spec, pts, tolerance=1e-9)
     assert report.rel_sup <= 1e-9, f"relative residual {report.rel_sup:.3e}"
     _verdict(2, f"cone soliton residual {report.rel_sup:.2e}")
 
@@ -102,15 +111,17 @@ def sasakian_setup():
 
 def test_criterion_3_sasakian_reproduction(sasakian_setup):
     m, spec, structure, pts = sasakian_setup
-    ladder = classify_structure(structure, tolerance=1e-9, points=pts)
-    assert all(ladder.flags().values()), ladder.flags()
-    assert max(ladder.residuals.values()) <= 1e-9
+    reports = run_checks(m.chart, ladder_checks(structure), pts, None, 1e-9)
+    ladder = ladder_rows(structure, reports, 1e-9, "half", len(pts))
+    flags = {row.name: row.passed for row in ladder}
+    assert all(flags.values()), flags
+    assert max(row.abs_sup for row in ladder) <= 1e-9
 
-    soliton = residual_gradient_form(spec, pts, tolerance=1e-9)
+    soliton = _gradient(spec, pts, tolerance=1e-9)
     assert soliton.rel_sup <= 1e-9
 
-    zeta, alignment = alignment_condition(structure, spec.f1, spec.f2, spec.c1,
-                                          pts, tolerance=1e-8)
+    zeta, check = build_alignment_check(structure, spec.f1, spec.f2, spec.c1)
+    [alignment] = run_checks(m.chart, [check], pts, None, 1e-8)
     assert alignment.rel_sup <= 1e-8
 
     # xi(f1) = -(2 c2 + lam) cot z, pointwise
@@ -125,16 +136,19 @@ def test_criterion_3_sasakian_reproduction(sasakian_setup):
 
 def test_criterion_4_lemma_suite(sasakian_setup):
     m, spec, structure, pts = sasakian_setup
-    transport = grad_transport_check(structure, spec.f1, spec.f2, spec.c1,
-                                     spec.c2, spec.lam, pts, tolerance=1e-8)
+    transport_check = build_transport_check(structure, spec.f1, spec.f2, spec.c1,
+                                            spec.c2, spec.lam)
+    [transport] = run_checks(m.chart, [transport_check], pts, None, 1e-8)
     assert transport.passed, f"grad transport rel {transport.rel_sup:.3e}"
 
-    assert ricci_reeb_residual(structure, pts) <= 1e-9
+    [ricci_reeb] = run_checks(m.chart, [ricci_reeb_check(structure)], pts, None,
+                              DEFAULT_TOLERANCE)
+    assert ricci_reeb.abs_sup <= 1e-9
 
-    identities = supporting_identities_check(structure, spec.f1, spec.f2,
-                                             spec.c1, pts, tolerance=1e-7)
-    for name, report in identities.items():
-        assert report.passed, f"{name} rel {report.rel_sup:.3e}"
+    identities = run_checks(m.chart, build_supporting_checks(structure, spec.f1, spec.f2,
+                                                             spec.c1), pts, None, 1e-7)
+    for report in identities:
+        assert report.passed, f"{report.name} rel {report.rel_sup:.3e}"
     _verdict(4, "transport identity, Ricci-Reeb pairing, and identity suite")
 
 
@@ -270,7 +284,7 @@ def test_criterion_7_violation_sensitivity():
                                 f2=spec.f2, params=m.params)
         pts = sample_points(m.chart, m.sampling["strategy"],
                             m.sampling["count"], m.sampling["seed"])
-        report = residual_gradient_form(perturbed, pts)
+        report = _gradient(perturbed, pts)
         assert report.abs_sup > 1e-4, f"{name}: {report.abs_sup:.3e}"
         assert not report.passed
     _verdict(7, "perturbed potentials are detected on every bundled instance")

@@ -78,11 +78,15 @@ def reached_from(root, edges):
     return reached
 
 
-def library_section():
+def library_text():
     text = README.read_text(encoding="utf-8")
     section = re.search(r"^## Library use\n(.*?)(?=^## |\Z)", text, re.M | re.S)
     assert section, "README has no Library use section"
-    return set(re.findall(r"`([A-Za-z_][\w.]*)`", section.group(1)))
+    return section.group(1)
+
+
+def library_section():
+    return set(re.findall(r"`([A-Za-z_][\w.]*)`", library_text()))
 
 
 def test_public_names_are_reached_or_documented():
@@ -102,3 +106,8 @@ def test_the_census_follows_references():
     assert ("expr", "add") in reached            # expr.add in tensors.py
     assert ("fit", "FitResult") in reached       # FitQR.finish builds one
     assert ("fit", "fit_constants") in definitions - reached
+
+
+def test_the_library_example_runs():
+    [example] = re.findall(r"^```python\n(.*?)^```", library_text(), re.M | re.S)
+    exec(compile(example, str(README), "exec"), {})

@@ -11,18 +11,17 @@ from grsoliton.chart import (
 from grsoliton.contact import (
     StructureError,
     assemble_structure,
-    check_sasakian_identities,
-    classify_structure,
     covariant_phi_residual,
     exterior_derivative_oneform,
     fundamental_form,
     ladder_checks,
+    ladder_rows,
     nijenhuis_torsion,
-    ricci_reeb_residual,
-    structure_report,
+    ricci_reeb_check,
+    sasakian_identity_checks,
 )
 from grsoliton.expr import CHUNK_POINTS, DomainError
-from grsoliton.soliton import ResidualReport
+from grsoliton.soliton import DEFAULT_TOLERANCE, ResidualReport, run_checks
 from grsoliton.tensors import (
     lie_derivative_sym2,
     metric_tensor_field,
@@ -39,6 +38,29 @@ Y0_POINT = [0.4, 0.0, 1.2]   # y = 0 makes p = 4/17, q = -1/17
 def paper_structure(sasakian_geometry):
     chart, g = sasakian_geometry
     return assemble_structure(chart, g, SASAKIAN_PHI, SASAKIAN_XI, SASAKIAN_ETA)
+
+
+def _points(chart):
+    """The 100 points that assemble_structure samples by default."""
+    return sample_points(chart, "uniform", 100, 811)
+
+
+def _ladder(structure, points=None, d_convention="half"):
+    """The five structure_* rows of the ladder at points, keyed by the
+    name's end: almost_contact, contact, k_contact, normal, sasakian."""
+    points = _points(structure.chart) if points is None else points
+    reports = run_checks(structure.chart, ladder_checks(structure, d_convention), points,
+                         None, DEFAULT_TOLERANCE)
+    rows = ladder_rows(structure, reports, DEFAULT_TOLERANCE, d_convention, len(points))
+    return {row.name.removeprefix("structure_"): row for row in rows}
+
+
+def _identities(structure, points=None):
+    """The sup-norms of the four Sasakian identities, keyed by name."""
+    points = _points(structure.chart) if points is None else points
+    reports = run_checks(structure.chart, sasakian_identity_checks(structure), points,
+                         None, DEFAULT_TOLERANCE)
+    return {r.name: r.abs_sup for r in reports}
 
 
 class TestAssemble:
@@ -141,10 +163,10 @@ class TestNijenhuis:
 
 class TestClassify:
     def test_paper_example_is_sasakian(self, paper_structure):
-        report = classify_structure(paper_structure)
-        assert all(report.flags().values())
-        assert report.d_convention == "half"
-        assert max(report.residuals.values()) <= 1e-10
+        rows = _ladder(paper_structure)
+        assert all(row.passed for row in rows.values())
+        assert rows["sasakian"].details["d_convention"] == "half"
+        assert max(row.abs_sup for row in rows.values()) <= 1e-10
 
     def test_contact_equals_fundamental_form(self, paper_structure):
         chart = paper_structure.chart
@@ -157,17 +179,17 @@ class TestClassify:
         chart, g = euclidean_space
         phi = [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]]
         s = assemble_structure(chart, g, phi, ["0", "0", "1"], ["0", "0", "1"])
-        report = classify_structure(s)
-        assert report.almost_contact_metric
-        assert report.normal
-        assert not report.contact_metric
-        assert not report.sasakian
+        rows = _ladder(s)
+        assert rows["almost_contact"].passed
+        assert rows["normal"].passed
+        assert not rows["contact"].passed
+        assert not rows["sasakian"].passed
 
     def test_plain_convention_breaks_the_ladder(self, paper_structure):
-        report = classify_structure(paper_structure, d_convention="plain")
-        assert report.d_convention == "plain"
-        assert not report.contact_metric
-        assert not report.sasakian
+        rows = _ladder(paper_structure, d_convention="plain")
+        assert rows["sasakian"].details["d_convention"] == "plain"
+        assert not rows["contact"].passed
+        assert not rows["sasakian"].passed
 
     @pytest.mark.parametrize("convention", ["half", "plain"])
     def test_ladder_report_matches_classify(self, paper_structure, convention):
@@ -180,9 +202,9 @@ class TestClassify:
         for check, value in zip(checks, values):
             sup = float(np.abs(value).max())
             reports.append(ResidualReport(check.name, sup, sup, 1e-8, sup <= 1e-8, len(pts), 0))
-        report = structure_report(paper_structure, reports, d_convention=convention)
-        want = classify_structure(paper_structure, points=pts, d_convention=convention)
-        assert report == want
+        rows = ladder_rows(paper_structure, reports, 1e-8, convention, len(pts))
+        want = _ladder(paper_structure, pts, convention)
+        assert rows == list(want.values())
 
     def test_non_finite_points_are_skipped(self):
         # eta_z = sqrt(x)^2/x is 1 on the chart, x > 0; for x < 0 it and its
@@ -194,13 +216,13 @@ class TestClassify:
         s = assemble_structure(chart, g, phi, ["0", "0", "1"], ["0", "0", "sqrt(x)^2/x"])
         pts = sample_points(chart, "uniform", 50, seed=13)
         mixed = np.concatenate([pts, pts * [-1.0, 1.0, 1.0]])
-        assert classify_structure(s, points=mixed) == classify_structure(s, points=pts)
-        assert check_sasakian_identities(s, points=mixed) == \
-            check_sasakian_identities(s, points=pts)
+        verdicts = [(row.passed, row.abs_sup) for row in _ladder(s, mixed).values()]
+        assert verdicts == [(row.passed, row.abs_sup) for row in _ladder(s, pts).values()]
+        assert _identities(s, mixed) == _identities(s, pts)
         negative = pts * [-1.0, 1.0, 1.0]
-        for check in (classify_structure, check_sasakian_identities):
+        for check in (_ladder, _identities):
             with pytest.raises(DomainError, match="sqrt"):
-                check(s, points=negative)
+                check(s, negative)
 
     def test_reeb_field_is_killing(self, paper_structure):
         # ladder implication: K-contact => xi Killing
@@ -213,7 +235,7 @@ class TestClassify:
 
 class TestSasakianIdentities:
     def test_all_four_small(self, paper_structure):
-        residuals = check_sasakian_identities(paper_structure)
+        residuals = _identities(paper_structure)
         assert set(residuals) == {"covariant_phi", "reeb_transport",
                                   "eta_transport", "curvature_reeb"}
         assert max(residuals.values()) <= 1e-10
@@ -238,11 +260,14 @@ class TestSasakianIdentities:
 
     def test_ricci_reeb_pairing(self, paper_structure):
         # Ric(xi, Y) = 2 n g(xi, Y) on the worked example
-        assert ricci_reeb_residual(paper_structure) <= 1e-9
+        [report] = run_checks(paper_structure.chart, [ricci_reeb_check(paper_structure)],
+                              _points(paper_structure.chart), None, DEFAULT_TOLERANCE)
+        assert report.abs_sup <= 1e-9
 
 
 class TestLadderConsistency:
     def test_sasakian_implies_k_contact_flag(self, paper_structure):
-        report = classify_structure(paper_structure)
-        if report.sasakian:
-            assert report.k_contact and report.normal and report.contact_metric
+        rows = _ladder(paper_structure)
+        if rows["sasakian"].passed:
+            assert rows["k_contact"].passed and rows["normal"].passed \
+                and rows["contact"].passed

@@ -55,6 +55,17 @@ NAN_ETA = {
 }
 
 
+# a 1-D Sasakian soliton (n = 0): the contact and normality conditions
+# have no index pairs, so they hold vacuously
+LINE = {
+    "chart": {"coords": ["z"]},
+    "metric": [["1"]],
+    "structure": {"phi": [["0"]], "xi": ["1"], "eta": ["1"]},
+    "scalars": {"f1": "z^2/2", "f2": "z"},
+    "constants": {"c1": 0, "c2": 0, "lambda": 1},
+}
+
+
 # neither a scalars/vectors nor a structure block
 METRIC_ONLY = {key: NAN_ETA[key] for key in ("chart", "metric")}
 
@@ -93,6 +104,22 @@ BAD_MANIFEST_VALUES = [
     # name for the count, and "bound" a typo that would drop every bound
     ({"sampling": {"points": 5000}}, "unknown sampling keys ['points']"),
     ({"chart": {"bound": {"y": [0, None]}}}, "unknown chart keys ['bound']"),
+    # the chart is outside input: names are strings, bounds numbers or null
+    ({"chart": {"coords": "xy"}}, "chart.coords must be a list of coordinate names, got 'xy'"),
+    ({"chart": {"coords": {"x": 1, "y": 2}}},
+     "chart.coords must be a list of coordinate names, got {'x': 1, 'y': 2}"),
+    ({"chart": {"coords": 5}}, "chart.coords must be a list of coordinate names, got 5"),
+    ({"chart": {"coords": ["x", 3]}},
+     "chart.coords must be a list of coordinate names, got ['x', 3]"),
+    ({"chart": {"bounds": {"y": [True, None]}}},
+     "bounds for 'y' must be numbers or null, got [True, None]"),
+    ({"chart": {"bounds": {"y": ["a", None]}}},
+     "bounds for 'y' must be numbers or null, got ['a', None]"),
+    ({"chart": {"bounds": {"y": [[0], None]}}},
+     "bounds for 'y' must be numbers or null, got [[0], None]"),
+    # a constant named as a coordinate or a reserved name could never bind
+    ({"constants": {"y": 5}}, "constant 'y' is already a chart coordinate"),
+    ({"constants": {"pi": 3}}, "constant 'pi' is already a reserved name"),
 ]
 
 
@@ -610,6 +637,21 @@ class TestCliExitCodes:
             == (200, 0)
         in_all = self._run_json(capsys, ["all"] + argv, 1)["checks"]
         assert [row for row in in_all if row["name"] in rows] == report["checks"]
+
+    @pytest.mark.parametrize("lam, code, failed", [
+        (1, 0, []),
+        (2, 1, ["soliton_gradient", "grad_transport", "fit_constants"]),
+    ], ids=["lambda=1", "lambda=2"])
+    def test_a_check_with_no_components_holds(self, lam, code, failed, tmp_path, capsys):
+        doc = copy.deepcopy(LINE)
+        doc["constants"]["lambda"] = lam
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps(doc))
+        rows = self._run_json(capsys, ["all", "--manifest", str(path)], code)["checks"]
+        assert len(rows) == 13
+        assert [row["name"] for row in rows if not row["passed"]] == failed
+        ladder = {row["name"]: row["abs_residual"] for row in rows[:5]}
+        assert ladder["structure_contact"] == ladder["structure_normal"] == 0.0
 
     def test_fit_on_two_points(self, tmp_path, capsys):
         argv = ["--manifest", "hyperbolic", "--points", "2"]

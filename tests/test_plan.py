@@ -34,7 +34,12 @@ from grsoliton.expr import (
 )
 from grsoliton.fit import fit_constants
 from grsoliton.manifest import BUNDLED_NAMES, load_manifest, resolve_manifest
-from grsoliton.soliton import SolitonSpec, grad_transport_check, residual_gradient_form
+from grsoliton.soliton import (
+    SolitonSpec,
+    build_gradient_check,
+    build_transport_check,
+    run_checks,
+)
 from grsoliton.tensors import riemann
 
 from conftest import SASAKIAN_ETA, SASAKIAN_PHI, SASAKIAN_XI, poisoning, structural_classes
@@ -362,7 +367,8 @@ def test_fit_constant_is_fitted_once_per_run(monkeypatch):
 
     spec = SolitonSpec(manifest.metric, "gradient", -1.0, 0.0, lam, f1=f1, f2=f2,
                        params=params)
-    soliton = residual_gradient_form(spec, points, manifest.tolerance)
+    [soliton] = run_checks(manifest.chart, [build_gradient_check(spec)], points, params,
+                           manifest.tolerance)
     assert (rows["soliton_gradient"].abs_sup,
             rows["soliton_gradient"].rel_sup) == (soliton.abs_sup, soliton.rel_sup)
     assert rows["soliton_gradient"].details["constants"]["lambda"] == lam
@@ -371,8 +377,9 @@ def test_fit_constant_is_fitted_once_per_run(monkeypatch):
                                    manifest.structure["phi"], manifest.structure["xi"],
                                    manifest.structure["eta"], points=points,
                                    params=params)
-    transport = grad_transport_check(structure, f1, f2, -1.0, 0.0, lam, points,
-                                     manifest.tolerance, params)
+    [transport] = run_checks(manifest.chart,
+                             [build_transport_check(structure, f1, f2, -1.0, 0.0, lam)],
+                             points, params, manifest.tolerance)
     assert rows["grad_transport"].abs_sup == transport.abs_sup
 
     free = fit_constants(manifest.metric, f1, f2, points, params)

@@ -35,8 +35,8 @@ from grsoliton.contact import (
     _axiom_components,
     assemble_structure,
     ladder_checks,
+    ladder_rows,
     ricci_reeb_check,
-    structure_report,
 )
 from grsoliton.expr import CHUNK_POINTS, Num, Sym, as_scalar, simplify
 from grsoliton.fit import (
@@ -562,9 +562,9 @@ def finished(npoints):
                          [([coordinates, metric.comps], values),
                           (design_fields(metric, f1, f2), design)])
     reports, fit = [s.finish() for s in sups], design.finish()
-    report = structure_report(structure, reports[:3])
+    ladder = ladder_rows(structure, reports[:3], 1e-8, "half", npoints)
     return ([bits(v) for v in values.finish()],
-            report.flags(), bits(list(report.residuals.values())),
+            [row.passed for row in ladder], bits([row.abs_sup for row in ladder]),
             [(bits([r.abs_sup, r.rel_sup]), r.n_points, r.n_skipped, s.worst)
              for r, s in zip(reports, sups)],
             bits(fit.solution), bits(fit.singular_values), bits(fit.null_space),

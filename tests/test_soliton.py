@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 
 from grsoliton.chart import evaluate_field, sample_points
-from grsoliton.contact import assemble_structure
+from grsoliton.contact import assemble_structure, ladder_checks, ladder_rows
 from grsoliton.expr import DomainError
 from grsoliton.soliton import (
+    DEFAULT_TOLERANCE,
     SolitonSpec,
-    alignment_condition,
+    build_alignment_check,
     build_gradient_check,
+    build_supporting_checks,
+    build_transport_check,
     build_vector_check,
     classify_constants,
-    grad_transport_check,
     potential_square_lie_sides,
-    residual_gradient_form,
-    residual_vector_form,
-    supporting_identities_check,
+    run_checks,
 )
 from grsoliton.tensors import gradient, vector_field
 
@@ -40,44 +40,53 @@ def _points(chart, count=300, seed=21):
     return sample_points(chart, "uniform", count, seed)
 
 
+def _report(chart, check, points, tolerance=DEFAULT_TOLERANCE):
+    """The ResidualReport of one check at points."""
+    [report] = run_checks(chart, [check], points, None, tolerance)
+    return report
+
+
+def _gradient(spec, points, tolerance=DEFAULT_TOLERANCE):
+    return _report(spec.metric.chart, build_gradient_check(spec), points, tolerance)
+
+
+def _alignment(structure, f1, f2, c1, points, tolerance=DEFAULT_TOLERANCE):
+    zeta, check = build_alignment_check(structure, f1, f2, c1)
+    return zeta, _report(structure.chart, check, points, tolerance)
+
+
 class TestGradientForm:
     def test_hyperbolic_instance(self, hyperbolic_geometry):
         chart, g = hyperbolic_geometry
         spec = SolitonSpec(g, "gradient", 2.0, 1.0, 3.0, f1=H2_F1, f2=H2_F2)
-        report = residual_gradient_form(spec, _points(chart))
+        report = _gradient(spec, _points(chart))
         assert report.passed
         assert report.rel_sup <= 1e-12
 
     def test_cone_instance(self, cone_geometry):
         chart, g = cone_geometry
         spec = SolitonSpec(g, "gradient", -1.0, 1.0, 1.0, f1=CONE_F1, f2=CONE_F2)
-        report = residual_gradient_form(spec, _points(chart))
+        report = _gradient(spec, _points(chart))
         assert report.passed and report.rel_sup <= 1e-12
 
     def test_sasakian_instance(self, sasakian_geometry):
         chart, g = sasakian_geometry
         spec = SolitonSpec(g, "gradient", -1.0, 0.0, 1.0,
                            f1=SASAKIAN_F1, f2=SASAKIAN_F2)
-        report = residual_gradient_form(spec, _points(chart))
+        report = _gradient(spec, _points(chart))
         assert report.passed and report.rel_sup <= 1e-12
 
     def test_flat_zero_instance(self, euclidean_plane):
         chart, g = euclidean_plane
         spec = SolitonSpec(g, "gradient", 0.0, 0.0, 0.0, f1="0", f2="0")
-        report = residual_gradient_form(spec, _points(chart))
+        report = _gradient(spec, _points(chart))
         assert report.abs_sup == 0.0
 
     def test_wrong_constants_fail(self, hyperbolic_geometry):
         chart, g = hyperbolic_geometry
         spec = SolitonSpec(g, "gradient", 5.0, 1.0, 3.0, f1=H2_F1, f2=H2_F2)
-        report = residual_gradient_form(spec, _points(chart))
+        report = _gradient(spec, _points(chart))
         assert not report.passed
-
-    def test_mode_mismatch(self, hyperbolic_geometry):
-        _, g = hyperbolic_geometry
-        spec = SolitonSpec(g, "gradient", 0.0, 0.0, 0.0, f1="0", f2="0")
-        with pytest.raises(ValueError):
-            residual_vector_form(spec)
 
     def test_nonfinite_constant_rejected(self, hyperbolic_geometry):
         _, g = hyperbolic_geometry
@@ -109,7 +118,7 @@ class TestVectorForm:
         spec = SolitonSpec(g, "vector", 0.0, 0.0, 0.0,
                            X1=vector_field(chart, SASAKIAN_XI),
                            X2=vector_field(chart, ["0", "0", "0"]))
-        report = residual_vector_form(spec, _points(chart))
+        report = _report(chart, build_vector_check(spec), _points(chart))
         assert report.abs_sup == 0.0
 
     def test_euclidean_dilation_homothety(self, euclidean_plane):
@@ -117,7 +126,7 @@ class TestVectorForm:
         spec = SolitonSpec(g, "vector", 0.0, 0.0, 1.0,
                            X1=vector_field(chart, ["x", "y"]),
                            X2=vector_field(chart, ["0", "0"]))
-        report = residual_vector_form(spec, _points(chart))
+        report = _report(chart, build_vector_check(spec), _points(chart))
         assert report.abs_sup == 0.0
 
 
@@ -125,8 +134,7 @@ class TestAlignmentCondition:
     def test_paper_instance(self, paper_structure):
         chart = paper_structure.chart
         pts = _points(chart)
-        zeta, report = alignment_condition(paper_structure, SASAKIAN_F1,
-                                           SASAKIAN_F2, -1.0, pts)
+        zeta, report = _alignment(paper_structure, SASAKIAN_F1, SASAKIAN_F2, -1.0, pts)
         assert report.passed
         # zeta = -(2 c2 + lam) cot(z) xi = -cot(z) xi here; cot reaches ~1e3
         # at the sampling margin, so compare in relative terms
@@ -138,47 +146,45 @@ class TestAlignmentCondition:
 
     def test_zero_on_the_equator(self, paper_structure):
         midplane = [[0.3, -0.2, np.pi / 2]]
-        zeta, _ = alignment_condition(paper_structure, SASAKIAN_F1,
-                                      SASAKIAN_F2, -1.0, midplane)
+        zeta, _ = _alignment(paper_structure, SASAKIAN_F1, SASAKIAN_F2, -1.0, midplane)
         assert np.abs(zeta.evaluate_at(midplane)).max() <= 1e-16
 
     def test_constant_potentials_give_zero(self, paper_structure):
         pts = _points(paper_structure.chart, 50)
-        zeta, report = alignment_condition(paper_structure, "3", "-2", -1.0, pts)
+        zeta, report = _alignment(paper_structure, "3", "-2", -1.0, pts)
         assert np.abs(zeta.evaluate_at(pts)).max() == 0.0
         assert report.abs_sup == 0.0
 
 
 class TestGradTransport:
     def test_paper_instance(self, paper_structure):
-        report = grad_transport_check(paper_structure, SASAKIAN_F1, SASAKIAN_F2,
-                                      -1.0, 0.0, 1.0,
-                                      _points(paper_structure.chart))
+        check = build_transport_check(paper_structure, SASAKIAN_F1, SASAKIAN_F2,
+                                      -1.0, 0.0, 1.0)
+        report = _report(paper_structure.chart, check, _points(paper_structure.chart))
         assert report.passed and report.abs_sup <= 1e-9
 
     def test_perturbation_detected(self, paper_structure):
-        report = grad_transport_check(paper_structure, SASAKIAN_F1 + " + x",
-                                      SASAKIAN_F2, -1.0, 0.0, 1.0,
-                                      _points(paper_structure.chart))
+        check = build_transport_check(paper_structure, SASAKIAN_F1 + " + x", SASAKIAN_F2,
+                                      -1.0, 0.0, 1.0)
+        report = _report(paper_structure.chart, check, _points(paper_structure.chart))
         assert report.abs_sup > 1e-3
         assert not report.passed
 
     def test_vanishing_data_with_cancelling_constants(self, paper_structure):
         # lam = -2 c2 n makes the right side vanish with zero potentials
-        report = grad_transport_check(paper_structure, "0", "0",
-                                      -1.0, 1.0, -2.0,
-                                      _points(paper_structure.chart))
+        check = build_transport_check(paper_structure, "0", "0", -1.0, 1.0, -2.0)
+        report = _report(paper_structure.chart, check, _points(paper_structure.chart))
         assert report.abs_sup == 0.0
 
 
 class TestSupportingIdentities:
     def test_paper_instance(self, paper_structure):
-        reports = supporting_identities_check(paper_structure, SASAKIAN_F1,
-                                              SASAKIAN_F2, -1.0,
-                                              _points(paper_structure.chart))
-        assert set(reports) == {"double_lie", "potential_square_lie",
-                                "scalar_reduction"}
-        for report in reports.values():
+        checks = build_supporting_checks(paper_structure, SASAKIAN_F1, SASAKIAN_F2, -1.0)
+        reports = run_checks(paper_structure.chart, checks,
+                             _points(paper_structure.chart), None, DEFAULT_TOLERANCE)
+        assert [r.name for r in reports] == ["double_lie", "potential_square_lie",
+                                             "scalar_reduction"]
+        for report in reports:
             assert report.passed
             assert report.rel_sup <= 1e-8
 
@@ -208,17 +214,17 @@ class TestSupportingIdentities:
 class TestTheoremProperty:
     def test_sasakian_plus_soliton_implies_alignment(self, paper_structure,
                                                      sasakian_geometry):
-        from grsoliton.contact import classify_structure
         chart, g = sasakian_geometry
         pts = _points(chart)
-        flags = classify_structure(paper_structure, points=pts).flags()
+        reports = run_checks(chart, ladder_checks(paper_structure), pts, None,
+                             DEFAULT_TOLERANCE)
+        ladder = ladder_rows(paper_structure, reports, DEFAULT_TOLERANCE, "half", len(pts))
         spec = SolitonSpec(g, "gradient", -1.0, 0.0, 1.0,
                            f1=SASAKIAN_F1, f2=SASAKIAN_F2)
-        soliton_ok = residual_gradient_form(spec, pts, tolerance=1e-8).passed
-        assert all(flags.values()) and soliton_ok
-        _, alignment = alignment_condition(paper_structure, SASAKIAN_F1,
-                                           SASAKIAN_F2, -1.0, pts,
-                                           tolerance=1e-6)
+        soliton_ok = _gradient(spec, pts, tolerance=1e-8).passed
+        assert all(row.passed for row in ladder) and soliton_ok
+        _, alignment = _alignment(paper_structure, SASAKIAN_F1, SASAKIAN_F2, -1.0, pts,
+                                  tolerance=1e-6)
         assert alignment.passed
 
 
@@ -230,9 +236,9 @@ class TestScaleCoherence:
         _, flat = euclidean_plane
         chart, curved = hyperbolic_geometry
         spec_flat = SolitonSpec(flat, "gradient", 5.0, 1.0, 0.0, f1="0", f2="0")
-        assert residual_gradient_form(spec_flat).abs_sup == 0.0
+        assert _gradient(spec_flat, _points(flat.chart, 200, 0)).abs_sup == 0.0
         spec_curved = SolitonSpec(curved, "gradient", 5.0, 1.0, 0.0, f1="0", f2="0")
-        assert not residual_gradient_form(spec_curved, _points(chart)).passed
+        assert not _gradient(spec_curved, _points(chart)).passed
 
 
 class TestDomainHandling:
@@ -241,7 +247,7 @@ class TestDomainHandling:
         # d/dx sqrt(x-1) = 1/(2 sqrt(x-1)) leaves the domain on half the
         # sampled box x in (0, 2], so those points must be skipped
         spec = SolitonSpec(g, "gradient", 0.0, 0.0, 0.0, f1="sqrt(x-1)", f2="0")
-        report = residual_gradient_form(spec, _points(chart, 200))
+        report = _gradient(spec, _points(chart, 200))
         assert report.n_skipped > 0
         assert report.n_points > 0
         assert report.n_points + report.n_skipped == 200
@@ -250,7 +256,7 @@ class TestDomainHandling:
         chart, g = cone_geometry
         spec = SolitonSpec(g, "gradient", 0.0, 0.0, 0.0, f1="sqrt(x-5)", f2="0")
         with pytest.raises(DomainError):
-            residual_gradient_form(spec, _points(chart, 50))
+            _gradient(spec, _points(chart, 50))
 
 
 class TestClassifyConstants:
