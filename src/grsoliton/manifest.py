@@ -73,7 +73,10 @@ def _is_number(value, kind):
 
 
 def _is_finite(value):
-    return _is_number(value, numbers.Real) and math.isfinite(value)
+    try:
+        return _is_number(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def run_settings(sampling, tolerance, count=None, seed=None, tol=None):
@@ -147,7 +150,8 @@ def load_manifest(source):
     for name, pair in bounds_block.items():
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             _fail(f"bounds for {name!r} must be a [lo, hi] pair (null = unbounded)")
-        if not all(v is None or _is_number(v, numbers.Real) for v in pair):
+        # a float bound may be infinite; an integer must fit a float
+        if not all(v is None or isinstance(v, float) or _is_finite(v) for v in pair):
             _fail(f"bounds for {name!r} must be numbers or null, got {list(pair)!r}")
         bounds[name] = (pair[0], pair[1])
     try:
@@ -162,10 +166,6 @@ def load_manifest(source):
     constants = {}
     params = {}
     for key, value in constants_block.items():
-        # a coordinate or a reserved name wins over a constant of its name
-        if key in chart.names or key in RESERVED_NAMES:
-            kind = "a chart coordinate" if key in chart.names else "a reserved name"
-            _fail(f"constant {key!r} is already {kind}")
         if key in CONSTANT_ORDER:
             if value == "fit":
                 constants[key] = "fit"
@@ -175,6 +175,10 @@ def load_manifest(source):
             else:
                 _fail(f'constant {key!r} must be a finite number or "fit"')
         else:
+            # a coordinate or a reserved name would win over this constant
+            if key in chart.names or key in RESERVED_NAMES:
+                kind = "a chart coordinate" if key in chart.names else "a reserved name"
+                _fail(f"constant {key!r} is already {kind}")
             if not _is_finite(value):
                 _fail(f"extra constant {key!r} must be a finite number")
             params[key] = float(value)

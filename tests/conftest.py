@@ -6,6 +6,7 @@ import pytest
 
 from grsoliton.chart import define_chart, define_metric
 from grsoliton.expr import Num
+from grsoliton.soliton import DEFAULT_TOLERANCE, run_checks
 
 P = "4*exp(y)/(16+exp(2*y))"
 MINUS_Q = "exp(2*y)/(16+exp(2*y))"
@@ -20,6 +21,12 @@ SASAKIAN_XI = ["0", "0", "1"]
 SASAKIAN_ETA = [MINUS_Q, "0", "1"]
 SASAKIAN_F1 = "(ln(16+exp(2*y)) - 2*ln(sin(z)))/2"
 SASAKIAN_F2 = "(ln(16+exp(2*y)) - 2*ln(sin(z)))/2"
+
+
+def report_of(chart, check, points, params=None, tolerance=DEFAULT_TOLERANCE):
+    """The ResidualReport of one check at points."""
+    [report] = run_checks(chart, [check], points, params, tolerance)
+    return report
 
 
 @pytest.fixture(scope="session")

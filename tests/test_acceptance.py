@@ -24,7 +24,6 @@ from grsoliton.contact import (
 from grsoliton.fit import fit_constants
 from grsoliton.manifest import bundled_examples
 from grsoliton.soliton import (
-    DEFAULT_TOLERANCE,
     SolitonSpec,
     build_alignment_check,
     build_gradient_check,
@@ -48,6 +47,8 @@ from grsoliton.tensors import (
     vector_field,
 )
 
+from conftest import report_of
+
 BUNDLED = ("hyperbolic", "cone", "sasakian3")
 
 INSTANCE_CONSTANTS = {
@@ -69,12 +70,6 @@ def _manifest_spec(name):
     return m, spec
 
 
-def _gradient(spec, points, tolerance=DEFAULT_TOLERANCE):
-    [report] = run_checks(spec.metric.chart, [build_gradient_check(spec)], points,
-                          spec.params, tolerance)
-    return report
-
-
 def _rel(residual_values, reference_values):
     return np.abs(residual_values).max() / max(1.0, np.abs(reference_values).max())
 
@@ -83,7 +78,7 @@ def test_criterion_1_hyperbolic_reproduction():
     started = time.perf_counter()
     m, spec = _manifest_spec("hyperbolic")
     pts = sample_points(m.chart, "uniform", 10_000, seed=m.sampling["seed"])
-    report = _gradient(spec, pts, tolerance=1e-9)
+    report = report_of(m.chart, build_gradient_check(spec), pts, spec.params, 1e-9)
     elapsed = time.perf_counter() - started
     assert report.n_points == 10_000
     assert report.rel_sup <= 1e-9, f"relative residual {report.rel_sup:.3e}"
@@ -94,7 +89,7 @@ def test_criterion_1_hyperbolic_reproduction():
 def test_criterion_2_cone_reproduction():
     m, spec = _manifest_spec("cone")
     pts = sample_points(m.chart, "uniform", 10_000, seed=m.sampling["seed"])
-    report = _gradient(spec, pts, tolerance=1e-9)
+    report = report_of(m.chart, build_gradient_check(spec), pts, spec.params, 1e-9)
     assert report.rel_sup <= 1e-9, f"relative residual {report.rel_sup:.3e}"
     _verdict(2, f"cone soliton residual {report.rel_sup:.2e}")
 
@@ -117,11 +112,11 @@ def test_criterion_3_sasakian_reproduction(sasakian_setup):
     assert all(flags.values()), flags
     assert max(row.abs_sup for row in ladder) <= 1e-9
 
-    soliton = _gradient(spec, pts, tolerance=1e-9)
+    soliton = report_of(m.chart, build_gradient_check(spec), pts, spec.params, 1e-9)
     assert soliton.rel_sup <= 1e-9
 
     zeta, check = build_alignment_check(structure, spec.f1, spec.f2, spec.c1)
-    [alignment] = run_checks(m.chart, [check], pts, None, 1e-8)
+    alignment = report_of(m.chart, check, pts, tolerance=1e-8)
     assert alignment.rel_sup <= 1e-8
 
     # xi(f1) = -(2 c2 + lam) cot z, pointwise
@@ -138,11 +133,10 @@ def test_criterion_4_lemma_suite(sasakian_setup):
     m, spec, structure, pts = sasakian_setup
     transport_check = build_transport_check(structure, spec.f1, spec.f2, spec.c1,
                                             spec.c2, spec.lam)
-    [transport] = run_checks(m.chart, [transport_check], pts, None, 1e-8)
+    transport = report_of(m.chart, transport_check, pts, tolerance=1e-8)
     assert transport.passed, f"grad transport rel {transport.rel_sup:.3e}"
 
-    [ricci_reeb] = run_checks(m.chart, [ricci_reeb_check(structure)], pts, None,
-                              DEFAULT_TOLERANCE)
+    ricci_reeb = report_of(m.chart, ricci_reeb_check(structure), pts)
     assert ricci_reeb.abs_sup <= 1e-9
 
     identities = run_checks(m.chart, build_supporting_checks(structure, spec.f1, spec.f2,
@@ -284,7 +278,7 @@ def test_criterion_7_violation_sensitivity():
                                 f2=spec.f2, params=m.params)
         pts = sample_points(m.chart, m.sampling["strategy"],
                             m.sampling["count"], m.sampling["seed"])
-        report = _gradient(perturbed, pts)
+        report = report_of(m.chart, build_gradient_check(perturbed), pts, perturbed.params)
         assert report.abs_sup > 1e-4, f"{name}: {report.abs_sup:.3e}"
         assert not report.passed
     _verdict(7, "perturbed potentials are detected on every bundled instance")

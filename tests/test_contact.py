@@ -29,7 +29,7 @@ from grsoliton.tensors import (
     riemann,
 )
 
-from conftest import SASAKIAN_ETA, SASAKIAN_PHI, SASAKIAN_XI
+from conftest import SASAKIAN_ETA, SASAKIAN_PHI, SASAKIAN_XI, report_of
 
 Y0_POINT = [0.4, 0.0, 1.2]   # y = 0 makes p = 4/17, q = -1/17
 
@@ -260,8 +260,8 @@ class TestSasakianIdentities:
 
     def test_ricci_reeb_pairing(self, paper_structure):
         # Ric(xi, Y) = 2 n g(xi, Y) on the worked example
-        [report] = run_checks(paper_structure.chart, [ricci_reeb_check(paper_structure)],
-                              _points(paper_structure.chart), None, DEFAULT_TOLERANCE)
+        report = report_of(paper_structure.chart, ricci_reeb_check(paper_structure),
+                           _points(paper_structure.chart))
         assert report.abs_sup <= 1e-9
 
 

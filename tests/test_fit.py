@@ -3,7 +3,9 @@ import pytest
 
 from grsoliton.chart import sample_points
 from grsoliton.fit import fit_constants
-from grsoliton.soliton import DEFAULT_TOLERANCE, SolitonSpec, build_gradient_check, run_checks
+from grsoliton.soliton import SolitonSpec, build_gradient_check
+
+from conftest import report_of
 
 H2_F1, H2_F2 = "-2*ln(y)", "-ln(y)"
 CONE_F1, CONE_F2 = "x^2/2 - ln(x)", "ln(x)"
@@ -102,15 +104,9 @@ class TestFitConstants:
             assert base <= _sup_residual(g, trial, pts, f1=CONE_F1, f2=CONE_F2) + 1e-12
 
 
-def _gradient(spec, pts):
-    [report] = run_checks(spec.metric.chart, [build_gradient_check(spec)], pts, spec.params,
-                          DEFAULT_TOLERANCE)
-    return report
-
-
 def _sup_residual(metric, constants, pts, f1=H2_F1, f2=H2_F2):
     spec = SolitonSpec(metric, "gradient", *map(float, constants), f1=f1, f2=f2)
-    return _gradient(spec, pts).abs_sup
+    return report_of(metric.chart, build_gradient_check(spec), pts, spec.params).abs_sup
 
 
 def manufactured(metric, f1, f2, constants, points):
@@ -128,7 +124,7 @@ class TestManufactureInstance:
         spec, fit = manufactured(g, H2_F1, H2_F2, (2.0, 1.0, 3.0), pts)
         assert fit.rank == 2
         assert fit.coset_distance([2.0, 1.0, 3.0]) <= 1e-8
-        assert _gradient(spec, pts).passed
+        assert report_of(chart, build_gradient_check(spec), pts, spec.params).passed
 
     def test_cone_exact_recovery(self, cone_geometry):
         chart, g = cone_geometry
@@ -142,4 +138,5 @@ class TestManufactureInstance:
         pts = sample_points(chart, "uniform", 30, seed=16)
         spec, fit = manufactured(g, "0", "0", (0.0, 0.0, 0.0), pts)
         assert fit.coset_distance([0.0, 0.0, 0.0]) <= 1e-12
-        assert _gradient(spec, pts).abs_sup == 0.0
+        report = report_of(chart, build_gradient_check(spec), pts, spec.params)
+        assert report.abs_sup == 0.0

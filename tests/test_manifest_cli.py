@@ -117,6 +117,11 @@ BAD_MANIFEST_VALUES = [
      "bounds for 'y' must be numbers or null, got ['a', None]"),
     ({"chart": {"bounds": {"y": [[0], None]}}},
      "bounds for 'y' must be numbers or null, got [[0], None]"),
+    # a JSON integer too large for a float is no number either
+    ({"chart": {"bounds": {"y": [10**400, None]}}},
+     f"bounds for 'y' must be numbers or null, got [{10**400}, None]"),
+    ({"constants": {"c1": 10**400}}, "constant 'c1' must be a finite number or \"fit\""),
+    ({"constants": {"k": 10**400}}, "extra constant 'k' must be a finite number"),
     # a constant named as a coordinate or a reserved name could never bind
     ({"constants": {"y": 5}}, "constant 'y' is already a chart coordinate"),
     ({"constants": {"pi": 3}}, "constant 'pi' is already a reserved name"),
@@ -230,6 +235,16 @@ class TestLoadManifest:
         m = load_manifest(doc)
         assert m.params["k"] == 2.0
         assert run_manifest(m, "check-soliton").overall_pass
+
+    @pytest.mark.parametrize("name", ["c1", "lambda"])
+    def test_a_soliton_constant_may_share_a_coordinate_name(self, name):
+        # c1, c2 and lambda reach the soliton spec as numbers, never as
+        # symbols, so a coordinate of the same name shadows nothing
+        doc = copy.deepcopy(HYPERBOLIC)
+        doc["chart"]["coords"] = [name, "y"]
+        m = load_manifest(doc)
+        assert m.chart.names == (name, "y") and m.constants == HYPERBOLIC["constants"]
+        assert run_manifest(m, "all").overall_pass
 
 
 class TestBundled:

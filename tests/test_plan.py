@@ -38,11 +38,17 @@ from grsoliton.soliton import (
     SolitonSpec,
     build_gradient_check,
     build_transport_check,
-    run_checks,
 )
 from grsoliton.tensors import riemann
 
-from conftest import SASAKIAN_ETA, SASAKIAN_PHI, SASAKIAN_XI, poisoning, structural_classes
+from conftest import (
+    SASAKIAN_ETA,
+    SASAKIAN_PHI,
+    SASAKIAN_XI,
+    poisoning,
+    report_of,
+    structural_classes,
+)
 
 _NUMPY_CALLS = {"exp": np.exp, "ln": np.log, "sin": np.sin, "cos": np.cos,
                 "tan": np.tan, "sqrt": np.sqrt}
@@ -367,8 +373,8 @@ def test_fit_constant_is_fitted_once_per_run(monkeypatch):
 
     spec = SolitonSpec(manifest.metric, "gradient", -1.0, 0.0, lam, f1=f1, f2=f2,
                        params=params)
-    [soliton] = run_checks(manifest.chart, [build_gradient_check(spec)], points, params,
-                           manifest.tolerance)
+    soliton = report_of(manifest.chart, build_gradient_check(spec), points, params,
+                        manifest.tolerance)
     assert (rows["soliton_gradient"].abs_sup,
             rows["soliton_gradient"].rel_sup) == (soliton.abs_sup, soliton.rel_sup)
     assert rows["soliton_gradient"].details["constants"]["lambda"] == lam
@@ -377,9 +383,9 @@ def test_fit_constant_is_fitted_once_per_run(monkeypatch):
                                    manifest.structure["phi"], manifest.structure["xi"],
                                    manifest.structure["eta"], points=points,
                                    params=params)
-    [transport] = run_checks(manifest.chart,
-                             [build_transport_check(structure, f1, f2, -1.0, 0.0, lam)],
-                             points, params, manifest.tolerance)
+    transport = report_of(manifest.chart,
+                          build_transport_check(structure, f1, f2, -1.0, 0.0, lam),
+                          points, params, manifest.tolerance)
     assert rows["grad_transport"].abs_sup == transport.abs_sup
 
     free = fit_constants(manifest.metric, f1, f2, points, params)

@@ -564,6 +564,7 @@ def finished(npoints):
     reports, fit = [s.finish() for s in sups], design.finish()
     ladder = ladder_rows(structure, reports[:3], 1e-8, "half", npoints)
     return ([bits(v) for v in values.finish()],
+            bits(list(structure.axiom_residuals.values())),
             [row.passed for row in ladder], bits([row.abs_sup for row in ladder]),
             [(bits([r.abs_sup, r.rel_sup]), r.n_points, r.n_skipped, s.worst)
              for r, s in zip(reports, sups)],

@@ -24,6 +24,7 @@ from conftest import (
     SASAKIAN_F2,
     SASAKIAN_PHI,
     SASAKIAN_XI,
+    report_of,
 )
 
 H2_F1, H2_F2 = "-2*ln(y)", "-ln(y)"
@@ -40,52 +41,37 @@ def _points(chart, count=300, seed=21):
     return sample_points(chart, "uniform", count, seed)
 
 
-def _report(chart, check, points, tolerance=DEFAULT_TOLERANCE):
-    """The ResidualReport of one check at points."""
-    [report] = run_checks(chart, [check], points, None, tolerance)
-    return report
-
-
-def _gradient(spec, points, tolerance=DEFAULT_TOLERANCE):
-    return _report(spec.metric.chart, build_gradient_check(spec), points, tolerance)
-
-
-def _alignment(structure, f1, f2, c1, points, tolerance=DEFAULT_TOLERANCE):
-    zeta, check = build_alignment_check(structure, f1, f2, c1)
-    return zeta, _report(structure.chart, check, points, tolerance)
-
-
 class TestGradientForm:
     def test_hyperbolic_instance(self, hyperbolic_geometry):
         chart, g = hyperbolic_geometry
         spec = SolitonSpec(g, "gradient", 2.0, 1.0, 3.0, f1=H2_F1, f2=H2_F2)
-        report = _gradient(spec, _points(chart))
+        report = report_of(chart, build_gradient_check(spec), _points(chart))
         assert report.passed
         assert report.rel_sup <= 1e-12
 
     def test_cone_instance(self, cone_geometry):
         chart, g = cone_geometry
         spec = SolitonSpec(g, "gradient", -1.0, 1.0, 1.0, f1=CONE_F1, f2=CONE_F2)
-        report = _gradient(spec, _points(chart))
+        report = report_of(chart, build_gradient_check(spec), _points(chart))
         assert report.passed and report.rel_sup <= 1e-12
 
     def test_sasakian_instance(self, sasakian_geometry):
         chart, g = sasakian_geometry
         spec = SolitonSpec(g, "gradient", -1.0, 0.0, 1.0,
                            f1=SASAKIAN_F1, f2=SASAKIAN_F2)
-        report = _gradient(spec, _points(chart))
+        report = report_of(chart, build_gradient_check(spec), _points(chart))
         assert report.passed and report.rel_sup <= 1e-12
 
     def test_flat_zero_instance(self, euclidean_plane):
         chart, g = euclidean_plane
         spec = SolitonSpec(g, "gradient", 0.0, 0.0, 0.0, f1="0", f2="0")
-        report = _gradient(spec, _points(chart))
+        report = report_of(chart, build_gradient_check(spec), _points(chart))
         assert report.abs_sup == 0.0
 
     def test_wrong_constants_fail(self, hyperbolic_geometry):
         chart, g = hyperbolic_geometry
         spec = SolitonSpec(g, "gradient", 5.0, 1.0, 3.0, f1=H2_F1, f2=H2_F2)
-        report = _gradient(spec, _points(chart))
+        report = report_of(chart, build_gradient_check(spec), _points(chart))
         assert not report.passed
 
     def test_nonfinite_constant_rejected(self, hyperbolic_geometry):
@@ -118,7 +104,7 @@ class TestVectorForm:
         spec = SolitonSpec(g, "vector", 0.0, 0.0, 0.0,
                            X1=vector_field(chart, SASAKIAN_XI),
                            X2=vector_field(chart, ["0", "0", "0"]))
-        report = _report(chart, build_vector_check(spec), _points(chart))
+        report = report_of(chart, build_vector_check(spec), _points(chart))
         assert report.abs_sup == 0.0
 
     def test_euclidean_dilation_homothety(self, euclidean_plane):
@@ -126,7 +112,7 @@ class TestVectorForm:
         spec = SolitonSpec(g, "vector", 0.0, 0.0, 1.0,
                            X1=vector_field(chart, ["x", "y"]),
                            X2=vector_field(chart, ["0", "0"]))
-        report = _report(chart, build_vector_check(spec), _points(chart))
+        report = report_of(chart, build_vector_check(spec), _points(chart))
         assert report.abs_sup == 0.0
 
 
@@ -134,7 +120,8 @@ class TestAlignmentCondition:
     def test_paper_instance(self, paper_structure):
         chart = paper_structure.chart
         pts = _points(chart)
-        zeta, report = _alignment(paper_structure, SASAKIAN_F1, SASAKIAN_F2, -1.0, pts)
+        zeta, check = build_alignment_check(paper_structure, SASAKIAN_F1, SASAKIAN_F2, -1.0)
+        report = report_of(chart, check, pts)
         assert report.passed
         # zeta = -(2 c2 + lam) cot(z) xi = -cot(z) xi here; cot reaches ~1e3
         # at the sampling margin, so compare in relative terms
@@ -146,12 +133,13 @@ class TestAlignmentCondition:
 
     def test_zero_on_the_equator(self, paper_structure):
         midplane = [[0.3, -0.2, np.pi / 2]]
-        zeta, _ = _alignment(paper_structure, SASAKIAN_F1, SASAKIAN_F2, -1.0, midplane)
+        zeta, _ = build_alignment_check(paper_structure, SASAKIAN_F1, SASAKIAN_F2, -1.0)
         assert np.abs(zeta.evaluate_at(midplane)).max() <= 1e-16
 
     def test_constant_potentials_give_zero(self, paper_structure):
         pts = _points(paper_structure.chart, 50)
-        zeta, report = _alignment(paper_structure, "3", "-2", -1.0, pts)
+        zeta, check = build_alignment_check(paper_structure, "3", "-2", -1.0)
+        report = report_of(paper_structure.chart, check, pts)
         assert np.abs(zeta.evaluate_at(pts)).max() == 0.0
         assert report.abs_sup == 0.0
 
@@ -160,20 +148,20 @@ class TestGradTransport:
     def test_paper_instance(self, paper_structure):
         check = build_transport_check(paper_structure, SASAKIAN_F1, SASAKIAN_F2,
                                       -1.0, 0.0, 1.0)
-        report = _report(paper_structure.chart, check, _points(paper_structure.chart))
+        report = report_of(paper_structure.chart, check, _points(paper_structure.chart))
         assert report.passed and report.abs_sup <= 1e-9
 
     def test_perturbation_detected(self, paper_structure):
         check = build_transport_check(paper_structure, SASAKIAN_F1 + " + x", SASAKIAN_F2,
                                       -1.0, 0.0, 1.0)
-        report = _report(paper_structure.chart, check, _points(paper_structure.chart))
+        report = report_of(paper_structure.chart, check, _points(paper_structure.chart))
         assert report.abs_sup > 1e-3
         assert not report.passed
 
     def test_vanishing_data_with_cancelling_constants(self, paper_structure):
         # lam = -2 c2 n makes the right side vanish with zero potentials
         check = build_transport_check(paper_structure, "0", "0", -1.0, 1.0, -2.0)
-        report = _report(paper_structure.chart, check, _points(paper_structure.chart))
+        report = report_of(paper_structure.chart, check, _points(paper_structure.chart))
         assert report.abs_sup == 0.0
 
 
@@ -221,10 +209,10 @@ class TestTheoremProperty:
         ladder = ladder_rows(paper_structure, reports, DEFAULT_TOLERANCE, "half", len(pts))
         spec = SolitonSpec(g, "gradient", -1.0, 0.0, 1.0,
                            f1=SASAKIAN_F1, f2=SASAKIAN_F2)
-        soliton_ok = _gradient(spec, pts, tolerance=1e-8).passed
+        soliton_ok = report_of(chart, build_gradient_check(spec), pts, tolerance=1e-8).passed
         assert all(row.passed for row in ladder) and soliton_ok
-        _, alignment = _alignment(paper_structure, SASAKIAN_F1, SASAKIAN_F2, -1.0, pts,
-                                  tolerance=1e-6)
+        _, check = build_alignment_check(paper_structure, SASAKIAN_F1, SASAKIAN_F2, -1.0)
+        alignment = report_of(chart, check, pts, tolerance=1e-6)
         assert alignment.passed
 
 
@@ -236,9 +224,10 @@ class TestScaleCoherence:
         _, flat = euclidean_plane
         chart, curved = hyperbolic_geometry
         spec_flat = SolitonSpec(flat, "gradient", 5.0, 1.0, 0.0, f1="0", f2="0")
-        assert _gradient(spec_flat, _points(flat.chart, 200, 0)).abs_sup == 0.0
+        points = _points(flat.chart, 200, 0)
+        assert report_of(flat.chart, build_gradient_check(spec_flat), points).abs_sup == 0.0
         spec_curved = SolitonSpec(curved, "gradient", 5.0, 1.0, 0.0, f1="0", f2="0")
-        assert not _gradient(spec_curved, _points(chart)).passed
+        assert not report_of(chart, build_gradient_check(spec_curved), _points(chart)).passed
 
 
 class TestDomainHandling:
@@ -247,7 +236,7 @@ class TestDomainHandling:
         # d/dx sqrt(x-1) = 1/(2 sqrt(x-1)) leaves the domain on half the
         # sampled box x in (0, 2], so those points must be skipped
         spec = SolitonSpec(g, "gradient", 0.0, 0.0, 0.0, f1="sqrt(x-1)", f2="0")
-        report = _gradient(spec, _points(chart, 200))
+        report = report_of(chart, build_gradient_check(spec), _points(chart, 200))
         assert report.n_skipped > 0
         assert report.n_points > 0
         assert report.n_points + report.n_skipped == 200
@@ -256,7 +245,7 @@ class TestDomainHandling:
         chart, g = cone_geometry
         spec = SolitonSpec(g, "gradient", 0.0, 0.0, 0.0, f1="sqrt(x-5)", f2="0")
         with pytest.raises(DomainError):
-            _gradient(spec, _points(chart, 50))
+            report_of(chart, build_gradient_check(spec), _points(chart, 50))
 
 
 class TestClassifyConstants:
