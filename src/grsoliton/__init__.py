@@ -54,14 +54,15 @@ from grsoliton.report import Report, emit_report
 from grsoliton.runner import run_manifest
 from grsoliton.soliton import (
     ResidualReport,
-    SolitonSpec,
+    SolitonForm,
     build_alignment_check,
-    build_gradient_check,
+    build_soliton_check,
     build_supporting_checks,
     build_transport_check,
-    build_vector_check,
     classify_constants,
+    gradient_form,
     run_checks,
+    vector_form,
 )
 from grsoliton.tensors import (
     TensorField,

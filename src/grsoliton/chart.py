@@ -69,7 +69,9 @@ class Chart:
 
 def define_chart(names, bounds=None):
     """Build a chart; bounds maps a coordinate name to (lo, hi), where a
-    missing entry or a None endpoint means unbounded in that direction."""
+    missing entry or a None endpoint means unbounded in that direction.
+    Raises ChartError on a chart whose sampling box (MARGIN inside each
+    finite end) is empty."""
     names = tuple(names)
     if not names:
         raise ChartError("chart needs at least one coordinate")
@@ -92,7 +94,9 @@ def define_chart(names, bounds=None):
         if not lo < hi:
             raise ChartError(f"inverted bounds for {name!r}: ({lo}, {hi})")
         resolved.append((lo, hi))
-    return Chart(names, resolved)
+    chart = Chart(names, resolved)
+    _feasible_box(chart)
+    return chart
 
 
 def _feasible_box(chart):

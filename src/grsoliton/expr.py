@@ -424,9 +424,14 @@ def _symbols_rule(node, kids, _):
     return frozenset((node.name,)) if type(node) is Sym else frozenset().union(*kids)
 
 
+def is_name(text):
+    """Whether text is a name that the parser reads as one symbol."""
+    return isinstance(text, str) and _NAME_RE.fullmatch(text) is not None
+
+
 def differentiate(e, var):
     """Exact derivative of e with respect to the symbol named var."""
-    if not isinstance(var, str) or not _NAME_RE.fullmatch(var):
+    if not is_name(var):
         raise ValueError(f"invalid differentiation variable {var!r}")
     return _derivative(e, var)
 

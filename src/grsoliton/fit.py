@@ -1,8 +1,12 @@
-"""Recover soliton constants from fixed potentials by linear least squares.
+"""Recover soliton constants from fixed data by linear least squares.
 
-The gradient-form equation is linear in (c1, c2, lam):
+A form of the soliton equation (soliton.SolitonForm, scale s, target T,
+square P.P) is linear in (c1, c2, lam):
 
-    c1 (df2.df2) + c2 (-Ric) + lam (-g) = -Hess f1
+    c1 (s P.P) + c2 (-s Ric) + lam (-s g) = -T
+
+with T = Hess f1, P = df2 and s = 1 in the gradient form, and T = L_X1 g,
+P = X2b and s = 2 in the vector form.
 
 Each symmetric component at each sample point is a row of [A | b].  FitQR
 reduces them chunk by chunk to the 4 x 4 R of [A | b] (TSQR: Demmel et
@@ -19,20 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from grsoliton.chart import as_points, reduce_fields
-from grsoliton.expr import as_scalar
-from grsoliton.soliton import CONSTANT_ORDER, SolitonSpec, build_gradient_check, reduce_checks
-from grsoliton.tensors import (
-    TensorField,
-    derivative,
-    hessian,
-    ricci,
-    sym_product,
-    upper_pairs,
-)
+from grsoliton.soliton import CONSTANT_ORDER, build_soliton_check, reduce_checks
+from grsoliton.tensors import ricci, upper_pairs
 
 RANK_THRESHOLD = 1e-10
-# the signs with which design_fields enter c1 (df2.df2) + c2 (-Ric) + lam (-g) = -Hess f1
-SIGNS = (1.0, -1.0, -1.0, -1.0)
 
 # rows per block of the batched QR of [R; chunk], and blocks per QR call
 BLOCK_ROWS = 1024
@@ -58,8 +52,8 @@ class FitResult:
     free_names: tuple = CONSTANT_ORDER
     n_points: int = 0             # sample points used
     n_skipped: int = 0            # sample points skipped, out of domain
-    residual_sup: float = math.nan  # sup |gradient-form residual|, by fit_constants
-    target_sup: float = math.nan    # sup |Hess f1|, by fit_constants
+    residual_sup: float = math.nan  # sup |residual of the form|, by fit_constants
+    target_sup: float = math.nan    # sup |T|, by fit_constants
 
     def coset_distance(self, constants):
         """Distance from a constants vector to the affine solution set."""
@@ -77,28 +71,31 @@ class TooFewPointsError(ValueError):
         self.n_valid, self.first_bad = n_valid, first_bad
 
 
-def design_fields(metric, f1, f2):
-    """df2.df2, Ric, g and Hess f1, each the independent symmetric components
-    of one sym2 field, which enter [A | b] with SIGNS, and the domain
-    [f1, f2]: a point counts only where the potentials are defined."""
-    f1, f2 = as_scalar(f1), as_scalar(f2)
-    df2 = TensorField(metric.chart, "oneform", derivative(f2, metric.chart.names))
+def design_fields(metric, form):
+    """P.P, Ric, g and T of form, each the independent symmetric components
+    of one sym2 field, which enter [A | b] with the signs of FitQR(form),
+    and the form's domain, if it has one: a point counts only where the
+    domain is defined."""
     upper = upper_pairs(metric.dim)
-    return [list(t[upper]) for t in (sym_product(df2, df2).comps, ricci(metric).comps,
-                                      metric.comps, hessian(metric, f1).comps)] + [[f1, f2]]
+    fields = [list(t[upper]) for t in (form.square, ricci(metric).comps, metric.comps,
+                                       form.target)]
+    return fields + [list(form.domain)] if form.domain else fields
 
 
 class FitQR:
-    """Accumulator of the R factor of [A | b], columns in CONSTANT_ORDER.
+    """Accumulator of the R factor of [A | b] of one soliton form, columns
+    in CONSTANT_ORDER.
 
-    update(lo, c1, c2, lam, target[, domain]) reads a chunk of the
-    design_fields, takes each with its sign (SIGNS), drops the points where
-    a value is not finite, writes the rest below R into a buffer of the
-    chunk's own and reduces [R; chunk] by one batched QR of its
-    BLOCK_ROWS-row blocks and one of theirs; only R outlives the update.
-    finish(fixed) solves with fixed pinned, as often as asked."""
+    update(lo, c1, c2, lam, target[, domain]) reads a chunk of the form's
+    design_fields, takes each with its sign, (s, -s, -s, -1) for the form's
+    scale s, drops the points where a value is not finite, writes the rest
+    below R into a buffer of the chunk's own and reduces [R; chunk] by one
+    batched QR of its BLOCK_ROWS-row blocks and one of theirs; only R
+    outlives the update.  finish(fixed) solves with fixed pinned, as often
+    as asked."""
 
-    def __init__(self):
+    def __init__(self, form):
+        self.signs = (form.scale, -form.scale, -form.scale, -1.0)
         self.r = np.zeros((4, 4))
         self.n_valid = self.n_points = 0
         self.first_bad = None
@@ -109,9 +106,9 @@ class FitQR:
         used = -(-rows // BLOCK_ROWS) * BLOCK_ROWS
         buffer = np.empty((4, used))  # [j, 4 + c * size + p]: column j, component c, point p
         buffer[:, :4] = self.r.T
-        for j, field in enumerate((c1, c2, lam, target)):
+        for j, (field, sign) in enumerate(zip((c1, c2, lam, target), self.signs)):
             for c, component in enumerate(field):
-                np.multiply(component, SIGNS[j], out=buffer[j, 4 + c * size:4 + (c + 1) * size])
+                np.multiply(component, sign, out=buffer[j, 4 + c * size:4 + (c + 1) * size])
         n_valid = size
         # a mask per point only for a chunk with a non-finite value
         if not (np.isfinite(buffer[:, 4:rows]).all() and np.isfinite(domain).all()):
@@ -174,19 +171,18 @@ class FitQR:
                          self.n_valid, self.n_points - self.n_valid)
 
 
-def fit_constants(metric, f1, f2, points, params=None, fixed=None):
-    """Fit the constants not pinned by fixed (a dict over CONSTANT_ORDER)
-    against -Hess f1 at the points where every entry is defined (at least
-    3), then measure the gradient-form residual there in a second pass."""
+def fit_constants(metric, form, points, params=None, fixed=None):
+    """Fit the constants of form (a soliton.SolitonForm) not pinned by fixed
+    (a dict over CONSTANT_ORDER) against -T at the points where every entry
+    is defined (at least 3), then measure the form's residual there in a
+    second pass."""
     points = as_points(points)
     env = metric.chart.env_at(points, params)
-    design = FitQR()
-    reduce_fields([(design_fields(metric, f1, f2), design)], env, len(points))
+    design = FitQR(form)
+    reduce_fields([(design_fields(metric, form), design)], env, len(points))
     fit = design.finish(fixed)
     constants = {**(fixed or {}), **dict(zip(fit.free_names, fit.solution))}
-    check = build_gradient_check(SolitonSpec(
-        metric, "gradient", *(constants[k] for k in CONSTANT_ORDER), f1=f1, f2=f2, params=params))
+    check = build_soliton_check(metric, form, *(constants[k] for k in CONSTANT_ORDER))
     [residual] = reduce_checks(metric.chart, [check], points, params, math.inf)
     fit.residual_sup, fit.target_sup = residual.finish().abs_sup, residual.ref_sup
     return fit
-

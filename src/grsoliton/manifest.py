@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from grsoliton.chart import ChartError, MetricError, define_chart, define_metric
-from grsoliton.expr import RESERVED_NAMES, ParseError, free_symbols, parse
+from grsoliton.expr import RESERVED_NAMES, ParseError, free_symbols, is_name, parse
 from grsoliton.soliton import CONSTANT_ORDER, DEFAULT_TOLERANCE
 
 BUNDLED_NAMES = ("hyperbolic", "cone", "sasakian3")
@@ -175,7 +175,10 @@ def load_manifest(source):
             else:
                 _fail(f'constant {key!r} must be a finite number or "fit"')
         else:
-            # a coordinate or a reserved name would win over this constant
+            # the parser reads no other key as one symbol, and a coordinate
+            # or a reserved name would win over this constant
+            if not is_name(key):
+                _fail(f"constant {key!r} is not a name")
             if key in chart.names or key in RESERVED_NAMES:
                 kind = "a chart coordinate" if key in chart.names else "a reserved name"
                 _fail(f"constant {key!r} is already {kind}")
@@ -226,8 +229,8 @@ def load_manifest(source):
 
     if scalars is not None and vectors is not None:
         _fail("at most one of scalars/vectors may be given")
-    if "fit" in constants.values() and scalars is None:
-        _fail('"fit" constants need gradient mode (a scalars block)')
+    if "fit" in constants.values() and scalars is None and vectors is None:
+        _fail('"fit" constants need a scalars or vectors block')
     # note: a scalar referencing a constant marked "fit" is caught by the
     # unknown-symbol validation above, since fit targets carry no value
 

@@ -35,14 +35,14 @@ from grsoliton.report import Report
 from grsoliton.soliton import (
     CONSTANT_ORDER,
     ResidualReport,
-    SolitonSpec,
     build_alignment_check,
-    build_gradient_check,
+    build_soliton_check,
     build_supporting_checks,
     build_transport_check,
-    build_vector_check,
     diagnose_domain,
+    gradient_form,
     run_checks,
+    vector_form,
 )
 from grsoliton.tensors import vector_field
 
@@ -52,7 +52,7 @@ _NEEDS = {
     "check-soliton": (("mode", "scalars or vectors"),),
     "check-structure": (("structure", "structure"),),
     "check-theorem": (("structure", "structure"), ("scalars", "scalars")),
-    "fit": (("scalars", "scalars"),),
+    "fit": (("mode", "scalars or vectors"),),
     "all": (),
 }
 SUBCOMMANDS = tuple(_NEEDS)
@@ -72,12 +72,12 @@ def run_manifest(manifest, subcommand, count=None, seed=None, tolerance=None,
     points = Sample(manifest.chart, sampling["strategy"], sampling["count"], sampling["seed"])
 
     # the fit row, or "fit" constants for the soliton or theorem rows
-    fits = manifest.scalars is not None and (
+    fits = manifest.mode is not None and (
         subcommand in ("fit", "all")
         or (bool(manifest.fit_targets()) and subcommand != "check-structure"))
     run = _Run(manifest, points, tol, fits)
     # the first pass: the fit's design, in the axiom gate's pass or its own
-    first = [(_design_fields(manifest), run.design)] if fits else []
+    first = [(design_fields(manifest.metric, run.form), run.design)] if fits else []
     structure = None
     if subcommand in ("check-structure", "check-theorem", "all") \
             and manifest.structure is not None:
@@ -90,7 +90,7 @@ def run_manifest(manifest, subcommand, count=None, seed=None, tolerance=None,
     if subcommand in ("check-theorem", "all") and structure is not None \
             and manifest.scalars is not None:
         _theorem_rows(run, structure)
-    if subcommand in ("fit", "all") and manifest.scalars is not None:
+    if subcommand in ("fit", "all") and manifest.mode is not None:
         _fit_row(run, explicit=subcommand == "fit")
 
     if not run.groups:
@@ -119,6 +119,7 @@ class _Run:
     those reports.  rows_of holds no reference to the run, so a run is
     never part of a reference cycle.
 
+    form is the manifest's soliton form, built once when first read.
     design is the FitQR of a run that fits, else None; run_manifest feeds
     it in the run's first pass, before any row is built, and every fit of
     the run, restricted to "fit" constants or not, is solved from its one R.
@@ -129,7 +130,7 @@ class _Run:
         self.points = points
         self.tol = tol
         self.groups = []
-        self.design = FitQR() if fits else None
+        self.design = FitQR(self.form) if fits else None
 
     def add(self, checks, rows_of=None):
         self.groups.append((checks, rows_of))
@@ -151,6 +152,15 @@ class _Run:
             self.groups = []
 
     @functools.cached_property
+    def form(self):
+        """The SolitonForm of the manifest's scalars or vectors block."""
+        manifest = self.manifest
+        if manifest.mode == "gradient":
+            return gradient_form(manifest.metric, manifest.scalars["f1"], manifest.scalars["f2"])
+        X1, X2 = (vector_field(manifest.chart, manifest.vectors[k]) for k in ("X1", "X2"))
+        return vector_form(manifest.metric, X1, X2)
+
+    @functools.cached_property
     def resolved(self):
         """(constants, fit): the numeric constants, fitting any marked
         "fit" with the rest pinned; fit is None when nothing is fitted."""
@@ -167,15 +177,17 @@ class _Run:
                 raise ManifestError(
                     f"fitting {', '.join(manifest.fit_targets())} needs at least 3 "
                     f"sample points, got {len(self.points)}") from None
-            self.diagnose(_design_fields(manifest), ex.first_bad)
+            self.diagnose(ex.first_bad)
         for name, value in zip(fit.free_names, fit.solution):
             resolved[name] = float(value)
         return resolved, fit
 
-    def diagnose(self, fields, index):
-        """Raise the DomainError of fields at sample point index."""
-        diagnose_domain(self.manifest.chart, [c for f in fields for c in f],
-                        self.points[index], self.manifest.params)
+    def diagnose(self, index):
+        """Raise the DomainError of the fit's design at sample point index."""
+        manifest = self.manifest
+        fields = design_fields(manifest.metric, self.form)
+        diagnose_domain(manifest.chart, [c for f in fields for c in f], self.points[index],
+                        manifest.params)
 
 
 def _assemble(run, d_convention, first, classify=True):
@@ -199,27 +211,10 @@ def _assemble(run, d_convention, first, classify=True):
     return structure
 
 
-def _gradient_check(manifest, constants):
-    spec = SolitonSpec(manifest.metric, "gradient", *(constants[k] for k in CONSTANT_ORDER),
-                       f1=manifest.scalars["f1"], f2=manifest.scalars["f2"],
-                       params=manifest.params)
-    return build_gradient_check(spec)
-
-
 def _soliton_rows(run):
-    manifest = run.manifest
-    if manifest.mode == "gradient":
-        constants, fit = run.resolved
-        check = _gradient_check(manifest, constants)
-    else:
-        fit = None
-        constants = manifest.numeric_constants()
-        X1 = vector_field(manifest.chart, manifest.vectors["X1"])
-        X2 = vector_field(manifest.chart, manifest.vectors["X2"])
-        spec = SolitonSpec(manifest.metric, "vector", *(constants[k] for k in CONSTANT_ORDER),
-                           X1=X1, X2=X2, params=manifest.params)
-        check = build_vector_check(spec)
+    constants, fit = run.resolved
     constants = {k: constants[k] for k in CONSTANT_ORDER}
+    check = build_soliton_check(run.manifest.metric, run.form, *constants.values())
     if fit is None:
         run.add([check], functools.partial(_soliton_row, constants=constants))
     else:
@@ -246,12 +241,8 @@ def _theorem_rows(run, structure):
              ricci_reeb_check(structure), *build_supporting_checks(structure, f1, f2, c1)])
 
 
-def _design_fields(manifest):
-    return design_fields(manifest.metric, manifest.scalars["f1"], manifest.scalars["f2"])
-
-
 def _fit_rows(run, reports, fit, restricted=False, constants=None):
-    """The fit row of fit, whose residual is the report of the gradient
+    """The fit row of fit, whose residual is the report of the manifest's
     form at its constants, named fit_constants_restricted for the fit that
     resolves "fit" constants for the other rows; then, if constants are
     given, the soliton row of the same report."""
@@ -282,9 +273,8 @@ def _fit_rows(run, reports, fit, restricted=False, constants=None):
 def _fit_row(run, explicit):
     """The fit row: with "fit" targets, `fit` reports the run's restricted
     fit; otherwise the run's design is fitted with every constant free.
-    Either is measured by the gradient form at its constants in the main
+    Either is measured by the manifest's form at its constants in the main
     plan."""
-    manifest = run.manifest
     constants, fit = run.resolved
     if fit is None or not explicit:
         try:
@@ -294,14 +284,16 @@ def _fit_row(run, explicit):
                                           first_bad=ex.first_bad))
             return
         constants = dict(zip(fit.free_names, fit.solution))
-    run.add([_gradient_check(manifest, constants)], functools.partial(_fit_rows, fit=fit))
+    check = build_soliton_check(run.manifest.metric, run.form,
+                                *(constants[k] for k in CONSTANT_ORDER))
+    run.add([check], functools.partial(_fit_rows, fit=fit))
 
 
 def _too_few_points_rows(run, _, n_valid, first_bad):
     """The fit row of a design with fewer than 3 valid points: it fails,
     and with none it is a DomainError."""
     if not n_valid:
-        run.diagnose(_design_fields(run.manifest), first_bad)
+        run.diagnose(first_bad)
     return [ResidualReport("fit_constants", math.nan, math.nan, run.tol, False, n_valid,
                            len(run.points) - n_valid,
                            {"note": "fewer than 3 valid sample points"})]

@@ -1,18 +1,21 @@
 """Residual checks for the generalised soliton equations.
 
-Gradient form:   Hess f1 = -c1 df2.df2 + c2 Ric + lam g
 Vector form:     L_X1 g  = -2 c1 X2b.X2b + 2 c2 Ric + 2 lam g
+Gradient form:   Hess f1 = -c1 df2.df2 + c2 Ric + lam g, the vector form
+                 of X1 = grad f1, X2 = grad f2, halved
 Alignment:       grad f1 + c1 xi(xi(f2)) grad f2 - c1 xi(f2) nabla_xi grad f2
                  must be parallel to xi (equal to xi(f1) xi) on Sasakian
                  structures satisfying the gradient form.
 
 Each check is a symbolic residual with the reference (left-hand side) it
-is measured against.  The build_* functions build checks, and run_checks
-evaluates any list of them as one plan and reduces each, chunk by chunk,
-to absolute and relative sup-norms.  The relative norm is
-pointwise, max_p |residual(p)| / max(1, |reference(p)|), with |.| the
-largest component at p: a large reference near a chart boundary does not
-excuse a residual elsewhere, and flat instances do not divide by zero.
+is measured against.  A SolitonForm holds the terms of one form of the
+soliton equation, which build_soliton_check and the fit (fit.py) read.
+The build_* functions build checks, and run_checks evaluates any list of
+them as one plan and reduces each, chunk by chunk, to absolute and
+relative sup-norms.  The relative norm is pointwise,
+max_p |residual(p)| / max(1, |reference(p)|), with |.| the largest
+component at p: a large reference near a chart boundary does not excuse
+a residual elsewhere, and flat instances do not divide by zero.
 A check with no reference (the almost-contact axioms, the Sasakian ladder
 and identities of contact.py) has its absolute residual as its relative
 one.  ResidualSup is the one reducer of every check, here and in
@@ -47,40 +50,43 @@ from grsoliton.tensors import (
 )
 
 DEFAULT_TOLERANCE = 1e-8
-# the soliton constants, in the order of SolitonSpec's c1, c2, lam
+# the soliton constants, in the order of build_soliton_check's c1, c2, lam
 CONSTANT_ORDER = ("c1", "c2", "lambda")
 
 CONSTANT_MATCH_TOLERANCE = 1e-12
 
 
-@dataclass
-class SolitonSpec:
-    """One soliton-equation instance: metric, mode, data fields, constants."""
+@dataclass(frozen=True, eq=False)
+class SolitonForm:
+    """One form of the generalised soliton equation,
+    T + s c1 P.P - s c2 Ric - s lam g = 0: the name of its row, the target T
+    and the square P.P (sym2 component matrices), the scale s, and the
+    domain, the scalars that must be finite at a point for it to count."""
 
-    metric: object
-    mode: str                     # "gradient" or "vector"
-    c1: float
-    c2: float
-    lam: float
-    f1: object = None             # Expression (gradient mode)
-    f2: object = None
-    X1: object = None             # TensorField (vector mode)
-    X2: object = None
-    params: dict = None
+    name: str
+    target: np.ndarray
+    square: np.ndarray
+    scale: float
+    domain: list
 
-    def __post_init__(self):
-        if self.mode not in ("gradient", "vector"):
-            raise ValueError(f"unknown soliton mode {self.mode!r}")
-        for name in ("c1", "c2", "lam"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(f"constant {name} must be finite, got {value}")
-        if self.mode == "gradient":
-            self.f1 = as_scalar(self.f1)
-            self.f2 = as_scalar(self.f2)
-        elif self.X1 is None or self.X2 is None:
-            raise ValueError("vector mode needs both fields")
-        self.params = dict(self.params or {})
+
+def gradient_form(metric, f1, f2):
+    """Hess f1 + c1 df2.df2 - c2 Ric - lam g = 0, the vector form of
+    X1 = grad f1 and X2 = grad f2 halved (L_grad f g = 2 Hess f), defined
+    where the potentials are."""
+    f1, f2 = as_scalar(f1), as_scalar(f2)
+    df2 = TensorField(metric.chart, "oneform", derivative(f2, metric.chart.names))
+    return SolitonForm("soliton_gradient", hessian(metric, f1).comps,
+                       sym_product(df2, df2).comps, 1.0, [f1, f2])
+
+
+def vector_form(metric, X1, X2):
+    """L_X1 g + 2 c1 X2b.X2b - 2 c2 Ric - 2 lam g = 0, for the vector fields
+    X1 and X2 (TensorFields)."""
+    flat2 = musical_flat(metric, X2)
+    return SolitonForm("soliton_vector",
+                       lie_derivative_sym2(metric_tensor_field(metric), X1).comps,
+                       sym_product(flat2, flat2).comps, 2.0, [])
 
 
 @dataclass
@@ -268,36 +274,20 @@ def _combine_sym2(terms):
     return from_upper(upper, n)
 
 
-def build_gradient_check(spec):
-    """Hess f1 + c1 df2.df2 - c2 Ric - lam g, against Hess f1, where the
-    potentials are defined."""
-    metric = spec.metric
-    chart = metric.chart
-    hess = hessian(metric, spec.f1)
-    df2 = TensorField(chart, "oneform", derivative(spec.f2, chart.names))
-    square = sym_product(df2, df2)
+def build_soliton_check(metric, form, c1, c2, lam):
+    """The check of form at the constants, T + s c1 P.P - s c2 Ric - s lam g
+    against T, where form's domain is defined."""
+    for name, value in (("c1", c1), ("c2", c2), ("lam", lam)):
+        if not np.isfinite(value):
+            raise ValueError(f"constant {name} must be finite, got {value}")
+    s = form.scale
     residual = _combine_sym2([
-        (1.0, hess.comps),
-        (spec.c1, square.comps),
-        (-spec.c2, ricci(metric).comps),
-        (-spec.lam, metric.comps),
+        (1.0, form.target),
+        (s * c1, form.square),
+        (-s * c2, ricci(metric).comps),
+        (-s * lam, metric.comps),
     ])
-    return Check("soliton_gradient", residual, hess.comps, [spec.f1, spec.f2])
-
-
-def build_vector_check(spec):
-    """L_X1 g + 2c1 X2b.X2b - 2c2 Ric - 2lam g, against L_X1 g."""
-    metric = spec.metric
-    lie = lie_derivative_sym2(metric_tensor_field(metric), spec.X1)
-    flat2 = musical_flat(metric, spec.X2)
-    square = sym_product(flat2, flat2)
-    residual = _combine_sym2([
-        (1.0, lie.comps),
-        (2.0 * spec.c1, square.comps),
-        (-2.0 * spec.c2, ricci(metric).comps),
-        (-2.0 * spec.lam, metric.comps),
-    ])
-    return Check("soliton_vector", residual, lie.comps)
+    return Check(form.name, residual, form.target, list(form.domain))
 
 
 def build_alignment_check(structure, f1, f2, c1):

@@ -23,6 +23,46 @@ SASAKIAN_F1 = "(ln(16+exp(2*y)) - 2*ln(sin(z)))/2"
 SASAKIAN_F2 = "(ln(16+exp(2*y)) - 2*ln(sin(z)))/2"
 
 
+def sasakian_family(m, a=1):
+    """The standard Sasakian structure on R^(2m+1) (Blair, Riemannian
+    Geometry of Contact and Symplectic Manifolds, 2nd ed.), D-homothetically
+    deformed by a > 0 (Tanno, Tohoku Math. J. 21, 1968), with its
+    vector-form soliton, as a manifest dict.
+
+    With coordinates x1..xm, y1..ym, z: eta = (dz - sum y_i dx_i)/2,
+    xi = 2 d_z, g = eta.eta + sum(dx_i^2 + dy_i^2)/4, phi(d_yi) = d_xi +
+    y_i d_z, phi(d_xi) = -d_yi, phi(d_z) = 0 (column input); deformed,
+    g_a = a^2 eta.eta + (a/4) sum(dx_i^2 + dy_i^2), eta_a = a eta,
+    xi_a = xi/a.  Ric_a = -2 g_a + (2m + 2) eta_a.eta_a with xi_a Killing
+    (Boyer, Galicki & Matzeu, Comm. Math. Phys. 262, 2006), so
+    X1 = X2 = xi_a solve the vector form with c1 = 2m + 2, c2 = 1, lambda = 2.
+    """
+    n = 2 * m + 1
+    ys = [f"y{i}" for i in range(1, m + 1)]
+    eta = [f"-{y}/2" for y in ys] + ["0"] * m + ["1/2"]
+
+    def entry(i, j):
+        terms = []
+        if eta[i] != "0" and eta[j] != "0":
+            terms.append(f"{a}^2*({eta[i]})*({eta[j]})")
+        if i == j < n - 1:
+            terms.append(f"{a}/4")
+        return " + ".join(terms) or "0"
+
+    phi = [["0"] * n for _ in range(n)]
+    for i, y in enumerate(ys):
+        phi[m + i][i] = "-1"                       # phi(d_xi) = -d_yi
+        phi[i][m + i], phi[n - 1][m + i] = "1", y  # phi(d_yi) = d_xi + y_i d_z
+    xi = ["0"] * (n - 1) + [f"2/{a}"]
+    return {
+        "chart": {"coords": [f"x{i}" for i in range(1, m + 1)] + ys + ["z"]},
+        "metric": [[entry(i, j) for j in range(n)] for i in range(n)],
+        "structure": {"phi": phi, "xi": xi, "eta": [f"{a}*({e})" for e in eta]},
+        "vectors": {"X1": xi, "X2": xi},
+        "constants": {"c1": 2 * m + 2, "c2": 1, "lambda": 2},
+    }
+
+
 def report_of(chart, check, points, params=None, tolerance=DEFAULT_TOLERANCE):
     """The ResidualReport of one check at points."""
     [report] = run_checks(chart, [check], points, params, tolerance)

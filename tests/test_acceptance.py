@@ -24,11 +24,11 @@ from grsoliton.contact import (
 from grsoliton.fit import fit_constants
 from grsoliton.manifest import bundled_examples
 from grsoliton.soliton import (
-    SolitonSpec,
     build_alignment_check,
-    build_gradient_check,
+    build_soliton_check,
     build_supporting_checks,
     build_transport_check,
+    gradient_form,
     run_checks,
 )
 from grsoliton.tensors import (
@@ -62,12 +62,12 @@ def _verdict(number, label):
     print(f"ACCEPTANCE {number} {label}: PASS")
 
 
-def _manifest_spec(name):
+def _manifest_check(name):
+    """The bundled manifest and the check of its gradient form at its
+    instance constants."""
     m = bundled_examples(name)
-    c1, c2, lam = INSTANCE_CONSTANTS[name]
-    spec = SolitonSpec(m.metric, "gradient", c1, c2, lam,
-                       f1=m.scalars["f1"], f2=m.scalars["f2"], params=m.params)
-    return m, spec
+    form = gradient_form(m.metric, m.scalars["f1"], m.scalars["f2"])
+    return m, build_soliton_check(m.metric, form, *INSTANCE_CONSTANTS[name])
 
 
 def _rel(residual_values, reference_values):
@@ -76,9 +76,9 @@ def _rel(residual_values, reference_values):
 
 def test_criterion_1_hyperbolic_reproduction():
     started = time.perf_counter()
-    m, spec = _manifest_spec("hyperbolic")
+    m, check = _manifest_check("hyperbolic")
     pts = sample_points(m.chart, "uniform", 10_000, seed=m.sampling["seed"])
-    report = report_of(m.chart, build_gradient_check(spec), pts, spec.params, 1e-9)
+    report = report_of(m.chart, check, pts, m.params, 1e-9)
     elapsed = time.perf_counter() - started
     assert report.n_points == 10_000
     assert report.rel_sup <= 1e-9, f"relative residual {report.rel_sup:.3e}"
@@ -87,42 +87,44 @@ def test_criterion_1_hyperbolic_reproduction():
 
 
 def test_criterion_2_cone_reproduction():
-    m, spec = _manifest_spec("cone")
+    m, check = _manifest_check("cone")
     pts = sample_points(m.chart, "uniform", 10_000, seed=m.sampling["seed"])
-    report = report_of(m.chart, build_gradient_check(spec), pts, spec.params, 1e-9)
+    report = report_of(m.chart, check, pts, m.params, 1e-9)
     assert report.rel_sup <= 1e-9, f"relative residual {report.rel_sup:.3e}"
     _verdict(2, f"cone soliton residual {report.rel_sup:.2e}")
 
 
 @pytest.fixture(scope="module")
 def sasakian_setup():
-    m, spec = _manifest_spec("sasakian3")
+    m, check = _manifest_check("sasakian3")
     structure = assemble_structure(m.chart, m.metric, m.structure["phi"],
                                    m.structure["xi"], m.structure["eta"])
     pts = sample_points(m.chart, m.sampling["strategy"], m.sampling["count"],
                         m.sampling["seed"])
-    return m, spec, structure, pts
+    return m, check, structure, pts
 
 
 def test_criterion_3_sasakian_reproduction(sasakian_setup):
-    m, spec, structure, pts = sasakian_setup
+    m, check, structure, pts = sasakian_setup
+    f1, f2 = m.scalars["f1"], m.scalars["f2"]
+    c1, c2, lam = INSTANCE_CONSTANTS["sasakian3"]
     reports = run_checks(m.chart, ladder_checks(structure), pts, None, 1e-9)
     ladder = ladder_rows(structure, reports, 1e-9, "half", len(pts))
     flags = {row.name: row.passed for row in ladder}
     assert all(flags.values()), flags
     assert max(row.abs_sup for row in ladder) <= 1e-9
 
-    soliton = report_of(m.chart, build_gradient_check(spec), pts, spec.params, 1e-9)
+    soliton = report_of(m.chart, check, pts, m.params, 1e-9)
     assert soliton.rel_sup <= 1e-9
 
-    zeta, check = build_alignment_check(structure, spec.f1, spec.f2, spec.c1)
-    alignment = report_of(m.chart, check, pts, tolerance=1e-8)
+    zeta, alignment_check = build_alignment_check(structure, f1, f2, c1)
+    alignment = report_of(m.chart, alignment_check, pts, tolerance=1e-8)
     assert alignment.rel_sup <= 1e-8
 
     # xi(f1) = -(2 c2 + lam) cot z, pointwise
-    xi_f1 = directional_derivative(structure.xi, spec.f1)
+    xi_f1 = directional_derivative(structure.xi, f1)
     lhs = expr.evaluate_many(xi_f1, m.chart.env_at(pts), len(pts))
-    scale = -(2.0 * spec.c2 + spec.lam)
+    scale = -(2.0 * c2 + lam)
     rhs = scale * expr.evaluate_many(expr.parse("cot(z)"), m.chart.env_at(pts),
                                      len(pts))
     assert np.abs(lhs - rhs).max() <= 1e-9
@@ -130,17 +132,18 @@ def test_criterion_3_sasakian_reproduction(sasakian_setup):
 
 
 def test_criterion_4_lemma_suite(sasakian_setup):
-    m, spec, structure, pts = sasakian_setup
-    transport_check = build_transport_check(structure, spec.f1, spec.f2, spec.c1,
-                                            spec.c2, spec.lam)
+    m, _, structure, pts = sasakian_setup
+    f1, f2 = m.scalars["f1"], m.scalars["f2"]
+    c1, c2, lam = INSTANCE_CONSTANTS["sasakian3"]
+    transport_check = build_transport_check(structure, f1, f2, c1, c2, lam)
     transport = report_of(m.chart, transport_check, pts, tolerance=1e-8)
     assert transport.passed, f"grad transport rel {transport.rel_sup:.3e}"
 
     ricci_reeb = report_of(m.chart, ricci_reeb_check(structure), pts)
     assert ricci_reeb.abs_sup <= 1e-9
 
-    identities = run_checks(m.chart, build_supporting_checks(structure, spec.f1, spec.f2,
-                                                             spec.c1), pts, None, 1e-7)
+    identities = run_checks(m.chart, build_supporting_checks(structure, f1, f2, c1), pts,
+                            None, 1e-7)
     for report in identities:
         assert report.passed, f"{report.name} rel {report.rel_sup:.3e}"
     _verdict(4, "transport identity, Ricci-Reeb pairing, and identity suite")
@@ -253,13 +256,15 @@ def _fd_agreement(manifest, pts, h=1e-5):
 def test_criterion_6_fit_round_trip():
     cone = bundled_examples("cone")
     pts = sample_points(cone.chart, "uniform", 200, seed=7)
-    fit = fit_constants(cone.metric, cone.scalars["f1"], cone.scalars["f2"], pts)
+    fit = fit_constants(cone.metric, gradient_form(cone.metric, cone.scalars["f1"],
+                                                   cone.scalars["f2"]), pts)
     assert fit.rank == 3
     assert np.abs(fit.solution - np.array([-1.0, 1.0, 1.0])).max() <= 1e-8
 
     hyper = bundled_examples("hyperbolic")
     pts = sample_points(hyper.chart, "uniform", 200, seed=7)
-    fit = fit_constants(hyper.metric, hyper.scalars["f1"], hyper.scalars["f2"], pts)
+    fit = fit_constants(hyper.metric, gradient_form(hyper.metric, hyper.scalars["f1"],
+                                                    hyper.scalars["f2"]), pts)
     assert fit.rank == 2
     assert fit.null_space.shape == (3, 1)
     direction = fit.null_space[:, 0]
@@ -272,13 +277,13 @@ def test_criterion_6_fit_round_trip():
 
 def test_criterion_7_violation_sensitivity():
     for name in BUNDLED:
-        m, spec = _manifest_spec(name)
-        perturbed = SolitonSpec(m.metric, "gradient", spec.c1, spec.c2, spec.lam,
-                                f1=expr.add(spec.f1, expr.parse("0.01*x")),
-                                f2=spec.f2, params=m.params)
+        m = bundled_examples(name)
+        form = gradient_form(m.metric, expr.add(m.scalars["f1"], expr.parse("0.01*x")),
+                             m.scalars["f2"])
+        perturbed = build_soliton_check(m.metric, form, *INSTANCE_CONSTANTS[name])
         pts = sample_points(m.chart, m.sampling["strategy"],
                             m.sampling["count"], m.sampling["seed"])
-        report = report_of(m.chart, build_gradient_check(perturbed), pts, perturbed.params)
+        report = report_of(m.chart, perturbed, pts, m.params)
         assert report.abs_sup > 1e-4, f"{name}: {report.abs_sup:.3e}"
         assert not report.passed
     _verdict(7, "perturbed potentials are detected on every bundled instance")

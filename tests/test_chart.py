@@ -122,9 +122,9 @@ class TestSamplePoints:
         assert (pts[:, 2] >= MARGIN).all() and (pts[:, 2] <= math.pi - MARGIN).all()
 
     def test_empty_feasible_box(self):
-        chart = define_chart(["x"], {"x": (0, 1e-4)})
-        with pytest.raises(ChartError):
-            sample_points(chart, "uniform", 5)
+        # the chart itself is rejected, before anything is sampled
+        with pytest.raises(ChartError, match="empty feasible box for coordinate 'x'"):
+            define_chart(["x"], {"x": (0, 1e-4)})
 
     def test_bad_count_and_strategy(self):
         chart = define_chart(["x"], {})

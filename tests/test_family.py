@@ -1,0 +1,66 @@
+"""The standard Sasakian structures on R^(2m+1) and their vector-form
+soliton (conftest.sasakian_family), through the CLI: every row of `all`
+passes, the fit recovers the family of constants that the eta-Einstein
+Ricci predicts, and each defect fails exactly the rows it should."""
+
+import json
+
+import numpy as np
+import pytest
+
+from grsoliton.cli import main
+
+from conftest import sasakian_family
+
+LADDER = ("structure_almost_contact", "structure_contact", "structure_k_contact",
+          "structure_normal", "structure_sasakian")
+
+
+def run(capsys, subcommand, doc, code):
+    """The rows, by name, of a JSON report of subcommand on doc, which
+    must exit with code."""
+    assert main([subcommand, "--manifest", json.dumps(doc), "--format", "json"]) == code
+    return {row["name"]: row for row in json.loads(capsys.readouterr().out)["checks"]}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_every_row_of_all_passes(m, capsys):
+    rows = run(capsys, "all", sasakian_family(m), 0)
+    assert list(rows) == [*LADDER, "soliton_vector", "fit_constants"]
+
+
+def test_the_fit_recovers_the_family_of_constants(capsys):
+    # Ric = -2 g + 6 eta.eta at m = 2 leaves the design rank 2, with the
+    # solutions c1 = 6 c2, lambda = 2 c2 and the target L_xi g = 0
+    [row] = run(capsys, "fit", sasakian_family(2), 0).values()
+    assert row["rank"] == 2
+    [direction] = np.array(row["null_space"])
+    expected = np.array([6.0, 1.0, 2.0]) / np.sqrt(41.0)
+    assert min(np.abs(direction - expected).max(), np.abs(direction + expected).max()) <= 1e-9
+    assert row["declared_distance"] <= 1e-8
+
+
+def test_a_fit_lambda_resolves_two(capsys):
+    doc = sasakian_family(2)
+    doc["constants"]["lambda"] = "fit"
+    rows = run(capsys, "check-soliton", doc, 0)
+    assert abs(rows["fit_constants_restricted"]["solution"]["lambda"] - 2.0) <= 1e-9
+    assert rows["soliton_vector"]["passed"]
+
+
+def test_a_shifted_lambda_fails_the_soliton_and_fit_rows(capsys):
+    doc = sasakian_family(2)
+    doc["constants"]["lambda"] = 2.00001
+    rows = run(capsys, "all", doc, 1)
+    assert {name for name, row in rows.items() if not row["passed"]} == {
+        "soliton_vector", "fit_constants"}
+
+
+def test_a_flipped_phi_is_not_contact(capsys):
+    # -phi keeps the almost-contact axioms and normality, but not d eta = Phi
+    doc = sasakian_family(2)
+    doc["structure"]["phi"] = [[e if e == "0" else f"-({e})" for e in row]
+                               for row in doc["structure"]["phi"]]
+    rows = run(capsys, "all", doc, 1)
+    assert {name for name, row in rows.items() if not row["passed"]} == {
+        "structure_contact", "structure_k_contact", "structure_sasakian"}

@@ -40,6 +40,7 @@ from grsoliton.contact import (
 from grsoliton.fit import design_fields
 from grsoliton.manifest import bundled_examples, load_manifest
 from grsoliton.runner import run_manifest
+from grsoliton.soliton import gradient_form
 from grsoliton.tensors import christoffel, gradient, hessian, ricci, riemann, riemann_lowered
 
 
@@ -288,7 +289,8 @@ def tree_digests(name, monkeypatch):
         f1, f2 = manifest.scalars["f1"], manifest.scalars["f2"]
         out["hessian"] = digest(flat(hessian(metric, f1)))
         out["gradient"] = digest(flat(gradient(metric, f1)))
-        out["design_fields"] = digest([c for f in design_fields(metric, f1, f2) for c in f])
+        form = gradient_form(metric, f1, f2)
+        out["design_fields"] = digest([c for f in design_fields(metric, form) for c in f])
     if manifest.structure is not None:
         block = manifest.structure
         structure = assemble_structure(manifest.chart, metric, block["phi"], block["xi"],

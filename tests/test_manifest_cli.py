@@ -19,11 +19,11 @@ from grsoliton.manifest import (
 from grsoliton.report import emit_report
 from grsoliton.runner import run_manifest
 from grsoliton.soliton import (
-    SolitonSpec,
     build_alignment_check,
-    build_gradient_check,
+    build_soliton_check,
     build_supporting_checks,
     build_transport_check,
+    gradient_form,
     run_checks,
 )
 
@@ -76,7 +76,7 @@ MISSING_BLOCKS = [
     ("check-structure", HYPERBOLIC, "check-structure needs a structure block"),
     ("check-theorem", METRIC_ONLY, "check-theorem needs a structure block"),
     ("check-theorem", NAN_ETA, "check-theorem needs a scalars block"),
-    ("fit", NAN_ETA, "fit needs a scalars block"),
+    ("fit", NAN_ETA, "fit needs a scalars or vectors block"),
 ]
 
 # (CLI flags, message)
@@ -125,6 +125,14 @@ BAD_MANIFEST_VALUES = [
     # a constant named as a coordinate or a reserved name could never bind
     ({"constants": {"y": 5}}, "constant 'y' is already a chart coordinate"),
     ({"constants": {"pi": 3}}, "constant 'pi' is already a reserved name"),
+    # nor could a key that the parser does not read as one name
+    ({"constants": {"lambda ": 2}}, "constant 'lambda ' is not a name"),
+    ({"constants": {"a b": 3}}, "constant 'a b' is not a name"),
+    ({"constants": {"1x": 3}}, "constant '1x' is not a name"),
+    ({"constants": {"": 3}}, "constant '' is not a name"),
+    # a chart too narrow to sample, 1e-3 inside each finite end
+    ({"chart": {"bounds": {"y": [0, 0.0015]}}},
+     "bad chart: empty feasible box for coordinate 'y'"),
 ]
 
 
@@ -191,15 +199,17 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match="at most one"):
             load_manifest(bad)
 
-    def test_fit_requires_gradient_mode(self):
-        bad = {
+    def test_fit_constants_need_a_soliton_form(self):
+        doc = {
             "chart": {"coords": ["x", "y"], "bounds": {"y": [0, None]}},
             "metric": [["1/y^2", "0"], ["0", "1/y^2"]],
             "vectors": {"X1": ["0", "y"], "X2": ["0", "0"]},
             "constants": {"c1": "fit", "c2": 0, "lambda": 0},
         }
-        with pytest.raises(ManifestError, match="gradient mode"):
-            load_manifest(bad)
+        assert load_manifest(doc).fit_targets() == ("c1",)
+        del doc["vectors"]
+        with pytest.raises(ManifestError, match='^"fit" constants need a scalars or vectors'):
+            load_manifest(doc)
 
     def test_fit_symbol_collision_rejected(self):
         # a constant marked "fit" has no value, so expressions cannot use it
@@ -387,8 +397,8 @@ class TestRunManifest:
         points = sample_points(manifest.chart, "uniform", 200, 7)
         f1, f2 = manifest.scalars["f1"], manifest.scalars["f2"]
         params, tol = manifest.params, manifest.tolerance
-        spec = SolitonSpec(manifest.metric, "gradient", -1.0, 0.0, 1.0, f1=f1, f2=f2,
-                           params=params)
+        soliton = build_soliton_check(manifest.metric, gradient_form(manifest.metric, f1, f2),
+                                      -1.0, 0.0, 1.0)
         structure = assemble_structure(manifest.chart, manifest.metric,
                                        *(manifest.structure[k] for k in ("phi", "xi", "eta")),
                                        points=points, params=params)
@@ -396,7 +406,7 @@ class TestRunManifest:
                    build_transport_check(structure, f1, f2, -1.0, 0.0, 1.0),
                    ricci_reeb_check(structure),
                    *build_supporting_checks(structure, f1, f2, -1.0)]
-        for subcommand, checks in (("check-soliton", [build_gradient_check(spec)]),
+        for subcommand, checks in (("check-soliton", [soliton]),
                                    ("check-theorem", theorem)):
             rows = run_manifest(manifest, subcommand).checks
             reports = run_checks(manifest.chart, checks, points, params, tol)

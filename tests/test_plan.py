@@ -35,9 +35,9 @@ from grsoliton.expr import (
 from grsoliton.fit import fit_constants
 from grsoliton.manifest import BUNDLED_NAMES, load_manifest, resolve_manifest
 from grsoliton.soliton import (
-    SolitonSpec,
-    build_gradient_check,
+    build_soliton_check,
     build_transport_check,
+    gradient_form,
 )
 from grsoliton.tensors import riemann
 
@@ -335,8 +335,8 @@ def test_fit_constant_is_fitted_once_per_run(monkeypatch):
     designs = []
 
     class CountingFitQR(fit.FitQR):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, form):
+            super().__init__(form)
             self.updates = 0
             self.finishes = []
             designs.append(self)
@@ -365,16 +365,15 @@ def test_fit_constant_is_fitted_once_per_run(monkeypatch):
     points = sample_points(manifest.chart, "uniform", 200, 7)
     f1, f2 = manifest.scalars["f1"], manifest.scalars["f2"]
     params = manifest.params
-    resolved = fit_constants(manifest.metric, f1, f2, points, params,
+    form = gradient_form(manifest.metric, f1, f2)
+    resolved = fit_constants(manifest.metric, form, points, params,
                              fixed={"c1": -1.0, "c2": 0.0})
     lam = float(resolved.solution[0])
     assert rows["fit_constants_restricted"].details["note"] == "resolved-for-check"
     assert rows["fit_constants_restricted"].details["solution"] == {"lambda": lam}
 
-    spec = SolitonSpec(manifest.metric, "gradient", -1.0, 0.0, lam, f1=f1, f2=f2,
-                       params=params)
-    soliton = report_of(manifest.chart, build_gradient_check(spec), points, params,
-                        manifest.tolerance)
+    soliton = report_of(manifest.chart, build_soliton_check(manifest.metric, form, -1.0, 0.0, lam),
+                        points, params, manifest.tolerance)
     assert (rows["soliton_gradient"].abs_sup,
             rows["soliton_gradient"].rel_sup) == (soliton.abs_sup, soliton.rel_sup)
     assert rows["soliton_gradient"].details["constants"]["lambda"] == lam
@@ -388,7 +387,7 @@ def test_fit_constant_is_fitted_once_per_run(monkeypatch):
                           points, params, manifest.tolerance)
     assert rows["grad_transport"].abs_sup == transport.abs_sup
 
-    free = fit_constants(manifest.metric, f1, f2, points, params)
+    free = fit_constants(manifest.metric, form, points, params)
     assert rows["fit_constants"].abs_sup == free.residual_sup
     assert rows["fit_constants"].details["solution"] == {
         name: float(v) for name, v in zip(free.free_names, free.solution)}
@@ -406,8 +405,8 @@ def test_a_run_without_a_gate_fits_in_a_pass_of_its_own(name, subcommand, monkey
     original = expr.evaluate_many_multi
 
     class CountingFitQR(fit.FitQR):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, form):
+            super().__init__(form)
             designs.append(self)
 
         def update(self, lo, *fields):

@@ -25,6 +25,8 @@ from grsoliton import expr
 from grsoliton.chart import (
     FieldValues,
     components_sup,
+    define_chart,
+    define_metric,
     evaluate_field,
     evaluate_fields,
     reduce_fields,
@@ -42,7 +44,6 @@ from grsoliton.expr import CHUNK_POINTS, Num, Sym, as_scalar, simplify
 from grsoliton.fit import (
     CONSTANT_ORDER,
     RANK_THRESHOLD,
-    SIGNS,
     FitQR,
     TooFewPointsError,
     design_fields,
@@ -51,9 +52,10 @@ from grsoliton.manifest import resolve_manifest
 from grsoliton.soliton import (
     Check,
     ResidualSup,
-    SolitonSpec,
-    build_gradient_check,
+    build_soliton_check,
+    gradient_form,
     reduce_checks,
+    vector_form,
 )
 from grsoliton.tensors import TensorField, oneform_field, vector_field
 
@@ -62,6 +64,12 @@ from conftest import SASAKIAN_ETA, SASAKIAN_PHI, SASAKIAN_XI, field_components, 
 SHAPES = {1: [(1,), ()], 2: [(2,)], 3: [(3,)], 4: [(4,), (2, 2)], 6: [(6,), (2, 3)],
           8: [(8,), (2, 2, 2)], 9: [(9,), (3, 3)]}
 SPECIALS = (np.nan, np.inf, -np.inf)
+
+# of a form, FitQR reads only the scale s, which sets its column signs
+# (s, -s, -s, -1); the synthetic designs below take the forms of a line
+_LINE = define_metric(define_chart(["x"]), [["1"]])
+GRADIENT = gradient_form(_LINE, "0", "0")
+VECTOR = vector_form(_LINE, *[vector_field(_LINE.chart, ["0"])] * 2)
 
 
 def reference_residual(res, ref, domain=None):
@@ -111,18 +119,20 @@ def reference_worst_point(values):
     return int(np.argmax(bad if bad.any() else flat))
 
 
-def reference_fit(values, fixed):
+def reference_fit(values, fixed, scale=1.0):
     """The fit of the column-stacked design of the valid points, its
-    columns and target the design fields with their SIGNS: rank and null
+    columns and target the design fields with the signs of
+    c1 (s P.P) + c2 (-s Ric) + lam (-s g) = -T, s the scale: rank and null
     space from an SVD of the whole column-scaled design, solution from
     np.linalg.lstsq on it with the same cutoff, made minimum-norm in the
     unscaled coordinates.  values may end with the domain field."""
     free_names = tuple(n for n in CONSTANT_ORDER if n not in fixed)
     flat = [v.reshape(len(v), -1) for v in values]
     valid = np.logical_and.reduce([np.isfinite(f).all(axis=1) for f in flat])
-    blocks = dict(zip(CONSTANT_ORDER, (sign * f for sign, f in zip(SIGNS, flat))))
+    signs = (scale, -scale, -scale, -1.0)
+    blocks = dict(zip(CONSTANT_ORDER, (sign * f for sign, f in zip(signs, flat))))
     a = np.column_stack([blocks[name][valid].reshape(-1) for name in free_names])
-    b = SIGNS[3] * flat[3][valid].reshape(-1)
+    b = -flat[3][valid].reshape(-1)
     for name, value in fixed.items():
         b = b - float(value) * blocks[name][valid].reshape(-1)
     norms = np.linalg.norm(a, axis=0)
@@ -340,10 +350,10 @@ class TestFitDesign:
         fields = evaluated(seed, npoints, shapes, validity)
         want = reference_fit(fields, fixed)
         for values in layouts(fields):
-            assert_same_fit(one_chunk(FitQR(), values).finish(fixed), want)
-            assert_same_fit(one_chunk(FitQR(), values[:4]).finish(fixed),
+            assert_same_fit(one_chunk(FitQR(GRADIENT), values).finish(fixed), want)
+            assert_same_fit(one_chunk(FitQR(GRADIENT), values[:4]).finish(fixed),
                             reference_fit(values[:4], fixed))
-        assert_same_fit(feed(FitQR(), fields, edges).finish(fixed), want)
+        assert_same_fit(feed(FitQR(GRADIENT), fields, edges).finish(fixed), want)
         if validity == "three":
             assert want["n_points"] == 3
 
@@ -351,27 +361,28 @@ class TestFitDesign:
         # the buffer sized by a small first chunk must grow for a larger one
         fields = evaluated(3, 8191, [(3,)] * 4 + [(2,)], "all")
         want = reference_fit(fields, {})
-        assert_same_fit(feed(FitQR(), fields, [0, 1, 342, 8191]).finish(), want)
+        assert_same_fit(feed(FitQR(GRADIENT), fields, [0, 1, 342, 8191]).finish(), want)
 
     @pytest.mark.parametrize("npoints, n_valid", [(200, 0), (200, 1), (200, 2), (2, 2)])
     def test_too_few_points_name_the_valid_ones(self, npoints, n_valid):
         values = [np.ones((npoints, 3)) for _ in range(4)]
         values[1][n_valid:, 2] = np.nan
         with pytest.raises(TooFewPointsError) as err:
-            one_chunk(FitQR(), values).finish()
+            one_chunk(FitQR(GRADIENT), values).finish()
         assert err.value.n_valid == n_valid
         assert err.value.first_bad == (None if n_valid == npoints else n_valid)
         assert isinstance(err.value, ValueError)
 
     @staticmethod
-    def design(columns, solution, noise=0.0, seed=0):
-        """Design fields of one component whose design has the given
-        (npoints,) columns and the target columns @ solution plus noise."""
+    def design(columns, solution, noise=0.0, seed=0, scale=1.0):
+        """Design fields of one component whose design, for a form of the
+        given scale, has the given (npoints,) columns and the target
+        columns @ solution plus noise."""
         rng = np.random.default_rng(seed)
         target = np.column_stack(columns) @ solution
         target = target + noise * rng.standard_normal(len(target))
-        return [sign * np.asarray(c, dtype=float)[:, None]
-                for sign, c in zip(SIGNS, (*columns, target))]
+        return [np.asarray(c, dtype=float)[:, None] / sign
+                for sign, c in zip((scale, -scale, -scale, -1.0), (*columns, target))]
 
     @pytest.mark.parametrize("cond", [1e6, 1e7, 1e8])
     def test_ill_conditioned_full_rank(self, cond):
@@ -382,7 +393,7 @@ class TestFitDesign:
         v = np.linalg.qr(rng.standard_normal((3, 3))).Q
         a = u @ np.diag([1.0, 1.0 / np.sqrt(cond), 1.0 / cond]) @ v.T
         x = np.array([1.0, -2.0, 0.5])
-        fit = one_chunk(FitQR(), self.design(list(a.T), x)).finish()
+        fit = one_chunk(FitQR(GRADIENT), self.design(list(a.T), x)).finish()
         assert fit.rank == 3
         assert (fit.singular_values[-1] / fit.singular_values[0]) ** 2 < RANK_THRESHOLD
         # forward error of a backward-stable solve: about cond * eps
@@ -393,13 +404,13 @@ class TestFitDesign:
         c1, c3 = rng.standard_normal((2, 5000))
         columns = [c1, 2.0 * c1, c3]             # c2 = 2 c1 exactly
         values = self.design(columns, np.array([1.0, 0.0, 3.0]), noise=0.1)
-        fit = one_chunk(FitQR(), values).finish()
+        fit = one_chunk(FitQR(GRADIENT), values).finish()
         assert fit.rank == 2
         direction = np.array([2.0, -1.0, 0.0]) / np.sqrt(5.0)
         assert min(np.abs(fit.null_space[:, 0] - direction).max(),
                    np.abs(fit.null_space[:, 0] + direction).max()) <= 1e-12
         a = np.column_stack(columns)
-        x = np.linalg.lstsq(a, SIGNS[3] * values[3][:, 0], rcond=None)[0]    # minimum norm
+        x = np.linalg.lstsq(a, -values[3][:, 0], rcond=None)[0]    # minimum norm
         assert np.linalg.norm(fit.solution - x) <= 1e-10 * np.linalg.norm(x)
         assert_same_fit(fit, reference_fit(values, {}))
 
@@ -407,12 +418,24 @@ class TestFitDesign:
         rng = np.random.default_rng(6)
         columns = list(rng.standard_normal((3, 4000)) * np.array([[1e3], [1.0], [1e-3]]))
         x = np.array([0.25, -1.0, 4.0])
-        fit = one_chunk(FitQR(), self.design(columns, x)).finish()
+        fit = one_chunk(FitQR(GRADIENT), self.design(columns, x)).finish()
         assert fit.rank == 3
         assert np.abs(fit.solution - x).max() <= 1e-10 * np.abs(x).max()
         # with noise, against the whole design's least squares
         values = self.design(columns, x, noise=1e-2, seed=7)
-        assert_same_fit(one_chunk(FitQR(), values).finish(), reference_fit(values, {}))
+        assert_same_fit(one_chunk(FitQR(GRADIENT), values).finish(), reference_fit(values, {}))
+
+    @pytest.mark.parametrize("form", [GRADIENT, VECTOR], ids=["gradient", "vector"])
+    def test_the_form_sets_the_column_signs(self, form):
+        assert FitQR(form).signs == (form.scale, -form.scale, -form.scale, -1.0)
+        rng = np.random.default_rng(8)
+        columns = list(rng.standard_normal((3, 2000)))
+        x = np.array([1.5, -0.5, 2.0])
+        values = self.design(columns, x, scale=form.scale)
+        fit = one_chunk(FitQR(form), values).finish()
+        assert fit.rank == 3
+        assert np.abs(fit.solution - x).max() <= 1e-12 * np.abs(x).max()
+        assert_same_fit(fit, reference_fit(values, {}, form.scale))
 
 
 def feed(accumulator, fields, edges):
@@ -552,15 +575,15 @@ def finished(npoints):
     block = manifest.structure
     structure = assemble_structure(chart, metric, block["phi"], block["xi"], block["eta"],
                                    points=points)
-    check = build_gradient_check(SolitonSpec(metric, "gradient", -1.0, 0.0, 1.0,
-                                             f1=f1, f2=f2))
+    form = gradient_form(metric, f1, f2)
+    check = build_soliton_check(metric, form, -1.0, 0.0, 1.0)
     # bare coordinates, a constant and a duplicate as roots, next to the metric
     coordinates = np.array([Sym("x"), Num(2.5), Sym("z"), Sym("x")], dtype=object)
-    values, design = FieldValues([coordinates.shape, metric.comps.shape], npoints), FitQR()
+    values, design = FieldValues([coordinates.shape, metric.comps.shape], npoints), FitQR(form)
     checks = [*ladder_checks(structure), ricci_reeb_check(structure), check]
     sups = reduce_checks(chart, checks, points, None, 1e-8,
                          [([coordinates, metric.comps], values),
-                          (design_fields(metric, f1, f2), design)])
+                          (design_fields(metric, form), design)])
     reports, fit = [s.finish() for s in sups], design.finish()
     ladder = ladder_rows(structure, reports[:3], 1e-8, "half", npoints)
     return ([bits(v) for v in values.finish()],

@@ -6,15 +6,15 @@ from grsoliton.contact import assemble_structure, ladder_checks, ladder_rows
 from grsoliton.expr import DomainError
 from grsoliton.soliton import (
     DEFAULT_TOLERANCE,
-    SolitonSpec,
     build_alignment_check,
-    build_gradient_check,
+    build_soliton_check,
     build_supporting_checks,
     build_transport_check,
-    build_vector_check,
     classify_constants,
+    gradient_form,
     potential_square_lie_sides,
     run_checks,
+    vector_form,
 )
 from grsoliton.tensors import gradient, vector_field
 
@@ -44,40 +44,40 @@ def _points(chart, count=300, seed=21):
 class TestGradientForm:
     def test_hyperbolic_instance(self, hyperbolic_geometry):
         chart, g = hyperbolic_geometry
-        spec = SolitonSpec(g, "gradient", 2.0, 1.0, 3.0, f1=H2_F1, f2=H2_F2)
-        report = report_of(chart, build_gradient_check(spec), _points(chart))
+        check = build_soliton_check(g, gradient_form(g, H2_F1, H2_F2), 2.0, 1.0, 3.0)
+        report = report_of(chart, check, _points(chart))
         assert report.passed
         assert report.rel_sup <= 1e-12
 
     def test_cone_instance(self, cone_geometry):
         chart, g = cone_geometry
-        spec = SolitonSpec(g, "gradient", -1.0, 1.0, 1.0, f1=CONE_F1, f2=CONE_F2)
-        report = report_of(chart, build_gradient_check(spec), _points(chart))
+        check = build_soliton_check(g, gradient_form(g, CONE_F1, CONE_F2), -1.0, 1.0, 1.0)
+        report = report_of(chart, check, _points(chart))
         assert report.passed and report.rel_sup <= 1e-12
 
     def test_sasakian_instance(self, sasakian_geometry):
         chart, g = sasakian_geometry
-        spec = SolitonSpec(g, "gradient", -1.0, 0.0, 1.0,
-                           f1=SASAKIAN_F1, f2=SASAKIAN_F2)
-        report = report_of(chart, build_gradient_check(spec), _points(chart))
+        check = build_soliton_check(g, gradient_form(g, SASAKIAN_F1, SASAKIAN_F2),
+                                    -1.0, 0.0, 1.0)
+        report = report_of(chart, check, _points(chart))
         assert report.passed and report.rel_sup <= 1e-12
 
     def test_flat_zero_instance(self, euclidean_plane):
         chart, g = euclidean_plane
-        spec = SolitonSpec(g, "gradient", 0.0, 0.0, 0.0, f1="0", f2="0")
-        report = report_of(chart, build_gradient_check(spec), _points(chart))
+        check = build_soliton_check(g, gradient_form(g, "0", "0"), 0.0, 0.0, 0.0)
+        report = report_of(chart, check, _points(chart))
         assert report.abs_sup == 0.0
 
     def test_wrong_constants_fail(self, hyperbolic_geometry):
         chart, g = hyperbolic_geometry
-        spec = SolitonSpec(g, "gradient", 5.0, 1.0, 3.0, f1=H2_F1, f2=H2_F2)
-        report = report_of(chart, build_gradient_check(spec), _points(chart))
+        check = build_soliton_check(g, gradient_form(g, H2_F1, H2_F2), 5.0, 1.0, 3.0)
+        report = report_of(chart, check, _points(chart))
         assert not report.passed
 
     def test_nonfinite_constant_rejected(self, hyperbolic_geometry):
         _, g = hyperbolic_geometry
         with pytest.raises(ValueError):
-            SolitonSpec(g, "gradient", float("inf"), 0.0, 0.0, f1="0", f2="0")
+            build_soliton_check(g, gradient_form(g, "0", "0"), float("inf"), 0.0, 0.0)
 
 
 class TestVectorForm:
@@ -87,11 +87,9 @@ class TestVectorForm:
         chart, g = hyperbolic_geometry
         c1, c2, lam = 2.0, 1.0, 2.5   # deliberately non-solving constants
         pts = _points(chart, 120)
-        gspec = SolitonSpec(g, "gradient", c1, c2, lam, f1=H2_F1, f2=H2_F2)
-        vspec = SolitonSpec(g, "vector", c1, c2, lam,
-                            X1=gradient(g, H2_F1), X2=gradient(g, H2_F2))
-        gcheck = build_gradient_check(gspec)
-        vcheck = build_vector_check(vspec)
+        gcheck = build_soliton_check(g, gradient_form(g, H2_F1, H2_F2), c1, c2, lam)
+        vcheck = build_soliton_check(g, vector_form(g, gradient(g, H2_F1), gradient(g, H2_F2)),
+                                     c1, c2, lam)
         gv = evaluate_field(np.asarray(gcheck.residual, dtype=object),
                             chart.env_at(pts), len(pts))
         vv = evaluate_field(np.asarray(vcheck.residual, dtype=object),
@@ -101,18 +99,15 @@ class TestVectorForm:
 
     def test_killing_reeb_field(self, sasakian_geometry):
         chart, g = sasakian_geometry
-        spec = SolitonSpec(g, "vector", 0.0, 0.0, 0.0,
-                           X1=vector_field(chart, SASAKIAN_XI),
-                           X2=vector_field(chart, ["0", "0", "0"]))
-        report = report_of(chart, build_vector_check(spec), _points(chart))
+        form = vector_form(g, vector_field(chart, SASAKIAN_XI),
+                           vector_field(chart, ["0", "0", "0"]))
+        report = report_of(chart, build_soliton_check(g, form, 0.0, 0.0, 0.0), _points(chart))
         assert report.abs_sup == 0.0
 
     def test_euclidean_dilation_homothety(self, euclidean_plane):
         chart, g = euclidean_plane
-        spec = SolitonSpec(g, "vector", 0.0, 0.0, 1.0,
-                           X1=vector_field(chart, ["x", "y"]),
-                           X2=vector_field(chart, ["0", "0"]))
-        report = report_of(chart, build_vector_check(spec), _points(chart))
+        form = vector_form(g, vector_field(chart, ["x", "y"]), vector_field(chart, ["0", "0"]))
+        report = report_of(chart, build_soliton_check(g, form, 0.0, 0.0, 1.0), _points(chart))
         assert report.abs_sup == 0.0
 
 
@@ -207,9 +202,9 @@ class TestTheoremProperty:
         reports = run_checks(chart, ladder_checks(paper_structure), pts, None,
                              DEFAULT_TOLERANCE)
         ladder = ladder_rows(paper_structure, reports, DEFAULT_TOLERANCE, "half", len(pts))
-        spec = SolitonSpec(g, "gradient", -1.0, 0.0, 1.0,
-                           f1=SASAKIAN_F1, f2=SASAKIAN_F2)
-        soliton_ok = report_of(chart, build_gradient_check(spec), pts, tolerance=1e-8).passed
+        check = build_soliton_check(g, gradient_form(g, SASAKIAN_F1, SASAKIAN_F2),
+                                    -1.0, 0.0, 1.0)
+        soliton_ok = report_of(chart, check, pts, tolerance=1e-8).passed
         assert all(row.passed for row in ladder) and soliton_ok
         _, check = build_alignment_check(paper_structure, SASAKIAN_F1, SASAKIAN_F2, -1.0)
         alignment = report_of(chart, check, pts, tolerance=1e-6)
@@ -223,11 +218,11 @@ class TestScaleCoherence:
         # -Ric: zero exactly on Ricci-flat metrics
         _, flat = euclidean_plane
         chart, curved = hyperbolic_geometry
-        spec_flat = SolitonSpec(flat, "gradient", 5.0, 1.0, 0.0, f1="0", f2="0")
+        check_flat = build_soliton_check(flat, gradient_form(flat, "0", "0"), 5.0, 1.0, 0.0)
         points = _points(flat.chart, 200, 0)
-        assert report_of(flat.chart, build_gradient_check(spec_flat), points).abs_sup == 0.0
-        spec_curved = SolitonSpec(curved, "gradient", 5.0, 1.0, 0.0, f1="0", f2="0")
-        assert not report_of(chart, build_gradient_check(spec_curved), _points(chart)).passed
+        assert report_of(flat.chart, check_flat, points).abs_sup == 0.0
+        check_curved = build_soliton_check(curved, gradient_form(curved, "0", "0"), 5.0, 1.0, 0.0)
+        assert not report_of(chart, check_curved, _points(chart)).passed
 
 
 class TestDomainHandling:
@@ -235,17 +230,17 @@ class TestDomainHandling:
         chart, g = cone_geometry
         # d/dx sqrt(x-1) = 1/(2 sqrt(x-1)) leaves the domain on half the
         # sampled box x in (0, 2], so those points must be skipped
-        spec = SolitonSpec(g, "gradient", 0.0, 0.0, 0.0, f1="sqrt(x-1)", f2="0")
-        report = report_of(chart, build_gradient_check(spec), _points(chart, 200))
+        check = build_soliton_check(g, gradient_form(g, "sqrt(x-1)", "0"), 0.0, 0.0, 0.0)
+        report = report_of(chart, check, _points(chart, 200))
         assert report.n_skipped > 0
         assert report.n_points > 0
         assert report.n_points + report.n_skipped == 200
 
     def test_all_points_invalid_raises(self, cone_geometry):
         chart, g = cone_geometry
-        spec = SolitonSpec(g, "gradient", 0.0, 0.0, 0.0, f1="sqrt(x-5)", f2="0")
+        check = build_soliton_check(g, gradient_form(g, "sqrt(x-5)", "0"), 0.0, 0.0, 0.0)
         with pytest.raises(DomainError):
-            report_of(chart, build_gradient_check(spec), _points(chart, 50))
+            report_of(chart, check, _points(chart, 50))
 
 
 class TestClassifyConstants:

@@ -17,10 +17,10 @@ differs.
 The matrix: the three bundled manifests as they are, with lambda + 1 and
 with lambda = "fit"; a NaN eta, an infinite eta, a transposed phi,
 f2 = sqrt(x - 1.97) and an overflowing f1; the vector form on Euclidean
-R^3 with X1 the position field (L_X1 g = 2g, so lambda = 1) and with
-lambda + 1; x the five subcommands x N = 2, 200, 3,000 and 20,000 x
-seeds 7, 8 and 11 x both d-conventions x json, csv and table (5,760
-cases).  20,000 points are two full chunks of the evaluation plan and a
+R^3 with X1 the position field (L_X1 g = 2g, so lambda = 1), with
+lambda + 1 and with lambda = "fit"; x the five subcommands x N = 2, 200,
+3,000 and 20,000 x seeds 7, 8 and 11 x both d-conventions x json, csv
+and table (6,120 cases).  20,000 points are two full chunks of the evaluation plan and a
 short last one, so chunk edges, worst points and first bad points past
 the first chunk are covered.  2 points are too few to fit: the fit row
 fails, and a "fit" constant is an error.
@@ -92,6 +92,9 @@ def manifests():
     shifted = copy.deepcopy(_DILATION)
     shifted["constants"]["lambda"] += 1
     out["dilation+lambda1"] = json.dumps(shifted)
+    fitted = copy.deepcopy(_DILATION)
+    fitted["constants"]["lambda"] = "fit"
+    out["dilation+lambdafit"] = json.dumps(fitted)
     return out
 
 
