@@ -55,10 +55,8 @@ from grsoliton.runner import run_manifest
 from grsoliton.soliton import (
     ResidualReport,
     SolitonForm,
-    build_alignment_check,
     build_soliton_check,
-    build_supporting_checks,
-    build_transport_check,
+    build_theorem_checks,
     classify_constants,
     gradient_form,
     run_checks,

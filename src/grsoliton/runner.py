@@ -3,7 +3,9 @@
 Each subcommand maps the manifest blocks onto the corresponding checks and
 reports one row per named check: a soliton.ResidualReport, the one a
 check's reducer gives or one made from it, with the row's further keys in
-its details.  "all" runs every check the manifest has data for.  A run
+its details.  "all" runs every check the manifest has data for.  The
+theorem rows are the checks of soliton.build_theorem_checks, with the
+Ricci-Reeb check of contact.py after grad_transport.  A run
 that fits the constants first reduces the fit's design to a small R
 factor, in the pass that runs before the main plan anyway (the
 almost-contact axiom gate) or else in one of its own; either runs before
@@ -35,10 +37,8 @@ from grsoliton.report import Report
 from grsoliton.soliton import (
     CONSTANT_ORDER,
     ResidualReport,
-    build_alignment_check,
     build_soliton_check,
-    build_supporting_checks,
-    build_transport_check,
+    build_theorem_checks,
     diagnose_domain,
     gradient_form,
     run_checks,
@@ -235,10 +235,11 @@ def _theorem_rows(run, structure):
     constants, _ = run.resolved
     f1 = run.manifest.scalars["f1"]
     f2 = run.manifest.scalars["f2"]
-    c1, c2, lam = (constants[k] for k in CONSTANT_ORDER)
-    _, alignment = build_alignment_check(structure, f1, f2, c1)
-    run.add([alignment, build_transport_check(structure, f1, f2, c1, c2, lam),
-             ricci_reeb_check(structure), *build_supporting_checks(structure, f1, f2, c1)])
+    # built first: the theorem checks reuse the Christoffel derivatives
+    # that its Ricci tensor holds; its row follows grad_transport
+    ricci_reeb = ricci_reeb_check(structure)
+    checks = build_theorem_checks(structure, f1, f2, *(constants[k] for k in CONSTANT_ORDER))
+    run.add([*checks[:2], ricci_reeb, *checks[2:]])
 
 
 def _fit_rows(run, reports, fit, restricted=False, constants=None):

@@ -10,9 +10,12 @@ Alignment:       grad f1 + c1 xi(xi(f2)) grad f2 - c1 xi(f2) nabla_xi grad f2
 Each check is a symbolic residual with the reference (left-hand side) it
 is measured against.  A SolitonForm holds the terms of one form of the
 soliton equation, which build_soliton_check and the fit (fit.py) read.
-The build_* functions build checks, and run_checks evaluates any list of
-them as one plan and reduces each, chunk by chunk, to absolute and
-relative sup-norms.  The relative norm is pointwise,
+build_theorem_checks builds the alignment check, whose reference is zeta,
+and the transport and supporting identities behind it, building the
+terms they share once.  Both builders reject a constant that is not
+finite.  run_checks evaluates any list of checks as one plan and reduces
+each, chunk by chunk, to absolute and relative sup-norms.  The relative
+norm is pointwise,
 max_p |residual(p)| / max(1, |reference(p)|), with |.| the largest
 component at p: a large reference near a chart boundary does not excuse
 a residual elsewhere, and flat instances do not divide by zero.
@@ -274,12 +277,17 @@ def _combine_sym2(terms):
     return from_upper(upper, n)
 
 
+def _require_finite(**constants):
+    """Raise ValueError naming the first constant that is not finite."""
+    for name, value in constants.items():
+        if not np.isfinite(value):
+            raise ValueError(f"constant {name} must be finite, got {value}")
+
+
 def build_soliton_check(metric, form, c1, c2, lam):
     """The check of form at the constants, T + s c1 P.P - s c2 Ric - s lam g
     against T, where form's domain is defined."""
-    for name, value in (("c1", c1), ("c2", c2), ("lam", lam)):
-        if not np.isfinite(value):
-            raise ValueError(f"constant {name} must be finite, got {value}")
+    _require_finite(c1=c1, c2=c2, lam=lam)
     s = form.scale
     residual = _combine_sym2([
         (1.0, form.target),
@@ -288,48 +296,6 @@ def build_soliton_check(metric, form, c1, c2, lam):
         (-s * lam, metric.comps),
     ])
     return Check(form.name, residual, form.target, list(form.domain))
-
-
-def build_alignment_check(structure, f1, f2, c1):
-    """Necessary condition for a Sasakian gradient-form soliton:
-    zeta = grad f1 + c1 xi(xi(f2)) grad f2 - c1 xi(f2) nabla_xi grad f2
-    and the check of zeta - xi(f1) xi against zeta.  Returns (zeta, check)."""
-    metric = structure.metric
-    chart = structure.chart
-    f1 = as_scalar(f1)
-    f2 = as_scalar(f2)
-    xi = structure.xi
-    grad1 = gradient(metric, f1)
-    grad2 = gradient(metric, f2)
-    xi_f2 = directional_derivative(xi, f2)
-    xi_xi_f2 = directional_derivative(xi, xi_f2)
-    transport2 = covariant_derivative(metric, xi, grad2)
-
-    zeta = grad1.comps + Num(c1) * (xi_xi_f2 * grad2.comps) \
-        - Num(c1) * (xi_f2 * transport2.comps)
-    residual = zeta - directional_derivative(xi, f1) * xi.comps
-    return TensorField(chart, "vector", zeta), \
-        Check("theorem_alignment", residual, zeta, [f1, f2])
-
-
-def build_transport_check(structure, f1, f2, c1, c2, lam):
-    """nabla_xi grad f1 - (lam + 2 c2 n) xi + c1 xi(f2) grad f2, against
-    nabla_xi grad f1.
-
-    Holds on Sasakian structures satisfying the gradient-form equation;
-    the hypothesis is not enforced here so violations stay detectable.
-    """
-    metric = structure.metric
-    chart = structure.chart
-    f1 = as_scalar(f1)
-    f2 = as_scalar(f2)
-    xi = structure.xi
-    lhs = covariant_derivative(metric, xi, gradient(metric, f1))
-    grad2 = gradient(metric, f2)
-    xi_f2 = directional_derivative(xi, f2)
-    coeff = lam + 2.0 * c2 * structure.n
-    residual = lhs.comps - Num(coeff) * xi.comps + Num(c1) * (xi_f2 * grad2.comps)
-    return Check("grad_transport", residual, lhs.comps, [f1, f2])
 
 
 def _projected_coordinate_fields(structure):
@@ -359,47 +325,65 @@ def potential_square_lie_sides(xi, f2):
     return lhs, rhs
 
 
-def build_supporting_checks(structure, f1, f2, c1):
-    """The three identities behind the alignment condition, as checks.
+def build_theorem_checks(structure, f1, f2, c1, c2, lam):
+    """The checks of the paper's necessary condition for a Sasakian
+    gradient-form soliton and of the identities behind it, in report order.
 
+    theorem_alignment:    zeta - xi(f1) xi against zeta, for
+                          zeta = grad f1 + c1 xi(xi(f2)) grad f2
+                                 - c1 xi(f2) nabla_xi grad f2
+    grad_transport:       nabla_xi grad f1 - (lam + 2 c2 n) xi
+                          + c1 xi(f2) grad f2, against nabla_xi grad f1
     double_lie:           (L_xi (L_{grad f1} g))(Y, xi) expansion, for Y the
                           coordinate fields projected orthogonal to xi
     potential_square_lie: (L_xi (df2.df2))(Y, xi) expansion, unprojected Y
     scalar_reduction:     Y(f1) + c1 xi(xi(f2)) Y(f2)
                           - c1 xi(f2) g(nabla_xi grad f2, Y) = 0
-    """
-    metric = structure.metric
-    f1 = as_scalar(f1)
-    f2 = as_scalar(f2)
-    xi = structure.xi
-    projected = _projected_coordinate_fields(structure)
 
-    grad1 = gradient(metric, f1)
+    Each holds on Sasakian structures satisfying the gradient form; the
+    hypothesis is not enforced here, so violations stay detectable.  The
+    terms that several checks share are built once.
+    """
+    _require_finite(c1=c1, c2=c2, lam=lam)
+    metric, xi, g = structure.metric, structure.xi, structure.metric.comps
+    f1, f2 = as_scalar(f1), as_scalar(f2)
+    domain = [f1, f2]
+    projected = _projected_coordinate_fields(structure)
+    grad1, grad2 = gradient(metric, f1), gradient(metric, f2)
+    xi_f2 = directional_derivative(xi, f2)
+    xi_xi_f2 = directional_derivative(xi, xi_f2)
+    transport1 = covariant_derivative(metric, xi, grad1)
+    transport2 = covariant_derivative(metric, xi, grad2)
+
+    zeta = grad1.comps + Num(c1) * (xi_xi_f2 * grad2.comps) \
+        - Num(c1) * (xi_f2 * transport2.comps)
+    alignment = Check("theorem_alignment",
+                      zeta - directional_derivative(xi, f1) * xi.comps, zeta, domain)
+
+    transport = transport1.comps - Num(lam + 2.0 * c2 * structure.n) * xi.comps \
+        + Num(c1) * (xi_f2 * grad2.comps)
+
+    # transport1_twice reads derivatives that lie_outer builds, and a
+    # derivative stays cached only while its node lives: build it last,
+    # with lie_inner alive
     lie_inner = lie_derivative_sym2(metric_tensor_field(metric), grad1)
     lie_outer = lie_derivative_sym2(lie_inner, xi)
-    transport1 = covariant_derivative(metric, xi, grad1)
     transport1_twice = covariant_derivative(metric, xi, transport1)
-    g = metric.comps
     slope = pairing(g, transport1, xi)
-
     lhs_dl = np.array([pairing(lie_outer.comps, Y, xi) for Y in projected], dtype=object)
     rhs_dl = np.array([pairing(g, grad1, Y) + pairing(g, transport1_twice, Y)
                        + directional_derivative(Y, slope) for Y in projected], dtype=object)
-    domain = [f1, f2]
-    double_lie = Check("double_lie", lhs_dl - rhs_dl, lhs_dl, domain)
 
     lhs_sq, rhs_sq = potential_square_lie_sides(xi, f2)
-    square_lie = Check("potential_square_lie", lhs_sq - rhs_sq, lhs_sq, domain)
 
-    grad2 = gradient(metric, f2)
-    xi_f2 = directional_derivative(xi, f2)
-    xi_xi_f2 = directional_derivative(xi, xi_f2)
-    transport2 = covariant_derivative(metric, xi, grad2)
     reference = np.array([directional_derivative(Y, f1) for Y in projected], dtype=object)
     along_f2 = np.array([directional_derivative(Y, f2) for Y in projected], dtype=object)
     transported = np.array([pairing(g, transport2, Y) for Y in projected], dtype=object)
     reduction = reference + Num(c1) * (xi_xi_f2 * along_f2) - Num(c1) * (xi_f2 * transported)
-    return [double_lie, square_lie,
+    return [alignment,
+            Check("grad_transport", transport, transport1.comps, domain),
+            Check("double_lie", lhs_dl - rhs_dl, lhs_dl, domain),
+            Check("potential_square_lie", lhs_sq - rhs_sq, lhs_sq, domain),
             Check("scalar_reduction", reduction, reference, domain)]
 
 

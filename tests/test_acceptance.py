@@ -24,10 +24,8 @@ from grsoliton.contact import (
 from grsoliton.fit import fit_constants
 from grsoliton.manifest import bundled_examples
 from grsoliton.soliton import (
-    build_alignment_check,
     build_soliton_check,
-    build_supporting_checks,
-    build_transport_check,
+    build_theorem_checks,
     gradient_form,
     run_checks,
 )
@@ -117,7 +115,7 @@ def test_criterion_3_sasakian_reproduction(sasakian_setup):
     soliton = report_of(m.chart, check, pts, m.params, 1e-9)
     assert soliton.rel_sup <= 1e-9
 
-    zeta, alignment_check = build_alignment_check(structure, f1, f2, c1)
+    alignment_check = build_theorem_checks(structure, f1, f2, c1, c2, lam)[0]
     alignment = report_of(m.chart, alignment_check, pts, tolerance=1e-8)
     assert alignment.rel_sup <= 1e-8
 
@@ -135,15 +133,14 @@ def test_criterion_4_lemma_suite(sasakian_setup):
     m, _, structure, pts = sasakian_setup
     f1, f2 = m.scalars["f1"], m.scalars["f2"]
     c1, c2, lam = INSTANCE_CONSTANTS["sasakian3"]
-    transport_check = build_transport_check(structure, f1, f2, c1, c2, lam)
+    transport_check, *identity_checks = build_theorem_checks(structure, f1, f2, c1, c2, lam)[1:]
     transport = report_of(m.chart, transport_check, pts, tolerance=1e-8)
     assert transport.passed, f"grad transport rel {transport.rel_sup:.3e}"
 
     ricci_reeb = report_of(m.chart, ricci_reeb_check(structure), pts)
     assert ricci_reeb.abs_sup <= 1e-9
 
-    identities = run_checks(m.chart, build_supporting_checks(structure, f1, f2, c1), pts,
-                            None, 1e-7)
+    identities = run_checks(m.chart, identity_checks, pts, None, 1e-7)
     for report in identities:
         assert report.passed, f"{report.name} rel {report.rel_sup:.3e}"
     _verdict(4, "transport identity, Ricci-Reeb pairing, and identity suite")

@@ -4,7 +4,10 @@ documented library API.
 Every public top-level function or class of the package must either be
 reached from cli.main, following the names that each top-level definition
 refers to (a class brings in everything its body refers to), or be named
-in README's "Library use" section.
+in README's "Library use" section.  Conversely, every name that section
+gives as module.name of a package module, or as a bare name with an
+underscore, must be a top-level definition of the package, so that a
+removed name cannot stay documented.
 """
 
 import ast
@@ -96,6 +99,23 @@ def test_public_names_are_reached_or_documented():
     missing = sorted(f"{module}.{name}" for module, name in definitions - reached
                      if name not in documented and f"{module}.{name}" not in documented)
     assert not missing, f"neither reached from cli.main nor in README: {missing}"
+
+
+def test_documented_names_exist():
+    _, edges = package_graph()
+    modules = {module for module, _ in edges}
+    defined = {name for _, name in edges}
+
+    def undefined(token):
+        module, dot, name = token.partition(".")
+        if dot:
+            return module in modules and (module, name) not in edges
+        return "_" in token and token not in defined
+
+    # a call's name counts too: `run_checks(chart, ...)` names run_checks
+    tokens = set(re.findall(r"`([A-Za-z_][\w.]*)[`(]", library_text()))
+    missing = sorted(filter(undefined, tokens))
+    assert not missing, f"named in README's Library use but not defined: {missing}"
 
 
 def test_the_census_follows_references():

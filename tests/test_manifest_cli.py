@@ -19,13 +19,12 @@ from grsoliton.manifest import (
 from grsoliton.report import emit_report
 from grsoliton.runner import run_manifest
 from grsoliton.soliton import (
-    build_alignment_check,
     build_soliton_check,
-    build_supporting_checks,
-    build_transport_check,
+    build_theorem_checks,
     gradient_form,
     run_checks,
 )
+from grsoliton.tensors import covariant_derivative
 
 from conftest import (
     SASAKIAN_ETA,
@@ -402,10 +401,8 @@ class TestRunManifest:
         structure = assemble_structure(manifest.chart, manifest.metric,
                                        *(manifest.structure[k] for k in ("phi", "xi", "eta")),
                                        points=points, params=params)
-        theorem = [build_alignment_check(structure, f1, f2, -1.0)[1],
-                   build_transport_check(structure, f1, f2, -1.0, 0.0, 1.0),
-                   ricci_reeb_check(structure),
-                   *build_supporting_checks(structure, f1, f2, -1.0)]
+        theorem = build_theorem_checks(structure, f1, f2, -1.0, 0.0, 1.0)
+        theorem[2:2] = [ricci_reeb_check(structure)]
         for subcommand, checks in (("check-soliton", [soliton]),
                                    ("check-theorem", theorem)):
             rows = run_manifest(manifest, subcommand).checks
@@ -413,6 +410,19 @@ class TestRunManifest:
             assert [dataclasses.replace(row, details={}) for row in rows] == reports
         [soliton] = run_manifest(manifest, "check-soliton").checks
         assert soliton.details == {"constants": {"c1": -1.0, "c2": 0.0, "lambda": 1.0}}
+
+    @pytest.mark.parametrize("subcommand", ["check-theorem", "all"])
+    def test_the_theorem_rows_build_each_transport_once(self, subcommand, monkeypatch):
+        # nabla_xi grad f1, nabla_xi grad f2 and nabla_xi nabla_xi grad f1:
+        # shared by five rows, built once each
+        built = []
+
+        def counted(metric, X, Y):
+            built.append(Y)
+            return covariant_derivative(metric, X, Y)
+        monkeypatch.setattr("grsoliton.soliton.covariant_derivative", counted)
+        run_manifest(bundled_examples("sasakian3"), subcommand)
+        assert len(built) == 3
 
     def test_the_axiom_row_reports_no_point_counts(self, capsys):
         doc = json.loads(resources.files("grsoliton").joinpath("data/sasakian3.json")

@@ -36,7 +36,7 @@ from grsoliton.fit import fit_constants
 from grsoliton.manifest import BUNDLED_NAMES, load_manifest, resolve_manifest
 from grsoliton.soliton import (
     build_soliton_check,
-    build_transport_check,
+    build_theorem_checks,
     gradient_form,
 )
 from grsoliton.tensors import riemann
@@ -383,7 +383,7 @@ def test_fit_constant_is_fitted_once_per_run(monkeypatch):
                                    manifest.structure["eta"], points=points,
                                    params=params)
     transport = report_of(manifest.chart,
-                          build_transport_check(structure, f1, f2, -1.0, 0.0, lam),
+                          build_theorem_checks(structure, f1, f2, -1.0, 0.0, lam)[1],
                           points, params, manifest.tolerance)
     assert rows["grad_transport"].abs_sup == transport.abs_sup
 

@@ -6,17 +6,15 @@ from grsoliton.contact import assemble_structure, ladder_checks, ladder_rows
 from grsoliton.expr import DomainError
 from grsoliton.soliton import (
     DEFAULT_TOLERANCE,
-    build_alignment_check,
     build_soliton_check,
-    build_supporting_checks,
-    build_transport_check,
+    build_theorem_checks,
     classify_constants,
     gradient_form,
     potential_square_lie_sides,
     run_checks,
     vector_form,
 )
-from grsoliton.tensors import gradient, vector_field
+from grsoliton.tensors import TensorField, gradient, vector_field
 
 from conftest import (
     SASAKIAN_ETA,
@@ -35,6 +33,19 @@ CONE_F1, CONE_F2 = "x^2/2 - ln(x)", "ln(x)"
 def paper_structure(sasakian_geometry):
     chart, g = sasakian_geometry
     return assemble_structure(chart, g, SASAKIAN_PHI, SASAKIAN_XI, SASAKIAN_ETA)
+
+
+def _theorem_check(structure, name, f1=SASAKIAN_F1, f2=SASAKIAN_F2, c2=0.0, lam=1.0):
+    """The theorem check called name, at c1 = -1."""
+    [check] = [c for c in build_theorem_checks(structure, f1, f2, -1.0, c2, lam)
+               if c.name == name]
+    return check
+
+
+def _alignment(structure, f1=SASAKIAN_F1, f2=SASAKIAN_F2):
+    """The alignment check at c1 = -1 and its field zeta, the check's reference."""
+    check = _theorem_check(structure, "theorem_alignment", f1, f2)
+    return TensorField(structure.chart, "vector", check.reference), check
 
 
 def _points(chart, count=300, seed=21):
@@ -79,6 +90,17 @@ class TestGradientForm:
         with pytest.raises(ValueError):
             build_soliton_check(g, gradient_form(g, "0", "0"), float("inf"), 0.0, 0.0)
 
+    @pytest.mark.parametrize("constants, name", [
+        ((float("nan"), 0.0, 1.0), "c1"),
+        ((-1.0, float("inf"), 1.0), "c2"),
+        ((-1.0, 0.0, -float("inf")), "lam"),
+    ])
+    def test_nonfinite_theorem_constant_rejected(self, paper_structure, constants, name):
+        # rejected before any term is built, not left to a DomainError that
+        # names a metric component
+        with pytest.raises(ValueError, match=f"^constant {name} must be finite"):
+            build_theorem_checks(paper_structure, SASAKIAN_F1, SASAKIAN_F2, *constants)
+
 
 class TestVectorForm:
     def test_gradient_substitution_doubles_the_residual(self, hyperbolic_geometry):
@@ -115,7 +137,7 @@ class TestAlignmentCondition:
     def test_paper_instance(self, paper_structure):
         chart = paper_structure.chart
         pts = _points(chart)
-        zeta, check = build_alignment_check(paper_structure, SASAKIAN_F1, SASAKIAN_F2, -1.0)
+        zeta, check = _alignment(paper_structure)
         report = report_of(chart, check, pts)
         assert report.passed
         # zeta = -(2 c2 + lam) cot(z) xi = -cot(z) xi here; cot reaches ~1e3
@@ -128,12 +150,12 @@ class TestAlignmentCondition:
 
     def test_zero_on_the_equator(self, paper_structure):
         midplane = [[0.3, -0.2, np.pi / 2]]
-        zeta, _ = build_alignment_check(paper_structure, SASAKIAN_F1, SASAKIAN_F2, -1.0)
+        zeta, _ = _alignment(paper_structure)
         assert np.abs(zeta.evaluate_at(midplane)).max() <= 1e-16
 
     def test_constant_potentials_give_zero(self, paper_structure):
         pts = _points(paper_structure.chart, 50)
-        zeta, check = build_alignment_check(paper_structure, "3", "-2", -1.0)
+        zeta, check = _alignment(paper_structure, "3", "-2")
         report = report_of(paper_structure.chart, check, pts)
         assert np.abs(zeta.evaluate_at(pts)).max() == 0.0
         assert report.abs_sup == 0.0
@@ -141,28 +163,27 @@ class TestAlignmentCondition:
 
 class TestGradTransport:
     def test_paper_instance(self, paper_structure):
-        check = build_transport_check(paper_structure, SASAKIAN_F1, SASAKIAN_F2,
-                                      -1.0, 0.0, 1.0)
+        check = _theorem_check(paper_structure, "grad_transport")
         report = report_of(paper_structure.chart, check, _points(paper_structure.chart))
         assert report.passed and report.abs_sup <= 1e-9
 
     def test_perturbation_detected(self, paper_structure):
-        check = build_transport_check(paper_structure, SASAKIAN_F1 + " + x", SASAKIAN_F2,
-                                      -1.0, 0.0, 1.0)
+        check = _theorem_check(paper_structure, "grad_transport", SASAKIAN_F1 + " + x")
         report = report_of(paper_structure.chart, check, _points(paper_structure.chart))
         assert report.abs_sup > 1e-3
         assert not report.passed
 
     def test_vanishing_data_with_cancelling_constants(self, paper_structure):
         # lam = -2 c2 n makes the right side vanish with zero potentials
-        check = build_transport_check(paper_structure, "0", "0", -1.0, 1.0, -2.0)
+        check = _theorem_check(paper_structure, "grad_transport", "0", "0", 1.0, -2.0)
         report = report_of(paper_structure.chart, check, _points(paper_structure.chart))
         assert report.abs_sup == 0.0
 
 
 class TestSupportingIdentities:
     def test_paper_instance(self, paper_structure):
-        checks = build_supporting_checks(paper_structure, SASAKIAN_F1, SASAKIAN_F2, -1.0)
+        checks = build_theorem_checks(paper_structure, SASAKIAN_F1, SASAKIAN_F2,
+                                      -1.0, 0.0, 1.0)[2:]
         reports = run_checks(paper_structure.chart, checks,
                              _points(paper_structure.chart), None, DEFAULT_TOLERANCE)
         assert [r.name for r in reports] == ["double_lie", "potential_square_lie",
@@ -206,7 +227,7 @@ class TestTheoremProperty:
                                     -1.0, 0.0, 1.0)
         soliton_ok = report_of(chart, check, pts, tolerance=1e-8).passed
         assert all(row.passed for row in ladder) and soliton_ok
-        _, check = build_alignment_check(paper_structure, SASAKIAN_F1, SASAKIAN_F2, -1.0)
+        _, check = _alignment(paper_structure)
         alignment = report_of(chart, check, pts, tolerance=1e-6)
         assert alignment.passed
 
