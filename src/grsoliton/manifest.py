@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from grsoliton.chart import ChartError, MetricError, define_chart, define_metric
@@ -40,7 +40,6 @@ class Manifest:
     scalars: dict = None             # {"f1": Expression, "f2": Expression}
     vectors: dict = None             # {"X1": [Expression], "X2": [Expression]}
     structure: dict = None           # {"phi": [[...]], "xi": [...], "eta": [...]}
-    raw: dict = field(default_factory=dict, repr=False)
 
     @property
     def mode(self):
@@ -274,7 +273,6 @@ def load_manifest(source):
         scalars=scalars,
         vectors=vectors,
         structure=structure,
-        raw=data,
     )
 
 

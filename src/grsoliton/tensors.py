@@ -13,7 +13,8 @@ array puts the differentiating index first, dY[i, k] = d_i Y^k
                                                  'lim,mjk->lijk' - 'ljm,mik->lijk'
     lowered R_lijk = g_lm R^m_ijk                              'lm,mijk->lijk'
         (pair symmetry R_lijk = R_jkli)
-    Ric_jk = R^a_akj  (the curvature-operator trace)           'aakj->jk'
+    Ric_jk = R^a_akj = d_a G^a_jk - d_k G^a_aj + G^a_am G^m_jk - G^a_km G^m_aj
+             'aajk->jk' - 'kaaj->jk' + 'aam,mjk->jk' - 'akm,maj->jk'
     Hess f_ij = d_i d_j f - Gamma^k_ij d_k f                   'kij,k->ij'
     (grad f)^i = g^ij d_j f;  (X^flat)_i = g_ij X^j            'ij,j->i'
     (nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j           'i,ik->k' + 'kij,i,j->k'
@@ -182,31 +183,22 @@ def christoffel(metric):
     return _derived(metric, "christoffel", build)
 
 
-def _curvature(metric, i, j, l):
-    """R^l_ijk for the index pairs (i[p], j[p]) and the indices l, as
-    terms[p, l, k]: l = arange(n) gives every R^l_ijk and l = i[:, None]
-    the trace R^i_ijk; either way the fold of riemann."""
-    n = metric.dim
-    gamma = christoffel(metric).comps
-    # dgamma[a, l, j, k] = d_a G^l_jk, from the upper triangle in (j, k)
-    rows, cols = upper_pairs(n)
-    dgamma = from_upper(derivative(gamma[:, rows, cols], metric.chart.names), n)
-    i, j = i[:, None], j[:, None]
-    base = dgamma[i, l, j] - dgamma[j, l, i]
-    # products[m, p, l, k] = G^l_im G^m_jk, swapped the same with i, j exchanged
-    products = gamma[l, i].transpose(2, 0, 1)[..., None] * gamma[:, j]
-    swapped = gamma[l, j].transpose(2, 0, 1)[..., None] * gamma[:, i]
-    return fold(base, (operator.add, products), (operator.sub, swapped))
-
-
 def riemann(metric):
     """R^l_ijk = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik."""
     def build():
-        n = metric.dim
-        # built on the pairs (i, j), i != j, since R^l_iik = 0
+        n, names = metric.dim, metric.chart.names
+        gamma = christoffel(metric).comps
+        # dgamma[l, a, j, k] = d_a G^l_jk, from the upper triangle in (j, k)
+        rows, cols = upper_pairs(n)
+        dgamma = from_upper(derivative(gamma[:, rows, cols], names).swapaxes(0, 1), n)
+        # built on the pairs (i, j), i != j, since R^l_iik = 0, as [l, pair, k]
         i, j = np.nonzero(~np.eye(n, dtype=bool))
+        # products[m, l, pair, k] = G^l_im G^m_jk, swapped the same with i, j exchanged
+        products = gamma[:, i].transpose(2, 0, 1)[..., None] * gamma[:, j][:, None]
+        swapped = gamma[:, j].transpose(2, 0, 1)[..., None] * gamma[:, i][:, None]
         comps = np.full((n,) * 4, expr.ZERO, dtype=object)
-        comps[:, i, j] = _curvature(metric, i, j, np.arange(n)).transpose(1, 0, 2)
+        comps[:, i, j] = fold(dgamma[:, i, j] - dgamma[:, j, i], (operator.add, products),
+                              (operator.sub, swapped))
         return TensorField(metric.chart, "curv", comps)
     return _derived(metric, "riemann", build)
 
@@ -221,14 +213,21 @@ def riemann_lowered(metric):
 
 
 def ricci(metric):
-    """Ricci tensor of the curvature operator, Ric_jk = R^a_akj, built from
-    the trace R^a_a.. alone: the same nodes as the trace of riemann()."""
+    """Ric_jk = R^a_akj = d_a G^a_jk - d_k G^a_aj + G^a_am G^m_jk - G^a_km G^m_aj,
+    built on the pairs j <= k from the divergence d_a G^a_jk and the
+    gradient of t_j = G^a_aj alone, with G^a_am G^m_jk = t_m G^m_jk."""
     def build():
-        n = metric.dim
-        i, j = np.nonzero(~np.eye(n, dtype=bool))
-        trace = np.full((n, n, n), expr.ZERO, dtype=object)   # [a, k, j] = R^a_akj
-        trace[i, j] = _curvature(metric, i, j, i[:, None])[:, 0]
-        return TensorField(metric.chart, "sym2", np.add.reduce(trace).T)
+        n, names = metric.dim, metric.chart.names
+        gamma = christoffel(metric).comps
+        rows, cols = upper_pairs(n)
+        upper = gamma[:, rows, cols]                                 # [a, pair]
+        trace = np.add.reduce(gamma[np.arange(n), np.arange(n)])     # t_j
+        divergence = np.add.reduce([derivative(upper[a], names[a])[0] for a in range(n)])
+        # quadratic[a, m, pair] = G^a_km G^m_aj
+        quadratic = gamma[:, cols].transpose(0, 2, 1) * gamma[:, :, rows].transpose(1, 0, 2)
+        comps = (divergence - derivative(trace, names)[cols, rows] + trace @ upper
+                 - np.add.reduce(quadratic.reshape(n * n, -1)))
+        return TensorField(metric.chart, "sym2", from_upper(comps, n))
     return _derived(metric, "ricci", build)
 
 

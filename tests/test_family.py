@@ -1,14 +1,18 @@
 """The standard Sasakian structures on R^(2m+1) and their vector-form
-soliton (conftest.sasakian_family), through the CLI: every row of `all`
-passes, the fit recovers the family of constants that the eta-Einstein
-Ricci predicts, and each defect fails exactly the rows it should."""
+soliton (conftest.sasakian_family): the Ricci tensor is the closed-form
+eta-Einstein one, and through the CLI every row of `all` passes, the fit
+recovers the family of constants that this Ricci predicts, and each
+defect fails exactly the rows it should."""
 
 import json
 
 import numpy as np
 import pytest
 
+from grsoliton.chart import sample_points
 from grsoliton.cli import main
+from grsoliton.manifest import load_manifest
+from grsoliton.tensors import oneform_field, ricci
 
 from conftest import sasakian_family
 
@@ -21,6 +25,20 @@ def run(capsys, subcommand, doc, code):
     must exit with code."""
     assert main([subcommand, "--manifest", json.dumps(doc), "--format", "json"]) == code
     return {row["name"]: row for row in json.loads(capsys.readouterr().out)["checks"]}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("a", [0.5, 1, 2.5, 7.3, 10])
+def test_ricci_is_eta_einstein(m, a):
+    # Ric_a = -2 g_a + (2m + 2) eta_a.eta_a (Boyer, Galicki & Matzeu, 2006)
+    doc = sasakian_family(m, a)
+    manifest = load_manifest(doc)
+    points = sample_points(manifest.chart, "uniform", 300, seed=83)
+    eta = oneform_field(manifest.chart, doc["structure"]["eta"]).evaluate_at(points)
+    expected = (-2 * manifest.metric.evaluate_at(points)
+                + (2 * m + 2) * eta[:, :, None] * eta[:, None, :])
+    gap = np.abs(ricci(manifest.metric).evaluate_at(points) - expected).max()
+    assert gap <= 1e-11 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -103,7 +103,9 @@ MANIFESTS = {
 }
 
 # recorded with the hand-written contraction loops, before einsum, except
-# for "foldable"
+# for "foldable"; "ricci", "design_fields" and the plans that hold Ricci
+# were re-recorded when Ricci became the direct contraction of the
+# Christoffel symbols instead of the trace of the curvature fold
 EXPECTED = {
     "hyperbolic": {
         "christoffel":
@@ -113,15 +115,15 @@ EXPECTED = {
         "riemann_lowered":
             "80fe2acf51cefdc658d306f824f889f596cd172336e49dd48557699658d0ee79",
         "ricci":
-            "db635e6407b5324cf8cf4eecb325ee4ab090c3b607566be286cf0e3ee058c0bb",
+            "6abfb73b1da540d8f97d9454ff9b1df0e25fd7a4b98c3fa15b70533f9bd1fb57",
         "hessian":
             "6145cc64e7511afb667d122d75eb1513746e4e529b875e176db7379cf7b22b62",
         "gradient":
             "bbb6841c2a78c47e3c72b72087e153ed746f0b233df3204cd527554145cdc106",
         "design_fields":
-            "2d42b78122e507937832e7a01d7d9f2e76584df7940adb12b16f9193f469a672",
+            "9238a70382477024961ebe98dedf5152c55af2b06c1aef2e37d06c6377a1672a",
         "check-soliton/plan0":
-            "514f426c3d0e61966840ac044e03e646a1a93c73d6e334eaebf7fe823a6b1344",
+            "f3de75593ac0d37443f84be37dadefb062663bc3a03e82257c1971059618ce90",
     },
     "cone": {
         "christoffel":
@@ -131,15 +133,15 @@ EXPECTED = {
         "riemann_lowered":
             "4eb08906c42570a113e8250c31ab33fd88b345b751df76ebcac81de78fc21c93",
         "ricci":
-            "18bc2bb48fb21fe06385d07a3d1e1a2f7da6aa04309ef02fbf5ad796d760bbd3",
+            "d4396be6f9542794446fa97d5db34130be3ff4307626ab54d78005ffb1fabc2f",
         "hessian":
             "821d2c6bac0f14c7d6b67d057035fa7a408769977f0da9ea3adcd3cc93b77bc5",
         "gradient":
             "2cc6b74bcda2b441509be122cab3a278fab30cc1d4cd374f4bc8de3d36fe4cf0",
         "design_fields":
-            "da065672f249cdb977786cd6afd01930653c0e244359e7aecdc19e56e252bf9e",
+            "f935bc3bee082f96b76d3803e4d78421ae01340b9cb27e76d6f08a2ac8f4cff2",
         "check-soliton/plan0":
-            "c9457947a4800dfa8141736ee07d494ddecc5d13912999d453362bf1549311af",
+            "e9a92e876c7f779d3c5f6a528635ae72f394af1cee1b37e4ef49097c4fd48675",
     },
     "sasakian3": {
         "christoffel":
@@ -149,13 +151,13 @@ EXPECTED = {
         "riemann_lowered":
             "33dd4bb9ebe99b2326bd0bacfe74452542de917146285a9c666e4662073df878",
         "ricci":
-            "1d791a89076978034731e265f1d8a0c9ba03a0f1b202de9a4220dd734f180d61",
+            "6690b82774401215be43d825c2193c7963fbcb5b8677715c1bcf254c8384d965",
         "hessian":
             "ec454ffd5307c99c40d2ceb90bf0c67b97ad2eb95d7bcb2e2ca47e01d5a5d632",
         "gradient":
             "0cba1b22d5cf6a17737a4b9e0efc421cd024c0523486e6b4cd0ac3be27ed3367",
         "design_fields":
-            "2dc736285f3efc3420338b5fb149c07543e3fa27f54687d223801f932641cbbc",
+            "aa3852748f0a3807e72ed253ca96eb0dec5d68e19d4278b4852855445baab8fc",
         "sasakian_identities":
             "e7dac19d0d66187618eab8b39bd5e5f3571b2a02ab5a2f8175c062dc7ede9d40",
         "check-soliton/plan0":
@@ -167,7 +169,7 @@ EXPECTED = {
         "check-theorem/plan0":
             "d9e2ffb3af7b8051325d288d020d79ad0eea2a019678c827cf6316d4b8d6c1a0",
         "check-theorem/plan1":
-            "aaac0eeedb3115b3a879f4f9e4e4cbb7b7d608405a80a20df26874a0dcf40180",
+            "010797ac10603d909735aff4cb93e6629d051b7550e1f5c0ce008b5f25a390c8",
     },
     "dense4": {
         "christoffel":
@@ -177,15 +179,15 @@ EXPECTED = {
         "riemann_lowered":
             "c7923c3017578463ef4ef22e3c1ef185a35feb56268188a58c7a305557669c46",
         "ricci":
-            "94cb9d92060949fc4508ee2971a99fa6614e61573d008449206ae094df74e4d8",
+            "67a153d2a3cdc77b7b7627c5924225e54f19bfc13e5c0548f9c9269d64d405aa",
         "hessian":
             "deedd8e1bad8b3f2fa318c15b9fc20b8b568f385bb55a3c241d4ec1cd9115182",
         "gradient":
             "cfa7322a0b933d4bb7f7f64fcdb478ba9607e9b3dde3cf1a991cf5d56c46344f",
         "design_fields":
-            "61df50c064c2c2f0fcfb02e8dd4f0965795d496e1d8807448092e7120856a102",
+            "dad2cb3ab66105c33389880b0dfaf097c5e1b52f88db7a734d0732a445ab68fb",
         "check-soliton/plan0":
-            "67a26a6017eef7643e7ea1bba79b8407edffcef33a9358cfd4bffdd295141a97",
+            "bd721fd821783f02121c15bad5dd8da32a72a2e6f2aa8cd0efe96cdcfaf6aeed",
     },
     "dense4-vectors": {
         "christoffel":
@@ -195,9 +197,9 @@ EXPECTED = {
         "riemann_lowered":
             "c7923c3017578463ef4ef22e3c1ef185a35feb56268188a58c7a305557669c46",
         "ricci":
-            "94cb9d92060949fc4508ee2971a99fa6614e61573d008449206ae094df74e4d8",
+            "67a153d2a3cdc77b7b7627c5924225e54f19bfc13e5c0548f9c9269d64d405aa",
         "check-soliton/plan0":
-            "fcf1c42626fdece600f91a56c77792e4bd9a72a89400d5fdfc4cae4b307ade65",
+            "f4c7d3125e85f876d1ce285f9e111b6cc5f39b59fa2027806388c45d9a94ce57",
     },
     "dense5": {
         "christoffel":
@@ -207,17 +209,17 @@ EXPECTED = {
         "riemann_lowered":
             "eff675738700126dd7699b5b2dc0a68e4f197de481a8fb41f92dae9be4050a86",
         "ricci":
-            "67d8e35e65a0aceb58e34af6eed0f5bfef93222057b32f708ed11c77dbc54dd1",
+            "ea638c34b5ebcbd77e1693f79f6d2079d2a374b4c3554201d4d42234527665c5",
         "hessian":
             "e49eab8e49d02473d879ef5f55158aab5bf94a1b014a01f197a30b78782917bb",
         "gradient":
             "26de5f22d5352737d8f3ae4a2428268efb0dd36419d3cc3e3f052e8de2fd94e7",
         "design_fields":
-            "0eb16cbedbcbe47da4e187b6105f252099a29218f63005f4ae942a60ba69f054",
+            "15be85085abd2a2a6836e76b509960ae0410548a2e905cefc5b934dc26f799dc",
         "sasakian_identities":
             "0db8e03a9b35a8b6743f9ef55b4dbfb3b448a7416f3172cc156ed145c7413a03",
         "check-soliton/plan0":
-            "5f0a5843a2175509fe9bd873ae0e83eb4761af3c67166bec2a9cdd90dec4bf2d",
+            "dcfac74047df634f745462563913fa25186fb2b887f3cfce144b07431e27317f",
         "check-structure/plan0":
             "89e16410429a8a117a7903a1301f66dfb52369c5359cc06704583f152a6cff09",
         "check-structure/plan1":
@@ -225,7 +227,7 @@ EXPECTED = {
         "check-theorem/plan0":
             "89e16410429a8a117a7903a1301f66dfb52369c5359cc06704583f152a6cff09",
         "check-theorem/plan1":
-            "16e90ded005ddcbcbcf5b870f976bccd2a89a9629e10483851423c82eb488756",
+            "f523e7353b57e85e7d863b4097d2ebcdcf594b79bf90c7489020b04f449e61eb",
     },
     # recorded while every builder still simplified its components
     "foldable": {
@@ -236,17 +238,17 @@ EXPECTED = {
         "riemann_lowered":
             "52c0970daa4abc008554fe3f88090f5ed28ba1d79395372c2c2246b425db8295",
         "ricci":
-            "808018d38881468918cd0f624d4e21c73eef1c6878140b6738e8400cef7fe907",
+            "eef74f22b7543ac3b571cbde8ee18e3e1eaffca26814b3db54927c48d43689ba",
         "hessian":
             "3ff854c69643421223e14db701e54516e5dfde1b47374be46dea5368ac84655b",
         "gradient":
             "30ed4b41e2a70e3b992d250948e4f15ca930765c58b457d2d6864c2fe434522f",
         "design_fields":
-            "a062827a21106db384f500cd76d3de626df721be51dc16349e1c532b65f10a95",
+            "902de4da7a43ebacf7db9ba76218c5e757eedc8244bd4a464171b669ed103958",
         "sasakian_identities":
             "75c04f59a44cfdda999c54d74c3363b66ba710bf5ce3934570a65bd92ee9aefe",
         "check-soliton/plan0":
-            "67e84a75e1d5e4ecf056e7b3af2c659f829ae0e1cd6587a3bba5d084e6c982db",
+            "95ff372cd6bf6f23b20cd52e626aa108e168ce62c9d52e4768f87be412d0c0b0",
         "check-structure/plan0":
             "7e34eefbff4c95d89628c0012a4ab2cb71bfce7bff7b42a77ab810b0f9e013c6",
         "check-structure/plan1":
@@ -254,7 +256,7 @@ EXPECTED = {
         "check-theorem/plan0":
             "7e34eefbff4c95d89628c0012a4ab2cb71bfce7bff7b42a77ab810b0f9e013c6",
         "check-theorem/plan1":
-            "e7532d60c92e13f63772e7310905ace93f9f50f79798ca2d51271a6229a66b12",
+            "a5e075344e7bed411a750f061732175d1129c51c612bc1bd21d436ce263fabf4",
     },
 }
 

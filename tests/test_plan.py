@@ -39,7 +39,7 @@ from grsoliton.soliton import (
     build_theorem_checks,
     gradient_form,
 )
-from grsoliton.tensors import riemann
+from grsoliton.tensors import ricci, riemann
 
 from conftest import (
     SASAKIAN_ETA,
@@ -49,6 +49,7 @@ from conftest import (
     report_of,
     structural_classes,
 )
+from test_golden_trees import DENSE4, DENSE5
 
 _NUMPY_CALLS = {"exp": np.exp, "ln": np.log, "sin": np.sin, "cos": np.cos,
                 "tan": np.tan, "sqrt": np.sqrt}
@@ -530,20 +531,25 @@ def test_reports_do_not_read_freed_buffers(name, subcommand, monkeypatch):
     assert _report_bytes(runner.run_manifest(manifest, subcommand, count=2 * 8192 + 3)) == want
 
 
-def test_a_run_builds_only_the_trace_of_the_curvature():
-    # no row reads R^l_ijk; Ricci is built from the trace R^a_a.. alone
+def test_a_run_builds_no_riemann_and_ricci_is_its_trace():
+    # no row reads R^l_ijk; Ricci is contracted from the Christoffel
+    # symbols, and agrees with the trace R^a_akj of the full tensor
     manifest = load_manifest(json.loads(resources.files("grsoliton")
                                         .joinpath("data/sasakian3.json").read_text()))
     assert runner.run_manifest(manifest, "all").overall_pass
     assert "ricci" in manifest.metric.derived
     assert "riemann" not in manifest.metric.derived
-    assert manifest.metric.derived["ricci"].comps.tolist() == \
-        np.add.reduce(riemann(manifest.metric).comps[np.arange(3), np.arange(3)]).T.tolist()
+    others = [resolve_manifest(name) for name in BUNDLED_NAMES]
+    for other in others + [load_manifest(DENSE4), load_manifest(DENSE5)]:
+        points = sample_points(other.chart, "uniform", 200, seed=3)
+        ric = ricci(other.metric).evaluate_at(points)
+        trace = np.einsum("paakj->pjk", riemann(other.metric).evaluate_at(points))
+        assert np.abs(ric - trace).max() <= 1e-12 * np.abs(trace).max()
 
 
-@pytest.mark.parametrize("name, pools", [("hyperbolic", [1, 15, 17]),
+@pytest.mark.parametrize("name, pools", [("hyperbolic", [1, 16, 18]),
                                          ("cone", [1, 11, 15]),
-                                         ("sasakian3", [3, 42, 52])])
+                                         ("sasakian3", [3, 45, 50])])
 def test_each_plan_keeps_its_buffer_pool(name, pools, monkeypatch, capsys):
     # buffers per plan (metric validation, axiom gate, main plan): the
     # same at 200 points as at 100k, where they are most of a run's memory

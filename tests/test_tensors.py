@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grsoliton import expr
-from grsoliton.chart import evaluate_field, sample_points
+from grsoliton.chart import define_chart, define_metric, evaluate_field, sample_points
 from grsoliton.tensors import (
     TensorField,
     christoffel,
     covariant_derivative,
+    derivative,
     directional_derivative,
     gradient,
     hessian,
@@ -121,6 +124,44 @@ class TestRicci:
         pts = sample_points(chart, "uniform", 100, seed=17)
         ric = ricci(g).evaluate_at(pts)
         assert relative_gap(ric - ric.transpose(0, 2, 1), ric) <= 1e-12
+
+
+# smooth terms of a conformal factor phi, in coordinates x{i} and x{j}
+PHI_TERMS = ("x{i}*x{j}", "sin(x{i} + x{j}/2)", "cos(x{i}*x{j})", "exp(x{i}/2 - x{j}/3)")
+
+
+@st.composite
+def conformal_factors(draw, n):
+    """phi as text: a sum of one to four PHI_TERMS with coefficients in [-1, 1]."""
+    index = st.integers(0, n - 1)
+    terms = draw(st.lists(st.tuples(st.floats(-1, 1), st.sampled_from(PHI_TERMS), index, index),
+                          min_size=1, max_size=4))
+    return " + ".join(f"({c:.3f})*{term.format(i=i, j=j)}" for c, term, i, j in terms)
+
+
+class TestConformallyFlatRicci:
+    """Ricci of g = e^(2 phi) delta against Besse's formula (Einstein
+    Manifolds, 1987, 1.J), Ric = -(n-2)(dd phi - dphi.dphi) - (lap phi +
+    (n-2)|dphi|^2) delta, in flat operators: no Christoffel symbol and no
+    curvature enters the oracle."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_against_the_conformal_formula(self, n, data):
+        phi = data.draw(conformal_factors(n))
+        chart = define_chart([f"x{i}" for i in range(n)])
+        g = define_metric(chart, [[f"exp(2*({phi}))" if i == j else "0" for j in range(n)]
+                                  for i in range(n)])
+        pts = sample_points(chart, "uniform", 300, seed=79)
+        dphi = derivative(expr.parse(phi), chart.names)
+        env = chart.env_at(pts)
+        d = evaluate_field(dphi, env, len(pts))
+        dd = evaluate_field(derivative(dphi, chart.names), env, len(pts))
+        oracle = (-(n - 2) * (dd - d[:, :, None] * d[:, None, :])
+                  - (np.trace(dd, axis1=1, axis2=2) + (n - 2) * (d * d).sum(axis=1))
+                  [:, None, None] * np.eye(n))
+        assert relative_gap(ricci(g).evaluate_at(pts) - oracle, oracle) <= 1e-12
 
 
 class TestGradient:

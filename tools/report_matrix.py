@@ -11,8 +11,11 @@ table), and "" when the run printed nothing.  Point PYTHONPATH at another checko
 that checkout.
 
 `diff` prints every case whose entry differs, by row and key for JSON
-reports and by line for tables, then a count; it exits 1 when any case
-differs.
+reports and by line for tables, then a count, then how many cases change
+exit code or the `passed` of some JSON row, and the largest change of
+`abs_residual` and of `rel_residual` among JSON rows that pass on both
+sides (a change that only rounds reads 0 cases and small moves); it exits
+1 when any case differs.
 
 The matrix: the three bundled manifests as they are, with lambda + 1 and
 with lambda = "fit"; a NaN eta, an infinite eta, a transposed phi,
@@ -129,6 +132,14 @@ def run(path):
     print(f"{len(results)} cases written to {path}")
 
 
+RESIDUALS = ("abs_residual", "rel_residual")
+
+
+def _rows(report):
+    """{name: row} of a JSON report's checks, {} for any other output."""
+    return {r["name"]: r for r in report.get("checks", [])} if isinstance(report, dict) else {}
+
+
 def _row_diffs(before, after):
     """Lines naming every differing top-level key and every differing
     key of each check row (rows matched by name)."""
@@ -136,8 +147,7 @@ def _row_diffs(before, after):
     for key in sorted(set(before) | set(after)):
         if key != "checks" and before.get(key) != after.get(key):
             lines.append(f"  {key}: {before.get(key)!r} -> {after.get(key)!r}")
-    rows_a = {r["name"]: r for r in before.get("checks", [])}
-    rows_b = {r["name"]: r for r in after.get("checks", [])}
+    rows_a, rows_b = _rows(before), _rows(after)
     if list(rows_a) != list(rows_b):
         lines.append(f"  row order: {list(rows_a)} -> {list(rows_b)}")
     for name in [*rows_a, *(n for n in rows_b if n not in rows_a)]:
@@ -154,7 +164,8 @@ def diff(path_a, path_b):
         before = json.load(f)
     with open(path_b) as f:
         after = json.load(f)
-    differing = 0
+    differing, verdicts = 0, 0
+    moves = dict.fromkeys(RESIDUALS, 0.0)
     for case in sorted(set(before) | set(after)):
         a, b = before.get(case), after.get(case)
         if a == b:
@@ -165,6 +176,14 @@ def diff(path_a, path_b):
             print(f"  only in {path_a if b is None else path_b}")
             continue
         (code_a, out_a, err_a), (code_b, out_b, err_b) = a, b
+        rows_a, rows_b = _rows(out_a), _rows(out_b)
+        verdicts += code_a != code_b or any(
+            rows_a.get(name, {}).get("passed") != rows_b.get(name, {}).get("passed")
+            for name in {*rows_a, *rows_b})
+        for name in rows_a.keys() & rows_b.keys():
+            if rows_a[name]["passed"] and rows_b[name]["passed"]:
+                for key in RESIDUALS:
+                    moves[key] = max(moves[key], abs(rows_b[name][key] - rows_a[name][key]))
         if code_a != code_b:
             print(f"  exit code: {code_a} -> {code_b}")
         if err_a != err_b:
@@ -178,6 +197,8 @@ def diff(path_a, path_b):
                 if line_a != line_b:
                     print(f"  - {line_a}\n  + {line_b}")
     print(f"{differing} of {len(set(before) | set(after))} cases differ")
+    print(f"{verdicts} change exit code or a row's passed; largest change on rows passing "
+          "on both sides: " + ", ".join(f"{key} {moves[key]:.3g}" for key in RESIDUALS))
     return 1 if differing else 0
 
 
