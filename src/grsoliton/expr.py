@@ -19,25 +19,27 @@ hash-consing", 2006), so structurally equal expressions are one object
 however they were built.  The intern table holds a weak reference to each
 node, which removes its entry when the node dies, so a node lives exactly
 as long as something else refers to it.  Each node carries the tuple of
-its children, which every walk reads, and caches its simplified form and,
-weakly, its derivatives, so simplifying or differentiating a node again,
-in any call, is one lookup.  A node is marked as its own simplification
-when it is made if it is a number or a symbol, or if a smart constructor
-(add, sub, mul, div, pow_, neg, call) builds it from simplified nodes,
-unless it is a power of two numbers; so is every node simplify() returns,
-and so the derivative of a simplified node, which the smart constructors
-build.  Only raw nodes, which the parser builds through the classes, need
-a walk to simplify.  Every walk over a tree is a loop, not a recursion, so
-a tree deeper than Python's recursion limit is handled like any other.
-Vectorised evaluation (evaluate_many_multi) computes each node once and
-runs over the points in fixed-size chunks.  Every value a chunk computes
-lives in one of a fixed pool of chunk-long buffers, allocated once per
-run and reused by a later value after the last read of an earlier one;
-each group of root values goes to the sink that reduces it as soon as the
-chunk has computed it, and the plan then reuses its buffers, so no value
-outlives its chunk unless the sink copies it.
+its children, which every walk reads, and caches its simplified form and
+its derivatives, so simplifying or differentiating a node again, in any
+call, is one lookup; derivatives are looked up weakly, and pinned outside
+the nodes while a hold lasts (holding()).  A node is marked as its own
+simplification when it is made if it is a number or a symbol, or if a
+smart constructor (add, sub, mul, div, pow_, neg, call) builds it from
+simplified nodes, unless it is a power of two numbers; so is every node
+simplify() returns, and so the derivative of a simplified node, which the
+smart constructors build.  Only raw nodes, which the parser builds through
+the classes, need a walk to simplify.  Every walk over a tree is a loop,
+not a recursion, so a tree deeper than Python's recursion limit is handled
+like any other.  Vectorised evaluation (evaluate_many_multi) computes each
+node once and runs over the points in fixed-size chunks.  Every value a
+chunk computes lives in one of a fixed pool of chunk-long buffers, allocated
+once per run and reused by a later value after the last read of an earlier
+one; each group of root values goes to the sink that reduces it as soon as
+the chunk has computed it, and the plan then reuses its buffers, so no
+value outlives its chunk unless the sink copies it.
 """
 
+import contextlib
 import math
 import re
 import struct
@@ -110,7 +112,7 @@ class Expression:
     when the node is its own simplification, so no node refers to itself);
     _derivatives maps a variable name to a weak reference to the node's
     derivative, since a derivative may contain its node
-    (d exp(u) = exp(u) * du).
+    (d exp(u) = exp(u) * du); a hold (holding()) pins it from outside.
     """
 
     __slots__ = ("__weakref__", "_kids", "_simple", "_derivatives")
@@ -436,6 +438,21 @@ def differentiate(e, var):
     return _derivative(e, var)
 
 
+_held = None  # the derivatives built in the outermost hold; None outside one
+
+
+@contextlib.contextmanager
+def holding():
+    """Keep every derivative built in the block alive until the outermost
+    hold ends, on an exception too; a nested hold shares its list."""
+    global _held
+    outer, _held = _held, [] if _held is None else _held
+    try:
+        yield
+    finally:
+        _held = outer
+
+
 def _derivative(root, var):
     return _bottom_up(root, _derivative_rule, _cached_derivative, var)
 
@@ -476,6 +493,8 @@ def _derivative_rule(node, kids, var):
     if node._derivatives is None:
         node._derivatives = {}
     node._derivatives[var] = weakref.ref(out)
+    if _held is not None:
+        _held.append(out)
     return out
 
 

@@ -31,6 +31,7 @@ from grsoliton.contact import (
     ladder_rows,
     ricci_reeb_check,
 )
+from grsoliton.expr import holding
 from grsoliton.fit import FitQR, TooFewPointsError, design_fields
 from grsoliton.manifest import ManifestError, run_settings
 from grsoliton.report import Report
@@ -75,27 +76,28 @@ def run_manifest(manifest, subcommand, count=None, seed=None, tolerance=None,
     fits = manifest.mode is not None and (
         subcommand in ("fit", "all")
         or (bool(manifest.fit_targets()) and subcommand != "check-structure"))
-    run = _Run(manifest, points, tol, fits)
-    # the first pass: the fit's design, in the axiom gate's pass or its own
-    first = [(design_fields(manifest.metric, run.form), run.design)] if fits else []
-    structure = None
-    if subcommand in ("check-structure", "check-theorem", "all") \
-            and manifest.structure is not None:
-        structure = _assemble(run, d_convention, first,
-                              classify=subcommand != "check-theorem")
-    elif first:
-        reduce_fields(first, manifest.chart.env_at(points, manifest.params), len(points))
-    if subcommand in ("check-soliton", "all") and manifest.mode is not None:
-        _soliton_rows(run)
-    if subcommand in ("check-theorem", "all") and structure is not None \
-            and manifest.scalars is not None:
-        _theorem_rows(run, structure)
-    if subcommand in ("fit", "all") and manifest.mode is not None:
-        _fit_row(run, explicit=subcommand == "fit")
+    with holding():  # one lifetime for the run's derivatives
+        run = _Run(manifest, points, tol, fits)
+        # the first pass: the fit's design, in the axiom gate's pass or its own
+        first = [(design_fields(manifest.metric, run.form), run.design)] if fits else []
+        structure = None
+        if subcommand in ("check-structure", "check-theorem", "all") \
+                and manifest.structure is not None:
+            structure = _assemble(run, d_convention, first,
+                                  classify=subcommand != "check-theorem")
+        elif first:
+            reduce_fields(first, manifest.chart.env_at(points, manifest.params), len(points))
+        if subcommand in ("check-soliton", "all") and manifest.mode is not None:
+            _soliton_rows(run)
+        if subcommand in ("check-theorem", "all") and structure is not None \
+                and manifest.scalars is not None:
+            _theorem_rows(run, structure)
+        if subcommand in ("fit", "all") and manifest.mode is not None:
+            _fit_row(run, explicit=subcommand == "fit")
 
-    if not run.groups:
-        raise ManifestError(f"manifest has no content for subcommand {subcommand!r}")
-    rows = run.rows()
+        if not run.groups:
+            raise ManifestError(f"manifest has no content for subcommand {subcommand!r}")
+        rows = run.rows()
     return Report(
         manifest_digest=manifest.digest,
         subcommand=subcommand,
@@ -233,13 +235,9 @@ def _soliton_row(run, reports, constants):
 
 def _theorem_rows(run, structure):
     constants, _ = run.resolved
-    f1 = run.manifest.scalars["f1"]
-    f2 = run.manifest.scalars["f2"]
-    # built first: the theorem checks reuse the Christoffel derivatives
-    # that its Ricci tensor holds; its row follows grad_transport
-    ricci_reeb = ricci_reeb_check(structure)
+    f1, f2 = (run.manifest.scalars[k] for k in ("f1", "f2"))
     checks = build_theorem_checks(structure, f1, f2, *(constants[k] for k in CONSTANT_ORDER))
-    run.add([*checks[:2], ricci_reeb, *checks[2:]])
+    run.add([*checks[:2], ricci_reeb_check(structure), *checks[2:]])
 
 
 def _fit_rows(run, reports, fit, restricted=False, constants=None):

@@ -353,6 +353,7 @@ def build_theorem_checks(structure, f1, f2, c1, c2, lam):
     xi_f2 = directional_derivative(xi, f2)
     xi_xi_f2 = directional_derivative(xi, xi_f2)
     transport1 = covariant_derivative(metric, xi, grad1)
+    transport1_twice = covariant_derivative(metric, xi, transport1)
     transport2 = covariant_derivative(metric, xi, grad2)
 
     zeta = grad1.comps + Num(c1) * (xi_xi_f2 * grad2.comps) \
@@ -363,12 +364,7 @@ def build_theorem_checks(structure, f1, f2, c1, c2, lam):
     transport = transport1.comps - Num(lam + 2.0 * c2 * structure.n) * xi.comps \
         + Num(c1) * (xi_f2 * grad2.comps)
 
-    # transport1_twice reads derivatives that lie_outer builds, and a
-    # derivative stays cached only while its node lives: build it last,
-    # with lie_inner alive
-    lie_inner = lie_derivative_sym2(metric_tensor_field(metric), grad1)
-    lie_outer = lie_derivative_sym2(lie_inner, xi)
-    transport1_twice = covariant_derivative(metric, xi, transport1)
+    lie_outer = lie_derivative_sym2(lie_derivative_sym2(metric_tensor_field(metric), grad1), xi)
     slope = pairing(g, transport1, xi)
     lhs_dl = np.array([pairing(lie_outer.comps, Y, xi) for Y in projected], dtype=object)
     rhs_dl = np.array([pairing(g, grad1, Y) + pairing(g, transport1_twice, Y)

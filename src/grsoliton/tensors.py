@@ -1,10 +1,10 @@
 """Connection, curvature, and differential operators from a metric.
 
-Everything here is symbolic: components are expression trees derived once
-per metric (memoised on the MetricField) and evaluated in bulk at sample
-points.  Index conventions, each with its einsum subscripts; a derivative
-array puts the differentiating index first, dY[i, k] = d_i Y^k
-(derivative()):
+Everything here is symbolic: components are expression trees, evaluated
+in bulk at sample points.  The tensors of the metric alone are built once
+per metric (memoised on the MetricField); the rest are built on each call.
+Index conventions, each with its einsum subscripts; a derivative array
+puts the differentiating index first, dY[i, k] = d_i Y^k (derivative()):
 
     Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2    'kl,ijl->kij'
         stored christoffel[k, i, j], symmetric in (i, j)
@@ -159,76 +159,73 @@ def fold(total, *steps):
     return total
 
 
-def _derived(metric, key, builder):
-    """metric.derived[key], built on first use; its component array is
-    read-only, since every caller shares it."""
-    try:
-        return metric.derived[key]
-    except KeyError:
-        field = metric.derived[key] = builder()
-        field.comps.setflags(write=False)
-        return field
+def _derived(build):
+    """build(metric), a tensor of the metric alone, kept in metric.derived;
+    its component array is read-only, since every caller shares it."""
+    @functools.wraps(build)
+    def memo(metric):
+        if build.__name__ not in metric.derived:
+            metric.derived[build.__name__] = build(metric)
+            metric.derived[build.__name__].comps.setflags(write=False)
+        return metric.derived[build.__name__]
+    return memo
 
 
+@_derived
 def christoffel(metric):
     """Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2."""
-    def build():
-        n = metric.dim
-        rows, cols = upper_pairs(n)
-        # dg[l, i, j] = d_l g_ij, from the upper triangle of g
-        dg = from_upper(derivative(metric.comps[rows, cols], metric.chart.names), n)
-        bracket = dg[rows, cols] + dg[cols, rows] - dg[:, rows, cols].T  # [pair, l]
-        comps = Num(0.5) * (metric.inverse @ bracket.T)
-        return TensorField(metric.chart, "connection", from_upper(comps, n))
-    return _derived(metric, "christoffel", build)
+    n = metric.dim
+    rows, cols = upper_pairs(n)
+    # dg[l, i, j] = d_l g_ij, from the upper triangle of g
+    dg = from_upper(derivative(metric.comps[rows, cols], metric.chart.names), n)
+    bracket = dg[rows, cols] + dg[cols, rows] - dg[:, rows, cols].T  # [pair, l]
+    comps = Num(0.5) * (metric.inverse @ bracket.T)
+    return TensorField(metric.chart, "connection", from_upper(comps, n))
 
 
+@_derived
 def riemann(metric):
     """R^l_ijk = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik."""
-    def build():
-        n, names = metric.dim, metric.chart.names
-        gamma = christoffel(metric).comps
-        # dgamma[l, a, j, k] = d_a G^l_jk, from the upper triangle in (j, k)
-        rows, cols = upper_pairs(n)
-        dgamma = from_upper(derivative(gamma[:, rows, cols], names).swapaxes(0, 1), n)
-        # built on the pairs (i, j), i != j, since R^l_iik = 0, as [l, pair, k]
-        i, j = np.nonzero(~np.eye(n, dtype=bool))
-        # products[m, l, pair, k] = G^l_im G^m_jk, swapped the same with i, j exchanged
-        products = gamma[:, i].transpose(2, 0, 1)[..., None] * gamma[:, j][:, None]
-        swapped = gamma[:, j].transpose(2, 0, 1)[..., None] * gamma[:, i][:, None]
-        comps = np.full((n,) * 4, expr.ZERO, dtype=object)
-        comps[:, i, j] = fold(dgamma[:, i, j] - dgamma[:, j, i], (operator.add, products),
-                              (operator.sub, swapped))
-        return TensorField(metric.chart, "curv", comps)
-    return _derived(metric, "riemann", build)
+    n, names = metric.dim, metric.chart.names
+    gamma = christoffel(metric).comps
+    # dgamma[l, a, j, k] = d_a G^l_jk, from the upper triangle in (j, k)
+    rows, cols = upper_pairs(n)
+    dgamma = from_upper(derivative(gamma[:, rows, cols], names).swapaxes(0, 1), n)
+    # built on the pairs (i, j), i != j, since R^l_iik = 0, as [l, pair, k]
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    # products[m, l, pair, k] = G^l_im G^m_jk, swapped the same with i, j exchanged
+    products = gamma[:, i].transpose(2, 0, 1)[..., None] * gamma[:, j][:, None]
+    swapped = gamma[:, j].transpose(2, 0, 1)[..., None] * gamma[:, i][:, None]
+    comps = np.full((n,) * 4, expr.ZERO, dtype=object)
+    comps[:, i, j] = fold(dgamma[:, i, j] - dgamma[:, j, i], (operator.add, products),
+                          (operator.sub, swapped))
+    return TensorField(metric.chart, "curv", comps)
 
 
+@_derived
 def riemann_lowered(metric):
     """R_lijk = g_lm R^m_ijk, i.e. g(d_l, R(d_i, d_j) d_k)."""
-    def build():
-        riem = riemann(metric).comps
-        comps = metric.comps @ riem.reshape(metric.dim, -1)
-        return TensorField(metric.chart, "curv", comps.reshape(riem.shape))
-    return _derived(metric, "riemann_lowered", build)
+    riem = riemann(metric).comps
+    comps = metric.comps @ riem.reshape(metric.dim, -1)
+    return TensorField(metric.chart, "curv", comps.reshape(riem.shape))
 
 
+@_derived
 def ricci(metric):
     """Ric_jk = R^a_akj = d_a G^a_jk - d_k G^a_aj + G^a_am G^m_jk - G^a_km G^m_aj,
     built on the pairs j <= k from the divergence d_a G^a_jk and the
     gradient of t_j = G^a_aj alone, with G^a_am G^m_jk = t_m G^m_jk."""
-    def build():
-        n, names = metric.dim, metric.chart.names
-        gamma = christoffel(metric).comps
-        rows, cols = upper_pairs(n)
-        upper = gamma[:, rows, cols]                                 # [a, pair]
-        trace = np.add.reduce(gamma[np.arange(n), np.arange(n)])     # t_j
-        divergence = np.add.reduce([derivative(upper[a], names[a])[0] for a in range(n)])
-        # quadratic[a, m, pair] = G^a_km G^m_aj
-        quadratic = gamma[:, cols].transpose(0, 2, 1) * gamma[:, :, rows].transpose(1, 0, 2)
-        comps = (divergence - derivative(trace, names)[cols, rows] + trace @ upper
-                 - np.add.reduce(quadratic.reshape(n * n, -1)))
-        return TensorField(metric.chart, "sym2", from_upper(comps, n))
-    return _derived(metric, "ricci", build)
+    n, names = metric.dim, metric.chart.names
+    gamma = christoffel(metric).comps
+    rows, cols = upper_pairs(n)
+    upper = gamma[:, rows, cols]                                 # [a, pair]
+    trace = np.add.reduce(gamma[np.arange(n), np.arange(n)])     # t_j
+    divergence = np.add.reduce([derivative(upper[a], names[a])[0] for a in range(n)])
+    # quadratic[a, m, pair] = G^a_km G^m_aj
+    quadratic = gamma[:, cols].transpose(0, 2, 1) * gamma[:, :, rows].transpose(1, 0, 2)
+    comps = (divergence - derivative(trace, names)[cols, rows] + trace @ upper
+             - np.add.reduce(quadratic.reshape(n * n, -1)))
+    return TensorField(metric.chart, "sym2", from_upper(comps, n))
 
 
 def musical_sharp(metric, alpha):
@@ -242,29 +239,19 @@ def musical_flat(metric, X):
 
 
 def gradient(metric, f):
-    """(grad f)^i = g^ij d_j f, built once per metric and f."""
-    f = as_scalar(f)
-
-    def build():
-        df = derivative(f, metric.chart.names)
-        return musical_sharp(metric, TensorField(metric.chart, "oneform", df))
-    return _derived(metric, ("gradient", f), build)
+    """(grad f)^i = g^ij d_j f."""
+    df = derivative(as_scalar(f), metric.chart.names)
+    return musical_sharp(metric, TensorField(metric.chart, "oneform", df))
 
 
 def hessian(metric, f):
-    """Hess f_ij = d_i d_j f - Gamma^k_ij d_k f, built once per metric and f."""
-    f = as_scalar(f)
-
-    def build():
-        names = metric.chart.names
-        rows, cols = upper_pairs(metric.dim)
-        df = derivative(f, names)
-        second = np.array([partial(df[i], names[j]) for i, j in zip(rows, cols)],
-                          dtype=object)
-        comps = fold(second,
-                     (operator.sub, christoffel(metric).comps[:, rows, cols] * df[:, None]))
-        return TensorField(metric.chart, "sym2", from_upper(comps, metric.dim))
-    return _derived(metric, ("hessian", f), build)
+    """Hess f_ij = d_i d_j f - Gamma^k_ij d_k f."""
+    names = metric.chart.names
+    rows, cols = upper_pairs(metric.dim)
+    df = derivative(as_scalar(f), names)
+    second = np.array([partial(df[i], names[j]) for i, j in zip(rows, cols)], dtype=object)
+    comps = fold(second, (operator.sub, christoffel(metric).comps[:, rows, cols] * df[:, None]))
+    return TensorField(metric.chart, "sym2", from_upper(comps, metric.dim))
 
 
 def covariant_derivative(metric, X, Y):

@@ -212,17 +212,7 @@ class TestHessian:
 
 
 class TestMemo:
-    def test_gradient_and_hessian_are_built_once(self, hyperbolic_geometry):
-        _, g = hyperbolic_geometry
-        # the string parses to the interned node, so both calls share one key
-        f = expr.parse("-2*ln(y) + x/3")
-        assert hessian(g, f) is hessian(g, "-2*ln(y) + x/3")
-        assert gradient(g, f) is gradient(g, "-2*ln(y) + x/3")
-        assert hessian(g, f) is not hessian(g, expr.simplify(f))
-
-    @pytest.mark.parametrize("build", [christoffel, riemann, riemann_lowered, ricci,
-                                       lambda g: hessian(g, "y^3"),
-                                       lambda g: gradient(g, "y^3")])
+    @pytest.mark.parametrize("build", [christoffel, riemann, riemann_lowered, ricci])
     def test_shared_components_are_read_only(self, hyperbolic_geometry, build):
         _, g = hyperbolic_geometry
         comps = build(g).comps
