@@ -426,38 +426,6 @@ def test_a_run_without_a_gate_fits_in_a_pass_of_its_own(name, subcommand, monkey
     assert report.overall_pass
 
 
-# Run in a fresh interpreter, so that no node kept alive by another test
-# (a session fixture, say) can hold a cache filled by the runs.  With the
-# collector off only reference counting frees nodes: a node cycle, or a
-# cache that outlives a run, would leave entries in the intern table.
-_RETENTION_SCRIPT = """
-import gc, json
-from grsoliton import expr
-from grsoliton.manifest import BUNDLED_NAMES, resolve_manifest
-from grsoliton.runner import run_manifest
-gc.disable()
-for name in BUNDLED_NAMES:
-    before = len(expr._INTERNED)
-    report = run_manifest(resolve_manifest(name), "all")
-    passed = report.overall_pass
-    del report
-    print(json.dumps([name, passed, before, len(expr._INTERNED)]))
-"""
-
-
-def test_a_run_leaves_no_node_behind():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(grsoliton.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _RETENTION_SCRIPT], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    runs = [json.loads(line) for line in done.stdout.splitlines()]
-    assert [name for name, *_ in runs] == list(BUNDLED_NAMES)
-    for name, passed, before, after in runs:
-        assert passed, name
-        assert after == before, name
-
-
 def _fresh(script):
     """The JSON lines that script prints, run in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(grsoliton.__file__)))
@@ -466,6 +434,80 @@ def _fresh(script):
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+# Run in a fresh interpreter, so that no node kept alive by another test
+# (a session fixture, say) can hold a cache filled by the runs.  With the
+# collector off only reference counting frees nodes: a node cycle, or a
+# cache or hold that outlives a run, would leave entries in the intern
+# table.  Each case prints [label, outcome, table size before, after].
+_RETENTION_SCRIPT = """
+import gc, json
+from importlib import resources
+from grsoliton import expr
+from grsoliton.contact import assemble_structure, ricci_reeb_check
+from grsoliton.manifest import BUNDLED_NAMES, ManifestError, load_manifest, resolve_manifest
+from grsoliton.runner import SUBCOMMANDS, run_manifest
+from grsoliton.soliton import build_theorem_checks
+gc.disable()
+
+def case(label, run):
+    before = len(expr._INTERNED)
+    outcome = run()
+    print(json.dumps([label, outcome, before, len(expr._INTERNED)]))
+
+def subcommand(name, sub):
+    try:
+        return run_manifest(resolve_manifest(name), sub).overall_pass
+    except ManifestError:
+        return "ManifestError"
+
+def domain_error():
+    doc = json.loads(resources.files("grsoliton").joinpath("data/sasakian3.json")
+                     .read_text())
+    doc["scalars"]["f2"] = "sqrt(-1 - y^2)"
+    try:
+        run_manifest(load_manifest(doc), "all")
+    except expr.DomainError:
+        return "DomainError"
+
+def library():
+    # a nested hold ends with the outer one: the derivatives the inner
+    # hold built stay pinned until then
+    m = resolve_manifest("sasakian3")
+    structure = assemble_structure(m.chart, m.metric, m.structure["phi"],
+                                   m.structure["xi"], m.structure["eta"])
+    with expr.holding():
+        with expr.holding():
+            checks = build_theorem_checks(structure, m.scalars["f1"], m.scalars["f2"],
+                                          -1.0, 0.0, 1.0)
+        checks.append(ricci_reeb_check(structure))
+        del checks
+        pinned = len(expr._INTERNED)
+    return pinned - len(expr._INTERNED)
+
+for name in BUNDLED_NAMES:
+    for sub in SUBCOMMANDS:
+        case(f"{name} {sub}", lambda: subcommand(name, sub))
+case("domain error", domain_error)
+case("library", library)
+"""
+
+
+def test_a_run_leaves_no_node_behind():
+    cases = _fresh(_RETENTION_SCRIPT)
+    assert [label for label, *_ in cases] == \
+        [f"{name} {sub}" for name in BUNDLED_NAMES for sub in runner.SUBCOMMANDS] \
+        + ["domain error", "library"]
+    for label, outcome, before, after in cases:
+        assert after == before, label
+        if label == "domain error":
+            assert outcome == "DomainError"
+        elif label == "library":
+            assert outcome > 0          # nodes the outer hold alone kept
+        else:                           # a bundled manifest lacking a block
+            assert outcome is True or outcome == "ManifestError", label
+            assert outcome is True or not label.startswith("sasakian3"), label
 
 
 # New nodes of a sasakian3 check-theorem run, counted from run_manifest on,
