@@ -15,6 +15,7 @@ puts the differentiating index first, dY[i, k] = d_i Y^k (derivative()):
         (pair symmetry R_lijk = R_jkli)
     Ric_jk = R^a_akj = d_a G^a_jk - d_k G^a_aj + G^a_am G^m_jk - G^a_km G^m_aj
              'aajk->jk' - 'kaaj->jk' + 'aam,mjk->jk' - 'akm,maj->jk'
+        summed over a != k only, since the a = k terms cancel
     Hess f_ij = d_i d_j f - Gamma^k_ij d_k f                   'kij,k->ij'
     (grad f)^i = g^ij d_j f;  (X^flat)_i = g_ij X^j            'ij,j->i'
     (nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j           'i,ik->k' + 'kij,i,j->k'
@@ -212,18 +213,23 @@ def riemann_lowered(metric):
 
 @_derived
 def ricci(metric):
-    """Ric_jk = R^a_akj = d_a G^a_jk - d_k G^a_aj + G^a_am G^m_jk - G^a_km G^m_aj,
-    built on the pairs j <= k from the divergence d_a G^a_jk and the
-    gradient of t_j = G^a_aj alone, with G^a_am G^m_jk = t_m G^m_jk."""
+    """Ric_jk = R^a_akj, the sum over a != k (the a = k terms cancel) of
+    d_a G^a_jk - d_k G^a_aj + G^a_am G^m_jk - G^a_km G^m_aj, built on the
+    pairs j <= k from the partial traces s^k_j = sum over a != k of G^a_aj,
+    with the third term s^k_m G^m_jk."""
     n, names = metric.dim, metric.chart.names
     gamma = christoffel(metric).comps
     rows, cols = upper_pairs(n)
-    upper = gamma[:, rows, cols]                                 # [a, pair]
-    trace = np.add.reduce(gamma[np.arange(n), np.arange(n)])     # t_j
+    others = np.arange(n)[:, None] != cols                       # [a, pair]: a != k
+    traces = np.add.reduce(np.where(~np.eye(n, dtype=bool)[..., None],  # [k, j]: s^k_j
+                                    gamma[np.arange(n), np.arange(n)], expr.ZERO), axis=1)
+    upper = np.where(others, gamma[:, rows, cols], expr.ZERO)     # [a, pair]
     divergence = np.add.reduce([derivative(upper[a], names[a])[0] for a in range(n)])
-    # quadratic[a, m, pair] = G^a_km G^m_aj
-    quadratic = gamma[:, cols].transpose(0, 2, 1) * gamma[:, :, rows].transpose(1, 0, 2)
-    comps = (divergence - derivative(trace, names)[cols, rows] + trace @ upper
+    slope = np.array([partial(traces[k, j], names[k]) for j, k in zip(rows, cols)], dtype=object)
+    # quadratic[a, m, pair] = G^a_km G^m_aj, zero at a = k
+    quadratic = np.where(others[:, None], gamma[:, cols].transpose(0, 2, 1), expr.ZERO) \
+        * gamma[:, :, rows].transpose(1, 0, 2)
+    comps = (divergence - slope + np.add.reduce(traces[cols].T * gamma[:, rows, cols])
              - np.add.reduce(quadratic.reshape(n * n, -1)))
     return TensorField(metric.chart, "sym2", from_upper(comps, n))
 

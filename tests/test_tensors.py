@@ -117,6 +117,10 @@ class TestRicci:
     def test_euclidean_zero(self, euclidean_space):
         _, g = euclidean_space
         assert np.abs(value_at(ricci(g), [1.0, 2.0, 3.0])).max() == 0.0
+        # every metric on a line is flat, and Ricci builds none of the
+        # a = k terms that cancel: on one coordinate it is the literal zero
+        line = define_chart(["x"])
+        assert ricci(define_metric(line, [["1 + x^2"]])).comps[0, 0] is expr.ZERO
 
     @pytest.mark.parametrize("fixture", BUNDLED)
     def test_symmetry(self, fixture, request):
