@@ -341,9 +341,9 @@ class MetricField:
 def define_metric(chart, rows, params=None):
     """Validate and build a MetricField from an n x n matrix of expressions.
 
-    Symmetry is checked numerically (|g_ij - g_ji| <= 1e-12) at sampled
-    points; every sampled point must leave all leading principal minors
-    positive.
+    Symmetry is checked numerically at sampled points, relative to the
+    entries: |g_ij - g_ji| <= 1e-12 max(1, |g_ij|, |g_ji|); every sampled
+    point must leave all leading principal minors positive.
     """
     n = chart.dim
     matrix = [[as_scalar(entry) for entry in row] for row in rows]
@@ -364,9 +364,11 @@ def define_metric(chart, rows, params=None):
     values = evaluate_field(np.array(matrix, dtype=object), env, len(pts))
     if not np.isfinite(values).all():
         raise MetricError("metric entries are not finite on the sample box")
-    gap = np.abs(values - np.transpose(values, (0, 2, 1))).max()
+    transposed = np.transpose(values, (0, 2, 1))
+    scale = np.maximum(1.0, np.maximum(np.abs(values), np.abs(transposed)))
+    gap = (np.abs(values - transposed) / scale).max()
     if gap > 1e-12:
-        raise MetricError(f"metric is asymmetric (max |g_ij - g_ji| = {gap:.3e})")
+        raise MetricError(f"metric is asymmetric (max |g_ij - g_ji| / max(1, |g|) = {gap:.3e})")
     for k in range(1, n + 1):
         minors = np.linalg.det(values[:, :k, :k])
         worst = minors.min()

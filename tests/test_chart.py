@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from grsoliton import expr
+from grsoliton.cli import main
 from grsoliton.expr import CHUNK_POINTS
 from grsoliton.chart import (
     MARGIN,
@@ -214,6 +216,15 @@ class TestDefineMetric:
         chart = define_chart(["x", "y"], {"y": (0, None)})
         with pytest.raises(MetricError, match="asymmetric"):
             define_metric(chart, [["1/y^2", "x"], ["0", "1/y^2"]])
+
+    @pytest.mark.parametrize("rows", [
+        [["4e6", "1e6"], ["1e6*(1 + 1e-6)", "4e6"]],    # 1e-6 relative to large entries
+        [["2", "0.5"], ["0.5 + 1e-11", "2"]],            # 1e-11 absolute on O(1) ones
+    ])
+    def test_asymmetry_is_measured_against_the_entries(self, rows, capsys):
+        doc = {"chart": {"coords": ["x", "y"]}, "metric": rows}
+        assert main(["check-soliton", "--manifest", json.dumps(doc)]) == 2
+        assert "asymmetric" in capsys.readouterr().err
 
     def test_wrong_shape(self):
         chart = define_chart(["x", "y"], {})
