@@ -88,8 +88,8 @@ def test_a_large_deformation_is_symmetric(capsys):
     # at a = 1000 the entries reach about 1e6, and g_ij and g_ji, the same
     # product in another order, differ by 1.2e-10: rounding, relative to the
     # entries, so the metric loads and the ladder passes.  soliton_vector
-    # and fit_constants still fail on rounding near 1e4: a verdict has no
-    # noise floor yet
+    # still fails on rounding near 1e4, since a verdict has no noise floor
+    # yet, and fit_constants, whose design reads rank 3 for 2
     rows = run(capsys, "all", sasakian_family(2, 1000), 1)
     assert all(rows[name]["passed"] for name in LADDER)
     assert not rows["soliton_vector"]["passed"]
