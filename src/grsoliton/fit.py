@@ -9,12 +9,13 @@ with T = Hess f1, P = df2 and s = 1 in the gradient form, and T = L_X1 g,
 P = X2b and s = 2 in the vector form.
 
 Each symmetric component at each sample point is a row of [A | b].  FitQR
-reduces them chunk by chunk to the 4 x 4 R of [A | b] (TSQR: Demmel et
-al., SIAM J. Sci. Comput. 34(1), 2012), not to normal equations, which
-square the condition number (Golub & Van Loan, Matrix Computations, 4th
-ed., 5.3).  Rank (1e-10 relative) and null space come from the SVD of R's
-free columns scaled to unit norm; the null space is reported, not
-collapsed (on Einstein metrics Ric and g are collinear).
+reduces them chunk by chunk, and each chunk one QR batch of rows at a
+time, to the 4 x 4 R of [A | b] (TSQR: Demmel et al., SIAM J. Sci.
+Comput. 34(1), 2012), not to normal equations, which square the condition
+number (Golub & Van Loan, Matrix Computations, 4th ed., 5.3).  Rank
+(1e-10 relative) and null space come from the SVD of R's free columns
+scaled to unit norm; the null space is reported, not collapsed (on
+Einstein metrics Ric and g are collinear).
 """
 
 import math
@@ -28,7 +29,9 @@ from grsoliton.tensors import ricci, upper_pairs
 
 RANK_THRESHOLD = 1e-10
 
-# rows per block of the batched QR of [R; chunk], and blocks per QR call
+# rows per block of the blocked QR of [R; chunk], and blocks per QR call:
+# a batch of 8,192 rows x 4 columns, 256 kB, is all of a chunk's design
+# that an update holds at once
 BLOCK_ROWS = 1024
 QR_BATCH = 8
 
@@ -88,11 +91,14 @@ class FitQR:
 
     update(lo, c1, c2, lam, target[, domain]) reads a chunk of the form's
     design_fields, takes each with its sign, (s, -s, -s, -1) for the form's
-    scale s, drops the points where a value is not finite, writes the rest
-    below R into a buffer of the chunk's own and reduces [R; chunk] by one
-    batched QR of its BLOCK_ROWS-row blocks and one of theirs; only R
-    outlives the update.  finish(fixed) solves with fixed pinned, as often
-    as asked."""
+    scale s, and reduces [R; rows], rows the component-major rows of the
+    chunk's points, in BLOCK_ROWS-row blocks, zero-padded at the end: it
+    writes QR_BATCH blocks at a time into one buffer, takes their R's by
+    one batched QR, and ends with one QR of all the blocks' R's.  A chunk
+    with a value that is not finite is reduced again from R without the
+    points where a design or domain value is not finite.  Only R outlives
+    the update.  finish(fixed) solves with fixed pinned, as often as
+    asked."""
 
     def __init__(self, form):
         self.signs = (form.scale, -form.scale, -form.scale, -1.0)
@@ -101,34 +107,58 @@ class FitQR:
         self.first_bad = None
 
     def update(self, lo, c1, c2, lam, target, domain=()):
-        k, size = len(target), len(target[0])
-        rows = 4 + k * size
-        used = -(-rows // BLOCK_ROWS) * BLOCK_ROWS
-        buffer = np.empty((4, used))  # [j, 4 + c * size + p]: column j, component c, point p
-        buffer[:, :4] = self.r.T
-        for j, (field, sign) in enumerate(zip((c1, c2, lam, target), self.signs)):
-            for c, component in enumerate(field):
-                np.multiply(component, sign, out=buffer[j, 4 + c * size:4 + (c + 1) * size])
+        size = len(target[0])
+        fields = list(zip((c1, c2, lam, target), self.signs))
+        rs = self._batch_rs(fields, size) if all(np.isfinite(d).all() for d in domain) else None
         n_valid = size
-        # a mask per point only for a chunk with a non-finite value
-        if not (np.isfinite(buffer[:, 4:rows]).all() and np.isfinite(domain).all()):
-            design = buffer[:, 4:rows].reshape(4, k, size)
-            valid = np.isfinite(design).all(axis=(0, 1)) & np.isfinite(domain).all(axis=0)
-            n_valid = int(np.count_nonzero(valid))
+        if rs is None:
+            # a mask per point only for a chunk with a non-finite value
+            valid = np.ones(size, dtype=bool)
+            for field, sign in fields:
+                for component in field:
+                    valid &= np.isfinite(component * sign)   # as signed, which may overflow
+            for component in domain:
+                valid &= np.isfinite(component)
+            points = np.flatnonzero(valid)
+            n_valid = len(points)
             if self.first_bad is None and n_valid < size:
                 self.first_bad = lo + int(np.argmin(valid))
-            rows = 4 + k * n_valid
-            buffer[:, 4:rows] = design[:, :, valid].reshape(4, -1)
-        used = -(-rows // BLOCK_ROWS) * BLOCK_ROWS
-        buffer[:, rows:used] = 0.0
-        blocks = buffer[:, :used].reshape(4, -1, BLOCK_ROWS).transpose(1, 2, 0)
-        # QR_BATCH blocks per call, since np.linalg.qr copies its input;
-        # each block's R is the same however the blocks are batched
-        rs = [np.linalg.qr(blocks[b:b + QR_BATCH], mode="r")
-              for b in range(0, len(blocks), QR_BATCH)]
+            rs = self._batch_rs(fields, n_valid, points)
         self.r = np.linalg.qr(np.concatenate(rs).reshape(-1, 4), mode="r")
         self.n_valid += n_valid
         self.n_points += size
+
+    def _batch_rs(self, fields, n, points=None):
+        """The R factors of the blocks of [R; rows], one array per QR batch,
+        rows the chunk's n points (points indexes them, if given) of each
+        component in turn; None at a non-finite row when points is None."""
+        k = len(fields[0][0])
+        rows = 4 + k * n
+        used = -(-rows // BLOCK_ROWS) * BLOCK_ROWS
+        batch = np.empty((4, min(used, QR_BATCH * BLOCK_ROWS)))  # [column, row - start]
+        rs = []
+        for start in range(0, used, batch.shape[1]):
+            out = batch[:, :min(used - start, batch.shape[1])]
+            if start == 0:
+                out[:, :4] = self.r.T
+            for c in range(k):
+                r0, r1 = max(start, 4 + c * n), min(start + out.shape[1], 4 + (c + 1) * n)
+                if r0 >= r1:
+                    continue
+                p0, p1 = r0 - 4 - c * n, r1 - 4 - c * n
+                for j, (field, sign) in enumerate(fields):
+                    dest = out[j, r0 - start:r1 - start]
+                    if points is None:
+                        np.multiply(field[c][p0:p1], sign, out=dest)
+                    else:
+                        np.multiply(np.take(field[c], points[p0:p1], out=dest), sign, out=dest)
+            out[:, max(rows - start, 0):] = 0.0
+            if points is None and not np.isfinite(out).all():
+                return None
+            # np.linalg.qr copies its input; each block's R is the same
+            # however the blocks are batched
+            rs.append(np.linalg.qr(out.reshape(4, -1, BLOCK_ROWS).transpose(1, 2, 0), mode="r"))
+        return rs
 
     def finish(self, fixed=None):
         """The FitResult with the constants in fixed pinned; raises

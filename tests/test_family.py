@@ -47,10 +47,13 @@ def test_every_row_of_all_passes(m, capsys):
     assert list(rows) == [*LADDER, "soliton_vector", "fit_constants"]
 
 
-def test_the_fit_recovers_the_family_of_constants(capsys):
+@pytest.mark.parametrize("a", [1, 100, 300])
+def test_the_fit_recovers_the_family_of_constants(a, capsys):
     # Ric = -2 g + 6 eta.eta at m = 2 leaves the design rank 2, with the
-    # solutions c1 = 6 c2, lambda = 2 c2 and the target L_xi g = 0
-    [row] = run(capsys, "fit", sasakian_family(2), 0).values()
+    # solutions c1 = 6 c2, lambda = 2 c2 and the target L_xi g = 0, for
+    # every a; at a = 300 the entries reach about 1e5 and the declared
+    # distance reads 9.5e-10 (1.2e-15 at a = 1)
+    [row] = run(capsys, "fit", sasakian_family(2, a), 0).values()
     assert row["rank"] == 2
     [direction] = np.array(row["null_space"])
     expected = np.array([6.0, 1.0, 2.0]) / np.sqrt(41.0)

@@ -609,6 +609,33 @@ def test_peak_memory_per_point():
     assert slope <= 2
 
 
+def test_the_first_pass_does_not_set_the_peak(monkeypatch):
+    # the axiom gate's pass reduces the fit's design one QR batch at a
+    # time next to its pool of 41 buffers, so at three full chunks its
+    # traced peak (3.7 MB) stays below the main plan's (3.9 MB); it read
+    # 5.0 MB while each chunk's whole design was one 1.6 MB buffer
+    manifest = resolve_manifest("sasakian3")
+    npoints = 3 * 8192
+    runner.run_manifest(manifest, "all", count=npoints)     # warm any first-use caches
+    peaks, original = [], expr.evaluate_many_multi
+
+    def traced(*args, **kwargs):
+        tracemalloc.reset_peak()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+
+    monkeypatch.setattr(expr, "evaluate_many_multi", traced)
+    tracemalloc.start()
+    try:
+        runner.run_manifest(manifest, "all", count=npoints)
+    finally:
+        tracemalloc.stop()
+    first, main_plan = peaks
+    assert first < main_plan
+
+
 def _report_bytes(report):
     out = report.as_dict()
     out.pop("elapsed_seconds")

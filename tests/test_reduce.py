@@ -15,6 +15,7 @@ plan writes the next chunk into the same buffers.
 """
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,7 +43,9 @@ from grsoliton.contact import (
 )
 from grsoliton.expr import CHUNK_POINTS, Num, Sym, as_scalar, simplify
 from grsoliton.fit import (
+    BLOCK_ROWS,
     CONSTANT_ORDER,
+    QR_BATCH,
     RANK_THRESHOLD,
     FitQR,
     TooFewPointsError,
@@ -436,6 +439,91 @@ class TestFitDesign:
         assert fit.rank == 3
         assert np.abs(fit.solution - x).max() <= 1e-12 * np.abs(x).max()
         assert_same_fit(fit, reference_fit(values, {}, form.scale))
+
+
+class FullBufferQR(FitQR):
+    """FitQR with the update it had while it wrote each chunk's whole
+    [R; rows] into one buffer before the batched QR of its blocks: the
+    reference for the batches built one at a time."""
+
+    def update(self, lo, c1, c2, lam, target, domain=()):
+        k, size = len(target), len(target[0])
+        rows = 4 + k * size
+        used = -(-rows // BLOCK_ROWS) * BLOCK_ROWS
+        buffer = np.empty((4, used))
+        buffer[:, :4] = self.r.T
+        for j, (field, sign) in enumerate(zip((c1, c2, lam, target), self.signs)):
+            for c, component in enumerate(field):
+                np.multiply(component, sign, out=buffer[j, 4 + c * size:4 + (c + 1) * size])
+        n_valid = size
+        if not (np.isfinite(buffer[:, 4:rows]).all() and np.isfinite(domain).all()):
+            design = buffer[:, 4:rows].reshape(4, k, size)
+            valid = np.isfinite(design).all(axis=(0, 1)) & np.isfinite(domain).all(axis=0)
+            n_valid = int(np.count_nonzero(valid))
+            if self.first_bad is None and n_valid < size:
+                self.first_bad = lo + int(np.argmin(valid))
+            rows = 4 + k * n_valid
+            buffer[:, 4:rows] = design[:, :, valid].reshape(4, -1)
+        used = -(-rows // BLOCK_ROWS) * BLOCK_ROWS
+        buffer[:, rows:used] = 0.0
+        blocks = buffer[:, :used].reshape(4, -1, BLOCK_ROWS).transpose(1, 2, 0)
+        rs = [np.linalg.qr(blocks[b:b + QR_BATCH], mode="r")
+              for b in range(0, len(blocks), QR_BATCH)]
+        self.r = np.linalg.qr(np.concatenate(rs).reshape(-1, 4), mode="r")
+        self.n_valid += n_valid
+        self.n_points += size
+
+
+def design_chunks(seed, sizes, k=6):
+    """Chunks of design fields of k components and a domain of 2, of the
+    given sizes: entries spread over twelve orders, and a point-independent
+    component as the plan passes it (a stride-0 view)."""
+    rng = np.random.default_rng(seed)
+    chunks = []
+    for size in sizes:
+        fields = [list(rng.standard_normal((k, size)) * 10.0 ** rng.integers(-6, 6, (k, 1)))
+                  for _ in range(4)]
+        fields[2][1] = np.broadcast_to(np.float64(0.25), (size,))
+        chunks.append([*fields, list(rng.standard_normal((2, size)))])
+    return chunks
+
+
+@pytest.mark.parametrize("form", [GRADIENT, VECTOR], ids=["gradient", "vector"])
+@pytest.mark.parametrize("sizes", [[CHUNK_POINTS] * 4, [CHUNK_POINTS, 200, 3001, 5]])
+def test_the_batches_reduce_as_the_whole_buffer(form, sizes):
+    # the same rows in the same blocks and batches: R, bit for bit, with a
+    # NaN domain value in the second chunk and an infinite design value in
+    # the third
+    chunks = design_chunks(sizes[1], sizes)
+    chunks[1][4][1][sizes[1] // 3] = np.nan
+    chunks[2][1][4][sizes[2] // 5] = -np.inf
+    fit, want, lo = FitQR(form), FullBufferQR(form), 0
+    for chunk in chunks:
+        fit.update(lo, *chunk)
+        want.update(lo, *chunk)
+        lo += len(chunk[0][0])
+        assert bits(fit.r) == bits(want.r)
+        assert (fit.n_valid, fit.n_points, fit.first_bad) == \
+            (want.n_valid, want.n_points, want.first_bad)
+    assert fit.first_bad == sizes[0] + sizes[1] // 3
+    assert fit.n_valid == sum(sizes) - 2
+
+
+def test_an_update_holds_one_batch_of_the_design():
+    # 8,192 points of 6 components are 49,156 rows of [R; rows], 1.6 MB as
+    # one buffer (1.9 MB traced while it was); one 8-block batch is 256 kB,
+    # and np.linalg.qr copies it
+    [chunk] = design_chunks(9, [CHUNK_POINTS])
+    fit = FitQR(GRADIENT)
+    fit.update(0, *chunk)               # warm any first-use caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fit.update(CHUNK_POINTS, *chunk)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.8e6
 
 
 def feed(accumulator, fields, edges):
