@@ -474,14 +474,14 @@ class FullBufferQR(FitQR):
         self.n_points += size
 
 
-def design_chunks(seed, sizes, k=6):
-    """Chunks of design fields of k components and a domain of 2, of the
+def design_chunks(seed, sizes):
+    """Chunks of design fields of 6 components and a domain of 2, of the
     given sizes: entries spread over twelve orders, and a point-independent
     component as the plan passes it (a stride-0 view)."""
     rng = np.random.default_rng(seed)
     chunks = []
     for size in sizes:
-        fields = [list(rng.standard_normal((k, size)) * 10.0 ** rng.integers(-6, 6, (k, 1)))
+        fields = [list(rng.standard_normal((6, size)) * 10.0 ** rng.integers(-6, 6, (6, 1)))
                   for _ in range(4)]
         fields[2][1] = np.broadcast_to(np.float64(0.25), (size,))
         chunks.append([*fields, list(rng.standard_normal((2, size)))])
@@ -494,7 +494,7 @@ def test_the_batches_reduce_as_the_whole_buffer(form, sizes):
     # the same rows in the same blocks and batches: R, bit for bit, with a
     # NaN domain value in the second chunk and an infinite design value in
     # the third
-    chunks = design_chunks(sizes[1], sizes)
+    chunks = design_chunks(11, sizes)
     chunks[1][4][1][sizes[1] // 3] = np.nan
     chunks[2][1][4][sizes[2] // 5] = -np.inf
     fit, want, lo = FitQR(form), FullBufferQR(form), 0
