@@ -7,7 +7,8 @@ Grammar (infix):
     power  := atom ('^' factor)?          # '^' is right-associative
     atom   := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
 
-Unary minus binds looser than '^', so ``-x^2`` means ``-(x^2)``.
+Unary minus binds looser than '^', so ``-x^2`` means ``-(x^2)``, and a
+NUMBER too large for a float (``1e400``) is a ParseError.
 Known functions: exp, ln, sin, cos, tan, cot, sqrt.  The names ``pi`` and
 ``e`` are constants, not symbols.  Everything else is a free symbol to be
 bound at evaluation time (a chart coordinate or a named parameter).
@@ -30,7 +31,12 @@ simplify() returns, and so the derivative of a simplified node, which the
 smart constructors build.  Only raw nodes, which the parser builds through
 the classes, need a walk to simplify.  Every walk over a tree is a loop,
 not a recursion, so a tree deeper than Python's recursion limit is handled
-like any other.  Vectorised evaluation (evaluate_many_multi) computes each
+like any other.
+
+There is one arithmetic: evaluate, a plan and simplify's fold of a power
+compute a node by its numpy operation (_operation), and + - * / round in
+Python floats as in numpy, so evaluate gives the plan's bits at a point.
+Vectorised evaluation (evaluate_many_multi) computes each
 node once and runs over the points in fixed-size chunks.  Every value a
 chunk computes lives in one of a fixed pool of chunk-long buffers, allocated
 once per run and reused by a later value after the last read of an earlier
@@ -578,111 +584,75 @@ def _simplify_binary(kind, a, b):
 
 
 def _float_pow(base, expo):
-    try:
-        v = math.pow(base, expo)
-    except (ValueError, OverflowError):
-        return None
+    # the plan's ufunc, so a folded power has the bits the plan computes
+    with np.errstate(all="ignore"):
+        v = float(np.power(base, expo))
     return v if math.isfinite(v) else None
 
 
 def evaluate(e, env):
     """Scalar IEEE-double evaluation; env maps symbol names to floats.
 
-    Raises DomainError (carrying the offending subexpression and point)
-    for ln/sqrt/cot domain violations, division by zero, fractional
-    powers of negative numbers, and overflow: exp, ^, +, -, * or / giving
-    an infinite value from finite arguments.
+    Each node is computed by the plan's numpy operation, so the value has
+    the bits evaluate_many gives at that point.  Raises DomainError
+    (carrying the offending subexpression and point) at the first node,
+    left to right, whose value is not finite while its arguments are, or
+    whose denominator, evaluated before its numerator, is zero.
     """
     values = {}          # id(node) -> value; e keeps every node alive
     stack = [e]
-    while stack:
-        node = stack[-1]
-        if id(node) in values:
+    with np.errstate(all="ignore"):
+        while stack:
+            node = stack[-1]
+            if id(node) in values:
+                stack.pop()
+                continue
+            kids = (node.right, node.left) if type(node) is Div else node._kids
+            if type(node) is Div and values.get(id(node.right)) == 0.0:
+                raise DomainError("division by zero", node, env)
+            todo = [k for k in kids if id(k) not in values]
+            if todo:
+                stack.append(todo[0])
+                continue
             stack.pop()
-            continue
-        # children left to right, except that a quotient evaluates and
-        # checks its denominator before its numerator
-        kids = (node.right, node.left) if type(node) is Div else node._kids
-        todo = [k for k in kids if id(k) not in values]
-        if not todo:
-            stack.pop()
-            values[id(node)] = _eval_node(node, [values[id(k)] for k in kids], env)
-            continue
-        if todo[0] is not kids[0] and type(node) is Div and values[id(kids[0])] == 0.0:
-            raise DomainError("division by zero", node, env)
-        stack.append(todo[0])
+            values[id(node)] = _eval_node(node, [values[id(k)] for k in node._kids], env)
     return values[id(e)]
 
 
 def _eval_node(node, args, env):
-    """The value of one node from its children's values, in evaluation order."""
-    if isinstance(node, Num):
+    """The value of one node from its children's values, by the plan's
+    operation; a DomainError where it is not finite but its arguments are."""
+    if type(node) is Num:
         return node.value
-    if isinstance(node, Sym):
+    if type(node) is Sym:
         try:
             return float(env[node.name])
         except KeyError:
             raise UnboundSymbolError(node.name) from None
-    if isinstance(node, Neg):
-        return -args[0]
-    if isinstance(node, Pow):
-        return _eval_pow(node, args[0], args[1], env)
-    if isinstance(node, Call):
-        return _eval_call(node, args[0], env)
-    if isinstance(node, Add):
-        value = args[0] + args[1]
-    elif isinstance(node, Sub):
-        value = args[0] - args[1]
-    elif isinstance(node, Mul):
-        value = args[0] * args[1]
-    else:
-        denom, numer = args
-        if denom == 0.0:
-            raise DomainError("division by zero", node, env)
-        value = numer / denom
-    if math.isinf(value) and math.isfinite(args[0]) and math.isfinite(args[1]):
-        raise DomainError("overflow", node, env)
+    value = float(_operation(node)(*args))
+    if not math.isfinite(value) and all(map(math.isfinite, args)):
+        raise DomainError(_domain_reason(node, args), node, env)
     return value
 
 
-def _eval_pow(node, base, expo, env):
-    if base == 0.0 and expo < 0.0:
-        raise DomainError("zero raised to a negative power", node, env)
-    if base < 0.0 and expo != math.floor(expo):
-        raise DomainError("fractional power of a negative number", node, env)
-    try:
-        return math.pow(base, expo)
-    except OverflowError:
-        raise DomainError("overflow", node, env) from None
-
-
-def _eval_call(node, a, env):
-    fn = node.func
-    if fn == "exp":
-        try:
-            return math.exp(a)
-        except OverflowError:
-            raise DomainError("overflow in exp", node, env) from None
-    if fn == "ln":
-        if a <= 0.0:
-            raise DomainError("log of a non-positive number", node, env)
-        return math.log(a)
-    if fn == "sin":
-        return math.sin(a)
-    if fn == "cos":
-        return math.cos(a)
-    if fn == "tan":
-        return math.tan(a)
-    if fn == "cot":
-        s = math.sin(a)
-        if s == 0.0:
-            raise DomainError("cot at a multiple of pi", node, env)
-        return math.cos(a) / s
-    if fn == "sqrt":
-        if a < 0.0:
-            raise DomainError("square root of a negative number", node, env)
-        return math.sqrt(a)
-    raise ValueError(f"unknown function {fn!r}")  # pragma: no cover
+def _domain_reason(node, args):
+    """Why node's value is not finite at finite arguments args."""
+    if type(node) is Pow:
+        base, expo = args
+        if base == 0.0 and expo < 0.0:
+            return "zero raised to a negative power"
+        if base < 0.0 and not expo.is_integer():
+            return "fractional power of a negative number"
+    elif type(node) is Call:
+        if node.func == "ln":
+            return "log of a non-positive number"
+        if node.func == "sqrt":
+            return "square root of a negative number"
+        if node.func == "exp":
+            return "overflow in exp"
+        if node.func == "cot" and np.sin(args[0]) == 0.0:
+            return "cot at a multiple of pi"
+    return "overflow"
 
 
 def evaluate_many(e, env, size):
@@ -747,64 +717,49 @@ def evaluate_many_multi(exprs, env, size, sinks):
 
 def _compile(roots, env, size):
     """(roots, values, columns, program, needs) of the distinct nodes under
-    roots, numbered children first in one walk: roots[r] the number of root
-    r; values[v] the value of node v if it does not depend on the point,
-    else None; columns the (v, fill(lo, hi, out)) of each coordinate
+    roots, numbered children first by _bottom_up: roots[r] the number of
+    root r; values[v] the value of node v if it does not depend on the
+    point, else None; columns the (v, fill(lo, hi, out)) of each coordinate
     column; program the (v, operation, argument numbers) of every other
     node that depends on the point, in number order; needs[v] the program
     steps node v needs, as bits."""
-    numbers = {}                 # id(node) -> value number; roots keep nodes alive
-    numbered, values, needs, columns, program = [], [], [], [], []
-    # depth first, as _bottom_up walks: a node's children that are not
-    # numbered yet go on the stack left to right, above the node and a
-    # None that marks it as expanded, so the last child is numbered first
-    for root in roots:
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node is None:
-                node = stack.pop()
-            elif id(node) in numbers:
-                continue
+    numbers = {}                 # node -> value number (nodes hash by identity)
+    values, needs, columns, program = [], [], [], []
+
+    def number(node, args, _):
+        number = numbers[node] = len(values)
+        kind, value, bits = type(node), None, 0
+        if kind is Num:
+            value = node.value
+        elif kind is Sym:
+            try:
+                value = env[node.name]
+            except KeyError:
+                raise UnboundSymbolError(node.name) from None
+            if callable(value):
+                columns.append((number, value))
+                value = None
+            elif np.ndim(value):
+                columns.append((number, _copier(np.broadcast_to(value, (size,)))))
+                value = None
             else:
-                todo = [kid for kid in node._kids if id(kid) not in numbers]
-                if todo:
-                    stack.append(node)
-                    stack.append(None)
-                    stack += todo
-                    continue
-            number = numbers[id(node)] = len(values)
-            args = tuple([numbers[id(kid)] for kid in node._kids])
-            kind, value, bits = type(node), None, 0
-            if kind is Num:
-                value = node.value
-            elif kind is Sym:
-                try:
-                    value = env[node.name]
-                except KeyError:
-                    raise UnboundSymbolError(node.name) from None
-                if callable(value):
-                    columns.append((number, value))
-                    value = None
-                elif np.ndim(value):
-                    columns.append((number, _copier(np.broadcast_to(value, (size,)))))
-                    value = None
-                else:
-                    # as the scalar evaluator reads it: a ufunc would wrap
-                    # a product of Python ints at 64 bits
-                    value = float(value)
-            elif any(values[a] is None for a in args):
-                bits = 1 << len(program)
-                for a in args:
-                    bits |= needs[a]
-                program.append((number, _operation(node), args))
-            else:
-                with np.errstate(all="ignore"):
-                    value = _operation(node)(*(values[a] for a in args))
-            values.append(value)
-            needs.append(bits)
-        numbered.append(numbers[id(root)])
-    return numbered, values, columns, program, needs
+                # as the scalar evaluator reads it: a ufunc would wrap
+                # a product of Python ints at 64 bits
+                value = float(value)
+        elif any(values[a] is None for a in args):
+            bits = 1 << len(program)
+            for a in args:
+                bits |= needs[a]
+            program.append((number, _operation(node), tuple(args)))
+        else:
+            with np.errstate(all="ignore"):
+                value = _operation(node)(*(values[a] for a in args))
+        values.append(value)
+        needs.append(bits)
+        return number
+
+    return ([_bottom_up(root, number, numbers.get) for root in roots],
+            values, columns, program, needs)
 
 
 def _copier(column):
@@ -1146,6 +1101,8 @@ class _Parser:
     def atom(self):
         tok = self.peek()
         if tok.kind == "number":
+            if math.isinf(float(tok.text)):
+                self.fail(("a number within the float range",))
             self.advance()
             return Num(float(tok.text))
         if tok.kind == "name":
@@ -1179,7 +1136,8 @@ def parse(text):
     """Parse infix text into an Expression.
 
     Raises ParseError with a byte offset and expected-token set on syntax
-    errors and on input nested too deeply to descend into,
+    errors, on a number literal too large for a float and on input nested
+    too deeply to descend into,
     UnknownFunctionError for names applied as functions that are not in
     the known set.
     """

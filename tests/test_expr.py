@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grsoliton import expr
@@ -104,6 +104,15 @@ class TestParse:
             parse("3 $ 4")
         assert err.value.offset == 2
 
+    @pytest.mark.parametrize("text, offset", [("1e400", 0), ("sin(1e400*z)", 4),
+                                              ("x + 2e308", 4)])
+    def test_a_literal_too_large_for_a_float(self, text, offset):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.offset == offset
+        assert err.value.expected == ("a number within the float range",)
+        assert parse("1e-400").value == 0.0
+
 
 class TestDifferentiate:
     def test_log_of_sine(self):
@@ -162,6 +171,14 @@ class TestSimplify:
         e = simplify(parse("2+3*4"))
         assert isinstance(e, Num)
         assert e.value == 14.0
+
+    def test_a_folded_power_has_the_plans_bits(self):
+        # math.pow rounds 2^2.8000000000000003 one ulp away from np.power
+        e = parse("2^2.8000000000000003")
+        folded = simplify(e)
+        assert isinstance(folded, Num)
+        assert folded.value.hex() == "0x1.bdb8cdadbe121p+2"
+        assert folded.value == evaluate_many(e, {}, 1)[0] == evaluate(e, {})
 
     def test_power_identities(self):
         assert render(simplify(parse("x^1"))) == "x"
@@ -226,14 +243,23 @@ class TestEvaluate:
         assert len(values) == 1
 
     def test_vectorised_matches_scalar(self):
-        # libm and numpy transcendentals may differ in the last ulp, so the
-        # two paths agree to ~1e-15 relative while each is bit-deterministic
+        # one arithmetic: the two paths agree bit for bit
         e = differentiate(parse(BUNDLED_P), "y")
         ys = np.linspace(-2, 2, 37)
         bulk = evaluate_many(e, {"y": ys}, len(ys))
         single = np.array([evaluate(e, {"y": float(v)}) for v in ys])
-        assert np.allclose(bulk, single, rtol=1e-13, atol=0)
-        assert np.array_equal(bulk, evaluate_many(e, {"y": ys}, len(ys)))
+        assert np.array_equal(bulk.view(np.uint64), single.view(np.uint64))
+
+    def test_a_non_finite_argument_is_no_domain_error(self):
+        # the value is not finite, but neither is its argument
+        assert math.isnan(evaluate(expr.call("sin", Num(math.inf)), {}))
+
+    def test_an_overflowing_cot_is_an_overflow(self):
+        # cot(1e-310) = 1/1e-310 overflows; inf - inf would be NaN
+        with pytest.raises(DomainError) as err:
+            evaluate(parse("cot(x) - cot(x)"), {"x": 1e-310})
+        assert err.value.subexpression is parse("cot(x)")
+        assert str(err.value) == "overflow in 'cot(x)' at {'x': 1e-310}"
 
     def test_vectorised_marks_domain_violations_nonfinite(self):
         e = parse("ln(y)")
@@ -612,13 +638,44 @@ def reference_evaluate(e, env):
                 raise DomainError("division by zero", node, env)
             out = ev(node.left) / denom
         elif isinstance(node, Pow):
-            out = expr._eval_pow(node, ev(node.left), ev(node.right), env)
+            out = reference_pow(node, ev(node.left), ev(node.right), env)
         else:
-            out = expr._eval_call(node, ev(node.arg), env)
+            out = reference_call(node, ev(node.arg), env)
         memo[id(node)] = out
         return out
 
     return ev(e)
+
+
+REFERENCE_CALLS = {"exp": np.exp, "ln": np.log, "sin": np.sin, "cos": np.cos,
+                   "tan": np.tan, "cot": lambda a: np.cos(a) / np.sin(a), "sqrt": np.sqrt}
+
+
+def reference_pow(node, base, expo, env):
+    if base == 0.0 and expo < 0.0:
+        raise DomainError("zero raised to a negative power", node, env)
+    if base < 0.0 and expo != math.floor(expo):
+        raise DomainError("fractional power of a negative number", node, env)
+    with np.errstate(all="ignore"):
+        out = float(np.power(base, expo))
+    if math.isinf(out) and math.isfinite(base) and math.isfinite(expo):
+        raise DomainError("overflow", node, env)
+    return out
+
+
+def reference_call(node, a, env):
+    fn = node.func
+    if fn == "ln" and a <= 0.0:
+        raise DomainError("log of a non-positive number", node, env)
+    if fn == "sqrt" and a < 0.0:
+        raise DomainError("square root of a negative number", node, env)
+    if fn == "cot" and np.sin(a) == 0.0:
+        raise DomainError("cot at a multiple of pi", node, env)
+    with np.errstate(all="ignore"):
+        out = float(REFERENCE_CALLS[fn](a))
+    if math.isinf(out) and math.isfinite(a):
+        raise DomainError("overflow in exp" if fn == "exp" else "overflow", node, env)
+    return out
 
 
 def outcome(evaluator, node, env):
@@ -675,3 +732,32 @@ class TestWalks:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+COORDINATES = st.one_of(st.floats(-5.0, 5.0), st.floats(-800.0, 800.0))
+EXP_X = ("call", "exp", ("sym", "x"))
+
+
+class TestOneArithmetic:
+    """evaluate computes a node as the plan does: at a point where it
+    returns, its value has the bits of evaluate_many there, and where
+    evaluate_many is not finite it raises DomainError."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(pool=shapes(),
+           points=st.lists(st.tuples(COORDINATES, COORDINATES, COORDINATES),
+                           min_size=1, max_size=6))
+    # math.exp rounds exp(x) here one ulp away from np.exp
+    @example(pool=[EXP_X], points=[(-3.5584038728036624, 0.0, 0.0)])
+    def test_evaluate_is_the_plan_at_a_point(self, pool, points):
+        var, nodes = built_nodes(pool)
+        columns = dict(zip(("x", "y", var), np.array(points).T))
+        for node in nodes:
+            many = evaluate_many(node, columns, len(points))
+            for i, want in enumerate(many):
+                try:
+                    value = evaluate(node, {name: float(c[i]) for name, c in columns.items()})
+                except DomainError:
+                    continue
+                assert np.isfinite(want), render(node)
+                assert struct.pack("<d", value) == struct.pack("<d", want), render(node)

@@ -647,6 +647,14 @@ class TestCliExitCodes:
             assert capsys.readouterr().err.startswith(
                 "domain error: overflow in '1e+200 * (1e+200 * z)' at "), sub
 
+    def test_a_literal_too_large_for_a_float_is_a_manifest_error(self, tmp_path, capsys):
+        path = self._sasakian_f2(tmp_path, "sin(1e400*z)")
+        for sub in ("check-soliton", "all"):
+            assert main([sub, "--manifest", path]) == 2, sub
+            assert capsys.readouterr().err == (
+                "manifest error: scalars.f2: expected a number within the float range, "
+                "found '1e400' at offset 4\n"), sub
+
     def test_theorem_rows_need_the_potentials_defined(self, tmp_path, capsys):
         # the theorem rows use f2 only through xi(f2) = d f2/dz = 0, which
         # simplification folds away; the potentials are checked on their own

@@ -19,11 +19,12 @@ sides (a change that only rounds reads 0 cases and small moves); it exits
 
 The matrix: the three bundled manifests as they are, with lambda + 1 and
 with lambda = "fit"; a NaN eta, an infinite eta, a transposed phi,
-f2 = sqrt(x - 1.97) and an overflowing f1; the vector form on Euclidean
-R^3 with X1 the position field (L_X1 g = 2g, so lambda = 1), with
-lambda + 1 and with lambda = "fit"; x the five subcommands x N = 2, 200,
-3,000 and 20,000 x seeds 7, 8 and 11 x both d-conventions x json, csv
-and table (6,120 cases).  20,000 points are two full chunks of the evaluation plan and a
+f2 = sqrt(x - 1.97), an overflowing f1 and f2 = sin(1e400*z), whose
+literal is too large for a float (a manifest error); the vector form on
+Euclidean R^3 with X1 the position field (L_X1 g = 2g, so lambda = 1),
+with lambda + 1 and with lambda = "fit"; x the five subcommands x N = 2,
+200, 3,000 and 20,000 x seeds 7, 8 and 11 x both d-conventions x json,
+csv and table (6,480 cases).  20,000 points are two full chunks of the evaluation plan and a
 short last one, so chunk edges, worst points and first bad points past
 the first chunk are covered.  2 points are too few to fit: the fit row
 fails, and a "fit" constant is an error.
@@ -91,6 +92,9 @@ def manifests():
     overflow = _bundled("sasakian3")
     overflow["scalars"]["f1"] += " + (1e200*z)*(1e200*z)"
     out["overflow"] = json.dumps(overflow)
+    inf_literal = _bundled("sasakian3")
+    inf_literal["scalars"]["f2"] = "sin(1e400*z)"
+    out["inf-literal"] = json.dumps(inf_literal)
     out["dilation"] = json.dumps(_DILATION)
     shifted = copy.deepcopy(_DILATION)
     shifted["constants"]["lambda"] += 1
