@@ -1,9 +1,9 @@
 """Coordinate charts, bounded sampling, and metric fields.
 
-A chart is a single open box in R^n with named coordinates.  Metrics are
-n x n matrices of expressions over those coordinates (plus named
-parameters); their symbolic inverse is computed once by adjugate over
-determinant, which is exact and keeps everything downstream closed-form.
+A chart is a single open box in R^n with named coordinates.  A metric is
+a sym2 TensorField over those coordinates (plus named parameters); its
+symbolic inverse is computed once by adjugate over determinant, which is
+exact and keeps everything downstream closed-form.
 """
 
 import functools
@@ -13,6 +13,7 @@ import numpy as np
 
 from grsoliton import expr
 from grsoliton.expr import RESERVED_NAMES, as_scalar, free_symbols, simplify
+from grsoliton.tensors import TensorField
 
 # Sampling policy: stay MARGIN away from finite ends, truncate unbounded
 # directions to [-TRUNCATION, TRUNCATION] (or bound + TRUNCATION above a
@@ -191,25 +192,6 @@ def as_points(points):
     return np.atleast_2d(np.asarray(points, dtype=float))
 
 
-def evaluate_field(comps, env, size):
-    """Evaluate an object array of expressions -> float array (size, *shape)."""
-    return next(evaluate_fields([comps], env, size))
-
-
-def evaluate_fields(fields, env, size):
-    """Evaluate several object arrays of expressions as one plan.
-
-    Returns an iterator over one float array of shape (size, *shape) per
-    field, in order.  The plan writes each field's components, chunk by
-    chunk, into its own component-major (k, size) block, and the array
-    handed out is a transposed view of that block.
-    """
-    fields = [np.asarray(f, dtype=object) for f in fields]
-    values = FieldValues([f.shape for f in fields], size)
-    reduce_fields([(fields, values)], env, size)
-    return iter(values.finish())
-
-
 def reduce_fields(groups, env, size):
     """Evaluate the fields of every (fields, accumulator) group as one plan.
 
@@ -220,7 +202,8 @@ def reduce_fields(groups, env, size):
     the plan then reuses their buffers, so what it keeps is up to it, and
     its finish() gives the result.  Each accumulator sees its chunks in
     order.  The accumulators are soliton.ResidualSup, the one reducer of
-    every check, fit.FitQR and FieldValues.
+    every check, and fit.FitQR; expr.evaluate_many is the one collector of
+    values that are kept.
     """
     roots, sinks = [], []
     for fields, accumulator in groups:
@@ -235,25 +218,6 @@ def reduce_fields(groups, env, size):
 
 def _feed(update, spans, lo, hi, values):
     update(lo, *[values[a:b] for a, b in spans])
-
-
-class FieldValues:
-    """Accumulator that keeps every value: each field's components go into
-    one component-major (k, size) block, and finish() returns, per field,
-    the (size, *shape) view of its block."""
-
-    def __init__(self, shapes, size):
-        self.shapes = [tuple(shape) for shape in shapes]
-        self.blocks = [np.empty((math.prod(shape), size)) for shape in self.shapes]
-
-    def update(self, lo, *fields):
-        for block, components in zip(self.blocks, fields):
-            block[:, lo:lo + len(components[0])] = components
-
-    def finish(self):
-        # splits only the last axis of the transposed block: a view
-        return [block.T.reshape(block.shape[1:] + shape)
-                for block, shape in zip(self.blocks, self.shapes)]
 
 
 def components_sup(components, out, scratch):
@@ -318,12 +282,14 @@ def symbolic_inverse(matrix):
     return inv, det
 
 
-class MetricField:
-    """Symmetric positive-definite matrix of expressions on one chart."""
+class MetricField(TensorField):
+    """Symmetric positive-definite sym2 TensorField, with its symbolic
+    inverse and determinant and the tensors built from it alone."""
+
+    __slots__ = ("inverse", "det", "derived")
 
     def __init__(self, chart, comps, inverse, det):
-        self.chart = chart
-        self.comps = comps          # (n, n) object array, g_ij
+        super().__init__(chart, "sym2", comps)
         self.inverse = inverse      # (n, n) object array, g^ij
         self.det = det
         self.derived = {}           # memo for Christoffel/curvature tensors
@@ -331,11 +297,6 @@ class MetricField:
     @property
     def dim(self):
         return self.chart.dim
-
-    def evaluate_at(self, points, params=None):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        env = self.chart.env_at(points, params)
-        return evaluate_field(self.comps, env, points.shape[0])
 
 
 def define_metric(chart, rows, params=None):
@@ -361,7 +322,7 @@ def define_metric(chart, rows, params=None):
 
     pts = sample_points(chart, "uniform", _VALIDATION_POINTS, _VALIDATION_SEED)
     env = chart.env_at(pts, params)
-    values = evaluate_field(np.array(matrix, dtype=object), env, len(pts))
+    values = expr.evaluate_many(matrix, env, len(pts))
     if not np.isfinite(values).all():
         raise MetricError("metric entries are not finite on the sample box")
     transposed = np.transpose(values, (0, 2, 1))

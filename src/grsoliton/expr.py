@@ -658,18 +658,21 @@ def _domain_reason(node, args):
 def evaluate_many(e, env, size):
     """Vectorised evaluation over numpy arrays of shape (size,).
 
-    env maps symbol names to scalars or (size,) arrays.  No domain checks
-    are performed: invalid operations yield non-finite entries, which the
-    caller is expected to mask or diagnose (the scalar evaluator pinpoints
-    the offending subexpression for a single point).
+    e is an expression or an array of them, env as in evaluate_many_multi.
+    Returns (size, *shape) floats, the transposed view of one
+    component-major (k, size) block.  No domain checks: a value outside
+    its domain is non-finite, for the caller to mask or diagnose (evaluate
+    names the offending node at one point).
     """
-    out = np.empty(size)
+    e = np.asarray(e, dtype=object)
+    block = np.empty((e.size, size))
 
     def collect(lo, hi, values):
-        out[lo:hi] = values[0]
+        block[:, lo:hi] = values
 
-    evaluate_many_multi((e,), env, size, [(1, collect)])
-    return out
+    evaluate_many_multi(e.reshape(-1), env, size, [(e.size, collect)])
+    # splits only the last axis of the transposed block: a view
+    return block.T.reshape((size,) + e.shape)
 
 
 def evaluate_many_multi(exprs, env, size, sinks):

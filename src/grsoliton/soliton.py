@@ -44,7 +44,6 @@ from grsoliton.tensors import (
     hessian,
     identity,
     lie_derivative_sym2,
-    metric_tensor_field,
     musical_flat,
     pairing,
     ricci,
@@ -88,7 +87,7 @@ def vector_form(metric, X1, X2):
     X1 and X2 (TensorFields)."""
     flat2 = musical_flat(metric, X2)
     return SolitonForm("soliton_vector",
-                       lie_derivative_sym2(metric_tensor_field(metric), X1).comps,
+                       lie_derivative_sym2(metric, X1).comps,
                        sym_product(flat2, flat2).comps, 2.0, [])
 
 
@@ -364,7 +363,7 @@ def build_theorem_checks(structure, f1, f2, c1, c2, lam):
     transport = transport1.comps - Num(lam + 2.0 * c2 * structure.n) * xi.comps \
         + Num(c1) * (xi_f2 * grad2.comps)
 
-    lie_outer = lie_derivative_sym2(lie_derivative_sym2(metric_tensor_field(metric), grad1), xi)
+    lie_outer = lie_derivative_sym2(lie_derivative_sym2(metric, grad1), xi)
     slope = pairing(g, transport1, xi)
     lhs_dl = np.array([pairing(lie_outer.comps, Y, xi) for Y in projected], dtype=object)
     rhs_dl = np.array([pairing(g, grad1, Y) + pairing(g, transport1_twice, Y)

@@ -1,8 +1,9 @@
 """Connection, curvature, and differential operators from a metric.
 
 Everything here is symbolic: components are expression trees, evaluated
-in bulk at sample points.  The tensors of the metric alone are built once
-per metric (memoised on the MetricField); the rest are built on each call.
+in bulk at sample points (TensorField.evaluate_at).  A metric is a sym2
+TensorField (chart.MetricField) that memoises the tensors of the metric
+alone; the rest are built on each call.
 Index conventions, each with its einsum subscripts; a derivative array
 puts the differentiating index first, dY[i, k] = d_i Y^k (derivative()):
 
@@ -42,8 +43,7 @@ import operator
 import numpy as np
 
 from grsoliton import expr
-from grsoliton.chart import evaluate_field
-from grsoliton.expr import Num, as_scalar, simplify
+from grsoliton.expr import Num, as_scalar, evaluate_many, simplify
 
 VALENCE_RANK = {
     "scalar": 0,
@@ -79,10 +79,10 @@ class TensorField:
         self.comps = comps
 
     def evaluate_at(self, points, params=None):
-        """Numeric components, shape (npoints, n, ..., n)."""
+        """Numeric components at (npoints, n) points, shape (npoints, n, ..., n)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         env = self.chart.env_at(points, params)
-        return evaluate_field(self.comps, env, points.shape[0])
+        return evaluate_many(self.comps, env, len(points))
 
     def __getitem__(self, idx):
         return self.comps[idx]
@@ -312,8 +312,3 @@ def directional_derivative(X, f):
 def pairing(T, X, Y):
     """T(X, Y) = T_ab (X^a Y^b), summed over a, then b, as a scalar expression."""
     return np.add.reduce((T * np.multiply.outer(X.comps, Y.comps)).reshape(-1))
-
-
-def metric_tensor_field(metric):
-    """The metric itself as a sym2 TensorField (shares component objects)."""
-    return TensorField(metric.chart, "sym2", metric.comps)

@@ -14,11 +14,11 @@ from grsoliton.chart import (
     Sample,
     define_chart,
     define_metric,
-    evaluate_field,
     metric_inverse_at,
     sample_points,
     symbolic_inverse,
 )
+from grsoliton.tensors import TensorField
 
 P = "4*exp(y)/(16+exp(2*y))"
 MINUS_Q = "exp(2*y)/(16+exp(2*y))"   # -q, also g_xz and eta_x
@@ -201,6 +201,13 @@ class TestDefineMetric:
         _, g = hyperbolic
         assert g.dim == 2
 
+    def test_a_metric_is_a_sym2_tensor_field(self, sasakian):
+        chart, g = sasakian
+        assert isinstance(g, TensorField)
+        assert (g.chart, g.valence, g.comps.shape) == (chart, "sym2", (3, 3))
+        for i, j in np.ndindex(3, 3):
+            assert g[i, j] is g.comps[i, j]
+
     def test_sasakian_accepted_with_quartic_determinant(self, sasakian):
         chart, g = sasakian
         # det = p^4 by cofactor expansion; at y = 0, p = 4/17
@@ -273,7 +280,7 @@ class TestMetricInverse:
         chart, g = request.getfixturevalue(fixture)
         pts = sample_points(chart, "uniform", 100, seed=11)
         gv = g.evaluate_at(pts)
-        iv = evaluate_field(g.inverse, chart.env_at(pts), len(pts))
+        iv = expr.evaluate_many(g.inverse, chart.env_at(pts), len(pts))
         eye = np.broadcast_to(np.eye(chart.dim), gv.shape)
         assert np.abs(gv @ iv - eye).max() <= 1e-12
 
@@ -281,7 +288,7 @@ class TestMetricInverse:
         chart, g = sasakian
         pt = [0.4, -0.7, 2.0]
         assert np.allclose(metric_inverse_at(g, pt),
-                           evaluate_field(g.inverse, chart.env_at([pt]), 1)[0], atol=1e-13)
+                           expr.evaluate_many(g.inverse, chart.env_at([pt]), 1)[0], atol=1e-13)
 
 
 def test_symbolic_determinant_small_cases():
@@ -311,6 +318,6 @@ def test_symbolic_inverse_at_dimension_nine():
     g = define_metric(chart, rows)
     pts = sample_points(chart, "uniform", 100, seed=12)
     gv = g.evaluate_at(pts)
-    iv = evaluate_field(g.inverse, chart.env_at(pts), len(pts))
+    iv = expr.evaluate_many(g.inverse, chart.env_at(pts), len(pts))
     eye = np.broadcast_to(np.eye(chart.dim), gv.shape)
     assert np.abs(gv @ iv - eye).max() <= 1e-12

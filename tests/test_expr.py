@@ -268,6 +268,32 @@ class TestEvaluate:
         assert not np.isfinite(out[0])
         assert out[1] == 0.0
 
+    def test_an_array_of_expressions_is_one_block(self):
+        # every component has the bits it has evaluated alone, across the
+        # plan's chunk edges, in the shape of the array after the points
+        npoints = 2 * expr.CHUNK_POINTS + 5
+        rng = np.random.default_rng(4)
+        env = {"x": rng.uniform(-2, 2, npoints), "y": rng.uniform(0.1, 2, npoints)}
+        grid = np.array([[parse("x*y"), parse("ln(y)"), Num(2.5)],
+                         [parse("exp(x) - y"), parse("x*y"), parse("cot(x)")]], dtype=object)
+        listed = [parse("sin(x)/y"), Num(-0.0), parse("x")]
+
+        def alone(e):
+            chunks = []
+
+            def keep(lo, hi, values):
+                chunks.append(values[0].copy())
+            expr.evaluate_many_multi([e], env, npoints, [(1, keep)])
+            return np.concatenate(chunks).view(np.uint64)
+
+        for e, shape in ((grid, (2, 3)), (listed, (3,)), (parse("x*y"), ())):
+            got = evaluate_many(e, env, npoints)
+            assert got.shape == (npoints, *shape)
+            for index in np.ndindex(shape):
+                component = np.asarray(e, dtype=object)[index]
+                assert np.array_equal(got[(slice(None), *index)].view(np.uint64),
+                                      alone(component)), render(component)
+
 
 class TestRenderRoundTrip:
     CASES = (

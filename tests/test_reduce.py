@@ -4,11 +4,10 @@ The ResidualSup accumulator, with and without a reference, fed a whole
 field as one chunk, reads evaluated fields without masked copies, and so
 does the axiom gate's worst point.  Each is compared here, bit for bit,
 with the plain masked-copy formula, kept below as the reference, on
-fields that come out of evaluate_fields (so they have its component-major
-layout and cross its chunk edges) and on C-ordered copies of them.  The
-accumulators (ResidualSup, FieldValues) are also fed the same fields in
-random chunkings, as the evaluation plan feeds them, and must give the
-whole-array results.  The FitQR accumulator is compared, to rounding,
+fields that come out of expr.evaluate_many (so they have its
+component-major layout and cross its chunk edges) and on C-ordered copies
+of them.  ResidualSup is also fed the same fields in random chunkings, as
+the evaluation plan feeds them, and must give the whole-array results.  The FitQR accumulator is compared, to rounding,
 with np.linalg.lstsq and an SVD of the whole column-stacked design.
 Every accumulator must keep nothing of the arrays a chunk hands it: the
 plan writes the next chunk into the same buffers.
@@ -24,12 +23,9 @@ from hypothesis import strategies as st
 
 from grsoliton import expr
 from grsoliton.chart import (
-    FieldValues,
     components_sup,
     define_chart,
     define_metric,
-    evaluate_field,
-    evaluate_fields,
     reduce_fields,
     sample_points,
 )
@@ -41,7 +37,7 @@ from grsoliton.contact import (
     ladder_rows,
     ricci_reeb_check,
 )
-from grsoliton.expr import CHUNK_POINTS, Num, Sym, as_scalar, simplify
+from grsoliton.expr import CHUNK_POINTS, Num, Sym, as_scalar, evaluate_many, simplify
 from grsoliton.fit import (
     BLOCK_ROWS,
     CONSTANT_ORDER,
@@ -204,7 +200,7 @@ def cases(draw, nfields):
 
 
 def evaluated(seed, npoints, shapes, validity):
-    """Fields of the given shapes, evaluated through evaluate_fields.
+    """Fields of the given shapes, each evaluated through evaluate_many.
 
     Components are columns of random values with zeros and -0.0 mixed in;
     some repeat an earlier column or are a constant, so that the plan's
@@ -247,11 +243,11 @@ def evaluated(seed, npoints, shapes, validity):
         cols[rng.integers(ncols, size=len(hit)), hit] = \
             np.array(SPECIALS)[rng.integers(3, size=len(hit))]
     env = {f"c{i}": col for i, col in enumerate(cols)}
-    return list(evaluate_fields(fields, env, npoints))
+    return [evaluate_many(f, env, npoints) for f in fields]
 
 
 def layouts(values):
-    """The evaluate_fields layout and a C-ordered copy of it."""
+    """The evaluate_many layout and a C-ordered copy of it."""
     yield values
     yield [np.ascontiguousarray(v) for v in values]
 
@@ -535,6 +531,20 @@ def feed(accumulator, fields, edges):
     return accumulator
 
 
+class Kept:
+    """Accumulator that keeps a copy of every value: finish() gives, per
+    field, the (npoints, k) array of its k components."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def update(self, lo, *fields):
+        self.chunks.append([np.array(components).T for components in fields])
+
+    def finish(self):
+        return [np.concatenate(chunks) for chunks in zip(*self.chunks)]
+
+
 def one_chunk(accumulator, fields):
     """accumulator fed every point of the (npoints, ...) fields as one chunk."""
     return feed(accumulator, fields, [0, len(fields[0])])
@@ -588,17 +598,6 @@ class TestChunkedAccumulators:
         for values in fields:
             assert_sup_norm(sup_norm(values, edges), values)
 
-    @settings(max_examples=30, deadline=None)
-    @given(data=st.data(), case=cases(2))
-    def test_field_values_match_whole_arrays(self, data, case):
-        seed, npoints, shapes, validity = case
-        fields = evaluated(seed, npoints, shapes, validity)
-        edges = data.draw(chunkings(npoints))
-        got = feed(FieldValues([f.shape[1:] for f in fields], npoints), fields, edges)
-        for mine, want in zip(got.finish(), fields):
-            assert mine.shape == want.shape
-            assert bits(mine) == bits(want)
-
     @pytest.mark.parametrize("npoints", CHUNK_SIZES[1:])
     def test_the_plan_feeds_every_chunk(self, npoints):
         # a root column, a point-independent root and a shared root, over
@@ -616,7 +615,7 @@ class TestChunkedAccumulators:
         check = ResidualSup(Check("t", res, ref), None, np.zeros((npoints, 1)), None, 1e-8,
                             scratch(npoints))
         sups = [no_reference(npoints), no_reference(npoints)]
-        values = FieldValues([(3,), (2,)], npoints)
+        values = Kept()
         reduce_fields([([res, ref], check), ([res, []], sups[0]), ([ref, []], sups[1]),
                        ([res, ref], values)], env, npoints)
         whole_res, whole_ref = values.finish()
@@ -667,7 +666,7 @@ def finished(npoints):
     check = build_soliton_check(metric, form, -1.0, 0.0, 1.0)
     # bare coordinates, a constant and a duplicate as roots, next to the metric
     coordinates = np.array([Sym("x"), Num(2.5), Sym("z"), Sym("x")], dtype=object)
-    values, design = FieldValues([coordinates.shape, metric.comps.shape], npoints), FitQR(form)
+    values, design = Kept(), FitQR(form)
     checks = [*ladder_checks(structure), ricci_reeb_check(structure), check]
     sups = reduce_checks(chart, checks, points, None, 1e-8,
                          [([coordinates, metric.comps], values),
@@ -709,8 +708,8 @@ def test_the_gate_names_the_whole_array_worst_point(sasakian_geometry, failing):
     assert err.value.axiom == failing
     fields = (TensorField(chart, "endo", [[simplify(as_scalar(e)) for e in row] for row in phi]),
               vector_field(chart, SASAKIAN_XI), oneform_field(chart, eta))
-    values = evaluate_field(_axiom_components(chart, g, *fields)[failing],
-                            chart.env_at(points), npoints)
+    values = evaluate_many(_axiom_components(chart, g, *fields)[failing],
+                           chart.env_at(points), npoints)
     worst = reference_worst_point(values)
     assert worst >= CHUNK_POINTS    # a point past the first chunk edge
     assert list(err.value.point) == list(points[worst])

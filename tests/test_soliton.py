@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from grsoliton.chart import evaluate_field, sample_points
+from grsoliton.chart import sample_points
 from grsoliton.contact import assemble_structure, ladder_checks, ladder_rows
-from grsoliton.expr import DomainError
+from grsoliton.expr import DomainError, evaluate_many
 from grsoliton.soliton import (
     DEFAULT_TOLERANCE,
     build_soliton_check,
@@ -112,10 +112,8 @@ class TestVectorForm:
         gcheck = build_soliton_check(g, gradient_form(g, H2_F1, H2_F2), c1, c2, lam)
         vcheck = build_soliton_check(g, vector_form(g, gradient(g, H2_F1), gradient(g, H2_F2)),
                                      c1, c2, lam)
-        gv = evaluate_field(np.asarray(gcheck.residual, dtype=object),
-                            chart.env_at(pts), len(pts))
-        vv = evaluate_field(np.asarray(vcheck.residual, dtype=object),
-                            chart.env_at(pts), len(pts))
+        gv = evaluate_many(gcheck.residual, chart.env_at(pts), len(pts))
+        vv = evaluate_many(vcheck.residual, chart.env_at(pts), len(pts))
         scale = max(1.0, np.abs(vv).max())
         assert np.abs(vv - 2 * gv).max() / scale <= 1e-10
 
@@ -198,8 +196,8 @@ class TestSupportingIdentities:
         xi = vector_field(chart, ["0", "0", "1"])
         lhs, rhs = potential_square_lie_sides(xi, "x*z")
         pts = _points(chart, 40)
-        lv = evaluate_field(np.asarray(lhs, dtype=object), chart.env_at(pts), len(pts))
-        rv = evaluate_field(np.asarray(rhs, dtype=object), chart.env_at(pts), len(pts))
+        lv = evaluate_many(lhs, chart.env_at(pts), len(pts))
+        rv = evaluate_many(rhs, chart.env_at(pts), len(pts))
         assert np.abs(lv[:, 0] - pts[:, 0]).max() <= 1e-15
         assert np.abs(rv[:, 0] - pts[:, 0]).max() <= 1e-15
         assert np.abs(lv - rv).max() <= 1e-15
@@ -209,10 +207,8 @@ class TestSupportingIdentities:
         xi = vector_field(chart, ["0", "0", "1"])
         lhs, rhs = potential_square_lie_sides(xi, "42")
         pts = _points(chart, 20)
-        assert np.abs(evaluate_field(np.asarray(lhs, dtype=object),
-                                     chart.env_at(pts), len(pts))).max() == 0.0
-        assert np.abs(evaluate_field(np.asarray(rhs, dtype=object),
-                                     chart.env_at(pts), len(pts))).max() == 0.0
+        assert np.abs(evaluate_many(lhs, chart.env_at(pts), len(pts))).max() == 0.0
+        assert np.abs(evaluate_many(rhs, chart.env_at(pts), len(pts))).max() == 0.0
 
 
 class TestTheoremProperty:
