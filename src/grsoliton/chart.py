@@ -50,11 +50,15 @@ class Chart:
     def env_at(self, points, params=None):
         """Evaluation environment mapping names to coordinate columns: the
         columns of an (npoints, n) array, or the column fills of a Sample
-        (Sample.columns)."""
+        (Sample.columns).  Raises ChartError on an array that is not
+        (npoints, n) with npoints >= 1."""
         points = as_points(points)
         if isinstance(points, Sample):
             env = points.columns()
         else:
+            if points.ndim != 2 or points.shape[1] != self.dim or not len(points):
+                raise ChartError(f"points must be an (npoints, {self.dim}) array with "
+                                 f"npoints >= 1, got shape {points.shape}")
             env = {name: points[:, i] for i, name in enumerate(self.names)}
         if params:
             for key, value in params.items():

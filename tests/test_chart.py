@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,10 @@ from grsoliton.chart import (
     sample_points,
     symbolic_inverse,
 )
-from grsoliton.tensors import TensorField
+from grsoliton.contact import assemble_structure
+from grsoliton.fit import fit_constants
+from grsoliton.soliton import Check, run_checks, vector_form
+from grsoliton.tensors import TensorField, vector_field
 
 P = "4*exp(y)/(16+exp(2*y))"
 MINUS_Q = "exp(2*y)/(16+exp(2*y))"   # -q, also g_xz and eta_x
@@ -194,6 +198,42 @@ class TestSample:
     def test_a_bad_seed_fails_where_the_points_are_asked_for(self):
         with pytest.raises(ValueError):
             Sample(self.CHART, "uniform", 5, -1)
+
+
+class TestPointArrays:
+    """Points given as an array must be (npoints, n) with npoints >= 1,
+    wherever they enter; one point may be given flat."""
+
+    @pytest.mark.parametrize("shape", [(5, 2), (5, 4), (0, 3)])
+    def test_an_array_that_does_not_fit_the_chart_is_a_chart_error(self, euclidean_space,
+                                                                    shape):
+        chart, g = euclidean_space
+        points = np.full(shape, 0.5)
+        form = vector_form(g, vector_field(chart, ["x", "y", "z"]),
+                           vector_field(chart, ["0", "0", "0"]))
+        calls = [
+            lambda: run_checks(chart, [Check("t", [expr.parse("x*z")], [])], points, None, 1e-8),
+            lambda: fit_constants(g, form, points),
+            lambda: assemble_structure(chart, g, [["0", "-1", "0"], ["1", "0", "0"],
+                                                  ["0", "0", "0"]], ["0", "0", "1"],
+                                       ["0", "0", "1"], points=points),
+            lambda: g.evaluate_at(points),
+        ]
+        for call in calls:
+            with pytest.raises(ChartError, match=re.escape(f"got shape {shape}")):
+                call()
+
+    def test_a_flat_array_is_one_point(self, euclidean_space):
+        chart, g = euclidean_space
+        [report] = run_checks(chart, [Check("t", [expr.parse("x*z")], [])], [0.1, 0.2, 0.3],
+                              None, 1e-8)
+        assert (report.n_points, report.abs_sup) == (1, 0.1 * 0.3)
+        assert g.evaluate_at([0.1, 0.2, 0.3]).shape == (1, 3, 3)
+        line = define_chart(["x"])
+        metric = define_metric(line, [["1 + x^2"]])
+        with pytest.raises(ChartError, match=re.escape("got shape (1, 3)")):
+            metric.evaluate_at([0.1, 0.2, 0.3])
+        assert metric.evaluate_at([[0.1], [0.2], [0.3]]).shape == (3, 1, 1)
 
 
 class TestDefineMetric:
