@@ -48,14 +48,17 @@ _AXIOM_SEED = 811
 
 
 class StructureError(ValueError):
-    """An almost-contact axiom fails beyond tolerance."""
+    """An almost-contact axiom fails beyond tolerance; its check used
+    n_points sample points and skipped n_skipped."""
 
-    def __init__(self, axiom, residual, point):
+    def __init__(self, axiom, residual, point, n_points, n_skipped):
         super().__init__(
             f"axiom {axiom!r} fails: residual {residual:.3e} at {list(point)}")
         self.axiom = axiom
         self.residual = residual
         self.point = point
+        self.n_points = n_points
+        self.n_skipped = n_skipped
 
 
 class AlmostContactStructure:
@@ -94,9 +97,10 @@ def assemble_structure(chart, metric, phi, xi, eta, points=None, params=None,
     phi is an (n, n) matrix of expressions (column = input index), xi a
     vector, eta a one-form.  Each axiom is a check with no reference,
     evaluated at points, or at 100 uniform points when points is None.
-    Raises StructureError naming the first violated axiom: at the first
-    sample point where its value is not finite, with residual nan, or else,
-    when its sup exceeds tolerance, at its worst point.  groups are further
+    Raises StructureError naming the first violated axiom and the points
+    its check used and skipped: at the first sample point where its value
+    is not finite, with residual nan, or else, when its sup exceeds
+    tolerance, at its worst point.  groups are further
     (fields, accumulator) pairs evaluated in the same plan as the axioms
     (see chart.reduce_fields), whether or not an axiom fails.
     """
@@ -112,11 +116,12 @@ def assemble_structure(chart, metric, phi, xi, eta, points=None, params=None,
               in _axiom_components(chart, metric, phi, xi, eta).items()]
     residuals = {}
     for sup in reduce_checks(chart, checks, points, params, tolerance, groups):
+        counts = sup.n_valid, sup.n_points - sup.n_valid
         if sup.first_bad is not None:
-            raise StructureError(sup.check.name, math.nan, points[sup.first_bad])
+            raise StructureError(sup.check.name, math.nan, points[sup.first_bad], *counts)
         report = sup.finish()
         if report.abs_sup > tolerance:
-            raise StructureError(report.name, report.abs_sup, points[sup.worst])
+            raise StructureError(report.name, report.abs_sup, points[sup.worst], *counts)
         residuals[report.name] = report.abs_sup
     return AlmostContactStructure(chart, metric, phi, xi, eta,
                                   (chart.dim - 1) // 2, residuals)

@@ -202,6 +202,7 @@ def _assemble(run, d_convention, first, classify=True):
                                        tolerance=max(tol, 1e-8), groups=first)
     except StructureError as ex:
         row = ResidualReport("structure_axioms", ex.residual, ex.residual, tol, False,
+                             ex.n_points, ex.n_skipped,
                              details={"axiom": ex.axiom,
                                       "worst_point": list(map(float, ex.point))})
         run.add([], lambda run, reports: [row])

@@ -93,18 +93,17 @@ def vector_form(metric, X1, X2):
 
 @dataclass
 class ResidualReport:
-    """Sup-norm summary of one residual check over the sample points, and
-    one row of a run's report: n_points and n_skipped are None only on the
-    row of a failed almost-contact axiom gate, and details holds a row's
-    further keys."""
+    """Sup-norm summary of one residual check over the sample points, of
+    which it used n_points and skipped n_skipped, and one row of a run's
+    report; details holds a row's further keys."""
 
     name: str
     abs_sup: float
     rel_sup: float
     tolerance: float
     passed: bool
-    n_points: int = None
-    n_skipped: int = None
+    n_points: int
+    n_skipped: int
     details: dict = field(default_factory=dict)
 
     def as_dict(self):
@@ -114,10 +113,9 @@ class ResidualReport:
             "rel_residual": self.rel_sup,
             "tolerance": self.tolerance,
             "passed": self.passed,
+            "points_used": self.n_points,
+            "points_skipped": self.n_skipped,
         }
-        if self.n_points is not None:
-            out["points_used"] = self.n_points
-            out["points_skipped"] = self.n_skipped
         out.update(self.details)
         return out
 

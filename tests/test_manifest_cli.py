@@ -424,18 +424,22 @@ class TestRunManifest:
         run_manifest(bundled_examples("sasakian3"), subcommand)
         assert len(built) == 3
 
-    def test_the_axiom_row_reports_no_point_counts(self, capsys):
+    def test_the_axiom_row_reports_its_point_counts(self, capsys):
+        # the failing axiom's check: a transposed phi fails phi_square at
+        # every point; a NaN eta_z (x < 0) skips the points it is NaN at
         doc = json.loads(resources.files("grsoliton").joinpath("data/sasakian3.json")
                          .read_text())
         doc["structure"]["phi"] = [list(r) for r in zip(*doc["structure"]["phi"])]
-        report = run_manifest(load_manifest(doc), "all")
-        [row] = [r for r in report.checks if r.name == "structure_axioms"]
-        assert (row.n_points, row.n_skipped) == (None, None)
-        assert row.details["axiom"] == "phi_square"
-        [row] = [r for r in json.loads(emit_report(report, "json"))["checks"]
-                 if r["name"] == "structure_axioms"]
-        assert list(row) == ["name", "abs_residual", "rel_residual", "tolerance", "passed",
-                             "axiom", "worst_point"]
+        for manifest, axiom, counts in ((doc, "phi_square", (200, 0)),
+                                        (NAN_ETA, "reeb_normalisation", (98, 102))):
+            report = run_manifest(load_manifest(manifest), "all", count=200, seed=7)
+            [row] = [r for r in report.checks if r.name == "structure_axioms"]
+            assert (row.n_points, row.n_skipped) == counts
+            assert row.details["axiom"] == axiom
+            [row] = [r for r in json.loads(emit_report(report, "json"))["checks"]
+                     if r["name"] == "structure_axioms"]
+            assert list(row) == ["name", "abs_residual", "rel_residual", "tolerance", "passed",
+                                 "points_used", "points_skipped", "axiom", "worst_point"]
 
 
 class TestEmit:
