@@ -17,7 +17,7 @@ from grsoliton.chart import ChartError, MetricError, define_chart, define_metric
 from grsoliton.expr import RESERVED_NAMES, ParseError, free_symbols, is_name, parse
 from grsoliton.soliton import CONSTANT_ORDER, DEFAULT_TOLERANCE
 
-BUNDLED_NAMES = ("hyperbolic", "cone", "sasakian3")
+BUNDLED_NAMES = ("hyperbolic", "cone", "sasakian3", "sasakian5")
 
 _DEFAULT_SAMPLING = {"strategy": "uniform", "count": 200, "seed": 0}
 
@@ -283,7 +283,7 @@ def _vector(block, n, where):
 
 
 def bundled_examples(name):
-    """Load one of the built-in manifests: hyperbolic, cone, sasakian3."""
+    """Load one of the built-in manifests: hyperbolic, cone, sasakian3, sasakian5."""
     if name not in BUNDLED_NAMES:
         raise ManifestError(
             f"unknown bundled manifest {name!r}; choose from {BUNDLED_NAMES}")

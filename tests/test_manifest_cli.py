@@ -4,11 +4,13 @@ import json
 import math
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from grsoliton.chart import sample_points
 from grsoliton.cli import build_parser, main
 from grsoliton.contact import assemble_structure, ricci_reeb_check
+from grsoliton.expr import evaluate_many
 from grsoliton.manifest import (
     BUNDLED_NAMES,
     ManifestError,
@@ -33,6 +35,7 @@ from conftest import (
     SASAKIAN_METRIC,
     SASAKIAN_PHI,
     SASAKIAN_XI,
+    sasakian_family,
 )
 
 HYPERBOLIC = {
@@ -260,7 +263,7 @@ class TestBundled:
     @pytest.mark.parametrize("name", BUNDLED_NAMES)
     def test_loads(self, name):
         m = bundled_examples(name)
-        assert m.chart.dim in (2, 3)
+        assert m.chart.dim in (2, 3, 5)
 
     def test_unknown_name(self):
         with pytest.raises(ManifestError):
@@ -281,6 +284,30 @@ class TestBundled:
         m = bundled_examples("sasakian3")
         assert m.structure is not None
         assert m.constants == {"c1": -1.0, "c2": 0.0, "lambda": 1.0}
+
+    def test_sasakian5_is_the_family_at_m_2(self, capsys):
+        # conftest.sasakian_family(2, 1) written out, with its vector soliton
+        m, family = bundled_examples("sasakian5"), load_manifest(sasakian_family(2, 1))
+        assert m.chart.names == family.chart.names
+        assert m.constants == {"c1": 6.0, "c2": 1.0, "lambda": 2.0}
+        env = m.chart.env_at(sample_points(m.chart, "uniform", 300, 3))
+        pairs = [(m.metric.comps, family.metric.comps)]
+        pairs += [(m.structure[k], family.structure[k]) for k in ("phi", "xi", "eta")]
+        pairs += [(m.vectors[k], family.vectors[k]) for k in ("X1", "X2")]
+        for mine, theirs in pairs:
+            gap = evaluate_many(mine, env, 300) - evaluate_many(theirs, env, 300)
+            assert np.abs(gap).max() <= 1e-15
+        # the theorem rows need the gradient form: no potentials, exit 2
+        assert main(["check-theorem", "--manifest", "sasakian5"]) == 2
+        assert "needs a scalars block" in capsys.readouterr().err
+
+    def test_sasakian5_with_lambda_3_fails_the_soliton_rows(self):
+        doc = json.loads(resources.files("grsoliton").joinpath("data/sasakian5.json")
+                         .read_text())
+        doc["constants"]["lambda"] = 3
+        report = run_manifest(load_manifest(doc), "all")
+        assert [r.name for r in report.checks if not r.passed] == \
+            ["soliton_vector", "fit_constants"]
 
     def test_resolve_by_name_or_path(self, tmp_path):
         assert resolve_manifest("hyperbolic").digest == \

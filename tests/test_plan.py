@@ -650,6 +650,8 @@ def test_reports_do_not_read_freed_buffers(name, subcommand, monkeypatch):
     manifest = resolve_manifest(name)
     if subcommand == "check-theorem" and manifest.structure is None:
         subcommand = "fit"
+    elif subcommand == "check-theorem" and manifest.scalars is None:
+        subcommand = "check-structure"      # no potentials, no theorem rows
     want = _report_bytes(runner.run_manifest(manifest, subcommand, count=2 * 8192 + 3))
     monkeypatch.setattr(expr, "_segments", poisoning(expr._segments))
     assert _report_bytes(runner.run_manifest(manifest, subcommand, count=2 * 8192 + 3)) == want
@@ -673,7 +675,8 @@ def test_a_run_builds_no_riemann_and_ricci_is_its_trace():
 
 @pytest.mark.parametrize("name, pools", [("hyperbolic", [(1, 2), (15, 67), (17, 83)]),
                                          ("cone", [(1, 1), (11, 53), (15, 71)]),
-                                         ("sasakian3", [(3, 10), (41, 243), (50, 434)])])
+                                         ("sasakian3", [(3, 10), (41, 243), (50, 434)]),
+                                         ("sasakian5", [(5, 12), (80, 585), (75, 581)])])
 def test_each_plan_keeps_its_buffer_pool(name, pools, monkeypatch, capsys):
     # (buffers, program steps) per plan (metric validation, axiom gate,
     # main plan): the same at 200 points as at 100k, where the buffers are
