@@ -17,14 +17,14 @@ exit code or the `passed` of some JSON row, and the largest change of
 sides (a change that only rounds reads 0 cases and small moves); it exits
 1 when any case differs.
 
-The matrix: the three bundled manifests as they are, with lambda + 1 and
+The matrix: the four bundled manifests as they are, with lambda + 1 and
 with lambda = "fit"; a NaN eta, an infinite eta, a transposed phi,
 f2 = sqrt(x - 1.97), an overflowing f1 and f2 = sin(1e400*z), whose
 literal is too large for a float (a manifest error); the vector form on
 Euclidean R^3 with X1 the position field (L_X1 g = 2g, so lambda = 1),
 with lambda + 1 and with lambda = "fit"; x the five subcommands x N = 2,
 200, 3,000 and 20,000 x seeds 7, 8 and 11 x both d-conventions x json,
-csv and table (6,480 cases).  20,000 points are two full chunks of the evaluation plan and a
+csv and table (7,560 cases).  20,000 points are two full chunks of the evaluation plan and a
 short last one, so chunk edges, worst points and first bad points past
 the first chunk are covered.  2 points are too few to fit: the fit row
 fails, and a "fit" constant is an error.
@@ -70,7 +70,7 @@ def _bundled(name):
 def manifests():
     """{label: --manifest value}, a bundled name or JSON text."""
     out = {}
-    for name in ("hyperbolic", "cone", "sasakian3"):
+    for name in ("hyperbolic", "cone", "sasakian3", "sasakian5"):
         out[name] = name
         shifted = _bundled(name)
         shifted["constants"]["lambda"] += 1
