@@ -668,7 +668,8 @@ def evaluate_many(e, env, size):
     block = np.empty((e.size, size))
 
     def collect(lo, hi, values):
-        block[:, lo:hi] = values
+        for row, value in zip(block, values):
+            row[lo:hi] = value
 
     evaluate_many_multi(e.reshape(-1), env, size, [(e.size, collect)])
     # splits only the last axis of the transposed block: a view

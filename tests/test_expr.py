@@ -286,7 +286,8 @@ class TestEvaluate:
             expr.evaluate_many_multi([e], env, npoints, [(1, keep)])
             return np.concatenate(chunks).view(np.uint64)
 
-        for e, shape in ((grid, (2, 3)), (listed, (3,)), (parse("x*y"), ())):
+        empty = np.empty((2, 0), dtype=object)      # a check with no components
+        for e, shape in ((grid, (2, 3)), (listed, (3,)), (parse("x*y"), ()), (empty, (2, 0))):
             got = evaluate_many(e, env, npoints)
             assert got.shape == (npoints, *shape)
             for index in np.ndindex(shape):
