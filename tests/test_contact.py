@@ -189,10 +189,9 @@ class TestClassify:
         # one whole-array reduction against the plan's chunk-by-chunk one
         chart = paper_structure.chart
         pts = sample_points(chart, "uniform", CHUNK_POINTS + 100, seed=12)
-        checks = ladder_checks(paper_structure, convention)
-        reports = []
-        for check in checks:
-            sup = float(np.abs(evaluate_many(check.residual, chart.env_at(pts), len(pts))).max())
+        env, reports = chart.env_at(pts), []
+        for check in ladder_checks(paper_structure, convention):
+            sup = float(np.abs(evaluate_many(check.residual, env, len(pts))).max())
             reports.append(ResidualReport(check.name, sup, sup, 1e-8, sup <= 1e-8, len(pts), 0))
         rows = ladder_rows(paper_structure, reports, 1e-8, convention, len(pts))
         want = _ladder(paper_structure, pts, convention)

@@ -7,8 +7,9 @@ with the plain masked-copy formula, kept below as the reference, on
 fields that come out of expr.evaluate_many (so they have its
 component-major layout and cross its chunk edges) and on C-ordered copies
 of them.  ResidualSup is also fed the same fields in random chunkings, as
-the evaluation plan feeds them, and must give the whole-array results.  The FitQR accumulator is compared, to rounding,
-with np.linalg.lstsq and an SVD of the whole column-stacked design.
+the evaluation plan feeds them, and must give the whole-array results.
+The FitQR accumulator is compared, to rounding, with np.linalg.lstsq and
+an SVD of the whole column-stacked design.
 Every accumulator must keep nothing of the arrays a chunk hands it: the
 plan writes the next chunk into the same buffers.
 """
