@@ -23,10 +23,11 @@ f2 = sqrt(x - 1.97), an overflowing f1 and f2 = sin(1e400*z), whose
 literal is too large for a float (a manifest error); the vector form on
 Euclidean R^3 with X1 the position field (L_X1 g = 2g, so lambda = 1),
 with lambda + 1 and with lambda = "fit"; x the five subcommands x N = 2,
-200, 3,000 and 20,000 x seeds 7, 8 and 11 x both d-conventions x json,
-csv and table (7,560 cases).  20,000 points are two full chunks of the evaluation plan and a
-short last one, so chunk edges, worst points and first bad points past
-the first chunk are covered.  2 points are too few to fit: the fit row
+200, 3,000, 8,193 and 20,000 x seeds 7, 8 and 11 x both d-conventions x
+json, csv and table (9,450 cases).  8,193 points are one more than a
+chunk of the evaluation plan (CHUNK_POINTS), and 20,000 are two full
+chunks and a short last one, so chunk edges, worst points and first bad
+points past the first chunk are covered.  2 points are too few to fit: the fit row
 fails, and a "fit" constant is an error.
 """
 
@@ -41,7 +42,7 @@ import warnings
 from importlib import resources
 
 SUBCOMMANDS = ("check-soliton", "check-structure", "check-theorem", "fit", "all")
-POINTS = (2, 200, 3000, 20000)
+POINTS = (2, 200, 3000, 8193, 20000)
 SEEDS = (7, 8, 11)
 CONVENTIONS = ("half", "plain")
 FORMATS = ("json", "csv", "table")
