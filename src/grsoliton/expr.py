@@ -36,13 +36,13 @@ like any other.
 There is one arithmetic: evaluate, a plan and simplify's fold of a power
 compute a node by its numpy operation (_operation), and + - * / round in
 Python floats as in numpy, so evaluate gives the plan's bits at a point.
-Vectorised evaluation (evaluate_many_multi) computes each
-node once and runs over the points in fixed-size chunks.  Every value a
-chunk computes lives in one of a fixed pool of chunk-long buffers, allocated
-once per run and reused by a later value after the last read of an earlier
-one; each group of root values goes to the sink that reduces it as soon as
-the chunk has computed it, and the plan then reuses its buffers, so no
-value outlives its chunk unless the sink copies it.
+Vectorised evaluation (evaluate_many_multi) computes each node once and
+runs over the points in chunks of one width, the last one shorter or not.
+Every value a chunk computes lives in one of a fixed pool of chunk-long
+buffers, allocated once per run and reused by a later value after the last
+read of an earlier one; each group of root values goes to the sink that
+reduces it as soon as the chunk has computed it, and the plan then reuses
+its buffers, so no value outlives its chunk unless the sink copies it.
 """
 
 import contextlib
@@ -57,7 +57,8 @@ FUNCTIONS = ("exp", "ln", "sin", "cos", "tan", "cot", "sqrt")
 CONSTANTS = {"pi": math.pi, "e": math.e}
 RESERVED_NAMES = frozenset(FUNCTIONS) | frozenset(CONSTANTS)
 
-# points per chunk of vectorised evaluation.  `all` on the bundled
+# the most points in a chunk of vectorised evaluation: N points run as
+# ceil(N / CHUNK_POINTS) chunks of one width.  `all` on the bundled
 # sasakian3 at 100k points, median ms per run (2-vCPU x86, numpy 2.4):
 # 4,096: 130-133, 8,192: 120-127, 12,288: 119-125, 16,384: 123-134,
 # 32,768: 132-137; 8,192 and 12,288 tie within noise
@@ -680,7 +681,8 @@ def evaluate_many_multi(exprs, env, size, sinks):
     """Vectorised evaluation of several roots as one plan.
 
     Each distinct node (and, since nodes are interned, each distinct
-    structure) is computed once, over chunks of CHUNK_POINTS points.  env
+    structure) is computed once, over ceil(size / CHUNK_POINTS) chunks of
+    one width, ceil(size / chunks), the last one shorter or not.  env
     maps a name to a scalar, a (size,) array, or a fill(lo, hi, out) that
     writes its values at points lo..hi-1 into out (chart.Sample.columns).
     sinks is a list of (count, sink) pairs that split exprs, in order, into
@@ -693,30 +695,30 @@ def evaluate_many_multi(exprs, env, size, sinks):
     point gets a slot in a pool of chunk-long buffers, which passes to a
     later value once no step or sink is left to read the value (a use
     count), so the pool holds as many buffers as values are live at once.
-    Each step is bound once as a numpy call that writes its slot, and every
-    chunk replays those calls; only a shorter last chunk is bound again, on
-    views of its length.  So a sink reduces or copies what it needs during
-    the call and keeps no array, nor any view of one.
+    Each step is bound once, at the chunk width, as a numpy call that
+    writes its slot, and every chunk replays those calls; a shorter last
+    chunk runs them over whole buffers, whose tails nothing reads, and
+    feeds views of the heads.  So a sink reduces or copies what it needs
+    during the call and keeps no array, nor any view of one.
     """
     roots, values, columns, program, needs = _compile(exprs, env, size)
     groups, start = [], 0
     for count, sink in sinks:
         groups.append((sink, roots[start:start + count]))
         start += count
-    width = min(size, CHUNK_POINTS)
+    width = -(-size // (-(-size // CHUNK_POINTS) or 1))     # 0 at no point
     _, fills, segments = _bind(columns, program, groups, values, needs, width)
-    for lo in range(0, size, CHUNK_POINTS):
-        hi = min(lo + CHUNK_POINTS, size)
-        if lo == 0 or hi - lo < width:
-            chunk_fills, chunk = _segments(fills, segments, width, hi - lo)
-        for fill, out in chunk_fills:
-            fill(lo, hi, out)
-        for steps, feeds in chunk:
+    for lo in range(0, size, width or 1):
+        hi = min(lo + width, size)
+        n = hi - lo
+        for fill, out in fills:
+            fill(lo, hi, out[:n])
+        for steps, feeds in segments:
             with np.errstate(all="ignore"):
                 for op, args, out in steps:
                     op(*args, out=out)
             for sink, values in feeds:
-                sink(lo, hi, values)
+                sink(lo, hi, values if n == width else tuple(v[:n] for v in values))
 
 
 def _compile(roots, env, size):
@@ -862,27 +864,6 @@ def _bind(columns, program, groups, values, needs, width):
                 if not left[k]:
                     feed(k)
     return pool, fills, segments
-
-
-def _segments(fills, segments, width, n):
-    """_bind's fills and segments, bound at width, for a chunk of n points:
-    each buffer, and each broadcast root, as one view of its first n
-    points."""
-    if n == width:
-        return fills, segments
-    views = {}               # id(array) -> its view; the arrays outlive the call
-
-    def view(a):
-        if type(a) is not np.ndarray:
-            return a         # a scalar argument
-        if id(a) not in views:
-            views[id(a)] = a[:n]
-        return views[id(a)]
-
-    return ([(fill, view(out)) for fill, out in fills],
-            [([(op, tuple(map(view, args)), view(out)) for op, args, out in steps],
-              [(sink, tuple(map(view, roots))) for sink, roots in feeds])
-             for steps, feeds in segments])
 
 
 _OPERATIONS = {

@@ -141,15 +141,15 @@ def field_components(values):
     return values.reshape(len(values), math.prod(values.shape[1:])).T
 
 
-def poisoning(segments):
-    """expr._segments whose sinks, once they return, fill with NaN
+def poisoning(bind):
+    """expr._bind whose sinks, once they return, fill with NaN
     every plan buffer that the rest of the chunk does not read before a
     step writes it: the roots a group's sink was handed, once nothing
     later reads them, and every free buffer.  A point-independent root, a
     broadcast view of its scalar, is no plan buffer.  What a report reads
     from a buffer after the plan has let it go then reads NaN."""
     def poisoned(*args):
-        fills, parts = segments(*args)
+        pool, fills, parts = bind(*args)
         events, marks = [], []       # (is_write, array) in chunk order; a mark per feed
         for steps, feeds in parts:
             for _, arguments, out in steps:
@@ -170,7 +170,7 @@ def poisoning(segments):
                 dead = [a for key, a in arrays.items() if first.get(key, True)]
                 wrapped.append((_poisoned_sink(sink, dead), roots))
             out.append((steps, wrapped))
-        return fills, out
+        return pool, fills, out
     return poisoned
 
 

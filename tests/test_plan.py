@@ -150,6 +150,10 @@ def point_env(size, seed=0):
 X, Y, A = Sym("x"), Sym("y"), Sym("a")
 SUM = Add(X, Y)
 
+# points -> the one chunk width of a call: ceil(N / 8,192) chunks of
+# ceil(N / chunks) points, the last one shorter or not
+WIDTHS = {1: 1, 8191: 8191, 8192: 8192, 8193: 4097, 16387: 5463, 100_000: 7693}
+
 
 class TestPlan:
     @pytest.mark.parametrize("size", [1, 8191, 8192, 8193, 16387])
@@ -195,13 +199,49 @@ class TestPlan:
         with pytest.MonkeyPatch.context() as patch:
             # every buffer that the rest of the chunk does not read is NaN
             # once a group's sink returns
-            patch.setattr(expr, "_segments", poisoning(expr._segments))
+            patch.setattr(expr, "_bind", poisoning(expr._bind))
             evaluate_many_multi(roots, env, size, [(b - a, sink_of(a))
                                                    for a, b in zip(bounds, bounds[1:])])
         for start in bounds[:-1]:
-            assert [lo for s, lo in chunks if s == start] == list(range(0, size, 8192))
+            assert [lo for s, lo in chunks if s == start] == list(range(0, size, WIDTHS[size]))
         for root, values in zip(roots, out):
             assert same_bits(values, reference_evaluate(root, env, size)), expr.render(root)
+
+    @pytest.mark.parametrize("size", WIDTHS)
+    def test_every_chunk_but_the_last_has_the_one_width(self, size, monkeypatch):
+        # one binding per call, at the width; 8,193 points were cut as
+        # 8,192 + 1, and the short last chunk bound again
+        width, widths, spans = WIDTHS[size], [], []
+        bind = expr._bind
+
+        def binding(*args):
+            widths.append(args[-1])
+            return bind(*args)
+
+        def sink_of(group):
+            def sink(lo, hi, values):
+                spans.append((group, lo, hi))
+                assert [len(v) for v in values] == [hi - lo] * len(values)
+                out[group:group + len(values), lo:hi] = values
+            return sink
+
+        roots = [Num(2.0), X, Mul(SUM, Y), Call("cot", SUM)]
+        out = np.empty((len(roots), size))
+        env = point_env(size)
+        monkeypatch.setattr(expr, "_bind", binding)
+        evaluate_many_multi(roots, env, size, [(1, sink_of(0)), (1, sink_of(1)),
+                                               (2, sink_of(2))])
+        assert widths == [width]
+        chunks = [(lo, min(lo + width, size)) for lo in range(0, size, width)]
+        assert len(chunks) == -(-size // 8192)
+        assert all(hi - lo == width for lo, hi in chunks[:-1])
+        for group in (0, 1, 2):
+            assert [(lo, hi) for g, lo, hi in spans if g == group] == chunks
+        for root, values in zip(roots, out):
+            assert same_bits(values, reference_evaluate(root, env, size)), expr.render(root)
+
+    def test_no_point_is_an_empty_block(self):
+        assert expr.evaluate_many([X, X], {"x": np.zeros(0)}, 0).shape == (0, 2)
 
     @pytest.mark.parametrize("size", [1, 16387])
     @settings(max_examples=25, deadline=None)
@@ -653,7 +693,7 @@ def test_reports_do_not_read_freed_buffers(name, subcommand, monkeypatch):
     elif subcommand == "check-theorem" and manifest.scalars is None:
         subcommand = "check-structure"      # no potentials, no theorem rows
     want = _report_bytes(runner.run_manifest(manifest, subcommand, count=2 * 8192 + 3))
-    monkeypatch.setattr(expr, "_segments", poisoning(expr._segments))
+    monkeypatch.setattr(expr, "_bind", poisoning(expr._bind))
     assert _report_bytes(runner.run_manifest(manifest, subcommand, count=2 * 8192 + 3)) == want
 
 

@@ -687,7 +687,7 @@ def finished(npoints):
                                      2 * CHUNK_POINTS + 3])
 def test_accumulators_keep_no_chunk_array(npoints, monkeypatch):
     want = finished(npoints)
-    monkeypatch.setattr(expr, "_segments", poisoning(expr._segments))
+    monkeypatch.setattr(expr, "_bind", poisoning(expr._bind))
     assert finished(npoints) == want
 
 

@@ -24,10 +24,11 @@ literal is too large for a float (a manifest error); the vector form on
 Euclidean R^3 with X1 the position field (L_X1 g = 2g, so lambda = 1),
 with lambda + 1 and with lambda = "fit"; x the five subcommands x N = 2,
 200, 3,000, 8,193 and 20,000 x seeds 7, 8 and 11 x both d-conventions x
-json, csv and table (9,450 cases).  8,193 points are one more than a
-chunk of the evaluation plan (CHUNK_POINTS), and 20,000 are two full
-chunks and a short last one, so chunk edges, worst points and first bad
-points past the first chunk are covered.  2 points are too few to fit: the fit row
+json, csv and table (9,450 cases).  The evaluation plan runs N points as
+ceil(N / 8,192) chunks of one width: 8,193 points, one more than a chunk
+holds, run as 4,097 + 4,096 and 20,000 as 6,667 + 6,667 + 6,666, so chunk
+edges, a shorter last chunk, and worst points and first bad points past
+the first chunk are covered.  2 points are too few to fit: the fit row
 fails, and a "fit" constant is an error.
 """
 
