@@ -21,8 +21,11 @@ from grsoliton.chart import (
 )
 from grsoliton.contact import assemble_structure
 from grsoliton.fit import fit_constants
+from grsoliton.manifest import load_manifest
 from grsoliton.soliton import Check, run_checks, vector_form
 from grsoliton.tensors import TensorField, vector_field
+
+from conftest import sasakian_family
 
 P = "4*exp(y)/(16+exp(2*y))"
 MINUS_Q = "exp(2*y)/(16+exp(2*y))"   # -q, also g_xz and eta_x
@@ -329,6 +332,30 @@ class TestMetricInverse:
         pt = [0.4, -0.7, 2.0]
         assert np.allclose(metric_inverse_at(g, pt),
                            expr.evaluate_many(g.inverse, chart.env_at([pt]), 1)[0], atol=1e-13)
+
+    @pytest.mark.parametrize("a", [1000, 1e4])
+    def test_a_well_conditioned_deformation_inverts(self, a):
+        # cond(g) is 1.2e3 to 7.5e4 at these points at a = 1000, ten times
+        # that at 1e4, and |g g^-1 - I| grows with it: an absolute 1e-12
+        # on it rejected 13 and 153 of them
+        manifest = load_manifest(sasakian_family(2, a))
+        for point in sample_points(manifest.chart, "uniform", 200, seed=3):
+            g = manifest.metric.evaluate_at([point])[0]
+            assert np.abs(g @ metric_inverse_at(manifest.metric, point) - np.eye(5)).max() < 1e-9
+
+    @pytest.mark.parametrize("x", [0.0, 1e-9])
+    def test_a_singular_or_ill_conditioned_metric_raises(self, x):
+        # cond diag(x^2, 1) = 1e18 at x = 1e-9, whose inverse was returned
+        chart = define_chart(["x", "y"], {})
+        g = define_metric(chart, [["x^2", "0"], ["0", "1"]])
+        with pytest.raises(MetricError, match="singular"):
+            metric_inverse_at(g, [x, 0.0])
+
+    def test_a_conditioned_diagonal_inverts(self):
+        chart = define_chart(["x", "y"], {})
+        g = define_metric(chart, [["x^2", "0"], ["0", "1"]])
+        assert metric_inverse_at(g, [1e-3, 0.0]) == pytest.approx(np.diag([1e6, 1.0]),
+                                                                   rel=1e-12)
 
 
 def test_symbolic_determinant_small_cases():
