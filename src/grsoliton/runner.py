@@ -40,6 +40,7 @@ from grsoliton.soliton import (
     ResidualReport,
     build_soliton_check,
     build_theorem_checks,
+    classify_constants,
     diagnose_domain,
     gradient_form,
     run_checks,
@@ -228,9 +229,12 @@ def _soliton_rows(run):
 
 
 def _soliton_row(run, reports, constants):
-    """The soliton row: its check's report, with the constants it used."""
+    """The soliton row: its check's report, with the constants it used and
+    the special cases they name (soliton.classify_constants)."""
     [report] = reports
     report.details["constants"] = constants
+    report.details["labels"] = sorted(classify_constants(*constants.values(),
+                                                         run.manifest.chart.dim))
     return [report]
 
 

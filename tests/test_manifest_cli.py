@@ -436,7 +436,22 @@ class TestRunManifest:
             reports = run_checks(manifest.chart, checks, points, params, tol)
             assert [dataclasses.replace(row, details={}) for row in rows] == reports
         [soliton] = run_manifest(manifest, "check-soliton").checks
-        assert soliton.details == {"constants": {"c1": -1.0, "c2": 0.0, "lambda": 1.0}}
+        assert soliton.details == {"constants": {"c1": -1.0, "c2": 0.0, "lambda": 1.0},
+                                   "labels": []}
+
+    @pytest.mark.parametrize("lam", [1, "fit"])
+    def test_a_soliton_row_names_its_special_case(self, lam):
+        # L_X g = 2g for the position field X on Euclidean R^3: c1 = c2 = 0
+        # is a homothety, at declared and at fitted constants alike
+        dilation = {
+            "chart": {"coords": ["x", "y", "z"]},
+            "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+            "vectors": {"X1": ["x", "y", "z"], "X2": ["0", "0", "0"]},
+            "constants": {"c1": 0, "c2": 0, "lambda": lam},
+        }
+        rows = {r.name: r for r in run_manifest(load_manifest(dilation), "check-soliton").checks}
+        assert rows["soliton_vector"].passed
+        assert rows["soliton_vector"].details["labels"] == ["homothety"]
 
     @pytest.mark.parametrize("subcommand", ["check-theorem", "all"])
     def test_the_theorem_rows_build_each_transport_once(self, subcommand, monkeypatch):
