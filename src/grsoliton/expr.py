@@ -706,9 +706,10 @@ def evaluate_many_multi(exprs, env, size, sinks):
     for count, sink in sinks:
         groups.append((sink, roots[start:start + count]))
         start += count
-    width = -(-size // (-(-size // CHUNK_POINTS) or 1))     # 0 at no point
+    chunks = -(-size // CHUNK_POINTS)                   # ceil(size / CHUNK_POINTS)
+    width = -(-size // max(chunks, 1))                  # 0 at no point
     _, fills, segments = _bind(columns, program, groups, values, needs, width)
-    for lo in range(0, size, width or 1):
+    for lo in range(0, size, max(width, 1)):
         hi = min(lo + width, size)
         n = hi - lo
         for fill, out in fills:
