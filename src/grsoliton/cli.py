@@ -4,7 +4,8 @@
               [--tol T] [--format json|csv|table] [--d-convention half|plain]
 
 Subcommands: check-soliton, check-structure, check-theorem, fit, all.
---manifest also accepts a bundled name: hyperbolic, cone, sasakian3.
+--manifest also accepts a bundled name: hyperbolic, cone, sasakian3,
+sasakian5.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 bad manifest or
 arguments, 3 expression domain error at the sample points.
