@@ -8,6 +8,7 @@ exact and keeps everything downstream closed-form.
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -24,6 +25,13 @@ TRUNCATION = 2.0
 
 _VALIDATION_POINTS = 100
 _VALIDATION_SEED = 20260613
+
+# SplitMix64 (Sample): the counter's increment, then the finaliser's
+# (shift, multiplier) steps and its last shift
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+        (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+_LAST_SHIFT = np.uint64(31)
 
 
 class ChartError(ValueError):
@@ -123,11 +131,16 @@ def _feasible_box(chart):
 class Sample:
     """The sample points of a chart, drawn chunk by chunk: block(lo, hi)
     is points lo..hi-1 as an (hi - lo, n) array, sample[i] point i, and
-    no (count, n) array is held.  "uniform": point p is row p of
-    default_rng(seed).random((count, n)) scaled into the feasible box,
-    drawn by a generator advanced past the points before it.  "grid": the
-    first count points, in lexicographic order, of the smallest per-axis
-    lattice that has count points.
+    no (count, n) array is held.  "uniform": coordinate j of point p is
+    low_j + width_j * u_k of the feasible box, where u_k is draw
+    k = p n + j of SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) from
+    seed, an integer in [0, 2^64): x = seed + (k + 1) 0x9E3779B97F4A7C15
+    mod 2^64, put through the finaliser (x ^= x >> 30; x *= 0xBF58476D1CE4E5B9;
+    x ^= x >> 27; x *= 0x94D049BB133111EB; x ^= x >> 31), and
+    u_k = (x >> 11) 2^-53 in [0, 1).  The generator is counter-based, so
+    a point depends only on (seed, p).  "grid": the first count points, in
+    lexicographic order, of the smallest per-axis lattice that has count
+    points.
     """
 
     def __init__(self, chart, strategy="uniform", count=100, seed=0):
@@ -138,7 +151,10 @@ class Sample:
             raise ChartError(f"unknown sampling strategy {strategy!r}")
         self.names = chart.names
         self.strategy, self.count = strategy, count
-        self.seed = np.random.SeedSequence(seed)   # the seeding of default_rng(seed)
+        seed = operator.index(seed)
+        if not 0 <= seed < 2 ** 64:
+            raise ValueError(f"seed must be in [0, 2^64), got {seed!r}")
+        self.seed = np.uint64(seed)
         self.low = [lo for lo, _ in box]
         self.width = [hi - lo for lo, hi in box]
         if strategy == "grid":
@@ -156,8 +172,15 @@ class Sample:
     def block(self, lo, hi):
         n = len(self.names)
         if self.strategy == "uniform":
-            generator = np.random.Generator(np.random.PCG64(self.seed).advance(lo * n))
-            points = generator.random((hi - lo, n))
+            x = np.arange(lo * n + 1, hi * n + 1, dtype=np.uint64)    # k + 1
+            x *= _GOLDEN_GAMMA                  # uint64 arithmetic is mod 2^64
+            x += self.seed
+            for shift, multiplier in _MIX:
+                x ^= x >> shift
+                x *= multiplier
+            x ^= x >> _LAST_SHIFT
+            x >>= 11
+            points = np.multiply(x, 2.0 ** -53).reshape(hi - lo, n)
             for axis in range(n):
                 # lo + (hi - lo) * u, column by column in place
                 column = points[:, axis]
@@ -185,7 +208,8 @@ class Sample:
 
 def sample_points(chart, strategy="uniform", count=100, seed=0):
     """The points of Sample(chart, strategy, count, seed) as one
-    (count, n) array."""
+    (count, n) array; "uniform" row p, coordinate j, is SplitMix64 draw
+    p n + j from seed, scaled into the feasible box."""
     return Sample(chart, strategy, count, seed).block(0, count)
 
 

@@ -6,7 +6,6 @@ sampling policy, and a tolerance.  All mathematical content goes through
 the expression parser, so a manifest is fully validated at load time.
 """
 
-import hashlib
 import json
 import math
 import numbers
@@ -16,6 +15,16 @@ from importlib import resources
 from grsoliton.chart import ChartError, MetricError, define_chart, define_metric
 from grsoliton.expr import RESERVED_NAMES, ParseError, free_symbols, is_name, parse
 from grsoliton.soliton import CONSTANT_ORDER, DEFAULT_TOLERANCE
+
+# as CPython's random.py: hashlib loads OpenSSL, so try the lean builtin
+# module first (_sha2 from Python 3.12, _sha256 before)
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 BUNDLED_NAMES = ("hyperbolic", "cone", "sasakian3", "sasakian5")
 
@@ -94,6 +103,8 @@ def run_settings(sampling, tolerance, count=None, seed=None, tol=None):
         _fail(f"sampling.count must be a positive integer, got {sampling['count']!r}")
     if not _is_number(sampling["seed"], numbers.Integral) or sampling["seed"] < 0:
         _fail(f"sampling.seed must be a non-negative integer, got {sampling['seed']!r}")
+    if sampling["seed"] >= 2 ** 64:
+        _fail(f"sampling.seed must be below 2^64, got {sampling['seed']!r}")
     if not _is_finite(tolerance) or tolerance <= 0:
         _fail(f"tolerance must be a positive finite number, got {tolerance!r}")
     sampling["count"], sampling["seed"] = int(sampling["count"]), int(sampling["seed"])
@@ -129,7 +140,7 @@ def load_manifest(source):
             raise ManifestError(f"manifest is not valid JSON: {ex}") from ex
     if not isinstance(data, dict):
         _fail("manifest must be a JSON object")
-    digest = hashlib.sha256(
+    digest = sha256(
         json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
     _no_unknown_keys(data, {"chart", "metric", "structure", "scalars", "vectors",

@@ -143,11 +143,23 @@ class TestSamplePoints:
             sample_points(chart, "sobol", 5)
 
 
+def splitmix64(seed, count):
+    """The first count draws of SplitMix64 from seed, as floats in [0, 1):
+    Python integers masked to 64 bits, independent of numpy."""
+    mask, draws = 2 ** 64 - 1, []
+    for k in range(count):
+        x = (seed + (k + 1) * 0x9E3779B97F4A7C15) & mask
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+        x ^= x >> 31
+        draws.append((x >> 11) * 2.0 ** -53)
+    return draws
+
+
 def whole_array_points(chart, strategy, count, seed):
-    """The points as one (count, n) array, by the formulas that drew them
-    before they were drawn chunk by chunk: lo + (hi - lo) * u on
-    default_rng(seed).random((count, n)), in place with per-column
-    lists, or the first count of the meshgrid lattice."""
+    """The points as one (count, n) array, by the formulas that define
+    them: lo + (hi - lo) * u for draw p n + j of SplitMix64, or the first
+    count of the meshgrid lattice."""
     box = []
     for lo, hi in chart.bounds:
         lo_eff = lo + MARGIN if math.isfinite(lo) else -2.0
@@ -155,7 +167,7 @@ def whole_array_points(chart, strategy, count, seed):
         box.append((lo_eff, hi_eff))
     n = chart.dim
     if strategy == "uniform":
-        pts = np.random.default_rng(seed).random((count, n))
+        pts = np.array(splitmix64(seed, count * n)).reshape(count, n)
         pts *= [hi - lo for lo, hi in box]
         pts += [lo for lo, _ in box]
         return pts
@@ -198,9 +210,23 @@ class TestSample:
                 columns[self.CHART.names[axis]](lo, hi, out)
                 assert out.tobytes() == want[lo:hi, axis].tobytes()
 
+    def test_splitmix64_reads_its_published_first_draw(self):
+        # SplitMix64 from state 1234567 first outputs 6457827717110365317
+        assert splitmix64(1234567, 1) == [(6457827717110365317 >> 11) * 2.0 ** -53]
+
+    @pytest.mark.parametrize("seed", [0, 11, 2 ** 64 - 1])
+    def test_the_draws_are_uniform_on_each_axis(self, seed):
+        # 5 sigma of the mean and of the variance of 10^5 uniform draws:
+        # var(u) = 1/12 and var((u - 1/2)^2) = 1/80 - 1/144 = 1/180
+        count = 10 ** 5
+        u = (sample_points(define_chart(["x", "y", "z"]), "uniform", count, seed) + 2.0) / 4.0
+        assert np.all(abs(u.mean(axis=0) - 1 / 2) <= 5 * math.sqrt(1 / 12 / count))
+        assert np.all(abs(u.var(axis=0) - 1 / 12) <= 5 * math.sqrt(1 / 180 / count))
+
     def test_a_bad_seed_fails_where_the_points_are_asked_for(self):
-        with pytest.raises(ValueError):
-            Sample(self.CHART, "uniform", 5, -1)
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError):
+                Sample(self.CHART, "uniform", 5, seed)
 
 
 class TestPointArrays:

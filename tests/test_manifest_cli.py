@@ -1,12 +1,17 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
 import pytest
 
+import grsoliton
 from grsoliton.chart import sample_points
 from grsoliton.cli import build_parser, main
 from grsoliton.contact import assemble_structure, ricci_reeb_check
@@ -26,7 +31,7 @@ from grsoliton.soliton import (
     gradient_form,
     run_checks,
 )
-from grsoliton.tensors import covariant_derivative
+from grsoliton.tensors import covariant_derivative, hessian
 
 from conftest import (
     SASAKIAN_ETA,
@@ -90,6 +95,7 @@ BAD_OVERRIDES = [
     (["--tol", "-1"], "tolerance must be a positive finite number, got -1.0"),
     (["--tol", "nan"], "tolerance must be a positive finite number, got nan"),
     (["--tol", "inf"], "tolerance must be a positive finite number, got inf"),
+    (["--seed", str(2 ** 64)], f"sampling.seed must be below 2^64, got {2 ** 64}"),
 ]
 
 # (manifest edit, message): values that a manifest must not hold
@@ -97,6 +103,7 @@ BAD_MANIFEST_VALUES = [
     ({"sampling": {"seed": -1}}, "sampling.seed must be a non-negative integer, got -1"),
     ({"sampling": {"count": True}}, "sampling.count must be a positive integer, got True"),
     ({"sampling": {"seed": True}}, "sampling.seed must be a non-negative integer, got True"),
+    ({"sampling": {"seed": 2 ** 64}}, f"sampling.seed must be below 2^64, got {2 ** 64}"),
     ({"tolerance": math.nan}, "tolerance must be a positive finite number, got nan"),
     ({"tolerance": math.inf}, "tolerance must be a positive finite number, got inf"),
     ({"tolerance": True}, "tolerance must be a positive finite number, got True"),
@@ -166,6 +173,12 @@ class TestLoadManifest:
         a = load_manifest(HYPERBOLIC)
         b = load_manifest(copy.deepcopy(HYPERBOLIC))
         assert a.digest == b.digest
+
+    @pytest.mark.parametrize("name", BUNDLED_NAMES)
+    def test_the_digest_is_the_sha256_of_the_canonical_json(self, name):
+        doc = json.loads(resources.files("grsoliton").joinpath(f"data/{name}.json").read_text())
+        canonical = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        assert load_manifest(doc).digest == hashlib.sha256(canonical).hexdigest()
 
     def test_loads_file(self, tmp_path):
         path = tmp_path / "m.json"
@@ -355,12 +368,20 @@ class TestRunManifest:
     @pytest.mark.parametrize("shift", [1e-5, 1e-6, 1e-7])
     def test_a_small_lambda_shift_fails_pointwise(self, shift):
         # near sin z = 0 |Hess f1| reaches about 1.9e3, which divided the
-        # residual of every point when the relative residual was global
+        # residual of every point when the relative residual was global; the
+        # residual is -shift g, so the row reads the pointwise sup of
+        # shift max|g| / max(1, max|Hess f1|) over the drawn points
         doc = sasakian_manifest()
         doc["constants"]["lambda"] += shift
-        [row] = run_manifest(load_manifest(doc), "check-soliton", tolerance=1e-8).checks
+        manifest = load_manifest(doc)
+        [row] = run_manifest(manifest, "check-soliton", tolerance=1e-8).checks
         assert not row.passed
-        assert row.rel_sup == pytest.approx(shift, rel=1e-3)
+        points = sample_points(manifest.chart, "uniform", manifest.sampling["count"],
+                               manifest.sampling["seed"])
+        env = manifest.chart.env_at(points, manifest.params)
+        g, hess = (np.abs(evaluate_many(field.comps, env, len(points))).max(axis=(1, 2))
+                   for field in (manifest.metric, hessian(manifest.metric, SASAKIAN_F1)))
+        assert row.rel_sup == pytest.approx((shift * g / np.maximum(1.0, hess)).max(), rel=1e-6)
 
     def test_fit_reports_solution(self):
         report = run_manifest(bundled_examples("cone"), "fit")
@@ -473,7 +494,7 @@ class TestRunManifest:
                          .read_text())
         doc["structure"]["phi"] = [list(r) for r in zip(*doc["structure"]["phi"])]
         for manifest, axiom, counts in ((doc, "phi_square", (200, 0)),
-                                        (NAN_ETA, "reeb_normalisation", (98, 102))):
+                                        (NAN_ETA, "reeb_normalisation", (100, 100))):
             report = run_manifest(load_manifest(manifest), "all", count=200, seed=7)
             [row] = [r for r in report.checks if r.name == "structure_axioms"]
             assert (row.n_points, row.n_skipped) == counts
@@ -566,6 +587,22 @@ class TestCliExitCodes:
         assert main(["check-soliton", "--manifest", "hyperbolic", *flags]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"manifest error: {message}\n")
+
+    def test_a_run_loads_neither_numpy_random_nor_openssl(self):
+        # the points come from chart.Sample's own generator and the digest
+        # from the builtin SHA-256: numpy.random and hashlib each load
+        # OpenSSL, megabytes of memory and milliseconds of start-up
+        code = ("import contextlib, io, sys\n"
+                "from grsoliton.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    code = main(['all', '--manifest', 'sasakian3', '--format', 'json'])\n"
+                "print(code, sorted({'numpy.random', 'hashlib', '_hashlib'} & set(sys.modules)))\n")
+        src = os.path.dirname(os.path.dirname(grsoliton.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert run.stdout == "0 []\n"
 
     @pytest.mark.parametrize("edit, message", BAD_MANIFEST_VALUES,
                              ids=[json.dumps(edit) for edit, _ in BAD_MANIFEST_VALUES])
