@@ -142,6 +142,37 @@ BAD_MANIFEST_VALUES = [
     # a chart too narrow to sample, 1e-3 inside each finite end
     ({"chart": {"bounds": {"y": [0, 0.0015]}}},
      "bad chart: empty feasible box for coordinate 'y'"),
+    # a block of expressions has its shape checked before its entries
+    ({"metric": "1/y^2"}, 'manifest needs "metric": n x n matrix of expression strings'),
+    ({"metric": [["1/y^2"], ["1/y^2"]]}, "metric must be 2x2 to match the chart"),
+]
+
+# (bundled manifest, [(path into it, new value)], message): the structure
+# blocks need an odd-dimensional chart and the vectors block the vector
+# form, so these edit sasakian3 and sasakian5; where two blocks are wrong,
+# the message names the first one that load_manifest reads
+BAD_BLOCKS = [
+    ("sasakian3", [(("structure", "phi"), [["0", "-1"], ["1", "0"], ["0", "0"]])],
+     "structure.phi must be 3x3"),
+    ("sasakian3", [(("structure", "xi"), ["0", "1"])], "structure.xi must have 3 components"),
+    ("sasakian3", [(("structure", "eta"), ["0", "1"])], "structure.eta must have 3 components"),
+    ("sasakian3", [(("structure", "phi", 1, 2), "1 +")],
+     "structure.phi[1][2]: expected number or name or '(' or '-', "
+     "found 'end of input' at offset 3"),
+    ("sasakian5", [(("vectors", "X1"), ["0"])], "vectors.X1 must have 5 components"),
+    # phi's shape, then phi's entries, then xi, then eta; X1 before X2
+    ("sasakian3", [(("structure", "phi", 2), ["0"]), (("structure", "phi", 0, 0), "1 +"),
+                   (("structure", "xi"), ["0"])], "structure.phi must be 3x3"),
+    ("sasakian3", [(("structure", "phi", 0, 0), "x)"), (("structure", "xi"), ["0"])],
+     "structure.phi[0][0]: expected '+' or '-' or '*' or '/' or '^' or end of input, "
+     "found ')' at offset 1"),
+    ("sasakian3", [(("structure", "xi", 1), "1 +"), (("structure", "eta"), ["0"])],
+     "structure.xi[1]: expected number or name or '(' or '-', "
+     "found 'end of input' at offset 3"),
+    ("sasakian3", [(("structure", "eta", 2), "q")], "structure.eta[2]: unknown symbols ['q']"),
+    ("sasakian5", [(("vectors", "X1", 4), "q"), (("vectors", "X2"), ["0"])],
+     "vectors.X1[4]: unknown symbols ['q']"),
+    ("sasakian5", [(("vectors", "X2"), ["0"] * 6)], "vectors.X2 must have 5 components"),
 ]
 
 
@@ -610,6 +641,20 @@ class TestCliExitCodes:
         doc = copy.deepcopy(HYPERBOLIC)
         for key, value in edit.items():
             doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["all", "--manifest", str(path)]) == 2
+        assert capsys.readouterr().err == f"manifest error: {message}\n"
+
+    @pytest.mark.parametrize("name, edits, message", BAD_BLOCKS,
+                             ids=[f"{name}-{json.dumps(edits)}" for name, edits, _ in BAD_BLOCKS])
+    def test_bad_blocks_are_two(self, name, edits, message, tmp_path, capsys):
+        doc = json.loads(resources.files("grsoliton").joinpath(f"data/{name}.json").read_text())
+        for path, value in edits:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["all", "--manifest", str(path)]) == 2
