@@ -7,24 +7,30 @@
 writes {case: [exit code, report, stderr]} as JSON, where report is the
 parsed JSON report without elapsed_seconds (--format json), the csv text
 (--format csv) or the table text with its elapsed time blanked (--format
-table), and "" when the run printed nothing.  Point PYTHONPATH at another checkout's src to record
-that checkout.
+table), and "" when the run printed nothing.  A case that raises records
+the exception's type name in place of the exit code and its message in
+place of stderr, and the run goes on.  Point PYTHONPATH at another
+checkout's src to record that checkout.
 
 `diff` prints every case whose entry differs, by row and key for JSON
 reports and by line for tables, then a count, then how many cases change
 exit code or the `passed` of some JSON row, and the largest change of
 `abs_residual` and of `rel_residual` among JSON rows that pass on both
 sides (a change that only rounds reads 0 cases and small moves); it exits
-1 when any case differs.
+1 when any case differs.  A case that raises on one side only changes
+exit code.
 
 The matrix: the four bundled manifests as they are, with lambda + 1 and
 with lambda = "fit"; a NaN eta, an infinite eta, a transposed phi,
 f2 = sqrt(x - 1.97), an overflowing f1 and f2 = sin(1e400*z), whose
 literal is too large for a float (a manifest error); the vector form on
 Euclidean R^3 with X1 the position field (L_X1 g = 2g, so lambda = 1),
-with lambda + 1 and with lambda = "fit"; x the five subcommands x N = 2,
+with lambda + 1 and with lambda = "fit"; sasakian3 with a 2-component xi
+(short-xi), hyperbolic with the coordinate x named "é" (unicode-coordinate)
+and hyperbolic with JSON false off-diagonal metric entries and an extra
+constant "False": 0 (literal-entries); x the five subcommands x N = 2,
 200, 3,000, 8,193 and 20,000 x seeds 7, 8 and 11 x both d-conventions x
-json, csv and table (9,450 cases).  The evaluation plan runs N points as
+json, csv and table (10,800 cases).  The evaluation plan runs N points as
 ceil(N / 8,192) chunks of one width: 8,193 points, one more than a chunk
 holds, run as 4,097 + 4,096 and 20,000 as 6,667 + 6,667 + 6,666, so chunk
 edges, a shorter last chunk, and worst points and first bad points past
@@ -104,6 +110,16 @@ def manifests():
     fitted = copy.deepcopy(_DILATION)
     fitted["constants"]["lambda"] = "fit"
     out["dilation+lambdafit"] = json.dumps(fitted)
+    short_xi = _bundled("sasakian3")
+    short_xi["structure"]["xi"] = ["0", "1"]
+    out["short-xi"] = json.dumps(short_xi)
+    unicode_coordinate = _bundled("hyperbolic")
+    unicode_coordinate["chart"]["coords"] = ["é", "y"]
+    out["unicode-coordinate"] = json.dumps(unicode_coordinate)
+    literal_entries = _bundled("hyperbolic")
+    literal_entries["metric"] = [["1/y^2", False], [False, "1/y^2"]]
+    literal_entries["constants"]["False"] = 0
+    out["literal-entries"] = json.dumps(literal_entries)
     return out
 
 
@@ -113,7 +129,10 @@ def _run_case(main, manifest, argv, fmt):
             contextlib.redirect_stderr(stderr):
         # every case shows its own warnings, not only the first in the process
         warnings.simplefilter("always")
-        code = main([argv[0], "--manifest", manifest, *argv[1:]])
+        try:
+            code = main([argv[0], "--manifest", manifest, *argv[1:]])
+        except Exception as ex:  # recorded as an outcome, not the end of the run
+            return [type(ex).__name__, stdout.getvalue(), str(ex)]
     out = stdout.getvalue()
     if out and fmt == "json":
         out = json.loads(out)
