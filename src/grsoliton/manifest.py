@@ -122,6 +122,22 @@ def _parse_expr(text, where, allowed):
     return e
 
 
+def _parse_block(block, shape, where, allowed, mismatch=""):
+    """The expressions of block, a list of shape (n,) or an n x n matrix of
+    shape (n, n), with entry i parsed as where[i] and entry i, j as
+    where[i][j].  The whole shape is checked before any entry is parsed;
+    mismatch ends the message of a matrix of the wrong shape."""
+    n, matrix = shape[0], len(shape) == 2
+    if not isinstance(block, list) or len(block) != n or (matrix and any(
+            not isinstance(row, list) or len(row) != n for row in block)):
+        _fail(f"{where} must be {n}x{n}{mismatch}" if matrix
+              else f"{where} must have {n} components")
+    if matrix:
+        return [_parse_block(row, shape[1:], f"{where}[{i}]", allowed)
+                for i, row in enumerate(block)]
+    return [_parse_expr(entry, f"{where}[{i}]", allowed) for i, entry in enumerate(block)]
+
+
 def load_manifest(source):
     """Load a manifest from a dict, JSON text, or file path."""
     if isinstance(source, dict):
@@ -205,12 +221,7 @@ def load_manifest(source):
     metric_block = data.get("metric")
     if not isinstance(metric_block, list):
         _fail('manifest needs "metric": n x n matrix of expression strings')
-    if len(metric_block) != n or any(not isinstance(r, list) or len(r) != n
-                                     for r in metric_block):
-        _fail(f"metric must be {n}x{n} to match the chart")
-    metric_rows = [[_parse_expr(entry, f"metric[{i}][{j}]", allowed)
-                    for j, entry in enumerate(row)]
-                   for i, row in enumerate(metric_block)]
+    metric_rows = _parse_block(metric_block, (n, n), "metric", allowed, " to match the chart")
     try:
         metric = define_metric(chart, metric_rows, params)
     except MetricError as ex:
@@ -229,13 +240,8 @@ def load_manifest(source):
         block = data["vectors"]
         if not isinstance(block, dict) or set(block) != {"X1", "X2"}:
             _fail('"vectors" must be {"X1": [exprs], "X2": [exprs]}')
-        vectors = {}
-        for key in ("X1", "X2"):
-            comps = block[key]
-            if not isinstance(comps, list) or len(comps) != n:
-                _fail(f"vectors.{key} must have {n} components")
-            vectors[key] = [_parse_expr(c, f"vectors.{key}[{i}]", allowed)
-                            for i, c in enumerate(comps)]
+        vectors = {key: _parse_block(block[key], (n,), f"vectors.{key}", allowed)
+                   for key in ("X1", "X2")}
 
     if scalars is not None and vectors is not None:
         _fail("at most one of scalars/vectors may be given")
@@ -251,18 +257,8 @@ def load_manifest(source):
             _fail('"structure" must be {"phi": [[...]], "xi": [...], "eta": [...]}')
         if n % 2 == 0:
             _fail("structure blocks need an odd-dimensional chart")
-        phi = block["phi"]
-        if not isinstance(phi, list) or len(phi) != n or \
-                any(not isinstance(r, list) or len(r) != n for r in phi):
-            _fail(f"structure.phi must be {n}x{n}")
-        structure = {
-            "phi": [[_parse_expr(entry, f"structure.phi[{i}][{j}]", allowed)
-                     for j, entry in enumerate(row)] for i, row in enumerate(phi)],
-            "xi": [_parse_expr(c, f"structure.xi[{i}]", allowed)
-                   for i, c in enumerate(_vector(block["xi"], n, "structure.xi"))],
-            "eta": [_parse_expr(c, f"structure.eta[{i}]", allowed)
-                    for i, c in enumerate(_vector(block["eta"], n, "structure.eta"))],
-        }
+        structure = {key: _parse_block(block[key], shape, f"structure.{key}", allowed)
+                     for key, shape in (("phi", (n, n)), ("xi", (n,)), ("eta", (n,)))}
 
     sampling = dict(_DEFAULT_SAMPLING)
     if "sampling" in data:
@@ -285,12 +281,6 @@ def load_manifest(source):
         vectors=vectors,
         structure=structure,
     )
-
-
-def _vector(block, n, where):
-    if not isinstance(block, list) or len(block) != n:
-        _fail(f"{where} must have {n} components")
-    return block
 
 
 def bundled_examples(name):
