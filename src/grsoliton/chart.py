@@ -13,7 +13,7 @@ import operator
 import numpy as np
 
 from grsoliton import expr
-from grsoliton.expr import RESERVED_NAMES, as_scalar, free_symbols, simplify
+from grsoliton.expr import RESERVED_NAMES, as_scalar, free_symbols, is_name, simplify
 from grsoliton.tensors import TensorField
 
 # Sampling policy: stay MARGIN away from finite ends, truncate unbounded
@@ -93,7 +93,7 @@ def define_chart(names, bounds=None):
     for name in names:
         if name in RESERVED_NAMES:
             raise ChartError(f"coordinate name {name!r} is reserved")
-        if not name.isidentifier():
+        if not is_name(name):
             raise ChartError(f"invalid coordinate name {name!r}")
     bounds = dict(bounds or {})
     unknown = set(bounds) - set(names)

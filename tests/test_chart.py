@@ -86,6 +86,12 @@ class TestDefineChart:
         with pytest.raises(ChartError):
             define_chart(["sin"])
 
+    @pytest.mark.parametrize("name", ["é", "xé", "ｘ"])
+    def test_a_name_the_parser_cannot_read_is_rejected(self, name):
+        # str.isidentifier accepts these, but no expression could name them
+        with pytest.raises(ChartError, match=re.escape(f"invalid coordinate name {name!r}")):
+            define_chart([name, "y"])
+
     def test_empty(self):
         with pytest.raises(ChartError):
             define_chart([])

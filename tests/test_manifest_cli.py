@@ -142,6 +142,8 @@ BAD_MANIFEST_VALUES = [
     # a chart too narrow to sample, 1e-3 inside each finite end
     ({"chart": {"bounds": {"y": [0, 0.0015]}}},
      "bad chart: empty feasible box for coordinate 'y'"),
+    # a name that str.isidentifier accepts but the parser cannot read
+    ({"chart": {"coords": ["é", "y"]}}, "bad chart: invalid coordinate name 'é'"),
     # a block of expressions has its shape checked before its entries
     ({"metric": "1/y^2"}, 'manifest needs "metric": n x n matrix of expression strings'),
     ({"metric": [["1/y^2"], ["1/y^2"]]}, "metric must be 2x2 to match the chart"),
