@@ -111,9 +111,12 @@ def run_settings(sampling, tolerance, count=None, seed=None, tol=None):
     return sampling, float(tolerance)
 
 
-def _parse_expr(text, where, allowed):
+def _parse_expr(value, where, allowed):
+    # a JSON true, false or null would parse as the symbol True, False or None
+    if not (isinstance(value, str) or _is_finite(value)):
+        _fail(f"{where} must be an expression string or a finite number")
     try:
-        e = parse(text) if isinstance(text, str) else parse(str(text))
+        e = parse(value if isinstance(value, str) else str(value))
     except ParseError as ex:
         raise ManifestError(f"{where}: {ex}") from ex
     stray = free_symbols(e) - allowed
@@ -152,12 +155,15 @@ def load_manifest(source):
                 raise ManifestError(f"cannot read manifest: {ex}") from ex
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as ex:
+        except (json.JSONDecodeError, RecursionError) as ex:
             raise ManifestError(f"manifest is not valid JSON: {ex}") from ex
     if not isinstance(data, dict):
         _fail("manifest must be a JSON object")
-    digest = sha256(
-        json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    try:
+        canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    except (TypeError, ValueError, RecursionError) as ex:
+        raise ManifestError(f"manifest is not JSON data: {ex}") from ex
+    digest = sha256(canonical.encode()).hexdigest()
 
     _no_unknown_keys(data, {"chart", "metric", "structure", "scalars", "vectors",
                             "constants", "sampling", "tolerance"}, "manifest")

@@ -144,6 +144,17 @@ BAD_MANIFEST_VALUES = [
      "bad chart: empty feasible box for coordinate 'y'"),
     # a name that str.isidentifier accepts but the parser cannot read
     ({"chart": {"coords": ["é", "y"]}}, "bad chart: invalid coordinate name 'é'"),
+    # an entry is an expression string or a finite number: a JSON false,
+    # null or 1e400 is not read as the symbol False, None or inf
+    ({"metric": [["1/y^2", False], [False, "1/y^2"]], "constants": {"False": 0}},
+     "metric[0][1] must be an expression string or a finite number"),
+    ({"metric": [["1/y^2", None], [None, "1/y^2"]]},
+     "metric[0][1] must be an expression string or a finite number"),
+    ({"metric": [["1/y^2", "0"], ["0", math.inf]]},
+     "metric[1][1] must be an expression string or a finite number"),
+    ({"metric": [["1/y^2", "0"], ["0", 10**400]]},
+     "metric[1][1] must be an expression string or a finite number"),
+    ({"scalars": {"f2": True}}, "scalars.f2 must be an expression string or a finite number"),
     # a block of expressions has its shape checked before its entries
     ({"metric": "1/y^2"}, 'manifest needs "metric": n x n matrix of expression strings'),
     ({"metric": [["1/y^2"], ["1/y^2"]]}, "metric must be 2x2 to match the chart"),
@@ -206,6 +217,42 @@ class TestLoadManifest:
         a = load_manifest(HYPERBOLIC)
         b = load_manifest(copy.deepcopy(HYPERBOLIC))
         assert a.digest == b.digest
+
+    def test_an_entry_is_a_string_or_a_finite_number(self):
+        # a number entry parses as its text does; anything else but a
+        # string is no expression
+        doc = copy.deepcopy(HYPERBOLIC)
+        doc["metric"] = [["1/y^2", 0], [0.0, "1/y^2"]]
+        doc["scalars"]["f2"] = 0.25
+        m = load_manifest(doc)
+        doc["metric"] = [["1/y^2", "0"], ["0.0", "1/y^2"]]
+        doc["scalars"]["f2"] = "0.25"
+        text = load_manifest(doc)
+        assert (m.metric.comps == text.metric.comps).all()
+        assert m.scalars == text.scalars
+        for value in (False, True, None, math.inf, -math.inf, math.nan, 10**400,
+                      ["0"], {"0": 0}):
+            doc["metric"][0][1] = value
+            with pytest.raises(ManifestError) as info:
+                load_manifest(doc)
+            assert str(info.value) == "metric[0][1] must be an expression string or a finite number"
+
+    @pytest.mark.parametrize("edit", [{"chart": {"coords": {"x", "y"}}}, {"chart": {("x",): 1}},
+                                      {0: 1}], ids=["set", "tuple-key", "int-and-str-keys"])
+    def test_a_dict_that_json_cannot_encode_is_a_manifest_error(self, edit):
+        doc = {**copy.deepcopy(HYPERBOLIC), **edit}
+        with pytest.raises(ManifestError, match="^manifest is not JSON data: "):
+            load_manifest(doc)
+
+    def test_input_nested_too_deeply_for_json_is_a_manifest_error(self):
+        deep = []
+        for _ in range(10**5):
+            deep = [deep]
+        with pytest.raises(ManifestError, match="^manifest is not JSON data: "):
+            load_manifest({**HYPERBOLIC, "metric": deep})
+        text = '{"metric": ' + "[" * 10**5 + "]" * 10**5 + "}"
+        with pytest.raises(ManifestError, match="^manifest is not valid JSON: "):
+            load_manifest(text)
 
     @pytest.mark.parametrize("name", BUNDLED_NAMES)
     def test_the_digest_is_the_sha256_of_the_canonical_json(self, name):
