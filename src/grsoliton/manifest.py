@@ -151,7 +151,7 @@ def load_manifest(source):
             try:
                 with open(text, "r", encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as ex:
+            except (OSError, UnicodeDecodeError) as ex:
                 raise ManifestError(f"cannot read manifest: {ex}") from ex
         try:
             data = json.loads(text)

@@ -696,7 +696,8 @@ class TestCliExitCodes:
         assert capsys.readouterr().err == f"manifest error: {message}\n"
 
     @pytest.mark.parametrize("name, edits, message", BAD_BLOCKS,
-                             ids=[f"{name}-{json.dumps(edits)}" for name, edits, _ in BAD_BLOCKS])
+                             ids=[f"{name}-{json.dumps(edits)}"
+                                  for name, edits, _ in BAD_BLOCKS])
     def test_bad_blocks_are_two(self, name, edits, message, tmp_path, capsys):
         doc = json.loads(resources.files("grsoliton").joinpath(f"data/{name}.json").read_text())
         for path, value in edits:
@@ -717,6 +718,13 @@ class TestCliExitCodes:
         for flags in ([], ["--points", "0", "--seed", "-1", "--tol", "nan"]):
             assert main([subcommand, "--manifest", str(path), *flags]) == 2
             assert capsys.readouterr().err == f"manifest error: {message}\n"
+
+    def test_a_file_that_cannot_be_read_is_two(self, tmp_path, capsys):
+        for name, content in (("latin1.json", b'{"chart": "\xe9"}'), ("folder", None)):
+            path = tmp_path / name
+            path.mkdir() if content is None else path.write_bytes(content)
+            assert main(["all", "--manifest", str(path)]) == 2
+            assert capsys.readouterr().err.startswith("manifest error: cannot read manifest: ")
 
     def test_domain_error_is_three(self, tmp_path, capsys):
         doc = copy.deepcopy(HYPERBOLIC)
