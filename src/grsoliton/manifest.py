@@ -112,11 +112,11 @@ def run_settings(sampling, tolerance, count=None, seed=None, tol=None):
 
 
 def _parse_expr(value, where, allowed):
-    # a JSON true, false or null would parse as the symbol True, False or None
+    # str() of a JSON true, false, null or 1e400 would parse as a symbol
     if not (isinstance(value, str) or _is_finite(value)):
         _fail(f"{where} must be an expression string or a finite number")
     try:
-        e = parse(value if isinstance(value, str) else str(value))
+        e = parse(str(value))
     except ParseError as ex:
         raise ManifestError(f"{where}: {ex}") from ex
     stray = free_symbols(e) - allowed
