@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grsoliton import expr
 from grsoliton.cli import main
@@ -397,6 +399,59 @@ def test_symbolic_determinant_small_cases():
     assert expr.evaluate(det, env) == 2 * 7 - 3 * 5
     one = [[expr.parse("a")]]
     assert expr.evaluate(symbolic_inverse(one)[1], env) == 2.0
+
+
+@st.composite
+def dense_metrics(draw):
+    """(n, rows) of a dense polynomial metric on x0..x(n-1), n = 1..6:
+    g_ii = 2 + x_i^2 + k x_(i-1)^2 / 16 and g_ij = c x_i x_j + e x_m + 1/8
+    with 0 <= k <= 8 and |c|, |e| <= 1/16, so every entry is non-zero and
+    g is diagonally dominant, hence positive definite, on [-1, 1]^n."""
+    n = draw(st.integers(1, 6))
+    x = [f"x{i}" for i in range(n)]
+    sixteenths = st.integers(-1, 1).map(lambda k: f"({k}/16)")
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = f"2 + {x[i]}^2 + ({draw(st.integers(0, 8))}/16)*{x[i - 1]}^2"
+        for j in range(i):
+            m = draw(st.integers(0, n - 1))
+            rows[i][j] = rows[j][i] = (f"{draw(sixteenths)}*{x[i]}*{x[j]}"
+                                       f" + {draw(sixteenths)}*{x[m]} + 1/8")
+    return n, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_metrics(), st.integers(0, 2**32 - 1))
+def test_symbolic_inverse_matches_numpy(metric, seed):
+    # an oracle independent of how the inverse is built: numpy's LU at
+    # each point, to within the rounding that cond(g) allows
+    n, rows = metric
+    matrix = [[expr.simplify(expr.parse(entry)) for entry in row] for row in rows]
+    inverse, det = symbolic_inverse(matrix)
+    points = np.random.default_rng(seed).uniform(-1, 1, (5, n))
+    env = {f"x{i}": points[:, i] for i in range(n)}
+    g = expr.evaluate_many(matrix, env, len(points))
+    inv = expr.evaluate_many(inverse, env, len(points))
+    dets = expr.evaluate_many([det], env, len(points))[:, 0]
+    for k in range(len(points)):
+        expected = np.linalg.inv(g[k])
+        bound = 1e-12 * np.linalg.cond(g[k]) * np.abs(expected).max()
+        assert np.abs(inv[k] - expected).max() <= bound
+    expected = np.linalg.det(g)
+    assert (np.abs(dets - expected) <= 1e-12 * np.abs(expected)).all()
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 6])
+def test_the_family_inverts(m):
+    # n = 3, 5, 9 and 13; a single example, for the parent's cofactor
+    # inverse took about 0.8 s at n = 13
+    manifest = load_manifest(sasakian_family(m))
+    chart, g = manifest.chart, manifest.metric
+    pts = sample_points(chart, "uniform", 100, seed=5)
+    gv = g.evaluate_at(pts)
+    iv = expr.evaluate_many(g.inverse, chart.env_at(pts), len(pts))
+    eye = np.broadcast_to(np.eye(chart.dim), gv.shape)
+    assert np.abs(gv @ iv - eye).max() <= 1e-12
 
 
 def standard_sasakian_metric(m):
