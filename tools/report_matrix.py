@@ -27,10 +27,12 @@ literal is too large for a float (a manifest error); the vector form on
 Euclidean R^3 with X1 the position field (L_X1 g = 2g, so lambda = 1),
 with lambda + 1 and with lambda = "fit"; sasakian3 with a 2-component xi
 (short-xi), hyperbolic with the coordinate x named "é" (unicode-coordinate)
-and hyperbolic with JSON false off-diagonal metric entries and an extra
-constant "False": 0 (literal-entries); x the five subcommands x N = 2,
+hyperbolic with JSON false off-diagonal metric entries and an extra
+constant "False": 0 (literal-entries), and sasakian5 deformed
+D-homothetically at a = 64 (sasakian5-a64), still a soliton with the same
+constants, whose entries reach about a^2; x the five subcommands x N = 2,
 200, 3,000, 8,193 and 20,000 x seeds 7, 8 and 11 x both d-conventions x
-json, csv and table (10,800 cases).  The evaluation plan runs N points as
+json, csv and table (11,250 cases).  The evaluation plan runs N points as
 ceil(N / 8,192) chunks of one width: 8,193 points, one more than a chunk
 holds, run as 4,097 + 4,096 and 20,000 as 6,667 + 6,667 + 6,666, so chunk
 edges, a shorter last chunk, and worst points and first bad points past
@@ -120,7 +122,22 @@ def manifests():
     literal_entries["metric"] = [["1/y^2", False], [False, "1/y^2"]]
     literal_entries["constants"]["False"] = 0
     out["literal-entries"] = json.dumps(literal_entries)
+    out["sasakian5-a64"] = json.dumps(_deformed(_bundled("sasakian5"), 64))
     return out
+
+
+def _deformed(doc, a):
+    """doc's Sasakian structure D-homothetically deformed by a (Tanno,
+    Tohoku Math. J. 21, 1968): g -> a g + (a^2 - a) eta.eta, eta -> a eta,
+    and xi, X1 and X2 divided by a; the soliton's constants are unchanged."""
+    structure, vectors = doc["structure"], doc["vectors"]
+    eta = structure["eta"]
+    doc["metric"] = [[f"{a}*({g}) + {a * a - a}*({eta[i]})*({eta[j]})"
+                      for j, g in enumerate(row)] for i, row in enumerate(doc["metric"])]
+    structure["eta"] = [f"{a}*({e})" for e in eta]
+    for block, key in ((structure, "xi"), (vectors, "X1"), (vectors, "X2")):
+        block[key] = [f"({v})/{a}" for v in block[key]]
+    return doc
 
 
 def _run_case(main, manifest, argv, fmt):
