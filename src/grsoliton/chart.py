@@ -2,8 +2,8 @@
 
 A chart is a single open box in R^n with named coordinates.  A metric is
 a sym2 TensorField over those coordinates (plus named parameters); its
-symbolic inverse is computed once by adjugate over determinant, which is
-exact and keeps everything downstream closed-form.
+symbolic inverse and determinant are built once, by Gauss-Jordan
+elimination, and keep everything downstream closed-form.
 """
 
 import functools
@@ -273,41 +273,26 @@ def components_sup(components, out, scratch):
     return out
 
 
-def _cofactor_expansion(matrix, rows, cols, memo):
-    """Determinant of the minor of matrix on the rows and cols tuples,
-    expanded along its first row; memo keeps every minor expanded, keyed
-    by (rows, cols), so each is expanded once."""
-    key = (rows, cols)
-    if key not in memo:
-        if len(rows) == 1:
-            memo[key] = matrix[rows[0]][cols[0]]
-        else:
-            total = expr.ZERO
-            for j, col in enumerate(cols):
-                minor = _cofactor_expansion(matrix, rows[1:], cols[:j] + cols[j + 1:], memo)
-                term = expr.mul(matrix[rows[0]][col], minor)
-                total = expr.sub(total, term) if j % 2 else expr.add(total, term)
-            memo[key] = total
-    return memo[key]
-
-
 def symbolic_inverse(matrix):
-    """Adjugate-over-determinant inverse; the determinant and the cofactors
-    share their minors."""
+    """(inverse rows, det) of a square matrix of expressions, by
+    Gauss-Jordan elimination on [g | I] without pivoting; det is the
+    product of the pivots.  Step k updates only the columns right of the
+    pivot: the pivot's and those left of it are the identity's by then.
+    Each pivot is a ratio of consecutive leading principal minors, which
+    define_metric has checked to be positive, so none is zero (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 10)."""
     n = len(matrix)
-    everything = tuple(range(n))
-    memo = {}
-    det = _cofactor_expansion(matrix, everything, everything, memo)
-    inv = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            cof = expr.ONE if n == 1 else _cofactor_expansion(
-                matrix, everything[:j] + everything[j + 1:],
-                everything[:i] + everything[i + 1:], memo)
-            if (i + j) % 2:
-                cof = expr.neg(cof)
-            inv[i][j] = expr.div(cof, det)
-    return inv, det
+    rows = [[*row, *(expr.ONE if i == j else expr.ZERO for j in range(n))]
+            for i, row in enumerate(matrix)]
+    det = expr.ONE
+    for k in range(n):
+        pivot = rows[k][k]
+        det = expr.mul(det, pivot)
+        right = rows[k][k + 1:] = [expr.div(e, pivot) for e in rows[k][k + 1:]]
+        for row in rows[:k] + rows[k + 1:]:
+            row[k + 1:] = [expr.sub(e, expr.mul(row[k], r))
+                           for e, r in zip(row[k + 1:], right)]
+    return [row[n:] for row in rows], det
 
 
 class MetricField(TensorField):

@@ -287,7 +287,8 @@ class TestDefineMetric:
 
     def test_sasakian_accepted_with_quartic_determinant(self, sasakian):
         chart, g = sasakian
-        # det = p^4 by cofactor expansion; at y = 0, p = 4/17
+        # det = p^4, the product of the pivots p^2 + q^2, p^2 and
+        # p^2 / (p^2 + q^2); at y = 0, p = 4/17
         at0 = expr.evaluate(g.det, {"x": 0.1, "y": 0.0, "z": 1.0})
         assert at0 == pytest.approx((4 / 17) ** 4, rel=1e-13)
         pts = sample_points(chart, "uniform", 50, seed=2)
@@ -465,9 +466,22 @@ def standard_sasakian_metric(m):
     return define_chart(names), rows
 
 
+def test_symbolic_inverse_grows_polynomially():
+    # Gauss-Jordan elimination builds O(n^3) nodes at most: at n = 13 the
+    # inverse and det of the family reach 727 distinct nodes, where cofactor
+    # expansion, whose minors grow as 2^n, reached 4,787
+    matrix = [list(row) for row in load_manifest(sasakian_family(6)).metric.comps]
+    inverse, det = symbolic_inverse(matrix)
+    nodes, stack = set(), [*(e for row in inverse for e in row), det]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes.add(id(node))
+            stack += [getattr(node, a) for a in ("arg", "left", "right") if hasattr(node, a)]
+    assert len(nodes) <= 1000
+
+
 def test_symbolic_inverse_at_dimension_nine():
-    # each minor is expanded once: without that, Laplace expansion of the
-    # n^2 + 1 determinants takes O(n * n!) node operations
     chart, rows = standard_sasakian_metric(4)
     g = define_metric(chart, rows)
     pts = sample_points(chart, "uniform", 100, seed=12)

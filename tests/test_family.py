@@ -47,12 +47,12 @@ def test_every_row_of_all_passes(m, capsys):
     assert list(rows) == [*LADDER, "soliton_vector", "fit_constants"]
 
 
-@pytest.mark.parametrize("a", [1, 100, 300])
+@pytest.mark.parametrize("a", [1, 100, 300, 1000, 3000])
 def test_the_fit_recovers_the_family_of_constants(a, capsys):
     # Ric = -2 g + 6 eta.eta at m = 2 leaves the design rank 2, with the
     # solutions c1 = 6 c2, lambda = 2 c2 and the target L_xi g = 0, for
-    # every a; at a = 300 the entries reach about 1e5 and the declared
-    # distance reads 9.5e-10 (1.2e-15 at a = 1)
+    # every a; at a = 3000 the entries reach about 1e7 and the declared
+    # distance reads 6.7e-11 (3.6e-15 at a = 1)
     [row] = run(capsys, "fit", sasakian_family(2, a), 0).values()
     assert row["rank"] == 2
     [direction] = np.array(row["null_space"])
@@ -67,6 +67,21 @@ def test_a_fit_lambda_resolves_two(capsys):
     rows = run(capsys, "check-soliton", doc, 0)
     assert abs(rows["fit_constants_restricted"]["solution"]["lambda"] - 2.0) <= 1e-9
     assert rows["soliton_vector"]["passed"]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("a", [50, 64])
+def test_a_deformed_soliton_passes_and_its_twin_fails(m, a, capsys):
+    # the entries reach about a^2 (2m + 2); soliton_vector reads 5e-10 to
+    # 1.2e-9 here.  lambda + 2^-16 is no soliton, and fails exactly the
+    # soliton and fit rows
+    doc = sasakian_family(m, a)
+    rows = run(capsys, "all", doc, 0)
+    assert list(rows) == [*LADDER, "soliton_vector", "fit_constants"]
+    doc["constants"]["lambda"] += 2 ** -16
+    rows = run(capsys, "all", doc, 1)
+    assert {name for name, row in rows.items() if not row["passed"]} == {
+        "soliton_vector", "fit_constants"}
 
 
 def test_a_shifted_lambda_fails_the_soliton_and_fit_rows(capsys):
@@ -90,9 +105,11 @@ def test_a_flipped_phi_is_not_contact(capsys):
 def test_a_large_deformation_is_symmetric(capsys):
     # at a = 1000 the entries reach about 1e6, and g_ij and g_ji, the same
     # product in another order, differ by 1.2e-10: rounding, relative to the
-    # entries, so the metric loads and the ladder passes.  soliton_vector
-    # still fails on rounding near 1e4, since a verdict has no noise floor
-    # yet, and fit_constants, whose design reads rank 3 for 2
+    # entries, so the metric loads and the ladder passes, and the fit reads
+    # rank 2.  soliton_vector still fails, at 2.5e-6, on the rounding of
+    # right-hand terms near a^2 (2m + 2) = 6e6: a verdict has no noise floor
+    # yet
     rows = run(capsys, "all", sasakian_family(2, 1000), 1)
     assert all(rows[name]["passed"] for name in LADDER)
+    assert rows["fit_constants"]["passed"]
     assert not rows["soliton_vector"]["passed"]

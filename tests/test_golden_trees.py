@@ -5,7 +5,9 @@ check subcommands evaluate, is pinned by the sha256 of the expr.render text of i
 reparses to an evaluation-identical tree, so a digest pins the structure
 of each tree (operand order and association included), not only its
 values: a rewrite of how a tensor is contracted must leave these
-unchanged.
+unchanged.  Every tree that holds g^-1 or det g also follows the
+algorithm of chart.symbolic_inverse (Gauss-Jordan elimination), so a
+change of that algorithm changes these digests, though not the values.
 
 The cases are the three bundled manifests and dense 4-D and 5-D metrics
 (every metric entry non-zero, so no contraction with g or its inverse is
@@ -106,105 +108,107 @@ MANIFESTS = {
 # for "foldable"; "ricci", "design_fields" and the plans that hold Ricci
 # were re-recorded when Ricci became the direct contraction of the
 # Christoffel symbols instead of the trace of the curvature fold, and again
-# when that contraction dropped its a = k terms, which cancel
+# when that contraction dropped its a = k terms, which cancel; every digest
+# that holds g^-1 was re-recorded when the inverse became Gauss-Jordan
+# elimination in place of cofactor expansion
 EXPECTED = {
     "hyperbolic": {
         "christoffel":
-            "6061573db01cecb811df6e90acbbecae8a352511962d4bdfe4aa71c079af6829",
+            "92c010ee0d73212e094dbcbbe21be779534f9c53c9335cf5fb1adee7463834ef",
         "riemann":
-            "9c485e1e7cd9596e3e5a98c62630684e2a5ec73594c0e9f6aa00b86689304804",
+            "ea02ec7edd8b5bce538d6a2b549704697907bb2775dfd015b00f2eca52407b0a",
         "riemann_lowered":
-            "80fe2acf51cefdc658d306f824f889f596cd172336e49dd48557699658d0ee79",
+            "129440dc2de268042883ea92aa9f58be6072db0f228bf90e411ee3b981fdf1d6",
         "ricci":
-            "5ceb5ae99f2e3d1e1d1b152cd6c9c422bdebeed80b4556389c4501b811e8f2af",
+            "4f8c9feb35d7510f48fa0c324a8205c8dece1fffada96ab542a72aebd3a132d6",
         "hessian":
-            "6145cc64e7511afb667d122d75eb1513746e4e529b875e176db7379cf7b22b62",
+            "4901d9dc37a2540b39258ddf874192dc86d8db6d1643737b7e1c1bede88176ed",
         "gradient":
-            "bbb6841c2a78c47e3c72b72087e153ed746f0b233df3204cd527554145cdc106",
+            "8f16cd9b2f7312d3cd356008efb1caea8aca2029c2deb9bc96d0ac65fa842d07",
         "design_fields":
-            "e286e83a907067112e6ac4f404a71da84711470db41e1fcbb7492f337830d2e9",
+            "269af348949aee5dd3b713d0d8b7a3c0e4631581575ea345826c4ac8a9a9c85f",
         "check-soliton/plan0":
-            "b5e6d66c687463f268f0690926031bfdc2630234cc1538a281d73312360efd5b",
+            "a04ee8f82b1f72dd66afb51d4dbc9290f5e1762ce850b8373e54cc9616c0ec6e",
     },
     "cone": {
         "christoffel":
-            "e233272bbed8155f0b262d31e04ffa7155cb4393f62a863400a0072072c7eebb",
+            "e0adf09d6a2b99dead7daf4898266649e6548ec4c1c6ceebe98b27531b9c8273",
         "riemann":
-            "b6070f9bec3611114c20c4d5f2a596d1853e8eeca9c5ba3011aaf52462d5bd5e",
+            "078a9ead664197933c53832f8372e4c4e59838c6f1cd0c0fe6e1603726acef4b",
         "riemann_lowered":
-            "4eb08906c42570a113e8250c31ab33fd88b345b751df76ebcac81de78fc21c93",
+            "0351fe62f3bbe8066fedab5c9408cf82e82932787702d8de34233f125183caaa",
         "ricci":
-            "82e98723483592a57056a275eb6b553c7aff3d33bf6b8ea93abf6bad7f0fa0a1",
+            "867480af159de56dd19378c095eff27dc1a5115b0b5334a5e6d6484c704952aa",
         "hessian":
-            "821d2c6bac0f14c7d6b67d057035fa7a408769977f0da9ea3adcd3cc93b77bc5",
+            "f5dd6abd6ab32ea6a6da073628f919245b4483963b5bc3533b681cec9fdd209b",
         "gradient":
-            "2cc6b74bcda2b441509be122cab3a278fab30cc1d4cd374f4bc8de3d36fe4cf0",
+            "b9283b69ef1d198a618605d4fca6c3b14e1d739be6c1739c8b3f6f527509f5a0",
         "design_fields":
-            "696cfe655de05140e6ae79e1af5f2ffab0910df54ec708392f89c7b738fa0e7a",
+            "2a94132868e3466fafcb4edc803c66d271ca27d2672c7d382a991f38043267c7",
         "check-soliton/plan0":
-            "db4887e7c41f472a8fb50289b77b8803c87de098fc5c0434b9feb9c789ee79bb",
+            "d0ba0320f89984b7bf771339fd8a7edaa4ae7f4504a61633d03f44711ceb6420",
     },
     "sasakian3": {
         "christoffel":
-            "97f748b40dee4e4cd7c3cd24604af8a9b829ed18687fd0d1970220e95074ade9",
+            "707ab2a0a1f920d22c7793648d55553db722bb32b46109c80125e8138bf51b48",
         "riemann":
-            "043894f38cf11e9481ed0aa48c73a08446e6db4d2d0ca6a003490d99bdde3176",
+            "73f2673cf01473d51eca8d0f2e26635b62db1cb25fcf6411976d5775793ba78b",
         "riemann_lowered":
-            "33dd4bb9ebe99b2326bd0bacfe74452542de917146285a9c666e4662073df878",
+            "b7c76cecea97e7e14690c7d895a8b0e766c17ee7f976a8a653a20f79a7d3f938",
         "ricci":
-            "f06c98d5233a6007290c8cb419812b00c23816591ca8d0884091aa870fa20ce4",
+            "12666a0dda7cb15d63c8e87060070f5f55cb33a9bc517f06b23f8156c2d7f3ef",
         "hessian":
-            "ec454ffd5307c99c40d2ceb90bf0c67b97ad2eb95d7bcb2e2ca47e01d5a5d632",
+            "4e1c022f9de1413bf2ecc0783ca1df4183a78e3900700731793e8cad861f8d9f",
         "gradient":
-            "0cba1b22d5cf6a17737a4b9e0efc421cd024c0523486e6b4cd0ac3be27ed3367",
+            "eb21e2dde6e910c5f85039130864949d7c002e4c20c3cd3e71e46117f7a72b87",
         "design_fields":
-            "a3672b77716b849b6af6421d50a8ec94186cad268c510f0a544b3895a46e8d18",
+            "5b9b37c383807326d8f5c9300293ad2918ef075fc6dcb498ffe61b4bf6ef2063",
         "sasakian_identities":
-            "e7dac19d0d66187618eab8b39bd5e5f3571b2a02ab5a2f8175c062dc7ede9d40",
+            "f5ff9fd2be1a41271fe4d3368c6d0e8d02cc51f2505d7b6a282a0366611aa12d",
         "check-soliton/plan0":
-            "0a628adcfb1a09673be4fc0bac71599525bc5b4de918e450e8478179e615d7ce",
+            "d33271e13c0fbd310d90bed34f916b1deadf0a89f761c20e893ccbf2e88d9b81",
         "check-structure/plan0":
             "d9e2ffb3af7b8051325d288d020d79ad0eea2a019678c827cf6316d4b8d6c1a0",
         "check-structure/plan1":
-            "f6c7fe0fae1231f00d0239908d5fb8e8dfad02c9b956a87d1e1fcdc2cc5240d8",
+            "9731850c7dd06afffa5a10c077cdc2f807dc3bcd7a6d358196feec20a994cd21",
         "check-theorem/plan0":
             "d9e2ffb3af7b8051325d288d020d79ad0eea2a019678c827cf6316d4b8d6c1a0",
         "check-theorem/plan1":
-            "8085518acd0098672d05432d4a002d66c9b54d906cebd1c46fcdfe6588c5f2d4",
+            "6fd4044b8fd1470ce58978b2433df5dfe9e212d4c0f7622e72b4ca0736502ac9",
     },
     "dense4": {
         "christoffel":
-            "3216121e4087dfb21ec561cf63f43b41a100b03174d57a92d96b419625d7f4a9",
+            "c5988ef5760b38d09279a0af92213897e342503fcb5071f2f451922bfb00b9e5",
         "riemann":
-            "f9d214a4d4f8aaa6c9ef2d3fa96e360ad36ba69157c3f86ccade4039fd138715",
+            "bed1cdff8a2df57c833f5404d4050a8310e470f2c0a6480ced73516fa2e42790",
         "riemann_lowered":
-            "c7923c3017578463ef4ef22e3c1ef185a35feb56268188a58c7a305557669c46",
+            "5f06699fd3c2f546a0ef9c815a140b03f477f3770ec23fefba22b5d3b5fe81e1",
         "ricci":
-            "44e9d58584708a4d3a6986a831e05a22d093c81b3a296512037f43ad4df72665",
+            "7c47c6d7b1cefd52afb0648a53cd6ab2624a333c667a33923797ea11a3d3287c",
         "hessian":
-            "deedd8e1bad8b3f2fa318c15b9fc20b8b568f385bb55a3c241d4ec1cd9115182",
+            "ca3334b1d299beaadacbba5873f5e5bed99d1306fabae9dfc71ffd6f3f1bbec6",
         "gradient":
-            "cfa7322a0b933d4bb7f7f64fcdb478ba9607e9b3dde3cf1a991cf5d56c46344f",
+            "a1e0f38990a58abee551e9c7bcb8419667107a90aa824acb6c117ed18378f511",
         "design_fields":
-            "a7911a81e2b9974d46758494b1d0443f8325ed2d6a13b20609a3738cc1dd09c0",
+            "c9aa5649ad7c8cb7143923b25502bc7ca5dbc705b77911121e2cee3331d5e5b7",
         "check-soliton/plan0":
-            "7642b0ffa6c0352b9aa4cc75240b78799ccb70f96b5ebf8917fbe4f17bcc3727",
+            "70fdb05acb56539e5127668982419c0ea76b5f35ab94c27baf438b4f167fdfb7",
     },
     "dense4-vectors": {
         "christoffel":
-            "3216121e4087dfb21ec561cf63f43b41a100b03174d57a92d96b419625d7f4a9",
+            "c5988ef5760b38d09279a0af92213897e342503fcb5071f2f451922bfb00b9e5",
         "riemann":
-            "f9d214a4d4f8aaa6c9ef2d3fa96e360ad36ba69157c3f86ccade4039fd138715",
+            "bed1cdff8a2df57c833f5404d4050a8310e470f2c0a6480ced73516fa2e42790",
         "riemann_lowered":
-            "c7923c3017578463ef4ef22e3c1ef185a35feb56268188a58c7a305557669c46",
+            "5f06699fd3c2f546a0ef9c815a140b03f477f3770ec23fefba22b5d3b5fe81e1",
         "ricci":
-            "44e9d58584708a4d3a6986a831e05a22d093c81b3a296512037f43ad4df72665",
+            "7c47c6d7b1cefd52afb0648a53cd6ab2624a333c667a33923797ea11a3d3287c",
         "check-soliton/plan0":
-            "22cb221396855ea4d856aa081cd681b3fea26a332e46c50d7b736a558a742c53",
+            "4debee0ab982a49265bc1fa0f484af25fa657e66775ea9381bf07f4be163bd20",
     },
     "dense5": {
         "christoffel":
-            "eab94cfbc52383c568a985d07462c02f83a4da4bf7b01bfd0b72d21a3fd694ff",
+            "bac505fdcf04a44cf761dc2a9dfc4b21d36bcca0eb1837e599639006420e5f2d",
         "riemann":
             "eff675738700126dd7699b5b2dc0a68e4f197de481a8fb41f92dae9be4050a86",
         "riemann_lowered":
@@ -212,52 +216,52 @@ EXPECTED = {
         "ricci":
             "67d8e35e65a0aceb58e34af6eed0f5bfef93222057b32f708ed11c77dbc54dd1",
         "hessian":
-            "e49eab8e49d02473d879ef5f55158aab5bf94a1b014a01f197a30b78782917bb",
+            "f7d04a7e6823a90e267d414152f20743969c5e7737a3006e9a55717a6669ec86",
         "gradient":
-            "26de5f22d5352737d8f3ae4a2428268efb0dd36419d3cc3e3f052e8de2fd94e7",
+            "b73b5e42bdca9ae2c839e1db539577005b6a9b8459aec9e33f811d832e1aacc7",
         "design_fields":
-            "0eb16cbedbcbe47da4e187b6105f252099a29218f63005f4ae942a60ba69f054",
+            "89b176c34b71fe9d62d067b3b17fe5ff88680384f558393fd46869aa090d03df",
         "sasakian_identities":
-            "0db8e03a9b35a8b6743f9ef55b4dbfb3b448a7416f3172cc156ed145c7413a03",
+            "4d4b7f6451ef627145e67d6c908ef9d3817c7beff7eaf6f510217eeedbbf95f9",
         "check-soliton/plan0":
-            "5f0a5843a2175509fe9bd873ae0e83eb4761af3c67166bec2a9cdd90dec4bf2d",
+            "9c3b0852ad0ca62f921a49bd5ead904e9b11285348849e91936de52bcf59cd17",
         "check-structure/plan0":
             "89e16410429a8a117a7903a1301f66dfb52369c5359cc06704583f152a6cff09",
         "check-structure/plan1":
-            "d2c8fe9fc6710162fe247e7661ff27c94ea4249c6781f3ecc684cc71468e1806",
+            "00f3ca52fb185b313561e1d62f7aac256e24936682b42dcd267763dda4a59cc2",
         "check-theorem/plan0":
             "89e16410429a8a117a7903a1301f66dfb52369c5359cc06704583f152a6cff09",
         "check-theorem/plan1":
-            "16e90ded005ddcbcbcf5b870f976bccd2a89a9629e10483851423c82eb488756",
+            "3fb9d905efb5c4798aa352916950eb4c6d9cddaac5b5819bbb95495d09024714",
     },
     # recorded while every builder still simplified its components
     "foldable": {
         "christoffel":
-            "32b66b65cbe23d386cf43e01a009fd4d777b5cb0d1909d03c5fc3a1d39a9b7a0",
+            "59f694f76aefb994c6fd06a0fbe0dd0a8e2605998f4d56817e37058a969e23ca",
         "riemann":
-            "517d02f211f3b65ecc14516cffb5ce8ac102dd4f46008f37bb1f097f28576b4c",
+            "a0c52b54679e75eef624843c45ff5c84158f8dcb82e07eefb7cbe06ac8e8fc46",
         "riemann_lowered":
-            "52c0970daa4abc008554fe3f88090f5ed28ba1d79395372c2c2246b425db8295",
+            "c14cde95ef6323ff06e962f50a269ce12937a0b550de2b6fb5447f4789a3e49a",
         "ricci":
-            "c3243c7ed78e655e34298239d44ff7abd9d088cde68d8d0f7f7dadaf5f6dbaf3",
+            "fa34ba4e0f670a1fddede8f3aeaf9f514371bcb285e57b90bc28126ddf24ed2c",
         "hessian":
-            "3ff854c69643421223e14db701e54516e5dfde1b47374be46dea5368ac84655b",
+            "7009cfe211a140a864dac1ed1f317f24d1b1edec24abc0dcf9c1b6da312275ec",
         "gradient":
-            "30ed4b41e2a70e3b992d250948e4f15ca930765c58b457d2d6864c2fe434522f",
+            "3333dcc245e8db08621ea0d9f267fb30c23b64a126f45d6d0c53febf6daa36ed",
         "design_fields":
-            "b5a1b839dc34cbbe04cea13a6f12e643b85170f78942b28b37442de7e0f9c926",
+            "d630b1dc6c855973b18be6a50455f50c2cc1bd7d1cf7642b8435f85c0bd1096c",
         "sasakian_identities":
-            "75c04f59a44cfdda999c54d74c3363b66ba710bf5ce3934570a65bd92ee9aefe",
+            "59b3484a603744e6c24c662c744ecfbaa04a544aeb347f55f9ba6199dfed393a",
         "check-soliton/plan0":
-            "26763735aa2add64de15e2de9fde684a894f495c75849e138bbd6714c49c2d8c",
+            "4eeb274a501e1c73414b48214a34eaf87222f0e8d61e05cc74e9222b0bd985f0",
         "check-structure/plan0":
             "7e34eefbff4c95d89628c0012a4ab2cb71bfce7bff7b42a77ab810b0f9e013c6",
         "check-structure/plan1":
-            "2df696b0859a3fd9dd75a35e0013d82759dbe3abab9a843ed21ebf9cbf1cb2b6",
+            "999f98f859f619ef9cd94b1a9413845812f05ba487f771205d9c8d9b6f6249ca",
         "check-theorem/plan0":
             "7e34eefbff4c95d89628c0012a4ab2cb71bfce7bff7b42a77ab810b0f9e013c6",
         "check-theorem/plan1":
-            "e7532d60c92e13f63772e7310905ace93f9f50f79798ca2d51271a6229a66b12",
+            "8c23ccbc122ddabb55d56080508203e8f0be9545fcd1593591f99f6f400f0e89",
     },
 }
 
