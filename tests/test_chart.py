@@ -444,8 +444,8 @@ def test_symbolic_inverse_matches_numpy(metric, seed):
 
 @pytest.mark.parametrize("m", [1, 2, 4, 6])
 def test_the_family_inverts(m):
-    # n = 3, 5, 9 and 13; a single example, for the parent's cofactor
-    # inverse took about 0.8 s at n = 13
+    # n = 3, 5, 9 and 13, one metric each: a build that grows
+    # exponentially in n, as cofactor expansion did, takes about 0.8 s at 13
     manifest = load_manifest(sasakian_family(m))
     chart, g = manifest.chart, manifest.metric
     pts = sample_points(chart, "uniform", 100, seed=5)
