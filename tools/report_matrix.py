@@ -26,7 +26,7 @@ f2 = sqrt(x - 1.97), an overflowing f1 and f2 = sin(1e400*z), whose
 literal is too large for a float (a manifest error); the vector form on
 Euclidean R^3 with X1 the position field (L_X1 g = 2g, so lambda = 1),
 with lambda + 1 and with lambda = "fit"; sasakian3 with a 2-component xi
-(short-xi), hyperbolic with the coordinate x named "é" (unicode-coordinate)
+(short-xi), hyperbolic with the coordinate x named "é" (unicode-coordinate),
 hyperbolic with JSON false off-diagonal metric entries and an extra
 constant "False": 0 (literal-entries), and sasakian5 deformed
 D-homothetically at a = 64 (sasakian5-a64), still a soliton with the same
