@@ -30,9 +30,11 @@ with lambda + 1 and with lambda = "fit"; sasakian3 with a 2-component xi
 hyperbolic with JSON false off-diagonal metric entries and an extra
 constant "False": 0 (literal-entries), and sasakian5 deformed
 D-homothetically at a = 64 (sasakian5-a64), still a soliton with the same
-constants, whose entries reach about a^2; x the five subcommands x N = 2,
-200, 3,000, 8,193 and 20,000 x seeds 7, 8 and 11 x both d-conventions x
-json, csv and table (11,250 cases).  The evaluation plan runs N points as
+constants, whose entries reach about a^2; hyperbolic and sasakian3
+sampled on a grid (hyperbolic-grid, sasakian3-grid), whose points the
+seed does not move; x the five subcommands x N = 2, 200, 3,000, 8,193
+and 20,000 x seeds 7, 8 and 11 x both d-conventions x json, csv and
+table (12,150 cases).  The evaluation plan runs N points as
 ceil(N / 8,192) chunks of one width: 8,193 points, one more than a chunk
 holds, run as 4,097 + 4,096 and 20,000 as 6,667 + 6,667 + 6,666, so chunk
 edges, a shorter last chunk, and worst points and first bad points past
@@ -123,6 +125,10 @@ def manifests():
     literal_entries["constants"]["False"] = 0
     out["literal-entries"] = json.dumps(literal_entries)
     out["sasakian5-a64"] = json.dumps(_deformed(_bundled("sasakian5"), 64))
+    for name in ("hyperbolic", "sasakian3"):
+        grid = _bundled(name)
+        grid["sampling"]["strategy"] = "grid"
+        out[f"{name}-grid"] = json.dumps(grid)
     return out
 
 
