@@ -28,7 +28,7 @@ _VALIDATION_SEED = 20260613
 
 # SplitMix64 (Sample): the counter's increment, then the finaliser's
 # (shift, multiplier) steps and its last shift
-_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
         (np.uint64(27), np.uint64(0x94D049BB133111EB)))
 _LAST_SHIFT = np.uint64(31)
@@ -129,18 +129,20 @@ def _feasible_box(chart):
 
 
 class Sample:
-    """The sample points of a chart, drawn chunk by chunk: block(lo, hi)
-    is points lo..hi-1 as an (hi - lo, n) array, sample[i] point i, and
-    no (count, n) array is held.  "uniform": coordinate j of point p is
-    low_j + width_j * u_k of the feasible box, where u_k is draw
-    k = p n + j of SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) from
+    """The sample points of a chart, drawn coordinate by coordinate:
+    fill(j, lo, hi, out) writes coordinate j of points lo..hi-1 into out,
+    block(lo, hi) stacks the n fills as an (hi - lo, n) array, sample[i]
+    is point i, and no array of points is held.  "uniform": coordinate j
+    of point p is low_j + width_j * u_k of the feasible box, where u_k is
+    draw k = p n + j of SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) from
     seed, an integer in [0, 2^64): x = seed + (k + 1) 0x9E3779B97F4A7C15
     mod 2^64, put through the finaliser (x ^= x >> 30; x *= 0xBF58476D1CE4E5B9;
     x ^= x >> 27; x *= 0x94D049BB133111EB; x ^= x >> 31), and
     u_k = (x >> 11) 2^-53 in [0, 1).  The generator is counter-based, so
-    a point depends only on (seed, p).  "grid": the first count points, in
-    lexicographic order, of the smallest per-axis lattice that has count
-    points.
+    a coordinate depends only on (seed, p, j), and fill computes its
+    draws, a counter of stride n, in place.  "grid": the first count
+    points, in lexicographic order, of the smallest per-axis lattice that
+    has count points.
     """
 
     def __init__(self, chart, strategy="uniform", count=100, seed=0):
@@ -154,7 +156,7 @@ class Sample:
         seed = operator.index(seed)
         if not 0 <= seed < 2 ** 64:
             raise ValueError(f"seed must be in [0, 2^64), got {seed!r}")
-        self.seed = np.uint64(seed)
+        self.seed = seed
         self.low = [lo for lo, _ in box]
         self.width = [hi - lo for lo, hi in box]
         if strategy == "grid":
@@ -170,40 +172,45 @@ class Sample:
         return self.block(index, index + 1)[0]
 
     def block(self, lo, hi):
+        """Points lo..hi-1 as an (hi - lo, n) array, one fill per column."""
+        points = np.empty((hi - lo, len(self.names)))
+        for axis in range(len(self.names)):
+            self.fill(axis, lo, hi, points[:, axis])
+        return points
+
+    def fill(self, axis, lo, hi, out):
+        """Write coordinate axis of points lo..hi-1 into out, a float64
+        array of hi - lo entries."""
+        if self.strategy == "grid":
+            # lattice index of each point along each axis, the last axis fastest
+            index = np.arange(lo, hi)
+            index //= self.per_axis ** (len(self.names) - 1 - axis)
+            index %= self.per_axis
+            out[...] = self.axes[axis][index]
+            return
         n = len(self.names)
-        if self.strategy == "uniform":
-            x = np.arange(lo * n + 1, hi * n + 1, dtype=np.uint64)    # k + 1
-            x *= _GOLDEN_GAMMA                  # uint64 arithmetic is mod 2^64
-            x += self.seed
-            for shift, multiplier in _MIX:
-                x ^= x >> shift
-                x *= multiplier
-            x ^= x >> _LAST_SHIFT
-            x >>= 11
-            points = np.multiply(x, 2.0 ** -53).reshape(hi - lo, n)
-            for axis in range(n):
-                # lo + (hi - lo) * u, column by column in place
-                column = points[:, axis]
-                column *= self.width[axis]
-                column += self.low[axis]
-            return points
-        # lattice index of each point along each axis, the last axis fastest
-        index = np.arange(lo, hi)
-        return np.stack([axis[index // self.per_axis ** (n - 1 - k) % self.per_axis]
-                         for k, axis in enumerate(self.axes)], axis=1)
+        # x = seed + (k + 1) gamma = p (n gamma) + seed + (axis + 1) gamma
+        # for draws k = p n + axis, mod 2^64 as uint64 arithmetic is, in the
+        # memory of out
+        x = out.view(np.uint64)
+        scratch = np.arange(lo, hi, dtype=np.uint64)
+        np.multiply(scratch, np.uint64(n * _GOLDEN_GAMMA % 2 ** 64), out=x)
+        x += np.uint64((self.seed + (axis + 1) * _GOLDEN_GAMMA) % 2 ** 64)
+        for shift, multiplier in _MIX:
+            x ^= np.right_shift(x, shift, out=scratch)
+            x *= multiplier
+        x ^= np.right_shift(x, _LAST_SHIFT, out=scratch)
+        np.right_shift(x, 11, out=scratch)
+        np.multiply(scratch, 2.0 ** -53, out=out)
+        out *= self.width[axis]             # lo + (hi - lo) u, in place
+        out += self.low[axis]
 
     def columns(self):
-        """{coordinate name: fill(lo, hi, out)}, which writes the coordinate
-        of points lo..hi-1 into out, as expr.evaluate_many_multi reads a
-        column; a chunk is drawn once for all coordinates."""
-        drawn = {}
-
-        def fill(axis, lo, hi, out):
-            if (lo, hi) not in drawn:
-                drawn.clear()
-                drawn[lo, hi] = self.block(lo, hi)
-            out[...] = drawn[lo, hi][:, axis]
-        return {name: functools.partial(fill, axis) for axis, name in enumerate(self.names)}
+        """{coordinate name: fill(lo, hi, out)}, Sample.fill of its axis,
+        as expr.evaluate_many_multi reads a column: each coordinate is
+        drawn straight into the plan's buffer, and nothing is kept between
+        calls."""
+        return {name: functools.partial(self.fill, axis) for axis, name in enumerate(self.names)}
 
 
 def sample_points(chart, strategy="uniform", count=100, seed=0):

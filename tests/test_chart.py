@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,36 @@ class TestSample:
                 out = np.empty(hi - lo)
                 columns[self.CHART.names[axis]](lo, hi, out)
                 assert out.tobytes() == want[lo:hi, axis].tobytes()
+
+    @pytest.mark.parametrize("strategy", ["uniform", "grid"])
+    @pytest.mark.parametrize("count", [1, 8191, 8192, 8193, 16387])
+    def test_fill_writes_a_column_of_the_whole_array(self, strategy, count):
+        want = whole_array_points(self.CHART, strategy, count, 11)
+        sample = Sample(self.CHART, strategy, count, 11)
+        for axis in (1, 2, 0):
+            out = np.full(count, np.nan)
+            sample.fill(axis, 0, count, out)
+            assert out.tobytes() == want[:, axis].tobytes()
+
+    @pytest.mark.parametrize("strategy", ["uniform", "grid"])
+    def test_filling_a_chunk_holds_no_block(self, strategy):
+        # each coordinate is drawn straight into its buffer, with at most a
+        # chunk-long scratch and numpy's cast buffer beside it, and nothing
+        # is kept between calls; a (chunk, 5) block with its two uint64
+        # copies came to about 1 MB, and the block outlived the chunk
+        chart = define_chart([f"x{i}" for i in range(5)])
+        columns = Sample(chart, strategy, 3 * CHUNK_POINTS, 5).columns()
+        outs = [np.empty(CHUNK_POINTS) for _ in columns]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for fill, out in zip(columns.values(), outs):
+                fill(CHUNK_POINTS, 2 * CHUNK_POINTS, out)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 3 * 8 * CHUNK_POINTS
+        assert after - before < 1024        # tracemalloc's own bookkeeping
 
     def test_splitmix64_reads_its_published_first_draw(self):
         # SplitMix64 from state 1234567 first outputs 6457827717110365317
