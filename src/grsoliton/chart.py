@@ -158,12 +158,17 @@ class Sample:
             raise ValueError(f"seed must be in [0, 2^64), got {seed!r}")
         self.seed = seed
         self.low = [lo for lo, _ in box]
+        self.high = [hi for _, hi in box]
         self.width = [hi - lo for lo, hi in box]
         if strategy == "grid":
-            self.per_axis = 1
-            while self.per_axis ** len(box) < count:
+            # the smallest per_axis with per_axis^n >= count: the rounded
+            # root, corrected to the integer
+            n = len(box)
+            self.per_axis = max(1, round(count ** (1 / n)))
+            while self.per_axis ** n < count:
                 self.per_axis += 1
-            self.axes = [np.linspace(lo, hi, self.per_axis) for lo, hi in box]
+            while (self.per_axis - 1) ** n >= count:
+                self.per_axis -= 1
 
     def __len__(self):
         return self.count
@@ -182,11 +187,23 @@ class Sample:
         """Write coordinate axis of points lo..hi-1 into out, a float64
         array of hi - lo entries."""
         if self.strategy == "grid":
-            # lattice index of each point along each axis, the last axis fastest
+            # lattice index i of each point along the axis, the last axis
+            # fastest, and its coordinate as np.linspace(low, high, per_axis)
+            # computes it: i step + low, the last index high itself
             index = np.arange(lo, hi)
             index //= self.per_axis ** (len(self.names) - 1 - axis)
             index %= self.per_axis
-            out[...] = self.axes[axis][index]
+            div = self.per_axis - 1
+            step = self.width[axis] / div if div else 0.0
+            out[...] = index
+            if step:
+                out *= step
+            else:               # one point, or a step that underflows to 0
+                out /= max(div, 1)
+                out *= self.width[axis]
+            out += self.low[axis]
+            if div:
+                out[index == div] = self.high[axis]
             return
         n = len(self.names)
         # x = seed + (k + 1) gamma = p (n gamma) + seed + (axis + 1) gamma

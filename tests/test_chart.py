@@ -249,6 +249,57 @@ class TestSample:
         assert peak - before < 3 * 8 * CHUNK_POINTS
         assert after - before < 1024        # tracemalloc's own bookkeeping
 
+    @pytest.mark.parametrize("n, count, per_axis", [
+        (3, 26, 3), (3, 27, 3), (3, 28, 4),
+        (1, 10 ** 6, 10 ** 6), (1, 10 ** 6 + 1, 10 ** 6 + 1),
+        (2, 10 ** 6, 1000), (2, 10 ** 6 + 1, 1001),
+        (3, 10 ** 6, 100), (3, 10 ** 6 + 1, 101),
+        (6, 10 ** 6, 10), (6, 10 ** 6 + 1, 11)])
+    def test_a_grid_takes_the_smallest_lattice(self, n, count, per_axis):
+        chart = define_chart([f"x{i}" for i in range(n)])
+        assert Sample(chart, "grid", count).per_axis == per_axis
+
+    def test_a_grid_is_set_up_without_its_lattice(self):
+        # per_axis comes from a root and fill computes each coordinate, so
+        # a grid of 10^6 points holds no array; it held the 8 MB linspace
+        # of its one axis
+        chart = define_chart(["x"])
+        tracemalloc.start()
+        try:
+            sample = Sample(chart, "grid", 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample.per_axis == 10 ** 6
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("names, count", [(["x"], 2 * CHUNK_POINTS + 1),
+                                              (["x", "z"], 91 ** 2)])
+    def test_grid_blocks_are_the_linspace_lattice_at_the_chunk_edges(self, names, count):
+        # the plan's chunks, ceil(count / 8192) of one width: the lattice's
+        # last index, which linspace sets to hi itself, falls at their edges
+        bounds = {"x": (0, None), "z": (0, math.pi)}
+        chart = define_chart(names, {name: bounds[name] for name in names})
+        want = whole_array_points(chart, "grid", count, 0)
+        sample = Sample(chart, "grid", count)
+        width = -(-count // -(-count // CHUNK_POINTS))
+        edges = [*range(0, count, width), count]
+        blocks = [sample.block(lo, hi) for lo, hi in zip(edges, edges[1:])]
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
+        assert list(sample[count - 1]) == [2.0, math.pi - MARGIN][:len(names)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.none() | st.floats(-1e6, 1e6), st.none() | st.floats(3e-3, 1e6)),
+                    min_size=1, max_size=4),
+           st.integers(1, 3000))
+    def test_a_grid_is_the_linspace_lattice_of_any_box(self, spans, count):
+        # each span is (lo, width), None for an unbounded side
+        bounds = {f"x{i}": (lo, None if width is None else (lo or 0.0) + width)
+                  for i, (lo, width) in enumerate(spans)}
+        chart = define_chart(list(bounds), bounds)
+        want = whole_array_points(chart, "grid", count, 0)
+        assert sample_points(chart, "grid", count).tobytes() == want.tobytes()
+
     def test_splitmix64_reads_its_published_first_draw(self):
         # SplitMix64 from state 1234567 first outputs 6457827717110365317
         assert splitmix64(1234567, 1) == [(6457827717110365317 >> 11) * 2.0 ** -53]
