@@ -189,21 +189,18 @@ class Sample:
         if self.strategy == "grid":
             # lattice index i of each point along the axis, the last axis
             # fastest, and its coordinate as np.linspace(low, high, per_axis)
-            # computes it: i step + low, the last index high itself
+            # computes it: i step + low (i width + low at one point), the
+            # last index high itself.  A box is at least about 1e-19 wide,
+            # so the step never underflows to 0, linspace's other branch
             index = np.arange(lo, hi)
             index //= self.per_axis ** (len(self.names) - 1 - axis)
             index %= self.per_axis
-            div = self.per_axis - 1
-            step = self.width[axis] / div if div else 0.0
+            last = self.per_axis - 1
             out[...] = index
-            if step:
-                out *= step
-            else:               # one point, or a step that underflows to 0
-                out /= max(div, 1)
-                out *= self.width[axis]
+            out *= self.width[axis] / max(last, 1)
             out += self.low[axis]
-            if div:
-                out[index == div] = self.high[axis]
+            if last:
+                out[index == last] = self.high[axis]
             return
         n = len(self.names)
         # x = seed + (k + 1) gamma = p (n gamma) + seed + (axis + 1) gamma
