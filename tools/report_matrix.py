@@ -30,11 +30,13 @@ with lambda + 1 and with lambda = "fit"; sasakian3 with a 2-component xi
 hyperbolic with JSON false off-diagonal metric entries and an extra
 constant "False": 0 (literal-entries), and sasakian5 deformed
 D-homothetically at a = 64 (sasakian5-a64), still a soliton with the same
-constants, whose entries reach about a^2; hyperbolic and sasakian3
-sampled on a grid (hyperbolic-grid, sasakian3-grid), whose points the
-seed does not move; x the five subcommands x N = 2, 200, 3,000, 8,193
-and 20,000 x seeds 7, 8 and 11 x both d-conventions x json, csv and
-table (12,150 cases).  The evaluation plan runs N points as
+constants, whose entries reach about a^2; sasakian3 with every entry
+and potential spelled so that it folds back to the bundled one
+(sasakian3-foldable: -(-(e))*(1+1)/2, 0*x, exp((1+1)*y), 2^1*ln(...) and
++ 0*x); hyperbolic and sasakian3 sampled on a grid (hyperbolic-grid,
+sasakian3-grid), whose points the seed does not move; x the five
+subcommands x N = 2, 200, 3,000, 8,193 and 20,000 x seeds 7, 8 and 11 x
+both d-conventions x json, csv and table (12,600 cases).  The evaluation plan runs N points as
 ceil(N / 8,192) chunks of one width: 8,193 points, one more than a chunk
 holds, run as 4,097 + 4,096 and 20,000 as 6,667 + 6,667 + 6,666, so chunk
 edges, a shorter last chunk, and worst points and first bad points past
@@ -125,11 +127,33 @@ def manifests():
     literal_entries["constants"]["False"] = 0
     out["literal-entries"] = json.dumps(literal_entries)
     out["sasakian5-a64"] = json.dumps(_deformed(_bundled("sasakian5"), 64))
+    out["sasakian3-foldable"] = json.dumps(_foldable(_bundled("sasakian3")))
     for name in ("hyperbolic", "sasakian3"):
         grid = _bundled(name)
         grid["sampling"]["strategy"] = "grid"
         out[f"{name}-grid"] = json.dumps(grid)
     return out
+
+
+def _foldable(doc):
+    """doc with every entry spelled so that constant folding and the
+    identity rules give back the entry: a zero metric, phi, xi or eta entry
+    as 0*x or 0*z in turn, any other entry e as -(-(e))*(1+1)/2, and each
+    potential with exp((1+1)*y) and 2^1*ln(...), ending in + 0*x."""
+    zeros = itertools.cycle(("0*x", "0*z"))
+
+    def spelled(e):
+        return next(zeros) if e == "0" else f"-(-({e}))*(1+1)/2"
+
+    structure = doc["structure"]
+    doc["metric"] = [[spelled(e) for e in row] for row in doc["metric"]]
+    structure["phi"] = [[spelled(e) for e in row] for row in structure["phi"]]
+    for key in ("xi", "eta"):
+        structure[key] = [spelled(e) for e in structure[key]]
+    for key, f in doc["scalars"].items():
+        f = f.replace("exp(2*y)", "exp((1+1)*y)").replace("2*ln(", "2^1*ln(")
+        doc["scalars"][key] = f + " + 0*x"
+    return doc
 
 
 def _deformed(doc, a):
