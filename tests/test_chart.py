@@ -412,6 +412,9 @@ class TestDefineMetric:
         chart = define_chart(["x", "y"], {})
         with pytest.raises(MetricError, match="unknown symbols"):
             define_metric(chart, [["1", "0"], ["0", "w^2"]])
+        # checked as the entry spells it: the folded entry is 0
+        with pytest.raises(MetricError, match=r"unknown symbols \['w'\]"):
+            define_metric(chart, [["1", "0*w"], ["0*w", "1"]])
 
     def test_parameters_allowed(self):
         chart = define_chart(["x", "y"], {})

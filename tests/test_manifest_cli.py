@@ -111,6 +111,10 @@ BAD_MANIFEST_VALUES = [
     ({"constants": {"k": math.inf}}, "extra constant 'k' must be a finite number"),
     # a key a block does not know is not ignored: "points" is the CLI's
     # name for the count, and "bound" a typo that would drop every bound
+    # a name is checked as the entry spells it, though the tree folds it away
+    ({"metric": [["1/y^2", "0*q"], ["0*q", "1/y^2"]]}, "metric[0][1]: unknown symbols ['q']"),
+    ({"scalars": {"f1": "-2*ln(y) + q^0"}}, "scalars.f1: unknown symbols ['q']"),
+    ({"scalars": {"f2": "0/q - ln(y)"}}, "scalars.f2: unknown symbols ['q']"),
     ({"sampling": {"points": 5000}}, "unknown sampling keys ['points']"),
     ({"chart": {"bound": {"y": [0, None]}}}, "unknown chart keys ['bound']"),
     # the chart is outside input: names are strings, bounds numbers or null
