@@ -9,6 +9,7 @@ the expression parser, so a manifest is fully validated at load time.
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -101,6 +102,9 @@ def run_settings(sampling, tolerance, count=None, seed=None, tol=None):
         _fail(f"unknown sampling strategy {sampling['strategy']!r}")
     if not _is_number(sampling["count"], numbers.Integral) or sampling["count"] < 1:
         _fail(f"sampling.count must be a positive integer, got {sampling['count']!r}")
+    if sampling["count"] > sys.maxsize:
+        # the largest length a sequence may have, so the largest sample
+        _fail(f"sampling.count must be at most {sys.maxsize}, got {sampling['count']!r}")
     if not _is_number(sampling["seed"], numbers.Integral) or sampling["seed"] < 0:
         _fail(f"sampling.seed must be a non-negative integer, got {sampling['seed']!r}")
     if sampling["seed"] >= 2 ** 64:

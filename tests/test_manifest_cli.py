@@ -22,6 +22,7 @@ from grsoliton.manifest import (
     bundled_examples,
     load_manifest,
     resolve_manifest,
+    run_settings,
 )
 from grsoliton.report import emit_report
 from grsoliton.runner import run_manifest
@@ -96,6 +97,8 @@ BAD_OVERRIDES = [
     (["--tol", "nan"], "tolerance must be a positive finite number, got nan"),
     (["--tol", "inf"], "tolerance must be a positive finite number, got inf"),
     (["--seed", str(2 ** 64)], f"sampling.seed must be below 2^64, got {2 ** 64}"),
+    (["--points", str(10 ** 30)],
+     f"sampling.count must be at most {sys.maxsize}, got {10 ** 30}"),
 ]
 
 # (manifest edit, message): values that a manifest must not hold
@@ -104,6 +107,8 @@ BAD_MANIFEST_VALUES = [
     ({"sampling": {"count": True}}, "sampling.count must be a positive integer, got True"),
     ({"sampling": {"seed": True}}, "sampling.seed must be a non-negative integer, got True"),
     ({"sampling": {"seed": 2 ** 64}}, f"sampling.seed must be below 2^64, got {2 ** 64}"),
+    ({"sampling": {"strategy": "grid", "count": 10 ** 400}},
+     f"sampling.count must be at most {sys.maxsize}, got {10 ** 400}"),
     ({"tolerance": math.nan}, "tolerance must be a positive finite number, got nan"),
     ({"tolerance": math.inf}, "tolerance must be a positive finite number, got inf"),
     ({"tolerance": True}, "tolerance must be a positive finite number, got True"),
@@ -331,6 +336,12 @@ class TestLoadManifest:
                             "xi": ["0", "1"], "eta": ["0", "1"]}
         with pytest.raises(ManifestError, match="odd"):
             load_manifest(bad)
+
+    def test_the_largest_count_is_the_largest_length(self):
+        sampling = {"strategy": "uniform", "count": 200, "seed": 0}
+        assert run_settings(sampling, 1e-8, count=sys.maxsize)[0]["count"] == sys.maxsize
+        with pytest.raises(ManifestError, match="sampling.count must be at most"):
+            run_settings(sampling, 1e-8, count=sys.maxsize + 1)
 
     def test_bad_tolerance(self):
         bad = dict(HYPERBOLIC, tolerance=-1)
