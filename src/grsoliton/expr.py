@@ -604,10 +604,9 @@ def evaluate(e, env):
     stack = [e]
     with np.errstate(all="ignore"):
         while stack:
+            # the stack is a path from e, and a node is valued as it is
+            # popped, so the top of the stack has no value yet
             node = stack[-1]
-            if id(node) in values:
-                stack.pop()
-                continue
             kids = (node.right, node.left) if type(node) is Div else node._kids
             if type(node) is Div and values.get(id(node.right)) == 0.0:
                 raise DomainError("division by zero", node, env)
