@@ -39,7 +39,6 @@ from grsoliton.expr import (
     free_symbols,
     parse,
     render,
-    simplify,
 )
 from grsoliton.fit import FitResult, fit_constants
 from grsoliton.manifest import (

@@ -13,7 +13,7 @@ import operator
 import numpy as np
 
 from grsoliton import expr
-from grsoliton.expr import RESERVED_NAMES, as_scalar, free_symbols, is_name, simplify
+from grsoliton.expr import RESERVED_NAMES, as_scalar, free_symbols, is_name
 from grsoliton.tensors import TensorField
 
 # Sampling policy: stay MARGIN away from finite ends, truncate unbounded
@@ -345,14 +345,13 @@ def define_metric(chart, rows, params=None):
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise MetricError(f"metric must be {n}x{n} for chart {chart!r}")
     allowed = set(chart.names) | set(params or {})
-    for row in matrix:
+    for row in rows:
         for entry in row:
+            # a text's names as it spells them, though its tree folds 0*w to 0
             stray = free_symbols(entry) - allowed
             if stray:
                 raise MetricError(
-                    f"metric entry {expr.render(entry)!r} uses unknown symbols "
-                    f"{sorted(stray)}")
-    matrix = [[simplify(entry) for entry in row] for row in matrix]
+                    f"metric entry {str(entry)!r} uses unknown symbols {sorted(stray)}")
 
     pts = sample_points(chart, "uniform", _VALIDATION_POINTS, _VALIDATION_SEED)
     env = chart.env_at(pts, params)

@@ -26,7 +26,7 @@ import numpy as np
 
 from grsoliton import expr
 from grsoliton.chart import as_points, sample_points
-from grsoliton.expr import Num, as_scalar, simplify
+from grsoliton.expr import Num, as_scalar
 from grsoliton.soliton import DEFAULT_TOLERANCE, Check, ResidualReport, reduce_checks
 from grsoliton.tensors import (
     TensorField,
@@ -107,7 +107,7 @@ def assemble_structure(chart, metric, phi, xi, eta, points=None, params=None,
     if chart.dim % 2 == 0:
         raise ValueError(f"almost contact structures need odd dimension, got {chart.dim}")
     phi = phi if isinstance(phi, TensorField) else \
-        TensorField(chart, "endo", [[simplify(as_scalar(entry)) for entry in row] for row in phi])
+        TensorField(chart, "endo", [[as_scalar(entry) for entry in row] for row in phi])
     xi = xi if isinstance(xi, TensorField) else vector_field(chart, xi)
     eta = eta if isinstance(eta, TensorField) else oneform_field(chart, eta)
     points = sample_points(chart, "uniform", _AXIOM_POINTS, _AXIOM_SEED) \

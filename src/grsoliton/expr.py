@@ -20,20 +20,18 @@ hash-consing", 2006), so structurally equal expressions are one object
 however they were built.  The intern table holds a weak reference to each
 node, which removes its entry when the node dies, so a node lives exactly
 as long as something else refers to it.  Each node carries the tuple of
-its children, which every walk reads, and caches its simplified form and
-its derivatives, so simplifying or differentiating a node again, in any
-call, is one lookup; derivatives are looked up weakly, and pinned outside
-the nodes while a hold lasts (holding()).  A node is marked as its own
-simplification when it is made if it is a number or a symbol, or if a
-smart constructor (add, sub, mul, div, pow_, neg, call) builds it from
-simplified nodes, unless it is a power of two numbers; so is every node
-simplify() returns, and so the derivative of a simplified node, which the
-smart constructors build.  Only raw nodes, which the parser builds through
-the classes, need a walk to simplify.  Every walk over a tree is a loop,
-not a recursion, so a tree deeper than Python's recursion limit is handled
-like any other.
+its children, which every walk reads, and caches its derivatives, so
+differentiating a node again, in any call, is one lookup; derivatives are
+looked up weakly, and pinned outside the nodes while a hold lasts
+(holding()).  The package builds every node through the smart
+constructors (add, sub, mul, div, pow_, neg, call), the parser and the
+derivative rules included, and they fold constants and the identities
+x+0, x*1, x*0, 0/x, x^1 and x^0 as they build, so a tree is folded from
+birth and there is no second, raw kind of node.  Every walk over a tree
+is a loop, not a recursion, so a tree deeper than Python's recursion
+limit is handled like any other.
 
-There is one arithmetic: evaluate, a plan and simplify's fold of a power
+There is one arithmetic: evaluate, a plan and pow_'s fold of a power
 compute a node by its numpy operation (_operation), and + - * / round in
 Python floats as in numpy, so evaluate gives the plan's bits at a point.
 Vectorised evaluation (evaluate_many_multi) computes each node once and
@@ -115,14 +113,12 @@ class Expression:
     """Base of the interned node classes.
 
     _kids holds the node's children in order (those of its named slots
-    arg, left, right); _simple caches the node's simplify() result (True
-    when the node is its own simplification, so no node refers to itself);
-    _derivatives maps a variable name to a weak reference to the node's
-    derivative, since a derivative may contain its node
-    (d exp(u) = exp(u) * du); a hold (holding()) pins it from outside.
+    arg, left, right); _derivatives maps a variable name to a weak
+    reference to the node's derivative, since a derivative may contain its
+    node (d exp(u) = exp(u) * du); a hold (holding()) pins it from outside.
     """
 
-    __slots__ = ("__weakref__", "_kids", "_simple", "_derivatives")
+    __slots__ = ("__weakref__", "_kids", "_derivatives")
     precedence = 10
 
     def __add__(self, other):
@@ -192,10 +188,9 @@ def _forget(ref, interned=_INTERNED):
         del interned[ref.key]
 
 
-def _new_node(cls, key, kids, simple=None):
+def _new_node(cls, key, kids):
     node = object.__new__(cls)
     node._kids = kids
-    node._simple = simple
     node._derivatives = None
     _INTERNED[key] = weakref.KeyedRef(node, _forget, key)
     return node
@@ -211,7 +206,7 @@ class Num(Expression):
         key = (cls, _FLOAT_BITS(value))
         node = _INTERNED.get(key, _GONE)()
         if node is None:
-            node = _new_node(cls, key, (), True)
+            node = _new_node(cls, key, ())
             node.value = value
         return node
 
@@ -224,7 +219,7 @@ class Sym(Expression):
         key = (cls, name)
         node = _INTERNED.get(key, _GONE)()
         if node is None:
-            node = _new_node(cls, key, (), True)
+            node = _new_node(cls, key, ())
             node.name = name
         return node
 
@@ -326,18 +321,9 @@ def as_scalar(f):
     raise TypeError(f"cannot interpret {f!r} as a scalar expression")
 
 
-# Smart constructors: prune additive/multiplicative identities at build
-# time so derived tensors stay small.  Full rewriting lives in simplify(),
-# whose rules they are: a node one of them builds from simplified children
-# is its own simplification, and is marked so at birth, except a power of
-# two numbers, which simplify() may fold.
-
-def _joined(node, a, b):
-    """node, built from a and b, marked simplified when they both are."""
-    if a._simple is True and b._simple is True:
-        node._simple = True
-    return node
-
+# Smart constructors: fold constants and prune additive and multiplicative
+# identities at build time, so parsed input and derived tensors stay small.
+# Each rule reads only its operands, which were folded when they were built.
 
 def add(a, b):
     if type(a) is Num and a.value == 0.0:
@@ -347,7 +333,7 @@ def add(a, b):
             return a
         if type(a) is Num:
             return Num(a.value + b.value)
-    return _joined(Add(a, b), a, b)
+    return Add(a, b)
 
 
 def sub(a, b):
@@ -358,7 +344,7 @@ def sub(a, b):
             return neg(b) if a.value == 0.0 else Num(a.value - b.value)
     elif type(a) is Num and a.value == 0.0:
         return neg(b)
-    return _joined(Sub(a, b), a, b)
+    return Sub(a, b)
 
 
 def mul(a, b):
@@ -374,7 +360,7 @@ def mul(a, b):
             return ZERO
         if b.value == 1.0:
             return a
-    return _joined(Mul(a, b), a, b)
+    return Mul(a, b)
 
 
 def div(a, b):
@@ -387,7 +373,7 @@ def div(a, b):
             return Num(a.value / b.value)
     elif type(a) is Num and a.value == 0.0:
         return ZERO
-    return _joined(Div(a, b), a, b)
+    return Div(a, b)
 
 
 def pow_(a, b):
@@ -397,8 +383,17 @@ def pow_(a, b):
         if b.value == 0.0:
             return ONE
         if type(a) is Num:
-            return Pow(a, b)
-    return _joined(Pow(a, b), a, b)
+            v = _float_pow(a.value, b.value)
+            if v is not None:
+                return Num(v)
+    return Pow(a, b)
+
+
+def _float_pow(base, expo):
+    # the plan's ufunc, so a folded power has the bits the plan computes
+    with np.errstate(all="ignore"):
+        v = float(np.power(base, expo))
+    return v if math.isfinite(v) else None
 
 
 def neg(a):
@@ -406,27 +401,24 @@ def neg(a):
         return Num(-a.value)
     if type(a) is Neg:
         return a.arg
-    node = Neg(a)
-    if a._simple is True:
-        node._simple = True
-    return node
+    return Neg(a)
 
 
 def call(func, arg):
     if func not in FUNCTIONS:
         raise ValueError(f"unknown function {func!r}")
-    node = Call(func, arg)
-    if arg._simple is True:
-        node._simple = True
-    return node
-
-
-_SMART = {Add: add, Sub: sub, Mul: mul, Div: div, Pow: pow_}
+    return Call(func, arg)
 
 
 def free_symbols(e):
-    """Set of symbol names appearing in the tree."""
-    return _bottom_up(e, _symbols_rule, _no_cache)
+    """The names of the symbols of e, an expression, a number or a text; of
+    a text, the names the parser reads as symbols (names neither called
+    nor constants), though the tree it builds may fold some away (0*q)."""
+    if isinstance(e, str):
+        tokens = _tokenize(e)
+        return frozenset(t.text for t, after in zip(tokens, tokens[1:])
+                         if t.kind == "name" and after.kind != "(" and t.text not in CONSTANTS)
+    return _bottom_up(as_scalar(e), _symbols_rule, _no_cache)
 
 
 def _symbols_rule(node, kids, _):
@@ -537,58 +529,6 @@ def _call_derivative(node, da):
     if node.func == "sqrt":
         return div(da, mul(Num(2.0), node))
     raise ValueError(f"unknown function {node.func!r}")  # pragma: no cover
-
-
-def simplify(e):
-    """Constant folding plus the identity rules x+0, x*1, x*0, 0/x, x^1, x^0.
-
-    Purely structural: the result evaluates identically to the input at
-    every point where the input is defined.  The result is cached on each
-    node, and simplify(simplify(e)) is simplify(e).  A node the package
-    built (a number, a symbol, or what the smart constructors, simplify or
-    differentiate made of simplified nodes) is marked simplified at birth,
-    so its simplify() is one lookup.
-    """
-    if e._simple is True:
-        return e
-    return _bottom_up(e, _simplify_rule, _cached_simple)
-
-
-def _cached_simple(node, _):
-    cached = node._simple
-    return node if cached is True else cached
-
-
-def _simplify_rule(node, kids, _):
-    """The simplified node from its simplified children, cached on it."""
-    kind = type(node)
-    if kind is Num or kind is Sym:
-        out = node
-    elif kind is Neg:
-        out = neg(kids[0])
-    elif kind is Call:
-        out = Call(node.func, kids[0])
-    else:
-        out = _simplify_binary(kind, *kids)
-    if out is not node:
-        node._simple = out
-    out._simple = True
-    return out
-
-
-def _simplify_binary(kind, a, b):
-    if kind is Pow and type(a) is Num and type(b) is Num:
-        v = _float_pow(a.value, b.value)
-        if v is not None:
-            return Num(v)
-    return _SMART[kind](a, b)
-
-
-def _float_pow(base, expo):
-    # the plan's ufunc, so a folded power has the bits the plan computes
-    with np.errstate(all="ignore"):
-        v = float(np.power(base, expo))
-    return v if math.isfinite(v) else None
 
 
 def evaluate(e, env):
@@ -1059,7 +999,7 @@ class _Parser:
         while self.peek().kind in ("+", "-"):
             op = self.advance().kind
             rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
+            e = add(e, rhs) if op == "+" else sub(e, rhs)
         return e
 
     def term(self):
@@ -1067,20 +1007,20 @@ class _Parser:
         while self.peek().kind in ("*", "/"):
             op = self.advance().kind
             rhs = self.factor()
-            e = Mul(e, rhs) if op == "*" else Div(e, rhs)
+            e = mul(e, rhs) if op == "*" else div(e, rhs)
         return e
 
     def factor(self):
         if self.peek().kind == "-":
             self.advance()
-            return Neg(self.factor())
+            return neg(self.factor())
         return self.power()
 
     def power(self):
         base = self.atom()
         if self.peek().kind == "^":
             self.advance()
-            return Pow(base, self.factor())
+            return pow_(base, self.factor())
         return base
 
     def atom(self):
@@ -1103,7 +1043,7 @@ class _Parser:
                 if self.peek().kind != ")":
                     self.fail(("')'",))
                 self.advance()
-                return Call(tok.text, arg)
+                return call(tok.text, arg)
             if tok.text in CONSTANTS:
                 return Num(CONSTANTS[tok.text])
             return Sym(tok.text)

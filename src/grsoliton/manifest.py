@@ -123,7 +123,8 @@ def _parse_expr(value, where, allowed):
         e = parse(str(value))
     except ParseError as ex:
         raise ManifestError(f"{where}: {ex}") from ex
-    stray = free_symbols(e) - allowed
+    # the names as the entry spells them, though its tree folds 0*q to 0
+    stray = free_symbols(str(value)) - allowed
     if stray:
         _fail(f"{where}: unknown symbols {sorted(stray)}")
     return e

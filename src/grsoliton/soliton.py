@@ -125,10 +125,10 @@ class Check:
     """A named identity: residual components, the reference components
     whose size the residual is measured against (none, [], for an identity
     measured absolutely), and the domain: scalars that must be finite at a
-    point for the point to count (the potentials, which differentiation or
-    simplification may fold out of both).  An identity with no components
-    (the contact condition on a 1-D chart) holds vacuously, and is
-    evaluated as one zero component."""
+    point for the point to count (the potentials, which differentiation
+    may fold out of both).  An identity with no components (the contact
+    condition on a 1-D chart) holds vacuously, and is evaluated as one
+    zero component."""
 
     name: str
     residual: list

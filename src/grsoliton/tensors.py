@@ -43,7 +43,7 @@ import operator
 import numpy as np
 
 from grsoliton import expr
-from grsoliton.expr import Num, as_scalar, evaluate_many, simplify
+from grsoliton.expr import Num, as_scalar, differentiate, evaluate_many
 
 VALENCE_RANK = {
     "scalar": 0,
@@ -62,7 +62,7 @@ class TensorField:
     """Component array of expressions with a valence tag on one chart.
 
     The components are taken as given; vector_field and oneform_field
-    simplify input from outside the package."""
+    read input from outside the package."""
 
     __slots__ = ("chart", "valence", "comps")
 
@@ -92,23 +92,13 @@ class TensorField:
 
 
 def vector_field(chart, comps):
-    """A vector field from outside input: expressions, strings or numbers,
-    each simplified."""
-    return TensorField(chart, "vector", [simplify(as_scalar(c)) for c in comps])
+    """A vector field from outside input: expressions, strings or numbers."""
+    return TensorField(chart, "vector", [as_scalar(c) for c in comps])
 
 
 def oneform_field(chart, comps):
-    """A one-form from outside input, each component simplified."""
-    return TensorField(chart, "oneform", [simplify(as_scalar(c)) for c in comps])
-
-
-def partial(e, name):
-    # the derivative of a simplified node is simplified at birth, so its
-    # simplify() is one lookup; only the potentials arrive as parsed, and
-    # the derivative of a raw node may not be simplified (d(-2*ln(y))
-    # holds -(2)), so only theirs are walked.  The tensors built from these
-    # by the smart constructors then need no simplify of their own
-    return simplify(expr.differentiate(e, name))
+    """A one-form from outside input: expressions, strings or numbers."""
+    return TensorField(chart, "oneform", [as_scalar(c) for c in comps])
 
 
 def identity(n):
@@ -117,16 +107,16 @@ def identity(n):
 
 
 def derivative(comps, names):
-    """d[a, ...] = partial(comps[...], names[a]), for an expression or an
-    object array of them."""
+    """d[a, ...] = differentiate(comps[...], names[a]), for an expression or
+    an object array of them."""
     comps = np.asarray(comps, dtype=object)
     axis = np.array(names, dtype=object).reshape((-1,) + (1,) * comps.ndim)
-    # the loop runs Python float arithmetic (simplify folds constants, and
-    # 1e200 * 1e200 folds to inf), whose overflow flag numpy then reports
-    # as its own, as a RuntimeWarning; an overflow is diagnosed where a
-    # value is evaluated, not here
+    # the loop runs Python float arithmetic (the smart constructors fold
+    # constants, and 1e200 * 1e200 folds to inf), whose overflow flag numpy
+    # then reports as its own, as a RuntimeWarning; an overflow is
+    # diagnosed where a value is evaluated, not here
     with np.errstate(all="ignore"):
-        return np.frompyfunc(partial, 2, 1)(comps[None], axis)
+        return np.frompyfunc(differentiate, 2, 1)(comps[None], axis)
 
 
 @functools.cache
@@ -225,7 +215,7 @@ def ricci(metric):
                                     gamma[np.arange(n), np.arange(n)], expr.ZERO), axis=1)
     upper = np.where(others, gamma[:, rows, cols], expr.ZERO)     # [a, pair]
     divergence = np.add.reduce([derivative(upper[a], names[a])[0] for a in range(n)])
-    slope = np.array([partial(traces[k, j], names[k]) for j, k in zip(rows, cols)], dtype=object)
+    slope = np.array([differentiate(traces[k, j], names[k]) for j, k in zip(rows, cols)], dtype=object)
     # quadratic[a, m, pair] = G^a_km G^m_aj, zero at a = k
     quadratic = np.where(others[:, None], gamma[:, cols].transpose(0, 2, 1), expr.ZERO) \
         * gamma[:, :, rows].transpose(1, 0, 2)
@@ -255,7 +245,7 @@ def hessian(metric, f):
     names = metric.chart.names
     rows, cols = upper_pairs(metric.dim)
     df = derivative(as_scalar(f), names)
-    second = np.array([partial(df[i], names[j]) for i, j in zip(rows, cols)], dtype=object)
+    second = np.array([differentiate(df[i], names[j]) for i, j in zip(rows, cols)], dtype=object)
     comps = fold(second, (operator.sub, christoffel(metric).comps[:, rows, cols] * df[:, None]))
     return TensorField(metric.chart, "sym2", from_upper(comps, metric.dim))
 

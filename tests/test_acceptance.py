@@ -37,7 +37,6 @@ from grsoliton.tensors import (
     hessian,
     lie_bracket,
     lie_derivative_sym2,
-    partial,
     ricci,
     riemann,
     riemann_lowered,
@@ -173,7 +172,7 @@ def test_criterion_5_tensor_property_suite():
         for k in range(n):
             for i in range(n):
                 for j in range(n):
-                    total = partial(g.comps[i, j], chart.names[k])
+                    total = expr.differentiate(g.comps[i, j], chart.names[k])
                     for l in range(n):
                         total = expr.sub(total, expr.mul(gamma[l, k, i], g.comps[l, j]))
                         total = expr.sub(total, expr.mul(gamma[l, k, j], g.comps[i, l]))

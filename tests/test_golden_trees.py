@@ -14,15 +14,13 @@ The cases are the three bundled manifests and dense 4-D and 5-D metrics
 pruned to a shorter fold), the 5-D one with a dense almost-contact
 structure whose axioms are not checked (its tolerance admits any finite
 residual), so that the ladder and theorem rows are built from dense phi,
-xi and eta, and a manifest whose strings hold input that simplify folds.
+xi and eta, and a manifest whose strings hold input that the parser folds.
 The fit row of `all` is left out: its constants are fitted numbers, not
 structure.
 
-Input is simplified where it enters (the metric, phi, xi and eta, and
-every derivative), and the smart constructors that build the tensors
-from it are simplify's own rules, so every pinned component is its own
-simplification.  Only the potentials, which the rows carry as parsed for
-their domain, are not.
+Every node is built by the smart constructors, the parser's included, so
+the input, the potentials too, is folded as it is read, and every pinned
+component is a folded tree.
 """
 
 import hashlib
@@ -31,7 +29,6 @@ import math
 import pytest
 
 from grsoliton import expr
-from grsoliton.expr import simplify
 from grsoliton.contact import (
     assemble_structure,
     covariant_phi_residual,
@@ -234,7 +231,10 @@ EXPECTED = {
         "check-theorem/plan1":
             "3fb9d905efb5c4798aa352916950eb4c6d9cddaac5b5819bbb95495d09024714",
     },
-    # recorded while every builder still simplified its components
+    # recorded while every builder still simplified its components; those
+    # that hold a derivative of the potentials were re-recorded when the
+    # parser began to fold as it builds, so that the potential's y^-2 reads
+    # y^(-2), a power of a number, which the power rule differentiates
     "foldable": {
         "christoffel":
             "59f694f76aefb994c6fd06a0fbe0dd0a8e2605998f4d56817e37058a969e23ca",
@@ -245,15 +245,15 @@ EXPECTED = {
         "ricci":
             "fa34ba4e0f670a1fddede8f3aeaf9f514371bcb285e57b90bc28126ddf24ed2c",
         "hessian":
-            "7009cfe211a140a864dac1ed1f317f24d1b1edec24abc0dcf9c1b6da312275ec",
+            "ae9a11614d590962afb2a1c8839fe72ac59b0134b959d85e065c5266d95f4ad8",
         "gradient":
-            "3333dcc245e8db08621ea0d9f267fb30c23b64a126f45d6d0c53febf6daa36ed",
+            "ef40296a6449ba45b435d8ebd7ebcebdd1dca831b83df62a25e5752e828070c7",
         "design_fields":
-            "d630b1dc6c855973b18be6a50455f50c2cc1bd7d1cf7642b8435f85c0bd1096c",
+            "27bbed86e700106f65df7f4bf0100674a83b84605c815946d58382f766059fb5",
         "sasakian_identities":
             "59b3484a603744e6c24c662c744ecfbaa04a544aeb347f55f9ba6199dfed393a",
         "check-soliton/plan0":
-            "4eeb274a501e1c73414b48214a34eaf87222f0e8d61e05cc74e9222b0bd985f0",
+            "8b71340252c4bc1fdf56dd1d747dee59d96ac7509246a5a148a7e6ac5f100923",
         "check-structure/plan0":
             "7e34eefbff4c95d89628c0012a4ab2cb71bfce7bff7b42a77ab810b0f9e013c6",
         "check-structure/plan1":
@@ -261,7 +261,7 @@ EXPECTED = {
         "check-theorem/plan0":
             "7e34eefbff4c95d89628c0012a4ab2cb71bfce7bff7b42a77ab810b0f9e013c6",
         "check-theorem/plan1":
-            "8c23ccbc122ddabb55d56080508203e8f0be9545fcd1593591f99f6f400f0e89",
+            "2eca6f92e468b2c7406e356a392635ce4162b63041924505c62f426c7866af8b",
     },
 }
 
@@ -276,28 +276,21 @@ def flat(field):
 
 
 def tree_digests(name, monkeypatch):
-    """{label: digest} of every pinned tree of one manifest, asserting that
-    each component but the parsed potentials is its own simplification."""
+    """{label: digest} of every pinned tree of one manifest."""
     manifest = MANIFESTS[name]()
     metric = manifest.metric
-    potentials = set(map(id, (manifest.scalars or {}).values()))
-
-    def digest(comps):
-        for c in comps:
-            assert id(c) in potentials or simplify(c) is c, expr.render(c)
-        return text_digest(comps)
 
     out = {}
     tensors = {"christoffel": christoffel, "riemann": riemann,
                "riemann_lowered": riemann_lowered, "ricci": ricci}
     for label, build in tensors.items():
-        out[label] = digest(flat(build(metric)))
+        out[label] = text_digest(flat(build(metric)))
     if manifest.scalars is not None:
         f1, f2 = manifest.scalars["f1"], manifest.scalars["f2"]
-        out["hessian"] = digest(flat(hessian(metric, f1)))
-        out["gradient"] = digest(flat(gradient(metric, f1)))
+        out["hessian"] = text_digest(flat(hessian(metric, f1)))
+        out["gradient"] = text_digest(flat(gradient(metric, f1)))
         form = gradient_form(metric, f1, f2)
-        out["design_fields"] = digest([c for f in design_fields(metric, form) for c in f])
+        out["design_fields"] = text_digest([c for f in design_fields(metric, form) for c in f])
     if manifest.structure is not None:
         block = manifest.structure
         structure = assemble_structure(manifest.chart, metric, block["phi"], block["xi"],
@@ -305,7 +298,7 @@ def tree_digests(name, monkeypatch):
                                        tolerance=math.inf)
         identities = (covariant_phi_residual, reeb_transport_residual,
                       eta_transport_residual, curvature_reeb_residual)
-        out["sasakian_identities"] = digest(
+        out["sasakian_identities"] = text_digest(
             [c for build in identities for c in flat(build(structure))])
 
     plans = []
@@ -323,7 +316,7 @@ def tree_digests(name, monkeypatch):
         plans.clear()
         run_manifest(manifest, sub, count=3)
         for k, roots in enumerate(plans):
-            out[f"{sub}/plan{k}"] = digest(roots)
+            out[f"{sub}/plan{k}"] = text_digest(roots)
     return out
 
 

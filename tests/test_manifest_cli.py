@@ -836,8 +836,8 @@ class TestCliExitCodes:
                 "domain error: overflow in '1e+200 * (1e+200 * y)' at "), sub
 
     def test_a_folded_overflow_names_the_product(self, tmp_path, capsys):
-        # simplification folds 1e200 * 1e200 in the derivatives of f1 to
-        # inf, which must warn of nothing: a warning is an error here
+        # the smart constructors fold 1e200 * 1e200 in the derivatives of
+        # f1 to inf, which must warn of nothing: a warning is an error here
         doc = sasakian_manifest()
         doc["scalars"]["f1"] += " + (1e200*z)*(1e200*z)"
         path = tmp_path / "overflow.json"
@@ -857,7 +857,7 @@ class TestCliExitCodes:
 
     def test_theorem_rows_need_the_potentials_defined(self, tmp_path, capsys):
         # the theorem rows use f2 only through xi(f2) = d f2/dz = 0, which
-        # simplification folds away; the potentials are checked on their own
+        # differentiation folds away; the potentials are checked on their own
         path = self._sasakian_f2(tmp_path, "sqrt(-1 - y^2)")
         assert main(["check-theorem", "--manifest", path]) == 3
         assert capsys.readouterr().err.startswith(

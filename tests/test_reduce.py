@@ -38,7 +38,7 @@ from grsoliton.contact import (
     ladder_rows,
     ricci_reeb_check,
 )
-from grsoliton.expr import CHUNK_POINTS, Num, Sym, as_scalar, evaluate_many, simplify
+from grsoliton.expr import CHUNK_POINTS, Num, Sym, as_scalar, evaluate_many
 from grsoliton.fit import (
     BLOCK_ROWS,
     CONSTANT_ORDER,
@@ -708,7 +708,7 @@ def test_the_gate_names_the_whole_array_worst_point(sasakian_geometry, failing):
     with pytest.raises(StructureError) as err:
         assemble_structure(chart, g, phi, SASAKIAN_XI, eta, points=points)
     assert err.value.axiom == failing
-    fields = (TensorField(chart, "endo", [[simplify(as_scalar(e)) for e in row] for row in phi]),
+    fields = (TensorField(chart, "endo", [[as_scalar(e) for e in row] for row in phi]),
               vector_field(chart, SASAKIAN_XI), oneform_field(chart, eta))
     values = evaluate_many(_axiom_components(chart, g, *fields)[failing],
                            chart.env_at(points), npoints)

@@ -18,7 +18,6 @@ from grsoliton.tensors import (
     musical_flat,
     musical_sharp,
     oneform_field,
-    partial,
     ricci,
     riemann,
     riemann_lowered,
@@ -191,7 +190,7 @@ class TestGradient:
         gv = g.evaluate_at(pts)
         vv = grad.evaluate_at(pts)
         pairing = np.einsum("pij,pj->pi", gv, vv)
-        df_comps = np.asarray([partial(expr.parse(f), nm) for nm in chart.names],
+        df_comps = np.asarray([expr.differentiate(expr.parse(f), nm) for nm in chart.names],
                               dtype=object)
         df = expr.evaluate_many(df_comps, chart.env_at(pts), len(pts))
         assert np.abs(pairing - df).max() <= 1e-12
@@ -326,7 +325,7 @@ class TestSymProduct:
 
     def test_hyperbolic_potential_square(self, hyperbolic_geometry):
         chart, _ = hyperbolic_geometry
-        df = oneform_field(chart, [partial(expr.parse("-ln(y)"), nm)
+        df = oneform_field(chart, [expr.differentiate(expr.parse("-ln(y)"), nm)
                                    for nm in chart.names])
         m = value_at(sym_product(df, df), [0.0, 2.0])
         assert m[1, 1] == pytest.approx(0.25, abs=1e-16)
@@ -380,14 +379,14 @@ class TestConnectionProperties:
         for k in range(n):
             for i in range(n):
                 for j in range(n):
-                    total = partial(g.comps[i, j], chart.names[k])
+                    total = expr.differentiate(g.comps[i, j], chart.names[k])
                     for l in range(n):
                         total = expr.sub(total, expr.mul(gamma[l, k, i], g.comps[l, j]))
                         total = expr.sub(total, expr.mul(gamma[l, k, j], g.comps[i, l]))
                     comps.append(total)
         field = TensorField(chart, "torsion",
                             np.asarray(comps, dtype=object).reshape(n, n, n))
-        dg = [partial(g.comps[i, j], chart.names[k])
+        dg = [expr.differentiate(g.comps[i, j], chart.names[k])
               for k in range(n) for i in range(n) for j in range(n)]
         dg_field = TensorField(chart, "torsion",
                                np.asarray(dg, dtype=object).reshape(n, n, n))
