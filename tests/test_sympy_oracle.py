@@ -1,8 +1,10 @@
-"""christoffel, ricci, hessian, lie_derivative_sym2 and lie_bracket
-against sympy, an independent oracle.
+"""christoffel, ricci, hessian, lie_derivative_sym2, lie_bracket,
+covariant_derivative and exterior_derivative_oneform against sympy, an
+independent oracle.
 
 sympy differentiates the metric and the potential exactly, and the
-vector fields, drawn as monomials, are differentiated by the power rule.
+vector fields and the one-form, drawn as monomials, are differentiated by
+the power rule.
 The textbook formulas are then contracted in numpy at each sample point,
 with g inverted numerically there (the package inverts g symbolically):
 
@@ -12,11 +14,13 @@ with g inverted numerically there (the package inverts g symbolically):
     Hess f_ij = d_i d_j f - G^k_ij d_k f,
     (L_X g)_ij = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k,
     [X, Y]^k = X^i d_i Y^k - Y^i d_i X^k,
+    (nabla_X Y)^k = X^i d_i Y^k + G^k_ij X^i Y^j,
+    (d eta)_ij = s (d_i eta_j - d_j eta_i), s = 1/2 or 1 by convention,
 
 summed over every a (the package drops the a = k terms, which cancel).
 The metrics are polynomials, positive definite on [-1, 1]^n since each
 diagonal entry is at least 3 and each off-diagonal one at most 1/4; the
-vector fields are cubic polynomials.  sympy is optional: without it this
+vector fields and the one-form are cubic polynomials.  sympy is optional: without it this
 file is skipped.
 """
 
@@ -26,8 +30,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grsoliton.chart import define_chart, define_metric
-from grsoliton.tensors import (christoffel, hessian, lie_bracket, lie_derivative_sym2, ricci,
-                               vector_field)
+from grsoliton.contact import exterior_derivative_oneform
+from grsoliton.tensors import (christoffel, covariant_derivative, hessian, lie_bracket,
+                               lie_derivative_sym2, oneform_field, ricci, vector_field)
 
 sp = pytest.importorskip("sympy")
 
@@ -75,14 +80,14 @@ def vectors(draw, n):
 
 
 def render(field):
-    """A monomial vector field's components as expression strings."""
+    """A monomial field's components as expression strings."""
     return [" + ".join(f"({c})" + "".join(f"*x{a}^{e}" for a, e in enumerate(p) if e)
                        for c, p in zip(coefficients, exponents))
             for coefficients, exponents in field]
 
 
 def field_at(field, point):
-    """(V^k, d_a V^k as [a, k]) of a monomial vector field at a point, by
+    """(V^k, d_a V^k as [a, k]) of a monomial field at a point, by
     the power rule d_a x^p = p_a x^(p - e_a)."""
     n = len(point)
     values, derivatives = np.empty(n), np.empty((n, n))
@@ -94,9 +99,10 @@ def field_at(field, point):
     return values, derivatives
 
 
-def oracle(rows, f, X, Y, points):
-    """(G, Ric, Hess f, L_X g, [X, Y]) at each point, shapes (p, n, n, n),
-    (p, n, n), (p, n, n), (p, n, n) and (p, n)."""
+def oracle(rows, f, X, Y, eta, points):
+    """(G, Ric, Hess f, L_X g, [X, Y], nabla_X Y, d_i eta_j - d_j eta_i) at
+    each point, shapes (p, n, n, n), (p, n, n), (p, n, n), (p, n, n), (p, n),
+    (p, n) and (p, n, n)."""
     n = len(rows)
     x = sp.symbols(f"x0:{n}")
     g = sp.Matrix(rows).applyfunc(sp.sympify)   # sympify reads ^ as a power
@@ -113,6 +119,7 @@ def oracle(rows, f, X, Y, points):
     for point in points:
         g_p, dg, ddg, df, ddf = map(np.array, derived(point))    # dg[a, i, j] = d_a g_ij
         (X_p, dX), (Y_p, dY) = field_at(X, point), field_at(Y, point)
+        deta = field_at(eta, point)[1]                              # [i, j] = d_i eta_j
         inv = np.linalg.inv(g_p)
         first = (dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg) / 2      # [l, i, j]
         gamma = np.einsum("kl,lij->kij", inv, first)
@@ -125,20 +132,27 @@ def oracle(rows, f, X, Y, points):
         lie = (np.einsum("k,kij->ij", X_p, dg) + np.einsum("kj,ik->ij", g_p, dX)
                + np.einsum("ik,jk->ij", g_p, dX))
         out.append((gamma, ric, ddf - np.einsum("kij,k->ij", gamma, df), lie,
-                    X_p @ dY - Y_p @ dX))
+                    X_p @ dY - Y_p @ dX, X_p @ dY + np.einsum("kij,i,j->k", gamma, X_p, Y_p),
+                    deta - deta.T))
     return [np.array(t) for t in zip(*out)]
 
 
-def assert_agrees(rows, f, X, Y, points):
+def assert_agrees(rows, f, X, Y, eta, points):
     n = len(rows)
     chart = define_chart([f"x{i}" for i in range(n)], {f"x{i}": (-1, 1) for i in range(n)})
     metric = define_metric(chart, rows)
     X_field, Y_field = vector_field(chart, render(X)), vector_field(chart, render(Y))
+    eta_field = oneform_field(chart, render(eta))
     package = {"christoffel": christoffel(metric), "ricci": ricci(metric),
                "hessian": hessian(metric, f),
                "lie_derivative_sym2": lie_derivative_sym2(metric, X_field),
-               "lie_bracket": lie_bracket(X_field, Y_field)}
-    for (name, field), expected in zip(package.items(), oracle(rows, f, X, Y, points)):
+               "lie_bracket": lie_bracket(X_field, Y_field),
+               "covariant_derivative": covariant_derivative(metric, X_field, Y_field),
+               "d eta, plain": exterior_derivative_oneform(eta_field, "plain"),
+               "d eta, half": exterior_derivative_oneform(eta_field, "half")}
+    oracles = oracle(rows, f, X, Y, eta, points)
+    oracles.append(oracles[-1] / 2)
+    for (name, field), expected in zip(package.items(), oracles, strict=True):
         got = field.evaluate_at(points)
         scale = max(1.0, np.abs(expected).max())
         assert np.abs(got - expected).max() <= RTOL * scale, name
@@ -152,8 +166,8 @@ def sample(n):
 @pytest.mark.parametrize("n, examples", [(2, 25), (3, 12), (4, 4)])
 def test_the_tensors_agree_with_sympy(n, examples):
     @settings(max_examples=examples, deadline=None)
-    @given(metrics(n), vectors(n), vectors(n), sample(n))
-    def check(case, X, Y, points):
-        assert_agrees(*case, X, Y, points)
+    @given(metrics(n), vectors(n), vectors(n), vectors(n), sample(n))
+    def check(case, X, Y, eta, points):
+        assert_agrees(*case, X, Y, eta, points)
 
     check()
