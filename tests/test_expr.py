@@ -460,18 +460,17 @@ class TestPropertyBased:
         names, raw = {"x": "x", "y": "y", "t": "t"}, {}
         for shape in pool:
             node = build(shape, names, False, raw)
-            text = render(node, 2000)
-            if text.endswith("..."):
+            written = render(node, 2000)
+            if written.endswith("..."):
                 continue
-            back = parse(text)
+            back = parse(written)
             for env in ({"x": 0.37, "y": -1.21, "t": 2.5}, {"x": 0.0, "y": 2.0, "t": -1.0},
                         {"x": -2.0, "y": 0.0, "t": 0.5}, {"x": 3.0, "y": -0.0, "t": -0.0}):
                 try:
                     value = evaluate(node, env)
                 except DomainError:
                     continue
-                assert evaluate(back, env) == value, text
-
+                assert evaluate(back, env) == value, written
 
 
 def rebuilt(node):
